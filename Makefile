@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-deep test race chaos bench bench-server bench-resilience report cover fmt bench-check bench-record bench-baseline
+.PHONY: all build vet fmt-check lint lint-deep test fuzz race chaos bench bench-server bench-resilience report cover fmt bench-check bench-record bench-baseline
 
 all: build vet fmt-check lint lint-deep test
 
@@ -32,6 +32,11 @@ lint-deep:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# The native fuzz target: relation.SortSpans against its sort.SliceStable
+# reference as an exact sequence (CI runs the same 20 s).
+fuzz:
+	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 
 race:
 	$(GO) test -race ./...

@@ -7,6 +7,7 @@ package tdb_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -22,6 +23,7 @@ import (
 	"tdb/internal/rollback"
 	"tdb/internal/storage"
 	"tdb/internal/stream"
+	"tdb/internal/value"
 	"tdb/internal/workload"
 )
 
@@ -560,6 +562,39 @@ func BenchmarkEventJoins(b *testing.B) {
 	})
 }
 
+// --- The sort that buys the interesting orders (Section 4.1, tradeoff 3):
+// the semijoin_narrow shape, 40 000 shuffled rows per input. ---
+
+func BenchmarkSortSpans(b *testing.B) {
+	const n = 40000
+	rel := relation.FromTuples("R", workload.Tuples(workload.Config{N: n, Lambda: 1, MeanDur: 12, Seed: 18}, "t"))
+	rng := rand.New(rand.NewSource(18))
+	rng.Shuffle(n, func(i, j int) { rel.Rows[i], rel.Rows[j] = rel.Rows[j], rel.Rows[i] })
+	open := append([]relation.Row(nil), rel.Rows...)
+	for i := 0; i < n; i += 10 {
+		open[i] = open[i].Clone()
+		open[i][rel.Schema.TE] = value.TimeVal(interval.Forever)
+	}
+	rowSpan := func(r relation.Row) interval.Interval { return r.Span(rel.Schema) }
+	buf := make([]relation.Row, n)
+	for _, c := range []struct {
+		name string
+		rows []relation.Row
+		o    relation.Order
+	}{
+		{"TSAsc", rel.Rows, relation.Order{relation.TSAsc}},
+		{"TEAsc/tenthForever", open, relation.Order{relation.TEAsc}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(buf, c.rows)
+				relation.SortSpans(buf, rowSpan, c.o)
+			}
+		})
+	}
+}
+
 // --- The storage substrate: external sort passes. ---
 
 func BenchmarkExternalSort(b *testing.B) {
@@ -567,20 +602,32 @@ func BenchmarkExternalSort(b *testing.B) {
 	less := func(a, c relation.Row) bool {
 		return a.Span(rel.Schema).Start < c.Span(rel.Schema).Start
 	}
-	for _, mem := range []int{256, 100000} {
-		b.Run(fmt.Sprintf("memRows=%d", mem), func(b *testing.B) {
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				out, err := storage.ExternalSort(stream.FromSlice(rel.Rows), rel.Schema, less, mem, dir, nil)
-				if err != nil {
-					b.Fatal(err)
+	span := func(r relation.Row) interval.Interval { return r.Span(rel.Schema) }
+	type sorter func(mem int, dir string) (stream.Stream[relation.Row], error)
+	run := func(name string, do sorter) {
+		for _, mem := range []int{256, 100000} {
+			b.Run(fmt.Sprintf("%smemRows=%d", name, mem), func(b *testing.B) {
+				dir := b.TempDir()
+				for i := 0; i < b.N; i++ {
+					out, err := do(mem, dir)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := stream.Collect(out); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := stream.Collect(out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
+	run("", func(mem int, dir string) (stream.Stream[relation.Row], error) {
+		return storage.ExternalSort(stream.FromSlice(rel.Rows), rel.Schema, less, mem, dir, nil)
+	})
+	// The keyed entry point the engine spills through.
+	run("keyed/", func(mem int, dir string) (stream.Stream[relation.Row], error) {
+		return storage.ExternalSortSpans(stream.FromSlice(rel.Rows), rel.Schema, span,
+			relation.Order{relation.TSAsc}, mem, dir, nil)
+	})
 }
 
 // --- Section 4.2.3 closing remark: the semijoin prefilter ablation. ---

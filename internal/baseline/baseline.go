@@ -7,10 +7,9 @@
 package baseline
 
 import (
-	"sort"
-
 	"tdb/internal/interval"
 	"tdb/internal/metrics"
+	"tdb/internal/relation"
 )
 
 // NestedLoopJoin emits every pair (x, y) whose lifespans satisfy the θ
@@ -87,9 +86,7 @@ func CartesianFilter[T any](xs, ys []T, span func(T) interval.Interval,
 // ascending — the canonical ordering of the sort-merge band scans.
 func sortedBySpan[T any](xs []T, span func(T) interval.Interval) []T {
 	out := append([]T{}, xs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return interval.Compare(span(out[i]), span(out[j])) < 0
-	})
+	relation.SortSpans(out, span, relation.Order{relation.TSAsc, relation.TEAsc})
 	return out
 }
 

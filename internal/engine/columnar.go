@@ -2,13 +2,14 @@ package engine
 
 // Columnar batch execution of the stream operators. The executor keeps its
 // materialized intermediates as rows, but an eligible join or semijoin node
-// no longer sweeps them row-at-a-time: the sorted inputs are shredded once
-// into flat endpoint columns (core.Cols), the internal/core batch kernels
-// sweep the columns and report matches as row indexes, and the node
-// materializes output rows exactly once at the end. On the parallel path
-// the shards themselves are index lists (partition.SplitIndex), so workers
-// gather compact per-shard columns, sweep, and return global indexes —
-// no row data moves until the coordinator materializes the merged result.
+// no longer sweeps them row-at-a-time: establishOrder hands it each input
+// sorted and already shredded into flat endpoint columns (core.Cols), the
+// internal/core batch kernels sweep the columns and report matches as row
+// indexes, and the node materializes output rows exactly once at the end.
+// On the parallel path the shards themselves are index lists
+// (partition.SplitIndex), so workers gather compact per-shard columns,
+// sweep, and return global indexes — no row data moves until the
+// coordinator materializes the merged result.
 //
 // The row-at-a-time operators remain the reference implementation,
 // selectable with Options.RowExec; the λ read policy and the before-join
@@ -30,19 +31,6 @@ import (
 	"tdb/internal/stream"
 	"tdb/internal/value"
 )
-
-// colsOfSpanned shreds wrapped rows into the flat endpoint columns the
-// batch kernels sweep. One pass, two presized appends per row.
-func colsOfSpanned(ws []spanned) core.Cols {
-	ts := make([]interval.Time, 0, len(ws))
-	te := make([]interval.Time, 0, len(ws))
-	//tdb:hotpath
-	for i := range ws {
-		ts = append(ts, ws[i].span.Start)
-		te = append(te, ws[i].span.End)
-	}
-	return core.Cols{TS: ts, TE: te}
-}
 
 // gatherCols builds a shard's compact local columns from its index list.
 func gatherCols(c core.Cols, idx []int32) core.Cols {
@@ -67,12 +55,12 @@ type pairIdx struct {
 // pairs in one step: a single value arena sized to the exact output,
 // sliced into full-capacity rows so later appends can never alias. Returns
 // nil for no pairs, matching the row path's nil-on-empty convention.
-func materializeJoin(lw, rw []spanned, pairs []pairIdx) []relation.Row {
+func materializeJoin(l, r ordered, pairs []pairIdx) []relation.Row {
 	if len(pairs) == 0 {
 		return nil
 	}
-	la := len(lw[pairs[0].l].row)
-	ra := len(rw[pairs[0].r].row)
+	la := len(l.row(pairs[0].l))
+	ra := len(r.row(pairs[0].r))
 	w := la + ra
 	rows := make([]relation.Row, len(pairs))
 	if w == 0 {
@@ -85,11 +73,26 @@ func materializeJoin(lw, rw []spanned, pairs []pairIdx) []relation.Row {
 	//tdb:hotpath
 	for i := range pairs {
 		row := arena[i*w : i*w+w : i*w+w]
-		copy(row, lw[pairs[i].l].row)
-		copy(row[la:], rw[pairs[i].r].row)
+		copy(row, l.row(pairs[i].l))
+		copy(row[la:], r.row(pairs[i].r))
 		rows[i] = row
 	}
 	return rows
+}
+
+// gather is a semijoin's materialization: its output rows are the
+// qualifying input rows, by reference. Returns nil for no indexes, matching
+// the row path's nil-on-empty convention.
+func (in ordered) gather(idxs []int32) []relation.Row {
+	if len(idxs) == 0 {
+		return nil
+	}
+	out := make([]relation.Row, len(idxs))
+	//tdb:hotpath
+	for i, j := range idxs {
+		out[i] = in.row(j)
+	}
+	return out
 }
 
 // columnarJoinPairs sweeps the sorted columns with the batch kernel for
@@ -223,12 +226,12 @@ func runJoinShardColumnar(ctx context.Context, kind algebra.TemporalKind,
 // gathered columns and return owned (key, pair) lists, and the stable
 // k-way merge recombines them in serial emission order. Only then are
 // output rows materialized — shard workers never touch row data.
-func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, lw, rw []spanned, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
+func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, l, r ordered, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
 	k := len(plan.ranges)
-	lc, rc := colsOfSpanned(lw), colsOfSpanned(rw)
+	lc, rc := l.cols, r.cols
 	shL := partition.SplitIndex(lc.TS, lc.TE, plan.ranges)
 	shR := partition.SplitIndex(rc.TS, rc.TE, plan.ranges)
-	noteMeasuredReplication(cost, shL, shR, len(lw)+len(rw))
+	noteMeasuredReplication(cost, shL, shR, lc.Len()+rc.Len())
 	outs := make([][]ownedPair, k)
 	err := ex.runWorkers(shardLabels("join shard", plan.ranges), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
 		var err error
@@ -251,7 +254,7 @@ func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, lw, rw []spa
 	for i := range merged {
 		pairs = append(pairs, merged[i].pair)
 	}
-	return materializeJoin(lw, rw, pairs), nil
+	return materializeJoin(l, r, pairs), nil
 }
 
 // runSemijoinShardColumnar runs one shard of a columnar semijoin fan-out.
@@ -286,12 +289,12 @@ func runSemijoinShardColumnar(ctx context.Context, kind algebra.TemporalKind,
 // row path: the position-ordered merge with adjacent dedup yields the
 // qualifying left rows in global input order, and only that final list is
 // materialized (by reference — semijoin output rows are the input rows).
-func (ex *executor) parallelSemijoinColumnar(kind algebra.TemporalKind, lw, rw []spanned, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
+func (ex *executor) parallelSemijoinColumnar(kind algebra.TemporalKind, l, r ordered, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
 	k := len(plan.ranges)
-	lc, rc := colsOfSpanned(lw), colsOfSpanned(rw)
+	lc, rc := l.cols, r.cols
 	shL := partition.SplitIndex(lc.TS, lc.TE, plan.ranges)
 	shR := partition.SplitIndex(rc.TS, rc.TE, plan.ranges)
-	noteMeasuredReplication(cost, shL, shR, len(lw)+len(rw))
+	noteMeasuredReplication(cost, shL, shR, lc.Len()+rc.Len())
 	outs := make([][]int32, k)
 	err := ex.runWorkers(shardLabels("semijoin shard", plan.ranges), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
 		var err error
@@ -314,7 +317,7 @@ func (ex *executor) parallelSemijoinColumnar(kind algebra.TemporalKind, lw, rw [
 	rows := make([]relation.Row, len(merged))
 	//tdb:hotpath
 	for i, g := range merged {
-		rows[i] = lw[g].row
+		rows[i] = l.row(g)
 	}
 	return rows, nil
 }

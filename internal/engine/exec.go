@@ -251,43 +251,78 @@ func wrap(rows []relation.Row, span core.Span[relation.Row]) []spanned {
 	return out
 }
 
-// establishOrder produces the rows wrapped with their (possibly derived)
-// lifespans in the given order. With an unbounded sort workspace the sort
-// is in-memory; under Options.SortMemRows larger inputs run through the
-// external merge sort, whose run and page counts are charged to cost —
-// the Section 4.1 passes-for-order tradeoff inside a query plan.
-func (ex *executor) establishOrder(rows []relation.Row, span core.Span[relation.Row],
-	o relation.Order, schema *relation.Schema, cost *NodeCost) ([]spanned, error) {
+// ordered is a stream operator's input in its required order: the
+// (possibly derived) lifespans as the flat endpoint columns the batch
+// kernels sweep, and the rows behind them through the sort's permutation —
+// no row moves until a consumer asks for it: a join copies each matched
+// row straight into its output arena, a semijoin gathers only the rows it
+// emits and never touches its right input's.
+type ordered struct {
+	src  []relation.Row
+	perm []int32 // position i of the order holds src[perm[i]]; nil when src has the order
+	cols core.Cols
+}
 
-	w := wrap(rows, span)
-	if relation.SortedSpans(w, spannedSpan, o) {
-		cost.Notes = append(cost.Notes, fmt.Sprintf("order %v already established (interesting order)", o))
-		return w, nil
+// row returns the i-th row of the order.
+func (in ordered) row(i int32) relation.Row {
+	if in.perm != nil {
+		i = in.perm[i]
 	}
-	cost.SortedRows += int64(len(w))
-	if ex.opt.SortMemRows <= 0 || len(rows) <= ex.opt.SortMemRows {
-		relation.SortSpans(w, spannedSpan, o)
-		cost.Notes = append(cost.Notes, fmt.Sprintf("sorted %d rows in memory for order %v", len(w), o))
-		return w, nil
+	return in.src[i]
+}
+
+// spanned wraps the ordered rows for the row-at-a-time operators — the
+// reference path, the before-join and the governed fallback; the columnar
+// path never calls it.
+func (in ordered) spanned() []spanned {
+	out := make([]spanned, len(in.src))
+	for i := range out {
+		out[i] = spanned{row: in.row(int32(i)), span: in.cols.Span(i)}
 	}
+	return out
+}
+
+// establishOrder produces the rows in the given order of their (possibly
+// derived) lifespans, shred-first: one pass over the rows yields the
+// endpoint columns, the sort permutes (key, index) pairs, and the columns
+// are gathered once (relation.OrderSpans). With an unbounded sort
+// workspace the sort is in-memory; under Options.SortMemRows larger inputs
+// run through the external merge sort, whose run and page counts are
+// charged to cost — the Section 4.1 passes-for-order tradeoff inside a
+// query plan. Both sorts are stable, so the result does not depend on
+// which one ran.
+func (ex *executor) establishOrder(rows []relation.Row, span core.Span[relation.Row],
+	o relation.Order, schema *relation.Schema, cost *NodeCost) (ordered, error) {
+
+	spill := ex.opt.SortMemRows > 0 && len(rows) > ex.opt.SortMemRows
+	if !spill || relation.SortedSpans(rows, span, o) {
+		perm, ts, te := relation.OrderSpans(rows, span, o)
+		if perm != nil {
+			cost.SortedRows += int64(len(rows))
+			cost.Notes = append(cost.Notes, fmt.Sprintf("sorted %d rows in memory for order %v", len(rows), o))
+		} else {
+			cost.Notes = append(cost.Notes, fmt.Sprintf("order %v already established (interesting order)", o))
+		}
+		return ordered{src: rows, perm: perm, cols: core.Cols{TS: ts, TE: te}}, nil
+	}
+	cost.SortedRows += int64(len(rows))
 	var st storage.SortStats
-	less := func(a, b relation.Row) bool {
-		return o.Compare(span(a), span(b)) < 0
-	}
-	sorted, err := storage.ExternalSort(stream.FromSlice(rows), schema, less,
+	sorted, err := storage.ExternalSortSpans(stream.FromSlice(rows), schema, span, o,
 		ex.opt.SortMemRows, ex.opt.SpillDir, &st)
 	if err != nil {
-		return nil, err
+		return ordered{}, err
 	}
 	out, err := stream.Collect(sorted)
 	if err != nil {
-		return nil, err
+		return ordered{}, err
 	}
 	cost.SortRuns += st.Runs
 	cost.SortPages += st.PagesRead + st.PagesWritten
 	cost.Notes = append(cost.Notes, fmt.Sprintf(
 		"external sort for order %v: %d rows spilled to %d runs, %d pages", o, len(rows), st.Runs, st.PagesRead+st.PagesWritten))
-	return wrap(out, span), nil
+	// The merged rows are in order, so this is the shred alone.
+	_, ts, te := relation.OrderSpans(out, span, o)
+	return ordered{src: out, cols: core.Cols{TS: ts, TE: te}}, nil
 }
 
 func wrappedStream(xs []spanned) stream.Stream[spanned] { return stream.FromSlice(xs) }

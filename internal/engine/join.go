@@ -143,24 +143,24 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	default:
 		return nil, nil, fmt.Errorf("engine: unhandled join kind %v", n.Kind)
 	}
-	lw, err := ex.establishOrder(l.rows, lspan, lOrder, l.schema, cost)
+	lo, err := ex.establishOrder(l.rows, lspan, lOrder, l.schema, cost)
 	if err != nil {
 		return nil, nil, err
 	}
-	rw, err := ex.establishOrder(r.rows, rspan, rOrder, r.schema, cost)
+	ro, err := ex.establishOrder(r.rows, rspan, rOrder, r.schema, cost)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	if plan := ex.planParallel(n.Kind, false, lw, rw, cost); plan != nil {
+	if plan := ex.planParallel(n.Kind, false, lo.cols, ro.cols, cost); plan != nil {
 		var rows []relation.Row
 		if ex.opt.RowExec {
-			rows, err = ex.parallelJoin(n.Kind, lw, rw, plan, cost)
+			rows, err = ex.parallelJoin(n.Kind, lo.spanned(), ro.spanned(), plan, cost)
 		} else {
 			// planParallel only accepts sweep-policy joins, so the batch
 			// kernels are always eligible here.
 			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			rows, err = ex.parallelJoinColumnar(n.Kind, lw, rw, plan, cost)
+			rows, err = ex.parallelJoinColumnar(n.Kind, lo, ro, plan, cost)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -180,16 +180,16 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 		}
 	}
 
-	// Columnar batch path (the default): shred the sorted inputs to flat
-	// endpoint columns, sweep with the batch kernels, materialize output
-	// rows once from the matched index pairs. The row path below remains
+	// Columnar batch path (the default): sweep the ordered inputs' endpoint
+	// columns with the batch kernels, materialize output rows once from
+	// the matched index pairs. The row path below remains
 	// the reference implementation (Options.RowExec) and still serves the
 	// λ read policy — whose global read interleaving observes per-row
 	// stream state the batch kernels do not model — and the before-join.
 	if !ex.opt.RowExec && ex.opt.Policy == core.ReadSweep && n.Kind != algebra.KindBefore {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
 		var rows []relation.Row
-		pairs, err := columnarJoinPairs(n.Kind, colsOfSpanned(lw), colsOfSpanned(rw), opt)
+		pairs, err := columnarJoinPairs(n.Kind, lo.cols, ro.cols, opt)
 		if err != nil {
 			if opt.Limit <= 0 || !errors.Is(err, core.ErrWorkspaceBreach) {
 				return nil, nil, err
@@ -197,14 +197,15 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 			// Governed degradation, identically to the row path: the batch
 			// kernel honors the same admission ceiling and breaches at the
 			// same state append.
-			rows = ex.governedJoinFallback(n.Kind, lw, rw, opt.Limit, cost)
+			rows = ex.governedJoinFallback(n.Kind, lo.spanned(), ro.spanned(), opt.Limit, cost)
 		} else {
-			rows = materializeJoin(lw, rw, pairs)
+			rows = materializeJoin(lo, ro, pairs)
 		}
 		cost.OutRows = int64(len(rows))
 		return rows, cost, nil
 	}
 
+	lw, rw := lo.spanned(), ro.spanned()
 	var rows []relation.Row
 	emitLR := func(a, b spanned) { rows = append(rows, relation.ConcatRows(a.row, b.row)) }
 	emitRL := func(a, b spanned) { rows = append(rows, relation.ConcatRows(b.row, a.row)) }
@@ -539,10 +540,11 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	default:
 		return nil, fmt.Errorf("engine: self semijoin of kind %v", n.Kind)
 	}
-	lw, err := ex.establishOrder(l.rows, lspan, order, l.schema, cost)
+	lo, err := ex.establishOrder(l.rows, lspan, order, l.schema, cost)
 	if err != nil {
 		return nil, err
 	}
+	lw := lo.spanned()
 
 	var rows []relation.Row
 	emit := func(s spanned) { rows = append(rows, s.row) }
@@ -589,21 +591,25 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 	default:
 		return nil, nil, fmt.Errorf("engine: unhandled semijoin kind %v", n.Kind)
 	}
-	lw, rw := wrap(l.rows, lspan), wrap(r.rows, rspan)
-	if lOrder != nil {
-		if lw, err = ex.establishOrder(l.rows, lspan, lOrder, l.schema, cost); err != nil {
+	var lw, rw []spanned
+	if lOrder == nil {
+		lw, rw = wrap(l.rows, lspan), wrap(r.rows, rspan)
+	} else {
+		lo, err := ex.establishOrder(l.rows, lspan, lOrder, l.schema, cost)
+		if err != nil {
 			return nil, nil, err
 		}
-		if rw, err = ex.establishOrder(r.rows, rspan, rOrder, r.schema, cost); err != nil {
+		ro, err := ex.establishOrder(r.rows, rspan, rOrder, r.schema, cost)
+		if err != nil {
 			return nil, nil, err
 		}
-		if plan := ex.planParallel(n.Kind, true, lw, rw, cost); plan != nil {
+		if plan := ex.planParallel(n.Kind, true, lo.cols, ro.cols, cost); plan != nil {
 			var rows []relation.Row
 			if ex.opt.RowExec {
-				rows, err = ex.parallelSemijoin(n.Kind, lw, rw, plan, cost)
+				rows, err = ex.parallelSemijoin(n.Kind, lo.spanned(), ro.spanned(), plan, cost)
 			} else {
 				cost.Notes = append(cost.Notes, "columnar batch kernels")
-				rows, err = ex.parallelSemijoinColumnar(n.Kind, lw, rw, plan, cost)
+				rows, err = ex.parallelSemijoinColumnar(n.Kind, lo, ro, plan, cost)
 			}
 			if err != nil {
 				return nil, nil, err
@@ -619,17 +625,14 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 		// and Options.RowExec take the row reference path below.
 		if !ex.opt.RowExec {
 			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			idxs, err := columnarSemijoinIdx(n.Kind, colsOfSpanned(lw), colsOfSpanned(rw), opt)
+			idxs, err := columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
 			if err != nil {
 				return nil, nil, err
 			}
-			var rows []relation.Row
-			for _, i := range idxs {
-				rows = append(rows, lw[i].row)
-			}
-			cost.OutRows = int64(len(rows))
-			return rows, cost, nil
+			cost.OutRows = int64(len(idxs))
+			return lo.gather(idxs), cost, nil
 		}
+		lw, rw = lo.spanned(), ro.spanned()
 	}
 
 	var rows []relation.Row

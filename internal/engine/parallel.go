@@ -80,13 +80,12 @@ type parallelPlan struct {
 	est    optimizer.ParallelEstimate
 }
 
-// spannedStats derives catalog statistics from wrapped, materialized rows.
-func spannedStats(ws []spanned) *catalog.Stats {
-	spans := make([]interval.Interval, len(ws))
-	for i, w := range ws {
-		spans[i] = w.span
+// appendSpans appends the columns' lifespans to spans.
+func appendSpans(spans []interval.Interval, c core.Cols) []interval.Interval {
+	for i := range c.TS {
+		spans = append(spans, c.Span(i))
 	}
-	return catalog.FromSpans(spans)
+	return spans
 }
 
 // planParallel decides whether to fan a stream join (semi=false) or
@@ -95,7 +94,7 @@ func spannedStats(ws []spanned) *catalog.Stats {
 // Options.ForceParallel bypasses only the size and cost-model gates. A
 // nil return means serial. Once a decision is genuinely considered, the
 // evidence is recorded in the node's notes for the plan explain.
-func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lw, rw []spanned, cost *NodeCost) *parallelPlan {
+func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc core.Cols, cost *NodeCost) *parallelPlan {
 	k := ex.workers()
 	if k < 2 {
 		return nil
@@ -107,7 +106,7 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lw, rw []
 		// partitioning keeps its state local to a shard.
 		return nil
 	}
-	if n := len(lw) + len(rw); !ex.opt.ForceParallel && n < ex.parallelMinRows() {
+	if n := lc.Len() + rc.Len(); !ex.opt.ForceParallel && n < ex.parallelMinRows() {
 		return nil
 	}
 	if !semi && ex.opt.Policy != core.ReadSweep {
@@ -118,14 +117,10 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lw, rw []
 		cost.Notes = append(cost.Notes, "parallel: declined (λ read policy orders reads globally)")
 		return nil
 	}
-	sx, sy := spannedStats(lw), spannedStats(rw)
-	all := make([]interval.Interval, 0, len(lw)+len(rw))
-	for _, w := range lw {
-		all = append(all, w.span)
-	}
-	for _, w := range rw {
-		all = append(all, w.span)
-	}
+	// One span list, left then right: each side's statistics come from its
+	// half, the cut points from the whole.
+	all := appendSpans(appendSpans(make([]interval.Interval, 0, lc.Len()+rc.Len()), lc), rc)
+	sx, sy := catalog.FromSpans(all[:lc.Len()]), catalog.FromSpans(all[lc.Len():])
 	ranges := partition.Ranges(catalog.FromSpans(all).EquiDepthTSCuts(k))
 	if len(ranges) < 2 {
 		cost.Notes = append(cost.Notes, "parallel: declined (no distinct TS cut points)")

@@ -85,10 +85,9 @@ func Tradeoffs(sizes []int, memRows int, dir string, seed int64) (*TradeoffsResu
 		sortSide := func(ts []relation.Tuple) ([]relation.Tuple, error) {
 			rel := relation.FromTuples("t", ts)
 			var st storage.SortStats
-			sorted, err := storage.ExternalSort(stream.FromSlice(rel.Rows), rel.Schema,
-				func(a, b relation.Row) bool {
-					return interval.CmpStart(a.Span(rel.Schema), b.Span(rel.Schema)) < 0
-				}, memRows, dir, &st)
+			sorted, err := storage.ExternalSortSpans(stream.FromSlice(rel.Rows), rel.Schema,
+				func(r relation.Row) interval.Interval { return r.Span(rel.Schema) },
+				relation.Order{relation.TSAsc}, memRows, dir, &st)
 			if err != nil {
 				return nil, err
 			}

@@ -101,6 +101,15 @@ func (m *Manager) Tables() []*Table {
 	return out
 }
 
+// rowsByValidFrom returns a copy of the relation's rows stably sorted on
+// ValidFrom — the order standing operators are fed in.
+func rowsByValidFrom(rel *relation.Relation) []relation.Row {
+	sorted := relation.New(rel.Name, rel.Schema)
+	sorted.Rows = append([]relation.Row(nil), rel.Rows...)
+	sorted.Sort(relation.Order{relation.TSAsc})
+	return sorted.Rows
+}
+
 // batchReference runs a standing plan's operator once over the current
 // (released) relation contents — the reference sequence an incremental
 // query's accumulated deltas must be a byte-identical prefix of.
@@ -111,11 +120,7 @@ func (m *Manager) batchReference(plan *engine.StandingPlan) ([]relation.Row, err
 		if err != nil {
 			return nil, err
 		}
-		rows := append([]relation.Row(nil), rel.Rows...)
-		schema := rel.Schema
-		sort.SliceStable(rows, func(i, j int) bool {
-			return interval.CmpStart(rows[i].Span(schema), rows[j].Span(schema)) < 0
-		})
+		rows := rowsByValidFrom(rel)
 		feed(rows)
 		return rows, nil
 	}

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"tdb/internal/algebra"
 	"tdb/internal/engine"
 	"tdb/internal/fault"
-	"tdb/internal/interval"
 	"tdb/internal/metrics"
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
@@ -148,11 +146,7 @@ func (q *StandingQuery) backfill(rel string, feed func([]relation.Row), log *[]r
 	if err != nil || len(r.Rows) == 0 {
 		return
 	}
-	rows := append([]relation.Row(nil), r.Rows...)
-	schema := r.Schema
-	sort.SliceStable(rows, func(i, j int) bool {
-		return interval.CmpStart(rows[i].Span(schema), rows[j].Span(schema)) < 0
-	})
+	rows := rowsByValidFrom(r)
 	*log = append(*log, rows...)
 	feed(rows)
 }

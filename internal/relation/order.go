@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tdb/internal/interval"
@@ -98,16 +97,6 @@ func endpoint(iv interval.Interval, e interval.Endpoint) interval.Time {
 		return iv.Start
 	}
 	return iv.End
-}
-
-// SortSpans sorts a slice of arbitrary elements by their lifespans under
-// the order, using the accessor to obtain each element's lifespan. The sort
-// is stable so that repeated sorting with refining orders behaves like a
-// composite sort.
-func SortSpans[T any](xs []T, span func(T) interval.Interval, o Order) {
-	sort.SliceStable(xs, func(i, j int) bool {
-		return o.Compare(span(xs[i]), span(xs[j])) < 0
-	})
 }
 
 // SortedSpans reports whether the elements are already in the order.

@@ -1,11 +1,11 @@
 package storage
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/stream"
 )
@@ -20,16 +20,80 @@ type SortStats struct {
 	PagesWritten int64
 }
 
+// rowOrder is one external sort's ordering, in the two forms its phases
+// need: a stable in-memory sort of a run buffer, and a strict order over
+// merge heads. It is either a comparison (less) or a temporal order over a
+// lifespan accessor (span, order); both forms share one run writer and one
+// merge, and both are stable — runs are consecutive chunks of the input,
+// each sorted stably, and the merge breaks ties by run index — so they
+// agree with each other, with relation.SortSpans, and with themselves at
+// any memRows.
+type rowOrder struct {
+	less  func(a, b relation.Row) bool
+	span  func(relation.Row) interval.Interval
+	order relation.Order
+}
+
+func (ro *rowOrder) sortRun(rows []relation.Row) {
+	if ro.less != nil {
+		sortRows(rows, ro.less)
+		return
+	}
+	relation.SortSpans(rows, ro.span, ro.order)
+}
+
+// head wraps a row just read from a run; the keyed form extracts the row's
+// sort key here, once, instead of decoding lifespans per comparison.
+func (ro *rowOrder) head(row relation.Row, run int) runHead {
+	h := runHead{row: row, run: run}
+	if ro.less == nil {
+		h.key = ro.order.SortKey(ro.span(row))
+	}
+	return h
+}
+
+// before is the merge's strict order over heads of different runs: by
+// the ordering, ties to the lower run — decided with one comparison by
+// asking the question the run indexes leave open.
+func (ro *rowOrder) before(a, b *runHead) bool {
+	if a.run > b.run {
+		return ro.headLess(a, b)
+	}
+	return !ro.headLess(b, a)
+}
+
+func (ro *rowOrder) headLess(a, b *runHead) bool {
+	if ro.less != nil {
+		return ro.less(a.row, b.row)
+	}
+	return a.key.Less(b.key)
+}
+
 // ExternalSort sorts the rows of in by the comparison function using
 // run generation bounded to memRows rows of workspace, followed by a single
 // multiway merge of the run files in dir. It returns the sorted stream and
-// fills stats (which may be nil).
+// fills stats (which may be nil). The sort is stable at every memRows.
 //
 // With memRows ≥ input size the sort degenerates to one in-memory run and
 // no merge I/O; with smaller workspaces the experiments observe the extra
 // read/write passes that buying the stream algorithms' sort order costs.
 func ExternalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 	less func(a, b relation.Row) bool, memRows int, dir string, stats *SortStats) (stream.Stream[relation.Row], error) {
+	return externalSort(in, schema, rowOrder{less: less}, memRows, dir, stats)
+}
+
+// ExternalSortSpans is ExternalSort for a temporal order over the rows'
+// lifespans (the only order the engine ever establishes): runs are formed
+// by relation.SortSpans and the merge compares keys extracted once per row
+// read. The output is row for row what SortSpans yields on the whole input.
+func ExternalSortSpans(in stream.Stream[relation.Row], schema *relation.Schema,
+	span func(relation.Row) interval.Interval, o relation.Order,
+	memRows int, dir string, stats *SortStats) (stream.Stream[relation.Row], error) {
+	return externalSort(in, schema, rowOrder{span: span, order: o}, memRows, dir, stats)
+}
+
+func externalSort(in stream.Stream[relation.Row], schema *relation.Schema,
+	ord rowOrder, memRows int, dir string, stats *SortStats) (stream.Stream[relation.Row], error) {
 	if memRows < 1 {
 		memRows = 1
 	}
@@ -46,7 +110,7 @@ func ExternalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 		if len(buf) == 0 {
 			return nil
 		}
-		sortRows(buf, less)
+		ord.sortRun(buf)
 		path := filepath.Join(dir, fmt.Sprintf("run-%d.tdb", len(runs)))
 		hf, err := Create(path, schema, 1)
 		if err != nil {
@@ -86,7 +150,7 @@ func ExternalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 
 	// A single in-memory run needs no files at all.
 	if len(runs) == 0 {
-		sortRows(buf, less)
+		ord.sortRun(buf)
 		if stats != nil {
 			stats.Runs = 1
 		}
@@ -103,12 +167,11 @@ func ExternalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 			stats.PagesWritten += r.Stats().PagesWritten
 		}
 	}
-	return newMergeStream(runs, less, stats), nil
+	return &mergeStream{runs: runs, ord: ord, stats: stats}, nil
 }
 
-// sortRows is an in-place merge-insertion hybrid; the standard library sort
-// cannot be used directly because rows compare through a closure — we wrap
-// sort.Slice semantics with a simple top-down merge sort for stability.
+// sortRows is the comparison form's run sort: a stable top-down merge sort
+// through the closure.
 func sortRows(rows []relation.Row, less func(a, b relation.Row) bool) {
 	if len(rows) < 2 {
 		return
@@ -148,13 +211,14 @@ func sortRows(rows []relation.Row, less func(a, b relation.Row) bool) {
 	ms(0, len(rows))
 }
 
-// mergeStream is the k-way merge over run files, driven by a heap of run
-// heads.
+// mergeStream is the k-way merge over run files, driven by a binary heap
+// of run heads under rowOrder.before — a strict order (ties go to the lower
+// run index), so the merged sequence does not depend on heap mechanics.
 type mergeStream struct {
 	runs  []*HeapFile
 	scans []stream.Stream[relation.Row]
-	h     runHeap
-	less  func(a, b relation.Row) bool
+	heads []runHead
+	ord   rowOrder
 	stats *SortStats
 	err   error
 	init  bool
@@ -162,28 +226,27 @@ type mergeStream struct {
 
 type runHead struct {
 	row relation.Row
-	idx int
+	key relation.SortKey
+	run int
 }
 
-type runHeap struct {
-	heads []runHead
-	less  func(a, b relation.Row) bool
-}
-
-func (h runHeap) Len() int           { return len(h.heads) }
-func (h runHeap) Less(i, j int) bool { return h.less(h.heads[i].row, h.heads[j].row) }
-func (h runHeap) Swap(i, j int)      { h.heads[i], h.heads[j] = h.heads[j], h.heads[i] }
-func (h *runHeap) Push(x any)        { h.heads = append(h.heads, x.(runHead)) }
-func (h *runHeap) Pop() any {
-	old := h.heads
-	n := len(old)
-	x := old[n-1]
-	h.heads = old[:n-1]
-	return x
-}
-
-func newMergeStream(runs []*HeapFile, less func(a, b relation.Row) bool, stats *SortStats) *mergeStream {
-	return &mergeStream{runs: runs, less: less, stats: stats}
+// siftDown restores the heap below position i.
+func (m *mergeStream) siftDown(i int) {
+	h := m.heads
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && m.ord.before(&h[c+1], &h[c]) {
+			c++
+		}
+		if !m.ord.before(&h[c], &h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func (m *mergeStream) Next() (relation.Row, bool) {
@@ -192,33 +255,36 @@ func (m *mergeStream) Next() (relation.Row, bool) {
 	}
 	if !m.init {
 		m.init = true
-		m.h.less = m.less
 		m.scans = make([]stream.Stream[relation.Row], len(m.runs))
 		for i, r := range m.runs {
 			m.scans[i] = r.Scan()
 			if row, ok := m.scans[i].Next(); ok {
-				m.h.heads = append(m.h.heads, runHead{row: row, idx: i})
+				m.heads = append(m.heads, m.ord.head(row, i))
 			} else if err := m.scans[i].Err(); err != nil {
 				m.fail(err)
 				return nil, false
 			}
 		}
-		heap.Init(&m.h)
+		for i := len(m.heads)/2 - 1; i >= 0; i-- {
+			m.siftDown(i)
+		}
 	}
-	if m.h.Len() == 0 {
+	if len(m.heads) == 0 {
 		m.finish()
 		return nil, false
 	}
-	top := m.h.heads[0]
-	if row, ok := m.scans[top.idx].Next(); ok {
-		m.h.heads[0] = runHead{row: row, idx: top.idx}
-		heap.Fix(&m.h, 0)
-	} else if err := m.scans[top.idx].Err(); err != nil {
+	top := m.heads[0]
+	if row, ok := m.scans[top.run].Next(); ok {
+		m.heads[0] = m.ord.head(row, top.run)
+	} else if err := m.scans[top.run].Err(); err != nil {
 		m.fail(err)
 		return nil, false
 	} else {
-		heap.Pop(&m.h)
+		last := len(m.heads) - 1
+		m.heads[0] = m.heads[last]
+		m.heads = m.heads[:last]
 	}
+	m.siftDown(0)
 	return top.row, true
 }
 

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -238,6 +240,59 @@ func TestExternalSortMultiset(t *testing.T) {
 	for k, c := range counts {
 		if c != 0 {
 			t.Fatalf("multiset mismatch for %q: %d", k, c)
+		}
+	}
+}
+
+// Both entry points are stable at every workspace: on inputs full of equal
+// keys the spilled sequence is exactly the in-memory stable sort's, for the
+// comparison form and the keyed form alike.
+func TestExternalSortStableAtEveryWorkspace(t *testing.T) {
+	schema := testSchema(t)
+	span := func(r relation.Row) interval.Interval { return r.Span(schema) }
+	rng := rand.New(rand.NewSource(18))
+	var rows []relation.Row
+	for i := 0; i < 500; i++ {
+		s := interval.Time(rng.Intn(9) - 4)
+		e := s + 1 + interval.Time(rng.Intn(3))
+		if rng.Intn(8) == 0 {
+			e = interval.Forever
+		}
+		rows = append(rows, makeRow(fmt.Sprintf("s%03d", i), "v", s, e))
+	}
+	for _, o := range []relation.Order{
+		{relation.TSAsc}, {relation.TEDesc}, {relation.TSAsc, relation.TEAsc}, {relation.TEAsc, relation.TSDesc},
+	} {
+		want := append([]relation.Row(nil), rows...)
+		sort.SliceStable(want, func(i, j int) bool { return o.Compare(span(want[i]), span(want[j])) < 0 })
+		less := func(a, b relation.Row) bool { return o.Compare(span(a), span(b)) < 0 }
+		for _, memRows := range []int{7, 64, 499, 500} {
+			for name, sorted := range map[string]func() (stream.Stream[relation.Row], error){
+				"ExternalSort": func() (stream.Stream[relation.Row], error) {
+					return ExternalSort(stream.FromSlice(rows), schema, less, memRows, t.TempDir(), nil)
+				},
+				"ExternalSortSpans": func() (stream.Stream[relation.Row], error) {
+					return ExternalSortSpans(stream.FromSlice(rows), schema, span, o, memRows, t.TempDir(), nil)
+				},
+			} {
+				out, err := sorted()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := stream.Collect(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s order %v memRows=%d: %d rows, want %d", name, o, memRows, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Key() != want[i].Key() {
+						t.Fatalf("%s order %v memRows=%d: row %d is %q, stable reference %q",
+							name, o, memRows, i, got[i].Key(), want[i].Key())
+					}
+				}
+			}
 		}
 	}
 }
