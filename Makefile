@@ -33,10 +33,14 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# The native fuzz target: relation.SortSpans against its sort.SliceStable
-# reference as an exact sequence (CI runs the same 20 s).
+# The native fuzz targets (CI runs the same): relation.SortSpans against
+# its sort.SliceStable reference as an exact sequence, and the two page
+# decoders — key-run pages and row pages — on arbitrary bytes: records or
+# rows, or ErrCorruptPage, never a panic or an out-of-range index.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
+	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/storage
 
 race:
 	$(GO) test -race ./...

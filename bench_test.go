@@ -602,31 +602,32 @@ func BenchmarkExternalSort(b *testing.B) {
 	less := func(a, c relation.Row) bool {
 		return a.Span(rel.Schema).Start < c.Span(rel.Schema).Start
 	}
-	span := func(r relation.Row) interval.Interval { return r.Span(rel.Schema) }
-	type sorter func(mem int, dir string) (stream.Stream[relation.Row], error)
-	run := func(name string, do sorter) {
+	ts, te := relation.ShredSpans(rel.Rows, func(r relation.Row) interval.Interval { return r.Span(rel.Schema) })
+	run := func(name string, do func(mem int, dir string) error) {
 		for _, mem := range []int{256, 100000} {
 			b.Run(fmt.Sprintf("%smemRows=%d", name, mem), func(b *testing.B) {
 				dir := b.TempDir()
 				for i := 0; i < b.N; i++ {
-					out, err := do(mem, dir)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := stream.Collect(out); err != nil {
+					if err := do(mem, dir); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
-	run("", func(mem int, dir string) (stream.Stream[relation.Row], error) {
-		return storage.ExternalSort(stream.FromSlice(rel.Rows), rel.Schema, less, mem, dir, nil)
+	// The comparison form: whole rows through the run files.
+	run("", func(mem int, dir string) error {
+		out, err := storage.ExternalSort(stream.FromSlice(rel.Rows), rel.Schema, less, mem, dir, nil)
+		if err != nil {
+			return err
+		}
+		_, err = stream.Collect(out)
+		return err
 	})
-	// The keyed entry point the engine spills through.
-	run("keyed/", func(mem int, dir string) (stream.Stream[relation.Row], error) {
-		return storage.ExternalSortSpans(stream.FromSlice(rel.Rows), rel.Schema, span,
-			relation.Order{relation.TSAsc}, mem, dir, nil)
+	// The key form the engine spills through: (SortKey, index) records.
+	run("keys/", func(mem int, dir string) error {
+		_, err := storage.ExternalSortKeys(ts, te, relation.Order{relation.TSAsc}, mem, dir, nil)
+		return err
 	})
 }
 

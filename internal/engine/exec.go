@@ -34,12 +34,15 @@ type Options struct {
 	// of always streaming.
 	CostBased bool
 	// SortMemRows, when positive, bounds the in-memory sort workspace for
-	// establishing stream orderings: larger inputs are sorted externally
-	// through run files in SpillDir, paying the extra read/write passes
-	// of Section 4.1's third tradeoff (accounted in NodeCost).
+	// establishing stream orderings, counted in sort records — one (key,
+	// row index) pair per input row: larger inputs are sorted externally
+	// through run files of such records in SpillDir, paying the extra
+	// read/write passes of Section 4.1's third tradeoff (accounted in
+	// NodeCost). The rows themselves are never spilled.
 	SortMemRows int
 	// SpillDir receives external-sort run files; required when
-	// SortMemRows is set.
+	// SortMemRows is set. Concurrent runs may share it: every run file gets
+	// a name of its own and is deleted before the sort returns.
 	SpillDir string
 	// Policy selects the stream read policy (sweep by default).
 	Policy core.ReadPolicy
@@ -285,44 +288,41 @@ func (in ordered) spanned() []spanned {
 // establishOrder produces the rows in the given order of their (possibly
 // derived) lifespans, shred-first: one pass over the rows yields the
 // endpoint columns, the sort permutes (key, index) pairs, and the columns
-// are gathered once (relation.OrderSpans). With an unbounded sort
-// workspace the sort is in-memory; under Options.SortMemRows larger inputs
-// run through the external merge sort, whose run and page counts are
-// charged to cost — the Section 4.1 passes-for-order tradeoff inside a
-// query plan. Both sorts are stable, so the result does not depend on
+// are gathered once. With an unbounded sort workspace that is
+// relation.OrderSpans; under Options.SortMemRows larger inputs take the
+// same steps through storage.ExternalSortKeys, which spills the pairs — not
+// the rows — to run files and whose run and page counts are charged to
+// cost: the Section 4.1 passes-for-order tradeoff inside a query plan.
+// Either way the rows stay where they are and are read through the
+// permutation, and both sorts are stable, so the result does not depend on
 // which one ran.
 func (ex *executor) establishOrder(rows []relation.Row, span core.Span[relation.Row],
-	o relation.Order, schema *relation.Schema, cost *NodeCost) (ordered, error) {
+	o relation.Order, cost *NodeCost) (ordered, error) {
 
-	spill := ex.opt.SortMemRows > 0 && len(rows) > ex.opt.SortMemRows
-	if !spill || relation.SortedSpans(rows, span, o) {
-		perm, ts, te := relation.OrderSpans(rows, span, o)
-		if perm != nil {
-			cost.SortedRows += int64(len(rows))
-			cost.Notes = append(cost.Notes, fmt.Sprintf("sorted %d rows in memory for order %v", len(rows), o))
-		} else {
-			cost.Notes = append(cost.Notes, fmt.Sprintf("order %v already established (interesting order)", o))
+	in := ordered{src: rows}
+	if mem := ex.opt.SortMemRows; mem > 0 && len(rows) > mem && !relation.SortedSpans(rows, span, o) {
+		ts, te := relation.ShredSpans(rows, span)
+		var st storage.SortStats
+		var err error
+		if in.perm, err = storage.ExternalSortKeys(ts, te, o, mem, ex.opt.SpillDir, &st); err != nil {
+			return ordered{}, err
 		}
-		return ordered{src: rows, perm: perm, cols: core.Cols{TS: ts, TE: te}}, nil
+		in.cols = gatherCols(core.Cols{TS: ts, TE: te}, in.perm)
+		cost.SortedRows += int64(len(rows))
+		cost.SortRuns += st.Runs
+		cost.SortPages += st.PagesRead + st.PagesWritten
+		cost.Notes = append(cost.Notes, fmt.Sprintf(
+			"external sort for order %v: %d keys spilled to %d runs, %d pages", o, len(rows), st.Runs, st.PagesRead+st.PagesWritten))
+		return in, nil
 	}
-	cost.SortedRows += int64(len(rows))
-	var st storage.SortStats
-	sorted, err := storage.ExternalSortSpans(stream.FromSlice(rows), schema, span, o,
-		ex.opt.SortMemRows, ex.opt.SpillDir, &st)
-	if err != nil {
-		return ordered{}, err
+	in.perm, in.cols.TS, in.cols.TE = relation.OrderSpans(rows, span, o)
+	if in.perm != nil {
+		cost.SortedRows += int64(len(rows))
+		cost.Notes = append(cost.Notes, fmt.Sprintf("sorted %d rows in memory for order %v", len(rows), o))
+	} else {
+		cost.Notes = append(cost.Notes, fmt.Sprintf("order %v already established (interesting order)", o))
 	}
-	out, err := stream.Collect(sorted)
-	if err != nil {
-		return ordered{}, err
-	}
-	cost.SortRuns += st.Runs
-	cost.SortPages += st.PagesRead + st.PagesWritten
-	cost.Notes = append(cost.Notes, fmt.Sprintf(
-		"external sort for order %v: %d rows spilled to %d runs, %d pages", o, len(rows), st.Runs, st.PagesRead+st.PagesWritten))
-	// The merged rows are in order, so this is the shred alone.
-	_, ts, te := relation.OrderSpans(out, span, o)
-	return ordered{src: out, cols: core.Cols{TS: ts, TE: te}}, nil
+	return in, nil
 }
 
 func wrappedStream(xs []spanned) stream.Stream[spanned] { return stream.FromSlice(xs) }
@@ -519,7 +519,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 			return nil, err
 		}
 		if !parallel {
-			if rows, err = stream.Collect(hf.Scan()); err != nil {
+			if rows, err = stream.AppendAll(make([]relation.Row, 0, hf.Rows()), hf.Scan()); err != nil {
 				return nil, err
 			}
 			cost.Probe.ReadLeft = int64(len(rows))

@@ -143,11 +143,11 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	default:
 		return nil, nil, fmt.Errorf("engine: unhandled join kind %v", n.Kind)
 	}
-	lo, err := ex.establishOrder(l.rows, lspan, lOrder, l.schema, cost)
+	lo, err := ex.establishOrder(l.rows, lspan, lOrder, cost)
 	if err != nil {
 		return nil, nil, err
 	}
-	ro, err := ex.establishOrder(r.rows, rspan, rOrder, r.schema, cost)
+	ro, err := ex.establishOrder(r.rows, rspan, rOrder, cost)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -540,7 +540,7 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	default:
 		return nil, fmt.Errorf("engine: self semijoin of kind %v", n.Kind)
 	}
-	lo, err := ex.establishOrder(l.rows, lspan, order, l.schema, cost)
+	lo, err := ex.establishOrder(l.rows, lspan, order, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -595,11 +595,11 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 	if lOrder == nil {
 		lw, rw = wrap(l.rows, lspan), wrap(r.rows, rspan)
 	} else {
-		lo, err := ex.establishOrder(l.rows, lspan, lOrder, l.schema, cost)
+		lo, err := ex.establishOrder(l.rows, lspan, lOrder, cost)
 		if err != nil {
 			return nil, nil, err
 		}
-		ro, err := ex.establishOrder(r.rows, rspan, rOrder, r.schema, cost)
+		ro, err := ex.establishOrder(r.rows, rspan, rOrder, cost)
 		if err != nil {
 			return nil, nil, err
 		}

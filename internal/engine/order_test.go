@@ -89,6 +89,31 @@ func TestSpilledSortByteIdenticalToInMemory(t *testing.T) {
 	}
 }
 
+// The same at the workspace's extremes — one record (a run per row), an
+// eighth of the larger input, the whole of it — on inputs small enough for
+// a file per row.
+func TestSpilledSortAtWorkspaceExtremes(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const n = 64
+	db := tiedDB(t, tiedTuples(rng, n, "x"), tiedTuples(rng, n-16, "y"))
+	for _, q := range orderedQueries() {
+		for _, opt := range []Options{colOpt(), rowOpt()} {
+			ref, _, err := Run(db, q.tree, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mem := range []int{1, n / 8, n} {
+				opt.SortMemRows, opt.SpillDir = mem, t.TempDir()
+				got, _, err := Run(db, q.tree, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				identicalRows(t, fmt.Sprintf("%s SortMemRows=%d RowExec=%v", q.name, mem, opt.RowExec), ref, got)
+			}
+		}
+	}
+}
+
 // shuffleKeepingTies permutes the tuples at random but leaves the relative
 // order of tuples that share the given endpoint as it was: the slots each
 // tie class lands on are refilled with the class in its original order.

@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"sync"
 	"testing"
 
 	"tdb/internal/algebra"
+	"tdb/internal/fault"
 	"tdb/internal/interval"
 	"tdb/internal/optimizer"
 	"tdb/internal/relation"
+	"tdb/internal/storage"
 	"tdb/internal/workload"
 )
 
@@ -74,5 +81,135 @@ func TestBoundedSortWorkspaceSpills(t *testing.T) {
 	}
 	if inMem.Cardinality() == 0 {
 		t.Fatal("empty join result")
+	}
+}
+
+func requireEmptySpillDir(t *testing.T, dir, when string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("%s: %d files left in SpillDir, first %s", when, len(left), left[0].Name())
+	}
+}
+
+// Concurrent runs may share one SpillDir: every sort's run files carry
+// names of their own, so no run opens, truncates or deletes another's, each
+// result is the serial one, and the directory ends empty. (Run under -race
+// in CI; with run files named by their position in the sort this fails with
+// corrupt pages or wrong rows.)
+func TestConcurrentSpillsShareSpillDir(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	db := tiedDB(t, tiedTuples(rng, 400, "x"), tiedTuples(rng, 300, "y"))
+	queries := []algebra.Expr{joinOf(algebra.KindContain), semijoinOf(algebra.KindOverlap)}
+	opt := colOpt()
+	refs := make([]*relation.Relation, len(queries))
+	for i, q := range queries {
+		ref, _, err := Run(db, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref
+	}
+	opt.SortMemRows, opt.SpillDir = 16, t.TempDir()
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q algebra.Expr) {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				got, st, err := Run(db, q, opt)
+				if err != nil {
+					t.Errorf("query %d round %d: %v", i, round, err)
+					return
+				}
+				if st.Nodes[len(st.Nodes)-1].SortRuns == 0 {
+					t.Errorf("query %d: nothing spilled", i)
+					return
+				}
+				if len(got.Rows) != len(refs[i].Rows) {
+					t.Errorf("query %d round %d: %d rows, serial %d", i, round, len(got.Rows), len(refs[i].Rows))
+					return
+				}
+				for j := range got.Rows {
+					if got.Rows[j].Key() != refs[i].Rows[j].Key() {
+						t.Errorf("query %d round %d: row %d is %q, serial %q", i, round, j, got.Rows[j].Key(), refs[i].Rows[j].Key())
+						return
+					}
+				}
+			}
+		}(i, q)
+	}
+	wg.Wait()
+	requireEmptySpillDir(t, opt.SpillDir, "after concurrent spills")
+}
+
+// A spilling query that hits a storage fault mid-sort — a page write that
+// fails, one that tears (caught by the merge's checksum), a page read that
+// fails — returns the typed error through the engine boundary and leaves
+// nothing in SpillDir; the next fault-free run is unaffected.
+func TestSpillFaultsTypedAndSpillDirEmpty(t *testing.T) {
+	defer fault.Reset()
+	rng := rand.New(rand.NewSource(23))
+	db := tiedDB(t, tiedTuples(rng, 900, "x"), tiedTuples(rng, 700, "y"))
+	q := semijoinOf(algebra.KindContain)
+	ref, _, err := Run(db, q, colOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := colOpt()
+	opt.SortMemRows, opt.SpillDir = 250, t.TempDir()
+	for _, c := range []struct {
+		spec string
+		want error
+	}{
+		// 250 keys fill a page and start a second: the third write is the
+		// second run's first page, the sixth the right input's first.
+		{"storage/page-write=error:n=3", fault.ErrInjected},
+		{"storage/page-write=error:n=9", fault.ErrInjected},
+		{"storage/page-write=torn:n=3", storage.ErrCorruptPage},
+		{"storage/page-read=error:n=5", fault.ErrInjected},
+	} {
+		fault.Reset()
+		if err := fault.Arm(c.spec); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Run(db, q, opt)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %v", c.spec, err, c.want)
+		}
+		requireEmptySpillDir(t, opt.SpillDir, c.spec)
+	}
+	fault.Reset()
+	got, _, err := Run(db, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalRows(t, "after the faults", ref, got)
+}
+
+// The governed fallback re-evaluates the node from the ordered inputs; under
+// a bounded sort workspace it reads them through the spilled permutation and
+// must return what it returns after an in-memory sort.
+func TestGovernedFallbackOverSpilledOrder(t *testing.T) {
+	for _, kind := range []algebra.TemporalKind{algebra.KindOverlap, algebra.KindContain} {
+		db := governorDB(t, 40)
+		ref, st, err := Run(db, governorJoin(kind), Options{GovernWorkspace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if findNote(st, "degraded to baseline sort-merge") == "" {
+			t.Fatalf("%v: the fixture no longer breaches the ceiling", kind)
+		}
+		got, st, err := Run(db, governorJoin(kind), Options{GovernWorkspace: true, SortMemRows: 8, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if findNote(st, "degraded to baseline sort-merge") == "" || findNote(st, "keys spilled") == "" {
+			t.Fatalf("%v: expected a spilled sort and a governed fallback; nodes %+v", kind, st.Nodes)
+		}
+		identicalRows(t, fmt.Sprintf("governed %v over a spilled order", kind), ref, got)
 	}
 }

@@ -82,25 +82,21 @@ func Tradeoffs(sizes []int, memRows int, dir string, seed int64) (*TradeoffsResu
 		// 2. Unsorted input: external sort both sides, then stream join.
 		probe = &metrics.Probe{}
 		var sortStats storage.SortStats
-		sortSide := func(ts []relation.Tuple) ([]relation.Tuple, error) {
-			rel := relation.FromTuples("t", ts)
+		// The sort spills (key, index) records, as the engine's does; the
+		// tuples move once, by the permutation it returns.
+		sortSide := func(tuples []relation.Tuple) ([]relation.Tuple, error) {
+			ts, te := relation.ShredSpans(tuples, tupleSpan)
 			var st storage.SortStats
-			sorted, err := storage.ExternalSortSpans(stream.FromSlice(rel.Rows), rel.Schema,
-				func(r relation.Row) interval.Interval { return r.Span(rel.Schema) },
-				relation.Order{relation.TSAsc}, memRows, dir, &st)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := stream.Collect(sorted)
+			perm, err := storage.ExternalSortKeys(ts, te, relation.Order{relation.TSAsc}, memRows, dir, &st)
 			if err != nil {
 				return nil, err
 			}
 			sortStats.Runs += st.Runs
 			sortStats.PagesRead += st.PagesRead
 			sortStats.PagesWritten += st.PagesWritten
-			out := make([]relation.Tuple, len(rows))
-			for i, r := range rows {
-				out[i] = relation.RowToTuple(rel.Schema, r)
+			out := make([]relation.Tuple, len(perm))
+			for i, j := range perm {
+				out[i] = tuples[j]
 			}
 			return out, nil
 		}

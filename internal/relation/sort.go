@@ -134,13 +134,45 @@ func radixSort(a, b []keyIdx, varying uint64) (sorted, spare []keyIdx) {
 	return a, b
 }
 
-// sortScratch is the reusable workspace of one lifespan sort: the input's
-// endpoint columns in input order and the two pair buffers, 48 bytes per
-// element and free of pointers. A released scratch keeps whatever capacity
-// the largest sort grew, so a sort allocates nothing after warm-up.
-type sortScratch struct {
+// spanCols is a list of lifespans as two endpoint columns, element i being
+// [ts[i], te[i]) — what every sort below reads instead of the elements.
+type spanCols struct {
 	ts, te []interval.Time
-	a, b   []keyIdx
+}
+
+func (c spanCols) column(e interval.Endpoint) []interval.Time {
+	if e == interval.TS {
+		return c.ts
+	}
+	return c.te
+}
+
+// inOrder reports whether the columns already satisfy the order.
+func (c spanCols) inOrder(o Order) bool {
+	keys, n := o.effective()
+	if n == 0 {
+		return true
+	}
+	c0, m0 := c.column(keys[0].Endpoint), keys[0].mask()
+	c1, m1 := c.column(keys[n-1].Endpoint), keys[n-1].mask()
+	//tdb:hotpath
+	for i := 1; i < len(c0); i++ {
+		p, q := uint64(c0[i-1])^m0, uint64(c0[i])^m0
+		if p > q || (p == q && uint64(c1[i-1])^m1 > uint64(c1[i])^m1) {
+			return false
+		}
+	}
+	return true
+}
+
+// sortScratch is the reusable workspace of one lifespan sort: the input's
+// endpoint columns in input order (when the caller holds elements, not
+// columns) and the two pair buffers, 48 bytes per element and free of
+// pointers. A released scratch keeps whatever capacity the largest sort
+// grew, so a sort allocates nothing after warm-up.
+type sortScratch struct {
+	cols spanCols
+	a, b []keyIdx
 }
 
 // Scratches wait on a bounded free list, not in a sync.Pool: a sync.Pool
@@ -160,7 +192,8 @@ const (
 
 var sortFree = make(chan *sortScratch, sortFreeSlots)
 
-// acquireSort takes a scratch sized for n elements from the free list.
+// acquireSort takes a scratch with pair buffers for n elements from the
+// free list.
 func acquireSort(n int) *sortScratch {
 	var sc *sortScratch
 	select {
@@ -168,16 +201,15 @@ func acquireSort(n int) *sortScratch {
 	default:
 		sc = new(sortScratch)
 	}
-	if cap(sc.ts) < n {
-		sc.ts, sc.te = make([]interval.Time, n), make([]interval.Time, n)
+	if cap(sc.a) < n {
 		sc.a, sc.b = make([]keyIdx, n), make([]keyIdx, n)
 	}
-	sc.ts, sc.te, sc.a, sc.b = sc.ts[:n], sc.te[:n], sc.a[:n], sc.b[:n]
+	sc.a, sc.b = sc.a[:n], sc.b[:n]
 	return sc
 }
 
 func (sc *sortScratch) release() {
-	if cap(sc.ts) > sortRetainRows {
+	if cap(sc.a) > sortRetainRows {
 		return
 	}
 	select {
@@ -187,50 +219,36 @@ func (sc *sortScratch) release() {
 }
 
 // load shreds the elements' lifespans into the scratch's endpoint columns.
-func load[T any](sc *sortScratch, xs []T, span func(T) interval.Interval) {
+func load[T any](sc *sortScratch, xs []T, span func(T) interval.Interval) spanCols {
+	n := len(xs)
+	if cap(sc.cols.ts) < n {
+		sc.cols = spanCols{ts: make([]interval.Time, n), te: make([]interval.Time, n)}
+	}
+	c := spanCols{ts: sc.cols.ts[:n], te: sc.cols.te[:n]}
+	shred(c, xs, span)
+	return c
+}
+
+// shred fills the columns with the elements' lifespans, in input order.
+func shred[T any](c spanCols, xs []T, span func(T) interval.Interval) {
 	for i := range xs {
 		iv := span(xs[i])
-		sc.ts[i], sc.te[i] = iv.Start, iv.End
+		c.ts[i], c.te[i] = iv.Start, iv.End
 	}
 }
 
-func (sc *sortScratch) column(e interval.Endpoint) []interval.Time {
-	if e == interval.TS {
-		return sc.ts
-	}
-	return sc.te
-}
-
-// inOrder reports whether the loaded columns already satisfy the order.
-func (sc *sortScratch) inOrder(o Order) bool {
-	keys, n := o.effective()
-	if n == 0 {
-		return true
-	}
-	c0, m0 := sc.column(keys[0].Endpoint), keys[0].mask()
-	c1, m1 := sc.column(keys[n-1].Endpoint), keys[n-1].mask()
-	//tdb:hotpath
-	for i := 1; i < len(c0); i++ {
-		p, q := uint64(c0[i-1])^m0, uint64(c0[i])^m0
-		if p > q || (p == q && uint64(c1[i-1])^m1 > uint64(c1[i])^m1) {
-			return false
-		}
-	}
-	return true
-}
-
-// perm sorts the loaded columns under the order and returns the pairs in
-// sorted order: position i of the result belongs to input element
-// perm[i].idx. Composite orders sort least-significant key first; each
-// pass is stable, so the earlier result survives as the tiebreak.
-func (sc *sortScratch) perm(o Order) []keyIdx {
+// perm sorts the columns under the order and returns the pairs in sorted
+// order: position i of the result belongs to input element perm[i].idx.
+// Composite orders sort least-significant key first; each pass is stable,
+// so the earlier result survives as the tiebreak.
+func (sc *sortScratch) perm(c spanCols, o Order) []keyIdx {
 	keys, n := o.effective()
 	a, b := sc.a, sc.b
 	for i := range a {
 		a[i].idx = int32(i)
 	}
 	for k := n - 1; k >= 0; k-- {
-		col, m := sc.column(keys[k].Endpoint), keys[k].mask()
+		col, m := c.column(keys[k].Endpoint), keys[k].mask()
 		or, and := uint64(0), ^uint64(0)
 		//tdb:hotpath
 		for i := range a {
@@ -253,13 +271,13 @@ func SortSpans[T any](xs []T, span func(T) interval.Interval, o Order) {
 	}
 	sc := acquireSort(len(xs))
 	defer sc.release()
-	load(sc, xs, span)
-	if sc.inOrder(o) {
+	c := load(sc, xs, span)
+	if c.inOrder(o) {
 		return
 	}
 	// Apply the permutation in place, one cycle at a time: every element
 	// moves once and no second slice of T is needed.
-	p := sc.perm(o)
+	p := sc.perm(c, o)
 	for i := range p {
 		if p[i].idx < 0 {
 			continue
@@ -289,20 +307,53 @@ func OrderSpans[T any](xs []T, span func(T) interval.Interval, o Order) (perm []
 	n := len(xs)
 	sc := acquireSort(n)
 	defer sc.release()
-	load(sc, xs, span)
+	c := load(sc, xs, span)
 	cols := make([]interval.Time, 2*n)
 	ts, te = cols[:n:n], cols[n:]
-	if sc.inOrder(o) {
-		copy(ts, sc.ts)
-		copy(te, sc.te)
+	if c.inOrder(o) {
+		copy(ts, c.ts)
+		copy(te, c.te)
 		return nil, ts, te
 	}
-	p := sc.perm(o)
+	p := sc.perm(c, o)
 	perm = make([]int32, n)
 	//tdb:hotpath
 	for i := range p {
 		j := p[i].idx
-		perm[i], ts[i], te[i] = j, sc.ts[j], sc.te[j]
+		perm[i], ts[i], te[i] = j, c.ts[j], c.te[j]
 	}
 	return perm, ts, te
+}
+
+// ShredSpans returns the elements' lifespans as endpoint columns in input
+// order: element i lives over [ts[i], te[i]).
+func ShredSpans[T any](xs []T, span func(T) interval.Interval) (ts, te []interval.Time) {
+	n := len(xs)
+	cols := make([]interval.Time, 2*n)
+	ts, te = cols[:n:n], cols[n:]
+	shred(spanCols{ts: ts, te: te}, xs, span)
+	return ts, te
+}
+
+// OrderColumns is OrderSpans for lifespans that are already endpoint
+// columns — no element, no accessor: it fills perm, which must be as long
+// as the columns, with the stable permutation that establishes the order
+// (position i of the order holds lifespan perm[i]), the identity when the
+// columns already have it. The external key sort forms its runs with it,
+// one workspace-sized slice of the columns at a time.
+func OrderColumns(ts, te []interval.Time, o Order, perm []int32) {
+	c := spanCols{ts: ts, te: te}
+	if c.inOrder(o) {
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		return
+	}
+	sc := acquireSort(len(ts))
+	defer sc.release()
+	p := sc.perm(c, o)
+	//tdb:hotpath
+	for i := range p {
+		perm[i] = p[i].idx
+	}
 }

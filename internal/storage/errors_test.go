@@ -17,7 +17,7 @@ func TestDecodePageCorruption(t *testing.T) {
 	schema := relation.TupleSchema
 	// A well-formed page first.
 	p := newPage()
-	if !p.tryAdd(encodeRow(makeRow("s", "v", 1, 2))) {
+	if !p.tryAdd(makeRow("s", "v", 1, 2)) {
 		t.Fatal("row did not fit")
 	}
 	p.finalize()

@@ -3,9 +3,7 @@ package storage
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/stream"
 )
@@ -20,80 +18,40 @@ type SortStats struct {
 	PagesWritten int64
 }
 
-// rowOrder is one external sort's ordering, in the two forms its phases
-// need: a stable in-memory sort of a run buffer, and a strict order over
-// merge heads. It is either a comparison (less) or a temporal order over a
-// lifespan accessor (span, order); both forms share one run writer and one
-// merge, and both are stable — runs are consecutive chunks of the input,
-// each sorted stably, and the merge breaks ties by run index — so they
-// agree with each other, with relation.SortSpans, and with themselves at
-// any memRows.
-type rowOrder struct {
-	less  func(a, b relation.Row) bool
-	span  func(relation.Row) interval.Interval
-	order relation.Order
+// createRun creates an external-sort run file in dir under a name of its
+// own (os.CreateTemp), so sorts sharing a spill directory never open each
+// other's runs.
+func createRun(dir string) (*os.File, error) {
+	f, err := os.CreateTemp(dir, "run-*.tdb")
+	if err != nil {
+		return nil, fmt.Errorf("storage: create sort run: %w", err)
+	}
+	return f, nil
 }
 
-func (ro *rowOrder) sortRun(rows []relation.Row) {
-	if ro.less != nil {
-		sortRows(rows, ro.less)
-		return
-	}
-	relation.SortSpans(rows, ro.span, ro.order)
-}
-
-// head wraps a row just read from a run; the keyed form extracts the row's
-// sort key here, once, instead of decoding lifespans per comparison.
-func (ro *rowOrder) head(row relation.Row, run int) runHead {
-	h := runHead{row: row, run: run}
-	if ro.less == nil {
-		h.key = ro.order.SortKey(ro.span(row))
-	}
-	return h
-}
-
-// before is the merge's strict order over heads of different runs: by
-// the ordering, ties to the lower run — decided with one comparison by
-// asking the question the run indexes leave open.
-func (ro *rowOrder) before(a, b *runHead) bool {
-	if a.run > b.run {
-		return ro.headLess(a, b)
-	}
-	return !ro.headLess(b, a)
-}
-
-func (ro *rowOrder) headLess(a, b *runHead) bool {
-	if ro.less != nil {
-		return ro.less(a.row, b.row)
-	}
-	return a.key.Less(b.key)
+// discardRun closes and deletes a run file; runs are scratch, so a failure
+// to do either loses nothing the caller could act on.
+func discardRun(f *os.File) {
+	_ = f.Close()
+	_ = os.Remove(f.Name())
 }
 
 // ExternalSort sorts the rows of in by the comparison function using
 // run generation bounded to memRows rows of workspace, followed by a single
 // multiway merge of the run files in dir. It returns the sorted stream and
-// fills stats (which may be nil). The sort is stable at every memRows.
+// fills stats (which may be nil). The sort is stable at every memRows: runs
+// are consecutive chunks of the input, each sorted stably, and the merge
+// breaks ties by run index.
 //
 // With memRows ≥ input size the sort degenerates to one in-memory run and
 // no merge I/O; with smaller workspaces the experiments observe the extra
 // read/write passes that buying the stream algorithms' sort order costs.
+//
+// This is the general, row-moving form, for an arbitrary comparison. The
+// engine never calls it: every order it establishes is a temporal one, and
+// those spill as keys (ExternalSortKeys).
 func ExternalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 	less func(a, b relation.Row) bool, memRows int, dir string, stats *SortStats) (stream.Stream[relation.Row], error) {
-	return externalSort(in, schema, rowOrder{less: less}, memRows, dir, stats)
-}
-
-// ExternalSortSpans is ExternalSort for a temporal order over the rows'
-// lifespans (the only order the engine ever establishes): runs are formed
-// by relation.SortSpans and the merge compares keys extracted once per row
-// read. The output is row for row what SortSpans yields on the whole input.
-func ExternalSortSpans(in stream.Stream[relation.Row], schema *relation.Schema,
-	span func(relation.Row) interval.Interval, o relation.Order,
-	memRows int, dir string, stats *SortStats) (stream.Stream[relation.Row], error) {
-	return externalSort(in, schema, rowOrder{span: span, order: o}, memRows, dir, stats)
-}
-
-func externalSort(in stream.Stream[relation.Row], schema *relation.Schema,
-	ord rowOrder, memRows int, dir string, stats *SortStats) (stream.Stream[relation.Row], error) {
 	if memRows < 1 {
 		memRows = 1
 	}
@@ -101,7 +59,7 @@ func externalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 	var runs []*HeapFile
 	cleanup := func() {
 		for _, r := range runs {
-			_ = r.Close() // best-effort teardown of temporary runs
+			discardRun(r.f)
 		}
 	}
 
@@ -110,21 +68,19 @@ func externalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 		if len(buf) == 0 {
 			return nil
 		}
-		ord.sortRun(buf)
-		path := filepath.Join(dir, fmt.Sprintf("run-%d.tdb", len(runs)))
-		hf, err := Create(path, schema, 1)
+		sortRows(buf, less)
+		f, err := createRun(dir)
 		if err != nil {
 			return err
 		}
+		hf := newHeapFile(f, schema, 1)
+		runs = append(runs, hf)
 		if err := hf.AppendAll(buf); err != nil {
-			_ = hf.Close() // best-effort cleanup; the append error wins
 			return err
 		}
 		if err := hf.Flush(); err != nil {
-			_ = hf.Close() // best-effort cleanup; the flush error wins
 			return err
 		}
-		runs = append(runs, hf)
 		obsSortRun()
 		buf = buf[:0]
 		return nil
@@ -150,7 +106,7 @@ func externalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 
 	// A single in-memory run needs no files at all.
 	if len(runs) == 0 {
-		ord.sortRun(buf)
+		sortRows(buf, less)
 		if stats != nil {
 			stats.Runs = 1
 		}
@@ -167,7 +123,7 @@ func externalSort(in stream.Stream[relation.Row], schema *relation.Schema,
 			stats.PagesWritten += r.Stats().PagesWritten
 		}
 	}
-	return &mergeStream{runs: runs, ord: ord, stats: stats}, nil
+	return &mergeStream{runs: runs, less: less, stats: stats}, nil
 }
 
 // sortRows is the comparison form's run sort: a stable top-down merge sort
@@ -212,13 +168,13 @@ func sortRows(rows []relation.Row, less func(a, b relation.Row) bool) {
 }
 
 // mergeStream is the k-way merge over run files, driven by a binary heap
-// of run heads under rowOrder.before — a strict order (ties go to the lower
-// run index), so the merged sequence does not depend on heap mechanics.
+// of run heads under before — a strict order (ties go to the lower run
+// index), so the merged sequence does not depend on heap mechanics.
 type mergeStream struct {
 	runs  []*HeapFile
 	scans []stream.Stream[relation.Row]
 	heads []runHead
-	ord   rowOrder
+	less  func(a, b relation.Row) bool
 	stats *SortStats
 	err   error
 	init  bool
@@ -226,8 +182,17 @@ type mergeStream struct {
 
 type runHead struct {
 	row relation.Row
-	key relation.SortKey
 	run int
+}
+
+// before is the merge's strict order over heads of different runs: by the
+// comparison, ties to the lower run — decided with one call by asking the
+// question the run indexes leave open.
+func (m *mergeStream) before(a, b *runHead) bool {
+	if a.run > b.run {
+		return m.less(a.row, b.row)
+	}
+	return !m.less(b.row, a.row)
 }
 
 // siftDown restores the heap below position i.
@@ -238,10 +203,10 @@ func (m *mergeStream) siftDown(i int) {
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && m.ord.before(&h[c+1], &h[c]) {
+		if c+1 < len(h) && m.before(&h[c+1], &h[c]) {
 			c++
 		}
-		if !m.ord.before(&h[c], &h[i]) {
+		if !m.before(&h[c], &h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -259,7 +224,7 @@ func (m *mergeStream) Next() (relation.Row, bool) {
 		for i, r := range m.runs {
 			m.scans[i] = r.Scan()
 			if row, ok := m.scans[i].Next(); ok {
-				m.heads = append(m.heads, m.ord.head(row, i))
+				m.heads = append(m.heads, runHead{row: row, run: i})
 			} else if err := m.scans[i].Err(); err != nil {
 				m.fail(err)
 				return nil, false
@@ -275,7 +240,7 @@ func (m *mergeStream) Next() (relation.Row, bool) {
 	}
 	top := m.heads[0]
 	if row, ok := m.scans[top.run].Next(); ok {
-		m.heads[0] = m.ord.head(row, top.run)
+		m.heads[0] = runHead{row: row, run: top.run}
 	} else if err := m.scans[top.run].Err(); err != nil {
 		m.fail(err)
 		return nil, false
@@ -300,9 +265,7 @@ func (m *mergeStream) finish() {
 		if m.stats != nil {
 			m.stats.PagesRead += r.Stats().PagesRead
 		}
-		name := r.f.Name()
-		_ = r.Close()       // temporary run files; deletion below is the real cleanup
-		_ = os.Remove(name) // best-effort: the OS reclaims temp dirs regardless
+		discardRun(r.f)
 	}
 	m.runs = nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	fault.Declare("storage/page-read", "heap file page fetch (readPage)")
-	fault.Declare("storage/page-write", "heap file page flush; torn mode writes a prefix")
+	fault.Declare("storage/page-read", "heap file and sort run page fetch (readPageAt)")
+	fault.Declare("storage/page-write", "heap file and sort run page flush; torn mode writes a prefix")
 }
 
 // IOStats counts physical page traffic against the backing file and buffer
@@ -31,6 +31,7 @@ type HeapFile struct {
 	f      *os.File
 	schema *relation.Schema
 	pages  int64
+	rows   int64
 	cur    *page
 	stats  *IOStats
 	pool   *bufferPool
@@ -44,6 +45,10 @@ func Create(path string, schema *relation.Schema, poolPages int) (*HeapFile, err
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
+	return newHeapFile(f, schema, poolPages), nil
+}
+
+func newHeapFile(f *os.File, schema *relation.Schema, poolPages int) *HeapFile {
 	stats := &IOStats{}
 	return &HeapFile{
 		f:      f,
@@ -51,7 +56,40 @@ func Create(path string, schema *relation.Schema, poolPages int) (*HeapFile, err
 		cur:    newPage(),
 		stats:  stats,
 		pool:   newBufferPool(poolPages, stats),
-	}, nil
+	}
+}
+
+// writePageAt and readPageAt are the two physical page operations, shared
+// by heap files and key runs: the failpoints and the live counters sit here.
+
+// writePageAt writes one sealed page image as page i of f. Failpoint: error
+// mode fails the write; torn mode persists only a prefix of the page — the
+// checksum catches it on the next read.
+func writePageAt(f *os.File, i int64, buf *[PageSize]byte) error {
+	n, ferr := fault.Torn("storage/page-write", PageSize)
+	if ferr != nil {
+		return fmt.Errorf("storage: write page %d: %w", i, ferr)
+	}
+	if _, err := f.WriteAt(buf[:n], i*PageSize); err != nil {
+		return fmt.Errorf("storage: write page %d: %w", i, err)
+	}
+	obsPageWritten()
+	return nil
+}
+
+// readPageAt fills buf with page i of f; a page cut short by a torn write
+// reads as its prefix followed by zeros, and fails its checksum.
+func readPageAt(f *os.File, i int64, buf *[PageSize]byte) error {
+	obsPageRead()
+	if ferr := fault.Check("storage/page-read"); ferr != nil {
+		return fmt.Errorf("storage: read page %d: %w", i, ferr)
+	}
+	n, err := f.ReadAt(buf[:], i*PageSize)
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("storage: read page %d: %w", i, err)
+	}
+	clear(buf[n:])
+	return nil
 }
 
 // Schema returns the row schema of the file.
@@ -64,21 +102,21 @@ func (h *HeapFile) Stats() *IOStats { return h.stats }
 // open tail page).
 func (h *HeapFile) Pages() int64 { return h.pages }
 
+// Rows returns the number of rows appended so far.
+func (h *HeapFile) Rows() int64 { return h.rows }
+
 // Append encodes and adds one row, spilling full pages to disk.
 func (h *HeapFile) Append(row relation.Row) error {
-	enc := encodeRow(row)
-	if len(enc)+pageHeaderSize > PageSize {
-		return fmt.Errorf("storage: row of %d bytes exceeds page size", len(enc))
+	if size := rowSize(row); size+pageHeaderSize > PageSize {
+		return fmt.Errorf("storage: row of %d bytes exceeds page size", size)
 	}
-	if h.cur.tryAdd(enc) {
-		return nil
+	if !h.cur.tryAdd(row) {
+		if err := h.flushCurrent(); err != nil {
+			return err
+		}
+		h.cur.tryAdd(row) // fits: the page is empty and the row was sized above
 	}
-	if err := h.flushCurrent(); err != nil {
-		return err
-	}
-	if !h.cur.tryAdd(enc) {
-		return fmt.Errorf("storage: row does not fit an empty page")
-	}
+	h.rows++
 	return nil
 }
 
@@ -102,17 +140,10 @@ func (h *HeapFile) Flush() error {
 
 func (h *HeapFile) flushCurrent() error {
 	h.cur.finalize()
-	// Failpoint: error mode fails the flush; torn mode persists only a
-	// prefix of the page — the checksum catches it on the next read.
-	n, ferr := fault.Torn("storage/page-write", PageSize)
-	if ferr != nil {
-		return fmt.Errorf("storage: write page %d: %w", h.pages, ferr)
-	}
-	if _, err := h.f.WriteAt(h.cur.buf[:n], h.pages*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", h.pages, err)
+	if err := writePageAt(h.f, h.pages, &h.cur.buf); err != nil {
+		return err
 	}
 	h.stats.PagesWritten++
-	obsPageWritten()
 	h.pages++
 	h.cur = newPage()
 	// The just-written page may be cached.
@@ -130,13 +161,9 @@ func (h *HeapFile) readPage(i int64) ([]relation.Row, error) {
 	}
 	h.stats.PagesRead++
 	h.mu.Unlock()
-	obsPageRead()
-	if ferr := fault.Check("storage/page-read"); ferr != nil {
-		return nil, fmt.Errorf("storage: read page %d: %w", i, ferr)
-	}
 	var buf [PageSize]byte
-	if _, err := h.f.ReadAt(buf[:], i*PageSize); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("storage: read page %d: %w", i, err)
+	if err := readPageAt(h.f, i, &buf); err != nil {
+		return nil, err
 	}
 	rows, err := decodePage(buf[:], h.schema)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"tdb/internal/interval"
 	"tdb/internal/relation"
@@ -23,16 +24,46 @@ import (
 // PageSize is the fixed page size in bytes.
 const PageSize = 4096
 
-// pageHeaderSize is the per-page bookkeeping: row count (2 bytes), used
-// bytes (2 bytes), and an FNV-1a checksum of the payload (4 bytes). The
+// pageHeaderSize is the per-page bookkeeping: record count (2 bytes), used
+// bytes (2 bytes), and a CRC-32C checksum of the payload (4 bytes). The
 // checksum is what turns a torn (partial) page write into a detected
 // ErrCorruptPage on the next read instead of rows silently decoded from
-// zero-filled bytes.
+// zero-filled bytes. Row pages (heap files) and key pages (external-sort
+// runs, keysort.go) share the header; files are only ever created, never
+// reopened by a later build, so the checksum is not a persisted format.
 const pageHeaderSize = 8
 
 // ErrCorruptPage is wrapped by every page-decode failure: short page,
 // impossible header, checksum mismatch, or truncated row.
 var ErrCorruptPage = errors.New("storage: corrupt page")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sealPage writes the header for a page holding count records in
+// buf[pageHeaderSize:used].
+func sealPage(buf []byte, count, used int) {
+	binary.LittleEndian.PutUint16(buf[0:2], uint16(count))
+	binary.LittleEndian.PutUint16(buf[2:4], uint16(used))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[pageHeaderSize:used], castagnoli))
+}
+
+// openPage validates a sealed page image — length, header, checksum — and
+// returns its record count and used bytes. Every failure wraps
+// ErrCorruptPage.
+func openPage(buf []byte) (count, used int, err error) {
+	if len(buf) < pageHeaderSize {
+		return 0, 0, fmt.Errorf("%w: short page (%d bytes)", ErrCorruptPage, len(buf))
+	}
+	count = int(binary.LittleEndian.Uint16(buf[0:2]))
+	used = int(binary.LittleEndian.Uint16(buf[2:4]))
+	if used > len(buf) || used < pageHeaderSize {
+		return 0, 0, fmt.Errorf("%w: used=%d", ErrCorruptPage, used)
+	}
+	if sum := binary.LittleEndian.Uint32(buf[4:8]); sum != crc32.Checksum(buf[pageHeaderSize:used], castagnoli) {
+		return 0, 0, fmt.Errorf("%w: checksum mismatch (torn write?)", ErrCorruptPage)
+	}
+	return count, used, nil
+}
 
 // page is one fixed-size block of encoded rows, appended front to back.
 type page struct {
@@ -43,64 +74,53 @@ type page struct {
 
 func newPage() *page { return &page{used: pageHeaderSize} }
 
-// tryAdd appends an encoded row; it reports false when the page is full.
-func (p *page) tryAdd(enc []byte) bool {
-	if p.used+len(enc) > PageSize {
+// tryAdd encodes a row onto the page in place; it reports false when the
+// row does not fit the space left.
+func (p *page) tryAdd(row relation.Row) bool {
+	if p.used+rowSize(row) > PageSize {
 		return false
 	}
-	copy(p.buf[p.used:], enc)
-	p.used += len(enc)
+	p.used = len(encodeRow(p.buf[:p.used], row))
 	p.rows++
 	return true
 }
 
 // finalize writes the header fields into the buffer.
-func (p *page) finalize() {
-	binary.LittleEndian.PutUint16(p.buf[0:2], uint16(p.rows))
-	binary.LittleEndian.PutUint16(p.buf[2:4], uint16(p.used))
-	binary.LittleEndian.PutUint32(p.buf[4:8], fnv32a(p.buf[pageHeaderSize:p.used]))
-}
+func (p *page) finalize() { sealPage(p.buf[:], p.rows, p.used) }
 
-// fnv32a hashes a byte slice with 32-bit FNV-1a.
-func fnv32a(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
-
-// decodePage parses a finalized page image back into rows. Every failure
-// wraps ErrCorruptPage.
+// decodePage parses a finalized page image back into rows. The page's rows
+// share one value arena and its string cells one copy of the payload, so a
+// page costs three allocations however many rows it holds; rows are
+// full-capacity slices of the arena, so an append to one cannot reach the
+// next. Every failure wraps ErrCorruptPage.
 func decodePage(buf []byte, schema *relation.Schema) ([]relation.Row, error) {
-	if len(buf) < pageHeaderSize {
-		return nil, fmt.Errorf("%w: short page (%d bytes)", ErrCorruptPage, len(buf))
+	n, used, err := openPage(buf)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint16(buf[0:2]))
-	used := int(binary.LittleEndian.Uint16(buf[2:4]))
-	if used > len(buf) || used < pageHeaderSize {
-		return nil, fmt.Errorf("%w: used=%d", ErrCorruptPage, used)
+	arity := schema.Arity()
+	if least := minRowSize(schema); n*least > used-pageHeaderSize {
+		return nil, fmt.Errorf("%w: %d rows of at least %d bytes in %d", ErrCorruptPage, n, least, used-pageHeaderSize)
 	}
-	if sum := binary.LittleEndian.Uint32(buf[4:8]); sum != fnv32a(buf[pageHeaderSize:used]) {
-		return nil, fmt.Errorf("%w: checksum mismatch (torn write?)", ErrCorruptPage)
-	}
-	rows := make([]relation.Row, 0, n)
+	text := string(buf[:used])
+	arena := make([]value.Value, n*arity)
+	rows := make([]relation.Row, n)
 	off := pageHeaderSize
-	for i := 0; i < n; i++ {
-		row, sz, err := decodeRow(buf[off:used], schema)
-		if err != nil {
+	for i := range rows {
+		row := arena[i*arity : (i+1)*arity : (i+1)*arity]
+		if off, err = decodeRow(row, buf[:used], text, off, schema); err != nil {
 			return nil, fmt.Errorf("%w: row %d: %v", ErrCorruptPage, i, err)
 		}
-		rows = append(rows, row)
-		off += sz
+		rows[i] = row
 	}
 	return rows, nil
 }
 
-// encodeRow serializes a row: per column, ints and times as 8-byte
-// little-endian, strings as a 2-byte length prefix plus bytes.
-func encodeRow(row relation.Row) []byte {
+// Row encoding: per column, ints and times as 8-byte little-endian, strings
+// as a 2-byte length prefix plus bytes.
+
+// rowSize returns the encoded size of the row.
+func rowSize(row relation.Row) int {
 	size := 0
 	for _, v := range row {
 		if v.Kind() == value.KindString {
@@ -109,54 +129,66 @@ func encodeRow(row relation.Row) []byte {
 			size += 8
 		}
 	}
-	out := make([]byte, 0, size)
-	var scratch [8]byte
+	return size
+}
+
+// minRowSize returns the least number of bytes a row of the schema encodes
+// to (every string empty).
+func minRowSize(schema *relation.Schema) int {
+	size := 0
+	for _, col := range schema.Cols {
+		if col.Kind == value.KindString {
+			size += 2
+		} else {
+			size += 8
+		}
+	}
+	return size
+}
+
+// encodeRow appends the row's encoding to dst.
+func encodeRow(dst []byte, row relation.Row) []byte {
 	for _, v := range row {
 		switch v.Kind() {
 		case value.KindString:
 			s := v.AsString()
-			binary.LittleEndian.PutUint16(scratch[:2], uint16(len(s)))
-			out = append(out, scratch[:2]...)
-			out = append(out, s...)
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+			dst = append(dst, s...)
 		default:
-			binary.LittleEndian.PutUint64(scratch[:], uint64(v.AsInt()))
-			out = append(out, scratch[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
 		}
 	}
-	return out
+	return dst
 }
 
-// decodeRow parses one row according to the schema, returning the row and
-// the number of bytes consumed.
-func decodeRow(buf []byte, schema *relation.Schema) (relation.Row, int, error) {
-	row := make(relation.Row, 0, schema.Arity())
-	off := 0
-	for _, col := range schema.Cols {
-		switch col.Kind {
-		case value.KindString:
+// decodeRow parses one row of the schema from buf at off into row (one cell
+// per column) and returns the offset past it. text is buf as a string:
+// string cells are slices of it, not copies.
+func decodeRow(row relation.Row, buf []byte, text string, off int, schema *relation.Schema) (int, error) {
+	for c, col := range schema.Cols {
+		if col.Kind == value.KindString {
 			if off+2 > len(buf) {
-				return nil, 0, fmt.Errorf("truncated string length")
+				return 0, fmt.Errorf("truncated string length")
 			}
 			n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
 			off += 2
 			if off+n > len(buf) {
-				return nil, 0, fmt.Errorf("truncated string body")
+				return 0, fmt.Errorf("truncated string body")
 			}
-			row = append(row, value.String_(string(buf[off:off+n])))
+			row[c] = value.String_(text[off : off+n])
 			off += n
-		case value.KindTime:
-			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("truncated time")
-			}
-			row = append(row, value.TimeVal(interval.Time(binary.LittleEndian.Uint64(buf[off:off+8]))))
-			off += 8
-		default:
-			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("truncated int")
-			}
-			row = append(row, value.Int(int64(binary.LittleEndian.Uint64(buf[off:off+8]))))
-			off += 8
+			continue
 		}
+		if off+8 > len(buf) {
+			return 0, fmt.Errorf("truncated %s", col.Kind)
+		}
+		v := int64(binary.LittleEndian.Uint64(buf[off : off+8]))
+		if col.Kind == value.KindTime {
+			row[c] = value.TimeVal(interval.Time(v))
+		} else {
+			row[c] = value.Int(v)
+		}
+		off += 8
 	}
-	return row, off, nil
+	return off, nil
 }

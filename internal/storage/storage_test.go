@@ -41,9 +41,10 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			value.String_(a), value.Int(b),
 			value.TimeVal(interval.Time(from)), value.TimeVal(interval.Time(int64(from) + dur)),
 		}
-		enc := encodeRow(row)
-		dec, n, err := decodeRow(enc, schema)
-		return err == nil && n == len(enc) && dec.Equal(row)
+		enc := encodeRow(nil, row)
+		dec := make(relation.Row, len(row))
+		n, err := decodeRow(dec, enc, string(enc), 0, schema)
+		return err == nil && n == len(enc) && n == rowSize(row) && dec.Equal(row)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -52,9 +53,10 @@ func TestRowCodecRoundTrip(t *testing.T) {
 
 func TestDecodeRowTruncation(t *testing.T) {
 	schema := testSchema(t)
-	enc := encodeRow(makeRow("Smith", "Assistant", 1, 5))
+	enc := encodeRow(nil, makeRow("Smith", "Assistant", 1, 5))
+	row := make(relation.Row, schema.Arity())
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := decodeRow(enc[:cut], schema); err == nil {
+		if _, err := decodeRow(row, enc[:cut], string(enc[:cut]), 0, schema); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -245,8 +247,9 @@ func TestExternalSortMultiset(t *testing.T) {
 }
 
 // Both entry points are stable at every workspace: on inputs full of equal
-// keys the spilled sequence is exactly the in-memory stable sort's, for the
-// comparison form and the keyed form alike.
+// keys the spilled sequence is exactly the in-memory stable sort's — for the
+// key form the engine spills through, with the comparison form as its
+// reference, and both against sort.SliceStable.
 func TestExternalSortStableAtEveryWorkspace(t *testing.T) {
 	schema := testSchema(t)
 	span := func(r relation.Row) interval.Interval { return r.Span(schema) }
@@ -260,6 +263,7 @@ func TestExternalSortStableAtEveryWorkspace(t *testing.T) {
 		}
 		rows = append(rows, makeRow(fmt.Sprintf("s%03d", i), "v", s, e))
 	}
+	ts, te := relation.ShredSpans(rows, span)
 	for _, o := range []relation.Order{
 		{relation.TSAsc}, {relation.TEDesc}, {relation.TSAsc, relation.TEAsc}, {relation.TEAsc, relation.TSDesc},
 	} {
@@ -267,30 +271,29 @@ func TestExternalSortStableAtEveryWorkspace(t *testing.T) {
 		sort.SliceStable(want, func(i, j int) bool { return o.Compare(span(want[i]), span(want[j])) < 0 })
 		less := func(a, b relation.Row) bool { return o.Compare(span(a), span(b)) < 0 }
 		for _, memRows := range []int{7, 64, 499, 500} {
-			for name, sorted := range map[string]func() (stream.Stream[relation.Row], error){
-				"ExternalSort": func() (stream.Stream[relation.Row], error) {
-					return ExternalSort(stream.FromSlice(rows), schema, less, memRows, t.TempDir(), nil)
-				},
-				"ExternalSortSpans": func() (stream.Stream[relation.Row], error) {
-					return ExternalSortSpans(stream.FromSlice(rows), schema, span, o, memRows, t.TempDir(), nil)
-				},
-			} {
-				out, err := sorted()
-				if err != nil {
-					t.Fatal(err)
+			out, err := ExternalSort(stream.FromSlice(rows), schema, less, memRows, t.TempDir(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := stream.Collect(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm, err := ExternalSortKeys(ts, te, o, memRows, t.TempDir(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref) != len(want) || len(perm) != len(want) {
+				t.Fatalf("order %v memRows=%d: %d rows, %d indexes, want %d", o, memRows, len(ref), len(perm), len(want))
+			}
+			for i := range want {
+				if ref[i].Key() != want[i].Key() {
+					t.Fatalf("ExternalSort order %v memRows=%d: row %d is %q, stable reference %q",
+						o, memRows, i, ref[i].Key(), want[i].Key())
 				}
-				got, err := stream.Collect(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s order %v memRows=%d: %d rows, want %d", name, o, memRows, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Key() != want[i].Key() {
-						t.Fatalf("%s order %v memRows=%d: row %d is %q, stable reference %q",
-							name, o, memRows, i, got[i].Key(), want[i].Key())
-					}
+				if got := rows[perm[i]]; got.Key() != ref[i].Key() {
+					t.Fatalf("ExternalSortKeys order %v memRows=%d: row %d is %q, comparison form %q",
+						o, memRows, i, got.Key(), ref[i].Key())
 				}
 			}
 		}

@@ -53,14 +53,17 @@ func (s *slice[T]) Err() error { return nil }
 func Empty[T any]() Stream[T] { return FromSlice[T](nil) }
 
 // Collect drains the stream into a slice, returning the stream's error.
-func Collect[T any](s Stream[T]) ([]T, error) {
-	var out []T
+func Collect[T any](s Stream[T]) ([]T, error) { return AppendAll(nil, s) }
+
+// AppendAll drains the stream onto dst — Collect for a caller that knows
+// how many elements are coming and has sized dst for them.
+func AppendAll[T any](dst []T, s Stream[T]) ([]T, error) {
 	for {
 		x, ok := s.Next()
 		if !ok {
-			return out, s.Err()
+			return dst, s.Err()
 		}
-		out = append(out, x)
+		dst = append(dst, x)
 	}
 }
 
