@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-deep test fuzz race chaos bench bench-server bench-resilience report cover fmt bench-check bench-record bench-baseline
+.PHONY: all build vet fmt-check lint lint-deep test fuzz race chaos bench bench-server bench-resilience report cover fmt loc bench-check bench-record bench-baseline
 
 all: build vet fmt-check lint lint-deep test
 
@@ -95,3 +95,12 @@ cover:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines per package, then the module total — the size the
+# design aim tracks. Informational: it never fails on a number.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}} {{join .GoFiles " "}}' ./... | \
+	while read -r dir pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%7d  %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'

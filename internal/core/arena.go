@@ -27,15 +27,14 @@ func (a *activeList) reset() {
 const arenaCap = 256
 
 // sweepArena is the reusable state of one batch kernel run: one active
-// list per input plus the merge-group index buffer. Arenas are pooled;
-// a kernel acquires one before entering its hot loop, takes local slice
-// views (`s[:0]`, keeping the backing arrays), and releases the arena —
-// with whatever capacity the run grew — when it returns. Reuse across
-// runs keeps allocation off the sweep entirely after warm-up; the pool
-// owns lifetime, release resets length but never capacity.
+// list per input. Arenas are pooled; a kernel acquires one before
+// entering its hot loop, takes local slice views (`s[:0]`, keeping the
+// backing arrays), and releases the arena — with whatever capacity the run
+// grew — when it returns. Reuse across runs keeps allocation off the sweep
+// entirely after warm-up; the pool owns lifetime, release resets length
+// but never capacity.
 type sweepArena struct {
 	x, y activeList
-	grp  []int32
 }
 
 var sweepPool = sync.Pool{
@@ -51,7 +50,6 @@ var sweepPool = sync.Pool{
 				te:  make([]interval.Time, 0, arenaCap),
 				idx: make([]int32, 0, arenaCap),
 			},
-			grp: make([]int32, 0, arenaCap),
 		}
 	},
 }
@@ -61,7 +59,6 @@ func acquireSweep() *sweepArena {
 	a := sweepPool.Get().(*sweepArena)
 	a.x.reset()
 	a.y.reset()
-	a.grp = a.grp[:0]
 	return a
 }
 

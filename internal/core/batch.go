@@ -6,22 +6,25 @@ import (
 	"tdb/internal/interval"
 )
 
-// This file holds the columnar batch editions of the stream operators: the
-// same single-pass algorithms as engine.go/semijoin.go/merge.go/coalesce.go,
-// rewritten over flat endpoint columns in the style of Piatov et al.'s
-// cache-efficient sweeping. A kernel sweeps two sorted []interval.Time
-// column pairs with integer cursors, keeps its active tuples in pooled
-// gapless arrays (arena.go), and reports matches as *row indexes* into the
-// input columns — materialization is the caller's concern, so shard workers
-// and the serial driver alike move no row data through the sweep.
+// This file holds the columnar batch kernels the engine runs: the
+// contain-join and overlap-join of engine.go and the three Figure 6
+// semijoin scans of semijoin.go, rewritten over flat endpoint columns in
+// the style of Piatov et al.'s cache-efficient sweeping. A kernel sweeps
+// two sorted []interval.Time column pairs with integer cursors, keeps its
+// active tuples in pooled gapless arrays (arena.go), and reports matches
+// as *row indexes* into the input columns — materialization is the
+// caller's concern, so a serial node and a shard worker call the same
+// kernel and move no row data through the sweep. A kernel exists only for
+// an operator the engine runs columnar; the other operators are
+// row-at-a-time only.
 //
 // Each kernel is a faithful translation of its row-at-a-time counterpart
 // under the ReadSweep policy: same read order, same garbage-collection
 // criteria, same per-turn probe accounting, and — load-bearing for the
 // engine's equivalence contract — the same emission order, which is why
 // state removal compacts in insertion order instead of swap-removing.
-// The row operators remain the reference implementation (engine option
-// RowExec) and the oracle for the equivalence property tests.
+// The row operators remain the serial reference implementation (engine
+// option RowExec) and the oracle for the equivalence property tests.
 
 // Cols is the columnar lifespan view a batch kernel sweeps over: parallel
 // ValidFrom/ValidTo columns, row i spanning [TS[i], TE[i]). Kernels only
@@ -357,360 +360,5 @@ func BatchOverlapSemijoin(x, y Cols, opt Options, emit func(xi int32)) error {
 		}
 		opt.observe()
 	}
-	return nil
-}
-
-// BatchContainSemijoinTSTS is the columnar ContainSemijoinTSTS: both inputs
-// sorted on ValidFrom ascending, state = unmatched x spanning the frontier.
-// Emission follows witness-discovery order, exactly like the row engine.
-func BatchContainSemijoinTSTS(x, y Cols, opt Options, emit func(xi int32)) error {
-	const name = "contain-semijoin[TS↑,TS↑]"
-	if opt.VerifyOrder {
-		if err := verifyAsc(name, "X", x.TS); err != nil {
-			return err
-		}
-		if err := verifyAsc(name, "Y", y.TS); err != nil {
-			return err
-		}
-	}
-	probe := opt.Probe
-	probe.SetBuffers(2)
-
-	ar := acquireSweep()
-	sts, ste, sidx := ar.x.ts[:0], ar.x.te[:0], ar.x.idx[:0]
-	defer func() {
-		ar.x.ts, ar.x.te, ar.x.idx = sts, ste, sidx
-		ar.release()
-	}()
-
-	nx, ny := len(x.TS), len(y.TS)
-	xi, yi := 0, 0
-	//tdb:hotpath
-	for {
-		xok := xi < nx
-		if yi >= ny || (!xok && len(sts) == 0) {
-			break
-		}
-		ys := y.TS[yi]
-		if xok && x.TS[xi] <= ys {
-			probe.IncReadLeft()
-			if len(sts) == cap(sts) {
-				probe.IncStateGrow()
-			}
-			sts = append(sts, x.TS[xi])
-			ste = append(ste, x.TE[xi])
-			sidx = append(sidx, int32(xi))
-			probe.StateAdd(1)
-			probe.ObserveActive(int64(len(sts)))
-			if err := opt.checkLimit(); err != nil {
-				return orderError(name, err)
-			}
-			opt.observe()
-			xi++
-			continue
-		}
-		probe.IncReadRight()
-		yte := y.TE[yi]
-		// Emit and retire the x that contain y; retire the x that can
-		// contain no future y (future y.TE > y.TS ≥ this y.TS).
-		probe.IncComparisons(int64(len(sts)))
-		k := 0
-		removed := 0
-		for j := 0; j < len(sts); j++ {
-			switch {
-			case sts[j] < ys && yte < ste[j]:
-				probe.IncEmitted(1)
-				emit(sidx[j])
-				removed++
-			case ste[j] <= ys:
-				removed++
-			default:
-				sts[k], ste[k], sidx[k] = sts[j], ste[j], sidx[j]
-				k++
-			}
-		}
-		probe.StateRemove(int64(removed))
-		sts, ste, sidx = sts[:k], ste[:k], sidx[:k]
-		opt.observe()
-		yi++
-	}
-	probe.StateRemove(int64(len(sts)))
-	opt.observe()
-	return nil
-}
-
-// BatchContainedSemijoinTSTS is the columnar ContainedSemijoinTSTS: both
-// inputs sorted on ValidFrom ascending, state = candidate container ys
-// spanning the X frontier; emits X row indexes in X input order.
-func BatchContainedSemijoinTSTS(x, y Cols, opt Options, emit func(xi int32)) error {
-	const name = "contained-semijoin[TS↑,TS↑]"
-	if opt.VerifyOrder {
-		if err := verifyAsc(name, "X", x.TS); err != nil {
-			return err
-		}
-		if err := verifyAsc(name, "Y", y.TS); err != nil {
-			return err
-		}
-	}
-	probe := opt.Probe
-	probe.SetBuffers(2)
-
-	ar := acquireSweep()
-	sts, ste := ar.y.ts[:0], ar.y.te[:0]
-	defer func() {
-		ar.y.ts, ar.y.te = sts, ste
-		ar.release()
-	}()
-
-	nx, ny := len(x.TS), len(y.TS)
-	xi, yi := 0, 0
-	//tdb:hotpath
-	for xi < nx {
-		xs := x.TS[xi]
-		// Pull every y starting strictly before x; later y cannot contain
-		// it (a container must start strictly earlier).
-		if yi < ny && y.TS[yi] < xs {
-			probe.IncReadRight()
-			if y.TE[yi] > xs { // not dead on arrival
-				if len(sts) == cap(sts) {
-					probe.IncStateGrow()
-				}
-				sts = append(sts, y.TS[yi])
-				ste = append(ste, y.TE[yi])
-				probe.StateAdd(1)
-				probe.ObserveActive(int64(len(sts)))
-				if err := opt.checkLimit(); err != nil {
-					return orderError(name, err)
-				}
-			}
-			opt.observe()
-			yi++
-			continue
-		}
-		probe.IncReadLeft()
-		xe := x.TE[xi]
-		// GC: y can contain an x starting at or after xs only if y.TE > xs.
-		k := 0
-		for j := 0; j < len(sts); j++ {
-			if ste[j] <= xs {
-				continue
-			}
-			sts[k], ste[k] = sts[j], ste[j]
-			k++
-		}
-		probe.StateRemove(int64(len(sts) - k))
-		sts, ste = sts[:k], ste[:k]
-		// First container wins; comparisons counted to the witness, like
-		// the row engine's early-exit scan.
-		scanned := 0
-		for j := 0; j < k; j++ {
-			scanned++
-			if sts[j] < xs && xe < ste[j] {
-				probe.IncEmitted(1)
-				emit(int32(xi))
-				break
-			}
-		}
-		probe.IncComparisons(int64(scanned))
-		opt.observe()
-		xi++
-	}
-	probe.StateRemove(int64(len(sts)))
-	opt.observe()
-	return nil
-}
-
-// batchMergeGroupScan is the columnar mergeGroupScan: merge on endpoint
-// keys (ValidFrom or ValidTo column per side), buffer one equal-key Y group
-// of row indexes, filter with the residual on raw endpoints. residual may
-// be nil (pure equality).
-func batchMergeGroupScan(x, y Cols, keyXEnd, keyYEnd bool,
-	residual func(xs, xe, ys, ye interval.Time) bool,
-	opt Options, semijoin bool, emitPair func(xi, yi int32), emitX func(int32)) error {
-
-	const name = "merge-group-join"
-	kx := x.TS
-	if keyXEnd {
-		kx = x.TE
-	}
-	ky := y.TS
-	if keyYEnd {
-		ky = y.TE
-	}
-	if opt.VerifyOrder {
-		if err := verifyAsc(name, "X", kx); err != nil {
-			return err
-		}
-		if err := verifyAsc(name, "Y", ky); err != nil {
-			return err
-		}
-	}
-	probe := opt.Probe
-	probe.SetBuffers(2)
-
-	ar := acquireSweep()
-	grp := ar.grp[:0]
-	defer func() {
-		ar.grp = grp
-		ar.release()
-	}()
-
-	groupKey := interval.MinTime
-	nx, ny := len(kx), len(ky)
-	xi, yi := 0, 0
-	//tdb:hotpath
-	for xi < nx {
-		k := kx[xi]
-
-		// Refill the group when x has moved past it: discard smaller-keyed
-		// y rows, then buffer the next whole equal-key group.
-		if len(grp) == 0 || groupKey < k {
-			probe.StateRemove(int64(len(grp)))
-			grp = grp[:0]
-			for yi < ny {
-				probe.IncComparisons(1)
-				if ky[yi] >= k {
-					break
-				}
-				yi++
-				probe.IncReadRight()
-			}
-			if yi < ny {
-				groupKey = ky[yi]
-				for yi < ny && ky[yi] == groupKey {
-					grp = append(grp, int32(yi))
-					probe.IncReadRight()
-					probe.StateAdd(1)
-					yi++
-				}
-			}
-			if len(grp) == 0 {
-				break // Y exhausted: no remaining x can match
-			}
-		}
-
-		if groupKey > k {
-			// x is behind the buffered group: it matches nothing.
-			xi++
-			probe.IncReadLeft()
-			continue
-		}
-
-		probe.IncReadLeft()
-		xs, xe := x.TS[xi], x.TE[xi]
-		for _, gj := range grp {
-			probe.IncComparisons(1)
-			if residual == nil || residual(xs, xe, y.TS[gj], y.TE[gj]) {
-				probe.IncEmitted(1)
-				if semijoin {
-					emitX(int32(xi))
-					break
-				}
-				emitPair(int32(xi), gj)
-			}
-		}
-		xi++
-	}
-	probe.StateRemove(int64(len(grp)))
-	return nil
-}
-
-// BatchMeetsJoin pairs x with y when X.TE = Y.TS; X sorted on ValidTo
-// ascending, Y on ValidFrom ascending.
-func BatchMeetsJoin(x, y Cols, opt Options, emit func(xi, yi int32)) error {
-	return batchMergeGroupScan(x, y, true, false, nil, opt, false, emit, nil)
-}
-
-// BatchEqualJoin pairs x with y when the lifespans are identical; both
-// inputs sorted on ValidFrom ascending.
-func BatchEqualJoin(x, y Cols, opt Options, emit func(xi, yi int32)) error {
-	residual := func(_, xe, _, ye interval.Time) bool { return xe == ye }
-	return batchMergeGroupScan(x, y, false, false, residual, opt, false, emit, nil)
-}
-
-// BatchStartsJoin pairs x with y when X.TS = Y.TS ∧ X.TE < Y.TE; both
-// inputs sorted on ValidFrom ascending.
-func BatchStartsJoin(x, y Cols, opt Options, emit func(xi, yi int32)) error {
-	residual := func(_, xe, _, ye interval.Time) bool { return xe < ye }
-	return batchMergeGroupScan(x, y, false, false, residual, opt, false, emit, nil)
-}
-
-// BatchFinishesJoin pairs x with y when X.TE = Y.TE ∧ X.TS > Y.TS; both
-// inputs sorted on ValidTo ascending.
-func BatchFinishesJoin(x, y Cols, opt Options, emit func(xi, yi int32)) error {
-	residual := func(xs, _, ys, _ interval.Time) bool { return xs > ys }
-	return batchMergeGroupScan(x, y, true, true, residual, opt, false, emit, nil)
-}
-
-// BatchMeetsSemijoin selects each x met at its end by some y.
-func BatchMeetsSemijoin(x, y Cols, opt Options, emit func(xi int32)) error {
-	return batchMergeGroupScan(x, y, true, false, nil, opt, true, nil, emit)
-}
-
-// BatchEqualSemijoin selects each x whose lifespan equals some y's.
-func BatchEqualSemijoin(x, y Cols, opt Options, emit func(xi int32)) error {
-	residual := func(_, xe, _, ye interval.Time) bool { return xe == ye }
-	return batchMergeGroupScan(x, y, false, false, residual, opt, true, nil, emit)
-}
-
-// BatchStartsSemijoin selects each x starting some y.
-func BatchStartsSemijoin(x, y Cols, opt Options, emit func(xi int32)) error {
-	residual := func(_, xe, _, ye interval.Time) bool { return xe < ye }
-	return batchMergeGroupScan(x, y, false, false, residual, opt, true, nil, emit)
-}
-
-// BatchFinishesSemijoin selects each x finishing some y.
-func BatchFinishesSemijoin(x, y Cols, opt Options, emit func(xi int32)) error {
-	residual := func(xs, _, ys, _ interval.Time) bool { return xs > ys }
-	return batchMergeGroupScan(x, y, true, true, residual, opt, true, nil, emit)
-}
-
-// BatchCoalesce is the columnar Coalesce: the input columns must be grouped
-// by key with each group sorted on ValidFrom ascending; sameKey reports
-// whether rows i and j belong to the same group (the engine compares
-// interned value columns, one integer compare per column). emit receives a
-// representative row index and the coalesced lifespan.
-func BatchCoalesce(c Cols, sameKey func(i, j int32) bool, opt Options, emit func(rep int32, span interval.Interval)) error {
-	const name = "coalesce"
-	probe := opt.Probe
-	probe.SetBuffers(1)
-
-	var (
-		rep     int32
-		curSpan interval.Interval
-		open    bool
-	)
-	flush := func() {
-		if open {
-			probe.IncEmitted(1)
-			emit(rep, curSpan)
-			probe.StateRemove(1)
-			open = false
-		}
-	}
-	n := len(c.TS)
-	//tdb:hotpath
-	for i := 0; i < n; i++ {
-		probe.IncReadLeft()
-		ts, te := c.TS[i], c.TE[i]
-		if open && sameKey(int32(i), rep) {
-			if ts < curSpan.Start {
-				return fmt.Errorf("%s: group not sorted on ValidFrom: %v after %v", name, c.Span(i), curSpan)
-			}
-			probe.IncComparisons(1)
-			if curSpan.End >= ts { // meets or overlaps: extend
-				if te > curSpan.End {
-					curSpan.End = te
-				}
-				continue
-			}
-		}
-		flush()
-		rep, curSpan, open = int32(i), interval.Interval{Start: ts, End: te}, true
-		probe.StateAdd(1)
-		opt.observe()
-	}
-	flush()
-	opt.observe()
 	return nil
 }

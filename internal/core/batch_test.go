@@ -52,38 +52,6 @@ func joinCases() []joinCase {
 			},
 			batch: BatchOverlapJoin,
 		},
-		{
-			name:   "meets",
-			orderX: relation.Order{relation.TEAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(x, y item)) error {
-				return MeetsJoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchMeetsJoin,
-		},
-		{
-			name:   "equal",
-			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(x, y item)) error {
-				return EqualJoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchEqualJoin,
-		},
-		{
-			name:   "starts",
-			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(x, y item)) error {
-				return StartsJoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchStartsJoin,
-		},
-		{
-			name:   "finishes",
-			orderX: relation.Order{relation.TEAsc}, orderY: relation.Order{relation.TEAsc},
-			row: func(xs, ys []item, opt Options, emit func(x, y item)) error {
-				return FinishesJoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchFinishesJoin,
-		},
 	}
 }
 
@@ -113,60 +81,12 @@ func semijoinCases() []semijoinCase {
 			batch: BatchContainedSemijoin,
 		},
 		{
-			name:   "contain-TSTS",
-			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(item)) error {
-				return ContainSemijoinTSTS(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchContainSemijoinTSTS,
-		},
-		{
-			name:   "contained-TSTS",
-			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(item)) error {
-				return ContainedSemijoinTSTS(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchContainedSemijoinTSTS,
-		},
-		{
 			name:   "overlap",
 			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
 			row: func(xs, ys []item, opt Options, emit func(item)) error {
 				return OverlapSemijoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
 			},
 			batch: BatchOverlapSemijoin,
-		},
-		{
-			name:   "meets",
-			orderX: relation.Order{relation.TEAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(item)) error {
-				return MeetsSemijoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchMeetsSemijoin,
-		},
-		{
-			name:   "equal",
-			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(item)) error {
-				return EqualSemijoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchEqualSemijoin,
-		},
-		{
-			name:   "starts",
-			orderX: relation.Order{relation.TSAsc}, orderY: relation.Order{relation.TSAsc},
-			row: func(xs, ys []item, opt Options, emit func(item)) error {
-				return StartsSemijoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchStartsSemijoin,
-		},
-		{
-			name:   "finishes",
-			orderX: relation.Order{relation.TEAsc}, orderY: relation.Order{relation.TEAsc},
-			row: func(xs, ys []item, opt Options, emit func(item)) error {
-				return FinishesSemijoin(streamOf(xs), streamOf(ys), itemSpan, opt, emit)
-			},
-			batch: BatchFinishesSemijoin,
 		},
 	}
 }
@@ -307,59 +227,5 @@ func TestBatchVerifyOrderRejectsUnsortedInput(t *testing.T) {
 	}
 	if err := BatchOverlapSemijoin(good, bad, Options{VerifyOrder: true}, func(xi int32) {}); err == nil {
 		t.Fatal("unsorted Y accepted")
-	}
-}
-
-func TestBatchCoalesceMatchesRowEngine(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		items := genItems(rng, 60, 0)
-		for i := range items {
-			items[i].id = i % 4 // a few groups with many runs each
-		}
-		// Grouped by key, each group sorted on ValidFrom: the operator's
-		// input contract.
-		relation.SortSpans(items, itemSpan, relation.Order{relation.TSAsc})
-		grouped := make([]item, 0, len(items))
-		for g := 0; g < 4; g++ {
-			for _, it := range items {
-				if it.id == g {
-					grouped = append(grouped, it)
-				}
-			}
-		}
-		type out struct {
-			key  int
-			span interval.Interval
-		}
-		var want []out
-		err := Coalesce(streamOf(grouped), func(t item) int { return t.id }, itemSpan,
-			func(rep item, s interval.Interval) item { return item{id: rep.id, iv: s} },
-			Options{Probe: newProbe()}, func(x item) { want = append(want, out{x.id, x.iv}) })
-		if err != nil {
-			t.Fatalf("seed %d: row: %v", seed, err)
-		}
-		var got []out
-		err = BatchCoalesce(colsOf(grouped), func(i, j int32) bool { return grouped[i].id == grouped[j].id },
-			Options{Probe: newProbe()}, func(rep int32, s interval.Interval) { got = append(got, out{grouped[rep].id, s}) })
-		if err != nil {
-			t.Fatalf("seed %d: batch: %v", seed, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d coalesced spans, row engine %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: output %d = %+v, row engine %+v", seed, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestBatchCoalesceRejectsUnsortedGroup(t *testing.T) {
-	c := Cols{TS: []interval.Time{5, 1}, TE: []interval.Time{9, 3}}
-	err := BatchCoalesce(c, func(i, j int32) bool { return true }, Options{}, func(int32, interval.Interval) {})
-	if err == nil {
-		t.Fatal("unsorted group accepted")
 	}
 }

@@ -2,16 +2,17 @@ package engine
 
 // Columnar batch execution of the stream operators. The executor keeps its
 // materialized intermediates as rows, but an eligible join or semijoin node
-// no longer sweeps them row-at-a-time: establishOrder hands it each input
-// sorted and already shredded into flat endpoint columns (core.Cols), the
-// internal/core batch kernels sweep the columns and report matches as row
-// indexes, and the node materializes output rows exactly once at the end.
-// On the parallel path the shards themselves are index lists
-// (partition.SplitIndex), so workers gather compact per-shard columns,
-// sweep, and return global indexes — no row data moves until the
-// coordinator materializes the merged result.
+// does not sweep them row-at-a-time: establishOrder hands it each input
+// sorted and already shredded into flat endpoint columns (core.Cols),
+// columnarJoinPairs or columnarSemijoinIdx — the only two places the engine
+// names a core batch kernel — sweeps the columns and reports matches as row
+// indexes, and the node materializes output rows exactly once at the end
+// (materializeJoin, ordered.gather). Serial execution calls the kernel step
+// on the node's full columns; a parallel shard (parallel.go) calls the same
+// step on its gathered columns and returns global indexes, so serial is the
+// k=1 case of one step and no row data moves until the node materializes.
 //
-// The row-at-a-time operators remain the reference implementation,
+// The row-at-a-time operators remain the serial reference implementation,
 // selectable with Options.RowExec; the λ read policy and the before-join
 // run on it unconditionally (the policy observes per-row stream state the
 // batch kernels do not model, and before pairs across arbitrary time
@@ -20,19 +21,17 @@ package engine
 // equivalence property tests in columnar_test.go hold both paths to it.
 
 import (
-	"context"
 	"fmt"
 
 	"tdb/internal/algebra"
 	"tdb/internal/core"
 	"tdb/internal/interval"
-	"tdb/internal/partition"
 	"tdb/internal/relation"
-	"tdb/internal/stream"
 	"tdb/internal/value"
 )
 
-// gatherCols builds a shard's compact local columns from its index list.
+// gatherCols builds compact columns from an index list: a sort's
+// permutation or a shard's rows.
 func gatherCols(c core.Cols, idx []int32) core.Cols {
 	ts := make([]interval.Time, 0, len(idx))
 	te := make([]interval.Time, 0, len(idx))
@@ -153,171 +152,18 @@ func columnarSemijoinIdx(kind algebra.TemporalKind, lc, rc core.Cols, opt core.O
 	return out, nil
 }
 
-// ownedPair is a matched index pair tagged with its canonical sweep point,
-// the columnar counterpart of ownedRow: the key assigns the pair to exactly
-// one owning shard and keys the recombination merge.
-type ownedPair struct {
-	key  interval.Time
-	pair pairIdx
-}
-
-func ownedPairCmp(a, b ownedPair) int {
-	switch {
-	case a.key < b.key:
-		return -1
-	case a.key > b.key:
-		return 1
-	}
-	return 0
-}
-
-// runJoinShardColumnar runs one shard of a columnar join fan-out: gather
-// the shard's local columns from its index lists, sweep with the batch
-// kernel, translate emissions back to global indexes, and keep only pairs
-// whose sweep point the shard's range owns — the same ownership rule as
-// runJoinShard, over indexes instead of rows. The kernels run the sweep
-// without cancellation polls, so cancellation is honored at shard entry;
-// a canceled sibling at worst lets this shard finish its bounded sweep.
-func runJoinShardColumnar(ctx context.Context, kind algebra.TemporalKind,
-	lc, rc core.Cols, li, ri []int32, rng partition.Range, o core.Options) ([]ownedPair, error) {
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	lcs, rcs := gatherCols(lc, li), gatherCols(rc, ri)
-	out := make([]ownedPair, 0, len(li))
-	keep := func(key interval.Time, p pairIdx) {
-		if rng.OwnsPoint(key) {
-			out = append(out, ownedPair{key: key, pair: p})
-		}
-	}
-	var err error
+// ownerKey is a join pair's canonical sweep point: the chronon of the read
+// event that emits it under the sweep policy. For a contain pair that is
+// the containee's ValidFrom (the right input's for Contain, the left
+// input's for Contained); for an overlap pair, the later of the two
+// ValidFroms. Both members of a pair span its sweep point, which is what
+// lets exactly one time shard own each pair.
+func ownerKey(kind algebra.TemporalKind, lc, rc core.Cols, p pairIdx) interval.Time {
 	switch kind {
 	case algebra.KindContain:
-		// The containee's ValidFrom owns a contain pair (the read event
-		// that emits it under the sweep policy).
-		err = core.BatchContainJoinTSTS(lcs, rcs, o, func(xi, yi int32) {
-			keep(rcs.TS[yi], pairIdx{l: li[xi], r: ri[yi]})
-		})
+		return rc.TS[p.r]
 	case algebra.KindContained:
-		// Contain kernel with the sides swapped; the containee — here the
-		// left input — still owns the pair.
-		err = core.BatchContainJoinTSTS(rcs, lcs, o, func(xi, yi int32) {
-			keep(lcs.TS[yi], pairIdx{l: li[yi], r: ri[xi]})
-		})
-	case algebra.KindOverlap:
-		// The later ValidFrom owns an overlap pair.
-		err = core.BatchOverlapJoin(lcs, rcs, o, func(xi, yi int32) {
-			key := lcs.TS[xi]
-			if rcs.TS[yi] > key {
-				key = rcs.TS[yi]
-			}
-			keep(key, pairIdx{l: li[xi], r: ri[yi]})
-		})
-	default:
-		err = fmt.Errorf("engine: parallel columnar join of kind %v", kind)
+		return lc.TS[p.l]
 	}
-	return out, err
-}
-
-// parallelJoinColumnar executes an accepted join fan-out on the columnar
-// path. The inputs are shredded to columns once; partition.SplitIndex
-// replicates *indexes* into boundary-spanning shards, workers sweep their
-// gathered columns and return owned (key, pair) lists, and the stable
-// k-way merge recombines them in serial emission order. Only then are
-// output rows materialized — shard workers never touch row data.
-func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, l, r ordered, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
-	k := len(plan.ranges)
-	lc, rc := l.cols, r.cols
-	shL := partition.SplitIndex(lc.TS, lc.TE, plan.ranges)
-	shR := partition.SplitIndex(rc.TS, rc.TE, plan.ranges)
-	noteMeasuredReplication(cost, shL, shR, lc.Len()+rc.Len())
-	outs := make([][]ownedPair, k)
-	err := ex.runWorkers(shardLabels("join shard", plan.ranges), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
-		var err error
-		outs[i], err = runJoinShardColumnar(ctx, kind, lc, rc, shL[i], shR[i], plan.ranges[i], o)
-		return int64(len(outs[i])), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]stream.Stream[ownedPair], k)
-	for i := range outs {
-		parts[i] = stream.FromSlice(outs[i])
-	}
-	merged, err := stream.Collect(stream.MergeK(ownedPairCmp, parts...))
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([]pairIdx, 0, len(merged))
-	//tdb:hotpath
-	for i := range merged {
-		pairs = append(pairs, merged[i].pair)
-	}
-	return materializeJoin(l, r, pairs), nil
-}
-
-// runSemijoinShardColumnar runs one shard of a columnar semijoin fan-out.
-// The batch scans preserve left input order and the shard's index list
-// ascends, so the returned global indexes ascend — each shard yields a
-// sorted subsequence of the left input, ready for the positional merge.
-func runSemijoinShardColumnar(ctx context.Context, kind algebra.TemporalKind,
-	lc, rc core.Cols, li, ri []int32, o core.Options) ([]int32, error) {
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	lcs, rcs := gatherCols(lc, li), gatherCols(rc, ri)
-	out := make([]int32, 0, len(li))
-	emit := func(xi int32) { out = append(out, li[xi]) }
-	var err error
-	switch kind {
-	case algebra.KindContained:
-		err = core.BatchContainedSemijoin(lcs, rcs, o, emit)
-	case algebra.KindContain:
-		err = core.BatchContainSemijoin(lcs, rcs, o, emit)
-	case algebra.KindOverlap:
-		err = core.BatchOverlapSemijoin(lcs, rcs, o, emit)
-	default:
-		err = fmt.Errorf("engine: parallel columnar semijoin of kind %v", kind)
-	}
-	return out, err
-}
-
-// parallelSemijoinColumnar executes an accepted semijoin fan-out on the
-// columnar path. The global left index doubles as the position tag of the
-// row path: the position-ordered merge with adjacent dedup yields the
-// qualifying left rows in global input order, and only that final list is
-// materialized (by reference — semijoin output rows are the input rows).
-func (ex *executor) parallelSemijoinColumnar(kind algebra.TemporalKind, l, r ordered, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
-	k := len(plan.ranges)
-	lc, rc := l.cols, r.cols
-	shL := partition.SplitIndex(lc.TS, lc.TE, plan.ranges)
-	shR := partition.SplitIndex(rc.TS, rc.TE, plan.ranges)
-	noteMeasuredReplication(cost, shL, shR, lc.Len()+rc.Len())
-	outs := make([][]int32, k)
-	err := ex.runWorkers(shardLabels("semijoin shard", plan.ranges), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
-		var err error
-		outs[i], err = runSemijoinShardColumnar(ctx, kind, lc, rc, shL[i], shR[i], o)
-		return int64(len(outs[i])), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]stream.Stream[int32], k)
-	for i := range outs {
-		parts[i] = stream.FromSlice(outs[i])
-	}
-	idxCmp := func(a, b int32) int { return int(a) - int(b) }
-	sameIdx := func(a, b int32) bool { return a == b }
-	merged, err := stream.Collect(stream.Dedup(stream.MergeK(idxCmp, parts...), sameIdx))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]relation.Row, len(merged))
-	//tdb:hotpath
-	for i, g := range merged {
-		rows[i] = l.row(g)
-	}
-	return rows, nil
+	return max(lc.TS[p.l], rc.TS[p.r])
 }

@@ -108,10 +108,8 @@ func sameLogicalWork(t *testing.T, name string, ref, got *Stats) {
 	}
 }
 
-// The parallel columnar drivers (index shards, gathered columns, deferred
-// materialization) must also land on the row reference's exact sequence,
-// and so must the row parallel drivers on the same plan — all four
-// path × fan-out combinations agree.
+// The parallel columnar path (index shards, gathered columns, deferred
+// materialization) must also land on the row reference's exact sequence.
 func TestColumnarParallelMatchesRowReference(t *testing.T) {
 	db := newPoissonDB(t, 600)
 	kinds := []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap}
@@ -134,13 +132,42 @@ func TestColumnarParallelMatchesRowReference(t *testing.T) {
 				if !hasNote(stats, "columnar batch kernels") {
 					t.Errorf("%v ×%d: columnar fan-out not recorded in notes", kind, k)
 				}
+			}
+		}
+	}
+}
+
+// RowExec is the serial row reference at any Parallelism: under a forced
+// fan-out it must run neither shards nor batch kernels, and still return
+// exactly the rows of the serial reference and of the columnar fan-out.
+func TestRowExecStaysSerialUnderForcedFanOut(t *testing.T) {
+	db := newPoissonDB(t, 600)
+	kinds := []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap}
+	for _, kind := range kinds {
+		for _, q := range []algebra.Expr{joinOf(kind), semijoinOf(kind)} {
+			ref, _, err := Run(db, q, rowOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.Rows) == 0 {
+				t.Fatalf("%v: degenerate test, no output rows", kind)
+			}
+			for _, k := range []int{2, 3, 8} {
+				col, _, err := Run(db, q, forcePar(k))
+				if err != nil {
+					t.Fatalf("%v ×%d: %v", kind, k, err)
+				}
 				rowPar := forcePar(k)
 				rowPar.RowExec = true
-				rp, stats, err := Run(db, q, rowPar)
+				got, stats, err := Run(db, q, rowPar)
 				if err != nil {
-					t.Fatalf("%v row ×%d: %v", kind, k, err)
+					t.Fatalf("%v RowExec ×%d: %v", kind, k, err)
 				}
-				identicalRows(t, fmt.Sprintf("%v row ×%d vs row serial", kind, k), ref, rp)
+				identicalRows(t, fmt.Sprintf("%v RowExec ×%d vs row serial", kind, k), ref, got)
+				identicalRows(t, fmt.Sprintf("%v RowExec ×%d vs columnar ×%d", kind, k, k), col, got)
+				if hasNote(stats, "parallel ×") {
+					t.Errorf("%v ×%d: RowExec run fanned out: %+v", kind, k, stats.Nodes)
+				}
 				if hasNote(stats, "columnar batch kernels") {
 					t.Errorf("%v ×%d: RowExec run claims columnar kernels", kind, k)
 				}

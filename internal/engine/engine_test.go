@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -343,6 +344,70 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	if mergeStats.TotalComparisons() >= nlStats.TotalComparisons() {
 		t.Errorf("merge join comparisons %d not below nested loop %d",
 			mergeStats.TotalComparisons(), nlStats.TotalComparisons())
+	}
+}
+
+// The hash equi-join's key must match exactly when the nested loop's
+// equality does: composite string keys that a separator-joined rendering
+// would collide, and an Int key equal to a Time key ("∞" when rendered).
+func TestHashJoinKeysAreExact(t *testing.T) {
+	rel := func(t *testing.T, name string, kinds []value.Kind, row ...value.Value) *relation.Relation {
+		t.Helper()
+		cols := make([]relation.Column, len(kinds))
+		for i, k := range kinds {
+			cols[i] = relation.Column{Name: fmt.Sprintf("K%d", i), Kind: k}
+		}
+		s, err := relation.NewSchema(cols, -1, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := relation.New(name, s)
+		if err := r.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	str := []value.Kind{value.KindString, value.KindString}
+	cases := []struct {
+		name string
+		l, r *relation.Relation
+		want int
+	}{
+		{"separator inside a string cell",
+			rel(t, "A", str, value.String_("x\x1fy"), value.String_("z")),
+			rel(t, "B", str, value.String_("x"), value.String_("y\x1fz")), 0},
+		{"int key equals time key",
+			rel(t, "A", []value.Kind{value.KindInt}, value.Int(int64(interval.Forever))),
+			rel(t, "B", []value.Kind{value.KindTime}, value.TimeVal(interval.Forever)), 1},
+	}
+	for _, tc := range cases {
+		db := NewDB()
+		db.MustRegister(tc.l)
+		db.MustRegister(tc.r)
+		var pred algebra.Predicate
+		for _, c := range tc.l.Schema.Cols {
+			pred.Atoms = append(pred.Atoms, algebra.Atom{
+				L: algebra.Column("a", c.Name), Op: algebra.EQ, R: algebra.Column("b", c.Name)})
+		}
+		q := &algebra.Join{
+			L:    &algebra.Scan{Relation: "A", As: "a"},
+			R:    &algebra.Scan{Relation: "B", As: "b"},
+			Pred: pred, Kind: algebra.KindTheta,
+		}
+		hashRes, hashStats, err := Run(db, q, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !strings.Contains(hashStats.String(), "hash equi-join") {
+			t.Fatalf("%s: hash join not used:\n%s", tc.name, hashStats)
+		}
+		nlRes, _, err := Run(db, q, Options{ForceNestedLoop: true, ForceNoHash: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hashRes.Cardinality(); got != tc.want || nlRes.Cardinality() != tc.want {
+			t.Errorf("%s: hash join %d rows, nested loop %d, want %d", tc.name, got, nlRes.Cardinality(), tc.want)
+		}
 	}
 }
 

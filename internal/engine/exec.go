@@ -46,18 +46,20 @@ type Options struct {
 	SpillDir string
 	// Policy selects the stream read policy (sweep by default).
 	Policy core.ReadPolicy
-	// RowExec forces the row-at-a-time reference implementation of the
-	// stream operators. By default eligible stream joins and semijoins
-	// sweep columnar batches (flat endpoint columns, pooled active-list
-	// arenas, deferred row materialization — see DESIGN.md "Columnar batch
-	// execution"); output is byte-identical either way, and the equivalence
-	// property tests hold the two paths to it. The λ read policy, the
-	// before-join and the self semijoins run row-at-a-time regardless.
+	// RowExec forces the serial row-at-a-time reference implementation of
+	// the stream operators, at any Parallelism: its join and semijoin
+	// nodes never fan out (stored scans still may). By default eligible
+	// stream joins and semijoins sweep columnar batches (flat endpoint
+	// columns, pooled active-list arenas, deferred row materialization —
+	// see DESIGN.md "Columnar batch execution"); output is byte-identical
+	// either way, and the equivalence property tests hold the two paths to
+	// it. The λ read policy, the before-join and the self semijoins run
+	// row-at-a-time regardless.
 	RowExec bool
 	// Parallelism bounds time-range partitioned parallel execution:
-	// eligible join and semijoin nodes (and large stored scans) fan out
-	// to at most this many shard workers, each running the unchanged
-	// single-pass algorithm on its shard. 0 defaults to
+	// eligible columnar join and semijoin nodes (and large stored scans)
+	// fan out to at most this many shard workers, each running the node's
+	// serial batch kernel on its shard. 0 defaults to
 	// runtime.GOMAXPROCS(0); 1 disables parallel execution. Results are
 	// byte-identical to serial execution at any setting.
 	Parallelism int

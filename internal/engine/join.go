@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,7 +15,9 @@ import (
 	"tdb/internal/metrics"
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
+	"tdb/internal/partition"
 	"tdb/internal/relation"
+	"tdb/internal/value"
 )
 
 func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
@@ -152,44 +155,40 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 		return nil, nil, err
 	}
 
-	if plan := ex.planParallel(n.Kind, false, lo.cols, ro.cols, cost); plan != nil {
-		var rows []relation.Row
-		if ex.opt.RowExec {
-			rows, err = ex.parallelJoin(n.Kind, lo.spanned(), ro.spanned(), plan, cost)
-		} else {
-			// planParallel only accepts sweep-policy joins, so the batch
-			// kernels are always eligible here.
-			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			rows, err = ex.parallelJoinColumnar(n.Kind, lo, ro, plan, cost)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		cost.Algorithm += fmt.Sprintf(" ×%d", len(plan.ranges))
-		cost.OutRows = int64(len(rows))
-		return rows, cost, nil
+	// The row reference never fans out; otherwise planParallel decides, and
+	// it accepts only sweep-policy contain, contained and overlap joins.
+	var shards []partition.Range
+	if !ex.opt.RowExec {
+		shards = ex.planParallel(n.Kind, false, lo.cols, ro.cols, cost)
 	}
 
 	// The serial stream join is the governed operator: its retained state
 	// (the Table 1–2 spanning sets) is what statistics drift can blow past
-	// the admission ceiling. The parallel path above cancels on error
-	// instead; the semijoin scans are buffers-only and cannot breach.
-	if ex.opt.GovernWorkspace {
+	// the admission ceiling. A fan-out cancels on error instead; the
+	// semijoin scans are buffers-only and cannot breach.
+	if shards == nil && ex.opt.GovernWorkspace {
 		if bound := ex.governBound(n.Kind, n.L, n.R, cost); bound > 0 {
 			opt.Limit = int64(bound)
 		}
 	}
 
-	// Columnar batch path (the default): sweep the ordered inputs' endpoint
-	// columns with the batch kernels, materialize output rows once from
-	// the matched index pairs. The row path below remains
-	// the reference implementation (Options.RowExec) and still serves the
-	// λ read policy — whose global read interleaving observes per-row
-	// stream state the batch kernels do not model — and the before-join.
+	// Columnar batch path (the default): one kernel step over the ordered
+	// inputs' endpoint columns — the whole columns serially, or each time
+	// shard's under a fan-out — then output rows materialized once from
+	// the matched index pairs. The row path below remains the serial
+	// reference implementation (Options.RowExec) and still serves the λ
+	// read policy — whose global read interleaving observes per-row stream
+	// state the batch kernels do not model — and the before-join.
 	if !ex.opt.RowExec && ex.opt.Policy == core.ReadSweep && n.Kind != algebra.KindBefore {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
 		var rows []relation.Row
-		pairs, err := columnarJoinPairs(n.Kind, lo.cols, ro.cols, opt)
+		var pairs []pairIdx
+		if shards != nil {
+			pairs, err = ex.parallelJoinPairs(n.Kind, lo.cols, ro.cols, shards, cost)
+			cost.Algorithm += fmt.Sprintf(" ×%d", len(shards))
+		} else {
+			pairs, err = columnarJoinPairs(n.Kind, lo.cols, ro.cols, opt)
+		}
 		if err != nil {
 			if opt.Limit <= 0 || !errors.Is(err, core.ErrWorkspaceBreach) {
 				return nil, nil, err
@@ -335,13 +334,33 @@ func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) ([]relation.Row,
 	return rows, cost, nil
 }
 
+// hashKey encodes a row's key cells injectively, so two keys are equal
+// exactly when every cell pair is value.Equal: a string cell as a tag and
+// its length-prefixed bytes, an Int or Time cell as a tag and its integer
+// (the two kinds share one order, so they must encode alike). The key is
+// built in one exactly-sized allocation.
 func hashKey(row relation.Row, cols []int) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte('\x1f')
+	var cell [1 + binary.MaxVarintLen64]byte
+	n := 0
+	for _, c := range cols {
+		if v := row[c]; v.Kind() == value.KindString {
+			l := len(v.AsString())
+			n += 1 + len(binary.AppendUvarint(cell[:0], uint64(l))) + l
+		} else {
+			n += 1 + 8
 		}
-		b.WriteString(row[c].String())
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, c := range cols {
+		v := row[c]
+		if v.Kind() == value.KindString {
+			s := v.AsString()
+			b.Write(binary.AppendUvarint(append(cell[:0], 's'), uint64(len(s))))
+			b.WriteString(s)
+			continue
+		}
+		b.Write(binary.BigEndian.AppendUint64(append(cell[:0], 'i'), uint64(v.AsInt())))
 	}
 	return b.String()
 }
@@ -603,29 +622,21 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 		if err != nil {
 			return nil, nil, err
 		}
-		if plan := ex.planParallel(n.Kind, true, lo.cols, ro.cols, cost); plan != nil {
-			var rows []relation.Row
-			if ex.opt.RowExec {
-				rows, err = ex.parallelSemijoin(n.Kind, lo.spanned(), ro.spanned(), plan, cost)
-			} else {
-				cost.Notes = append(cost.Notes, "columnar batch kernels")
-				rows, err = ex.parallelSemijoinColumnar(n.Kind, lo, ro, plan, cost)
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			cost.Algorithm += fmt.Sprintf(" ×%d", len(plan.ranges))
-			cost.OutRows = int64(len(rows))
-			return rows, cost, nil
-		}
-
-		// Columnar batch path (the default) for the sorted semijoin scans.
-		// The Figure 6 scans never consult the read policy, so unlike the
-		// join there is no λ carve-out; the before-semijoin (lOrder == nil)
-		// and Options.RowExec take the row reference path below.
+		// Columnar batch path (the default) for the sorted semijoin scans:
+		// one kernel step, serially or per time shard. The Figure 6 scans
+		// never consult the read policy, so unlike the join there is no λ
+		// carve-out; the before-semijoin (lOrder == nil) and
+		// Options.RowExec take the serial row reference path below.
 		if !ex.opt.RowExec {
+			shards := ex.planParallel(n.Kind, true, lo.cols, ro.cols, cost)
 			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			idxs, err := columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
+			var idxs []int32
+			if shards != nil {
+				idxs, err = ex.parallelSemijoinIdx(n.Kind, lo.cols, ro.cols, shards, cost)
+				cost.Algorithm += fmt.Sprintf(" ×%d", len(shards))
+			} else {
+				idxs, err = columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
+			}
 			if err != nil {
 				return nil, nil, err
 			}

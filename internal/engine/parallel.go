@@ -1,24 +1,27 @@
 package engine
 
-// Time-range partitioned parallel execution. An eligible stream join or
-// semijoin node partitions its sorted, materialized inputs into k time
-// shards (equi-depth ValidFrom cuts from catalog statistics), runs the
-// unchanged single-pass core algorithm per shard on worker goroutines,
-// and recombines through the order-preserving k-way merge of
-// internal/stream. Boundary-spanning tuples are replicated into every
-// shard they intersect; exactness is restored by the owner rule (each
-// join pair is kept only by the shard owning its canonical sweep point)
-// or by position tags with adjacent dedup (semijoins). The output is
-// byte-identical to serial execution: the merge is deterministic, worker
-// results live in per-shard slots, and no map or scheduling order ever
-// reaches the output. See DESIGN.md "Parallel execution" for the
-// per-operator ownership rules and the determinism argument.
+// Time-range partitioned parallel execution. An eligible columnar stream
+// join or semijoin node splits its sorted endpoint columns into k time
+// shards (equi-depth ValidFrom cuts from catalog statistics) as index
+// lists, runs the node's serial kernel step (columnar.go) per shard on
+// worker goroutines, and recombines the shards' global row indexes before
+// the node materializes once. Boundary-spanning tuples are replicated into
+// every shard they intersect; exactness is restored by the owner rule
+// (each join pair is kept only by the shard owning its canonical sweep
+// point, and the shards concatenate in range order) or by the global-index
+// k-way merge with adjacent dedup (semijoins). The output is
+// byte-identical to serial execution: worker results live in per-shard
+// slots, the recombination is deterministic, and no map or scheduling
+// order ever reaches the output. Options.RowExec never fans out. See
+// DESIGN.md "Parallel execution" for the per-operator ownership rules and
+// the determinism argument.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"tdb/internal/algebra"
@@ -74,12 +77,6 @@ func (ex *executor) parallelMinRows() int {
 	return DefaultParallelMinRows
 }
 
-// parallelPlan is a node's accepted fan-out decision.
-type parallelPlan struct {
-	ranges []partition.Range
-	est    optimizer.ParallelEstimate
-}
-
 // appendSpans appends the columns' lifespans to spans.
 func appendSpans(spans []interval.Interval, c core.Cols) []interval.Interval {
 	for i := range c.TS {
@@ -94,7 +91,7 @@ func appendSpans(spans []interval.Interval, c core.Cols) []interval.Interval {
 // Options.ForceParallel bypasses only the size and cost-model gates. A
 // nil return means serial. Once a decision is genuinely considered, the
 // evidence is recorded in the node's notes for the plan explain.
-func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc core.Cols, cost *NodeCost) *parallelPlan {
+func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc core.Cols, cost *NodeCost) []partition.Range {
 	k := ex.workers()
 	if k < 2 {
 		return nil
@@ -145,7 +142,7 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc co
 		return nil
 	}
 	cost.Notes = append(cost.Notes, "parallel "+est.String())
-	return &parallelPlan{ranges: ranges, est: est}
+	return ranges
 }
 
 // runWorkers fans k shard workers out under the current node span: one
@@ -155,10 +152,11 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc co
 // finished in shard order so traces are deterministic.
 //
 // Failure semantics: the first worker to fail cancels the shared context,
-// so sibling shards unwind at their next input poll (their streams are
-// Cancelable-wrapped); a panic inside a worker is recovered into
-// ErrWorkerPanic and treated the same way. wg.Wait guarantees every
-// goroutine has exited before runWorkers returns — no leaks on any path.
+// so sibling shards unwind at their next poll (a kernel shard at entry, a
+// scan shard per row of its Cancelable-wrapped stream); a panic inside a
+// worker is recovered into ErrWorkerPanic and treated the same way.
+// wg.Wait guarantees every goroutine has exited before runWorkers returns
+// — no leaks on any path.
 // The returned error is the lowest-indexed *genuine* failure: shards that
 // merely observed the cancellation never mask the root cause.
 func (ex *executor) runWorkers(labels []string, cost *NodeCost, run func(ctx context.Context, i int, o core.Options) (int64, error)) error {
@@ -249,167 +247,89 @@ func shardLabels(prefix string, rs []partition.Range) []string {
 	return out
 }
 
-// ownedRow is a join output row tagged with its canonical sweep point —
-// the chronon that assigns the pair to exactly one owning shard and keys
-// the recombination merge.
-type ownedRow struct {
-	key interval.Time
-	row relation.Row
-}
+// runShards fans a columnar node out over its time shards.
+// partition.SplitIndex replicates row *indexes* into every shard a
+// lifespan intersects; each worker gathers its compact local columns and
+// runs step over them, and the per-shard results come back in shard order.
+// The kernels run the sweep without cancellation polls, so cancellation is
+// honored at shard entry; a canceled sibling at worst lets a shard finish
+// its bounded sweep.
+func runShards[T any](ex *executor, label string, lc, rc core.Cols, shards []partition.Range, cost *NodeCost,
+	step func(lcs, rcs core.Cols, li, ri []int32, rng partition.Range, o core.Options) ([]T, error)) ([][]T, error) {
 
-func ownedCmp(a, b ownedRow) int {
-	switch {
-	case a.key < b.key:
-		return -1
-	case a.key > b.key:
-		return 1
-	}
-	return 0
-}
-
-// parallelJoin executes an accepted join fan-out. Each shard runs the
-// serial algorithm on its replicated inputs and keeps only the pairs
-// whose sweep point its range owns; because shard key ranges ascend
-// disjointly and per-shard emission keys are non-decreasing under the
-// sweep policy, the stable k-way merge reproduces the serial output
-// sequence exactly.
-func (ex *executor) parallelJoin(kind algebra.TemporalKind, lw, rw []spanned, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
-	k := len(plan.ranges)
-	shL := partition.Split(lw, spannedSpan, plan.ranges)
-	shR := partition.Split(rw, spannedSpan, plan.ranges)
-	noteMeasuredReplication(cost, shL, shR, len(lw)+len(rw))
-	outs := make([][]ownedRow, k)
-	err := ex.runWorkers(shardLabels("join shard", plan.ranges), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
-		var err error
-		outs[i], err = runJoinShard(ctx, kind, shL[i], shR[i], plan.ranges[i], o)
-		return int64(len(outs[i])), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]stream.Stream[ownedRow], k)
-	for i := range outs {
-		parts[i] = stream.FromSlice(outs[i])
-	}
-	merged, err := stream.Collect(stream.MergeK(ownedCmp, parts...))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]relation.Row, len(merged))
-	//tdb:hotpath
-	for i, m := range merged {
-		rows[i] = m.row
-	}
-	return rows, nil
-}
-
-// runJoinShard runs the serial stream join on one shard, keeping only the
-// pairs the shard owns. The canonical sweep point of a contain pair is
-// the containee's ValidFrom (the read event that emits it under the sweep
-// policy); for an overlap pair it is the later of the two ValidFroms.
-// Every pair's members both span its sweep point, so the owning shard is
-// guaranteed to hold both — no pair is lost, and each is kept exactly
-// once.
-func runJoinShard(ctx context.Context, kind algebra.TemporalKind, xs, ys []spanned, rng partition.Range, o core.Options) ([]ownedRow, error) {
-	px := stream.Cancelable(ctx, wrappedStream(xs))
-	py := stream.Cancelable(ctx, wrappedStream(ys))
-	out := make([]ownedRow, 0, len(xs))
-	keep := func(key interval.Time, row relation.Row) {
-		if rng.OwnsPoint(key) {
-			out = append(out, ownedRow{key: key, row: row})
+	shL := partition.SplitIndex(lc.TS, lc.TE, shards)
+	shR := partition.SplitIndex(rc.TS, rc.TE, shards)
+	noteMeasuredReplication(cost, shL, shR, lc.Len()+rc.Len())
+	outs := make([][]T, len(shards))
+	err := ex.runWorkers(shardLabels(label, shards), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-	}
-	var err error
-	switch kind {
-	case algebra.KindContain:
-		err = core.ContainJoinTSTS(px, py, spannedSpan, o, func(a, b spanned) {
-			keep(b.span.Start, relation.ConcatRows(a.row, b.row))
-		})
-	case algebra.KindContained:
-		// Left during right ⇔ Contain-join(right, left); the containee
-		// (the emitted left row) still owns the pair.
-		err = core.ContainJoinTSTS(py, px, spannedSpan, o, func(a, b spanned) {
-			keep(b.span.Start, relation.ConcatRows(b.row, a.row))
-		})
-	case algebra.KindOverlap:
-		err = core.OverlapJoin(px, py, spannedSpan, o, func(a, b spanned) {
-			key := a.span.Start
-			if interval.CmpStart(a.span, b.span) < 0 {
-				key = b.span.Start
-			}
-			keep(key, relation.ConcatRows(a.row, b.row))
-		})
-	default:
-		err = fmt.Errorf("engine: parallel join of kind %v", kind)
-	}
-	return out, err
+		var err error
+		outs[i], err = step(gatherCols(lc, shL[i]), gatherCols(rc, shR[i]), shL[i], shR[i], shards[i], o)
+		return int64(len(outs[i])), err
+	})
+	return outs, err
 }
 
-// parallelSemijoin executes an accepted semijoin fan-out. The Figure 6
-// scans preserve left-input order and never consult the read policy, so
-// each shard emits a position-tagged subsequence of its left shard; the
-// position-ordered merge with adjacent dedup yields the qualifying left
-// rows in global input order — exactly the serial output.
-func (ex *executor) parallelSemijoin(kind algebra.TemporalKind, lw, rw []spanned, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
-	k := len(plan.ranges)
-	shL := partition.SplitTagged(lw, spannedSpan, plan.ranges)
-	shR := partition.SplitTagged(rw, spannedSpan, plan.ranges)
-	noteMeasuredReplication(cost, shL, shR, len(lw)+len(rw))
-	outs := make([][]partition.Tagged[spanned], k)
-	err := ex.runWorkers(shardLabels("semijoin shard", plan.ranges), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
-		var err error
-		outs[i], err = runSemijoinShard(ctx, kind, shL[i], shR[i], o)
-		return int64(len(outs[i])), err
+// parallelJoinPairs executes an accepted join fan-out. Each shard runs
+// columnarJoinPairs on its gathered columns and keeps, rewritten in place
+// as global indexes, only the pairs whose sweep point (ownerKey) its range
+// owns. Shard ranges ascend disjointly and a shard emits its pairs in
+// non-decreasing sweep-point order, so concatenating the shards in range
+// order reproduces the serial emission sequence exactly.
+func (ex *executor) parallelJoinPairs(kind algebra.TemporalKind, lc, rc core.Cols, shards []partition.Range, cost *NodeCost) ([]pairIdx, error) {
+	outs, err := runShards(ex, "join shard", lc, rc, shards, cost, func(lcs, rcs core.Cols, li, ri []int32, rng partition.Range, o core.Options) ([]pairIdx, error) {
+		pairs, err := columnarJoinPairs(kind, lcs, rcs, o)
+		k := 0
+		//tdb:hotpath
+		for _, p := range pairs {
+			g := pairIdx{l: li[p.l], r: ri[p.r]}
+			if rng.OwnsPoint(ownerKey(kind, lc, rc, g)) {
+				pairs[k] = g
+				k++
+			}
+		}
+		return pairs[:k], err
 	})
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]stream.Stream[partition.Tagged[spanned]], k)
-	for i := range outs {
-		parts[i] = stream.FromSlice(outs[i])
-	}
-	posCmp := func(a, b partition.Tagged[spanned]) int { return a.Pos - b.Pos }
-	samePos := func(a, b partition.Tagged[spanned]) bool { return a.Pos == b.Pos }
-	merged, err := stream.Collect(stream.Dedup(stream.MergeK(posCmp, parts...), samePos))
+	return slices.Concat(outs...), nil
+}
+
+// parallelSemijoinIdx executes an accepted semijoin fan-out. The Figure 6
+// scans preserve left input order and never consult the read policy, so
+// each shard yields an ascending subsequence of global left indexes. A
+// qualifying row and any witness share at least one chronon, so the shard
+// owning that chronon emits the row; replicas emitted by several shards
+// share their global index, and the index-ordered merge with adjacent dedup
+// yields the qualifying rows in global input order — exactly the serial
+// output.
+func (ex *executor) parallelSemijoinIdx(kind algebra.TemporalKind, lc, rc core.Cols, shards []partition.Range, cost *NodeCost) ([]int32, error) {
+	outs, err := runShards(ex, "semijoin shard", lc, rc, shards, cost, func(lcs, rcs core.Cols, li, _ []int32, _ partition.Range, o core.Options) ([]int32, error) {
+		idxs, err := columnarSemijoinIdx(kind, lcs, rcs, o)
+		//tdb:hotpath
+		for i, x := range idxs {
+			idxs[i] = li[x]
+		}
+		return idxs, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]relation.Row, len(merged))
-	//tdb:hotpath
-	for i, m := range merged {
-		rows[i] = m.Elem.row
+	parts := make([]stream.Stream[int32], len(outs))
+	for i := range outs {
+		parts[i] = stream.FromSlice(outs[i])
 	}
-	return rows, nil
-}
-
-// runSemijoinShard runs the serial semijoin scan on one shard. A
-// qualifying left row and any witness share at least one chronon, so the
-// shard owning that chronon holds both and emits the row; the per-shard
-// result is a subsequence of the tagged left shard, hence sorted by
-// position.
-func runSemijoinShard(ctx context.Context, kind algebra.TemporalKind, xs, ys []partition.Tagged[spanned], o core.Options) ([]partition.Tagged[spanned], error) {
-	span := func(t partition.Tagged[spanned]) interval.Interval { return t.Elem.span }
-	px := stream.Cancelable(ctx, stream.FromSlice(xs))
-	py := stream.Cancelable(ctx, stream.FromSlice(ys))
-	out := make([]partition.Tagged[spanned], 0, len(xs))
-	emit := func(t partition.Tagged[spanned]) { out = append(out, t) }
-	var err error
-	switch kind {
-	case algebra.KindContained:
-		err = core.ContainedSemijoin(px, py, span, o, emit)
-	case algebra.KindContain:
-		err = core.ContainSemijoin(px, py, span, o, emit)
-	case algebra.KindOverlap:
-		err = core.OverlapSemijoin(px, py, span, o, emit)
-	default:
-		err = fmt.Errorf("engine: parallel semijoin of kind %v", kind)
-	}
-	return out, err
+	idxCmp := func(a, b int32) int { return int(a) - int(b) }
+	sameIdx := func(a, b int32) bool { return a == b }
+	return stream.Collect(stream.Dedup(stream.MergeK(idxCmp, parts...), sameIdx))
 }
 
 // noteMeasuredReplication records the realized boundary-replication rate
 // next to the optimizer's prediction, so explain output shows both.
-func noteMeasuredReplication[T any](cost *NodeCost, shL, shR [][]T, n int) {
+func noteMeasuredReplication(cost *NodeCost, shL, shR [][]int32, n int) {
 	if n == 0 {
 		return
 	}

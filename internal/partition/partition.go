@@ -6,8 +6,9 @@
 // one correctness wrinkle is the boundary-spanning tuple, which is
 // replicated into every shard its lifespan intersects; exactness is
 // restored downstream by the owner rule — each result is kept only by the
-// shard that owns its canonical sweep point — or by position tags that let
-// an order-preserving merge drop the replicas.
+// shard that owns its canonical sweep point — or, for a semijoin, by the
+// global row index every replica keeps, which lets an order-preserving
+// merge drop the duplicates.
 package partition
 
 import (
@@ -86,38 +87,6 @@ func Split[T any](xs []T, span func(T) interval.Interval, rs []Range) [][]T {
 				out[i] = append(out[i], x) // lint:allow hotpath-alloc — replication factor is data-dependent; shards are pre-sized to the even-split estimate
 			} else if s.End <= r.Lo {
 				break // shards ascend; later ones lie even further right
-			}
-		}
-	}
-	return out
-}
-
-// Tagged pairs an element with its position in the source slice. Replicas
-// of one boundary-spanning element share the position — the dedup tag an
-// order-preserving merge uses to drop them.
-type Tagged[T any] struct {
-	Elem T
-	Pos  int
-}
-
-// SplitTagged is Split with every replica carrying its source position.
-func SplitTagged[T any](xs []T, span func(T) interval.Interval, rs []Range) [][]Tagged[T] {
-	out := make([][]Tagged[T], len(rs))
-	if len(rs) == 0 {
-		return out
-	}
-	est := len(xs)/len(rs) + 1
-	for i := range out {
-		out[i] = make([]Tagged[T], 0, est)
-	}
-	//tdb:hotpath
-	for pos, x := range xs {
-		s := span(x)
-		for i, r := range rs {
-			if r.Intersects(s) {
-				out[i] = append(out[i], Tagged[T]{Elem: x, Pos: pos}) // lint:allow hotpath-alloc — replication factor is data-dependent; shards are pre-sized to the even-split estimate
-			} else if s.End <= r.Lo {
-				break
 			}
 		}
 	}

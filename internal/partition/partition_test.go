@@ -82,21 +82,6 @@ func TestSplitReplicatesBoundarySpanners(t *testing.T) {
 	}
 }
 
-func TestSplitTaggedSharesPositions(t *testing.T) {
-	rs := Ranges([]interval.Time{10})
-	spans := []interval.Interval{iv(1, 4), iv(8, 14), iv(12, 15)}
-	shards := SplitTagged(spans, ident, rs)
-	if len(shards[0]) != 2 || len(shards[1]) != 2 {
-		t.Fatalf("unexpected shard sizes: %v", shards)
-	}
-	if shards[0][1].Pos != 1 || shards[1][0].Pos != 1 {
-		t.Fatalf("replicas of element 1 must share position 1: %v", shards)
-	}
-	if shards[0][0].Pos != 0 || shards[1][1].Pos != 2 {
-		t.Fatalf("singleton positions wrong: %v", shards)
-	}
-}
-
 // Every tuple must land in at least the shard owning its ValidFrom and the
 // shard owning its last chronon — the witness-shard property the parallel
 // join dedup rule relies on.

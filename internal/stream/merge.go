@@ -82,8 +82,8 @@ type dedup[T any] struct {
 
 // Dedup drops every element equal (under same) to its immediate
 // predecessor. After a position-ordered MergeK this removes the replicas
-// of boundary-spanning tuples: all copies share a position tag, so they
-// arrive adjacent and collapse to one.
+// of boundary-spanning tuples: all copies share a position (a global row
+// index), so they arrive adjacent and collapse to one.
 func Dedup[T any](in Stream[T], same func(a, b T) bool) Stream[T] {
 	return &dedup[T]{in: in, same: same}
 }
