@@ -34,13 +34,15 @@ test:
 	$(GO) test ./...
 
 # The native fuzz targets (CI runs the same): relation.SortSpans against
-# its sort.SliceStable reference as an exact sequence, and the two page
+# its sort.SliceStable reference as an exact sequence, the two page
 # decoders — key-run pages and row pages — on arbitrary bytes: records or
-# rows, or ErrCorruptPage, never a panic or an out-of-range index.
+# rows, or ErrCorruptPage, never a panic or an out-of-range index, and the
+# packed value.Value against its three-field reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz=FuzzValue -fuzztime=10s ./internal/value
 
 race:
 	$(GO) test -race ./...

@@ -8,6 +8,7 @@ package tdb_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -175,17 +176,7 @@ func BenchmarkColumnar_SerialContainJoin(b *testing.B) {
 		}
 	})
 
-	db := engine.NewDB()
-	db.MustRegister(relation.FromTuples("X", xs))
-	db.MustRegister(relation.FromTuples("Y", ys))
-	q := &algebra.Join{
-		L: &algebra.Scan{Relation: "X", As: "a"}, R: &algebra.Scan{Relation: "Y", As: "b"},
-		Kind: algebra.KindContain,
-		LSpan: algebra.SpanRef{
-			TS: algebra.ColRef{Var: "a", Col: "ValidFrom"}, TE: algebra.ColRef{Var: "a", Col: "ValidTo"}},
-		RSpan: algebra.SpanRef{
-			TS: algebra.ColRef{Var: "b", Col: "ValidFrom"}, TE: algebra.ColRef{Var: "b", Col: "ValidTo"}},
-	}
+	db, q := e25ContainJoin(xs, ys)
 	b.Run("engine-row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -202,6 +193,50 @@ func BenchmarkColumnar_SerialContainJoin(b *testing.B) {
 			}
 		}
 	})
+}
+
+// e25ContainJoin registers xs and ys as X and Y and returns the E25
+// contain-join query over them.
+func e25ContainJoin(xs, ys []relation.Tuple) (*engine.DB, algebra.Expr) {
+	db := engine.NewDB()
+	db.MustRegister(relation.FromTuples("X", xs))
+	db.MustRegister(relation.FromTuples("Y", ys))
+	return db, &algebra.Join{
+		L: &algebra.Scan{Relation: "X", As: "a"}, R: &algebra.Scan{Relation: "Y", As: "b"},
+		Kind: algebra.KindContain,
+		LSpan: algebra.SpanRef{
+			TS: algebra.ColRef{Var: "a", Col: "ValidFrom"}, TE: algebra.ColRef{Var: "a", Col: "ValidTo"}},
+		RSpan: algebra.SpanRef{
+			TS: algebra.ColRef{Var: "b", Col: "ValidFrom"}, TE: algebra.ColRef{Var: "b", Col: "ValidTo"}},
+	}
+}
+
+// --- Output materialization: the E25 serial contain-join, whose ~297k
+// 8-cell output rows make the match list and the row arena most of the
+// bytes a query allocates. B/op (and B/row beside it) pins the 16-byte
+// value.Value and the chunked pair list: a wider cell or a regrown pair
+// buffer shows up here first. ---
+
+func BenchmarkMaterializeJoin(b *testing.B) {
+	const n = 20000
+	db, q := e25ContainJoin(benchTuples(n, 21, relation.Order{relation.TSAsc}),
+		benchTuples(n, 22, relation.Order{relation.TSAsc}))
+	var before, after runtime.MemStats
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		res, _, err := engine.Run(db, q, engine.Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += len(res.Rows)
+	}
+	runtime.ReadMemStats(&after)
+	if rows > 0 {
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(rows), "B/row")
+	}
 }
 
 // --- The relation-level batch layout: row↔batch conversion with string

@@ -50,31 +50,83 @@ type pairIdx struct {
 	l, r int32
 }
 
+// pairChunkLen is the capacity of every pair chunk after a list's first:
+// 64 KiB of matches.
+const pairChunkLen = 8192
+
+// pairChunks is a join's match list in emission order, held as chunks that
+// are filled once and never copied or regrown: the list's bytes are its
+// final size plus at most one part-filled chunk, where an appended slice
+// would allocate about twice the final size on the way up. No chunk is
+// empty.
+type pairChunks [][]pairIdx
+
+// count returns the number of pairs in the list.
+func (pc pairChunks) count() int {
+	n := 0
+	for _, c := range pc {
+		n += len(c)
+	}
+	return n
+}
+
+// pairList builds a pairChunks. The first chunk has the capacity the list
+// is created with; later chunks have pairChunkLen.
+type pairList struct {
+	full pairChunks // filled chunks, in order
+	cur  []pairIdx  // the chunk being filled
+}
+
+// add appends one match, starting a new chunk when the current one is full.
+func (pl *pairList) add(l, r int32) {
+	if len(pl.cur) == cap(pl.cur) {
+		if len(pl.cur) > 0 {
+			pl.full = append(pl.full, pl.cur)
+		}
+		pl.cur = make([]pairIdx, 0, pairChunkLen)
+	}
+	pl.cur = append(pl.cur, pairIdx{l: l, r: r})
+}
+
+// chunks returns the finished list.
+func (pl *pairList) chunks() pairChunks {
+	if len(pl.cur) == 0 {
+		return pl.full
+	}
+	return append(pl.full, pl.cur)
+}
+
 // materializeJoin builds the output rows of a join from its matched index
-// pairs in one step: a single value arena sized to the exact output,
-// sliced into full-capacity rows so later appends can never alias. Returns
-// nil for no pairs, matching the row path's nil-on-empty convention.
-func materializeJoin(l, r ordered, pairs []pairIdx) []relation.Row {
-	if len(pairs) == 0 {
+// pairs in one step: it walks the pair chunks in order into a single value
+// arena sized to the exact output, sliced into full-capacity rows so later
+// appends can never alias. Returns nil for no pairs, matching the row
+// path's nil-on-empty convention.
+func materializeJoin(l, r ordered, pairs pairChunks) []relation.Row {
+	n := pairs.count()
+	if n == 0 {
 		return nil
 	}
-	la := len(l.row(pairs[0].l))
-	ra := len(r.row(pairs[0].r))
+	la := len(l.row(pairs[0][0].l))
+	ra := len(r.row(pairs[0][0].r))
 	w := la + ra
-	rows := make([]relation.Row, len(pairs))
+	rows := make([]relation.Row, n)
 	if w == 0 {
 		for i := range rows {
 			rows[i] = relation.Row{}
 		}
 		return rows
 	}
-	arena := make([]value.Value, len(pairs)*w)
-	//tdb:hotpath
-	for i := range pairs {
-		row := arena[i*w : i*w+w : i*w+w]
-		copy(row, l.row(pairs[i].l))
-		copy(row[la:], r.row(pairs[i].r))
-		rows[i] = row
+	arena := make([]value.Value, n*w)
+	i := 0
+	for _, c := range pairs {
+		//tdb:hotpath
+		for _, p := range c {
+			row := arena[i*w : i*w+w : i*w+w]
+			copy(row, l.row(p.l))
+			copy(row[la:], r.row(p.r))
+			rows[i] = row
+			i++
+		}
 	}
 	return rows
 }
@@ -97,36 +149,29 @@ func (in ordered) gather(idxs []int32) []relation.Row {
 // columnarJoinPairs sweeps the sorted columns with the batch kernel for
 // kind and returns (left, right) index pairs in exactly the row engine's
 // emission order. The Contained kind maps onto the contain kernel with the
-// sides swapped, mirroring the row dispatch.
-func columnarJoinPairs(kind algebra.TemporalKind, lc, rc core.Cols, opt core.Options) ([]pairIdx, error) {
-	est := lc.Len()
-	if rc.Len() > est {
-		est = rc.Len()
-	}
-	pairs := make([]pairIdx, 0, est)
+// sides swapped, mirroring the row dispatch. The pairs land in a chunked
+// list whose first chunk holds as many pairs as the larger input has rows,
+// so a join no larger than that allocates one buffer, and a larger one
+// adds fixed-size chunks instead of regrowing.
+func columnarJoinPairs(kind algebra.TemporalKind, lc, rc core.Cols, opt core.Options) (pairChunks, error) {
+	pl := &pairList{cur: make([]pairIdx, 0, max(lc.Len(), rc.Len()))}
 	var err error
 	switch kind {
 	case algebra.KindContain:
-		err = core.BatchContainJoinTSTS(lc, rc, opt, func(xi, yi int32) {
-			pairs = append(pairs, pairIdx{l: xi, r: yi})
-		})
+		err = core.BatchContainJoinTSTS(lc, rc, opt, pl.add)
 	case algebra.KindContained:
 		// Left during right ⇔ Contain-join(right, left): the kernel's X is
 		// the right input, so its emissions map back crossed.
-		err = core.BatchContainJoinTSTS(rc, lc, opt, func(xi, yi int32) {
-			pairs = append(pairs, pairIdx{l: yi, r: xi})
-		})
+		err = core.BatchContainJoinTSTS(rc, lc, opt, func(xi, yi int32) { pl.add(yi, xi) })
 	case algebra.KindOverlap:
-		err = core.BatchOverlapJoin(lc, rc, opt, func(xi, yi int32) {
-			pairs = append(pairs, pairIdx{l: xi, r: yi})
-		})
+		err = core.BatchOverlapJoin(lc, rc, opt, pl.add)
 	default:
 		err = fmt.Errorf("engine: columnar join of kind %v", kind)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return pairs, nil
+	return pl.chunks(), nil
 }
 
 // columnarSemijoinIdx sweeps the sorted columns with the batch semijoin

@@ -182,7 +182,7 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	if !ex.opt.RowExec && ex.opt.Policy == core.ReadSweep && n.Kind != algebra.KindBefore {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
 		var rows []relation.Row
-		var pairs []pairIdx
+		var pairs pairChunks
 		if shards != nil {
 			pairs, err = ex.parallelJoinPairs(n.Kind, lo.cols, ro.cols, shards, cost)
 			cost.Algorithm += fmt.Sprintf(" ×%d", len(shards))

@@ -250,24 +250,26 @@ func shardLabels(prefix string, rs []partition.Range) []string {
 // runShards fans a columnar node out over its time shards.
 // partition.SplitIndex replicates row *indexes* into every shard a
 // lifespan intersects; each worker gathers its compact local columns and
-// runs step over them, and the per-shard results come back in shard order.
+// runs step over them, which returns the shard's result and its output
+// row count, and the per-shard results come back in shard order.
 // The kernels run the sweep without cancellation polls, so cancellation is
 // honored at shard entry; a canceled sibling at worst lets a shard finish
 // its bounded sweep.
 func runShards[T any](ex *executor, label string, lc, rc core.Cols, shards []partition.Range, cost *NodeCost,
-	step func(lcs, rcs core.Cols, li, ri []int32, rng partition.Range, o core.Options) ([]T, error)) ([][]T, error) {
+	step func(lcs, rcs core.Cols, li, ri []int32, rng partition.Range, o core.Options) (T, int, error)) ([]T, error) {
 
 	shL := partition.SplitIndex(lc.TS, lc.TE, shards)
 	shR := partition.SplitIndex(rc.TS, rc.TE, shards)
 	noteMeasuredReplication(cost, shL, shR, lc.Len()+rc.Len())
-	outs := make([][]T, len(shards))
+	outs := make([]T, len(shards))
 	err := ex.runWorkers(shardLabels(label, shards), cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
+		var n int
 		var err error
-		outs[i], err = step(gatherCols(lc, shL[i]), gatherCols(rc, shR[i]), shL[i], shR[i], shards[i], o)
-		return int64(len(outs[i])), err
+		outs[i], n, err = step(gatherCols(lc, shL[i]), gatherCols(rc, shR[i]), shL[i], shR[i], shards[i], o)
+		return int64(n), err
 	})
 	return outs, err
 }
@@ -275,22 +277,30 @@ func runShards[T any](ex *executor, label string, lc, rc core.Cols, shards []par
 // parallelJoinPairs executes an accepted join fan-out. Each shard runs
 // columnarJoinPairs on its gathered columns and keeps, rewritten in place
 // as global indexes, only the pairs whose sweep point (ownerKey) its range
-// owns. Shard ranges ascend disjointly and a shard emits its pairs in
-// non-decreasing sweep-point order, so concatenating the shards in range
-// order reproduces the serial emission sequence exactly.
-func (ex *executor) parallelJoinPairs(kind algebra.TemporalKind, lc, rc core.Cols, shards []partition.Range, cost *NodeCost) ([]pairIdx, error) {
-	outs, err := runShards(ex, "join shard", lc, rc, shards, cost, func(lcs, rcs core.Cols, li, ri []int32, rng partition.Range, o core.Options) ([]pairIdx, error) {
-		pairs, err := columnarJoinPairs(kind, lcs, rcs, o)
-		k := 0
-		//tdb:hotpath
-		for _, p := range pairs {
-			g := pairIdx{l: li[p.l], r: ri[p.r]}
-			if rng.OwnsPoint(ownerKey(kind, lc, rc, g)) {
-				pairs[k] = g
-				k++
+// owns; a chunk left empty is dropped. Shard ranges ascend disjointly and a
+// shard emits its pairs in non-decreasing sweep-point order, so
+// concatenating the shards' chunk lists in range order reproduces the
+// serial emission sequence exactly, and no pair is copied twice.
+func (ex *executor) parallelJoinPairs(kind algebra.TemporalKind, lc, rc core.Cols, shards []partition.Range, cost *NodeCost) (pairChunks, error) {
+	outs, err := runShards(ex, "join shard", lc, rc, shards, cost, func(lcs, rcs core.Cols, li, ri []int32, rng partition.Range, o core.Options) (pairChunks, int, error) {
+		chunks, err := columnarJoinPairs(kind, lcs, rcs, o)
+		kept, n := chunks[:0], 0
+		for _, c := range chunks {
+			k := 0
+			//tdb:hotpath
+			for _, p := range c {
+				g := pairIdx{l: li[p.l], r: ri[p.r]}
+				if rng.OwnsPoint(ownerKey(kind, lc, rc, g)) {
+					c[k] = g
+					k++
+				}
+			}
+			if k > 0 {
+				kept = append(kept, c[:k])
+				n += k
 			}
 		}
-		return pairs[:k], err
+		return kept, n, err
 	})
 	if err != nil {
 		return nil, err
@@ -307,13 +317,13 @@ func (ex *executor) parallelJoinPairs(kind algebra.TemporalKind, lc, rc core.Col
 // yields the qualifying rows in global input order — exactly the serial
 // output.
 func (ex *executor) parallelSemijoinIdx(kind algebra.TemporalKind, lc, rc core.Cols, shards []partition.Range, cost *NodeCost) ([]int32, error) {
-	outs, err := runShards(ex, "semijoin shard", lc, rc, shards, cost, func(lcs, rcs core.Cols, li, _ []int32, _ partition.Range, o core.Options) ([]int32, error) {
+	outs, err := runShards(ex, "semijoin shard", lc, rc, shards, cost, func(lcs, rcs core.Cols, li, _ []int32, _ partition.Range, o core.Options) ([]int32, int, error) {
 		idxs, err := columnarSemijoinIdx(kind, lcs, rcs, o)
 		//tdb:hotpath
 		for i, x := range idxs {
 			idxs[i] = li[x]
 		}
-		return idxs, err
+		return idxs, len(idxs), err
 	})
 	if err != nil {
 		return nil, err

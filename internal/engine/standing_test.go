@@ -125,7 +125,7 @@ func TestBuildStandingPushesSideSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || len(rows[0]) != 1 || rows[0][0] != value.Int(1) {
+	if len(rows) != 1 || len(rows[0]) != 1 || !rows[0][0].Equal(value.Int(1)) {
 		t.Fatalf("deltas = %v, want one projected Id=1 row", rows)
 	}
 }

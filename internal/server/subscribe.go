@@ -212,17 +212,25 @@ func (s *Server) streamSub(w http.ResponseWriter, fl http.Flusher, r *http.Reque
 	}
 	ticker := time.NewTicker(st.poll)
 	defer ticker.Stop()
+	drain := func() {
+		_ = writeEvent(w, fl, "drain", map[string]string{"reason": "server shutting down"})
+		s.dropSub(st.token)
+	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case <-kick:
 			// A newer stream attached (or the subscription dropped); this
-			// writer must stop so the subscription never has two.
+			// writer must stop so the subscription never has two. Shutdown
+			// drops every session's subscriptions too, and a stream it
+			// kicks still owes its client the drain event.
+			if s.Draining() {
+				drain()
+			}
 			return
 		case <-s.draining:
-			_ = writeEvent(w, fl, "drain", map[string]string{"reason": "server shutting down"})
-			s.dropSub(st.token)
+			drain()
 			return
 		case <-ticker.C:
 		}
@@ -233,6 +241,12 @@ func (s *Server) streamSub(w http.ResponseWriter, fl http.Flusher, r *http.Reque
 		s.mu.Lock()
 		rows, err := st.sq.Poll()
 		s.mu.Unlock()
+		if err != nil && s.Draining() {
+			// Shutdown dropped the query or closed the live manager
+			// under this poll; the client is owed the drain, not an error.
+			drain()
+			return
+		}
 		if err != nil {
 			code := CodeExec
 			if errors.Is(err, live.ErrBreakerOpen) {

@@ -7,8 +7,11 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
+	"strings"
+	"unsafe"
 
 	"tdb/internal/interval"
 )
@@ -37,108 +40,135 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a typed atomic value. The zero Value is the integer 0.
+// Value is a typed atomic value in 16 bytes. The zero Value is the integer
+// 0.
+//
+// The kind is carried by p alone: nil is an Int, &timeTag a Time, and any
+// other pointer the first byte of a string of length n (&emptyTag for the
+// empty string, whose data pointer is otherwise unspecified). n holds the
+// int payload, the chronon, or the string length. A string Value keeps its
+// bytes alive exactly as the string would: p is an ordinary Go pointer, and
+// a pointer into the middle of a larger allocation pins all of it.
+//
+// Value is deliberately not comparable. Two equal strings from different
+// buffers have different p, so == and map keys would compare identity, not
+// contents; the zero-size func array turns every such use into a compile
+// error, and Equal is the comparison. (reflect.DeepEqual compares p as a
+// pointer too, and is equally wrong for strings.)
 type Value struct {
-	kind Kind
-	i    int64 // int payload or chronon
-	s    string
+	_ [0]func()
+	p unsafe.Pointer
+	n int64
 }
 
+// timeTag and emptyTag are kind tags: their addresses are never the data of
+// a non-empty string, so they cannot be confused with one.
+var timeTag, emptyTag byte
+
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{n: v} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is the Stringer method.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
+func String_(v string) Value {
+	if len(v) == 0 {
+		return Value{p: unsafe.Pointer(&emptyTag)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: int64(len(v))}
+}
 
 // TimeVal returns a chronon value.
-func TimeVal(t interval.Time) Value { return Value{kind: KindTime, i: int64(t)} }
+func TimeVal(t interval.Time) Value { return Value{p: unsafe.Pointer(&timeTag), n: int64(t)} }
+
+// numeric reports whether v is an Int or a Time, which share one order.
+func (v Value) numeric() bool { return v.p == nil || v.p == unsafe.Pointer(&timeTag) }
+
+// str is the string payload of a string value.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
 
 // Kind reports the type of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	switch v.p {
+	case nil:
+		return KindInt
+	case unsafe.Pointer(&timeTag):
+		return KindTime
+	}
+	return KindString
+}
 
 // AsInt returns the integer payload; it panics if the value is a string.
 func (v Value) AsInt() int64 {
-	if v.kind == KindString {
+	if !v.numeric() {
 		// lint:allow panic — documented accessor contract, like a failed type assertion
-		panic("value: AsInt on string value " + strconv.Quote(v.s))
+		panic("value: AsInt on string value " + strconv.Quote(v.str()))
 	}
-	return v.i
+	return v.n
 }
 
 // AsString returns the string payload; it panics on non-string values.
 func (v Value) AsString() string {
-	if v.kind != KindString {
+	if v.numeric() {
 		// lint:allow panic — documented accessor contract, like a failed type assertion
-		panic("value: AsString on " + v.kind.String() + " value")
+		panic("value: AsString on " + v.Kind().String() + " value")
 	}
-	return v.s
+	return v.str()
 }
 
 // AsTime returns the chronon payload; it panics on string values. Integers
 // are accepted and reinterpreted, mirroring the paper's treatment of time
 // points as natural numbers.
 func (v Value) AsTime() interval.Time {
-	if v.kind == KindString {
+	if !v.numeric() {
 		// lint:allow panic — documented accessor contract, like a failed type assertion
-		panic("value: AsTime on string value " + strconv.Quote(v.s))
+		panic("value: AsTime on string value " + strconv.Quote(v.str()))
 	}
-	return interval.Time(v.i)
+	return interval.Time(v.n)
 }
 
 // String renders the value for display.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		return v.s
+		return v.str()
 	case KindTime:
-		if interval.Time(v.i) == interval.Forever {
+		if interval.Time(v.n) == interval.Forever {
 			return "∞"
 		}
-		return strconv.FormatInt(v.i, 10)
-	default:
-		return strconv.FormatInt(v.i, 10)
 	}
+	return strconv.FormatInt(v.n, 10)
 }
 
 // Comparable reports whether two values may be compared: identical kinds,
 // or int/time which share the integer order.
-func (v Value) Comparable(o Value) bool {
-	if v.kind == o.kind {
-		return true
-	}
-	numeric := func(k Kind) bool { return k == KindInt || k == KindTime }
-	return numeric(v.kind) && numeric(o.kind)
-}
+func (v Value) Comparable(o Value) bool { return v.numeric() == o.numeric() }
 
 // Compare returns -1, 0 or +1 following the total order of the common type.
 // It panics when the values are not comparable; the analyzer rejects such
 // queries before execution.
 func (v Value) Compare(o Value) int {
-	if !v.Comparable(o) {
+	vn := v.numeric()
+	if vn != o.numeric() {
 		// lint:allow panic — unreachable at runtime: the semantic analyzer rejects mixed-kind comparisons before execution
-		panic(fmt.Sprintf("value: comparing %s with %s", v.kind, o.kind))
+		panic(fmt.Sprintf("value: comparing %s with %s", v.Kind(), o.Kind()))
 	}
-	if v.kind == KindString {
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		}
-		return 0
+	if vn {
+		return cmp.Compare(v.n, o.n)
 	}
-	switch {
-	case v.i < o.i:
-		return -1
-	case v.i > o.i:
-		return 1
-	}
-	return 0
+	return strings.Compare(v.str(), o.str())
 }
 
 // Equal reports v == o under Compare.
-func (v Value) Equal(o Value) bool { return v.Comparable(o) && v.Compare(o) == 0 }
+func (v Value) Equal(o Value) bool {
+	vn := v.numeric()
+	if vn != o.numeric() {
+		return false
+	}
+	if vn {
+		return v.n == o.n
+	}
+	return v.str() == o.str()
+}
 
 // Less reports v < o under Compare.
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }

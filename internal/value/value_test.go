@@ -1,8 +1,16 @@
 package value
 
 import (
+	"bytes"
+	"cmp"
+	"math"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tdb/internal/interval"
 )
@@ -155,4 +163,246 @@ func TestParseRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// The layout is the point of the representation: two words per cell.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("Value is comparable; == would compare string identity, not contents")
+	}
+}
+
+// refValue is the previous three-field representation, kept as the
+// reference the packed layout must reproduce operation for operation.
+type refValue struct {
+	kind Kind
+	i    int64
+	s    string
+}
+
+func (r refValue) comparable(o refValue) bool {
+	numeric := func(k Kind) bool { return k == KindInt || k == KindTime }
+	return r.kind == o.kind || numeric(r.kind) && numeric(o.kind)
+}
+
+func (r refValue) compare(o refValue) int {
+	if r.kind == KindString {
+		return strings.Compare(r.s, o.s)
+	}
+	return cmp.Compare(r.i, o.i)
+}
+
+func (r refValue) String() string {
+	switch {
+	case r.kind == KindString:
+		return r.s
+	case r.kind == KindTime && interval.Time(r.i) == interval.Forever:
+		return "∞"
+	}
+	return strconv.FormatInt(r.i, 10)
+}
+
+func (r refValue) value() Value {
+	switch r.kind {
+	case KindString:
+		return String_(r.s)
+	case KindTime:
+		return TimeVal(interval.Time(r.i))
+	}
+	return Int(r.i)
+}
+
+// panics runs f and reports whether it panicked.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// checkAgainstRef holds one value to the reference on every accessor, and
+// a pair of values on every comparison.
+func checkAgainstRef(t *testing.T, a, b refValue) {
+	t.Helper()
+	va, vb := a.value(), b.value()
+	if va.Kind() != a.kind {
+		t.Fatalf("%#v: Kind = %v", a, va.Kind())
+	}
+	if got := va.String(); got != a.String() {
+		t.Fatalf("%#v: String = %q, want %q", a, got, a.String())
+	}
+	isStr := a.kind == KindString
+	if panics(func() { va.AsInt() }) != isStr || panics(func() { va.AsTime() }) != isStr ||
+		panics(func() { va.AsString() }) == isStr {
+		t.Fatalf("%#v: accessor panics disagree with kind", a)
+	}
+	if isStr && va.AsString() != a.s {
+		t.Fatalf("%#v: AsString = %q", a, va.AsString())
+	}
+	if !isStr && (va.AsInt() != a.i || va.AsTime() != interval.Time(a.i)) {
+		t.Fatalf("%#v: AsInt = %d", a, va.AsInt())
+	}
+	ok := a.comparable(b)
+	if va.Comparable(vb) != ok {
+		t.Fatalf("Comparable(%#v, %#v) = %v, want %v", a, b, !ok, ok)
+	}
+	if !ok {
+		if !panics(func() { va.Compare(vb) }) || va.Equal(vb) {
+			t.Fatalf("(%#v, %#v): incomparable pair compared", a, b)
+		}
+		return
+	}
+	want := a.compare(b)
+	if got := va.Compare(vb); got != want {
+		t.Fatalf("Compare(%#v, %#v) = %d, want %d", a, b, got, want)
+	}
+	if va.Equal(vb) != (want == 0) || va.Less(vb) != (want < 0) {
+		t.Fatalf("Equal/Less(%#v, %#v) disagree with Compare %d", a, b, want)
+	}
+}
+
+// refCorpus covers the representation's edges: the zero Value, the empty
+// string, substrings sharing one heap buffer, non-UTF-8 bytes, Forever,
+// the int64 extremes, and ints equal to chronons.
+func refCorpus() []refValue {
+	heap := strings.Repeat("abc\xff\x00", 8)
+	return []refValue{
+		{}, {kind: KindInt, i: 1}, {kind: KindInt, i: -1},
+		{kind: KindInt, i: math.MinInt64}, {kind: KindInt, i: math.MaxInt64},
+		{kind: KindTime}, {kind: KindTime, i: 1}, {kind: KindTime, i: math.MinInt64},
+		{kind: KindTime, i: int64(interval.Forever)}, {kind: KindInt, i: int64(interval.Forever)},
+		{kind: KindString}, {kind: KindString, s: heap[:0]}, {kind: KindString, s: heap[5:5]},
+		{kind: KindString, s: heap[:3]}, {kind: KindString, s: heap[5:8]}, {kind: KindString, s: heap[:4]},
+		{kind: KindString, s: heap[3:5]}, {kind: KindString, s: heap},
+		{kind: KindString, s: "abc"}, {kind: KindString, s: "\xff"}, {kind: KindString, s: "∞"},
+		{kind: KindString, s: "0"}, {kind: KindString, s: "-1"},
+	}
+}
+
+func TestValueMatchesReference(t *testing.T) {
+	corpus := refCorpus()
+	for _, a := range corpus {
+		for _, b := range corpus {
+			checkAgainstRef(t, a, b)
+		}
+	}
+	// Equal strings in different buffers are Equal (the contents, not the
+	// data pointer, decide).
+	x, y := String_("abc"), String_(string([]byte("xabc")[1:]))
+	if !x.Equal(y) || x.Compare(y) != 0 {
+		t.Fatal("equal strings from different buffers compare unequal")
+	}
+	f := func(ai, bi int64, as, bs string, ak, bk uint8) bool {
+		a := refValue{kind: Kind(ak % 3), i: ai, s: as}
+		b := refValue{kind: Kind(bk % 3), i: bi, s: bs}
+		if a.kind == KindString {
+			a.i = 0
+		} else {
+			a.s = ""
+		}
+		if b.kind == KindString {
+			b.i = 0
+		} else {
+			b.s = ""
+		}
+		checkAgainstRef(t, a, b)
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestParseMatchesReference(t *testing.T) {
+	for _, in := range []string{"", "0", "-0", "42", "-9223372036854775808", "9223372036854775807",
+		"9223372036854775808", "forever", "∞", "Forever", " 1", "\xff", "abc"} {
+		for _, k := range []Kind{KindInt, KindString, KindTime} {
+			got, err := Parse(k, in)
+			var want refValue
+			wantOK := true
+			switch k {
+			case KindString:
+				want = refValue{kind: k, s: in}
+			default:
+				if k == KindTime && (in == "forever" || in == "∞") {
+					want = refValue{kind: k, i: int64(interval.Forever)}
+					break
+				}
+				i, perr := strconv.ParseInt(in, 10, 64)
+				want, wantOK = refValue{kind: k, i: i}, perr == nil
+			}
+			if (err == nil) != wantOK {
+				t.Fatalf("Parse(%v, %q) err = %v, want ok=%v", k, in, err, wantOK)
+			}
+			if wantOK && (got.Kind() != want.kind || !got.Equal(want.value()) || got.String() != want.String()) {
+				t.Fatalf("Parse(%v, %q) = %v (%v), want %v", k, in, got, got.Kind(), want)
+			}
+		}
+	}
+}
+
+// A string Value holds an ordinary pointer into the string's buffer, so a
+// Value cut from the middle of a larger heap string keeps the whole buffer
+// alive after every other reference is gone.
+func TestStringValueSurvivesGC(t *testing.T) {
+	const n = 64
+	vals := make([]Value, n)
+	want := make([]string, n)
+	for i := range vals {
+		buf := []byte(strings.Repeat(strconv.Itoa(i), 1000))
+		s := string(buf) // a fresh heap string, referenced only by the Value below
+		want[i] = strings.Clone(s[100:140])
+		vals[i] = String_(s[100:140])
+	}
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		// Churn the heap so a freed buffer would be overwritten.
+		junk := make([][]byte, 0, 256)
+		for i := 0; i < 256; i++ {
+			junk = append(junk, bytes.Repeat([]byte{'#'}, 1000))
+		}
+		runtime.KeepAlive(junk)
+	}
+	for i, v := range vals {
+		if got := v.AsString(); got != want[i] {
+			t.Fatalf("value %d = %q after GC, want %q", i, got, want[i])
+		}
+	}
+}
+
+// FuzzValue holds the packed representation to the reference on arbitrary
+// payloads: kinds, accessors, ordering, equality, and the String/Parse
+// round trip.
+func FuzzValue(f *testing.F) {
+	f.Add(uint8(0), int64(0), "", uint8(1), int64(0), "")
+	f.Add(uint8(1), int64(0), "a\xffb", uint8(1), int64(0), "a\xff")
+	f.Add(uint8(2), int64(interval.Forever), "", uint8(0), int64(math.MinInt64), "")
+	f.Fuzz(func(t *testing.T, ak uint8, ai int64, as string, bk uint8, bi int64, bs string) {
+		a := refValue{kind: Kind(ak % 3)}
+		b := refValue{kind: Kind(bk % 3)}
+		if a.kind == KindString {
+			a.s = as
+		} else {
+			a.i = ai
+		}
+		if b.kind == KindString {
+			// A substring of a's payload exercises shared buffers.
+			if len(as) > 0 && bi%2 == 0 {
+				lo := int(uint64(bi) % uint64(len(as)))
+				b.s = as[lo:]
+			} else {
+				b.s = bs
+			}
+		} else {
+			b.i = bi
+		}
+		checkAgainstRef(t, a, b)
+		checkAgainstRef(t, b, a)
+		v := a.value()
+		if back, err := Parse(a.kind, v.String()); err != nil || !back.Equal(v) || back.Kind() != v.Kind() {
+			t.Fatalf("Parse(%v, %q) = %v, %v; want %v", a.kind, v.String(), back, err, v)
+		}
+	})
 }
