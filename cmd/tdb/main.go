@@ -436,7 +436,7 @@ func (sh *shell) metrics() {
 }
 
 // showEvents renders the operational event journal (\events): slow
-// queries, governor fallbacks, breaker trips, backpressure suspensions.
+// queries, governor fallbacks, breaker trips.
 // With asJSON it dumps the buffer as JSONL instead.
 func (sh *shell) showEvents(asJSON bool) {
 	if asJSON {

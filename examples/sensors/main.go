@@ -5,7 +5,7 @@
 // Section 4.1 describes — a join processor feeding combinators — to answer:
 //
 //  1. which calibration windows fully cover a reading's validity
-//     (Contain-join as an async pipeline stage),
+//     (Contain-join as a pipeline stage),
 //  2. how many trusted readings each sensor produced (the Figure 4
 //     grouped-sum processor),
 //  3. which readings were invalidated before a reference window even
@@ -54,14 +54,17 @@ func main() {
 	relation.SortSpans(calibrations, span, order)
 	relation.SortSpans(readings, span, order)
 
-	// 1. Contain-join as a pipeline stage: the join runs in its own
-	// goroutine; downstream combinators filter its output stream.
-	pairs := core.GoRunPairs(func(emit func(c, r relation.Tuple)) error {
-		return core.ContainJoinTSTS(
-			stream.FromSlice(calibrations), stream.FromSlice(readings),
-			span, core.Options{}, emit)
-	})
-	sensor0 := stream.Filter[stream.Pair[relation.Tuple, relation.Tuple]](pairs,
+	// 1. Contain-join as a pipeline stage: the join's emit callback collects
+	// its pairs; downstream combinators filter them as a stream.
+	var pairs []stream.Pair[relation.Tuple, relation.Tuple]
+	if err := core.ContainJoinTSTS(
+		stream.FromSlice(calibrations), stream.FromSlice(readings),
+		span, core.Options{}, func(c, r relation.Tuple) {
+			pairs = append(pairs, stream.Pair[relation.Tuple, relation.Tuple]{First: c, Second: r})
+		}); err != nil {
+		panic(err)
+	}
+	sensor0 := stream.Filter(stream.FromSlice(pairs),
 		func(p stream.Pair[relation.Tuple, relation.Tuple]) bool {
 			return p.Second.S == "sensor-0"
 		})

@@ -156,11 +156,13 @@ func TestCoalesceFeedsJoin(t *testing.T) {
 		{"x", interval.New(10, 30)}, // coalesces to [0,30)
 	}
 	inner := []keyed{{"y", interval.New(5, 25)}}
-	coalesced := GoRun(func(emit func(keyed)) error {
-		return Coalesce(stream.FromSlice(history), keyedKey, keyedSpan, keyedWrap, Options{}, emit)
-	})
+	var coalesced []keyed
+	if err := Coalesce(stream.FromSlice(history), keyedKey, keyedSpan, keyedWrap, Options{},
+		func(k keyed) { coalesced = append(coalesced, k) }); err != nil {
+		t.Fatal(err)
+	}
 	n := 0
-	err := ContainJoinTSTS[keyed](coalesced, stream.FromSlice(inner), keyedSpan,
+	err := ContainJoinTSTS[keyed](stream.FromSlice(coalesced), stream.FromSlice(inner), keyedSpan,
 		Options{}, func(a, b keyed) { n++ })
 	if err != nil {
 		t.Fatal(err)

@@ -1,119 +1,87 @@
 package core
 
 import (
-	"sync"
+	"iter"
 
 	"tdb/internal/stream"
 )
 
 // Runner makes the package's single-pass operators resumable: it runs an
-// unchanged operator function in a goroutine whose input streams are
-// append-fed Feeders that *suspend* (block) when they run dry instead of
-// reporting exhaustion. The operator keeps its local workspace alive across
-// suspensions, so feeding more input later resumes the very same run — the
-// paper's stream processors applied to unbounded application-time streams.
+// unchanged operator function as a coroutine (iter.Pull) whose input
+// streams are append-fed Feeders that *suspend* — yield back to the
+// caller — when they run dry instead of reporting exhaustion. The operator
+// keeps its local workspace alive across suspensions, so feeding more
+// input and polling later resumes the very same run: the paper's stream
+// processors applied to unbounded application-time streams. The live
+// subsystem runs each standing query as one Runner.
 //
-// The live subsystem builds standing temporal queries on top of this: each
-// registered query is one Runner whose feeders are attached to ingestion
-// tables and whose emissions accumulate as result deltas.
+// The operator runs only inside Poll, Finish and Stop, on the caller's
+// goroutine. Feeding never runs it, so emissions never pile up between
+// polls, and a Runner needs no locking: like any stream, it is used by one
+// goroutine at a time.
 //
 // Determinism: a Runner presents its operator exactly the input sequences
-// it was fed, in order, regardless of how the feeding was interleaved in
-// wall-clock time; since the operators are deterministic functions of
-// their input sequences, the emission sequence of an incremental run is at
-// every moment a byte-identical prefix of the one batch execution over the
-// final inputs — the property the live delta protocol relies on.
-//
-// Synchronization is a single mutex + condition variable shared by the
-// feeders, the emit path, and the control methods; the operator goroutine
-// never sends on a channel, so abandonment can never leak a blocked
-// producer (the concern the goroutine-hygiene lint rule polices).
+// it was fed, in order, however feeding and polling were interleaved;
+// since the operators are deterministic functions of their input
+// sequences, the emission sequence of an incremental run is at every
+// moment a byte-identical prefix of the one batch execution over the final
+// inputs — the property the live delta protocol relies on.
 type Runner[T any] struct {
-	rc runnerCore
+	rc      runnerCore
+	pending []T   // emissions not yet returned by Poll
+	total   int64 // emissions ever made
 
-	// pending is the emission buffer (the delta log of a standing query);
-	// total counts emissions ever made. When pending reaches maxPending
-	// the emit path blocks — backpressure: a lagging consumer suspends
-	// the operator rather than growing the buffer without bound.
-	pending    []T
-	total      int64
-	maxPending int
+	// next resumes the operator until it suspends or ends; stop abandons
+	// it. err is the operator's result once it has ended.
+	next func() (struct{}, bool)
+	stop func()
+	err  error
 }
 
-// runnerCore is the shared synchronization state of a Runner and its
-// feeders. It is type-free so feeders of any element type can attach to a
-// runner of any output type.
+// runnerCore is the state a Runner shares with its feeders. It is
+// type-free so feeders of any element type can attach to a runner of any
+// output type.
 type runnerCore struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	feeders []feederCtl
-
-	started  bool
-	stopped  bool
-	done     bool
-	emitWait bool
-	err      error
+	closers []func()
+	// yield suspends the operator back into Poll; it returns false once
+	// Stop has abandoned the run.
+	yield   func(struct{}) bool
+	stopped bool
+	done    bool
 }
 
-// feederCtl is the view of a Feeder the runner needs for quiescence
-// detection and shutdown; both methods assume rc.mu is held.
-type feederCtl interface {
-	dryOpenWaiting() bool
-	closeLocked()
-}
+// NewRunner returns a Runner with no inputs attached.
+func NewRunner[T any]() *Runner[T] { return &Runner[T]{} }
 
-// DefaultMaxPending bounds the emission buffer of a Runner when the caller
-// passes no explicit capacity.
-const DefaultMaxPending = 4096
-
-// NewRunner returns a Runner whose emission buffer holds at most
-// maxPending elements before the operator is suspended (0 means
-// DefaultMaxPending).
-func NewRunner[T any](maxPending int) *Runner[T] {
-	if maxPending <= 0 {
-		maxPending = DefaultMaxPending
-	}
-	r := &Runner[T]{maxPending: maxPending}
-	r.rc.cond = sync.NewCond(&r.rc.mu)
-	return r
-}
-
-// Feeder is a suspendable input stream attached to a Runner. Next blocks
-// while the buffer is empty until more elements are fed or the feeder is
-// closed; only after Close does it report exhaustion to the operator.
+// Feeder is a suspendable input stream attached to a Runner. Next
+// suspends the operator while the buffer is empty until more elements are
+// fed or the feeder is closed; only after Close does it report exhaustion.
 type Feeder[I any] struct {
-	rc      *runnerCore
-	buf     []I
-	pos     int
-	fed     int64
-	closed  bool
-	waiting bool
+	rc     *runnerCore
+	buf    []I
+	pos    int
+	fed    int64
+	closed bool
 }
 
 // Attach returns a new suspendable input of element type I attached to the
 // runner. All feeders must be attached before Start.
 func Attach[I, T any](r *Runner[T]) *Feeder[I] {
-	rc := &r.rc
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	f := &Feeder[I]{rc: rc}
-	rc.feeders = append(rc.feeders, f)
+	f := &Feeder[I]{rc: &r.rc}
+	r.rc.closers = append(r.rc.closers, f.Close)
 	return f
 }
 
 // Next implements stream.Stream. It suspends the calling operator while
-// the feeder is dry and neither closed nor stopped.
+// the feeder is dry and open; once the run is stopped it reports
+// exhaustion.
 func (f *Feeder[I]) Next() (I, bool) {
 	rc := f.rc
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
 	for f.pos >= len(f.buf) && !f.closed && !rc.stopped {
-		f.waiting = true
-		rc.cond.Broadcast() // a quiescence point: wake any Quiesce waiter
-		rc.cond.Wait()
+		if !rc.yield(struct{}{}) {
+			rc.stopped = true
+		}
 	}
-	f.waiting = false
 	if f.pos < len(f.buf) && !rc.stopped {
 		x := f.buf[f.pos]
 		f.pos++
@@ -132,205 +100,81 @@ func (f *Feeder[I]) Next() (I, bool) {
 // Err implements stream.Stream; feeding never fails.
 func (f *Feeder[I]) Err() error { return nil }
 
-// Feed appends elements to the feeder, resuming the operator if it was
-// suspended on this input. Elements fed after Close or Stop are dropped.
+// Feed appends elements to the feeder; the operator consumes them at the
+// next Poll. Elements fed after Close or Stop are dropped.
 func (f *Feeder[I]) Feed(xs ...I) {
-	rc := f.rc
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if f.closed || rc.stopped {
+	if f.closed || f.rc.stopped {
 		return
 	}
 	f.buf = append(f.buf, xs...)
 	f.fed += int64(len(xs))
-	rc.cond.Broadcast()
 }
 
 // Close marks the feeder exhausted: once its buffer drains, Next reports
 // ok=false and the operator runs its end-of-stream logic. Idempotent.
-func (f *Feeder[I]) Close() {
-	rc := f.rc
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	f.closed = true
-	rc.cond.Broadcast()
-}
+func (f *Feeder[I]) Close() { f.closed = true }
 
 // Fed returns the number of elements ever fed — the replay offset a
 // checkpoint records.
-func (f *Feeder[I]) Fed() int64 {
-	f.rc.mu.Lock()
-	defer f.rc.mu.Unlock()
-	return f.fed
-}
+func (f *Feeder[I]) Fed() int64 { return f.fed }
 
 // Backlog returns the number of fed-but-unconsumed elements.
-func (f *Feeder[I]) Backlog() int {
-	f.rc.mu.Lock()
-	defer f.rc.mu.Unlock()
-	return len(f.buf) - f.pos
-}
+func (f *Feeder[I]) Backlog() int { return len(f.buf) - f.pos }
 
-func (f *Feeder[I]) dryOpenWaiting() bool {
-	return f.waiting && f.pos >= len(f.buf) && !f.closed
-}
-
-func (f *Feeder[I]) closeLocked() { f.closed = true }
-
-// Start launches the operator goroutine. run receives the emit callback
-// whose emissions become the runner's pending output; it is invoked once.
+// Start hands the runner its operator. run receives the emit callback
+// whose emissions become the runner's pending output; it is invoked once,
+// at the first Poll or Finish.
 func (r *Runner[T]) Start(run func(emit func(T)) error) {
 	rc := &r.rc
-	rc.mu.Lock()
-	rc.started = true
-	rc.mu.Unlock()
 	emit := func(t T) {
-		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		for len(r.pending) >= r.maxPending && !rc.stopped {
-			rc.emitWait = true
-			rc.cond.Broadcast() // backpressure is a quiescence point too
-			rc.cond.Wait()
-		}
-		rc.emitWait = false
 		if !rc.stopped {
 			r.pending = append(r.pending, t)
 			r.total++
 		}
 	}
-	// Cancellation flows through rc.stopped: Stop broadcasts the cond and
-	// emit returns immediately once stopped, so the operator runs to
-	// completion without blocking and never leaks.
-	// lint:allow worker-context — cancellation via rc.stopped under the runner cond, see above.
-	go func() {
-		err := run(emit)
-		rc.mu.Lock()
+	r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+		rc.yield = yield
+		r.err = run(emit)
 		rc.done = true
-		if rc.err == nil {
-			rc.err = err
-		}
-		rc.cond.Broadcast()
-		rc.mu.Unlock()
-	}()
+	})
 }
 
-// Drain removes and returns the pending emissions, unblocking an operator
-// suspended on backpressure.
-func (r *Runner[T]) Drain() []T {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
+// Poll resumes the operator until it suspends on a dry input or ends, and
+// returns the emissions since the previous Poll — with the operator's
+// error once it has ended with one.
+func (r *Runner[T]) Poll() ([]T, error) {
+	if !r.rc.done {
+		r.next()
+	}
 	out := r.pending
 	r.pending = nil
-	r.rc.cond.Broadcast()
-	return out
+	return out, r.err
 }
 
-// Emitted returns the number of elements ever emitted, drained or not.
-func (r *Runner[T]) Emitted() int64 {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	return r.total
-}
-
-// PendingLen returns the current emission backlog.
-func (r *Runner[T]) PendingLen() int {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	return len(r.pending)
-}
-
-// quiescentLocked reports whether the operator can make no further
-// progress without outside action: it has finished, or it is suspended on
-// a genuinely dry open input, or it is suspended on backpressure with the
-// emission buffer still full.
-func (r *Runner[T]) quiescentLocked() bool {
-	rc := &r.rc
-	if !rc.started || rc.done {
-		return rc.started
+// Finish closes every feeder and polls: the operator sees end-of-stream on
+// every input, runs its termination logic and ends.
+func (r *Runner[T]) Finish() ([]T, error) {
+	for _, c := range r.rc.closers {
+		c()
 	}
-	if rc.emitWait && len(r.pending) >= r.maxPending {
-		return true
-	}
-	for _, f := range rc.feeders {
-		if f.dryOpenWaiting() {
-			return true
-		}
-	}
-	return false
-}
-
-// Quiesce blocks until the operator is suspended (awaiting input or
-// drain) or has terminated. After Quiesce, every emission implied by the
-// input fed so far that the operator can produce without more input is in
-// the pending buffer. Start must have been called.
-func (r *Runner[T]) Quiesce() {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	for !r.quiescentLocked() {
-		r.rc.cond.Wait()
-	}
-}
-
-// Suspended reports why the runner is currently not consuming: "done",
-// "input" (awaiting a dry feeder), "backpressure" (awaiting Drain), or
-// "running".
-func (r *Runner[T]) Suspended() string {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	switch {
-	case r.rc.done:
-		return "done"
-	case r.rc.emitWait && len(r.pending) >= r.maxPending:
-		return "backpressure"
-	default:
-		for _, f := range r.rc.feeders {
-			if f.dryOpenWaiting() {
-				return "input"
-			}
-		}
-		return "running"
-	}
+	return r.Poll()
 }
 
 // Stop abandons the run: every feeder reports exhaustion, pending and
-// future emissions are dropped, and the operator goroutine finishes its
-// cleanup in the background. Idempotent; Wait() observes completion.
+// future emissions are dropped, and the operator has ended when Stop
+// returns. Idempotent.
 func (r *Runner[T]) Stop() {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
 	r.rc.stopped = true
 	r.pending = nil
-	r.rc.cond.Broadcast()
+	r.stop()
+	r.rc.done = true // a run never resumed ends without entering the operator
 }
 
-// CloseAll closes every feeder, letting the operator drain and terminate
-// normally — the graceful end-of-stream shutdown.
-func (r *Runner[T]) CloseAll() {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	for _, f := range r.rc.feeders {
-		f.closeLocked()
-	}
-	r.rc.cond.Broadcast()
-}
+// Emitted returns the number of elements ever emitted, polled or not.
+func (r *Runner[T]) Emitted() int64 { return r.total }
 
-// Wait blocks until the operator goroutine has terminated and returns its
-// error. Callers must have arranged termination (CloseAll or Stop).
-func (r *Runner[T]) Wait() error {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	for !r.rc.done {
-		r.rc.cond.Wait()
-	}
-	return r.rc.err
-}
-
-// Done reports whether the operator goroutine has terminated.
-func (r *Runner[T]) Done() bool {
-	r.rc.mu.Lock()
-	defer r.rc.mu.Unlock()
-	return r.rc.done
-}
+// Done reports whether the operator has ended.
+func (r *Runner[T]) Done() bool { return r.rc.done }
 
 // ensure Feeder satisfies the stream interface the operators consume.
 var _ stream.Stream[int] = (*Feeder[int])(nil)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
-	"time"
 
 	"tdb/internal/interval"
 	"tdb/internal/metrics"
@@ -27,7 +27,7 @@ func TestRunnerIncrementalMatchesBatch(t *testing.T) {
 	ys := []interval.Interval{{Start: 0, End: 3}, {Start: 4, End: 7}, {Start: 8, End: 10}, {Start: 11, End: 13}}
 	want := batchOverlapPairs(t, xs, ys)
 
-	r := NewRunner[string](0)
+	r := NewRunner[string]()
 	fx := Attach[interval.Interval](r)
 	fy := Attach[interval.Interval](r)
 	probe := &metrics.Probe{}
@@ -37,25 +37,31 @@ func TestRunnerIncrementalMatchesBatch(t *testing.T) {
 	})
 
 	var got []string
-	// Feed in unbalanced dribbles; after each quiescent point the drained
-	// prefix must be a byte-identical prefix of the batch output.
+	poll := func() {
+		t.Helper()
+		rows, err := r.Poll()
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		got = append(got, rows...)
+	}
+	// Feed in unbalanced dribbles; after each poll the accumulated output
+	// must be a byte-identical prefix of the batch output.
 	fx.Feed(xs[0], xs[1])
 	fy.Feed(ys[0])
-	r.Quiesce()
-	got = append(got, r.Drain()...)
+	poll()
 	checkPrefix(t, got, want)
 
 	fy.Feed(ys[1], ys[2], ys[3])
-	r.Quiesce()
-	got = append(got, r.Drain()...)
+	poll()
 	checkPrefix(t, got, want)
 
 	fx.Feed(xs[2], xs[3])
-	r.CloseAll()
-	if err := r.Wait(); err != nil {
+	rows, err := r.Finish()
+	if err != nil {
 		t.Fatalf("runner: %v", err)
 	}
-	got = append(got, r.Drain()...)
+	got = append(got, rows...)
 
 	if len(got) != len(want) {
 		t.Fatalf("incremental emitted %d pairs, batch %d", len(got), len(want))
@@ -81,45 +87,63 @@ func checkPrefix(t *testing.T, got, want []string) {
 	}
 }
 
-func TestRunnerBackpressureSuspendsOperator(t *testing.T) {
-	r := NewRunner[interval.Interval](2)
-	fx := Attach[interval.Interval](r)
-	r.Start(func(emit func(interval.Interval)) error {
-		for {
-			x, ok := fx.Next()
-			if !ok {
+// TestRunnerRunsOnlyWhenPolled: feeding never runs the operator — its
+// input waits in the feeders until a Poll — and neither ending leaves a
+// goroutine behind.
+func TestRunnerRunsOnlyWhenPolled(t *testing.T) {
+	for _, end := range []string{"finish", "stop"} {
+		t.Run(end, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			r := NewRunner[interval.Interval]()
+			fx := Attach[interval.Interval](r)
+			ended := false
+			r.Start(func(emit func(interval.Interval)) error {
+				for x, ok := fx.Next(); ok; x, ok = fx.Next() {
+					emit(x)
+				}
+				ended = true
 				return nil
+			})
+			for i := 0; i < 5; i++ {
+				fx.Feed(interval.Interval{Start: interval.Time(i), End: interval.Time(i + 1)})
 			}
-			emit(x)
-		}
-	})
-	for i := 0; i < 5; i++ {
-		fx.Feed(interval.Interval{Start: interval.Time(i), End: interval.Time(i + 1)})
-	}
-	r.Quiesce()
-	if s := r.Suspended(); s != "backpressure" {
-		t.Fatalf("suspended = %q, want backpressure", s)
-	}
-	if n := r.PendingLen(); n != 2 {
-		t.Fatalf("pending = %d, want cap 2", n)
-	}
-	// Draining resumes the operator; the remaining emissions arrive.
-	var got int
-	for got < 5 {
-		got += len(r.Drain())
-		r.Quiesce()
-	}
-	if s := r.Suspended(); s != "input" {
-		t.Fatalf("suspended = %q, want input", s)
-	}
-	fx.Close()
-	if err := r.Wait(); err != nil {
-		t.Fatalf("wait: %v", err)
+			if n := r.Emitted(); n != 0 {
+				t.Fatalf("emitted %d before any poll, want 0", n)
+			}
+			if n := fx.Backlog(); n != 5 {
+				t.Fatalf("backlog = %d before any poll, want the 5 fed", n)
+			}
+			got, err := r.Poll()
+			if err != nil || len(got) != 5 || fx.Backlog() != 0 {
+				t.Fatalf("poll = %d rows, %v, backlog %d; want 5, nil, 0", len(got), err, fx.Backlog())
+			}
+			fx.Feed(interval.Interval{Start: 5, End: 6})
+			if n := r.Emitted(); n != 5 {
+				t.Fatalf("emitted %d after feeding past the poll, want 5", n)
+			}
+			if end == "finish" {
+				rows, err := r.Finish()
+				if err != nil || len(rows) != 1 {
+					t.Fatalf("finish = %d rows, %v; want 1, nil", len(rows), err)
+				}
+			} else {
+				r.Stop()
+				if rows, _ := r.Poll(); len(rows) != 0 {
+					t.Fatalf("polled %d rows after stop, want 0", len(rows))
+				}
+			}
+			if !ended || !r.Done() {
+				t.Fatalf("operator still running after %s returned", end)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("goroutines: %d before start, %d after %s", before, after, end)
+			}
+		})
 	}
 }
 
 func TestRunnerStopTearsDown(t *testing.T) {
-	r := NewRunner[interval.Interval](0)
+	r := NewRunner[interval.Interval]()
 	fx := Attach[interval.Interval](r)
 	fy := Attach[interval.Interval](r)
 	r.Start(func(emit func(interval.Interval)) error {
@@ -127,45 +151,19 @@ func TestRunnerStopTearsDown(t *testing.T) {
 			func(x, y interval.Interval) { emit(x) })
 	})
 	fx.Feed(interval.Interval{Start: 1, End: 4})
-	r.Quiesce()
-	r.Stop()
-	if err := r.Wait(); err != nil {
-		t.Fatalf("wait after stop: %v", err)
+	if _, err := r.Poll(); err != nil {
+		t.Fatalf("poll: %v", err)
 	}
-	if got := r.Drain(); len(got) != 0 {
-		t.Fatalf("drained %d after stop, want 0", len(got))
+	r.Stop()
+	if !r.Done() {
+		t.Fatal("operator still running after Stop returned")
+	}
+	if got, err := r.Poll(); len(got) != 0 || err != nil {
+		t.Fatalf("polled %d, %v after stop, want 0, nil", len(got), err)
 	}
 	// Feeding after stop is a no-op, not a hang or panic.
 	fx.Feed(interval.Interval{Start: 2, End: 3})
 	if fx.Fed() != 1 {
 		t.Errorf("fed after stop counted: %d", fx.Fed())
-	}
-}
-
-func TestRunnerQuiesceWakesPromptly(t *testing.T) {
-	r := NewRunner[interval.Interval](0)
-	fx := Attach[interval.Interval](r)
-	r.Start(func(emit func(interval.Interval)) error {
-		for {
-			x, ok := fx.Next()
-			if !ok {
-				return nil
-			}
-			emit(x)
-		}
-	})
-	done := make(chan struct{})
-	go func() {
-		r.Quiesce()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Quiesce did not observe the suspended operator")
-	}
-	fx.Close()
-	if err := r.Wait(); err != nil {
-		t.Fatalf("wait: %v", err)
 	}
 }

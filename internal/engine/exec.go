@@ -100,8 +100,7 @@ type Options struct {
 	Profile bool
 	// Events, when non-nil, receives the structured operational journal:
 	// slow-query entries (see SlowQuery), governor fallbacks, and — via
-	// internal/live sharing these Options — breaker trips and
-	// backpressure suspensions.
+	// internal/live sharing these Options — breaker trips.
 	Events *obs.EventLog
 	// SlowQuery is the wall-clock latency above which a finished run
 	// emits a slow-query event to Events. Zero disables the slow-query

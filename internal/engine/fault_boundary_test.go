@@ -89,7 +89,7 @@ func TestStandingRunFaultTyped(t *testing.T) {
 	if err := fault.Arm("engine/standing-run=error:n=1"); err != nil {
 		t.Fatal(err)
 	}
-	run := plan.Start(nil, 0)
+	run := plan.Start(nil)
 	defer run.Stop()
 	rows := []relation.Row{
 		{value.Int(1), value.TimeVal(0), value.TimeVal(10)},

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	fault.Declare("engine/standing-run", "standing-query feeder goroutine, per emitted delta")
+	fault.Declare("engine/standing-run", "standing-query operator, per emitted delta")
 }
 
 // This file extracts standing-evaluable plans from optimized algebra trees
@@ -230,19 +230,18 @@ type StandingRun struct {
 	probe  *metrics.Probe
 }
 
-// Start launches the plan's operator; maxPending bounds the undrained
-// delta backlog before backpressure suspends the operator.
-func (p *StandingPlan) Start(probe *metrics.Probe, maxPending int) *StandingRun {
-	r := core.NewRunner[relation.Row](maxPending)
+// Start readies the plan's operator; it first runs at the first Poll.
+func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
+	r := core.NewRunner[relation.Row]()
 	fl := core.Attach[spanned](r)
 	fr := core.Attach[spanned](r)
 	run := &StandingRun{plan: p, runner: r, left: fl, right: fr, probe: probe}
 	opt := core.Options{Probe: probe}
 	r.Start(func(emit func(relation.Row)) (err error) {
-		// Contain panics raised inside the feeder goroutine — whether an
-		// injected abort or a genuine operator bug — as an ordinary run
-		// error surfaced through Poll/Close, instead of crashing the
-		// process with the runner's feeders still attached.
+		// Contain panics raised inside the operator — whether an injected
+		// abort or a genuine operator bug — as an ordinary run error
+		// surfaced through Poll/Close, instead of crashing the process
+		// with the runner's feeders still attached.
 		defer func() {
 			switch rec := recover().(type) {
 			case nil:
@@ -308,28 +307,11 @@ func feed(f *core.Feeder[spanned], rows []relation.Row, pred rowPred, span core.
 func (r *StandingRun) FeedLeft(rows []relation.Row)  { feed(r.left, rows, r.plan.lpred, r.plan.lspan) }
 func (r *StandingRun) FeedRight(rows []relation.Row) { feed(r.right, rows, r.plan.rpred, r.plan.rspan) }
 
-// Poll waits until the operator has consumed everything it can of the
-// input fed so far, then returns the accumulated delta rows. It loops
-// quiesce→drain so a backpressure suspension mid-poll (more deltas than
-// the pending cap) cannot truncate the result. If the operator has
-// terminated with an error (an injected fault, a source failure), the
-// error is returned alongside the deltas emitted before it — complete
-// rows only, never a partial one.
-func (r *StandingRun) Poll() ([]relation.Row, error) {
-	var out []relation.Row
-	for {
-		r.runner.Quiesce()
-		rows := r.runner.Drain()
-		if len(rows) == 0 {
-			break
-		}
-		out = append(out, rows...)
-	}
-	if r.runner.Done() {
-		return out, r.runner.Wait()
-	}
-	return out, nil
-}
+// Poll resumes the operator over the input fed so far and returns the
+// delta rows it emitted. If the operator has terminated with an error (an
+// injected fault, a source failure), the error is returned alongside the
+// deltas emitted before it — complete rows only, never a partial one.
+func (r *StandingRun) Poll() ([]relation.Row, error) { return r.runner.Poll() }
 
 // Fed returns the per-side post-filter feed counts — the replay offsets a
 // checkpoint records.
@@ -338,42 +320,33 @@ func (r *StandingRun) Fed() (left, right int64) { return r.left.Fed(), r.right.F
 // Emitted returns the number of delta rows ever emitted.
 func (r *StandingRun) Emitted() int64 { return r.runner.Emitted() }
 
-// Backlog returns fed-but-unconsumed input tuples plus undrained deltas.
-func (r *StandingRun) Backlog() int {
-	return r.left.Backlog() + r.right.Backlog() + r.runner.PendingLen()
-}
+// Backlog returns the fed input tuples the operator has not consumed yet.
+func (r *StandingRun) Backlog() int { return r.left.Backlog() + r.right.Backlog() }
 
-// Suspended reports the runner's wait state ("input", "backpressure",
-// "done", "running").
-func (r *StandingRun) Suspended() string { return r.runner.Suspended() }
+// Suspended reports the run's wait state: "done" once the operator has
+// ended, "input" when it has consumed all it was fed, and "running" while
+// fed input awaits a Poll.
+func (r *StandingRun) Suspended() string {
+	switch {
+	case r.runner.Done():
+		return "done"
+	case r.Backlog() == 0:
+		return "input"
+	default:
+		return "running"
+	}
+}
 
 // Workspace returns the operator's live workspace figure (state high-water
 // mark plus buffers).
 func (r *StandingRun) Workspace() int64 { return r.probe.Workspace() }
 
 // Close ends the streams gracefully and returns the final delta rows: the
-// operator sees end-of-stream, runs its termination logic, and is drained
-// repeatedly so a backpressure-suspended emit cannot deadlock the wait.
-func (r *StandingRun) Close() ([]relation.Row, error) {
-	r.runner.CloseAll()
-	var out []relation.Row
-	for !r.runner.Done() {
-		r.runner.Quiesce()
-		out = append(out, r.runner.Drain()...)
-	}
-	err := r.runner.Wait()
-	return append(out, r.runner.Drain()...), err
-}
-
-// Quiesce blocks until the operator is suspended or done — after it, every
-// delta implied by the input fed so far is pending or already drained.
-func (r *StandingRun) Quiesce() { r.runner.Quiesce() }
+// operator sees end-of-stream and runs its termination logic.
+func (r *StandingRun) Close() ([]relation.Row, error) { return r.runner.Finish() }
 
 // Stop abandons the run and discards pending deltas.
-func (r *StandingRun) Stop() {
-	r.runner.Stop()
-	_ = r.runner.Wait()
-}
+func (r *StandingRun) Stop() { r.runner.Stop() }
 
 // liveStats pairs the incremental accumulator of an appended relation with
 // a publication countdown, so catalog snapshots are refreshed periodically

@@ -115,7 +115,7 @@ func TestBuildStandingPushesSideSelect(t *testing.T) {
 	if plan.Schema().Arity() != 1 {
 		t.Fatalf("projected arity = %d, want 1", plan.Schema().Arity())
 	}
-	run := plan.Start(nil, 0)
+	run := plan.Start(nil)
 	mk := func(id int, from, to interval.Time) relation.Row {
 		return relation.Row{value.Int(int64(id)), value.TimeVal(from), value.TimeVal(to)}
 	}

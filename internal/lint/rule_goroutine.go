@@ -4,16 +4,15 @@ import (
 	"go/ast"
 )
 
-// goroutineHygieneAnalyzer enforces the Async.GoRun shutdown pattern on the
+// goroutineHygieneAnalyzer enforces the quit/done shutdown pattern on the
 // processor networks. A producer goroutine that sends on a channel with a
 // bare `ch <- v` blocks forever once its consumer abandons the stream,
 // leaking the goroutine and everything it holds; every send inside a `go
 // func` literal in internal/core, internal/stream, internal/engine and
-// internal/partition must therefore be a select case alongside a
-// quit/done receive case, so closing the quit channel always unblocks the
-// processor. internal/live is in scope too: its standing queries sit on
-// top of the same runner goroutines, and an unguarded send there would
-// leak an operator per deregistered query. (The parallel shard workers of
+// internal/partition must therefore be one case of a select whose other
+// case receives from a quit or done channel, so the consumer closing that
+// channel always unblocks the processor. internal/live is in scope too: an unguarded send there would
+// leak a goroutine per deregistered query. (The parallel shard workers of
 // internal/engine satisfy the rule by construction: they write to
 // pre-allocated per-shard slots and never send on a channel.)
 // internal/obs (including internal/obs/prof) joined the scope with the
@@ -64,7 +63,7 @@ func checkGoroutineSends(pass *Pass, lit *ast.FuncLit) {
 			return true
 		}
 		if !sendInGuardedSelect(stack, send) {
-			pass.Reportf(send.Pos(), "bare channel send in a goroutine; wrap in a select with a quit/done receive case (the Async.GoRun pattern)")
+			pass.Reportf(send.Pos(), "bare channel send in a goroutine; wrap in a select with a quit/done receive case")
 		}
 		return true
 	})

@@ -13,7 +13,8 @@ import (
 // always unwind it. A spawn satisfies the rule when the spawned call
 // references a context.Context value — the engine fan-out shape, where the
 // first failing worker cancels the shared context — or when its body
-// performs a channel receive, the quit/done idiom of core.Async.GoRun.
+// performs a channel receive, the quit/done idiom: a select that sends
+// beside a receive on a channel the owner closes to abandon the worker.
 // A goroutine with neither is unstoppable from the outside: under a fault
 // or a governor abort it leaks, holding its workspace forever.
 // internal/server and driver are in scope with the network service:

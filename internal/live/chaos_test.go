@@ -57,7 +57,7 @@ func chaosTyped(t *testing.T, step int, op string, err error) {
 // complete rows in the canonical order, never a partial or reordered one.
 func replayDeltas(t *testing.T, q *StandingQuery) []relation.Row {
 	t.Helper()
-	run := q.plan.Start(nil, 0)
+	run := q.plan.Start(nil)
 	run.FeedLeft(q.logL)
 	run.FeedRight(q.logR)
 	rows, err := run.Close()

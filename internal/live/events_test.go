@@ -5,70 +5,8 @@ import (
 
 	"tdb/internal/algebra"
 	"tdb/internal/engine"
-	"tdb/internal/interval"
 	"tdb/internal/obs"
 )
-
-// TestBackpressureEventJournaled: a standing query stalling on its
-// pending cap journals exactly one backpressure event per episode, not
-// one per blocked delta.
-func TestBackpressureEventJournaled(t *testing.T) {
-	db := newXYDB(t)
-	events := obs.NewEventLog(16)
-	m := NewManager(db, nil, engine.Options{Events: events})
-	defer m.Close()
-	q, err := m.Register("q", xyTree(algebra.KindOverlap, false), RegisterOptions{MaxPending: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := m.Append("X", xrow(i, interval.Time(i), 100)); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Append("Y", xrow(50+i, interval.Time(i), 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q.Quiesce()
-	if got := q.Suspended(); got != "backpressure" {
-		t.Fatalf("suspended = %q, want backpressure", got)
-	}
-	var bp []obs.Event
-	for _, e := range events.Events() {
-		if e.Kind == obs.EventBackpressure {
-			bp = append(bp, e)
-		}
-	}
-	if len(bp) != 1 {
-		t.Fatalf("backpressure events = %d, want 1 per episode; journal %+v", len(bp), events.Events())
-	}
-	if bp[0].Query != "q" || bp[0].Detail["backlog"] == "" || bp[0].Detail["max_pending"] == "" {
-		t.Errorf("backpressure event incomplete: %+v", bp[0])
-	}
-
-	// Draining ends the episode; a second stall journals a second event.
-	if _, err := q.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 4; i < 8; i++ {
-		if err := m.Append("X", xrow(i, interval.Time(i), 100)); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Append("Y", xrow(50+i, interval.Time(i), 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q.Quiesce()
-	bp = bp[:0]
-	for _, e := range events.Events() {
-		if e.Kind == obs.EventBackpressure {
-			bp = append(bp, e)
-		}
-	}
-	if len(bp) != 2 {
-		t.Errorf("after second stall, backpressure events = %d, want 2", len(bp))
-	}
-}
 
 // TestBreakerTripEventJournaled: a governed trip journals a breaker-trip
 // event whose outcome matches what the ladder actually did.

@@ -12,6 +12,12 @@
 // degraded to periodic batch re-execution, or declined with an explain
 // note when degradation is disallowed.
 //
+// Each incremental query is one core.Runner: its operator is a coroutine
+// on the caller's goroutine, fed released rows by ingestion and resumed
+// only when the query is polled or finished (or run to its end when it is
+// stopped). Ingestion never runs it, so deltas never pile up between
+// polls: backpressure holds by construction.
+//
 // The delta contract: because the core operators are deterministic
 // functions of their input sequences and suspension only time-dilates the
 // same run, an incremental query's accumulated deltas are at every
@@ -42,9 +48,11 @@ func init() {
 }
 
 // Manager owns the live tables and standing queries of one database.
-// Methods are not safe for concurrent use; the ingestion driver serializes
-// them (the operator goroutines beneath StandingRun synchronize
-// themselves).
+// Neither it nor its tables and queries are safe for concurrent use, and
+// nothing runs beneath them concurrently: every operator runs on the
+// goroutine that polls it. Callers serialize all access — the protocol
+// server holds its database lock around every Poll and append, and the
+// shell is single-threaded.
 type Manager struct {
 	db      *engine.DB
 	reg     *obs.Registry
@@ -114,7 +122,7 @@ func rowsByValidFrom(rel *relation.Relation) []relation.Row {
 // (released) relation contents — the reference sequence an incremental
 // query's accumulated deltas must be a byte-identical prefix of.
 func (m *Manager) batchReference(plan *engine.StandingPlan) ([]relation.Row, error) {
-	run := plan.Start(nil, 0)
+	run := plan.Start(nil)
 	feedAll := func(name string, feed func([]relation.Row)) ([]relation.Row, error) {
 		rel, err := m.db.Relation(name)
 		if err != nil {

@@ -62,7 +62,7 @@ func batchRows(t *testing.T, db *engine.DB, tree algebra.Expr) []relation.Row {
 	if err != nil {
 		t.Fatalf("BuildStanding: %v", err)
 	}
-	run := plan.Start(&metrics.Probe{}, 0)
+	run := plan.Start(&metrics.Probe{})
 	feedAll := func(name string, feed func([]relation.Row)) []relation.Row {
 		rel, err := db.Relation(name)
 		if err != nil {
@@ -220,55 +220,90 @@ func TestIncrementalSemijoinLifecycle(t *testing.T) {
 // TestIncrementalKindsMatchBatch exercises every (kind, operator) pair the
 // admission table accepts under (TS↑,TS↑) and checks delta sequences are
 // byte-identical to the same-operator batch run — including the Contained
-// join's operand swap keeping left columns first.
+// join's operand swap keeping left columns first. Every shape runs a
+// random stream polled every 31 appends; the overlap shapes also run a
+// burst of 4 X × 4 Y mutually overlapping spans appended between two polls
+// (16 join deltas), none of which may be lost.
 func TestIncrementalKindsMatchBatch(t *testing.T) {
+	random := func(t *testing.T, m *Manager, q *StandingQuery) {
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 120; i++ {
+			from := interval.Time(3 * i)
+			if err := m.Append("X", xrow(i, from, from+interval.Time(1+rng.Intn(12)))); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Append("Y", xrow(500+i, from+interval.Time(rng.Intn(3)), from+interval.Time(2+rng.Intn(9)))); err != nil {
+				t.Fatal(err)
+			}
+			if i%31 == 0 {
+				if _, err := q.Poll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	burst := func(t *testing.T, m *Manager, q *StandingQuery) {
+		for i := 0; i < 4; i++ {
+			if err := m.Append("X", xrow(i, interval.Time(i), 100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Append("Y", xrow(50+i, interval.Time(i), 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows, err := q.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := batchRows(t, m.DB(), q.tree)
+		if len(rows) == 0 || len(rows) > len(want) {
+			t.Fatalf("burst poll = %d deltas, want 1..%d", len(rows), len(want))
+		}
+		sameSequence(t, "burst poll", rows, want[:len(rows)])
+	}
+	type input struct {
+		suffix string
+		feed   func(*testing.T, *Manager, *StandingQuery)
+	}
 	kinds := []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap}
 	for _, kind := range kinds {
 		for _, semi := range []bool{false, true} {
-			name := fmt.Sprintf("%v/semijoin=%v", kind, semi)
-			t.Run(name, func(t *testing.T) {
-				db := newXYDB(t)
-				m := NewManager(db, nil, engine.Options{})
-				defer m.Close()
-				tree := xyTree(kind, semi)
-				q, err := m.Register("q", tree, RegisterOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if q.Mode() != ModeIncremental {
-					t.Fatalf("mode = %v", q.Mode())
-				}
-				rng := rand.New(rand.NewSource(7))
-				for i := 0; i < 120; i++ {
-					from := interval.Time(3 * i)
-					if err := m.Append("X", xrow(i, from, from+interval.Time(1+rng.Intn(12)))); err != nil {
+			inputs := []input{{"", random}}
+			if kind == algebra.KindOverlap {
+				inputs = append(inputs, input{"/burst", burst})
+			}
+			for _, in := range inputs {
+				name := fmt.Sprintf("%v/semijoin=%v%s", kind, semi, in.suffix)
+				t.Run(name, func(t *testing.T) {
+					db := newXYDB(t)
+					m := NewManager(db, nil, engine.Options{})
+					defer m.Close()
+					tree := xyTree(kind, semi)
+					q, err := m.Register("q", tree, RegisterOptions{})
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Append("Y", xrow(500+i, from+interval.Time(rng.Intn(3)), from+interval.Time(2+rng.Intn(9)))); err != nil {
+					if q.Mode() != ModeIncremental {
+						t.Fatalf("mode = %v", q.Mode())
+					}
+					in.feed(t, m, q)
+					m.Flush()
+					if _, err := q.Finish(); err != nil {
 						t.Fatal(err)
 					}
-					if i%31 == 0 {
-						if _, err := q.Poll(); err != nil {
-							t.Fatal(err)
+					want := batchRows(t, db, tree)
+					if len(want) == 0 {
+						t.Fatal("empty batch result; fixture too weak")
+					}
+					sameSequence(t, name, q.Deltas(), want)
+					if !semi {
+						// Join deltas carry left columns then right columns.
+						if arity := len(q.Deltas()[0]); arity != 6 {
+							t.Fatalf("join delta arity = %d, want 6", arity)
 						}
 					}
-				}
-				m.Flush()
-				if _, err := q.Finish(); err != nil {
-					t.Fatal(err)
-				}
-				want := batchRows(t, db, tree)
-				if len(want) == 0 {
-					t.Fatal("empty batch result; fixture too weak")
-				}
-				sameSequence(t, name, q.Deltas(), want)
-				if !semi {
-					// Join deltas carry left columns then right columns.
-					if arity := len(q.Deltas()[0]); arity != 6 {
-						t.Fatalf("join delta arity = %d, want 6", arity)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -395,51 +430,6 @@ func TestCheckpointRestore(t *testing.T) {
 	if err := q.Restore(&wrong); err == nil {
 		t.Fatal("restore accepted a foreign checkpoint")
 	}
-}
-
-// TestBackpressureSuspendsStandingQuery: with a tiny pending cap the
-// operator suspends in "backpressure" until a subscriber polls, and no
-// deltas are lost across the stall.
-func TestBackpressureSuspendsStandingQuery(t *testing.T) {
-	db := newXYDB(t)
-	m := NewManager(db, nil, engine.Options{})
-	defer m.Close()
-	tree := xyTree(algebra.KindOverlap, false)
-	q, err := m.Register("q", tree, RegisterOptions{MaxPending: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 X × 4 Y mutually overlapping spans ⇒ 16 deltas ≫ the cap of 2.
-	for i := 0; i < 4; i++ {
-		if err := m.Append("X", xrow(i, interval.Time(i), 100)); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Append("Y", xrow(50+i, interval.Time(i), 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q.Quiesce()
-	if got := q.Suspended(); got != "backpressure" {
-		t.Fatalf("suspended = %q, want backpressure", got)
-	}
-	rows, err := q.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The poll must keep drain-looping past the cap of 2; the operator may
-	// hold back pairs it cannot decide before end-of-stream.
-	if len(rows) <= 2 {
-		t.Fatalf("polled %d deltas, want more than the pending cap", len(rows))
-	}
-	q.Quiesce()
-	if got := q.Suspended(); got != "input" {
-		t.Fatalf("suspended = %q after drain, want input", got)
-	}
-	m.Flush()
-	if _, err := q.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	sameSequence(t, "backpressured deltas", q.Deltas(), batchRows(t, db, tree))
 }
 
 // TestTableReorderAndFlush: the slack window reorders bounded disorder into

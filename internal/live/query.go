@@ -51,9 +51,6 @@ type RegisterOptions struct {
 	// when the workspace characterization is unbounded; otherwise such
 	// queries are declined with a DeclinedError.
 	AllowDegrade bool
-	// MaxPending bounds the undrained delta backlog of an incremental
-	// query before backpressure suspends its operator (0 = default).
-	MaxPending int
 	// Govern arms the workspace circuit breaker: at every poll the
 	// measured operator workspace is compared against the Tables 1–3
 	// bound under *current* catalog statistics, and a breach trips the
@@ -98,7 +95,6 @@ type StandingQuery struct {
 	// Workspace-governor state.
 	govern       bool
 	allowDegrade bool
-	maxPending   int
 	trips        int
 	skip         int   // replayed emissions to drop (and verify) after a re-admission
 	broken       error // non-nil once the breaker declined the query
@@ -107,10 +103,6 @@ type StandingQuery struct {
 	gWorkspace *obs.Gauge
 	cDeltas    *obs.Counter
 	cTrips     *obs.Counter
-
-	// bpActive marks an in-progress backpressure suspension so the event
-	// journal records each episode once, not every feed while stalled.
-	bpActive bool
 }
 
 // event emits to the manager's journal (a nil journal is a no-op).
@@ -124,10 +116,10 @@ func newIncremental(m *Manager, name string, tree algebra.Expr, plan *engine.Sta
 		name: name, mode: ModeIncremental, note: est.String(),
 		tree: tree, m: m, plan: plan, probe: &metrics.Probe{},
 		deltaHash: fnv1aInit,
-		govern:    opts.Govern, allowDegrade: opts.AllowDegrade, maxPending: opts.MaxPending,
+		govern:    opts.Govern, allowDegrade: opts.AllowDegrade,
 	}
 	q.metrics()
-	q.run = plan.Start(q.probe, opts.MaxPending)
+	q.run = plan.Start(q.probe)
 	// Rows released (or loaded) before registration are part of the final
 	// relation: feed them first, ValidFrom-sorted, so accumulated deltas
 	// converge to the batch result over the full contents.
@@ -163,7 +155,7 @@ func newBatch(m *Manager, name string, tree algebra.Expr, reason string) *Standi
 }
 
 func (q *StandingQuery) metrics() {
-	q.gBacklog = q.m.gauge("tdb_live_backlog_"+q.name, "unconsumed input + undrained deltas of "+q.name)
+	q.gBacklog = q.m.gauge("tdb_live_backlog_"+q.name, "unconsumed input of "+q.name)
 	q.gWorkspace = q.m.gauge("tdb_live_workspace_hwm_"+q.name, "operator workspace high-water mark of "+q.name)
 	q.cDeltas = q.m.counter("tdb_live_deltas_total_"+q.name, "delta rows emitted by "+q.name)
 	q.cTrips = q.m.counter("tdb_governor_fallbacks_total", "workspace-governor breaches that degraded a query")
@@ -206,30 +198,11 @@ func (q *StandingQuery) observeRelease(rel string, rows []relation.Row) error {
 		q.run.FeedRight(rows)
 	}
 	q.gBacklog.Set(int64(q.run.Backlog()))
-	q.noteSuspension()
 	return nil
 }
 
-// noteSuspension journals the start of a backpressure stall (undrained
-// deltas hit MaxPending and the operator parked) and arms the next one
-// once the stall clears.
-func (q *StandingQuery) noteSuspension() {
-	switch q.run.Suspended() {
-	case "backpressure":
-		if !q.bpActive {
-			q.bpActive = true
-			q.event(obs.EventBackpressure, map[string]string{
-				"backlog":     fmt.Sprintf("%d", q.run.Backlog()),
-				"max_pending": fmt.Sprintf("%d", q.maxPending),
-			})
-		}
-	default:
-		q.bpActive = false
-	}
-}
-
 // Poll returns the delta rows produced since the previous poll. For an
-// incremental query it quiesces the operator and drains its emissions; for
+// incremental query it resumes the operator over the input fed since; for
 // a batch query it re-executes the tree and returns the multiset
 // difference against the previous execution.
 //
@@ -253,7 +226,6 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 		q.record(fresh)
 		q.gWorkspace.Set(q.run.Workspace())
 		q.gBacklog.Set(int64(q.run.Backlog()))
-		q.noteSuspension()
 		if q.govern {
 			if bound := q.Bound(); bound > 0 && float64(q.run.Workspace()) > bound {
 				if err := q.trip(bound); err != nil {
@@ -280,7 +252,7 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 	return fresh, nil
 }
 
-// consumeReplay drops (and byte-verifies) the prefix of a drained batch
+// consumeReplay drops (and byte-verifies) the prefix of a polled batch
 // that re-produces deltas already recorded before a governor re-admission
 // replayed the input logs. Divergence means the replay is not the
 // deterministic re-run the delta contract promises — a hard error, never
@@ -330,7 +302,7 @@ func (q *StandingQuery) trip(bound float64) error {
 		q.note = fmt.Sprintf("governor: trip %d (%s); re-admitted under refreshed stats: %s",
 			q.trips, breach, est)
 		q.probe = &metrics.Probe{}
-		q.run = q.plan.Start(q.probe, q.maxPending)
+		q.run = q.plan.Start(q.probe)
 		q.skip = len(q.deltas)
 		q.run.FeedLeft(q.logL)
 		q.run.FeedRight(q.logR)
@@ -416,7 +388,7 @@ func (q *StandingQuery) Bound() float64 {
 }
 
 // Suspended reports the incremental runner's wait state ("input",
-// "backpressure", "done", "running"); batch queries report "batch" and a
+// "running", "done"); batch queries report "batch" and a
 // breaker-declined query "broken".
 func (q *StandingQuery) Suspended() string {
 	if q.mode != ModeIncremental {
@@ -426,18 +398,6 @@ func (q *StandingQuery) Suspended() string {
 		return "broken"
 	}
 	return q.run.Suspended()
-}
-
-// Quiesce blocks until an incremental query's operator has consumed
-// everything it can of the input fed so far (no-op for batch queries).
-// A stall it settles into is journaled here: ingestion-time checks run
-// before the operator parks, so quiescence is where backpressure first
-// becomes observable.
-func (q *StandingQuery) Quiesce() {
-	if q.mode == ModeIncremental && q.run != nil {
-		q.run.Quiesce()
-		q.noteSuspension()
-	}
 }
 
 // Finish gracefully ends the query: an incremental operator sees
@@ -531,7 +491,7 @@ type Checkpoint struct {
 	DeltaHash uint64
 }
 
-// Checkpoint quiesces the query and records a consistent cut. Batch
+// Checkpoint polls the query and records a consistent cut. Batch
 // queries have no operator state and are not checkpointable.
 func (q *StandingQuery) Checkpoint() (*Checkpoint, error) {
 	if q.mode != ModeIncremental {
@@ -571,7 +531,7 @@ func (q *StandingQuery) Restore(cp *Checkpoint) error {
 	}
 	q.skip = 0
 	q.probe = &metrics.Probe{}
-	q.run = q.plan.Start(q.probe, 0)
+	q.run = q.plan.Start(q.probe)
 	q.run.FeedLeft(q.logL[:cp.LeftRows])
 	q.run.FeedRight(q.logR[:cp.RightRows])
 	replayed, err := q.run.Poll()

@@ -11,10 +11,9 @@ import (
 // carry the kind-specific fields; encoding/json sorts map keys, so the
 // wire form of an event is deterministic.
 const (
-	EventSlowQuery    = "slow-query"
-	EventGovernor     = "governor-fallback"
-	EventBreakerTrip  = "breaker-trip"
-	EventBackpressure = "backpressure"
+	EventSlowQuery   = "slow-query"
+	EventGovernor    = "governor-fallback"
+	EventBreakerTrip = "breaker-trip"
 )
 
 // Event is one structured journal entry.
@@ -27,10 +26,9 @@ type Event struct {
 }
 
 // EventLog is a bounded in-memory journal of operational events —
-// slow queries, governor fallbacks, breaker trips, backpressure
-// suspensions — with an optional streaming JSONL sink. The newest
-// events win: when the ring is full the oldest entry is dropped and
-// Dropped counts the loss. All methods are nil-receiver safe, so
+// slow queries, governor fallbacks, breaker trips — with an optional
+// streaming JSONL sink. The newest events win: when the ring is full the
+// oldest entry is dropped and Dropped counts the loss. All methods are nil-receiver safe, so
 // un-instrumented paths pay only a branch.
 type EventLog struct {
 	mu      sync.Mutex

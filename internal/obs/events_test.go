@@ -58,7 +58,7 @@ func TestEventLogSinkStreamsJSONL(t *testing.T) {
 	}
 
 	l.SetSink(nil)
-	l.Emit(EventBackpressure, "Hot", nil)
+	l.Emit(EventBreakerTrip, "Hot", nil)
 	if strings.Count(sink.String(), "\n") != 2 {
 		t.Error("emit after SetSink(nil) still streamed")
 	}

@@ -16,9 +16,9 @@
 // subpackage reads runtime/metrics allocation counters and attaches pprof
 // labels per operator; spans opened with ProfBegin carry per-node
 // alloc/bytes deltas into EXPLAIN ANALYZE; an EventLog journals
-// operational events (slow queries, governor fallbacks, breaker trips,
-// backpressure suspensions) as deterministic JSONL; and PublishProbe is
-// the single export path from a metrics.Probe to the registry.
+// operational events (slow queries, governor fallbacks, breaker trips)
+// as deterministic JSONL; and PublishProbe is the single export path
+// from a metrics.Probe to the registry.
 //
 // Everything here is stdlib-only, and every pointer-receiver method on the
 // instrument types (Tracer, Span, StateSampler, Counter, Gauge, Histogram,

@@ -31,8 +31,9 @@ func writeEvent(w http.ResponseWriter, fl http.Flusher, event string, v any) err
 // server-sent events until the client cancels, the stream errors (the
 // workspace breaker opening included), or the server drains. The
 // admission slot is held only through registration; the open stream is
-// tracked by the tenant's subscriptions gauge and bounded by the live
-// manager's own backpressure, not the query quota.
+// tracked by the tenant's subscriptions gauge and bounded by its own
+// polling — the operator runs only when the stream polls it — not the
+// query quota.
 //
 // The subscription outlives the stream: its resume state (standing
 // query, replay ring, resume token) survives a disconnect, and a
