@@ -239,30 +239,6 @@ func BenchmarkMaterializeJoin(b *testing.B) {
 	}
 }
 
-// --- The relation-level batch layout: row↔batch conversion with string
-// interning, the storage-facing edition of the columnar core. ---
-
-func BenchmarkColumnar_BatchRoundTrip(b *testing.B) {
-	rel := relation.FromTuples("R", benchTuples(20000, 23, relation.Order{relation.TSAsc}))
-	b.Run("from-rows", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if batch := relation.BatchFromRows(rel.Schema, rel.Rows, nil); batch.Len() != len(rel.Rows) {
-				b.Fatal("batch dropped rows")
-			}
-		}
-	})
-	batch := relation.BatchFromRows(rel.Schema, rel.Rows, nil)
-	b.Run("to-rows", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if rows := batch.Rows(); len(rows) != batch.Len() {
-				b.Fatal("rehydration dropped rows")
-			}
-		}
-	})
-}
-
 func BenchmarkProfiling_TracedQuery(b *testing.B) {
 	db := engine.NewDB()
 	fac := workload.Faculty(workload.FacultyConfig{N: 300, Continuous: true, Seed: 10})

@@ -28,8 +28,8 @@ import (
 
 // Cols is the columnar lifespan view a batch kernel sweeps over: parallel
 // ValidFrom/ValidTo columns, row i spanning [TS[i], TE[i]). Kernels only
-// read endpoints; value columns stay wherever the caller keeps them
-// (relation.Batch, engine row slices) and are joined back by index.
+// read endpoints; value columns stay wherever the caller keeps them (the
+// engine's row slices) and are joined back by index.
 type Cols struct {
 	TS, TE []interval.Time
 }

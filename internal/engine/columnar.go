@@ -13,12 +13,11 @@ package engine
 // k=1 case of one step and no row data moves until the node materializes.
 //
 // The row-at-a-time operators remain the serial reference implementation,
-// selectable with Options.RowExec; the λ read policy and the before-join
-// run on it unconditionally (the policy observes per-row stream state the
-// batch kernels do not model, and before pairs across arbitrary time
-// distance). Output is byte-identical between the two paths — the batch
-// kernels reproduce the row engines' emission order exactly, and the
-// equivalence property tests in columnar_test.go hold both paths to it.
+// selectable with Options.RowExec; the before operators and the self
+// semijoins run on it unconditionally, since no batch kernel covers them.
+// Output is byte-identical between the two paths — the batch kernels
+// reproduce the row engines' emission order exactly, and the equivalence
+// property tests in columnar_test.go hold both paths to it.
 
 import (
 	"fmt"

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tdb/internal/algebra"
-	"tdb/internal/core"
 	"tdb/internal/fault"
 	"tdb/internal/obs"
 	"tdb/internal/relation"
@@ -238,24 +237,4 @@ func TestColumnarParallelChaosFailpoints(t *testing.T) {
 		t.Fatalf("run after failpoint disarm: %v", err)
 	}
 	identicalRows(t, "columnar ×4 after chaos recovery", ref, got)
-}
-
-// The λ read policy cannot run on the batch kernels; the engine must fall
-// back to the row path automatically — no option juggling — and say nothing
-// about columnar kernels in the plan.
-func TestColumnarLambdaPolicyFallsBackToRows(t *testing.T) {
-	db := newPoissonDB(t, 400)
-	q := joinOf(algebra.KindContain)
-	ref, _, err := Run(db, q, Options{RowExec: true, Parallelism: 1, Policy: core.ReadLambda})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := Run(db, q, Options{Parallelism: 1, Policy: core.ReadLambda})
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalRows(t, "λ-policy join", ref, got)
-	if hasNote(stats, "columnar batch kernels") {
-		t.Errorf("λ-policy run claims columnar kernels: %+v", stats.Nodes)
-	}
 }

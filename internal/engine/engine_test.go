@@ -322,29 +322,6 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	if !usedHash {
 		t.Error("hash join not used")
 	}
-
-	// The third conventional strategy: sort-merge.
-	mergeRes, mergeStats, err := Run(db, tree, Options{PreferMergeJoin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "merge equi-join", mergeRes, nlRes)
-	usedMerge := false
-	for _, nc := range mergeStats.Nodes {
-		if nc.Algorithm == "sort-merge equi-join" {
-			usedMerge = true
-			if nc.SortedRows == 0 {
-				t.Error("merge join sorted nothing")
-			}
-		}
-	}
-	if !usedMerge {
-		t.Error("merge join not used")
-	}
-	if mergeStats.TotalComparisons() >= nlStats.TotalComparisons() {
-		t.Errorf("merge join comparisons %d not below nested loop %d",
-			mergeStats.TotalComparisons(), nlStats.TotalComparisons())
-	}
 }
 
 // The hash equi-join's key must match exactly when the nested loop's

@@ -3,11 +3,13 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tdb/internal/algebra"
 	"tdb/internal/interval"
 	"tdb/internal/optimizer"
+	"tdb/internal/relation"
 	"tdb/internal/value"
 	"tdb/internal/workload"
 )
@@ -147,30 +149,83 @@ func TestOptimizerEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// The same property for the merge-join and λ-policy execution variants on
-// a fixed join-heavy query.
+// The same property for every Options value a non-test caller sets, over
+// the Superstar plan (with its chronological-order constraint declared, so
+// the plan streams) and a recognized overlap join. Each variant names the
+// algorithm or plan note that proves it engaged on at least one of the two
+// plans, and may name one that must not appear, so no entry passes
+// vacuously.
 func TestExecutionVariantEquivalence(t *testing.T) {
 	db := newFacultyDB(t, 40, false)
-	q := superstarQuery()
-	opt, err := optimizer.Optimize(q, db, optimizer.Options{})
-	if err != nil {
+	if err := db.DeclareChronOrder(rankIC(false)); err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := Run(db, opt.Tree, Options{ForceNestedLoop: true, ForceNoHash: true})
-	if err != nil {
-		t.Fatal(err)
+	overlap := &algebra.Project{
+		Input: &algebra.Select{
+			Input: &algebra.Product{
+				L: &algebra.Scan{Relation: "Faculty", As: "f"},
+				R: &algebra.Scan{Relation: "Faculty", As: "g"},
+			},
+			Pred: algebra.Predicate{Temporal: []algebra.TemporalAtom{{L: "f", R: "g", General: true}}},
+		},
+		Cols: []algebra.Output{
+			{Name: "N", From: algebra.ColRef{Var: "f", Col: "Name"}},
+			{Name: "M", From: algebra.ColRef{Var: "g", Col: "Name"}},
+		},
 	}
-	variants := map[string]Options{
-		"hash":    {},
-		"merge":   {PreferMergeJoin: true},
-		"stream":  {VerifyOrder: true},
-		"nl-hash": {ForceNestedLoop: true},
+	var plans []algebra.Expr
+	for _, q := range []algebra.Expr{superstarQuery(), overlap} {
+		plans = append(plans, optimize(t, db, q, optimizer.Options{ICs: db.ChronOrders()}))
 	}
-	for name, o := range variants {
-		out, _, err := Run(db, opt.Tree, o)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	variants := []struct {
+		name         string
+		opt          Options
+		want, absent string
+	}{
+		{"default", Options{}, "columnar batch kernels", ""},
+		{"nested-loop", Options{ForceNestedLoop: true}, "hash equi-join", "stream"},
+		{"nested-loop-no-hash", Options{ForceNestedLoop: true, ForceNoHash: true}, "nested-loop join", "hash"},
+		{"verify-order", Options{VerifyOrder: true}, "columnar batch kernels", ""},
+		{"row-exec", Options{RowExec: true}, "stream overlap-join", "columnar batch kernels"},
+		{"parallel", Options{Parallelism: 4, ForceParallel: true}, "parallel ×", ""},
+		{"govern", Options{GovernWorkspace: true}, "governor:", ""},
+		{"spill", Options{SortMemRows: 8, SpillDir: t.TempDir()}, "external sort", ""},
+	}
+	bases := make([]*relation.Relation, len(plans))
+	for i, plan := range plans {
+		var err error
+		if bases[i], _, err = Run(db, plan, Options{ForceNestedLoop: true, ForceNoHash: true}); err != nil {
+			t.Fatal(err)
 		}
-		sameRows(t, name, base, out)
+		if len(bases[i].Rows) == 0 {
+			t.Fatalf("plan %d: degenerate test, no output rows", i)
+		}
 	}
+	for _, v := range variants {
+		engaged := false
+		for i, plan := range plans {
+			out, stats, err := Run(db, plan, v.opt)
+			if err != nil {
+				t.Fatalf("%s plan %d: %v", v.name, i, err)
+			}
+			sameRows(t, fmt.Sprintf("%s plan %d", v.name, i), bases[i], out)
+			engaged = engaged || planMentions(stats, v.want)
+			if v.absent != "" && planMentions(stats, v.absent) {
+				t.Errorf("%s plan %d mentions %q: %+v", v.name, i, v.absent, stats.Nodes)
+			}
+		}
+		if !engaged {
+			t.Errorf("%s: no plan mentions %q, so the variant never engaged", v.name, v.want)
+		}
+	}
+}
+
+// planMentions reports whether any node's algorithm or notes contain s.
+func planMentions(stats *Stats, s string) bool {
+	for _, n := range stats.Nodes {
+		if strings.Contains(n.Algorithm, s) {
+			return true
+		}
+	}
+	return hasNote(stats, s)
 }

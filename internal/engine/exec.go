@@ -25,9 +25,6 @@ type Options struct {
 	// ForceNoHash additionally disables hash equi-joins, leaving the
 	// pure conventional nested-loop executor.
 	ForceNoHash bool
-	// PreferMergeJoin evaluates equi-joins by sort-merge instead of
-	// hashing — the third conventional strategy of Section 3.
-	PreferMergeJoin bool
 	// CostBased lets the executor choose between the stream algorithm and
 	// the nested loop per recognized temporal join, using the Section 6
 	// statistics (catalog estimates over the materialized inputs) instead
@@ -44,8 +41,6 @@ type Options struct {
 	// SortMemRows is set. Concurrent runs may share it: every run file gets
 	// a name of its own and is deleted before the sort returns.
 	SpillDir string
-	// Policy selects the stream read policy (sweep by default).
-	Policy core.ReadPolicy
 	// RowExec forces the serial row-at-a-time reference implementation of
 	// the stream operators, at any Parallelism: its join and semijoin
 	// nodes never fan out (stored scans still may). By default eligible
@@ -53,7 +48,7 @@ type Options struct {
 	// columns, pooled active-list arenas, deferred row materialization —
 	// see DESIGN.md "Columnar batch execution"); output is byte-identical
 	// either way, and the equivalence property tests hold the two paths to
-	// it. The λ read policy, the before-join and the self semijoins run
+	// it. The before-join, the before-semijoin and the self semijoins run
 	// row-at-a-time regardless.
 	RowExec bool
 	// Parallelism bounds time-range partitioned parallel execution:
@@ -69,9 +64,9 @@ type Options struct {
 	ParallelMinRows int
 	// ForceParallel fans every eligible node out to Parallelism shards,
 	// bypassing the size and predicted-speedup gates (the correctness
-	// gates — operator kind, read policy, distinct cut points — still
-	// apply). Tests and experiments use it to exercise the parallel path
-	// on inputs the cost model would run serially.
+	// gates — operator kind, distinct cut points — still apply). Tests
+	// and experiments use it to exercise the parallel path on inputs the
+	// cost model would run serially.
 	ForceParallel bool
 	// VerifyOrder makes every stream algorithm check its input ordering.
 	VerifyOrder bool
@@ -598,29 +593,40 @@ func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
 	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), rows: out}, nil
 }
 
+// compileProject resolves a projection against its input schema: the
+// output schema and, per output column, the index of the input column it
+// copies. evalProject and standing plans share it.
+func compileProject(p *algebra.Project, in *relation.Schema) (*relation.Schema, []int, error) {
+	idx := make([]int, len(p.Cols))
+	cols := make([]relation.Column, len(p.Cols))
+	ts, te := -1, -1
+	for i, c := range p.Cols {
+		j := in.ColumnIndex(c.From.Name())
+		if j < 0 {
+			return nil, nil, fmt.Errorf("engine: projection column %s not in %s", c.From, in)
+		}
+		idx[i] = j
+		cols[i] = relation.Column{Name: c.Name, Kind: in.Cols[j].Kind}
+		if c.Name == p.TSName {
+			ts = i
+		}
+		if c.Name == p.TEName {
+			te = i
+		}
+	}
+	schema, err := relation.NewSchema(cols, ts, te)
+	if err != nil {
+		return nil, nil, err
+	}
+	return schema, idx, nil
+}
+
 func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(n.Cols))
-	cols := make([]relation.Column, len(n.Cols))
-	ts, te := -1, -1
-	for i, c := range n.Cols {
-		j := in.schema.ColumnIndex(c.From.Name())
-		if j < 0 {
-			return nil, fmt.Errorf("engine: projection column %s not in %s", c.From, in.schema)
-		}
-		idx[i] = j
-		cols[i] = relation.Column{Name: c.Name, Kind: in.schema.Cols[j].Kind}
-		if c.Name == n.TSName {
-			ts = i
-		}
-		if c.Name == n.TEName {
-			te = i
-		}
-	}
-	schema, err := relation.NewSchema(cols, ts, te)
+	schema, idx, err := compileProject(n, in.schema)
 	if err != nil {
 		return nil, err
 	}

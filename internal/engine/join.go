@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"tdb/internal/algebra"
@@ -43,18 +42,11 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 		}
 	}
 
-	// Conventional path: the paper's Section 3 lists nested-loop, merge
-	// and hash join as the strategies for the equi-join; hash is the
-	// default, merge selectable, nested loop the fallback.
+	// Conventional path: the hash join for an equi-join, the nested loop
+	// for anything else or under Options.ForceNoHash.
 	lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema)
 	if len(lk) > 0 && !ex.opt.ForceNoHash {
-		var rows []relation.Row
-		var cost *NodeCost
-		if ex.opt.PreferMergeJoin {
-			rows, cost, err = ex.sortMergeJoin(l, r, lk, rk, residual)
-		} else {
-			rows, cost, err = ex.hashJoin(l, r, lk, rk, residual)
-		}
+		rows, cost, err := ex.hashJoin(l, r, lk, rk, residual)
 		if err != nil {
 			return nil, err
 		}
@@ -126,8 +118,7 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 		return nil, nil, err
 	}
 	cost := &NodeCost{}
-	opt := core.Options{Probe: &cost.Probe, Policy: ex.opt.Policy,
-		VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
+	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
 
 	var lOrder, rOrder relation.Order
 	switch n.Kind {
@@ -156,7 +147,7 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	}
 
 	// The row reference never fans out; otherwise planParallel decides, and
-	// it accepts only sweep-policy contain, contained and overlap joins.
+	// it accepts only contain, contained and overlap joins.
 	var shards []partition.Range
 	if !ex.opt.RowExec {
 		shards = ex.planParallel(n.Kind, false, lo.cols, ro.cols, cost)
@@ -176,10 +167,9 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	// inputs' endpoint columns — the whole columns serially, or each time
 	// shard's under a fan-out — then output rows materialized once from
 	// the matched index pairs. The row path below remains the serial
-	// reference implementation (Options.RowExec) and still serves the λ
-	// read policy — whose global read interleaving observes per-row stream
-	// state the batch kernels do not model — and the before-join.
-	if !ex.opt.RowExec && ex.opt.Policy == core.ReadSweep && n.Kind != algebra.KindBefore {
+	// reference implementation (Options.RowExec) and still serves the
+	// before-join.
+	if !ex.opt.RowExec && n.Kind != algebra.KindBefore {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
 		var rows []relation.Row
 		var pairs pairChunks
@@ -411,74 +401,6 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 	return rows, cost, nil
 }
 
-// sortMergeJoin is the classic merge join of Section 4.1's example: both
-// sides are sorted on the key columns and merged, buffering one right key
-// group at a time.
-func (ex *executor) sortMergeJoin(l, r *result, lk, rk []int, residual algebra.Predicate) ([]relation.Row, *NodeCost, error) {
-	cost := &NodeCost{Algorithm: "sort-merge equi-join"}
-	res, err := compilePairPred(residual, l.schema, r.schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	cmpKeys := func(a relation.Row, ak []int, b relation.Row, bk []int) int {
-		for i := range ak {
-			if c := a[ak[i]].Compare(b[bk[i]]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	ls := append([]relation.Row{}, l.rows...)
-	rs := append([]relation.Row{}, r.rows...)
-	sort.SliceStable(ls, func(i, j int) bool { return cmpKeys(ls[i], lk, ls[j], lk) < 0 })
-	sort.SliceStable(rs, func(i, j int) bool { return cmpKeys(rs[i], rk, rs[j], rk) < 0 })
-	cost.SortedRows = int64(len(ls) + len(rs))
-
-	var rows []relation.Row
-	i, j := 0, 0
-	steps := 0
-	for i < len(ls) && j < len(rs) {
-		if steps%interruptEvery == 0 {
-			if err := ex.checkInterrupt(); err != nil {
-				return nil, nil, err
-			}
-		}
-		steps++
-		cost.Probe.IncComparisons(1)
-		switch c := cmpKeys(ls[i], lk, rs[j], rk); {
-		case c < 0:
-			cost.Probe.IncReadLeft()
-			i++
-		case c > 0:
-			cost.Probe.IncReadRight()
-			j++
-		default:
-			// Buffer the right group and join every equal-key left row.
-			g := j
-			for g < len(rs) && cmpKeys(rs[g], rk, rs[j], rk) == 0 {
-				g++
-			}
-			cost.Probe.StateAdd(int64(g - j))
-			for ; i < len(ls) && cmpKeys(ls[i], lk, rs[j], rk) == 0; i++ {
-				cost.Probe.IncReadLeft()
-				for k := j; k < g; k++ {
-					cost.Probe.IncComparisons(1)
-					if res(ls[i], rs[k]) {
-						rows = append(rows, relation.ConcatRows(ls[i], rs[k]))
-					}
-				}
-			}
-			cost.Probe.StateRemove(int64(g - j))
-			for ; j < g; j++ {
-				cost.Probe.IncReadRight()
-			}
-		}
-	}
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
-}
-
 func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 	// A detected self semijoin evaluates its (shared) input once and runs
 	// the single-scan, single-state-tuple algorithm of Figure 7 — the
@@ -591,8 +513,7 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 		return nil, nil, err
 	}
 	cost := &NodeCost{}
-	opt := core.Options{Probe: &cost.Probe, Policy: ex.opt.Policy,
-		VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
+	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
 
 	var lOrder, rOrder relation.Order
 	switch n.Kind {
@@ -623,10 +544,9 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 			return nil, nil, err
 		}
 		// Columnar batch path (the default) for the sorted semijoin scans:
-		// one kernel step, serially or per time shard. The Figure 6 scans
-		// never consult the read policy, so unlike the join there is no λ
-		// carve-out; the before-semijoin (lOrder == nil) and
-		// Options.RowExec take the serial row reference path below.
+		// one kernel step, serially or per time shard. The before-semijoin
+		// (lOrder == nil) and Options.RowExec take the serial row reference
+		// path below.
 		if !ex.opt.RowExec {
 			shards := ex.planParallel(n.Kind, true, lo.cols, ro.cols, cost)
 			cost.Notes = append(cost.Notes, "columnar batch kernels")

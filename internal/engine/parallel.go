@@ -1,9 +1,9 @@
 package engine
 
-// Time-range partitioned parallel execution. An eligible columnar stream
-// join or semijoin node splits its sorted endpoint columns into k time
-// shards (equi-depth ValidFrom cuts from catalog statistics) as index
-// lists, runs the node's serial kernel step (columnar.go) per shard on
+// Time-range partitioned parallel execution. A columnar contain, contained
+// or overlap join or semijoin node splits its sorted endpoint columns into
+// k time shards (equi-depth ValidFrom cuts from catalog statistics) as
+// index lists, runs the node's serial kernel step (columnar.go) per shard on
 // worker goroutines, and recombines the shards' global row indexes before
 // the node materializes once. Boundary-spanning tuples are replicated into
 // every shard they intersect; exactness is restored by the owner rule
@@ -87,7 +87,7 @@ func appendSpans(spans []interval.Interval, c core.Cols) []interval.Interval {
 
 // planParallel decides whether to fan a stream join (semi=false) or
 // semijoin (semi=true) node out across time shards. The correctness gates
-// — operator kind, read policy, distinct cut points — always apply;
+// — operator kind, distinct cut points — always apply;
 // Options.ForceParallel bypasses only the size and cost-model gates. A
 // nil return means serial. Once a decision is genuinely considered, the
 // evidence is recorded in the node's notes for the plan explain.
@@ -104,14 +104,6 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc co
 		return nil
 	}
 	if n := lc.Len() + rc.Len(); !ex.opt.ForceParallel && n < ex.parallelMinRows() {
-		return nil
-	}
-	if !semi && ex.opt.Policy != core.ReadSweep {
-		// The λ policy picks the next read from the observed state of
-		// both streams — a global interleaving per-shard runs cannot
-		// reproduce, so the emission order would diverge from serial.
-		// (The Figure 6 semijoin scans never consult the policy.)
-		cost.Notes = append(cost.Notes, "parallel: declined (λ read policy orders reads globally)")
 		return nil
 	}
 	// One span list, left then right: each side's statistics come from its
@@ -198,8 +190,7 @@ func (ex *executor) runWorkers(labels []string, cost *NodeCost, run func(ctx con
 				errs[i] = fmt.Errorf("%s: %w", labels[i], err)
 				return
 			}
-			o := core.Options{Probe: &probes[i], Policy: ex.opt.Policy,
-				VerifyOrder: ex.opt.VerifyOrder, Sampler: spans[i].Sampler()}
+			o := core.Options{Probe: &probes[i], VerifyOrder: ex.opt.VerifyOrder, Sampler: spans[i].Sampler()}
 			if ex.opt.Profile {
 				// Label the worker goroutine so profiles attribute shard
 				// CPU/heap samples to the node; alloc-delta accounting
@@ -396,10 +387,6 @@ func (ex *executor) parallelScan(hf *storage.HeapFile, cost *NodeCost) ([]relati
 	if err != nil {
 		return nil, false, err
 	}
-	var rows []relation.Row
-	for _, o := range outs {
-		rows = append(rows, o...)
-	}
 	cost.Notes = append(cost.Notes, fmt.Sprintf("parallel stored scan ×%d over %d pages", k, pages))
-	return rows, true, nil
+	return slices.Concat(outs...), true, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tdb/internal/algebra"
-	"tdb/internal/core"
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
 	"tdb/internal/relation"
@@ -106,51 +105,26 @@ func TestParallelJoinsByteIdentical(t *testing.T) {
 	}
 }
 
-// Semijoins never consult the read policy, so they must stay byte-identical
-// under both policies.
+// Every eligible semijoin kind must produce the serial row sequence
+// exactly, at any worker count.
 func TestParallelSemijoinsByteIdentical(t *testing.T) {
 	db := newPoissonDB(t, 600)
 	for _, kind := range []algebra.TemporalKind{algebra.KindContained, algebra.KindContain, algebra.KindOverlap} {
-		for _, policy := range []core.ReadPolicy{core.ReadSweep, core.ReadLambda} {
-			q := semijoinOf(kind)
-			serial, _, err := Run(db, q, Options{Parallelism: 1, Policy: policy, VerifyOrder: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(serial.Rows) == 0 {
-				t.Fatalf("%v: degenerate test, no output rows", kind)
-			}
-			for _, k := range []int{2, 4} {
-				o := forcePar(k)
-				o.Policy = policy
-				par, _, err := Run(db, q, o)
-				if err != nil {
-					t.Fatalf("%v ⋉ ×%d policy %v: %v", kind, k, policy, err)
-				}
-				identicalRows(t, fmt.Sprintf("%v semijoin ×%d policy %v", kind, k, policy), serial, par)
-			}
+		q := semijoinOf(kind)
+		serial, _, err := Run(db, q, Options{Parallelism: 1, VerifyOrder: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// A join under the λ read policy must decline the fan-out (the policy
-// interleaves reads globally) and still compute the correct result.
-func TestParallelJoinLambdaPolicyDeclines(t *testing.T) {
-	db := newPoissonDB(t, 400)
-	q := joinOf(algebra.KindContain)
-	serial, _, err := Run(db, q, Options{Parallelism: 1, Policy: core.ReadLambda, VerifyOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := forcePar(4)
-	o.Policy = core.ReadLambda
-	par, stats, err := Run(db, q, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalRows(t, "λ-policy join", serial, par)
-	if !hasNote(stats, "λ read policy") {
-		t.Errorf("declined λ-policy join not recorded in plan notes: %+v", stats.Nodes)
+		if len(serial.Rows) == 0 {
+			t.Fatalf("%v: degenerate test, no output rows", kind)
+		}
+		for _, k := range []int{2, 4} {
+			par, _, err := Run(db, q, forcePar(k))
+			if err != nil {
+				t.Fatalf("%v ⋉ ×%d: %v", kind, k, err)
+			}
+			identicalRows(t, fmt.Sprintf("%v semijoin ×%d", kind, k), serial, par)
+		}
 	}
 }
 

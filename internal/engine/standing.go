@@ -145,8 +145,16 @@ func BuildStanding(db *DB, e algebra.Expr) (*StandingPlan, error) {
 		p.outSchema = relation.Concat(p.lschema, p.rschema, "", "")
 	}
 	if proj != nil {
-		if p.outSchema, p.project, err = compileProject(proj, p.outSchema); err != nil {
+		var idx []int
+		if p.outSchema, idx, err = compileProject(proj, p.outSchema); err != nil {
 			return nil, err
+		}
+		p.project = func(r relation.Row) relation.Row {
+			row := make(relation.Row, len(idx))
+			for i, j := range idx {
+				row[i] = r[j]
+			}
+			return row
 		}
 	}
 	return p, nil
@@ -154,66 +162,27 @@ func BuildStanding(db *DB, e algebra.Expr) (*StandingPlan, error) {
 
 // standingSide recognizes an optional Select over a base Scan.
 func standingSide(db *DB, e algebra.Expr) (string, *relation.Schema, rowPred, error) {
-	var pred rowPred
-	if sel, ok := e.(*algebra.Select); ok {
-		e = sel.Input
-		scan, ok := e.(*algebra.Scan)
-		if !ok {
-			return "", nil, nil, unsupported("side %T is not σ(scan)", e)
-		}
-		schema, err := db.SchemaOf(scan.Relation)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		schema = schema.Rename(scan.Var())
-		if pred, err = compilePred(sel.Pred, schema); err != nil {
-			return "", nil, nil, err
-		}
-		return scan.Relation, schema, pred, nil
+	shape := "a base scan"
+	sel, _ := e.(*algebra.Select)
+	if sel != nil {
+		e, shape = sel.Input, "σ(scan)"
 	}
 	scan, ok := e.(*algebra.Scan)
 	if !ok {
-		return "", nil, nil, unsupported("side %T is not a base scan", e)
+		return "", nil, nil, unsupported("side %T is not %s", e, shape)
 	}
 	schema, err := db.SchemaOf(scan.Relation)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	return scan.Relation, schema.Rename(scan.Var()), nil, nil
-}
-
-// compileProject resolves a projection against the input schema into an
-// output schema and a per-row mapping (the non-Distinct subset of
-// evalProject).
-func compileProject(p *algebra.Project, in *relation.Schema) (*relation.Schema, func(relation.Row) relation.Row, error) {
-	idx := make([]int, len(p.Cols))
-	cols := make([]relation.Column, len(p.Cols))
-	ts, te := -1, -1
-	for i, c := range p.Cols {
-		j := in.ColumnIndex(c.From.Name())
-		if j < 0 {
-			return nil, nil, fmt.Errorf("engine: projection column %s not in %s", c.From, in)
-		}
-		idx[i] = j
-		cols[i] = relation.Column{Name: c.Name, Kind: in.Cols[j].Kind}
-		if c.Name == p.TSName {
-			ts = i
-		}
-		if c.Name == p.TEName {
-			te = i
+	schema = schema.Rename(scan.Var())
+	var pred rowPred
+	if sel != nil {
+		if pred, err = compilePred(sel.Pred, schema); err != nil {
+			return "", nil, nil, err
 		}
 	}
-	schema, err := relation.NewSchema(cols, ts, te)
-	if err != nil {
-		return nil, nil, err
-	}
-	return schema, func(r relation.Row) relation.Row {
-		row := make(relation.Row, len(idx))
-		for i, j := range idx {
-			row[i] = r[j]
-		}
-		return row
-	}, nil
+	return scan.Relation, schema, pred, nil
 }
 
 // standingAbort carries an injected fault out of the operator callback;
