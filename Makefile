@@ -36,13 +36,15 @@ test:
 # The native fuzz targets (CI runs the same): relation.SortSpans against
 # its sort.SliceStable reference as an exact sequence, the two page
 # decoders — key-run pages and row pages — on arbitrary bytes: records or
-# rows, or ErrCorruptPage, never a panic or an out-of-range index, and the
-# packed value.Value against its three-field reference.
+# rows, or ErrCorruptPage, never a panic or an out-of-range index, the
+# packed value.Value against its three-field reference, and the row-key
+# codec: equal relation.AppendKey encodings exactly when Row.Equal.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzValue -fuzztime=10s ./internal/value
+	$(GO) test -run '^$$' -fuzz=FuzzRowKey -fuzztime=10s ./internal/relation
 
 race:
 	$(GO) test -race ./...

@@ -636,7 +636,7 @@ func (sh *shell) pollDeltas(name string) {
 		}
 		sh.printf("%sΔ: %d rows\n", name, len(rows))
 		for _, row := range rows {
-			sh.println("  " + row.Key())
+			sh.println("  " + row.String())
 		}
 		return nil
 	}); err != nil {

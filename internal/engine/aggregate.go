@@ -2,8 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"tdb/internal/algebra"
 	"tdb/internal/metrics"
@@ -13,8 +12,9 @@ import (
 
 // evalAggregate groups the materialized input and folds each group through
 // the aggregate terms — the Figure 4 processor as a physical operator. The
-// implementation sorts the groups for deterministic output order; the
-// retained state is one accumulator row per group.
+// groups are keyed by relation.AppendKey over the group columns and emitted
+// sorted by their key cells under value.Compare; the retained state is one
+// accumulator row per group.
 func (ex *executor) evalAggregate(n *algebra.Aggregate) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
@@ -53,25 +53,22 @@ func (ex *executor) evalAggregate(n *algebra.Aggregate) (*result, error) {
 		terms []termState
 	}
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
+	var k []byte
 	for _, row := range in.rows {
 		probe.IncReadLeft()
-		var kb strings.Builder
-		keyVals := make([]value.Value, len(groupIdx))
-		for i, gi := range groupIdx {
-			keyVals[i] = row[gi]
-			kb.WriteString(row[gi].String())
-			kb.WriteByte('\x1f')
-		}
-		k := kb.String()
-		g, ok := groups[k]
+		k = relation.AppendKey(k[:0], row, groupIdx)
+		g, ok := groups[string(k)]
 		if !ok {
-			g = &group{key: keyVals, terms: make([]termState, len(n.Terms))}
+			g = &group{key: make([]value.Value, len(groupIdx)), terms: make([]termState, len(n.Terms))}
+			for i, gi := range groupIdx {
+				g.key[i] = row[gi]
+			}
 			for i, t := range n.Terms {
 				g.terms[i] = termState{kind: t.Kind, col: termCol[i]}
 			}
-			groups[k] = g
-			order = append(order, k)
+			groups[string(k)] = g
+			order = append(order, g)
 			probe.StateAdd(1)
 		}
 		for i := range g.terms {
@@ -99,10 +96,11 @@ func (ex *executor) evalAggregate(n *algebra.Aggregate) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, func(a, b *group) int {
+		return slices.CompareFunc(a.key, b.key, value.Value.Compare)
+	})
 	rows := make([]relation.Row, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		row := make(relation.Row, 0, len(g.key)+len(g.terms))
 		row = append(row, g.key...)
 		for _, ts := range g.terms {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -164,5 +165,64 @@ func TestTimeslice(t *testing.T) {
 	// Boundary semantics: half-open lifespans.
 	if s, _ := relation.Timeslice(rel, 10); s.Cardinality() != 2 {
 		t.Errorf("timeslice at 10 (cs rows end): %d rows, want 2", s.Cardinality())
+	}
+}
+
+// collidingDB registers P(A, B) holding one row per (A, B) cell pair.
+func collidingDB(t *testing.T, cells ...[2]string) *DB {
+	t.Helper()
+	rel := relation.New("P", relation.MustSchema([]relation.Column{
+		{Name: "A", Kind: value.KindString},
+		{Name: "B", Kind: value.KindString},
+		{Name: "ValidFrom", Kind: value.KindTime},
+		{Name: "ValidTo", Kind: value.KindTime},
+	}, 2, 3))
+	for _, c := range cells {
+		rel.MustInsert(relation.Row{value.String_(c[0]), value.String_(c[1]), value.TimeVal(0), value.TimeVal(5)})
+	}
+	db := NewDB()
+	db.MustRegister(rel)
+	return db
+}
+
+// Two groups whose cells a separator-terminated rendering would key alike.
+func TestAggregateGroupsAreExact(t *testing.T) {
+	q := &algebra.Aggregate{
+		Input:   &algebra.Scan{Relation: "P", As: "p"},
+		GroupBy: []algebra.ColRef{{Var: "p", Col: "A"}, {Var: "p", Col: "B"}},
+		Terms:   []algebra.AggTerm{{Kind: algebra.AggCount, As: "n"}},
+	}
+	out, _, err := Run(collidingDB(t, [2]string{"a\x1fb", "c"}, [2]string{"a", "b\x1fc"}), q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cardinality() != 2 {
+		t.Fatalf("groups = %d, want 2\n%s", out.Cardinality(), out)
+	}
+}
+
+// Groups come out in key order under value.Compare: Int 9 before 10.
+func TestAggregateOrdersIntKeysNumerically(t *testing.T) {
+	rel := relation.New("N", relation.MustSchema([]relation.Column{{Name: "K", Kind: value.KindInt}}, -1, -1))
+	for _, k := range []int64{10, 9, 100, -1} {
+		rel.MustInsert(relation.Row{value.Int(k)})
+	}
+	db := NewDB()
+	db.MustRegister(rel)
+	q := &algebra.Aggregate{
+		Input:   &algebra.Scan{Relation: "N", As: "n"},
+		GroupBy: []algebra.ColRef{{Var: "n", Col: "K"}},
+		Terms:   []algebra.AggTerm{{Kind: algebra.AggCount, As: "c"}},
+	}
+	out, _, err := Run(db, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, r := range out.Rows {
+		got = append(got, r[0].AsInt())
+	}
+	if fmt.Sprint(got) != "[-1 9 10 100]" {
+		t.Errorf("group order %v, want [-1 9 10 100]", got)
 	}
 }

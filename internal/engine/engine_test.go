@@ -324,6 +324,32 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// A probe row without a partner allocates nothing, so the hash join
+// allocates the same at 1x and 4x probe size.
+func TestHashJoinProbeDoesNotAllocate(t *testing.T) {
+	schema := relation.MustSchema([]relation.Column{
+		{Name: "K", Kind: value.KindString}, {Name: "N", Kind: value.KindInt}}, -1, -1)
+	side := func(prefix string, n int) *result {
+		res := &result{schema: schema}
+		for i := range n {
+			res.rows = append(res.rows, relation.Row{value.String_(fmt.Sprintf("%s%d", prefix, i)), value.Int(int64(i))})
+		}
+		return res
+	}
+	build := side("build", 64)
+	ex := &executor{db: NewDB(), stats: &Stats{}}
+	allocs := func(probe *result) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := ex.hashJoin(build, probe, []int{0, 1}, []int{0, 1}, algebra.Predicate{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, a4 := allocs(side("probe", 256)), allocs(side("probe", 1024)); a1 != a4 {
+		t.Errorf("hash join allocates %.0f at 256 probe rows, %.0f at 1024", a1, a4)
+	}
+}
+
 // The hash equi-join's key must match exactly when the nested loop's
 // equality does: composite string keys that a separator-joined rendering
 // would collide, and an Int key equal to a Time key ("∞" when rendered).

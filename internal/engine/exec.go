@@ -633,18 +633,18 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	probe := metrics.Probe{}
 	out := make([]relation.Row, 0, len(in.rows))
 	seen := map[string]bool{}
+	var key []byte
 	for _, r := range in.rows {
 		probe.IncReadLeft()
+		if n.Distinct {
+			if key = relation.AppendKey(key[:0], r, idx); seen[string(key)] {
+				continue
+			}
+			seen[string(key)] = true
+		}
 		row := make(relation.Row, len(idx))
 		for i, j := range idx {
 			row[i] = r[j]
-		}
-		if n.Distinct {
-			k := row.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
 		}
 		out = append(out, row)
 	}

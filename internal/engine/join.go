@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 
 	"tdb/internal/algebra"
 	"tdb/internal/baseline"
@@ -16,7 +14,6 @@ import (
 	"tdb/internal/optimizer"
 	"tdb/internal/partition"
 	"tdb/internal/relation"
-	"tdb/internal/value"
 )
 
 func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
@@ -324,37 +321,9 @@ func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) ([]relation.Row,
 	return rows, cost, nil
 }
 
-// hashKey encodes a row's key cells injectively, so two keys are equal
-// exactly when every cell pair is value.Equal: a string cell as a tag and
-// its length-prefixed bytes, an Int or Time cell as a tag and its integer
-// (the two kinds share one order, so they must encode alike). The key is
-// built in one exactly-sized allocation.
-func hashKey(row relation.Row, cols []int) string {
-	var cell [1 + binary.MaxVarintLen64]byte
-	n := 0
-	for _, c := range cols {
-		if v := row[c]; v.Kind() == value.KindString {
-			l := len(v.AsString())
-			n += 1 + len(binary.AppendUvarint(cell[:0], uint64(l))) + l
-		} else {
-			n += 1 + 8
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, c := range cols {
-		v := row[c]
-		if v.Kind() == value.KindString {
-			s := v.AsString()
-			b.Write(binary.AppendUvarint(append(cell[:0], 's'), uint64(len(s))))
-			b.WriteString(s)
-			continue
-		}
-		b.Write(binary.BigEndian.AppendUint64(append(cell[:0], 'i'), uint64(v.AsInt())))
-	}
-	return b.String()
-}
-
+// hashJoin keys both sides with relation.AppendKey into one reused buffer,
+// so keys match exactly when the nested loop's equality does; the probe's
+// table[string(key)] lookup does not allocate.
 func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) ([]relation.Row, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "hash equi-join"}
 	res, err := compilePairPred(residual, l.schema, r.schema)
@@ -370,11 +339,12 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 		bk, pk = rk, lk
 	}
 	table := make(map[string][]relation.Row, len(build.rows))
+	var key []byte
 	for _, row := range build.rows {
 		cost.Probe.IncReadLeft()
 		cost.Probe.StateAdd(1)
-		k := hashKey(row, bk)
-		table[k] = append(table[k], row)
+		key = relation.AppendKey(key[:0], row, bk)
+		table[string(key)] = append(table[string(key)], row)
 	}
 	var rows []relation.Row
 	for i, row := range probeSide.rows {
@@ -384,7 +354,8 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 			}
 		}
 		cost.Probe.IncReadRight()
-		for _, m := range table[hashKey(row, pk)] {
+		key = relation.AppendKey(key[:0], row, pk)
+		for _, m := range table[string(key)] {
 			cost.Probe.IncComparisons(1)
 			lr, rr := m, row
 			if !buildLeft {

@@ -73,3 +73,25 @@ where (a overlap b) and a.Emp != b.Emp`)
 	}
 	_ = value.Int(0)
 }
+
+// retrieve has set semantics: DISTINCT keeps two rows that differ in every
+// cell even when a separator-joined "kind:value" rendering would key them
+// alike.
+func TestQuelRetrieveKeepsSeparatorCollidingRows(t *testing.T) {
+	db := collidingDB(t, [2]string{"a\x1f1:b", "c"}, [2]string{"a", "b\x1f1:c"})
+	prog, err := quel.Parse("range of p is P\nretrieve (A=p.A, B=p.B)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := quel.Translate(prog, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := Run(db, qs[0].Tree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cardinality() != 2 {
+		t.Fatalf("retrieve returned %d rows, want 2\n%s", out.Cardinality(), out)
+	}
+}

@@ -356,7 +356,7 @@ func chaosSurvivalPoint(n, runs int, prob float64, seed int64) (*ChaosPoint, err
 			return nil, fmt.Errorf("run %d: %d rows, serial reference has %d", r, len(res.Rows), len(serial.Rows))
 		}
 		for i := range serial.Rows {
-			if res.Rows[i].Key() != serial.Rows[i].Key() {
+			if !res.Rows[i].Equal(serial.Rows[i]) {
 				return nil, fmt.Errorf("run %d: row %d diverges from the serial reference", r, i)
 			}
 		}
@@ -377,8 +377,8 @@ func sameMultiset(a, b []relation.Row) error {
 	ka := make([]string, len(a))
 	kb := make([]string, len(b))
 	for i := range a {
-		ka[i] = string(a[i].Key())
-		kb[i] = string(b[i].Key())
+		ka[i] = a[i].Key()
+		kb[i] = b[i].Key()
 	}
 	sort.Strings(ka)
 	sort.Strings(kb)

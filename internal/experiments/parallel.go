@@ -137,7 +137,7 @@ func identical(a, b *relation.Relation) error {
 		return fmt.Errorf("row count diverged: %d vs %d", len(a.Rows), len(b.Rows))
 	}
 	for i := range a.Rows {
-		if a.Rows[i].Key() != b.Rows[i].Key() {
+		if !a.Rows[i].Equal(b.Rows[i]) {
 			return fmt.Errorf("row %d diverged from the serial sequence", i)
 		}
 	}

@@ -17,8 +17,11 @@ import (
 // of a damaged log — it refuses with this error.
 var ErrCorruptCheckpoint = errors.New("live: corrupt checkpoint")
 
-// ckptMagic heads every serialized checkpoint image.
-const ckptMagic = "TDBCKPT1"
+// ckptMagic heads every serialized checkpoint image. Version 2 records the
+// delta hash over relation.AppendKey encodings; a version-1 image (whose
+// hash used the old rendered keys) is rejected as bad magic rather than
+// failing later as a divergent replay.
+const ckptMagic = "TDBCKPT2"
 
 // Encode serializes the checkpoint: magic, length-prefixed query name,
 // the four offset/hash fields, and an FNV-1a trailer over everything

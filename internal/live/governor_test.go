@@ -2,7 +2,9 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -10,6 +12,8 @@ import (
 	"tdb/internal/fault"
 	"tdb/internal/interval"
 	"tdb/internal/obs"
+	"tdb/internal/relation"
+	"tdb/internal/value"
 )
 
 // governedManager registers X/Y while empty — the catalog keeps the
@@ -222,6 +226,27 @@ func TestCheckpointTornWriteDetected(t *testing.T) {
 		if _, err := DecodeCheckpoint(mut); err == nil {
 			t.Fatalf("bit flip at %d decoded successfully", i)
 		}
+	}
+	// A version-1 image (its delta hash over the old rendered row keys) is
+	// rejected even with an intact trailer.
+	old := append([]byte("TDBCKPT1"), enc[len(ckptMagic):len(enc)-8]...)
+	f := fnv.New64a()
+	_, _ = f.Write(old)
+	old = binary.LittleEndian.AppendUint64(old, f.Sum64())
+	if _, err := DecodeCheckpoint(old); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("TDBCKPT1 image: error %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// Folding a delta into the delta hash reuses the query's key buffer: no
+// allocation per delta once the buffer has grown to the row's key size.
+func TestDeltaHashFoldDoesNotAllocate(t *testing.T) {
+	row := relation.Row{value.String_("ada"), value.String_("cs"), value.String_("x"), value.String_("y"),
+		value.TimeVal(1), value.TimeVal(2), value.TimeVal(3), value.TimeVal(interval.Forever)}
+	q := &StandingQuery{}
+	h := q.foldDelta(fnv1aInit, row)
+	if n := testing.AllocsPerRun(100, func() { h = q.foldDelta(h, row) }); n != 0 {
+		t.Errorf("foldDelta allocates %.0f times per delta, want 0", n)
 	}
 }
 

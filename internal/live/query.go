@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"tdb/internal/algebra"
 	"tdb/internal/engine"
@@ -89,7 +88,8 @@ type StandingQuery struct {
 	prev map[string]int
 
 	deltas    []relation.Row // every delta ever emitted, in emission order
-	deltaHash uint64         // FNV-1a over the delta sequence
+	deltaHash uint64         // FNV-1a over the delta sequence's concatenated row keys
+	key       []byte         // foldDelta's reused key buffer
 	batches   int            // non-empty delta batches emitted (the stream seq authority)
 
 	// Workspace-governor state.
@@ -252,7 +252,7 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 	return fresh, nil
 }
 
-// consumeReplay drops (and byte-verifies) the prefix of a polled batch
+// consumeReplay drops (and verifies with Row.Equal) the prefix of a polled batch
 // that re-produces deltas already recorded before a governor re-admission
 // replayed the input logs. Divergence means the replay is not the
 // deterministic re-run the delta contract promises — a hard error, never
@@ -260,9 +260,9 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 func (q *StandingQuery) consumeReplay(rows []relation.Row) ([]relation.Row, error) {
 	for q.skip > 0 && len(rows) > 0 {
 		expect := q.deltas[len(q.deltas)-q.skip]
-		if rows[0].Key() != expect.Key() {
+		if !rows[0].Equal(expect) {
 			return nil, fmt.Errorf("live: %s: re-admission replay diverged at delta %d: %s != %s",
-				q.name, len(q.deltas)-q.skip, rows[0].Key(), expect.Key())
+				q.name, len(q.deltas)-q.skip, rows[0], expect)
 		}
 		rows = rows[1:]
 		q.skip--
@@ -330,7 +330,7 @@ func (q *StandingQuery) trip(bound float64) error {
 
 func (q *StandingQuery) record(rows []relation.Row) {
 	for _, row := range rows {
-		q.deltaHash = fnv1aRow(q.deltaHash, row)
+		q.deltaHash = q.foldDelta(q.deltaHash, row)
 	}
 	if len(rows) > 0 {
 		q.batches++
@@ -347,8 +347,10 @@ func (q *StandingQuery) Deltas() []relation.Row { return q.deltas }
 // ring's newest seq must equal this count, severed or not.
 func (q *StandingQuery) Batches() int { return q.batches }
 
-// DeltaHash returns the FNV-1a hash of the emission sequence — the figure
-// checkpoints record and restores verify.
+// DeltaHash returns the FNV-1a hash of the concatenated relation.AppendKey
+// encodings of the emission sequence — the figure checkpoints record and
+// restores verify. Each key is self-delimiting, so the concatenation
+// determines the sequence.
 func (q *StandingQuery) DeltaHash() uint64 { return q.deltaHash }
 
 // Schema returns the delta row schema (nil for batch queries before their
@@ -447,9 +449,9 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 				"live: %s emitted %d deltas, batch produces only %d", q.name, len(q.deltas), len(batch))
 		}
 		for i, row := range q.deltas {
-			if row.Key() != batch[i].Key() {
+			if !row.Equal(batch[i]) {
 				return len(q.deltas), len(batch), fmt.Errorf(
-					"live: %s delta %d diverges from batch: %s != %s", q.name, i, row.Key(), batch[i].Key())
+					"live: %s delta %d diverges from batch: %s != %s", q.name, i, row, batch[i])
 			}
 		}
 		return len(q.deltas), len(batch), nil
@@ -467,13 +469,13 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 		counts[k]--
 		if counts[k] < 0 {
 			return len(q.deltas), len(res.Rows), fmt.Errorf(
-				"live: %s delta %s not in the batch result", q.name, k)
+				"live: %s delta %s not in the batch result", q.name, row)
 		}
 	}
-	for k, n := range counts {
-		if n != 0 {
+	for _, row := range res.Rows {
+		if n := counts[row.Key()]; n != 0 {
 			return len(q.deltas), len(res.Rows), fmt.Errorf(
-				"live: %s missing %d deltas for %s", q.name, n, k)
+				"live: %s missing %d deltas for %s", q.name, n, row)
 		}
 	}
 	return len(q.deltas), len(res.Rows), nil
@@ -544,7 +546,7 @@ func (q *StandingQuery) Restore(cp *Checkpoint) error {
 	}
 	h := uint64(fnv1aInit)
 	for _, row := range replayed {
-		h = fnv1aRow(h, row)
+		h = q.foldDelta(h, row)
 	}
 	if h != cp.DeltaHash {
 		return fmt.Errorf("%w: replay of %s diverged (hash %x != %x)",
@@ -559,12 +561,14 @@ func (q *StandingQuery) Restore(cp *Checkpoint) error {
 	return nil
 }
 
-const fnv1aInit = 14695981039346656037
+const fnv1aInit, fnv1aPrime = 14695981039346656037, 1099511628211
 
-func fnv1aRow(h uint64, row relation.Row) uint64 {
-	f := fnv.New64a()
-	_, _ = f.Write([]byte(row.Key()))
-	_, _ = f.Write([]byte{0x1e})
-	// Fold the running hash with the row hash order-sensitively.
-	return h*1099511628211 ^ f.Sum64()
+// foldDelta continues the FNV-1a hash h over row's relation.AppendKey
+// encoding, built in the query's reused buffer.
+func (q *StandingQuery) foldDelta(h uint64, row relation.Row) uint64 {
+	q.key = relation.AppendKey(q.key[:0], row, nil)
+	for _, c := range q.key {
+		h = (h ^ uint64(c)) * fnv1aPrime
+	}
+	return h
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -319,4 +320,97 @@ func TestTemporalKeyStrings(t *testing.T) {
 	if len(TemporalKeys()) != 4 {
 		t.Error("TemporalKeys must list 4 keys")
 	}
+}
+
+// collidingPair renders alike under a separator-joined "kind:value" key
+// but differs in every cell.
+func collidingPair() (Row, Row) {
+	return Row{value.String_("a\x1f1:b"), value.String_("c")},
+		Row{value.String_("a"), value.String_("b\x1f1:c")}
+}
+
+func TestDedupKeepsSeparatorCollidingRows(t *testing.T) {
+	a, b := collidingPair()
+	r := New("P", MustSchema([]Column{{Name: "A", Kind: value.KindString}, {Name: "B", Kind: value.KindString}}, -1, -1))
+	r.MustInsert(a)
+	r.MustInsert(b)
+	r.Dedup()
+	if r.Cardinality() != 2 {
+		t.Fatalf("Dedup kept %d of 2 distinct rows", r.Cardinality())
+	}
+}
+
+// Int and Time share one order and are Equal at equal payloads, so their
+// keys agree; a string never keys like a number.
+func TestRowKeyMatchesEqual(t *testing.T) {
+	i5, t5 := Row{value.Int(5)}, Row{value.TimeVal(5)}
+	if !i5.Equal(t5) || i5.Key() != t5.Key() {
+		t.Errorf("Int 5 / Time 5: Equal %v, keys %q %q", i5.Equal(t5), i5.Key(), t5.Key())
+	}
+	if s5 := (Row{value.String_("5")}); s5.Key() == i5.Key() {
+		t.Error("string \"5\" keys like Int 5")
+	}
+	a, b := collidingPair()
+	if a.Key() == b.Key() {
+		t.Errorf("distinct rows %s and %s share a key", a, b)
+	}
+	// The column list selects and orders the encoded cells.
+	if got, want := AppendKey(nil, a, []int{1, 0}), AppendKey(nil, Row{a[1], a[0]}, nil); !bytes.Equal(got, want) {
+		t.Errorf("AppendKey over cols {1,0} = %q, want %q", got, want)
+	}
+}
+
+func TestAppendKeyDoesNotAllocate(t *testing.T) {
+	row := facultyRow("Ada", "Assistant", 1, interval.Forever)
+	buf := AppendKey(nil, row, nil)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendKey(buf[:0], row, nil) }); n != 0 {
+		t.Errorf("AppendKey into a sized buffer allocates %.0f times, want 0", n)
+	}
+}
+
+// FuzzRowKey decodes two rows of random arity and cell kinds and holds
+// key equality to Row.Equal. Cells are small integers, chronons and short
+// strings — raw bytes, or drawn from the codec's own tag and length bytes —
+// so equal rows and would-be collisions are common.
+func FuzzRowKey(f *testing.F) {
+	f.Add([]byte("\x02\x02\x0da\x1f1:b\x02\x09c\x02\x02\x09a\x02\x0db\x1f1:c"))
+	f.Add([]byte{1, 0, 5, 1, 1, 5})
+	f.Add([]byte{1, 2, 9, '5', 1, 0, '5'})
+	f.Add([]byte{2, 2, 2, 1, 0, 2, 1, 1, 2, 2, 1, 1, 2, 2, 0, 1})
+	const alphabet = "si\x00\x01\x08\xff"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		row := func() Row {
+			r := make(Row, next()%4)
+			for i := range r {
+				switch next() % 3 {
+				case 0:
+					r[i] = value.Int(int64(int8(next())))
+				case 1:
+					r[i] = value.TimeVal(interval.Time(int8(next())))
+				default:
+					l := next()
+					s := make([]byte, l%8)
+					for j := range s {
+						if s[j] = next(); l&8 == 0 {
+							s[j] = alphabet[s[j]%byte(len(alphabet))]
+						}
+					}
+					r[i] = value.String_(string(s))
+				}
+			}
+			return r
+		}
+		a, b := row(), row()
+		if eq := bytes.Equal(AppendKey(nil, a, nil), AppendKey(nil, b, nil)); eq != a.Equal(b) {
+			t.Fatalf("rows %q and %q: keys equal %v, Equal %v", a, b, eq, a.Equal(b))
+		}
+	})
 }

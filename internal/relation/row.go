@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -56,17 +57,40 @@ func (r Row) Equal(o Row) bool {
 	return true
 }
 
-// Key renders the row to a canonical string usable as a map key in tests
-// and in duplicate elimination.
-func (r Row) Key() string {
-	var b strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			b.WriteByte('\x1f')
+// Key returns the row's AppendKey encoding over every cell as a map key:
+// two rows have equal keys exactly when they are Equal. The key is binary,
+// not display text; print rows with String.
+func (r Row) Key() string { return string(AppendKey(nil, r, nil)) }
+
+// AppendKey appends the injective key encoding of the row's cells cols
+// (every cell when cols is nil) to dst and returns the extended buffer. A
+// string cell is the tag 's', its uvarint length and its bytes; an Int or
+// Time cell is the tag 'i' and its big-endian int64 (the two kinds share
+// one order and are Equal at equal payloads, so they encode alike). Every
+// cell is self-delimiting, so two encodings are equal exactly when the
+// cells are pairwise value.Equal. The encoding is not order-preserving.
+//
+// It is the one row→key codec: duplicate elimination, grouping, the hash
+// join and the live delta hash all key rows through it.
+func AppendKey(dst []byte, r Row, cols []int) []byte {
+	if cols == nil {
+		for _, v := range r {
+			dst = appendCell(dst, v)
 		}
-		fmt.Fprintf(&b, "%d:%s", v.Kind(), v.String())
+		return dst
 	}
-	return b.String()
+	for _, c := range cols {
+		dst = appendCell(dst, r[c])
+	}
+	return dst
+}
+
+func appendCell(dst []byte, v value.Value) []byte {
+	if v.Kind() != value.KindString {
+		return binary.BigEndian.AppendUint64(append(dst, 'i'), uint64(v.AsInt()))
+	}
+	s := v.AsString()
+	return append(binary.AppendUvarint(append(dst, 's'), uint64(len(s))), s...)
 }
 
 // ConcatRows returns the concatenation of two rows, the output of a join.
