@@ -36,13 +36,16 @@ test:
 # The native fuzz targets (CI runs the same): relation.SortSpans against
 # its sort.SliceStable reference as an exact sequence, the two page
 # decoders — key-run pages and row pages — on arbitrary bytes: records or
-# rows, or ErrCorruptPage, never a panic or an out-of-range index, the
+# rows, or ErrCorruptPage, never a panic or an out-of-range index, and the
+# key scan's page walk failing exactly when the row decoder does and
+# agreeing with it on every lifespan and row offset, the
 # packed value.Value against its three-field reference, and the row-key
 # codec: equal relation.AppendKey encodings exactly when Row.Equal.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz=FuzzPageKeys -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzValue -fuzztime=10s ./internal/value
 	$(GO) test -run '^$$' -fuzz=FuzzRowKey -fuzztime=10s ./internal/relation
 

@@ -34,7 +34,6 @@ import (
 	"tdb/internal/obs/prof"
 	"tdb/internal/optimizer"
 	"tdb/internal/partition"
-	"tdb/internal/relation"
 	"tdb/internal/storage"
 	"tdb/internal/stream"
 )
@@ -145,7 +144,7 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc co
 //
 // Failure semantics: the first worker to fail cancels the shared context,
 // so sibling shards unwind at their next poll (a kernel shard at entry, a
-// scan shard per row of its Cancelable-wrapped stream); a panic inside a
+// scan shard before its next page); a panic inside a
 // worker is recovered into ErrWorkerPanic and treated the same way.
 // wg.Wait guarantees every goroutine has exited before runWorkers returns
 // — no leaks on any path.
@@ -345,11 +344,18 @@ func noteMeasuredReplication(cost *NodeCost, shL, shR [][]int32, n int) {
 		fmt.Sprintf("parallel: measured boundary replication %.1f%%", 100*float64(total-n)/float64(n)))
 }
 
-// parallelScan fans a large stored scan out over disjoint flushed-page
-// ranges. Ranges are contiguous and concatenated in order, so the result
-// is byte-identical to a serial Scan (file order); the page ranges are
-// disjoint, so page-read accounting stays deterministic.
-func (ex *executor) parallelScan(hf *storage.HeapFile, cost *NodeCost) ([]relation.Row, bool, error) {
+// scanPages is the one page-range walker of a stored scan, row scan and
+// key scan alike: it cuts the file's flushed pages into k contiguous
+// ranges, the last of which also drains the open tail page, and runs scan
+// on each with a check to poll before every page. Serially — below
+// parallelScanMinPages pages (2 under ForceParallel) or at Parallelism 1 —
+// k is 1 and the one range runs on the query goroutine; otherwise shard
+// workers run them. The ranges are disjoint and come back in file order,
+// so the result and the page-read accounting equal the serial scan's.
+// scan returns its range's result and row count.
+func scanPages[T any](ex *executor, hf *storage.HeapFile, cost *NodeCost,
+	scan func(lo, hi int64, check func() error) (T, int, error)) ([]T, error) {
+
 	k := ex.workers()
 	pages := hf.Pages()
 	minPages := int64(parallelScanMinPages)
@@ -357,11 +363,14 @@ func (ex *executor) parallelScan(hf *storage.HeapFile, cost *NodeCost) ([]relati
 		minPages = 2
 	}
 	if k < 2 || pages < minPages {
-		return nil, false, nil
+		out, n, err := scan(0, pages+1, ex.checkInterrupt)
+		if err != nil {
+			return nil, err
+		}
+		cost.Probe.ReadLeft = int64(n)
+		return []T{out}, nil
 	}
-	if int64(k) > pages {
-		k = int(pages)
-	}
+	k = int(min(int64(k), pages))
 	labels := make([]string, k)
 	bounds := make([]int64, k+1)
 	for i := 0; i <= k; i++ {
@@ -370,23 +379,29 @@ func (ex *executor) parallelScan(hf *storage.HeapFile, cost *NodeCost) ([]relati
 	for i := 0; i < k; i++ {
 		labels[i] = fmt.Sprintf("scan shard %d/%d pages [%d,%d)", i+1, k, bounds[i], bounds[i+1])
 	}
-	outs := make([][]relation.Row, k)
+	outs := make([]T, k)
 	err := ex.runWorkers(labels, cost, func(ctx context.Context, i int, o core.Options) (int64, error) {
 		hi := bounds[i+1]
 		if i == k-1 {
 			hi = pages + 1 // the last shard also drains the open tail page
 		}
-		rows, err := stream.Collect(stream.Cancelable(ctx, hf.ScanRange(bounds[i], hi)))
+		check := func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return ex.checkInterrupt()
+		}
+		out, n, err := scan(bounds[i], hi, check)
 		if err != nil {
 			return 0, err
 		}
-		outs[i] = rows
-		o.Probe.ReadLeft = int64(len(rows))
-		return int64(len(rows)), nil
+		outs[i] = out
+		o.Probe.ReadLeft = int64(n)
+		return int64(n), nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	cost.Notes = append(cost.Notes, fmt.Sprintf("parallel stored scan ×%d over %d pages", k, pages))
-	return slices.Concat(outs...), true, nil
+	return outs, nil
 }

@@ -335,6 +335,12 @@ func ShredSpans[T any](xs []T, span func(T) interval.Interval) (ts, te []interva
 	return ts, te
 }
 
+// SortedColumns reports whether the lifespans [ts[i], te[i]) already
+// satisfy the order: SortedSpans for endpoint columns.
+func SortedColumns(ts, te []interval.Time, o Order) bool {
+	return spanCols{ts: ts, te: te}.inOrder(o)
+}
+
 // OrderColumns is OrderSpans for lifespans that are already endpoint
 // columns — no element, no accessor: it fills perm, which must be as long
 // as the columns, with the stable permutation that establishes the order

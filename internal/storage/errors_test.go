@@ -21,7 +21,7 @@ func TestDecodePageCorruption(t *testing.T) {
 		t.Fatal("row did not fit")
 	}
 	p.finalize()
-	if rows, err := decodePage(p.buf[:], schema); err != nil || len(rows) != 1 {
+	if rows, err := decodePage(nil, p.buf[:], schema); err != nil || len(rows) != 1 {
 		t.Fatalf("valid page rejected: %v %v", rows, err)
 	}
 
@@ -29,19 +29,19 @@ func TestDecodePageCorruption(t *testing.T) {
 	var corrupt [PageSize]byte
 	copy(corrupt[:], p.buf[:])
 	binary.LittleEndian.PutUint16(corrupt[2:4], PageSize+1)
-	if _, err := decodePage(corrupt[:PageSize], schema); err == nil {
+	if _, err := decodePage(nil, corrupt[:PageSize], schema); err == nil {
 		t.Error("oversized used accepted")
 	}
 
 	// Claim more rows than encoded.
 	copy(corrupt[:], p.buf[:])
 	binary.LittleEndian.PutUint16(corrupt[0:2], 9)
-	if _, err := decodePage(corrupt[:], schema); err == nil {
+	if _, err := decodePage(nil, corrupt[:], schema); err == nil {
 		t.Error("row-count overrun accepted")
 	}
 
 	// Short buffer.
-	if _, err := decodePage([]byte{1, 2}, schema); err == nil {
+	if _, err := decodePage(nil, []byte{1, 2}, schema); err == nil {
 		t.Error("short page accepted")
 	}
 }

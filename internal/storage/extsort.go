@@ -18,11 +18,15 @@ type SortStats struct {
 	PagesWritten int64
 }
 
-// createRun creates an external-sort run file in dir under a name of its
+// createTemp is os.CreateTemp; tests replace it to count the files a sort
+// creates.
+var createTemp = os.CreateTemp
+
+// createRun creates an external-sort spill file in dir under a name of its
 // own (os.CreateTemp), so sorts sharing a spill directory never open each
-// other's runs.
+// other's files.
 func createRun(dir string) (*os.File, error) {
-	f, err := os.CreateTemp(dir, "run-*.tdb")
+	f, err := createTemp(dir, "run-*.tdb")
 	if err != nil {
 		return nil, fmt.Errorf("storage: create sort run: %w", err)
 	}

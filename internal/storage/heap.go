@@ -1,14 +1,18 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"tdb/internal/fault"
+	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/stream"
+	"tdb/internal/value"
 )
 
 func init() {
@@ -16,17 +20,24 @@ func init() {
 	fault.Declare("storage/page-write", "heap file and sort run page flush; torn mode writes a prefix")
 }
 
-// IOStats counts physical page traffic against the backing file and buffer
-// pool hits.
+// IOStats counts physical page traffic against the backing file, buffer
+// pool hits, and the rows decoded from the file's pages.
 type IOStats struct {
 	PagesRead    int64
 	PagesWritten int64
 	PoolHits     int64
+	// RowsDecoded counts rows turned from page bytes into values: every
+	// row of a page a row scan reads, and each row a key scan's caller
+	// decodes by position (PageRows.Decode). It is updated with
+	// atomic.AddInt64, not held in an atomic.Int64, so IOStats stays a
+	// plain value callers copy.
+	RowsDecoded int64
 }
 
 // HeapFile is an append-only paged file of encoded rows of one schema.
-// Reads (Scan, ScanRange, readPage) are safe to run concurrently; writes
-// (Append, Flush) are not, and must not overlap with reads.
+// Reads (Scan, ScanRange, ReadRows, ScanKeys, PageRows.Decode) are safe to
+// run concurrently; writes (Append, Flush) are not, and must not overlap
+// with reads.
 type HeapFile struct {
 	f      *os.File
 	schema *relation.Schema
@@ -150,29 +161,225 @@ func (h *HeapFile) flushCurrent() error {
 	return nil
 }
 
-// readPage returns the decoded rows of page i, through the buffer pool.
-// Decoding runs outside the lock: parallel scan workers read disjoint page
-// ranges, so the pool is contended only briefly per page.
-func (h *HeapFile) readPage(i int64) ([]relation.Row, error) {
+// readPage fills buf with the image of flushed page i, from the buffer pool
+// or, on a miss, from disk, caching the image in a recycled frame. The
+// caller's buffer is its own, so concurrent readers of disjoint page ranges
+// hold the pool's lock only to copy a frame.
+func (h *HeapFile) readPage(i int64, buf *[PageSize]byte) error {
 	h.mu.Lock()
-	if rows, ok := h.pool.get(i); ok {
-		h.mu.Unlock()
-		return rows, nil
+	hit := h.pool.get(i, buf)
+	if !hit {
+		h.stats.PagesRead++
 	}
-	h.stats.PagesRead++
 	h.mu.Unlock()
-	var buf [PageSize]byte
-	if err := readPageAt(h.f, i, &buf); err != nil {
-		return nil, err
+	if hit {
+		return nil
 	}
-	rows, err := decodePage(buf[:], h.schema)
+	if err := readPageAt(h.f, i, buf); err != nil {
+		return err
+	}
+	h.mu.Lock()
+	h.pool.put(i, buf)
+	h.mu.Unlock()
+	return nil
+}
+
+// pageRange returns the page numbers [from, to) of ScanRange(lo, hi):
+// flushed pages lo to min(hi, Pages()), and Pages() itself — the open tail
+// — when hi exceeds Pages().
+func (h *HeapFile) pageRange(lo, hi int64) (from, to int64) {
+	if hi > h.pages {
+		hi = h.pages + 1
+	}
+	return min(max(lo, 0), h.pages), hi
+}
+
+// image returns the image of page i: a flushed page read into buf through
+// the pool, or, for i = Pages(), the open tail page sealed in place — the
+// live page, nil when it holds no rows.
+func (h *HeapFile) image(i int64, buf *[PageSize]byte) ([]byte, error) {
+	if i < h.pages {
+		return buf[:], h.readPage(i, buf)
+	}
+	if h.cur.rows == 0 {
+		return nil, nil
+	}
+	h.cur.finalize()
+	return h.cur.buf[:], nil
+}
+
+// walkPages is the one page-range walker under row scans and key scans: it
+// calls fn with the image of each page of ScanRange(lo, hi), in file order.
+// Every flushed page is read into one buffer that the next overwrites, and
+// the tail image is the live page: fn copies what it keeps. check, when not
+// nil, runs before each page and stops the walk with its error.
+func (h *HeapFile) walkPages(lo, hi int64, check func() error, fn func(img []byte) error) error {
+	var buf [PageSize]byte
+	from, to := h.pageRange(lo, hi)
+	for i := from; i < to; i++ {
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		img, err := h.image(i, &buf)
+		if err != nil {
+			return err
+		}
+		if img == nil {
+			continue
+		}
+		if err := fn(img); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowsIn returns the number of rows of ScanRange(lo, hi): exact for the
+// whole file, the range's share of the pages for a part of it.
+func (h *HeapFile) rowsIn(lo, hi int64) int64 {
+	from, to := h.pageRange(lo, hi)
+	if from == 0 && to > h.pages {
+		return h.rows
+	}
+	return h.rows * max(to-from, 0) / (h.pages + 1)
+}
+
+// ReadRows returns the rows of ScanRange(lo, hi), in file order, decoded
+// a page at a time; check is as for walkPages.
+func (h *HeapFile) ReadRows(lo, hi int64, check func() error) ([]relation.Row, error) {
+	dst := make([]relation.Row, 0, h.rowsIn(lo, hi))
+	err := h.walkPages(lo, hi, check, func(img []byte) error {
+		n := len(dst)
+		var err error
+		if dst, err = decodePage(dst, img, h.schema); err != nil {
+			return err
+		}
+		atomic.AddInt64(&h.stats.RowsDecoded, int64(len(dst)-n))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	h.mu.Lock()
-	h.pool.put(i, rows)
-	h.mu.Unlock()
-	return rows, nil
+	return dst, nil
+}
+
+// Keys is a key scan's result: the lifespans of a heap file's rows as
+// endpoint columns, in file order, and, when the scan kept them, the rows
+// themselves, decodable by position.
+type Keys struct {
+	TS, TE []interval.Time
+	Rows   *PageRows // nil unless the scan kept its pages
+}
+
+// PageRows holds the rows behind a key scan undecoded: a copy of each
+// scanned page's used bytes and, per row, its RID — the index of its page
+// among them times PageSize plus its byte offset in the page. Decode turns
+// one row into values; rows nobody decodes never are.
+type PageRows struct {
+	h     *HeapFile
+	pages []string
+	rids  []int64
+}
+
+// Arity returns the number of cells of a decoded row.
+func (p *PageRows) Arity() int { return p.h.schema.Arity() }
+
+// PerPage returns the average number of rows per page, at least 1: a
+// caller decoding rows in arbitrary order can poll once per PerPage rows,
+// about once per page's worth of work.
+func (p *PageRows) PerPage() int {
+	if len(p.pages) == 0 {
+		return 1
+	}
+	return max(1, len(p.rids)/len(p.pages))
+}
+
+// Decode decodes row i of the key scan into dst, one cell per column; its
+// string cells share the page copy. The key scan validated every row it
+// recorded, so an error here means the copy was damaged in memory.
+func (p *PageRows) Decode(dst relation.Row, i int32) error {
+	rid := p.rids[i]
+	if _, err := decodeRow(dst, p.pages[rid/PageSize], int(rid%PageSize), p.h.schema); err != nil {
+		return fmt.Errorf("%w: row %d: %v", ErrCorruptPage, i, err)
+	}
+	atomic.AddInt64(&p.h.stats.RowsDecoded, 1)
+	return nil
+}
+
+// ScanKeys makes one pass over the pages of ScanRange(lo, hi) and returns
+// their rows' lifespans, in file order, read from columns tsCol and teCol
+// (8-byte kinds) without decoding a row. With keep it also keeps each
+// page's used bytes and each row's RID in Keys.Rows — the open tail page
+// is copied like any other, so rows appended later do not reach it. check
+// is as for walkPages. Over the whole file the columns are exactly as long
+// as the file has rows.
+func (h *HeapFile) ScanKeys(lo, hi int64, tsCol, teCol int, keep bool, check func() error) (*Keys, error) {
+	for _, c := range []int{tsCol, teCol} {
+		if c < 0 || c >= h.schema.Arity() || h.schema.Cols[c].Kind == value.KindString {
+			return nil, fmt.Errorf("storage: key scan of column %d of %s", c, h.schema)
+		}
+	}
+	n := h.rowsIn(lo, hi)
+	k := &Keys{TS: make([]interval.Time, 0, n), TE: make([]interval.Time, 0, n)}
+	var rids []int64
+	if keep {
+		from, to := h.pageRange(lo, hi)
+		k.Rows = &PageRows{h: h, pages: make([]string, 0, max(to-from, 0))}
+		rids = make([]int64, 0, n)
+	}
+	err := h.walkPages(lo, hi, check, func(img []byte) error {
+		var base int64
+		if keep {
+			base = int64(len(k.Rows.pages)) * PageSize
+		}
+		var err error
+		if k.TS, k.TE, rids, err = pageKeys(img, h.schema, tsCol, teCol, k.TS, k.TE, rids, base); err != nil {
+			return err
+		}
+		if keep {
+			k.Rows.pages = append(k.Rows.pages, string(img[:binary.LittleEndian.Uint16(img[2:4])]))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if keep {
+		k.Rows.rids = rids
+	}
+	return k, nil
+}
+
+// ConcatKeys joins the key scans of consecutive page ranges of one file,
+// in order, into the key scan of their union. Either every part kept its
+// rows or none did.
+func ConcatKeys(parts []*Keys) *Keys {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p.TS)
+	}
+	out := &Keys{TS: make([]interval.Time, 0, n), TE: make([]interval.Time, 0, n)}
+	for _, p := range parts {
+		out.TS, out.TE = append(out.TS, p.TS...), append(out.TE, p.TE...)
+	}
+	if parts[0].Rows == nil {
+		return out
+	}
+	rows := &PageRows{h: parts[0].Rows.h, rids: make([]int64, 0, n)}
+	for _, p := range parts {
+		base := int64(len(rows.pages)) * PageSize
+		for _, rid := range p.Rows.rids {
+			rows.rids = append(rows.rids, base+rid)
+		}
+		rows.pages = append(rows.pages, p.Rows.pages...)
+	}
+	out.Rows = rows
+	return out
 }
 
 // Scan returns a stream over all rows, in file order. Each Scan that
@@ -187,63 +394,43 @@ func (h *HeapFile) Scan() stream.Stream[relation.Row] {
 // Pages()+1) is equivalent to Scan(). Disjoint ranges may be consumed
 // concurrently; each page read is counted once.
 func (h *HeapFile) ScanRange(lo, hi int64) stream.Stream[relation.Row] {
-	if lo < 0 {
-		lo = 0
-	}
-	withTail := hi > h.pages
-	if hi > h.pages {
-		hi = h.pages
-	}
-	return &heapScan{h: h, page: lo, end: hi, tailDone: !withTail}
+	from, to := h.pageRange(lo, hi)
+	return &heapScan{h: h, page: from, end: to}
 }
 
+// heapScan is the pull form of ReadRows: it decodes one page at a time
+// into a row slice it reuses.
 type heapScan struct {
-	h        *HeapFile
-	page     int64
-	end      int64 // first flushed page beyond the range
-	rows     []relation.Row
-	i        int
-	err      error
-	tailDone bool
+	h    *HeapFile
+	page int64 // next page of the range
+	end  int64 // first page beyond the range
+	buf  [PageSize]byte
+	rows []relation.Row
+	i    int
+	err  error
 }
 
 func (s *heapScan) Next() (relation.Row, bool) {
-	for {
-		if s.err != nil {
+	for s.err == nil {
+		if s.i < len(s.rows) {
+			s.i++
+			return s.rows[s.i-1], true
+		}
+		if s.page >= s.end {
 			return nil, false
 		}
-		if s.i < len(s.rows) {
-			r := s.rows[s.i]
-			s.i++
-			return r, true
-		}
-		if s.page < s.end {
-			rows, err := s.h.readPage(s.page)
-			if err != nil {
-				s.err = err
-				return nil, false
-			}
-			s.rows, s.i = rows, 0
+		var img []byte
+		if img, s.err = s.h.image(s.page, &s.buf); s.err != nil || img == nil {
 			s.page++
 			continue
 		}
-		// All flushed pages of the range consumed: drain the open
-		// in-memory tail page if the range extends past the file.
-		if !s.tailDone {
-			s.tailDone = true
-			if s.h.cur.rows > 0 {
-				s.h.cur.finalize()
-				rows, err := decodePage(s.h.cur.buf[:], s.h.schema)
-				if err != nil {
-					s.err = err
-					return nil, false
-				}
-				s.rows, s.i = rows, 0
-				continue
-			}
+		s.page++
+		if s.rows, s.err = decodePage(s.rows[:0], img, s.h.schema); s.err == nil {
+			atomic.AddInt64(&s.h.stats.RowsDecoded, int64(len(s.rows)))
+			s.i = 0
 		}
-		return nil, false
 	}
+	return nil, false
 }
 
 func (s *heapScan) Err() error { return s.err }
@@ -257,48 +444,71 @@ func (h *HeapFile) Close() error {
 	return h.f.Close()
 }
 
-// bufferPool is a tiny LRU page cache.
+// bufferPool caches page images in at most cap fixed frames, evicting the
+// least recently used: get and put are O(1), and once the pool is full a
+// miss recycles the victim's frame instead of allocating.
 type bufferPool struct {
-	cap   int
-	stats *IOStats
-	pages map[int64][]relation.Row
-	order []int64 // LRU order, least recent first
+	cap    int
+	stats  *IOStats
+	frames map[int64]*frame
+	lru    frame // list sentinel: lru.next is the most recently used frame
+}
+
+// frame is one pool slot: a page image and its place in the LRU list.
+type frame struct {
+	buf        [PageSize]byte
+	page       int64
+	prev, next *frame
 }
 
 func newBufferPool(cap int, stats *IOStats) *bufferPool {
 	if cap < 1 {
 		cap = 1
 	}
-	return &bufferPool{cap: cap, stats: stats, pages: make(map[int64][]relation.Row)}
+	b := &bufferPool{cap: cap, stats: stats, frames: make(map[int64]*frame)}
+	b.lru.prev, b.lru.next = &b.lru, &b.lru
+	return b
 }
 
-func (b *bufferPool) get(i int64) ([]relation.Row, bool) {
-	rows, ok := b.pages[i]
+// get copies page i into dst if the pool holds it.
+func (b *bufferPool) get(i int64, dst *[PageSize]byte) bool {
+	f, ok := b.frames[i]
 	if !ok {
-		return nil, false
+		return false
 	}
 	b.stats.PoolHits++
 	obsPoolHit()
-	b.touch(i)
-	return rows, true
+	b.unlink(f)
+	b.pushFront(f)
+	*dst = f.buf
+	return true
 }
 
-func (b *bufferPool) put(i int64, rows []relation.Row) {
-	if _, ok := b.pages[i]; !ok && len(b.pages) >= b.cap {
-		victim := b.order[0]
-		b.order = b.order[1:]
-		delete(b.pages, victim)
+// put caches a copy of page i, in a new frame while the pool has room and
+// in the least recently used one's after.
+func (b *bufferPool) put(i int64, src *[PageSize]byte) {
+	f, ok := b.frames[i]
+	switch {
+	case ok:
+		b.unlink(f)
+	case len(b.frames) < b.cap:
+		f = &frame{}
+	default:
+		f = b.lru.prev
+		b.unlink(f)
+		delete(b.frames, f.page)
 	}
-	b.pages[i] = rows
-	b.touch(i)
+	f.page, f.buf = i, *src
+	b.frames[i] = f
+	b.pushFront(f)
 }
 
-func (b *bufferPool) touch(i int64) {
-	for k, v := range b.order {
-		if v == i {
-			b.order = append(b.order[:k], b.order[k+1:]...)
-			break
-		}
-	}
-	b.order = append(b.order, i)
+func (b *bufferPool) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+}
+
+func (b *bufferPool) pushFront(f *frame) {
+	f.prev, f.next = &b.lru, b.lru.next
+	b.lru.next.prev = f
+	b.lru.next = f
 }

@@ -57,10 +57,12 @@ func decodeKeyPage(buf []byte, n int, dst []keyRec) ([]keyRec, error) {
 	return dst, nil
 }
 
-// keyRun is one sorted run of key records on its own file: written front to
-// back while runs are formed, then read back a page at a time by the merge.
+// keyRun is one sorted run of key records: a range of pages of the sort's
+// one spill file, written front to back while runs are formed, then read
+// back a page at a time by the merge.
 type keyRun struct {
-	f     *os.File
+	f     *os.File // the sort's spill file, shared by all of its runs
+	first int64    // the run's first page in f
 	pages int64    // pages the run occupies
 	left  int      // records not yet read back
 	next  int64    // next page to read
@@ -69,14 +71,14 @@ type keyRun struct {
 }
 
 // writeKeyRun writes the lifespans base+local[0], base+local[1], … of the
-// columns as one run on f, through the page buffer, and returns the number
-// of pages written.
-func writeKeyRun(f *os.File, page *[PageSize]byte, ts, te []interval.Time, o relation.Order, base int, local []int32) (int64, error) {
+// columns as one run on f from page first on, through the page buffer, and
+// returns the number of pages written.
+func writeKeyRun(f *os.File, first int64, page *[PageSize]byte, ts, te []interval.Time, o relation.Order, base int, local []int32) (int64, error) {
 	pages := int64(0)
 	count, used := 0, pageHeaderSize
 	flush := func() error {
 		sealPage(page[:], count, used)
-		if err := writePageAt(f, pages, page); err != nil {
+		if err := writePageAt(f, first+pages, page); err != nil {
 			return err
 		}
 		pages++
@@ -110,7 +112,7 @@ func (r *keyRun) pop(page *[PageSize]byte, n int) (rec keyRec, ok bool, err erro
 		if r.left == 0 {
 			return keyRec{}, false, nil
 		}
-		if err := readPageAt(r.f, r.next, page); err != nil {
+		if err := readPageAt(r.f, r.first+r.next, page); err != nil {
 			return keyRec{}, false, err
 		}
 		r.next++
@@ -166,12 +168,13 @@ func siftKeyHeads(h []keyHead, i int) {
 //
 // Inputs of at most memRows lifespans are sorted in memory (one run, no
 // I/O). Larger ones are cut into consecutive chunks of memRows; each chunk
-// is sorted by relation.OrderColumns and written to a run file of its own
-// in dir as (SortKey, index) records, and one multiway merge of the runs,
-// ties to the lower run, yields the permutation. The files are deleted on
-// every return. stats (which may be nil) receives the runs and the pages
-// written and read — the Section 4.1 passes, now over 20-byte records
-// instead of rows.
+// is sorted by relation.OrderColumns and written as (SortKey, index)
+// records to a run: the next range of pages of one spill file in dir, so a
+// sort holds one descriptor however many runs it forms. One multiway merge
+// of the runs, ties to the lower run, yields the permutation. The file is
+// deleted on every return. stats (which may be nil) receives the runs and
+// the pages written and read — the Section 4.1 passes, now over 20-byte
+// records instead of rows.
 func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir string, stats *SortStats) ([]int32, error) {
 	n := len(ts)
 	if memRows < 1 {
@@ -186,13 +189,14 @@ func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir
 		return perm, nil
 	}
 
+	f, err := createRun(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer discardRun(f)
 	runs := make([]keyRun, 0, (n+memRows-1)/memRows)
-	defer func() {
-		for i := range runs {
-			discardRun(runs[i].f)
-		}
-	}()
 	var page [PageSize]byte
+	next := int64(0) // the first page of the next run
 
 	// Run formation. perm is not needed until the merge, so each chunk's
 	// local permutation is computed in the chunk's own stretch of it.
@@ -200,15 +204,12 @@ func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir
 		hi := min(lo+memRows, n)
 		local := perm[lo:hi]
 		relation.OrderColumns(ts[lo:hi], te[lo:hi], o, local)
-		f, err := createRun(dir)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, keyRun{f: f, left: hi - lo, recs: make([]keyRec, 0, min(hi-lo, keyRecsPerPage))})
+		runs = append(runs, keyRun{f: f, first: next, left: hi - lo, recs: make([]keyRec, 0, min(hi-lo, keyRecsPerPage))})
 		r := &runs[len(runs)-1]
-		if r.pages, err = writeKeyRun(f, &page, ts, te, o, lo, local); err != nil {
+		if r.pages, err = writeKeyRun(f, next, &page, ts, te, o, lo, local); err != nil {
 			return nil, err
 		}
+		next += r.pages
 		obsSortRun()
 	}
 

@@ -271,7 +271,7 @@ func FuzzDecodePage(f *testing.F) {
 			if sealed {
 				reseal(page)
 			}
-			rows, err := decodePage(page, schema)
+			rows, err := decodePage(nil, page, schema)
 			if err != nil {
 				if !errors.Is(err, ErrCorruptPage) {
 					t.Fatalf("untyped error: %v", err)

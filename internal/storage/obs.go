@@ -32,7 +32,7 @@ func ObserveIO(reg *obs.Registry) {
 		pagesRead:    reg.Counter("tdb_storage_pages_read_total", "heap-file pages read from disk"),
 		pagesWritten: reg.Counter("tdb_storage_pages_written_total", "heap-file pages written to disk"),
 		poolHits:     reg.Counter("tdb_storage_pool_hits_total", "page reads served by the buffer pool"),
-		sortRuns:     reg.Counter("tdb_storage_sort_runs_total", "external-sort run files created"),
+		sortRuns:     reg.Counter("tdb_storage_sort_runs_total", "external-sort runs formed"),
 	})
 }
 

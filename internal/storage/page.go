@@ -88,32 +88,86 @@ func (p *page) tryAdd(row relation.Row) bool {
 // finalize writes the header fields into the buffer.
 func (p *page) finalize() { sealPage(p.buf[:], p.rows, p.used) }
 
-// decodePage parses a finalized page image back into rows. The page's rows
-// share one value arena and its string cells one copy of the payload, so a
-// page costs three allocations however many rows it holds; rows are
-// full-capacity slices of the arena, so an append to one cannot reach the
-// next. Every failure wraps ErrCorruptPage.
-func decodePage(buf []byte, schema *relation.Schema) ([]relation.Row, error) {
-	n, used, err := openPage(buf)
+// decodePage parses a finalized page image and appends its rows to dst.
+// The page's rows share one value arena and its string cells one copy of
+// the payload, so a page costs two allocations however many rows it holds;
+// rows are full-capacity slices of the arena, so an append to one cannot
+// reach the next. Every failure wraps ErrCorruptPage.
+func decodePage(dst []relation.Row, buf []byte, schema *relation.Schema) ([]relation.Row, error) {
+	n, used, err := openRowPage(buf, schema)
 	if err != nil {
 		return nil, err
 	}
 	arity := schema.Arity()
-	if least := minRowSize(schema); n*least > used-pageHeaderSize {
-		return nil, fmt.Errorf("%w: %d rows of at least %d bytes in %d", ErrCorruptPage, n, least, used-pageHeaderSize)
-	}
 	text := string(buf[:used])
 	arena := make([]value.Value, n*arity)
-	rows := make([]relation.Row, n)
 	off := pageHeaderSize
-	for i := range rows {
+	for i := 0; i < n; i++ {
 		row := arena[i*arity : (i+1)*arity : (i+1)*arity]
-		if off, err = decodeRow(row, buf[:used], text, off, schema); err != nil {
+		if off, err = decodeRow(row, text, off, schema); err != nil {
 			return nil, fmt.Errorf("%w: row %d: %v", ErrCorruptPage, i, err)
 		}
-		rows[i] = row
+		dst = append(dst, row)
 	}
-	return rows, nil
+	return dst, nil
+}
+
+// openRowPage is openPage for a row page of the schema: it also rejects a
+// record count that cannot fit the used bytes.
+func openRowPage(buf []byte, schema *relation.Schema) (count, used int, err error) {
+	if count, used, err = openPage(buf); err != nil {
+		return 0, 0, err
+	}
+	if least := minRowSize(schema); count*least > used-pageHeaderSize {
+		return 0, 0, fmt.Errorf("%w: %d rows of at least %d bytes in %d", ErrCorruptPage, count, least, used-pageHeaderSize)
+	}
+	return count, used, nil
+}
+
+// pageKeys walks a row page without decoding it: per row it appends the
+// cells of columns tsCol and teCol (8-byte kinds) to ts and te and, when
+// rids is not nil, base plus the row's byte offset in the page to rids.
+// String cells are skipped by their length prefix. It fails exactly when
+// decodePage fails, with an error wrapping ErrCorruptPage; what it appended
+// before the failure is then garbage.
+func pageKeys(buf []byte, schema *relation.Schema, tsCol, teCol int, ts, te []interval.Time, rids []int64, base int64) ([]interval.Time, []interval.Time, []int64, error) {
+	n, used, err := openRowPage(buf, schema)
+	if err != nil {
+		return ts, te, rids, err
+	}
+	b := buf[:used]
+	off := pageHeaderSize
+	for i := 0; i < n; i++ {
+		if rids != nil {
+			rids = append(rids, base+int64(off))
+		}
+		var from, to interval.Time
+		for c, col := range schema.Cols {
+			if col.Kind == value.KindString {
+				if off+2 > len(b) {
+					return ts, te, rids, fmt.Errorf("%w: row %d: truncated string length", ErrCorruptPage, i)
+				}
+				off += 2 + int(binary.LittleEndian.Uint16(b[off:off+2]))
+				if off > len(b) {
+					return ts, te, rids, fmt.Errorf("%w: row %d: truncated string body", ErrCorruptPage, i)
+				}
+				continue
+			}
+			if off+8 > len(b) {
+				return ts, te, rids, fmt.Errorf("%w: row %d: truncated %s", ErrCorruptPage, i, col.Kind)
+			}
+			v := interval.Time(binary.LittleEndian.Uint64(b[off : off+8]))
+			if c == tsCol {
+				from = v
+			}
+			if c == teCol {
+				to = v
+			}
+			off += 8
+		}
+		ts, te = append(ts, from), append(te, to)
+	}
+	return ts, te, rids, nil
 }
 
 // Row encoding: per column, ints and times as 8-byte little-endian, strings
@@ -161,28 +215,28 @@ func encodeRow(dst []byte, row relation.Row) []byte {
 	return dst
 }
 
-// decodeRow parses one row of the schema from buf at off into row (one cell
-// per column) and returns the offset past it. text is buf as a string:
-// string cells are slices of it, not copies.
-func decodeRow(row relation.Row, buf []byte, text string, off int, schema *relation.Schema) (int, error) {
+// decodeRow parses one row of the schema from text at off into row (one
+// cell per column) and returns the offset past it. String cells are slices
+// of text, not copies.
+func decodeRow(row relation.Row, text string, off int, schema *relation.Schema) (int, error) {
 	for c, col := range schema.Cols {
 		if col.Kind == value.KindString {
-			if off+2 > len(buf) {
+			if off+2 > len(text) {
 				return 0, fmt.Errorf("truncated string length")
 			}
-			n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
+			n := int(le16(text, off))
 			off += 2
-			if off+n > len(buf) {
+			if off+n > len(text) {
 				return 0, fmt.Errorf("truncated string body")
 			}
 			row[c] = value.String_(text[off : off+n])
 			off += n
 			continue
 		}
-		if off+8 > len(buf) {
+		if off+8 > len(text) {
 			return 0, fmt.Errorf("truncated %s", col.Kind)
 		}
-		v := int64(binary.LittleEndian.Uint64(buf[off : off+8]))
+		v := int64(le64(text, off))
 		if col.Kind == value.KindTime {
 			row[c] = value.TimeVal(interval.Time(v))
 		} else {
@@ -191,4 +245,16 @@ func decodeRow(row relation.Row, buf []byte, text string, off int, schema *relat
 		off += 8
 	}
 	return off, nil
+}
+
+// le16 and le64 read little-endian words from a string, as
+// binary.LittleEndian does from a byte slice.
+func le16(s string, off int) uint16 {
+	return uint16(s[off]) | uint16(s[off+1])<<8
+}
+
+func le64(s string, off int) uint64 {
+	_ = s[off+7]
+	return uint64(s[off]) | uint64(s[off+1])<<8 | uint64(s[off+2])<<16 | uint64(s[off+3])<<24 |
+		uint64(s[off+4])<<32 | uint64(s[off+5])<<40 | uint64(s[off+6])<<48 | uint64(s[off+7])<<56
 }

@@ -87,6 +87,16 @@ func TestScanRangeTailAndClamping(t *testing.T) {
 	if empty, err := stream.Collect(hf.ScanRange(2, 2)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty range produced %d rows, err %v", len(empty), err)
 	}
+	if reversed, err := stream.Collect(hf.ScanRange(3, 1)); err != nil || len(reversed) != 0 {
+		t.Fatalf("reversed range produced %d rows, err %v", len(reversed), err)
+	}
+	tail := len(withTail) - len(flushedOnly)
+	if past, err := stream.Collect(hf.ScanRange(pages+5, pages+9)); err != nil || len(past) != tail {
+		t.Fatalf("range past the file: %d rows, want the %d tail rows, err %v", len(past), tail, err)
+	}
+	if rows, err := hf.ReadRows(pages+5, pages+9, nil); err != nil || len(rows) != tail {
+		t.Fatalf("ReadRows past the file: %d rows, want the %d tail rows, err %v", len(rows), tail, err)
+	}
 }
 
 // Disjoint ranges consumed concurrently (the parallel-scan access pattern)

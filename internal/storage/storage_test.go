@@ -43,7 +43,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		}
 		enc := encodeRow(nil, row)
 		dec := make(relation.Row, len(row))
-		n, err := decodeRow(dec, enc, string(enc), 0, schema)
+		n, err := decodeRow(dec, string(enc), 0, schema)
 		return err == nil && n == len(enc) && n == rowSize(row) && dec.Equal(row)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -56,7 +56,7 @@ func TestDecodeRowTruncation(t *testing.T) {
 	enc := encodeRow(nil, makeRow("Smith", "Assistant", 1, 5))
 	row := make(relation.Row, schema.Arity())
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeRow(row, enc[:cut], string(enc[:cut]), 0, schema); err == nil {
+		if _, err := decodeRow(row, string(enc[:cut]), 0, schema); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
