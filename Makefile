@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-deep test fuzz race chaos bench bench-server bench-resilience report cover fmt loc bench-check bench-record bench-baseline
+.PHONY: all build vet fmt-check lint test fuzz race chaos bench bench-server bench-resilience report cover fmt loc bench-check bench-record bench-baseline
 
-all: build vet fmt-check lint lint-deep test
+all: build vet fmt-check lint test
 
 build:
 	$(GO) build ./...
@@ -16,17 +16,11 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The repo-specific static-analysis pass (see internal/lint and the
-# "Static analysis" section of DESIGN.md). Nonzero exit on findings.
+# The repo-specific static-analysis pass, every rule (see internal/lint
+# and the "Static analysis" section of DESIGN.md). Nonzero exit on
+# findings.
 lint:
 	$(GO) run ./cmd/tdblint ./...
-
-# The deep tier (dataflow + module-wide facts): hotpath-alloc,
-# lock-order and failpoint-coverage, gated on the checked-in baseline.
-# Regenerate the baseline with:
-#   $(GO) run ./cmd/tdblint -deep -baseline tdblint.baseline.json -write-baseline ./...
-lint-deep:
-	$(GO) run ./cmd/tdblint -deep -baseline tdblint.baseline.json ./...
 
 # Tier-1 gate: vet plus the full test suite.
 test:

@@ -5,18 +5,13 @@
 //
 // Usage:
 //
-//	tdblint [-deep] [-rules r1,r2] [-baseline file] [-write-baseline]
-//	        [-json] [-list] [dir | ./...]
+//	tdblint [-rules r1,r2] [-json] [-list] [dir | ./...]
 //
 // The argument names the module to lint: a directory, or a ./... pattern
 // whose root directory is used (every package of the module is always
-// checked). The default run is the syntactic tier; -deep adds the
-// dataflow tier (hotpath-alloc, lock-order, failpoint-coverage) built on
-// internal/lint/flow. -baseline diffs the findings against a checked-in
-// ledger: covered findings are suppressed, new ones and stale ledger
-// entries gate; -write-baseline regenerates the ledger instead. Exit
-// status is 0 when the tree is clean (modulo baseline), 1 when findings
-// were reported, 2 on a load or usage error.
+// checked). Every analyzer runs unless -rules names a subset. Exit status
+// is 0 when the tree is clean, 1 when findings were reported, 2 on a load
+// or usage error.
 package main
 
 import (
@@ -29,21 +24,14 @@ import (
 )
 
 func main() {
-	rules := flag.String("rules", "", "comma-separated rule names to run (default: the selected tier)")
-	deep := flag.Bool("deep", false, "run the dataflow tier (hotpath-alloc, lock-order, failpoint-coverage) too")
-	baseline := flag.String("baseline", "", "baseline file to diff findings against")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from the current findings")
+	rules := flag.String("rules", "", "comma-separated rule names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	flag.Parse()
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			tier := ""
-			if a.Deep {
-				tier = " (deep)"
-			}
-			fmt.Printf("%-24s %s%s\n", a.Name, a.Doc, tier)
+			fmt.Printf("%-24s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -62,14 +50,7 @@ func main() {
 		}
 	}
 
-	n, err := lint.Run(lint.Config{
-		Dir:           dir,
-		Rules:         *rules,
-		Deep:          *deep,
-		JSON:          *jsonOut,
-		Baseline:      *baseline,
-		WriteBaseline: *writeBaseline,
-	}, os.Stdout)
+	n, err := lint.Run(lint.Config{Dir: dir, Rules: *rules, JSON: *jsonOut}, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tdblint:", err)
 		os.Exit(2)

@@ -60,7 +60,6 @@ type Feeder[I any] struct {
 	rc     *runnerCore
 	buf    []I
 	pos    int
-	fed    int64
 	closed bool
 }
 
@@ -107,16 +106,11 @@ func (f *Feeder[I]) Feed(xs ...I) {
 		return
 	}
 	f.buf = append(f.buf, xs...)
-	f.fed += int64(len(xs))
 }
 
 // Close marks the feeder exhausted: once its buffer drains, Next reports
 // ok=false and the operator runs its end-of-stream logic. Idempotent.
 func (f *Feeder[I]) Close() { f.closed = true }
-
-// Fed returns the number of elements ever fed — the replay offset a
-// checkpoint records.
-func (f *Feeder[I]) Fed() int64 { return f.fed }
 
 // Backlog returns the number of fed-but-unconsumed elements.
 func (f *Feeder[I]) Backlog() int { return len(f.buf) - f.pos }

@@ -162,8 +162,9 @@ func TestRunnerStopTearsDown(t *testing.T) {
 		t.Fatalf("polled %d, %v after stop, want 0, nil", len(got), err)
 	}
 	// Feeding after stop is a no-op, not a hang or panic.
+	backlog := fx.Backlog()
 	fx.Feed(interval.Interval{Start: 2, End: 3})
-	if fx.Fed() != 1 {
-		t.Errorf("fed after stop counted: %d", fx.Fed())
+	if fx.Backlog() != backlog {
+		t.Errorf("feed after stop buffered: backlog %d, want %d", fx.Backlog(), backlog)
 	}
 }

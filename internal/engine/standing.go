@@ -282,10 +282,6 @@ func (r *StandingRun) FeedRight(rows []relation.Row) { feed(r.right, rows, r.pla
 // deltas emitted before it — complete rows only, never a partial one.
 func (r *StandingRun) Poll() ([]relation.Row, error) { return r.runner.Poll() }
 
-// Fed returns the per-side post-filter feed counts — the replay offsets a
-// checkpoint records.
-func (r *StandingRun) Fed() (left, right int64) { return r.left.Fed(), r.right.Fed() }
-
 // Emitted returns the number of delta rows ever emitted.
 func (r *StandingRun) Emitted() int64 { return r.runner.Emitted() }
 

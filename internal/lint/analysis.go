@@ -3,44 +3,29 @@ package lint
 import (
 	"fmt"
 	"go/token"
-	"sort"
 	"strings"
 )
 
 // Analyzer is one invariant check, shaped after golang.org/x/tools'
 // go/analysis (which the repo cannot depend on): a named pass over a
-// type-checked package that may declare dependencies on other analyzers
-// and may export facts for a whole-module finish phase.
+// type-checked package that may export facts for a whole-module finish
+// phase.
 //
 // The lifecycle, driven by Check:
 //
-//  1. The requested analyzers are closed over Requires and topologically
-//     sorted; a Requires cycle is a configuration error.
-//  2. For every package, in deterministic (import-path) order, each
-//     analyzer's Run is invoked with a Pass. Run may report diagnostics,
-//     export facts, and return a result value; the results of the
-//     analyzer's Requires are available through Pass.ResultOf.
-//  3. After every package has been visited, each analyzer's Finish hook
-//     (if any) runs once with a FinishPass holding the accumulated facts
-//     of the analyzer and its Requires — the cross-package phase where
-//     the lock-ordering graph is cycle-checked and the failpoint registry
-//     is reconciled against its consumers.
-//
-// Analyzers marked Deep form the dataflow tier behind `tdblint -deep`:
-// they are skipped by the default (syntactic) run but selectable by name.
+//  1. For every package, in deterministic (import-path) order, each
+//     analyzer's Run is invoked with a Pass. Run may report diagnostics
+//     and export facts.
+//  2. After every package has been visited, each analyzer's Finish hook
+//     (if any) runs once with a FinishPass holding the analyzer's
+//     accumulated facts — the cross-package phase where the
+//     lock-ordering graph is cycle-checked and the failpoint registry is
+//     reconciled against its consumers.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Deep marks the analyzer as part of the dataflow tier, run only
-	// under -deep (or when named explicitly in a -rules filter).
-	Deep bool
-	// Requires lists analyzers whose per-package results (Pass.ResultOf)
-	// and facts (FinishPass.FactsOf) this analyzer consumes. The driver
-	// runs them first.
-	Requires []*Analyzer
-	// Run inspects one package. It may return a result value for
-	// dependent analyzers; nil is fine.
-	Run func(pass *Pass) any
+	// Run inspects one package.
+	Run func(pass *Pass)
 	// Finish, if non-nil, runs once after every package's Run, for
 	// whole-module checks over exported facts.
 	Finish func(pass *FinishPass)
@@ -56,13 +41,9 @@ type Fact struct {
 // Pass carries one (analyzer, package) unit of work.
 type Pass struct {
 	Pkg *Package
-	// ResultOf holds the Run results of the analyzer's Requires for this
-	// package, keyed by analyzer.
-	ResultOf map[*Analyzer]any
 
-	analyzer *Analyzer
 	reporter *Reporter
-	facts    *factStore
+	facts    *[]Fact // the analyzer's own facts, in package order
 }
 
 // Reportf files a diagnostic at pos unless a lint:allow comment covers it.
@@ -72,16 +53,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ExportFact records a cross-package observation for the finish phase.
 func (p *Pass) ExportFact(v any) {
-	p.facts.add(p.analyzer, Fact{Pkg: p.Pkg, Value: v})
+	*p.facts = append(*p.facts, Fact{Pkg: p.Pkg, Value: v})
 }
 
 // FinishPass carries an analyzer's whole-module finish phase.
 type FinishPass struct {
 	Fset *token.FileSet
 
-	analyzer *Analyzer
 	reporter *Reporter
-	facts    *factStore
+	facts    []Fact
 }
 
 // Reportf files a diagnostic at pos unless a lint:allow comment covers it.
@@ -90,42 +70,12 @@ func (p *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Facts returns the facts the finishing analyzer itself exported, in
-// package order.
-func (p *FinishPass) Facts() []Fact { return p.facts.of(p.analyzer) }
-
-// FactsOf returns the facts exported by a — which must be the finishing
-// analyzer itself or one of its Requires, the same visibility contract as
-// Pass.ResultOf — in package order. Facts of unrelated analyzers are not
-// visible: it returns nil for them.
-func (p *FinishPass) FactsOf(a *Analyzer) []Fact {
-	if a != p.analyzer && !requiresAnalyzer(p.analyzer, a) {
-		return nil
-	}
-	return p.facts.of(a)
-}
-
-func requiresAnalyzer(from, to *Analyzer) bool {
-	for _, r := range from.Requires {
-		if r == to {
-			return true
-		}
-	}
-	return false
-}
-
-// factStore accumulates exported facts per analyzer, in export order
-// (packages are visited deterministically, so the order is stable).
-type factStore struct {
-	m map[*Analyzer][]Fact
-}
-
-func newFactStore() *factStore { return &factStore{m: map[*Analyzer][]Fact{}} }
-
-func (s *factStore) add(a *Analyzer, f Fact) { s.m[a] = append(s.m[a], f) }
-func (s *factStore) of(a *Analyzer) []Fact   { return s.m[a] }
+// package order (packages are visited deterministically, so the order
+// is stable).
+func (p *FinishPass) Facts() []Fact { return p.facts }
 
 // Analyzers returns every registered analyzer, in fixed registration
-// order: the syntactic tier first, then the dataflow (deep) tier.
+// order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		probeNilSafetyAnalyzer,
@@ -135,7 +85,6 @@ func Analyzers() []*Analyzer {
 		goroutineHygieneAnalyzer,
 		workerContextAnalyzer,
 		errorDisciplineAnalyzer,
-		flowAnalyzer,
 		hotpathAllocAnalyzer,
 		lockOrderAnalyzer,
 		failpointCoverageAnalyzer,
@@ -151,20 +100,12 @@ var ruleAliases = map[string]string{
 	"failpoint": "failpoint-coverage",
 }
 
-// SelectAnalyzers filters the registry by a comma-separated name list.
-// The empty filter selects the whole syntactic tier, plus the deep tier
-// when deep is set; naming a deep analyzer explicitly always selects it.
-// Requires dependencies are added implicitly by Check.
-func SelectAnalyzers(filter string, deep bool) ([]*Analyzer, error) {
+// SelectAnalyzers filters the registry by a comma-separated name list;
+// the empty filter selects every analyzer.
+func SelectAnalyzers(filter string) ([]*Analyzer, error) {
 	all := Analyzers()
 	if filter == "" {
-		var out []*Analyzer
-		for _, a := range all {
-			if deep || !a.Deep {
-				out = append(out, a)
-			}
-		}
-		return out, nil
+		return all, nil
 	}
 	byName := map[string]*Analyzer{}
 	for _, a := range all {
@@ -193,114 +134,33 @@ func analyzerNames(as []*Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-// closeAndSort returns the Requires closure of the given analyzers in a
-// deterministic topological order (dependencies before dependents, the
-// given relative order preserved where the graph allows), or an error on
-// a Requires cycle.
-func closeAndSort(as []*Analyzer) ([]*Analyzer, error) {
-	// Close over Requires, preserving first-seen order.
-	var closure []*Analyzer
-	seen := map[*Analyzer]bool{}
-	var add func(a *Analyzer)
-	add = func(a *Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		closure = append(closure, a)
-		for _, r := range a.Requires {
-			add(r)
-		}
-	}
-	for _, a := range as {
-		add(a)
-	}
-
-	// Kahn's algorithm, ready set ordered by position in the closure.
-	pos := map[*Analyzer]int{}
-	for i, a := range closure {
-		pos[a] = i
-	}
-	indeg := map[*Analyzer]int{}
-	dependents := map[*Analyzer][]*Analyzer{}
-	for _, a := range closure {
-		for _, r := range a.Requires {
-			indeg[a]++
-			dependents[r] = append(dependents[r], a)
-		}
-	}
-	var ready []*Analyzer
-	for _, a := range closure {
-		if indeg[a] == 0 {
-			ready = append(ready, a)
-		}
-	}
-	var order []*Analyzer
-	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
-		a := ready[0]
-		ready = ready[1:]
-		order = append(order, a)
-		for _, d := range dependents[a] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	if len(order) != len(closure) {
-		var stuck []string
-		for _, a := range closure {
-			if indeg[a] > 0 {
-				stuck = append(stuck, a.Name)
-			}
-		}
-		sort.Strings(stuck)
-		return nil, fmt.Errorf("lint: analyzer Requires cycle through %s", strings.Join(stuck, ", "))
-	}
-	return order, nil
-}
-
-// Check runs the given analyzers (plus their Requires, in dependency
-// order) over the given packages, then the finish phase, and returns the
-// sorted findings. A Requires cycle is reported as an error.
-func Check(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	order, err := closeAndSort(analyzers)
-	if err != nil {
-		return nil, err
-	}
+// Check runs the given analyzers over the given packages, then the
+// finish phase, and returns the sorted findings.
+func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	facts := newFactStore()
+	facts := make([][]Fact, len(analyzers))
 	allow := suppressions(pkgs)
 	var fset *token.FileSet
 	for _, p := range pkgs {
 		fset = p.Fset
-		results := map[*Analyzer]any{}
-		for _, a := range order {
-			pass := &Pass{
+		for i, a := range analyzers {
+			a.Run(&Pass{
 				Pkg:      p,
-				ResultOf: map[*Analyzer]any{},
-				analyzer: a,
 				reporter: &Reporter{fset: p.Fset, rule: a.Name, allow: allow, out: &diags},
-				facts:    facts,
-			}
-			for _, r := range a.Requires {
-				pass.ResultOf[r] = results[r]
-			}
-			results[a] = a.Run(pass)
+				facts:    &facts[i],
+			})
 		}
 	}
-	for _, a := range order {
+	for i, a := range analyzers {
 		if a.Finish == nil || fset == nil {
 			continue
 		}
 		a.Finish(&FinishPass{
 			Fset:     fset,
-			analyzer: a,
 			reporter: &Reporter{fset: fset, rule: a.Name, allow: allow, out: &diags},
-			facts:    facts,
+			facts:    facts[i],
 		})
 	}
 	sortDiagnostics(diags)
-	return diags, nil
+	return diags
 }

@@ -1,6 +1,6 @@
 // Package flow is the SSA-lite intra-procedural dataflow layer beneath
-// tdblint's deep rules. For one function body it builds per-variable
-// def-use chains and a conservative escape lattice
+// tdblint's hotpath-alloc rule. For one function body it builds
+// per-variable def-use chains and a conservative escape lattice
 //
 //	Local ⊑ Passed ⊑ Heap
 //

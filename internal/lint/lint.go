@@ -8,13 +8,12 @@
 //
 //	file:line: [rule] message
 //
-// The pass has two tiers. The syntactic tier (the seven original rules)
-// works on single packages. The dataflow tier behind `tdblint -deep`
-// builds per-function def-use chains and a conservative escape lattice
-// (internal/lint/flow) and layers whole-module analyses on top: hot-path
-// allocation auditing against a checked-in baseline, lock-ordering cycle
-// detection, and failpoint-coverage reconciliation. See analysis.go for
-// the driver contract (Requires, facts, finish phase).
+// Every registered analyzer runs on every invocation, in one pass. Most
+// work on single packages; hotpath-alloc audits //tdb:hotpath regions
+// against per-function def-use chains and a conservative escape lattice
+// (internal/lint/flow); lock-order and failpoint-coverage export facts
+// for a whole-module finish phase. See analysis.go for the driver
+// contract.
 //
 // A finding is suppressed by a justification comment on the same line or
 // the line directly above:
@@ -136,7 +135,7 @@ func sortDiagnostics(diags []Diagnostic) {
 }
 
 // relativize rewrites absolute diagnostic paths to module-relative ones
-// (slash-separated), the form the baseline file and CI artifacts use.
+// (slash-separated).
 func relativize(diags []Diagnostic, root string) {
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -149,28 +148,18 @@ func relativize(diags []Diagnostic, root string) {
 type Config struct {
 	// Dir names the module to lint (any directory at or under the root).
 	Dir string
-	// Rules is a comma-separated analyzer filter; empty selects the tier
-	// implied by Deep.
+	// Rules is a comma-separated analyzer filter; empty selects every
+	// analyzer.
 	Rules string
-	// Deep enables the dataflow tier (flow-based analyzers).
-	Deep bool
 	// JSON emits the findings as a JSON array instead of text lines.
 	JSON bool
-	// Baseline, when non-empty, names the checked-in findings baseline:
-	// findings matching it are suppressed, findings missing from it are
-	// reported as stale entries, so the file must stay exact.
-	Baseline string
-	// WriteBaseline rewrites the Baseline file from the current findings
-	// instead of diffing against it.
-	WriteBaseline bool
 }
 
 // Run loads the module at cfg.Dir, applies the selected analyzers, and
 // writes the findings to w (one line each, or a JSON array with
-// cfg.JSON). It returns the number of findings that should gate CI:
-// after baseline subtraction, plus stale baseline entries.
+// cfg.JSON). It returns the number of findings.
 func Run(cfg Config, w io.Writer) (int, error) {
-	analyzers, err := SelectAnalyzers(cfg.Rules, cfg.Deep)
+	analyzers, err := SelectAnalyzers(cfg.Rules)
 	if err != nil {
 		return 0, err
 	}
@@ -182,31 +171,8 @@ func Run(cfg Config, w io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	diags, err := Check(pkgs, analyzers)
-	if err != nil {
-		return 0, err
-	}
+	diags := Check(pkgs, analyzers)
 	relativize(diags, l.root)
-
-	if cfg.WriteBaseline {
-		if cfg.Baseline == "" {
-			return 0, fmt.Errorf("lint: -write-baseline needs a baseline path")
-		}
-		if err := WriteBaseline(cfg.Baseline, diags); err != nil {
-			return 0, err
-		}
-		_, _ = fmt.Fprintf(w, "baseline: wrote %d finding(s) to %s\n", len(diags), cfg.Baseline)
-		return 0, nil
-	}
-	if cfg.Baseline != "" {
-		base, err := LoadBaseline(cfg.Baseline)
-		if err != nil {
-			return 0, err
-		}
-		fresh, stale := base.Apply(diags)
-		diags = append(fresh, stale...)
-		sortDiagnostics(diags)
-	}
 
 	if cfg.JSON {
 		enc := json.NewEncoder(w)
@@ -214,10 +180,7 @@ func Run(cfg Config, w io.Writer) (int, error) {
 		if diags == nil {
 			diags = []Diagnostic{}
 		}
-		if err := enc.Encode(diags); err != nil {
-			return len(diags), err
-		}
-		return len(diags), nil
+		return len(diags), enc.Encode(diags)
 	}
 	for _, d := range diags {
 		if _, err := fmt.Fprintln(w, d); err != nil {

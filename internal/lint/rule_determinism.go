@@ -16,10 +16,10 @@ import (
 var determinismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "no wall-clock, global randomness, or map-order iteration in the oracle packages",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if !inScope(p, "internal/experiments", "internal/core") {
-			return nil
+			return
 		}
 		inspect(p, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -52,7 +52,6 @@ var determinismAnalyzer = &Analyzer{
 			}
 			return true
 		})
-		return nil
 	},
 }
 

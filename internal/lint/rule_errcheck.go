@@ -15,10 +15,10 @@ import (
 var errorDisciplineAnalyzer = &Analyzer{
 	Name: "error-discipline",
 	Doc:  "calls returning error must not be dropped as bare statements",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if inScope(p, "examples") {
-			return nil
+			return
 		}
 		inspect(p, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
@@ -36,7 +36,6 @@ var errorDisciplineAnalyzer = &Analyzer{
 			pass.Reportf(call.Pos(), "unchecked error result; handle it, assign to _, or justify with // lint:allow error-discipline")
 			return true
 		})
-		return nil
 	},
 }
 

@@ -30,8 +30,7 @@ import (
 var failpointCoverageAnalyzer = &Analyzer{
 	Name: "failpoint-coverage",
 	Doc:  "every fault.Declare site must be consulted and armed; no spec may arm an unknown site",
-	Deep: true,
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if strings.HasSuffix(p.Path, "internal/fault") {
 			// The registry's own package: its _test.go rigs declare and
@@ -41,7 +40,7 @@ var failpointCoverageAnalyzer = &Analyzer{
 			for _, f := range p.TestFiles {
 				collectTestFaultCalls(pass, f, true)
 			}
-			return nil
+			return
 		}
 		for _, f := range p.Files {
 			collectFaultCalls(pass, f)
@@ -51,7 +50,6 @@ var failpointCoverageAnalyzer = &Analyzer{
 			collectTestFaultCalls(pass, f, false)
 			sweepSpecLiterals(pass, f)
 		}
-		return nil
 	},
 	Finish: failpointFinish,
 }

@@ -24,10 +24,10 @@ import (
 var goroutineHygieneAnalyzer = &Analyzer{
 	Name: "goroutine-hygiene",
 	Doc:  "channel sends in go func literals must select on a quit/done case",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if !inScope(p, "internal/core", "internal/stream", "internal/engine", "internal/partition", "internal/live", "internal/obs", "internal/server", "driver") {
-			return nil
+			return
 		}
 		inspect(p, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -41,7 +41,6 @@ var goroutineHygieneAnalyzer = &Analyzer{
 			checkGoroutineSends(pass, lit)
 			return true
 		})
-		return nil
 	},
 }
 

@@ -9,21 +9,8 @@ import (
 	"tdb/internal/lint/flow"
 )
 
-// flowAnalyzer is the dataflow tier's foundation: it computes (lazily,
-// per function) the def-use chains and escape lattice of
-// internal/lint/flow and publishes them through Pass.ResultOf for the
-// analyzers that declare it in Requires. It reports nothing itself.
-var flowAnalyzer = &Analyzer{
-	Name: "flow",
-	Doc:  "per-function def-use chains and conservative escape lattice (internal/lint/flow)",
-	Deep: true,
-	Run: func(pass *Pass) any {
-		return &flowIndex{pkg: pass.Pkg, m: map[*ast.BlockStmt]*flow.Func{}}
-	},
-}
-
-// flowIndex memoizes flow summaries by function body, so only the
-// functions a dependent analyzer actually asks about pay for dataflow.
+// flowIndex memoizes one package's flow summaries by function body, so
+// only the functions a hot region sits in pay for dataflow.
 type flowIndex struct {
 	pkg *Package
 	m   map[*ast.BlockStmt]*flow.Func
@@ -46,27 +33,20 @@ func (ix *flowIndex) Of(ftype *ast.FuncType, body *ast.BlockStmt) *flow.Func {
 // same line.
 const hotpathMarker = "tdb:hotpath"
 
-// hotpathAllocAnalyzer flags the allocation behavior the cache-efficient
-// core rewrite (ROADMAP item 2) must eliminate: inside a region annotated
-// //tdb:hotpath it reports heap allocations (make without capacity, new,
-// address-taken or reference-typed composite literals), interface boxing,
-// append calls that may grow their destination, map inserts, and function
-// literals (whose captures escape). Error paths — if-bodies ending in a
-// return — are exempt, as is an append whose destination is provably
-// pre-sized (a make with explicit capacity, or a reused s[:0] slice).
-// Findings are meant to be tracked in the checked-in baseline file; new
-// ones fail CI.
+// hotpathAllocAnalyzer keeps the per-tuple kernels allocation-free:
+// inside a region annotated //tdb:hotpath it reports heap allocations
+// (make without capacity, new, address-taken or reference-typed composite
+// literals), interface boxing, append calls that may grow their
+// destination, map inserts, and function literals (whose captures
+// escape). Error paths — if-bodies ending in a return — are exempt, as
+// is an append whose destination is provably pre-sized (a make with
+// explicit capacity, or a reused s[:0] slice).
 var hotpathAllocAnalyzer = &Analyzer{
-	Name:     "hotpath-alloc",
-	Doc:      "//tdb:hotpath regions must not allocate, box, or grow per iteration",
-	Deep:     true,
-	Requires: []*Analyzer{flowAnalyzer},
-	Run: func(pass *Pass) any {
-		idx, _ := pass.ResultOf[flowAnalyzer].(*flowIndex)
-		if idx == nil {
-			return nil
-		}
+	Name: "hotpath-alloc",
+	Doc:  "//tdb:hotpath regions must not allocate, box, or grow per iteration",
+	Run: func(pass *Pass) {
 		p := pass.Pkg
+		idx := &flowIndex{pkg: p, m: map[*ast.BlockStmt]*flow.Func{}}
 		for _, file := range p.Files {
 			hot := hotpathLines(p.Fset, file)
 			if len(hot) == 0 {
@@ -83,7 +63,6 @@ var hotpathAllocAnalyzer = &Analyzer{
 				}
 			}
 		}
-		return nil
 	},
 }
 

@@ -20,10 +20,10 @@ import (
 var intervalEncapsulationAnalyzer = &Analyzer{
 	Name: "interval-encapsulation",
 	Doc:  "no raw Start/End comparisons between two Intervals outside package interval",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if p.Types.Name() == "interval" {
-			return nil
+			return
 		}
 		inspect(p, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
@@ -41,7 +41,6 @@ var intervalEncapsulationAnalyzer = &Analyzer{
 			pass.Reportf(bin.Pos(), "raw Interval endpoint comparison between two lifespans; use package interval (CmpStart/CmpEnd/Compare or a Figure 2 predicate)")
 			return true
 		})
-		return nil
 	},
 }
 

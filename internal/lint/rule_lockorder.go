@@ -29,11 +29,10 @@ import (
 var lockOrderAnalyzer = &Analyzer{
 	Name: "lock-order",
 	Doc:  "mutex acquisition graph must stay acyclic; no channel ops under a held mutex",
-	Deep: true,
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if !inScope(p, "internal/storage", "internal/live", "internal/obs") {
-			return nil
+			return
 		}
 		summaries := lockSummaries(p)
 		for _, file := range p.Files {
@@ -46,7 +45,6 @@ var lockOrderAnalyzer = &Analyzer{
 				s.block(fd.Body.List, nil)
 			}
 		}
-		return nil
 	},
 	Finish: lockOrderFinish,
 }

@@ -15,10 +15,10 @@ import (
 var noPanicAnalyzer = &Analyzer{
 	Name: "no-panic",
 	Doc:  "no panic in library code without a lint:allow justification",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if inScope(p, "cmd", "examples") {
-			return nil
+			return
 		}
 		inspect(p, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -35,6 +35,5 @@ var noPanicAnalyzer = &Analyzer{
 			pass.Reportf(call.Pos(), "panic in library code; return an error, or justify with // lint:allow panic")
 			return true
 		})
-		return nil
 	},
 }

@@ -36,7 +36,7 @@ var obsNilSafeTypes = map[string]bool{
 var probeNilSafetyAnalyzer = &Analyzer{
 	Name: "probe-nil-safety",
 	Doc:  "methods on *Probe and the obs hook types must begin with a nil-receiver guard",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -57,7 +57,6 @@ var probeNilSafetyAnalyzer = &Analyzer{
 				}
 			}
 		}
-		return nil
 	},
 }
 

@@ -23,10 +23,10 @@ import (
 var workerContextAnalyzer = &Analyzer{
 	Name: "worker-context",
 	Doc:  "goroutines in governed packages must carry a context.Context or quit-channel cancellation edge",
-	Run: func(pass *Pass) any {
+	Run: func(pass *Pass) {
 		p := pass.Pkg
 		if !inScope(p, "internal/core", "internal/engine", "internal/live", "internal/server", "driver") {
-			return nil
+			return
 		}
 		inspect(p, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -38,7 +38,6 @@ var workerContextAnalyzer = &Analyzer{
 			}
 			return true
 		})
-		return nil
 	},
 }
 

@@ -76,7 +76,7 @@ func ReadSnap() Snap {
 // readSnapAlways reads the totals regardless of the master switch —
 // benchmarks and tests measure the read itself. It runs once per plan
 // node on profiled runs; the MemStats buffer is a fixed-size local (no
-// allocation), which the hotpath-alloc deep rule audits.
+// allocation), which the hotpath-alloc rule audits.
 //
 //tdb:hotpath
 func readSnapAlways() Snap {
