@@ -10,7 +10,7 @@ import (
 	"tdb/internal/value"
 )
 
-// evalAggregate groups the materialized input and folds each group through
+// evalAggregate groups the input view's rows and folds each group through
 // the aggregate terms — the Figure 4 processor as a physical operator. The
 // groups are keyed by relation.AppendKey over the group columns and emitted
 // sorted by their key cells under value.Compare; the retained state is one
@@ -55,7 +55,9 @@ func (ex *executor) evalAggregate(n *algebra.Aggregate) (*result, error) {
 	groups := map[string]*group{}
 	var order []*group
 	var k []byte
-	for _, row := range in.rows {
+	rd := in.v.reader()
+	for i := range int32(in.v.n) {
+		row := rd.at(i)
 		probe.IncReadLeft()
 		k = relation.AppendKey(k[:0], row, groupIdx)
 		g, ok := groups[string(k)]
@@ -120,7 +122,7 @@ func (ex *executor) evalAggregate(n *algebra.Aggregate) (*result, error) {
 	probe.IncEmitted(int64(len(rows)))
 	probe.StateRemove(int64(len(groups)))
 	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "hash aggregate", Probe: probe, OutRows: int64(len(rows))})
-	return &result{schema: schema, rows: rows}, nil
+	return &result{schema: schema, v: rowsView(rows, schema.Arity())}, nil
 }
 
 // aggregateOutputSchema mirrors algebra's schema computation locally (the

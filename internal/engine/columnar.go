@@ -1,16 +1,18 @@
 package engine
 
-// Columnar batch execution of the stream operators. The executor keeps its
-// materialized intermediates as rows, but an eligible join or semijoin node
-// does not sweep them row-at-a-time: establishOrder hands it each input
-// sorted and already shredded into flat endpoint columns (core.Cols),
-// columnarJoinPairs or columnarSemijoinIdx — the only two places the engine
-// names a core batch kernel — sweeps the columns and reports matches as row
-// indexes, and the node materializes output rows exactly once at the end
-// (materializeJoin, ordered.gather). Serial execution calls the kernel step
-// on the node's full columns; a parallel shard (parallel.go) calls the same
-// step on its gathered columns and returns global indexes, so serial is the
-// k=1 case of one step and no row data moves until the node materializes.
+// Columnar batch execution of the stream operators. The executor's
+// intermediates are views of row references (view.go), and an eligible
+// join or semijoin node does not sweep them row-at-a-time:
+// establishOrder hands it each input sorted and already shredded into flat
+// endpoint columns (core.Cols), columnarJoinPairs or columnarSemijoinIdx —
+// the only two places the engine names a core batch kernel — sweeps the
+// columns and reports matches as row indexes, and the node maps them back
+// to its input views' positions: a join's view is its pair list, a
+// semijoin's its input view narrowed to the emitted positions. No row is
+// built until the sink (view.go, build). Serial execution calls the kernel
+// step on the node's full columns; a parallel shard (parallel.go) calls
+// the same step on its gathered columns and returns global indexes, so
+// serial is the k=1 case of one step and no row data moves at all.
 //
 // The row-at-a-time operators remain the serial reference implementation,
 // selectable with Options.RowExec; the before operators and the self
@@ -26,6 +28,7 @@ import (
 	"tdb/internal/core"
 	"tdb/internal/interval"
 	"tdb/internal/relation"
+	"tdb/internal/storage"
 	"tdb/internal/value"
 )
 
@@ -42,9 +45,9 @@ func gatherCols(c core.Cols, idx []int32) core.Cols {
 	return core.Cols{TS: ts, TE: te}
 }
 
-// pairIdx is one join match as (left row, right row) indexes into the
-// node's sorted inputs; materialization is deferred until the full match
-// list is known.
+// pairIdx is one join match as (left row, right row) indexes: into the
+// node's sorted inputs as a kernel emits it, into its input views once
+// mapped back.
 type pairIdx struct {
 	l, r int32
 }
@@ -69,20 +72,26 @@ func (pc pairChunks) count() int {
 	return n
 }
 
-// pairList builds a pairChunks. The first chunk has the capacity the list
-// is created with; later chunks have pairChunkLen.
+// pairList builds a pairChunks. The first chunk, made at the first match,
+// has the capacity the list is created with; later chunks have
+// pairChunkLen. A list that never gets a match allocates no chunk.
 type pairList struct {
-	full pairChunks // filled chunks, in order
-	cur  []pairIdx  // the chunk being filled
+	full  pairChunks // filled chunks, in order
+	cur   []pairIdx  // the chunk being filled
+	first int        // the first chunk's capacity
 }
+
+func newPairList(first int) *pairList { return &pairList{first: max(first, 1)} }
 
 // add appends one match, starting a new chunk when the current one is full.
 func (pl *pairList) add(l, r int32) {
 	if len(pl.cur) == cap(pl.cur) {
-		if len(pl.cur) > 0 {
+		size := pl.first
+		if pl.cur != nil {
 			pl.full = append(pl.full, pl.cur)
+			size = pairChunkLen
 		}
-		pl.cur = make([]pairIdx, 0, pairChunkLen)
+		pl.cur = make([]pairIdx, 0, size)
 	}
 	pl.cur = append(pl.cur, pairIdx{l: l, r: r})
 }
@@ -95,64 +104,21 @@ func (pl *pairList) chunks() pairChunks {
 	return append(pl.full, pl.cur)
 }
 
-// materializeJoin builds the output rows of a join from its matched index
-// pairs in one step: it walks the pair chunks in order into a single value
-// arena sized to the exact output, sliced into full-capacity rows so later
-// appends can never alias. Returns nil for no pairs, matching the row
-// path's nil-on-empty convention.
-func materializeJoin(l, r ordered, pairs pairChunks) []relation.Row {
-	n := pairs.count()
-	if n == 0 {
-		return nil
-	}
-	la := len(l.row(pairs[0][0].l))
-	ra := len(r.row(pairs[0][0].r))
-	w := la + ra
-	rows := make([]relation.Row, n)
-	if w == 0 {
-		for i := range rows {
-			rows[i] = relation.Row{}
-		}
-		return rows
-	}
-	arena := make([]value.Value, n*w)
-	i := 0
-	for _, c := range pairs {
-		//tdb:hotpath
-		for _, p := range c {
-			row := arena[i*w : i*w+w : i*w+w]
-			copy(row, l.row(p.l))
-			copy(row[la:], r.row(p.r))
-			rows[i] = row
-			i++
-		}
-	}
-	return rows
-}
-
-// gather is a semijoin's materialization: its output rows are the
-// qualifying input rows — by reference when they are in memory, else
-// decoded from their pages into one value arena of the exact size, sliced
-// into full-capacity rows, the interrupt polled once per page's worth of
-// rows. Returns nil for no indexes, matching the row path's nil-on-empty
+// decode is a semijoin's output behind a key scan: the rows at input
+// positions pos decoded from their pages into one value arena of the
+// exact size, sliced into full-capacity rows, the interrupt polled once
+// per page's worth of rows. Returns nil for no positions, the nil-on-empty
 // convention.
-func (ex *executor) gather(in ordered, idxs []int32) ([]relation.Row, error) {
-	if len(idxs) == 0 {
+func (ex *executor) decode(stored *storage.PageRows, pos []int32) ([]relation.Row, error) {
+	if len(pos) == 0 {
 		return nil, nil
 	}
-	out := make([]relation.Row, len(idxs))
-	if in.stored == nil {
-		//tdb:hotpath
-		for i, j := range idxs {
-			out[i] = in.row(j)
-		}
-		return out, nil
-	}
-	w, every := in.stored.Arity(), in.stored.PerPage()
-	arena := make([]value.Value, len(idxs)*w)
+	out := make([]relation.Row, len(pos))
+	w, every := stored.Arity(), stored.PerPage()
+	arena := make([]value.Value, len(pos)*w)
 	poll := every
 	//tdb:hotpath
-	for i, j := range idxs {
+	for i, j := range pos {
 		if poll--; poll == 0 {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, err
@@ -160,7 +126,7 @@ func (ex *executor) gather(in ordered, idxs []int32) ([]relation.Row, error) {
 			poll = every
 		}
 		row := arena[i*w : i*w+w : i*w+w]
-		if err := in.stored.Decode(row, in.pos(j)); err != nil {
+		if err := stored.Decode(row, j); err != nil {
 			return nil, err
 		}
 		out[i] = row
@@ -176,7 +142,7 @@ func (ex *executor) gather(in ordered, idxs []int32) ([]relation.Row, error) {
 // so a join no larger than that allocates one buffer, and a larger one
 // adds fixed-size chunks instead of regrowing.
 func columnarJoinPairs(kind algebra.TemporalKind, lc, rc core.Cols, opt core.Options) (pairChunks, error) {
-	pl := &pairList{cur: make([]pairIdx, 0, max(lc.Len(), rc.Len()))}
+	pl := newPairList(max(lc.Len(), rc.Len()))
 	var err error
 	switch kind {
 	case algebra.KindContain:

@@ -330,11 +330,11 @@ func TestHashJoinProbeDoesNotAllocate(t *testing.T) {
 	schema := relation.MustSchema([]relation.Column{
 		{Name: "K", Kind: value.KindString}, {Name: "N", Kind: value.KindInt}}, -1, -1)
 	side := func(prefix string, n int) *result {
-		res := &result{schema: schema}
-		for i := range n {
-			res.rows = append(res.rows, relation.Row{value.String_(fmt.Sprintf("%s%d", prefix, i)), value.Int(int64(i))})
+		rows := make([]relation.Row, n)
+		for i := range rows {
+			rows[i] = relation.Row{value.String_(fmt.Sprintf("%s%d", prefix, i)), value.Int(int64(i))}
 		}
-		return res
+		return &result{schema: schema, v: rowsView(rows, schema.Arity())}
 	}
 	build := side("build", 64)
 	ex := &executor{db: NewDB(), stats: &Stats{}}

@@ -105,13 +105,15 @@ type Options struct {
 	SlowQuery time.Duration
 	// Interrupt, when non-nil, is polled at every plan-node boundary,
 	// periodically inside the row loops of the conventional operators
-	// (selection, Cartesian product), once per page of a stored scan and
-	// once per page's worth of rows decoded from one. A non-nil return
-	// aborts the run with that error wrapped in ErrInterrupted — the hook
-	// the query server uses to propagate client context cancellation into
-	// a running query. The stream operators' sweeps check only at node
-	// granularity. A parallel stored scan polls from its shard workers, so
-	// the hook must be safe for concurrent use.
+	// (selection, Cartesian product, the hash and nested-loop joins and
+	// the nested-loop semijoin), once per page of a stored scan and once
+	// per page's worth of rows decoded from one, and once per 8 192 rows
+	// the sink builds (the project, or the result of a plan without one).
+	// A non-nil return aborts the run with that error wrapped in
+	// ErrInterrupted — the hook the query server uses to propagate client
+	// context cancellation into a running query. The stream operators'
+	// sweeps check only at node granularity. A parallel stored scan polls
+	// from its shard workers, so the hook must be safe for concurrent use.
 	Interrupt func() error
 }
 
@@ -232,44 +234,39 @@ func (s *Stats) String() string {
 	return out
 }
 
-// result is a materialized intermediate: its rows or, from a key scan
-// (evalKeyScan), only their lifespans and the pages to decode them from.
+// result is an intermediate: a view of row references (view.go) or, from
+// a key scan (evalKeyScan), only their lifespans and the pages to decode
+// the rows from.
 type result struct {
 	schema *relation.Schema
-	rows   []relation.Row
-	keys   *storage.Keys // set by a key scan, which leaves rows nil
+	v      view
+	keys   *storage.Keys // set by a key scan, which leaves v empty
 }
 
-// spanned pairs a row with a precomputed lifespan so the generic stream
-// algorithms can treat heterogeneous join sides uniformly.
+// rows builds the result's rows, for the consumers that revisit them.
+func (ex *executor) rows(in *result) ([]relation.Row, error) { return ex.build(in.v, nil) }
+
+// spanned pairs a position of an operator's input view with its
+// precomputed lifespan, the element the row-at-a-time stream algorithms
+// sweep: they read only the lifespan, and the node maps what they emit to
+// positions.
 type spanned struct {
-	row  relation.Row
+	pos  int32
 	span interval.Interval
 }
 
 func spannedSpan(s spanned) interval.Interval { return s.span }
 
-func wrap(rows []relation.Row, span core.Span[relation.Row]) []spanned {
-	out := make([]spanned, len(rows))
-	for i, r := range rows {
-		out[i] = spanned{row: r, span: span(r)}
-	}
-	return out
-}
-
 // ordered is a stream operator's input in its required order: the
 // (possibly derived) lifespans as the flat endpoint columns the batch
-// kernels sweep, and the rows behind them through the sort's permutation —
-// no row moves until a consumer asks for it: a join copies each matched
-// row straight into its output arena, a semijoin gathers only the rows it
-// emits and never touches its right input's. Behind a semijoin's key scan
-// the rows are still on their page images (stored) and are decoded only
-// then.
+// kernels sweep, and the sort's permutation back to the input's positions
+// — no row moves: a join maps its matches to input positions and a
+// semijoin its emitted positions, and the node's view picks the rows.
+// Behind a semijoin's key scan the rows are still on their page images
+// and are decoded only then.
 type ordered struct {
-	src    []relation.Row
-	stored *storage.PageRows // the rows when src is nil and a consumer may need them
-	perm   []int32           // position i of the order holds row perm[i]; nil when the input has the order
-	cols   core.Cols
+	perm []int32 // position i of the order holds input position perm[i]; nil when the input has the order
+	cols core.Cols
 }
 
 // pos returns the input position of the i-th row of the order.
@@ -280,83 +277,65 @@ func (in ordered) pos(i int32) int32 {
 	return i
 }
 
-// row returns the i-th row of an in-memory input's order.
-func (in ordered) row(i int32) relation.Row {
-	if in.perm != nil {
-		i = in.perm[i]
-	}
-	return in.src[i]
-}
-
-// spanned wraps the ordered rows for the row-at-a-time operators — the
-// reference path, the before-join and the governed fallback; the columnar
-// path never calls it, so its inputs are never a key scan's.
-func (in ordered) spanned() []spanned {
-	out := make([]spanned, len(in.src))
+// spans lists the ordered lifespans with their input positions for the
+// row-at-a-time operators — the reference path, the before-join, the self
+// semijoins and the governed fallback.
+func (in ordered) spans() []spanned {
+	out := make([]spanned, in.cols.Len())
 	for i := range out {
-		out[i] = spanned{row: in.row(int32(i)), span: in.cols.Span(i)}
+		out[i] = spanned{pos: in.pos(int32(i)), span: in.cols.Span(i)}
 	}
 	return out
 }
 
-// establishOrder produces the rows in the given order of their (possibly
-// derived) lifespans, shred-first: one pass over the rows yields the
-// endpoint columns, the sort permutes (key, index) pairs, and the columns
-// are gathered once. With an unbounded sort workspace that is
-// relation.OrderSpans; under Options.SortMemRows larger inputs take the
-// same steps through storage.ExternalSortKeys, which spills the pairs — not
-// the rows — to run files and whose run and page counts are charged to
-// cost: the Section 4.1 passes-for-order tradeoff inside a query plan.
-// Either way the rows stay where they are and are read through the
-// permutation, and both sorts are stable, so the result does not depend on
-// which one ran. A key scan's input skips the shredding: its columns feed
-// the same sorts directly.
+// establishOrder produces the input in the given order of its (possibly
+// derived) lifespans, shred-first: one pass over the view yields the
+// endpoint columns, and the sort permutes (key, index) pairs and writes
+// the columns back in order. With an unbounded sort workspace that is
+// relation.SortColumns; under Options.SortMemRows larger inputs take
+// storage.ExternalSortKeys, which spills the pairs — not the rows — to run
+// files and whose run and page counts are charged to cost: the Section 4.1
+// passes-for-order tradeoff inside a query plan. Either way the rows stay
+// where they are, and both sorts are stable, so the result does not depend
+// on which one ran. A key scan's input skips the shredding: its columns
+// feed the same sorts directly. withPerm asks for the permutation; only a
+// columnar semijoin's right input, whose rows nothing reads, goes without
+// it, and the external sort returns one regardless.
 func (ex *executor) establishOrder(in *result, span core.Span[relation.Row],
-	o relation.Order, cost *NodeCost) (ordered, error) {
+	o relation.Order, cost *NodeCost, withPerm bool) (ordered, error) {
 
 	if in.keys != nil {
-		return ex.orderColumns(ordered{stored: in.keys.Rows}, in.keys.TS, in.keys.TE, o, cost)
+		return ex.orderColumns(in.keys.TS, in.keys.TE, o, cost, withPerm)
 	}
-	rows := in.rows
-	if mem := ex.opt.SortMemRows; mem > 0 && len(rows) > mem && !relation.SortedSpans(rows, span, o) {
-		ts, te := relation.ShredSpans(rows, span)
-		return ex.orderColumns(ordered{src: rows}, ts, te, o, cost)
-	}
-	out := ordered{src: rows}
-	out.perm, out.cols.TS, out.cols.TE = relation.OrderSpans(rows, span, o)
-	noteOrder(cost, out.perm != nil, len(rows), o)
-	return out, nil
+	ts, te := in.v.shred(span)
+	return ex.orderColumns(ts, te, o, cost, withPerm)
 }
 
 // orderColumns establishes the order over lifespans given as endpoint
-// columns in input order, for the rows behind in: through
-// storage.ExternalSortKeys past the sort workspace, else in memory, where
-// columns already in order are used as they are.
-func (ex *executor) orderColumns(in ordered, ts, te []interval.Time, o relation.Order, cost *NodeCost) (ordered, error) {
+// columns in input order: through storage.ExternalSortKeys past the sort
+// workspace, else sorting the columns in place.
+func (ex *executor) orderColumns(ts, te []interval.Time, o relation.Order, cost *NodeCost, withPerm bool) (ordered, error) {
 	n := len(ts)
+	var out ordered
 	if mem := ex.opt.SortMemRows; mem > 0 && n > mem && !relation.SortedColumns(ts, te, o) {
 		var st storage.SortStats
 		var err error
-		if in.perm, err = storage.ExternalSortKeys(ts, te, o, mem, ex.opt.SpillDir, &st); err != nil {
+		if out.perm, err = storage.ExternalSortKeys(ts, te, o, mem, ex.opt.SpillDir, &st); err != nil {
 			return ordered{}, err
 		}
-		in.cols = gatherCols(core.Cols{TS: ts, TE: te}, in.perm)
+		out.cols = gatherCols(core.Cols{TS: ts, TE: te}, out.perm)
 		cost.SortedRows += int64(n)
 		cost.SortRuns += st.Runs
 		cost.SortPages += st.PagesRead + st.PagesWritten
 		cost.Notes = append(cost.Notes, fmt.Sprintf(
 			"external sort for order %v: %d keys spilled to %d runs, %d pages", o, n, st.Runs, st.PagesRead+st.PagesWritten))
-		return in, nil
+		return out, nil
 	}
-	if relation.SortedColumns(ts, te, o) {
-		in.cols = core.Cols{TS: ts, TE: te}
-	} else {
-		in.perm = make([]int32, n)
-		relation.OrderColumns(ts, te, o, in.perm)
-		in.cols = gatherCols(core.Cols{TS: ts, TE: te}, in.perm)
-	}
-	noteOrder(cost, in.perm != nil, n, o)
-	return in, nil
+	var moved bool
+	out.perm, moved = relation.SortColumns(ts, te, o, withPerm)
+	out.cols = core.Cols{TS: ts, TE: te}
+	noteOrder(cost, moved, n, o)
+	return out, nil
 }
 
 // noteOrder records an in-memory order: rows sorted, or none.
@@ -391,6 +370,12 @@ func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error
 	}
 	root := ex.cur
 	res, err := ex.eval(e)
+	var rows []relation.Row
+	if err == nil {
+		// The sink: a plan's rows are built here unless its project
+		// built them already, in which case they are handed on as they are.
+		rows, err = ex.rows(res)
+	}
 	if err != nil {
 		root.Fail(opt.Tracer, err)
 		ex.publish(e.Label(), start, 0, err)
@@ -399,11 +384,11 @@ func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error
 	total := ex.stats.Total()
 	root.Finish(opt.Tracer, total, obs.NodeStats{
 		Algorithm: "query",
-		OutRows:   int64(len(res.rows)),
+		OutRows:   int64(len(rows)),
 	})
-	ex.publish(e.Label(), start, int64(len(res.rows)), nil)
+	ex.publish(e.Label(), start, int64(len(rows)), nil)
 	rel := relation.New("result", res.schema)
-	rel.Rows = res.rows
+	rel.Rows = rows
 	return rel, ex.stats, nil
 }
 
@@ -578,7 +563,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 		cost.OutRows = int64(len(rows))
 		cost.PagesRead = hf.Stats().PagesRead - before
 		ex.stats.add(cost)
-		return &result{schema: base.Schema.Rename(n.Var()), rows: rows}, nil
+		return &result{schema: base.Schema.Rename(n.Var()), v: rowsView(rows, base.Schema.Arity())}, nil
 	}
 
 	probe.ReadLeft = int64(base.Cardinality())
@@ -586,7 +571,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 		Label: n.Label(), Algorithm: "scan", Probe: probe,
 		OutRows: int64(base.Cardinality()),
 	})
-	return &result{schema: base.Schema.Rename(n.Var()), rows: base.Rows}, nil
+	return &result{schema: base.Schema.Rename(n.Var()), v: rowsView(base.Rows, base.Schema.Arity())}, nil
 }
 
 // evalKeyScan is a stored scan as the input of a columnar stream
@@ -630,6 +615,9 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 	return &result{schema: schema, keys: keys}, nil
 }
 
+// evalSelect narrows a selection vector: the positions of the input view
+// whose row satisfies the predicate, which the output view picks. A
+// selection that keeps every row hands its input view on unchanged.
 func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
@@ -640,8 +628,11 @@ func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 		return nil, err
 	}
 	probe := metrics.Probe{}
-	var out []relation.Row
-	for i, r := range in.rows {
+	v := in.v.flat()
+	rd := v.reader()
+	sel := make([]int32, 0, v.n)
+	//tdb:hotpath
+	for i := range int32(v.n) {
 		if i%interruptEvery == 0 {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, err
@@ -649,18 +640,22 @@ func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 		}
 		probe.IncReadLeft()
 		probe.IncComparisons(1)
-		if pred(r) {
-			out = append(out, r)
+		if pred(rd.at(i)) {
+			sel = append(sel, i)
 		}
 	}
-	probe.IncEmitted(int64(len(out)))
+	probe.IncEmitted(int64(len(sel)))
 	ex.stats.add(NodeCost{
-		Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(out)),
-		Notes: []string{fmt.Sprintf("%d-atom conjunction over %d rows", predAtoms(n.Pred), len(in.rows))},
+		Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(sel)),
+		Notes: []string{fmt.Sprintf("%d-atom conjunction over %d rows", predAtoms(n.Pred), v.n)},
 	})
-	return &result{schema: in.schema, rows: out}, nil
+	if len(sel) < v.n {
+		v = v.pick(sel)
+	}
+	return &result{schema: in.schema, v: v}, nil
 }
 
+// evalProduct lists every (left, right) position pair as a join's matches.
 func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
 	l, err := ex.eval(n.L)
 	if err != nil {
@@ -670,23 +665,25 @@ func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	lv, rv := l.v.flat(), r.v.flat()
 	probe := metrics.Probe{}
-	out := make([]relation.Row, 0, len(l.rows)*len(r.rows))
-	for i, lr := range l.rows {
-		if i%interruptEvery == 0 || len(r.rows) >= interruptEvery {
+	pl := newPairList(lv.n * rv.n)
+	for i := range int32(lv.n) {
+		if i%interruptEvery == 0 || rv.n >= interruptEvery {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, err
 			}
 		}
 		probe.IncReadLeft()
-		for _, rr := range r.rows {
+		for j := range int32(rv.n) {
 			probe.IncReadRight()
-			out = append(out, relation.ConcatRows(lr, rr))
+			pl.add(i, j)
 		}
 	}
-	probe.IncEmitted(int64(len(out)))
-	ex.stats.add(NodeCost{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), rows: out}, nil
+	out := joinView(lv, rv, pl.chunks())
+	probe.IncEmitted(int64(out.n))
+	ex.stats.add(NodeCost{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(out.n)})
+	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), v: out}, nil
 }
 
 // compileProject resolves a projection against its input schema: the
@@ -717,6 +714,9 @@ func compileProject(p *algebra.Project, in *relation.Schema) (*relation.Schema, 
 	return schema, idx, nil
 }
 
+// evalProject is the sink of its plan: it builds the output rows from its
+// input view, each once, DISTINCT first picking the positions whose
+// projected key is new.
 func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
@@ -726,25 +726,29 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := metrics.Probe{}
-	out := make([]relation.Row, 0, len(in.rows))
-	seen := map[string]bool{}
-	var key []byte
-	for _, r := range in.rows {
-		probe.IncReadLeft()
-		if n.Distinct {
-			if key = relation.AppendKey(key[:0], r, idx); seen[string(key)] {
-				continue
+	probe := metrics.Probe{ReadLeft: int64(in.v.n)}
+	v := in.v
+	if n.Distinct {
+		v = v.flat()
+		rd := v.reader()
+		seen := map[string]bool{}
+		keep := make([]int32, 0, v.n)
+		var key []byte
+		for i := range int32(v.n) {
+			if key = relation.AppendKey(key[:0], rd.at(i), idx); !seen[string(key)] {
+				seen[string(key)] = true
+				keep = append(keep, i)
 			}
-			seen[string(key)] = true
 		}
-		row := make(relation.Row, len(idx))
-		for i, j := range idx {
-			row[i] = r[j]
+		if len(keep) < v.n {
+			v = v.pick(keep)
 		}
-		out = append(out, row)
 	}
-	probe.IncEmitted(int64(len(out)))
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: schema, rows: out}, nil
+	rows, err := ex.build(v, idx)
+	if err != nil {
+		return nil, err
+	}
+	probe.IncEmitted(int64(len(rows)))
+	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(rows))})
+	return &result{schema: schema, v: rowsView(rows, len(idx))}, nil
 }

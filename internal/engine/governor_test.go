@@ -119,14 +119,14 @@ func TestGovernorFallbackOnDrift(t *testing.T) {
 // governed fallback must match byte for byte.
 func baselineOracle(t *testing.T, db *DB, kind algebra.TemporalKind) []relation.Row {
 	t.Helper()
-	spanOf := func(name string) ([]spanned, *relation.Schema) {
+	spanOf := func(name string) ([]liveRow, *relation.Schema) {
 		rel, err := db.Relation(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := make([]spanned, len(rel.Rows))
+		w := make([]liveRow, len(rel.Rows))
 		for i, r := range rel.Rows {
-			w[i] = spanned{row: r, span: r.Span(rel.Schema)}
+			w[i] = liveRow{row: r, span: r.Span(rel.Schema)}
 		}
 		return w, rel.Schema
 	}
@@ -142,8 +142,8 @@ func baselineOracle(t *testing.T, db *DB, kind algebra.TemporalKind) []relation.
 		theta = func(x, y interval.Interval) bool { return x.Intersects(y) }
 	}
 	var rows []relation.Row
-	baseline.SortMergeJoin(lw, rw, spannedSpan, theta, nil,
-		func(a, b spanned) { rows = append(rows, relation.ConcatRows(a.row, b.row)) })
+	baseline.SortMergeJoin(lw, rw, liveRowSpan, theta, nil,
+		func(a, b liveRow) { rows = append(rows, relation.ConcatRows(a.row, b.row)) })
 	return rows
 }
 

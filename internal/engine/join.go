@@ -25,43 +25,33 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	outSchema := relation.Concat(l.schema, r.schema, "", "")
+	l.v, r.v = l.v.flat(), r.v.flat()
+	out := &result{schema: relation.Concat(l.schema, r.schema, "", "")}
 
-	if !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta {
-		if !ex.opt.CostBased || ex.chooseStream(n, l, r) {
-			res, cost, err := ex.streamJoin(n, l, r)
-			if err != nil {
-				return nil, err
-			}
-			cost.Label = n.Label()
-			ex.stats.add(*cost)
-			return &result{schema: outSchema, rows: res}, nil
-		}
-	}
-
-	// Conventional path: the hash join for an equi-join, the nested loop
-	// for anything else or under Options.ForceNoHash.
-	lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema)
-	if len(lk) > 0 && !ex.opt.ForceNoHash {
-		rows, cost, err := ex.hashJoin(l, r, lk, rk, residual)
-		if err != nil {
+	var pairs pairChunks
+	var cost *NodeCost
+	switch lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema); {
+	case !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta && (!ex.opt.CostBased || ex.chooseStream(n, l, r)):
+		pairs, cost, err = ex.streamJoin(n, l, r)
+	case len(lk) > 0 && !ex.opt.ForceNoHash:
+		// Conventional path: the hash join for an equi-join, the nested
+		// loop for anything else or under Options.ForceNoHash.
+		pairs, cost, err = ex.hashJoin(l, r, lk, rk, residual)
+	default:
+		var pred pairPred
+		if pred, err = compilePairPred(n.Pred, l.schema, r.schema); err != nil {
 			return nil, err
 		}
-		cost.Label = n.Label()
-		ex.stats.add(*cost)
-		return &result{schema: outSchema, rows: rows}, nil
+		pairs, cost, err = ex.nestedLoopJoin(l, r, pred)
 	}
-	pred, err := compilePairPred(n.Pred, l.schema, r.schema)
 	if err != nil {
 		return nil, err
 	}
-	rows, cost, err := ex.nestedLoopJoin(l, r, pred)
-	if err != nil {
-		return nil, err
-	}
+	out.v = joinView(l.v, r.v, pairs)
 	cost.Label = n.Label()
+	cost.OutRows = int64(out.v.n)
 	ex.stats.add(*cost)
-	return &result{schema: outSchema, rows: rows}, nil
+	return out, nil
 }
 
 // columnar reports whether a stream join or semijoin node of kind runs the
@@ -91,7 +81,7 @@ func (ex *executor) streamInput(e algebra.Expr, sr algebra.SpanRef, keyed, keep 
 	return ex.eval(e)
 }
 
-// chooseStream consults the Section 6 cost model over the materialized
+// chooseStream consults the Section 6 cost model over the evaluated
 // inputs: statistics are collected from the actual intermediate lifespans
 // (cheap, one pass) and the stream plan is taken only when its estimated
 // cost, including any sorting, beats the nested loop.
@@ -104,10 +94,11 @@ func (ex *executor) chooseStream(n *algebra.Join, l, r *result) bool {
 	if err != nil {
 		return true
 	}
-	statsOf := func(rows []relation.Row, span core.Span[relation.Row]) *catalog.Stats {
-		spans := make([]interval.Interval, len(rows))
-		for i, row := range rows {
-			spans[i] = span(row)
+	statsOf := func(v view, span core.Span[relation.Row]) *catalog.Stats {
+		spans := make([]interval.Interval, v.n)
+		rd := v.reader()
+		for i := range spans {
+			spans[i] = span(rd.at(int32(i)))
 		}
 		st := catalog.FromSpans(spans)
 		id := func(iv interval.Interval) interval.Interval { return iv }
@@ -115,7 +106,7 @@ func (ex *executor) chooseStream(n *algebra.Join, l, r *result) bool {
 		st.SortedTE = relation.SortedSpans(spans, id, relation.Order{relation.TEAsc})
 		return st
 	}
-	sx, sy := statsOf(l.rows, lspan), statsOf(r.rows, rspan)
+	sx, sy := statsOf(l.v, lspan), statsOf(r.v, rspan)
 	var est optimizer.JoinEstimate
 	switch n.Kind {
 	case algebra.KindOverlap:
@@ -131,8 +122,9 @@ func (ex *executor) chooseStream(n *algebra.Join, l, r *result) bool {
 }
 
 // streamJoin dispatches a recognized temporal join to the Section 4 stream
-// algorithms, sorting each side by the required ordering of Table 1/2.
-func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *NodeCost, error) {
+// algorithms, sorting each side by the required ordering of Table 1/2, and
+// returns its matches as positions of the two input views.
+func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (pairChunks, *NodeCost, error) {
 	lspan, err := spanAccessor(n.LSpan, l.schema)
 	if err != nil {
 		return nil, nil, err
@@ -161,11 +153,11 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	default:
 		return nil, nil, fmt.Errorf("engine: unhandled join kind %v", n.Kind)
 	}
-	lo, err := ex.establishOrder(l, lspan, lOrder, cost)
+	lo, err := ex.establishOrder(l, lspan, lOrder, cost, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	ro, err := ex.establishOrder(r, rspan, rOrder, cost)
+	ro, err := ex.establishOrder(r, rspan, rOrder, cost, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -189,13 +181,12 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 
 	// Columnar batch path (the default): one kernel step over the ordered
 	// inputs' endpoint columns — the whole columns serially, or each time
-	// shard's under a fan-out — then output rows materialized once from
-	// the matched index pairs. The row path below remains the serial
+	// shard's under a fan-out — whose matched index pairs map back through
+	// the sorts to input positions. The row path below remains the serial
 	// reference implementation (Options.RowExec) and still serves the
 	// before-join.
 	if ex.columnar(n.Kind) {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
-		var rows []relation.Row
 		var pairs pairChunks
 		if shards != nil {
 			pairs, err = ex.parallelJoinPairs(n.Kind, lo.cols, ro.cols, shards, cost)
@@ -210,18 +201,16 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 			// Governed degradation, identically to the row path: the batch
 			// kernel honors the same admission ceiling and breaches at the
 			// same state append.
-			rows = ex.governedJoinFallback(n.Kind, lo.spanned(), ro.spanned(), opt.Limit, cost)
-		} else {
-			rows = materializeJoin(lo, ro, pairs)
+			return ex.governedJoinFallback(n.Kind, lo.spans(), ro.spans(), opt.Limit, cost), cost, nil
 		}
-		cost.OutRows = int64(len(rows))
-		return rows, cost, nil
+		unsort(pairs, lo, ro)
+		return pairs, cost, nil
 	}
 
-	lw, rw := lo.spanned(), ro.spanned()
-	var rows []relation.Row
-	emitLR := func(a, b spanned) { rows = append(rows, relation.ConcatRows(a.row, b.row)) }
-	emitRL := func(a, b spanned) { rows = append(rows, relation.ConcatRows(b.row, a.row)) }
+	lw, rw := lo.spans(), ro.spans()
+	pl := newPairList(max(len(lw), len(rw)))
+	emitLR := func(a, b spanned) { pl.add(a.pos, b.pos) }
+	emitRL := func(a, b spanned) { pl.add(b.pos, a.pos) }
 
 	switch n.Kind {
 	case algebra.KindContain:
@@ -242,10 +231,23 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 		// so its partial output is discarded and the node re-evaluated by
 		// the baseline band scan, whose workspace cannot grow with the
 		// (mispredicted) lifespan concurrency.
-		rows = ex.governedJoinFallback(n.Kind, lw, rw, opt.Limit, cost)
+		return ex.governedJoinFallback(n.Kind, lw, rw, opt.Limit, cost), cost, nil
 	}
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	return pl.chunks(), cost, nil
+}
+
+// unsort maps a columnar join's matches from positions of the sorted
+// inputs to positions of the input views, in place.
+func unsort(pairs pairChunks, lo, ro ordered) {
+	if lo.perm == nil && ro.perm == nil {
+		return
+	}
+	for _, c := range pairs {
+		//tdb:hotpath
+		for i := range c {
+			c[i] = pairIdx{l: lo.pos(c[i].l), r: ro.pos(c[i].r)}
+		}
+	}
 }
 
 // governBound derives the workspace admission ceiling of a serial stream
@@ -287,11 +289,11 @@ func baseRelName(e algebra.Expr) string {
 }
 
 // governedJoinFallback re-evaluates a breached join with the baseline
-// sort-merge band scan over the already-materialized (and sorted) inputs,
+// sort-merge band scan over the already-ordered inputs,
 // resetting the probe so the cost record reflects the algorithm that
 // actually produced the output. The breach itself is preserved as a note
 // and counted in tdb_governor_fallbacks_total.
-func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spanned, limit int64, cost *NodeCost) []relation.Row {
+func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spanned, limit int64, cost *NodeCost) pairChunks {
 	breached := cost.Probe.Workspace()
 	cost.Probe = metrics.Probe{}
 	var theta func(x, y interval.Interval) bool
@@ -303,9 +305,9 @@ func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spa
 	default: // KindOverlap — before/θ are never governed (unbounded entry)
 		theta = func(x, y interval.Interval) bool { return x.Intersects(y) }
 	}
-	var rows []relation.Row
+	pl := newPairList(max(len(lw), len(rw)))
 	baseline.SortMergeJoin(lw, rw, spannedSpan, theta, &cost.Probe,
-		func(a, b spanned) { rows = append(rows, relation.ConcatRows(a.row, b.row)) })
+		func(a, b spanned) { pl.add(a.pos, b.pos) })
 	cost.Algorithm += " → baseline sort-merge (governed)"
 	cost.Notes = append(cost.Notes, fmt.Sprintf(
 		"governor: workspace %d breached ceiling %d; degraded to baseline sort-merge", breached, limit))
@@ -316,19 +318,27 @@ func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spa
 		"ceiling":   fmt.Sprintf("%d", limit),
 		"algorithm": cost.Algorithm,
 	})
-	return rows
+	return pl.chunks()
 }
 
 // nestedLoopJoin polls the interrupt hook per pair block, not per outer
 // row: a selective theta join can touch millions of pairs from a few
 // hundred outer rows, and cancellation latency follows the pair count.
-func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) ([]relation.Row, *NodeCost, error) {
+func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (pairChunks, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "nested-loop join"}
-	var rows []relation.Row
+	lrows, err := ex.rows(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	rrows, err := ex.rows(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	pl := newPairList(max(len(lrows), len(rrows)))
 	pairs := 0
-	for _, lr := range l.rows {
+	for i, lr := range lrows {
 		cost.Probe.IncReadLeft()
-		for _, rr := range r.rows {
+		for j, rr := range rrows {
 			if pairs%interruptEvery == 0 {
 				if err := ex.checkInterrupt(); err != nil {
 					return nil, nil, err
@@ -338,65 +348,95 @@ func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) ([]relation.Row,
 			cost.Probe.IncReadRight()
 			cost.Probe.IncComparisons(1)
 			if pred(lr, rr) {
-				rows = append(rows, relation.ConcatRows(lr, rr))
+				pl.add(int32(i), int32(j))
 			}
 		}
 		cost.Probe.IncPasses()
 	}
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	out := pl.chunks()
+	cost.Probe.IncEmitted(int64(out.count()))
+	return out, cost, nil
 }
 
 // hashJoin keys both sides with relation.AppendKey into one reused buffer,
-// so keys match exactly when the nested loop's equality does; the probe's
-// table[string(key)] lookup does not allocate.
-func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) ([]relation.Row, *NodeCost, error) {
+// so keys match exactly when the nested loop's equality does. The table
+// maps a key to a chain of build positions — slots gives the key's chain,
+// heads its first position and next the one after each — and the probe's
+// slots[string(key)] lookup does not allocate. The matches come out in
+// probe order, each probe row's in build order.
+func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (pairChunks, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "hash equi-join"}
-	res, err := compilePairPred(residual, l.schema, r.schema)
-	if err != nil {
-		return nil, nil, err
+	var res pairPred
+	if len(residual.Atoms) > 0 {
+		var err error
+		if res, err = compilePairPred(residual, l.schema, r.schema); err != nil {
+			return nil, nil, err
+		}
 	}
 	// Build on the smaller side; probe with the larger.
-	buildLeft := len(l.rows) <= len(r.rows)
+	buildLeft := l.v.n <= r.v.n
 	build, probeSide := l, r
 	bk, pk := lk, rk
 	if !buildLeft {
 		build, probeSide = r, l
 		bk, pk = rk, lk
 	}
-	table := make(map[string][]relation.Row, len(build.rows))
+	bn := build.v.n
+	brd, prd := build.v.reader(), probeSide.v.reader()
+	slots := make(map[string]int32, bn)
+	heads := make([]int32, 0, bn)
+	next := make([]int32, bn)
 	var key []byte
-	for _, row := range build.rows {
+	// Walking the build side backwards and pushing each position on its
+	// chain leaves every chain in build order.
+	for i := int32(bn) - 1; i >= 0; i-- {
 		cost.Probe.IncReadLeft()
 		cost.Probe.StateAdd(1)
-		key = relation.AppendKey(key[:0], row, bk)
-		table[string(key)] = append(table[string(key)], row)
+		key = relation.AppendKey(key[:0], brd.at(i), bk)
+		s, ok := slots[string(key)]
+		if !ok {
+			s = int32(len(heads))
+			slots[string(key)] = s
+			heads = append(heads, -1)
+		}
+		next[i], heads[s] = heads[s], i
 	}
-	var rows []relation.Row
-	for i, row := range probeSide.rows {
+	pl := newPairList(max(l.v.n, r.v.n))
+	for i := range int32(probeSide.v.n) {
 		if i%interruptEvery == 0 {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, nil, err
 			}
 		}
 		cost.Probe.IncReadRight()
+		row := prd.at(i)
 		key = relation.AppendKey(key[:0], row, pk)
-		for _, m := range table[string(key)] {
+		s, ok := slots[string(key)]
+		if !ok {
+			continue
+		}
+		for m := heads[s]; m >= 0; m = next[m] {
 			cost.Probe.IncComparisons(1)
-			lr, rr := m, row
+			li, ri := m, i
 			if !buildLeft {
-				lr, rr = row, m
+				li, ri = i, m
 			}
-			if res(lr, rr) {
-				rows = append(rows, relation.ConcatRows(lr, rr))
+			if res != nil {
+				lr, rr := brd.at(m), row
+				if !buildLeft {
+					lr, rr = row, lr
+				}
+				if !res(lr, rr) {
+					continue
+				}
 			}
+			pl.add(li, ri)
 		}
 	}
-	cost.Probe.StateRemove(int64(len(build.rows)))
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	cost.Probe.StateRemove(int64(bn))
+	out := pl.chunks()
+	cost.Probe.IncEmitted(int64(out.count()))
+	return out, cost, nil
 }
 
 func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
@@ -417,46 +457,81 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.v = l.v.flat()
 
+	var sel []int32
+	var cost *NodeCost
 	if !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta {
-		rows, cost, err := ex.streamSemijoin(n, l, r)
-		if err != nil {
-			return nil, err
-		}
-		cost.Label = n.Label()
-		ex.stats.add(*cost)
-		return &result{schema: l.schema, rows: rows}, nil
+		sel, cost, err = ex.streamSemijoin(n, l, r)
+	} else {
+		sel, cost, err = ex.nestedLoopSemijoin(l, r, n.Pred)
 	}
-
-	pred, err := compilePairPred(n.Pred, l.schema, r.schema)
 	if err != nil {
 		return nil, err
 	}
-	cost := &NodeCost{Label: n.Label(), Algorithm: "nested-loop semijoin"}
-	var rows []relation.Row
+	cost.Label = n.Label()
+	cost.OutRows = int64(len(sel))
+	out, err := ex.semijoinOut(l, sel)
+	if err != nil {
+		return nil, err
+	}
+	ex.stats.add(*cost)
+	return out, nil
+}
+
+// nestedLoopSemijoin returns the positions of the left rows with a partner
+// that satisfies the predicate, polling the interrupt hook per pair block
+// as nestedLoopJoin does.
+func (ex *executor) nestedLoopSemijoin(l, r *result, p algebra.Predicate) ([]int32, *NodeCost, error) {
+	pred, err := compilePairPred(p, l.schema, r.schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	lrows, err := ex.rows(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	rrows, err := ex.rows(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	cost := &NodeCost{Algorithm: "nested-loop semijoin"}
+	sel := make([]int32, 0, len(lrows))
 	pairs := 0
-	for _, lr := range l.rows {
+	for i, lr := range lrows {
 		cost.Probe.IncReadLeft()
-		for _, rr := range r.rows {
+		for _, rr := range rrows {
 			if pairs%interruptEvery == 0 {
 				if err := ex.checkInterrupt(); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			pairs++
 			cost.Probe.IncReadRight()
 			cost.Probe.IncComparisons(1)
 			if pred(lr, rr) {
-				rows = append(rows, lr)
+				sel = append(sel, int32(i))
 				break
 			}
 		}
 		cost.Probe.IncPasses()
 	}
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	ex.stats.add(*cost)
-	return &result{schema: l.schema, rows: rows}, nil
+	cost.Probe.IncEmitted(int64(len(sel)))
+	return sel, cost, nil
+}
+
+// semijoinOut is a semijoin's output: its left input's rows at the
+// emitted positions, picked from the input view or, behind a key scan,
+// decoded from their pages.
+func (ex *executor) semijoinOut(l *result, sel []int32) (*result, error) {
+	if l.keys == nil {
+		return &result{schema: l.schema, v: l.v.pick(sel)}, nil
+	}
+	rows, err := ex.decode(l.keys.Rows, sel)
+	if err != nil {
+		return nil, err
+	}
+	return &result{schema: l.schema, v: rowsView(rows, l.schema.Arity())}, nil
 }
 
 func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
@@ -464,6 +539,7 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.v = l.v.flat()
 	lspan, err := spanAccessor(n.LSpan, l.schema)
 	if err != nil {
 		return nil, err
@@ -482,14 +558,14 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	default:
 		return nil, fmt.Errorf("engine: self semijoin of kind %v", n.Kind)
 	}
-	lo, err := ex.establishOrder(l, lspan, order, cost)
+	lo, err := ex.establishOrder(l, lspan, order, cost, true)
 	if err != nil {
 		return nil, err
 	}
-	lw := lo.spanned()
+	lw := lo.spans()
 
-	var rows []relation.Row
-	emit := func(s spanned) { rows = append(rows, s.row) }
+	sel := make([]int32, 0, len(lw))
+	emit := func(s spanned) { sel = append(sel, s.pos) }
 	switch n.Kind {
 	case algebra.KindContained:
 		err = core.ContainedSelfSemijoin(wrappedStream(lw), spannedSpan, opt, emit)
@@ -499,12 +575,14 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost.OutRows = int64(len(rows))
+	cost.OutRows = int64(len(sel))
 	ex.stats.add(*cost)
-	return &result{schema: l.schema, rows: rows}, nil
+	return &result{schema: l.schema, v: l.v.pick(sel)}, nil
 }
 
-func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relation.Row, *NodeCost, error) {
+// streamSemijoin runs a recognized temporal semijoin and returns the
+// emitted left input positions in emission order.
+func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, *NodeCost, error) {
 	lspan, err := spanAccessor(n.LSpan, l.schema)
 	if err != nil {
 		return nil, nil, err
@@ -534,13 +612,16 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 	}
 	var lw, rw []spanned
 	if lOrder == nil {
-		lw, rw = wrap(l.rows, lspan), wrap(r.rows, rspan)
+		lw, rw = inputSpans(l.v, lspan), inputSpans(r.v, rspan)
 	} else {
-		lo, err := ex.establishOrder(l, lspan, lOrder, cost)
+		columnar := ex.columnar(n.Kind)
+		lo, err := ex.establishOrder(l, lspan, lOrder, cost, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		ro, err := ex.establishOrder(r, rspan, rOrder, cost)
+		// The columnar path never reads a right row, so its right input
+		// gets ordered columns and no permutation.
+		ro, err := ex.establishOrder(r, rspan, rOrder, cost, !columnar)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -548,28 +629,32 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 		// one kernel step, serially or per time shard. The before-semijoin
 		// (lOrder == nil) and Options.RowExec take the serial row reference
 		// path below.
-		if ex.columnar(n.Kind) {
+		if columnar {
 			shards := ex.planParallel(n.Kind, true, lo.cols, ro.cols, cost)
 			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			var idxs []int32
+			var sel []int32
 			if shards != nil {
-				idxs, err = ex.parallelSemijoinIdx(n.Kind, lo.cols, ro.cols, shards, cost)
+				sel, err = ex.parallelSemijoinIdx(n.Kind, lo.cols, ro.cols, shards, cost)
 				cost.Algorithm += fmt.Sprintf(" ×%d", len(shards))
 			} else {
-				idxs, err = columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
+				sel, err = columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
 			}
 			if err != nil {
 				return nil, nil, err
 			}
-			cost.OutRows = int64(len(idxs))
-			rows, err := ex.gather(lo, idxs)
-			return rows, cost, err
+			if lo.perm != nil {
+				//tdb:hotpath
+				for k, j := range sel {
+					sel[k] = lo.perm[j]
+				}
+			}
+			return sel, cost, nil
 		}
-		lw, rw = lo.spanned(), ro.spanned()
+		lw, rw = lo.spans(), ro.spans()
 	}
 
-	var rows []relation.Row
-	emit := func(s spanned) { rows = append(rows, s.row) }
+	sel := make([]int32, 0, len(lw))
+	emit := func(s spanned) { sel = append(sel, s.pos) }
 
 	switch n.Kind {
 	case algebra.KindContained:
@@ -584,6 +669,15 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relatio
 	if err != nil {
 		return nil, nil, err
 	}
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	return sel, cost, nil
+}
+
+// inputSpans lists a view's lifespans with their positions, in view order.
+func inputSpans(v view, span core.Span[relation.Row]) []spanned {
+	rd := v.reader()
+	out := make([]spanned, v.n)
+	for i := range out {
+		out[i] = spanned{pos: int32(i), span: span(rd.at(int32(i)))}
+	}
+	return out
 }

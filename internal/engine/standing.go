@@ -7,6 +7,7 @@ import (
 	"tdb/internal/catalog"
 	"tdb/internal/core"
 	"tdb/internal/fault"
+	"tdb/internal/interval"
 	"tdb/internal/metrics"
 	"tdb/internal/relation"
 )
@@ -185,6 +186,15 @@ func standingSide(db *DB, e algebra.Expr) (string, *relation.Schema, rowPred, er
 	return scan.Relation, schema, pred, nil
 }
 
+// liveRow is an ingested base row with its lifespan, the element a
+// standing operator sweeps: it emits rows, not positions, as they arrive.
+type liveRow struct {
+	row  relation.Row
+	span interval.Interval
+}
+
+func liveRowSpan(x liveRow) interval.Interval { return x.span }
+
 // standingAbort carries an injected fault out of the operator callback;
 // the run closure recovers it into a typed error.
 type standingAbort struct{ err error }
@@ -194,16 +204,16 @@ type standingAbort struct{ err error }
 type StandingRun struct {
 	plan   *StandingPlan
 	runner *core.Runner[relation.Row]
-	left   *core.Feeder[spanned]
-	right  *core.Feeder[spanned]
+	left   *core.Feeder[liveRow]
+	right  *core.Feeder[liveRow]
 	probe  *metrics.Probe
 }
 
 // Start readies the plan's operator; it first runs at the first Poll.
 func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
 	r := core.NewRunner[relation.Row]()
-	fl := core.Attach[spanned](r)
-	fr := core.Attach[spanned](r)
+	fl := core.Attach[liveRow](r)
+	fr := core.Attach[liveRow](r)
 	run := &StandingRun{plan: p, runner: r, left: fl, right: fr, probe: probe}
 	opt := core.Options{Probe: probe}
 	r.Start(func(emit func(relation.Row)) (err error) {
@@ -234,37 +244,37 @@ func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
 			}
 			emit(row)
 		}
-		emitLR := func(x, y spanned) { out(relation.ConcatRows(x.row, y.row)) }
-		emitSemi := func(s spanned) { out(s.row) }
+		emitLR := func(x, y liveRow) { out(relation.ConcatRows(x.row, y.row)) }
+		emitSemi := func(s liveRow) { out(s.row) }
 		switch {
 		case p.Semijoin && p.Kind == algebra.KindContain:
-			return core.ContainSemijoinTSTS[spanned](fl, fr, spannedSpan, opt, emitSemi)
+			return core.ContainSemijoinTSTS[liveRow](fl, fr, liveRowSpan, opt, emitSemi)
 		case p.Semijoin && p.Kind == algebra.KindContained:
-			return core.ContainedSemijoinTSTS[spanned](fl, fr, spannedSpan, opt, emitSemi)
+			return core.ContainedSemijoinTSTS[liveRow](fl, fr, liveRowSpan, opt, emitSemi)
 		case p.Semijoin: // KindOverlap
-			return core.OverlapSemijoin[spanned](fl, fr, spannedSpan, opt, emitSemi)
+			return core.OverlapSemijoin[liveRow](fl, fr, liveRowSpan, opt, emitSemi)
 		case p.Kind == algebra.KindContain:
-			return core.ContainJoinTSTS[spanned](fl, fr, spannedSpan, opt, emitLR)
+			return core.ContainJoinTSTS[liveRow](fl, fr, liveRowSpan, opt, emitLR)
 		case p.Kind == algebra.KindContained:
 			// Left during right ⇔ Contain-join(right, left); output keeps
 			// left columns first.
-			return core.ContainJoinTSTS[spanned](fr, fl, spannedSpan, opt,
-				func(x, y spanned) { out(relation.ConcatRows(y.row, x.row)) })
+			return core.ContainJoinTSTS[liveRow](fr, fl, liveRowSpan, opt,
+				func(x, y liveRow) { out(relation.ConcatRows(y.row, x.row)) })
 		default: // KindOverlap
-			return core.OverlapJoin[spanned](fl, fr, spannedSpan, opt, emitLR)
+			return core.OverlapJoin[liveRow](fl, fr, liveRowSpan, opt, emitLR)
 		}
 	})
 	return run
 }
 
 // feed filters, wraps and feeds appended base rows into one side.
-func feed(f *core.Feeder[spanned], rows []relation.Row, pred rowPred, span core.Span[relation.Row]) {
-	ws := make([]spanned, 0, len(rows))
+func feed(f *core.Feeder[liveRow], rows []relation.Row, pred rowPred, span core.Span[relation.Row]) {
+	ws := make([]liveRow, 0, len(rows))
 	for _, row := range rows {
 		if pred != nil && !pred(row) {
 			continue
 		}
-		ws = append(ws, spanned{row: row, span: span(row)})
+		ws = append(ws, liveRow{row: row, span: span(row)})
 	}
 	if len(ws) > 0 {
 		f.Feed(ws...)

@@ -218,13 +218,17 @@ func (sc *sortScratch) release() {
 	}
 }
 
-// load shreds the elements' lifespans into the scratch's endpoint columns.
-func load[T any](sc *sortScratch, xs []T, span func(T) interval.Interval) spanCols {
-	n := len(xs)
+// columns returns the scratch's endpoint columns for n elements.
+func (sc *sortScratch) columns(n int) spanCols {
 	if cap(sc.cols.ts) < n {
 		sc.cols = spanCols{ts: make([]interval.Time, n), te: make([]interval.Time, n)}
 	}
-	c := spanCols{ts: sc.cols.ts[:n], te: sc.cols.te[:n]}
+	return spanCols{ts: sc.cols.ts[:n], te: sc.cols.te[:n]}
+}
+
+// load shreds the elements' lifespans into the scratch's endpoint columns.
+func load[T any](sc *sortScratch, xs []T, span func(T) interval.Interval) spanCols {
+	c := sc.columns(len(xs))
 	shred(c, xs, span)
 	return c
 }
@@ -304,24 +308,8 @@ func SortSpans[T any](xs []T, span func(T) interval.Interval, o Order) {
 // on to use. A nil perm means xs already has the order (an interesting
 // order) and the columns are in input order.
 func OrderSpans[T any](xs []T, span func(T) interval.Interval, o Order) (perm []int32, ts, te []interval.Time) {
-	n := len(xs)
-	sc := acquireSort(n)
-	defer sc.release()
-	c := load(sc, xs, span)
-	cols := make([]interval.Time, 2*n)
-	ts, te = cols[:n:n], cols[n:]
-	if c.inOrder(o) {
-		copy(ts, c.ts)
-		copy(te, c.te)
-		return nil, ts, te
-	}
-	p := sc.perm(c, o)
-	perm = make([]int32, n)
-	//tdb:hotpath
-	for i := range p {
-		j := p[i].idx
-		perm[i], ts[i], te[i] = j, c.ts[j], c.te[j]
-	}
+	ts, te = ShredSpans(xs, span)
+	perm, _ = SortColumns(ts, te, o, true)
 	return perm, ts, te
 }
 
@@ -339,6 +327,38 @@ func ShredSpans[T any](xs []T, span func(T) interval.Interval) (ts, te []interva
 // satisfy the order: SortedSpans for endpoint columns.
 func SortedColumns(ts, te []interval.Time, o Order) bool {
 	return spanCols{ts: ts, te: te}.inOrder(o)
+}
+
+// SortColumns sorts lifespans given as endpoint columns in place under the
+// order, stably, and reports whether any moved: false means the columns
+// already had the order (an interesting order) and are untouched. With
+// withPerm it also returns the permutation of a sort that moved them —
+// position i of the order holds the lifespan that was at perm[i] — and nil
+// otherwise: a caller that reads only the sorted columns, never the
+// elements behind them, skips its four bytes per element.
+func SortColumns(ts, te []interval.Time, o Order, withPerm bool) (perm []int32, moved bool) {
+	if (spanCols{ts: ts, te: te}).inOrder(o) {
+		return nil, false
+	}
+	n := len(ts)
+	sc := acquireSort(n)
+	defer sc.release()
+	in := sc.columns(n)
+	copy(in.ts, ts)
+	copy(in.te, te)
+	p := sc.perm(in, o)
+	if withPerm {
+		perm = make([]int32, n)
+	}
+	//tdb:hotpath
+	for i := range p {
+		j := p[i].idx
+		ts[i], te[i] = in.ts[j], in.te[j]
+		if perm != nil {
+			perm[i] = j
+		}
+	}
+	return perm, true
 }
 
 // OrderColumns is OrderSpans for lifespans that are already endpoint
