@@ -33,8 +33,10 @@ test:
 # rows, or ErrCorruptPage, never a panic or an out-of-range index, and the
 # key scan's page walk failing exactly when the row decoder does and
 # agreeing with it on every lifespan and row offset, the
-# packed value.Value against its three-field reference, and the row-key
-# codec: equal relation.AppendKey encodings exactly when Row.Equal.
+# packed value.Value against its three-field reference, the row-key
+# codec: equal relation.AppendKey encodings exactly when Row.Equal, and the
+# engine's endpoint index: every Run over a DB that took Register, Append
+# and direct row growth returns what a fresh DB's Run of the tree returns.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
@@ -42,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzPageKeys -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzValue -fuzztime=10s ./internal/value
 	$(GO) test -run '^$$' -fuzz=FuzzRowKey -fuzztime=10s ./internal/relation
+	$(GO) test -run '^$$' -fuzz=FuzzOrderIndex -fuzztime=10s ./internal/engine
 
 race:
 	$(GO) test -race ./...

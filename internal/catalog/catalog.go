@@ -11,7 +11,7 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tdb/internal/interval"
 	"tdb/internal/relation"
@@ -99,7 +99,7 @@ func FromSpans(spans []interval.Interval) *Stats {
 	for i := 0; i < len(spans); i += stride {
 		s.TSSample = append(s.TSSample, spans[i].Start)
 	}
-	sort.Slice(s.TSSample, func(i, j int) bool { return s.TSSample[i] < s.TSSample[j] })
+	slices.Sort(s.TSSample)
 	return s
 }
 
@@ -128,25 +128,23 @@ func (s *Stats) EquiDepthTSCuts(k int) []interval.Time {
 	return cuts
 }
 
+// maxConcurrency is the largest number of lifespans open at one instant:
+// one merge of the sorted start and end columns, ends first at equal
+// times because lifespans are half-open.
 func maxConcurrency(spans []interval.Interval) int {
-	type ev struct {
-		t     interval.Time
-		delta int
+	starts := make([]interval.Time, len(spans))
+	ends := make([]interval.Time, len(spans))
+	for i, iv := range spans {
+		starts[i], ends[i] = iv.Start, iv.End
 	}
-	evs := make([]ev, 0, 2*len(spans))
-	for _, iv := range spans {
-		evs = append(evs, ev{iv.Start, +1}, ev{iv.End, -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
+	slices.Sort(starts)
+	slices.Sort(ends)
+	cur, max, j := 0, 0, 0
+	for _, t := range starts {
+		for ; j < len(ends) && ends[j] <= t; j++ {
+			cur--
 		}
-		return evs[i].delta < evs[j].delta // close before open: half-open spans
-	})
-	cur, max := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > max {
+		if cur++; cur > max {
 			max = cur
 		}
 	}

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -61,6 +63,53 @@ func TestMaxConcurrencyHalfOpen(t *testing.T) {
 	s := FromSpans([]interval.Interval{interval.New(0, 5), interval.New(5, 9)})
 	if s.MaxConcurrency != 1 {
 		t.Errorf("meeting intervals counted as concurrent: %d", s.MaxConcurrency)
+	}
+}
+
+// The two-column merge counts exactly what a sweep over the 2n
+// endpoint events, closes before opens at equal times, counts: on random
+// spans with heavy ties, meeting spans and empty ones.
+func TestMaxConcurrencyMatchesEventSweep(t *testing.T) {
+	reference := func(spans []interval.Interval) int {
+		type ev struct {
+			t     interval.Time
+			delta int
+		}
+		var evs []ev
+		for _, iv := range spans {
+			evs = append(evs, ev{iv.Start, +1}, ev{iv.End, -1})
+		}
+		sort.Slice(evs, func(i, j int) bool {
+			if evs[i].t != evs[j].t {
+				return evs[i].t < evs[j].t
+			}
+			return evs[i].delta < evs[j].delta
+		})
+		cur, max := 0, 0
+		for _, e := range evs {
+			if cur += e.delta; cur > max {
+				max = cur
+			}
+		}
+		return max
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		spans := make([]interval.Interval, n)
+		for i := range spans {
+			s := interval.Time(rng.Intn(20))
+			spans[i] = interval.Interval{Start: s, End: s + interval.Time(rng.Intn(6))}
+		}
+		if got, want := maxConcurrency(spans), reference(spans); got != want {
+			t.Fatalf("trial %d: maxConcurrency = %d, event sweep %d over %v", trial, got, want, spans)
+		}
+	}
+	for _, lam := range []float64{0.2, 5} {
+		spans := workload.Intervals(workload.Config{N: 4000, Lambda: lam, MeanDur: 20, Seed: 42})
+		if got, want := FromSpans(spans).MaxConcurrency, reference(spans); got != want {
+			t.Errorf("λ=%v: MaxConcurrency = %d, event sweep %d", lam, got, want)
+		}
 	}
 }
 

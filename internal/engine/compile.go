@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tdb/internal/algebra"
-	"tdb/internal/core"
 	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/value"
@@ -151,16 +150,21 @@ func equiKeys(p algebra.Predicate, ls, rs *relation.Schema) (lk, rk []int, resid
 	return lk, rk, residual
 }
 
-// spanAccessor builds a lifespan extractor from a recognized SpanRef. A
-// point span (TS == TE, the before-join case) maps to the degenerate
+// rowSpan locates a lifespan in a row: the cells of its two endpoints.
+// A point span (ts == te, the before-join case) is the degenerate
 // interval [t, t).
-func spanAccessor(sr algebra.SpanRef, s *relation.Schema) (core.Span[relation.Row], error) {
-	tsIdx := s.ColumnIndex(sr.TS.Name())
-	teIdx := s.ColumnIndex(sr.TE.Name())
-	if tsIdx < 0 || teIdx < 0 {
-		return nil, fmt.Errorf("engine: span %v not resolvable in %s", sr, s)
+type rowSpan struct{ ts, te int }
+
+// of returns the row's lifespan.
+func (s rowSpan) of(r relation.Row) interval.Interval {
+	return interval.Interval{Start: r[s.ts].AsTime(), End: r[s.te].AsTime()}
+}
+
+// spanAccessor resolves a recognized SpanRef against a schema.
+func spanAccessor(sr algebra.SpanRef, s *relation.Schema) (rowSpan, error) {
+	sp := rowSpan{ts: s.ColumnIndex(sr.TS.Name()), te: s.ColumnIndex(sr.TE.Name())}
+	if sp.ts < 0 || sp.te < 0 {
+		return rowSpan{}, fmt.Errorf("engine: span %v not resolvable in %s", sr, s)
 	}
-	return func(r relation.Row) interval.Interval {
-		return interval.Interval{Start: r[tsIdx].AsTime(), End: r[teIdx].AsTime()}
-	}, nil
+	return sp, nil
 }

@@ -37,7 +37,9 @@ type Options struct {
 	// row index) pair per input row: larger inputs are sorted externally
 	// through run files of such records in SpillDir, paying the extra
 	// read/write passes of Section 4.1's third tradeoff (accounted in
-	// NodeCost). The rows themselves are never spilled.
+	// NodeCost). The rows themselves are never spilled. A base relation
+	// within the workspace whose order the endpoint index already holds
+	// sorts nothing; a larger one bypasses the index and sorts every time.
 	SortMemRows int
 	// SpillDir receives external-sort run files; required when
 	// SortMemRows is set. Concurrent runs may share it: every run file gets
@@ -143,8 +145,9 @@ type NodeCost struct {
 	Algorithm string
 	Probe     metrics.Probe
 	// SortedRows counts rows that had to be sorted to establish the
-	// algorithm's required ordering (0 when the input already had it —
-	// the "interesting order" case).
+	// algorithm's required ordering: 0 when the input already had it —
+	// the "interesting order" case — and 0 when the endpoint index served
+	// a base relation's order, which sorts nothing.
 	SortedRows int64
 	OutRows    int64
 	// PagesRead counts storage pages fetched by a stored scan (0 when
@@ -241,6 +244,10 @@ type result struct {
 	schema *relation.Schema
 	v      view
 	keys   *storage.Keys // set by a key scan, which leaves v empty
+	// base is set by a scan of an in-memory relation no append has
+	// touched, whose v is the identity view over base.Rows: the one input
+	// whose order the endpoint index keeps.
+	base *relation.Relation
 }
 
 // rows builds the result's rows, for the consumers that revisit them.
@@ -301,13 +308,32 @@ func (in ordered) spans() []spanned {
 // feed the same sorts directly. withPerm asks for the permutation; only a
 // columnar semijoin's right input, whose rows nothing reads, goes without
 // it, and the external sort returns one regardless.
-func (ex *executor) establishOrder(in *result, span core.Span[relation.Row],
+//
+// A base scan's order within the sort workspace comes from the DB's
+// endpoint index (orderindex.go) when an earlier query left it there,
+// sorting nothing; otherwise it is established as above, always with its
+// permutation, and left there.
+func (ex *executor) establishOrder(in *result, span rowSpan,
 	o relation.Order, cost *NodeCost, withPerm bool) (ordered, error) {
 
 	if in.keys != nil {
 		return ex.orderColumns(in.keys.TS, in.keys.TE, o, cost, withPerm)
 	}
-	ts, te := in.v.shred(span)
+	if mem := ex.opt.SortMemRows; in.base != nil && in.v.n > 0 && (mem <= 0 || in.v.n <= mem) {
+		key := orderKey{rel: in.base, ts: span.ts, te: span.te, order: o.String()}
+		if out, ok := ex.db.orders.get(key); ok {
+			cost.Notes = append(cost.Notes, fmt.Sprintf("order %v from endpoint index", o))
+			return out, nil
+		}
+		ts, te := in.v.shred(span.of)
+		out, err := ex.orderColumns(ts, te, o, cost, true)
+		if err != nil {
+			return ordered{}, err
+		}
+		ex.db.orders.put(key, out)
+		return out, nil
+	}
+	ts, te := in.v.shred(span.of)
 	return ex.orderColumns(ts, te, o, cost, withPerm)
 }
 
@@ -571,7 +597,11 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 		Label: n.Label(), Algorithm: "scan", Probe: probe,
 		OutRows: int64(base.Cardinality()),
 	})
-	return &result{schema: base.Schema.Rename(n.Var()), v: rowsView(base.Rows, base.Schema.Arity())}, nil
+	res := &result{schema: base.Schema.Rename(n.Var()), v: rowsView(base.Rows, base.Schema.Arity())}
+	if _, live := ex.db.live[n.Relation]; !live {
+		res.base = base
+	}
+	return res, nil
 }
 
 // evalKeyScan is a stored scan as the input of a columnar stream

@@ -106,7 +106,7 @@ func (ex *executor) chooseStream(n *algebra.Join, l, r *result) bool {
 		st.SortedTE = relation.SortedSpans(spans, id, relation.Order{relation.TEAsc})
 		return st
 	}
-	sx, sy := statsOf(l.v, lspan), statsOf(r.v, rspan)
+	sx, sy := statsOf(l.v, lspan.of), statsOf(r.v, rspan.of)
 	var est optimizer.JoinEstimate
 	switch n.Kind {
 	case algebra.KindOverlap:
@@ -612,7 +612,7 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, 
 	}
 	var lw, rw []spanned
 	if lOrder == nil {
-		lw, rw = inputSpans(l.v, lspan), inputSpans(r.v, rspan)
+		lw, rw = inputSpans(l.v, lspan.of), inputSpans(r.v, rspan.of)
 	} else {
 		columnar := ex.columnar(n.Kind)
 		lo, err := ex.establishOrder(l, lspan, lOrder, cost, true)

@@ -48,7 +48,7 @@ type StandingPlan struct {
 
 	lschema, rschema *relation.Schema
 	lpred, rpred     rowPred // pushed-down side filters; nil when absent
-	lspan, rspan     core.Span[relation.Row]
+	lspan, rspan     rowSpan
 	outSchema        *relation.Schema
 	project          func(relation.Row) relation.Row // nil = identity
 }
@@ -133,10 +133,10 @@ func BuildStanding(db *DB, e algebra.Expr) (*StandingPlan, error) {
 	// Live arrival is ordered by the base relation's ValidFrom; the
 	// operator needs its *operand* spans in TS order, so the two must
 	// coincide.
-	if p.lschema.ColumnIndex(lref.TS.Name()) != p.lschema.TS {
+	if p.lspan.ts != p.lschema.TS {
 		return nil, unsupported("left span starts at %s, not the relation's ValidFrom — arrival order would not be span order", lref.TS)
 	}
-	if p.rschema.ColumnIndex(rref.TS.Name()) != p.rschema.TS {
+	if p.rspan.ts != p.rschema.TS {
 		return nil, unsupported("right span starts at %s, not the relation's ValidFrom — arrival order would not be span order", rref.TS)
 	}
 
@@ -268,13 +268,13 @@ func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
 }
 
 // feed filters, wraps and feeds appended base rows into one side.
-func feed(f *core.Feeder[liveRow], rows []relation.Row, pred rowPred, span core.Span[relation.Row]) {
+func feed(f *core.Feeder[liveRow], rows []relation.Row, pred rowPred, span rowSpan) {
 	ws := make([]liveRow, 0, len(rows))
 	for _, row := range rows {
 		if pred != nil && !pred(row) {
 			continue
 		}
-		ws = append(ws, liveRow{row: row, span: span(row)})
+		ws = append(ws, liveRow{row: row, span: span.of(row)})
 	}
 	if len(ws) > 0 {
 		f.Feed(ws...)
@@ -358,6 +358,7 @@ func (db *DB) Append(name string, row relation.Row) error {
 		}
 	} else {
 		rel.Rows = append(rel.Rows, row)
+		db.orders.drop(rel)
 	}
 	if ls != nil {
 		ls.inc.Observe(row.Span(rel.Schema))
