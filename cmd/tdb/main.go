@@ -11,7 +11,7 @@
 //	tdb -load Faculty=faculty.csv [-rankorder Faculty:Name:Rank=Assistant,Associate,Full[:continuous]] [-e query.quel]
 //	    [-listen 127.0.0.1:8080 [-serve]] [-max-concurrent N] [-max-queue N] [-queue-timeout D]
 //	    [-idle-timeout D] [-drain-timeout D] [-trace trace.jsonl] [-parallelism N]
-//	    [-parallel-min-rows N] [-govern] [-profile] [-slow-query 250ms]
+//	    [-govern] [-profile] [-slow-query 250ms]
 //	    [-faults "site=mode[:k=v...];..."]
 //
 // With -listen the process serves the versioned wire protocol under /v1 —
@@ -104,8 +104,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "expire sessions idle for this long (0 = server default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on graceful drain when shutting the server down")
 	traceFile := flag.String("trace", "", "append per-query JSONL trace spans to this file (also enables \\trace on)")
-	parallelism := flag.Int("parallelism", 0, "worker cap for time-range parallel execution; 0 = GOMAXPROCS, 1 = serial")
-	parallelMinRows := flag.Int("parallel-min-rows", 0, "combined-input floor below which operators stay serial (0 = default)")
+	parallelism := flag.Int("parallelism", 0, "time-range parallel execution: 0 or 1 = serial (default); N ≥ 2 = N time shards")
 	govern := flag.Bool("govern", false, "abort-and-degrade joins whose workspace breaches the admission ceiling; govern standing queries")
 	profile := flag.Bool("profile", false, "per-query resource accounting: allocs/B per node in the analyze tree, pprof labels by operator")
 	slowQuery := flag.Duration("slow-query", 0, "journal queries slower than this duration (0 disables the slow-query log)")
@@ -156,7 +155,7 @@ func main() {
 	}
 
 	sh := &shell{db: db, explain: true, streams: true, out: os.Stdout, reg: obs.NewRegistry(),
-		parallelism: *parallelism, parallelMinRows: *parallelMinRows, govern: *govern,
+		parallelism: *parallelism, govern: *govern,
 		profile: *profile, slowQuery: *slowQuery, events: obs.NewEventLog(obs.DefaultEventCap)}
 	db.SetMetrics(sh.reg)
 	defer storage.ObserveIO(nil)
@@ -289,12 +288,11 @@ type shell struct {
 	// every traced query's spans as JSONL.
 	reg      *obs.Registry
 	traceOut io.Writer
-	// parallelism and parallelMinRows feed engine.Options verbatim; see
-	// \set parallelism. govern arms the workspace governor for batch joins
-	// and the breaker for standing queries.
-	parallelism     int
-	parallelMinRows int
-	govern          bool
+	// parallelism feeds engine.Options verbatim; see \set parallelism.
+	// govern arms the workspace governor for batch joins and the breaker
+	// for standing queries.
+	parallelism int
+	govern      bool
 	// profile turns on per-query resource accounting (allocs/B per node,
 	// pprof labels); slowQuery journals queries slower than the cutoff;
 	// events is the bounded operational journal behind \events.
@@ -314,7 +312,7 @@ type shell struct {
 func (sh *shell) liveManager() *live.Manager {
 	if sh.liveMgr == nil {
 		sh.liveMgr = live.NewManager(sh.db, sh.reg, engine.Options{
-			Registry: sh.reg, Parallelism: sh.parallelism, ParallelMinRows: sh.parallelMinRows,
+			Registry: sh.reg, Parallelism: sh.parallelism,
 			Events: sh.events, SlowQuery: sh.slowQuery})
 	}
 	return sh.liveMgr
@@ -508,9 +506,9 @@ func (sh *shell) faults(arg string) {
 	}
 }
 
-// setParallelism handles \set parallelism N: 0 restores the GOMAXPROCS
-// default, 1 disables parallel execution. The answer is identical at any
-// setting; only the worker fan-out changes.
+// setParallelism handles \set parallelism N: 0 and 1 run serially, N ≥ 2
+// fans eligible operators out to N time shards. The answer is identical at
+// any setting; only the worker fan-out changes.
 func (sh *shell) setParallelism(arg string) {
 	var n int
 	if _, err := fmt.Sscanf(arg, "%d", &n); err != nil || n < 0 {
@@ -518,12 +516,9 @@ func (sh *shell) setParallelism(arg string) {
 		return
 	}
 	sh.parallelism = n
-	switch n {
-	case 0:
-		sh.println("parallelism: GOMAXPROCS default")
-	case 1:
+	if n < 2 {
 		sh.println("parallelism: serial execution")
-	default:
+	} else {
 		sh.printf("parallelism: up to %d shard workers\n", n)
 	}
 }
@@ -716,8 +711,7 @@ func (sh *shell) runStatements(src string) error {
 			continue
 		}
 		opt := engine.Options{ForceNestedLoop: !sh.streams, Registry: sh.reg,
-			Parallelism: sh.parallelism, ParallelMinRows: sh.parallelMinRows,
-			GovernWorkspace: sh.govern, Profile: sh.profile,
+			Parallelism: sh.parallelism, GovernWorkspace: sh.govern, Profile: sh.profile,
 			Events: sh.events, SlowQuery: sh.slowQuery}
 		// A profiled run always gets a tracer: the per-node resource
 		// columns render in the span tree, so -profile without -trace

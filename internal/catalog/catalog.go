@@ -36,16 +36,7 @@ type Stats struct {
 	// in ValidFrom / ValidTo ascending order, letting the planner skip a
 	// sort.
 	SortedTS, SortedTE bool
-	// TSSample is a sorted, deterministic stride sample of ValidFrom
-	// values (at most tsSampleCap of them) — the order-statistic summary
-	// EquiDepthTSCuts consults to place time-range partition boundaries.
-	TSSample []interval.Time
 }
-
-// tsSampleCap bounds the ValidFrom sample retained per relation. 512
-// order statistics locate any quantile to within ~0.2% of the
-// cardinality, plenty for equi-depth partition cuts.
-const tsSampleCap = 512
 
 // Collect computes statistics over the lifespans of a temporal relation.
 func Collect(rel *relation.Relation) (*Stats, error) {
@@ -95,37 +86,7 @@ func FromSpans(spans []interval.Interval) *Stats {
 		s.Lambda = float64(len(spans)-1) / float64(span)
 	}
 	s.MaxConcurrency = maxConcurrency(spans)
-	stride := (len(spans) + tsSampleCap - 1) / tsSampleCap
-	for i := 0; i < len(spans); i += stride {
-		s.TSSample = append(s.TSSample, spans[i].Start)
-	}
-	slices.Sort(s.TSSample)
 	return s
-}
-
-// EquiDepthTSCuts returns up to k−1 ascending ValidFrom cut points that
-// divide the relation into k time shards of roughly equal tuple count —
-// the equi-depth histogram boundaries the parallel executor partitions
-// on. Cuts that would create an empty leading shard (at or below MinTS)
-// and duplicates (heavy ValidFrom ties) are dropped, so the result may
-// hold fewer than k−1 cuts; Cardinality < k or a single distinct
-// ValidFrom yields none.
-func (s *Stats) EquiDepthTSCuts(k int) []interval.Time {
-	if s == nil || k < 2 || len(s.TSSample) == 0 {
-		return nil
-	}
-	var cuts []interval.Time
-	for j := 1; j < k; j++ {
-		c := s.TSSample[j*len(s.TSSample)/k]
-		if c <= s.MinTS {
-			continue
-		}
-		if len(cuts) > 0 && c == cuts[len(cuts)-1] {
-			continue
-		}
-		cuts = append(cuts, c)
-	}
-	return cuts
 }
 
 // maxConcurrency is the largest number of lifespans open at one instant:

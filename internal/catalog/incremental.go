@@ -4,10 +4,10 @@ import "tdb/internal/interval"
 
 // Incremental maintains the statistics of a relation under append-only,
 // TS-ordered arrival without ever rescanning the relation: each Observe is
-// O(log maxconc) for the concurrency sweep plus O(1) amortized for the
-// moments and the sample. The live ingestion path owns one Incremental per
-// table and republishes its snapshot into the Catalog after each batch, so
-// standing-query admission always sees current λ and duration moments.
+// O(log maxconc) for the concurrency sweep plus O(1) for the moments. The
+// live ingestion path owns one Incremental per table and republishes its
+// snapshot into the Catalog after each batch, so standing-query admission
+// always sees current λ and duration moments.
 type Incremental struct {
 	s      Stats
 	durSum int64
@@ -16,19 +16,14 @@ type Incremental struct {
 	// every end ≤ the incoming start before pushing the new end makes the
 	// heap size the exact concurrency at that start — the same value the
 	// batch event sweep computes (close-before-open, half-open spans).
-	ends []interval.Time
-	// stride thins the ValidFrom sample: every stride-th arrival is kept,
-	// and when the sample would exceed tsSampleCap it is halved and the
-	// stride doubled, keeping a deterministic order-statistic summary.
-	stride  int
-	sinceTS int
-	lastTS  interval.Time
-	lastTE  interval.Time
+	ends   []interval.Time
+	lastTS interval.Time
+	lastTE interval.Time
 }
 
 // NewIncremental returns an empty incremental statistics accumulator.
 func NewIncremental() *Incremental {
-	return &Incremental{s: Stats{SortedTS: true, SortedTE: true}, stride: 1}
+	return &Incremental{s: Stats{SortedTS: true, SortedTE: true}}
 }
 
 // Observe folds one appended lifespan into the statistics. Arrivals are
@@ -81,30 +76,12 @@ func (inc *Incremental) Observe(iv interval.Interval) {
 	if len(inc.ends) > s.MaxConcurrency {
 		s.MaxConcurrency = len(inc.ends)
 	}
-
-	// ValidFrom sample (arrivals are TS-ordered, so appending keeps it
-	// sorted; out-of-order arrivals just make it approximately sorted,
-	// matching the relaxed SortedTS contract above).
-	inc.sinceTS++
-	if inc.sinceTS >= inc.stride {
-		inc.sinceTS = 0
-		s.TSSample = append(s.TSSample, iv.Start)
-		if len(s.TSSample) > tsSampleCap {
-			half := s.TSSample[:0]
-			for i := 1; i < len(s.TSSample); i += 2 {
-				half = append(half, s.TSSample[i])
-			}
-			s.TSSample = half
-			inc.stride *= 2
-		}
-	}
 }
 
 // Snapshot returns a copy of the current statistics, safe to publish into
 // a Catalog while Observe continues.
 func (inc *Incremental) Snapshot() *Stats {
 	s := inc.s
-	s.TSSample = append([]interval.Time(nil), inc.s.TSSample...)
 	return &s
 }
 

@@ -182,12 +182,12 @@ func TestExecutionVariantEquivalence(t *testing.T) {
 		opt          Options
 		want, absent string
 	}{
-		{"default", Options{}, "columnar batch kernels", ""},
+		{"default", Options{}, "columnar batch kernels", "parallel"},
 		{"nested-loop", Options{ForceNestedLoop: true}, "hash equi-join", "stream"},
 		{"nested-loop-no-hash", Options{ForceNestedLoop: true, ForceNoHash: true}, "nested-loop join", "hash"},
 		{"verify-order", Options{VerifyOrder: true}, "columnar batch kernels", ""},
 		{"row-exec", Options{RowExec: true}, "stream overlap-join", "columnar batch kernels"},
-		{"parallel", Options{Parallelism: 4, ForceParallel: true}, "parallel ×", ""},
+		{"parallel", Options{Parallelism: 4}, "parallel ×", ""},
 		{"govern", Options{GovernWorkspace: true}, "governor:", ""},
 		{"spill", Options{SortMemRows: 8, SpillDir: t.TempDir()}, "external sort", ""},
 	}

@@ -47,30 +47,25 @@ type Options struct {
 	SpillDir string
 	// RowExec forces the serial row-at-a-time reference implementation of
 	// the stream operators, at any Parallelism: its join and semijoin
-	// nodes never fan out (stored scans still may). By default eligible
-	// stream joins and semijoins sweep columnar batches (flat endpoint
-	// columns, pooled active-list arenas, deferred row materialization —
-	// see DESIGN.md "Columnar batch execution"); output is byte-identical
-	// either way, and the equivalence property tests hold the two paths to
-	// it. The before-join, the before-semijoin and the self semijoins run
+	// nodes never fan out (stored scans still split at Parallelism ≥ 2).
+	// By default eligible stream joins and semijoins sweep columnar
+	// batches (flat endpoint columns, pooled active-list arenas, deferred
+	// row materialization — see DESIGN.md "Columnar batch execution");
+	// output is byte-identical either way, and the equivalence property
+	// tests hold the two paths to it. The before-join, the before-semijoin and the self semijoins run
 	// row-at-a-time regardless.
 	RowExec bool
-	// Parallelism bounds time-range partitioned parallel execution:
-	// eligible columnar join and semijoin nodes (and large stored scans)
-	// fan out to at most this many shard workers, each running the node's
-	// serial batch kernel on its shard. 0 defaults to
-	// runtime.GOMAXPROCS(0); 1 disables parallel execution. Results are
+	// Parallelism asks for time-range partitioned parallel execution. 0
+	// (the default) and 1 run serially. At k ≥ 2 every contain, contained
+	// or overlap columnar join or semijoin with at least one distinct cut
+	// point in its TS-ascending input fans out to at most k time shards,
+	// each running the node's serial batch kernel, and a stored scan of at
+	// least 2 flushed pages splits into min(k, pages) page ranges. Nothing
+	// predicts whether the fan-out pays: the caller decides. Results are
 	// byte-identical to serial execution at any setting.
 	Parallelism int
-	// ParallelMinRows is the smallest combined input cardinality the cost
-	// model considers parallelizing (0 means DefaultParallelMinRows) —
-	// below it shard setup dominates any per-shard saving.
-	ParallelMinRows int
-	// ForceParallel fans every eligible node out to Parallelism shards,
-	// bypassing the size and predicted-speedup gates (the correctness
-	// gates — operator kind, distinct cut points — still apply). Tests
-	// and experiments use it to exercise the parallel path on inputs the
-	// cost model would run serially.
+	// Deprecated: ForceParallel has no effect. Parallelism alone decides
+	// the fan-out.
 	ForceParallel bool
 	// VerifyOrder makes every stream algorithm check its input ordering.
 	VerifyOrder bool

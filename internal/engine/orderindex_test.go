@@ -422,8 +422,8 @@ func FuzzOrderIndex(f *testing.F) {
 // benchmark registers both relations and runs the first query, reporting
 // that query's time alone as query-ns/op; the warm one runs the query
 // again over orders the index already holds.
-func orderIndexBench(b *testing.B) (*DB, []*relation.Relation) {
-	b.Helper()
+func orderIndexBench(tb testing.TB) (*DB, []*relation.Relation) {
+	tb.Helper()
 	db := NewDB()
 	var rels []*relation.Relation
 	for i, name := range []string{"X", "Y"} {
@@ -431,7 +431,7 @@ func orderIndexBench(b *testing.B) (*DB, []*relation.Relation) {
 		rand.New(rand.NewSource(int64(60+i))).Shuffle(len(tu), func(a, c int) { tu[a], tu[c] = tu[c], tu[a] })
 		rel := relation.FromTuples(name, tu)
 		if err := db.Register(rel); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rels = append(rels, rel)
 	}
@@ -465,9 +465,18 @@ func BenchmarkOrderIndex_Cold(b *testing.B) {
 }
 
 func BenchmarkOrderIndex_Warm(b *testing.B) {
+	benchWarmContainSemijoin(b, Options{Parallelism: 1})
+}
+
+// The same warm query under the zero Options every caller that sets
+// nothing gets: it must cost what Parallelism 1 costs.
+func BenchmarkDefaultOptions_ContainSemijoin(b *testing.B) {
+	benchWarmContainSemijoin(b, Options{})
+}
+
+func benchWarmContainSemijoin(b *testing.B, opt Options) {
 	db, _ := orderIndexBench(b)
 	q := semijoinOf(algebra.KindContain)
-	opt := Options{Parallelism: 1}
 	if _, _, err := Run(db, q, opt); err != nil {
 		b.Fatal(err)
 	}

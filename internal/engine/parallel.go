@@ -1,16 +1,17 @@
 package engine
 
-// Time-range partitioned parallel execution. A columnar contain, contained
-// or overlap join or semijoin node splits its sorted endpoint columns into
-// k time shards (equi-depth ValidFrom cuts from catalog statistics) as
-// index lists, runs the node's serial kernel step (columnar.go) per shard on
-// worker goroutines, and recombines the shards' global row indexes before
-// the node materializes once. Boundary-spanning tuples are replicated into
-// every shard they intersect; exactness is restored by the owner rule
-// (each join pair is kept only by the shard owning its canonical sweep
-// point, and the shards concatenate in range order) or by the global-index
-// k-way merge with adjacent dedup (semijoins). The output is
-// byte-identical to serial execution: worker results live in per-shard
+// Time-range partitioned parallel execution, run only when a caller asks
+// for it with Options.Parallelism ≥ 2. A columnar contain, contained or
+// overlap join or semijoin node splits its sorted endpoint columns into k
+// time shards (equi-depth ValidFrom cuts read off the node's sorted TS
+// column) as index lists, runs the node's serial kernel step (columnar.go)
+// per shard on worker goroutines, and recombines the shards' global row
+// indexes before the node materializes once. Boundary-spanning tuples are
+// replicated into every shard they intersect; exactness is restored by the
+// owner rule (each join pair is kept only by the shard owning its
+// canonical sweep point, and the shards concatenate in range order) or by
+// the global-index k-way merge with adjacent dedup (semijoins). The output
+// is byte-identical to serial execution: worker results live in per-shard
 // slots, the recombination is deterministic, and no map or scheduling
 // order ever reaches the output. Options.RowExec never fans out. See
 // DESIGN.md "Parallel execution" for the per-operator ownership rules and
@@ -20,19 +21,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
 	"tdb/internal/algebra"
-	"tdb/internal/catalog"
 	"tdb/internal/core"
 	"tdb/internal/fault"
-	"tdb/internal/interval"
 	"tdb/internal/metrics"
 	"tdb/internal/obs"
 	"tdb/internal/obs/prof"
-	"tdb/internal/optimizer"
 	"tdb/internal/partition"
 	"tdb/internal/storage"
 	"tdb/internal/stream"
@@ -47,51 +44,15 @@ func init() {
 // crash with sibling goroutines left running.
 var ErrWorkerPanic = errors.New("engine: panic in parallel worker")
 
-// DefaultParallelMinRows is the combined-input floor below which join and
-// semijoin nodes always run serially: partitioning, worker setup and the
-// recombination merge dominate at small sizes.
-const DefaultParallelMinRows = 4096
-
-// parallelScanMinPages gates the parallel stored scan; below it a single
-// scan is already cheap.
-const parallelScanMinPages = 8
-
-// workers resolves Options.Parallelism: 0 means one worker per available
-// processor.
-func (ex *executor) workers() int {
-	k := ex.opt.Parallelism
-	if k == 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-func (ex *executor) parallelMinRows() int {
-	if ex.opt.ParallelMinRows > 0 {
-		return ex.opt.ParallelMinRows
-	}
-	return DefaultParallelMinRows
-}
-
-// appendSpans appends the columns' lifespans to spans.
-func appendSpans(spans []interval.Interval, c core.Cols) []interval.Interval {
-	for i := range c.TS {
-		spans = append(spans, c.Span(i))
-	}
-	return spans
-}
-
 // planParallel decides whether to fan a stream join (semi=false) or
-// semijoin (semi=true) node out across time shards. The correctness gates
-// — operator kind, distinct cut points — always apply;
-// Options.ForceParallel bypasses only the size and cost-model gates. A
-// nil return means serial. Once a decision is genuinely considered, the
-// evidence is recorded in the node's notes for the plan explain.
+// semijoin (semi=true) node out across time shards. Only correctness gates
+// apply: Parallelism of at least 2, a contain, contained or overlap
+// operator, and at least one distinct cut point. The cuts come from the
+// node's TS-ascending input — the left one, except for the contained-
+// semijoin, whose left input is TE-ascending — in O(k). A nil return
+// means serial.
 func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc core.Cols, cost *NodeCost) []partition.Range {
-	k := ex.workers()
+	k := ex.opt.Parallelism
 	if k < 2 {
 		return nil
 	}
@@ -102,37 +63,16 @@ func (ex *executor) planParallel(kind algebra.TemporalKind, semi bool, lc, rc co
 		// partitioning keeps its state local to a shard.
 		return nil
 	}
-	if n := lc.Len() + rc.Len(); !ex.opt.ForceParallel && n < ex.parallelMinRows() {
-		return nil
+	ts := lc.TS
+	if semi && kind == algebra.KindContained {
+		ts = rc.TS
 	}
-	// One span list, left then right: each side's statistics come from its
-	// half, the cut points from the whole.
-	all := appendSpans(appendSpans(make([]interval.Interval, 0, lc.Len()+rc.Len()), lc), rc)
-	sx, sy := catalog.FromSpans(all[:lc.Len()]), catalog.FromSpans(all[lc.Len():])
-	ranges := partition.Ranges(catalog.FromSpans(all).EquiDepthTSCuts(k))
+	ranges := partition.Ranges(partition.Cuts(ts, k))
 	if len(ranges) < 2 {
 		cost.Notes = append(cost.Notes, "parallel: declined (no distinct TS cut points)")
 		return nil
 	}
-	var base optimizer.JoinEstimate
-	switch {
-	case semi:
-		base = optimizer.EstimateSemijoin(sx, sy, true, true)
-	case kind == algebra.KindOverlap:
-		base = optimizer.EstimateOverlapJoin(sx, sy)
-	case kind == algebra.KindContained:
-		// Contained runs as Contain-join with the sides swapped, so the
-		// state-bearing X of the algorithm is the right input.
-		base = optimizer.EstimateContainJoin(sy, sx)
-	default:
-		base = optimizer.EstimateContainJoin(sx, sy)
-	}
-	est := optimizer.EstimateParallel(base, sx, sy, len(ranges))
-	if !ex.opt.ForceParallel && !est.Use() {
-		cost.Notes = append(cost.Notes, "parallel: declined ("+est.String()+")")
-		return nil
-	}
-	cost.Notes = append(cost.Notes, "parallel "+est.String())
+	cost.Notes = append(cost.Notes, fmt.Sprintf("parallel ×%d time shards", len(ranges)))
 	return ranges
 }
 
@@ -328,7 +268,7 @@ func (ex *executor) parallelSemijoinIdx(kind algebra.TemporalKind, lc, rc core.C
 }
 
 // noteMeasuredReplication records the realized boundary-replication rate
-// next to the optimizer's prediction, so explain output shows both.
+// of a fan-out in the node's explain notes.
 func noteMeasuredReplication(cost *NodeCost, shL, shR [][]int32, n int) {
 	if n == 0 {
 		return
@@ -347,22 +287,18 @@ func noteMeasuredReplication(cost *NodeCost, shL, shR [][]int32, n int) {
 // scanPages is the one page-range walker of a stored scan, row scan and
 // key scan alike: it cuts the file's flushed pages into k contiguous
 // ranges, the last of which also drains the open tail page, and runs scan
-// on each with a check to poll before every page. Serially — below
-// parallelScanMinPages pages (2 under ForceParallel) or at Parallelism 1 —
-// k is 1 and the one range runs on the query goroutine; otherwise shard
-// workers run them. The ranges are disjoint and come back in file order,
+// on each with a check to poll before every page. Serially — below 2
+// flushed pages or at Parallelism 0 or 1 — k is 1 and the one range runs
+// on the query goroutine; otherwise min(Parallelism, pages) shard workers
+// run them. The ranges are disjoint and come back in file order,
 // so the result and the page-read accounting equal the serial scan's.
 // scan returns its range's result and row count.
 func scanPages[T any](ex *executor, hf *storage.HeapFile, cost *NodeCost,
 	scan func(lo, hi int64, check func() error) (T, int, error)) ([]T, error) {
 
-	k := ex.workers()
+	k := ex.opt.Parallelism
 	pages := hf.Pages()
-	minPages := int64(parallelScanMinPages)
-	if ex.opt.ForceParallel {
-		minPages = 2
-	}
-	if k < 2 || pages < minPages {
+	if k < 2 || pages < 2 {
 		out, n, err := scan(0, pages+1, ex.checkInterrupt)
 		if err != nil {
 			return nil, err

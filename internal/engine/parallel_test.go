@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"tdb/internal/algebra"
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
+	"tdb/internal/quel"
 	"tdb/internal/relation"
 	"tdb/internal/testutil"
 	"tdb/internal/workload"
@@ -73,10 +75,10 @@ func semijoinOf(kind algebra.TemporalKind) algebra.Expr {
 	}
 }
 
-// forcePar builds options that bypass the size and cost-model gates (the
-// correctness gates still apply) so small test inputs fan out.
+// forcePar asks for a k-way fan-out with order verification; only the
+// correctness gates decide, so small test inputs fan out too.
 func forcePar(k int) Options {
-	return Options{Parallelism: k, ForceParallel: true, ParallelMinRows: 1, VerifyOrder: true}
+	return Options{Parallelism: k, VerifyOrder: true}
 }
 
 // Every eligible join kind must produce the serial row sequence exactly,
@@ -149,18 +151,54 @@ func TestParallelSuperstarByteIdentical(t *testing.T) {
 	}
 }
 
-// Without ForceParallel the default gates must keep small inputs serial —
-// the regression guard for every other test in this package, which runs
-// with default Options on multi-core machines.
-func TestParallelGatesKeepSmallInputsSerial(t *testing.T) {
-	db := newPoissonDB(t, 300)
-	_, stats, err := Run(db, joinOf(algebra.KindContain), Options{Parallelism: 8})
+// The zero Options run serially: no node fans out or is planned for a
+// fan-out, and a query allocates within 5 % of what it allocates under
+// Parallelism 1. The queries are a warm 40 000-a-side contain-semijoin
+// and the optimized Superstar plan over 20 000 Faculty rows.
+func TestDefaultOptionsRunSerially(t *testing.T) {
+	semiDB, _ := orderIndexBench(t)
+	faculty := NewDB()
+	if err := faculty.Register(workload.Faculty(workload.FacultyConfig{N: 20000, Seed: 1004})); err != nil {
+		t.Fatal(err)
+	}
+	if err := faculty.DeclareChronOrder(rankIC(false)); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := quel.Parse(superstarText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range stats.Nodes {
-		if strings.Contains(n.Algorithm, "×") {
-			t.Errorf("small input fanned out: %+v", n)
+	qs, err := quel.Translate(prog, faculty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		name string
+		db   *DB
+		tree algebra.Expr
+	}{
+		{"contain-semijoin", semiDB, semijoinOf(algebra.KindContain)},
+		{"superstar", faculty, optimize(t, faculty, qs[0].Tree, optimizer.Options{ICs: faculty.ChronOrders()})},
+	} {
+		bytes := func(opt Options) uint64 {
+			_, stats, err := Run(q.db, q.tree, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range stats.Nodes {
+				if strings.Contains(n.Algorithm, "×") || slices.ContainsFunc(n.Notes, func(s string) bool { return strings.Contains(s, "parallel") }) {
+					t.Errorf("%s at Parallelism %d: node fanned out or planned a fan-out: %+v", q.name, opt.Parallelism, n)
+				}
+			}
+			return allocated(func() {
+				if _, _, err := Run(q.db, q.tree, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		serial, def := bytes(Options{Parallelism: 1}), bytes(Options{})
+		if def > serial+serial/20 {
+			t.Errorf("%s: %d B per run under the zero Options, %d B under Parallelism 1 (limit +5 %%)", q.name, def, serial)
 		}
 	}
 }

@@ -326,7 +326,7 @@ func chaosSurvivalPoint(n, runs int, prob float64, seed int64) (*ChaosPoint, err
 		return nil, fmt.Errorf("fault-free reference: %w", err)
 	}
 
-	par := engine.Options{Parallelism: 4, ForceParallel: true, ParallelMinRows: 1, VerifyOrder: true}
+	par := engine.Options{Parallelism: 4, VerifyOrder: true}
 	rng := rand.New(rand.NewSource(seed))
 	pt := &ChaosPoint{
 		Scenario: "fault-survival", Param: fmt.Sprintf("p=%.2f", prob),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"tdb/internal/algebra"
@@ -20,7 +21,7 @@ type ParallelPoint struct {
 	ElapsedNS     int64   // best-of-5 wall time
 	Speedup       float64 // serial wall time / this wall time
 	MeasuredRepl  float64 // realized boundary-replication rate of the split
-	PredictedRepl float64 // the optimizer's λ·E[D] prediction
+	PredictedRepl float64 // the λ·E[D] prediction (partition.PredictReplication)
 	Rows          int     // output rows (identical across every k)
 }
 
@@ -34,11 +35,11 @@ type ParallelResult struct {
 
 // Parallel is experiment E22: the time-range partitioned parallel
 // contain-join sweep. A Poisson relation of long lifespans is contain-
-// joined with one of short lifespans — the state-heavy shape the Section 6
-// model predicts parallelizes best — serially and at each worker count in
-// ks. Every parallel run must emit the byte-identical row sequence of the
-// serial run; the table reports measured speedup and the realized vs
-// predicted boundary-replication rate at each k.
+// joined with one of short lifespans — the state-heavy shape — serially
+// and at each worker count in ks. Every parallel run must emit the
+// byte-identical row sequence of the serial run; the table reports
+// measured speedup and the realized vs predicted boundary-replication rate
+// at each k.
 func Parallel(n int, ks []int, seed int64) (*ParallelResult, *Table, error) {
 	xs := workload.Tuples(workload.Config{N: n, Lambda: 1, MeanDur: 25, LongFrac: 0.1, Seed: seed}, "x")
 	ys := workload.Tuples(workload.Config{N: n, Lambda: 1, MeanDur: 4, Seed: seed + 1}, "y")
@@ -62,15 +63,19 @@ func Parallel(n int, ks []int, seed int64) (*ParallelResult, *Table, error) {
 		LSpan: span("a"), RSpan: span("b"),
 	}
 
-	// The split statistics the engine will compute, reproduced here to
+	// The split the engine will make — cuts read off X's sorted ValidFrom
+	// column, both inputs replicated across them — reproduced here to
 	// report the realized replication rate per k.
 	spans := make([]interval.Interval, 0, len(xs)+len(ys))
+	xts := make([]interval.Time, 0, len(xs))
 	for _, t := range xs {
 		spans = append(spans, t.Span)
+		xts = append(xts, t.Span.Start)
 	}
 	for _, t := range ys {
 		spans = append(spans, t.Span)
 	}
+	slices.Sort(xts)
 	st := catalog.FromSpans(spans)
 	ident := func(s interval.Interval) interval.Interval { return s }
 
@@ -79,11 +84,6 @@ func Parallel(n int, ks []int, seed int64) (*ParallelResult, *Table, error) {
 	var serialNS int64
 	for _, k := range ks {
 		opt := engine.Options{Parallelism: k}
-		if k > 1 {
-			// The sweep measures scaling, not the planner's size gate.
-			opt.ForceParallel = true
-			opt.ParallelMinRows = 1
-		}
 		var out *relation.Relation
 		var best int64
 		for rep := 0; rep < 5; rep++ {
@@ -109,7 +109,7 @@ func Parallel(n int, ks []int, seed int64) (*ParallelResult, *Table, error) {
 		p := ParallelPoint{K: k, ElapsedNS: best, Rows: out.Cardinality()}
 		p.Speedup = float64(serialNS) / float64(best)
 		if k > 1 {
-			rs := partition.Ranges(st.EquiDepthTSCuts(k))
+			rs := partition.Ranges(partition.Cuts(xts, k))
 			p.MeasuredRepl = partition.Replication(partition.Split(spans, ident, rs), len(spans))
 			p.PredictedRepl = partition.PredictReplication(st, len(rs))
 		}

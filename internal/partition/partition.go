@@ -46,10 +46,32 @@ func (r Range) String() string {
 	return "[" + lo + "," + hi + ")"
 }
 
-// Ranges turns ascending cut points (catalog.Stats.EquiDepthTSCuts) into
-// the covering shard list: k cuts produce k+1 shards from MinTime to
-// MaxTime. Cuts that are out of order or duplicated are skipped rather
-// than producing empty or inverted shards.
+// Cuts returns up to k−1 ascending ValidFrom cut points that divide a
+// TS-ascending column into k shards of roughly equal row count: the
+// values at indexes j·n/k, j = 1…k−1. It reads k−1 entries and sorts
+// nothing. Cuts at or below the column's minimum (which would leave the
+// leading shard empty) and duplicates (heavy ValidFrom ties) are
+// dropped, so the result may hold fewer than k−1 cuts; an empty column,
+// k < 2 or a single distinct ValidFrom yields none.
+func Cuts(ts []interval.Time, k int) []interval.Time {
+	if k < 2 || len(ts) == 0 {
+		return nil
+	}
+	var cuts []interval.Time
+	for j := 1; j < k; j++ {
+		c := ts[j*len(ts)/k]
+		if c <= ts[0] || len(cuts) > 0 && c == cuts[len(cuts)-1] {
+			continue
+		}
+		cuts = append(cuts, c)
+	}
+	return cuts
+}
+
+// Ranges turns ascending cut points (Cuts) into the covering shard list:
+// k cuts produce k+1 shards from MinTime to MaxTime. Cuts that are out of
+// order or duplicated are skipped rather than producing empty or inverted
+// shards.
 func Ranges(cuts []interval.Time) []Range {
 	rs := make([]Range, 0, len(cuts)+1)
 	lo := interval.MinTime

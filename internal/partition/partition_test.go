@@ -91,8 +91,7 @@ func TestSplitCoversOwnShards(t *testing.T) {
 	for i, tu := range tuples {
 		spans[i] = tu.Span
 	}
-	st := catalog.FromSpans(spans)
-	rs := Ranges(st.EquiDepthTSCuts(4))
+	rs := Ranges(Cuts(startsOf(spans), 4))
 	shards := Split(spans, ident, rs)
 	find := func(p interval.Time) int {
 		for i, r := range rs {
@@ -128,7 +127,7 @@ func TestPredictReplicationTracksMeasured(t *testing.T) {
 	}
 	st := catalog.FromSpans(spans)
 	for _, k := range []int{2, 4, 8} {
-		rs := Ranges(st.EquiDepthTSCuts(k))
+		rs := Ranges(Cuts(startsOf(spans), k))
 		measured := Replication(Split(spans, ident, rs), len(spans))
 		predicted := PredictReplication(st, len(rs))
 		if predicted <= 0 {
@@ -153,8 +152,7 @@ func TestShardsPreserveSortOrders(t *testing.T) {
 	for i, tu := range tuples {
 		spans[i] = tu.Span
 	}
-	st := catalog.FromSpans(spans)
-	rs := Ranges(st.EquiDepthTSCuts(4))
+	rs := Ranges(Cuts(startsOf(spans), 4))
 	for _, o := range []relation.Order{{relation.TSAsc}, {relation.TEAsc}, {relation.TSAsc, relation.TEAsc}} {
 		sorted := append([]interval.Interval{}, spans...)
 		relation.SortSpans(sorted, ident, o)

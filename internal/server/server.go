@@ -33,9 +33,10 @@ type Config struct {
 	Registry *obs.Registry
 	// Events receives the operational journal (a fresh log when nil).
 	Events *obs.EventLog
-	// Exec seeds per-query execution options (parallelism, policy,
-	// tracer, profile, slow-query threshold). Registry, Events and
-	// Interrupt are filled per request.
+	// Exec seeds per-query execution options (parallelism, tracer,
+	// profile, slow-query threshold). Registry, Events and Interrupt are
+	// filled per request. The zero value runs every query serially; set
+	// Parallelism ≥ 2 to fan eligible operators out to time shards.
 	Exec engine.Options
 	// Optimizer selects optimization passes; integrity constraints are
 	// always taken from the catalog.
