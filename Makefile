@@ -35,8 +35,9 @@ test:
 # agreeing with it on every lifespan and row offset, the
 # packed value.Value against its three-field reference, the row-key
 # codec: equal relation.AppendKey encodings exactly when Row.Equal, and the
-# engine's endpoint index: every Run over a DB that took Register, Append
-# and direct row growth returns what a fresh DB's Run of the tree returns.
+# engine's relation index (orders and column codes): every Run over a DB
+# that took Register, Append and direct row growth returns what a fresh
+# DB's Run of the tree returns.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage

@@ -34,7 +34,7 @@ type DB struct {
 	ics    []constraints.ChronOrder
 	reg    *obs.Registry
 	live   map[string]*liveStats
-	orders *orderIndex
+	index  *relationIndex
 }
 
 // SetMetrics publishes database-shape gauges (relation count, total rows,
@@ -66,7 +66,7 @@ func NewDB() *DB {
 		stored: map[string]*storage.HeapFile{},
 		cat:    catalog.New(),
 		live:   map[string]*liveStats{},
-		orders: newOrderIndex(),
+		index:  newRelationIndex(),
 	}
 }
 
@@ -92,7 +92,7 @@ func (db *DB) StoreRelation(name, dir string, poolPages int) error {
 	}
 	db.stored[name] = hf
 	rel.Rows = nil // scans now come from disk
-	db.orders.drop(rel)
+	db.index.drop(rel)
 	db.refreshGauges()
 	return nil
 }
@@ -117,14 +117,14 @@ func (db *DB) Close() error {
 }
 
 // Register adds (or replaces) a relation and refreshes its statistics.
-// The endpoint index forgets every order of the relation it replaces —
+// The relation index forgets every entry of the relation it replaces —
 // rel itself, when it is registered again after a change to its rows.
 func (db *DB) Register(rel *relation.Relation) error {
 	if err := rel.Check(); err != nil {
 		return err
 	}
 	if old, ok := db.rels[rel.Name]; ok {
-		db.orders.drop(old)
+		db.index.drop(old)
 	}
 	db.rels[rel.Name] = rel
 	if rel.Schema.Temporal() {

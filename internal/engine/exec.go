@@ -241,8 +241,13 @@ type result struct {
 	keys   *storage.Keys // set by a key scan, which leaves v empty
 	// base is set by a scan of an in-memory relation no append has
 	// touched, whose v is the identity view over base.Rows: the one input
-	// whose order the endpoint index keeps.
+	// whose order the relation index keeps, and whose equality selections
+	// it serves.
 	base *relation.Relation
+	// reads is the base relation whose rows v's one part picks, set by the
+	// same scan and kept by a selection over it: a self equi-join of two
+	// such inputs chains its rows by the relation's column codes.
+	reads *relation.Relation
 }
 
 // rows builds the result's rows, for the consumers that revisit them.
@@ -305,7 +310,7 @@ func (in ordered) spans() []spanned {
 // it, and the external sort returns one regardless.
 //
 // A base scan's order within the sort workspace comes from the DB's
-// endpoint index (orderindex.go) when an earlier query left it there,
+// relation index (orderindex.go) when an earlier query left it there,
 // sorting nothing; otherwise it is established as above, always with its
 // permutation, and left there.
 func (ex *executor) establishOrder(in *result, span rowSpan,
@@ -315,8 +320,8 @@ func (ex *executor) establishOrder(in *result, span rowSpan,
 		return ex.orderColumns(in.keys.TS, in.keys.TE, o, cost, withPerm)
 	}
 	if mem := ex.opt.SortMemRows; in.base != nil && in.v.n > 0 && (mem <= 0 || in.v.n <= mem) {
-		key := orderKey{rel: in.base, ts: span.ts, te: span.te, order: o.String()}
-		if out, ok := ex.db.orders.get(key); ok {
+		key := orderKey(in.base, span, o)
+		if out, ok := ex.db.index.order(key); ok {
 			cost.Notes = append(cost.Notes, fmt.Sprintf("order %v from endpoint index", o))
 			return out, nil
 		}
@@ -325,7 +330,7 @@ func (ex *executor) establishOrder(in *result, span rowSpan,
 		if err != nil {
 			return ordered{}, err
 		}
-		ex.db.orders.put(key, out)
+		ex.db.index.putOrder(key, out)
 		return out, nil
 	}
 	ts, te := in.v.shred(span.of)
@@ -594,7 +599,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 	})
 	res := &result{schema: base.Schema.Rename(n.Var()), v: rowsView(base.Rows, base.Schema.Arity())}
 	if _, live := ex.db.live[n.Relation]; !live {
-		res.base = base
+		res.base, res.reads = base, base
 	}
 	return res, nil
 }
@@ -642,42 +647,99 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 
 // evalSelect narrows a selection vector: the positions of the input view
 // whose row satisfies the predicate, which the output view picks. A
-// selection that keeps every row hands its input view on unchanged.
+// selection that keeps every row hands its input view on unchanged. Over
+// a base scan, a col = const conjunct takes its positions from the
+// column's codes (codes.go), and the other conjuncts are tested on those
+// rows alone; the node's counts are still those of a scan of every row.
 func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compilePred(n.Pred, in.schema)
+	v := in.v.flat()
+	var cand []int32 // the rows of the served conjunct's constant
+	served, rest := false, n.Pred
+	if in.base != nil {
+		if col, key, others, ok := eqConst(n.Pred, in.schema); ok {
+			if codes := ex.db.index.codes(in.base, col); codes != nil {
+				served, cand, rest = true, codes.match(key), others
+			}
+		}
+	}
+	pred, err := compilePred(rest, in.schema)
 	if err != nil {
 		return nil, err
 	}
-	probe := metrics.Probe{}
-	v := in.v.flat()
+	sel := cand
+	switch {
+	case !served:
+		sel, err = ex.filter(v, nil, pred)
+	case len(cand) > 0 && len(rest.Atoms) > 0:
+		sel, err = ex.filter(v, cand, pred)
+	}
+	if err != nil {
+		return nil, err
+	}
+	notes := []string{fmt.Sprintf("%d-atom conjunction over %d rows", predAtoms(n.Pred), v.n)}
+	if served {
+		notes = append(notes, "σ from column index")
+	}
+	probe := metrics.Probe{ReadLeft: int64(v.n), Comparisons: int64(v.n), Emitted: int64(len(sel))}
+	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(sel)), Notes: notes})
+	if len(sel) < v.n {
+		v = v.pick(sel)
+	}
+	return &result{schema: in.schema, v: v, reads: in.reads}, nil
+}
+
+// filter returns the positions of v's rows among cand (nil: every row)
+// that satisfy pred, in ascending order.
+func (ex *executor) filter(v view, cand []int32, pred rowPred) ([]int32, error) {
+	n := v.n
+	if cand != nil {
+		n = len(cand)
+	}
 	rd := v.reader()
-	sel := make([]int32, 0, v.n)
+	sel := make([]int32, 0, n)
 	//tdb:hotpath
-	for i := range int32(v.n) {
-		if i%interruptEvery == 0 {
+	for k := range n {
+		if k%interruptEvery == 0 {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, err
 			}
 		}
-		probe.IncReadLeft()
-		probe.IncComparisons(1)
+		i := int32(k)
+		if cand != nil {
+			i = cand[k]
+		}
 		if pred(rd.at(i)) {
 			sel = append(sel, i)
 		}
 	}
-	probe.IncEmitted(int64(len(sel)))
-	ex.stats.add(NodeCost{
-		Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(sel)),
-		Notes: []string{fmt.Sprintf("%d-atom conjunction over %d rows", predAtoms(n.Pred), v.n)},
-	})
-	if len(sel) < v.n {
-		v = v.pick(sel)
+	return sel, nil
+}
+
+// eqConst finds the first conjunct of p that compares a column of s with
+// a constant of the column's kind for equality, in either operand order:
+// the column, the constant's relation.AppendKey encoding, and the
+// conjunction without it.
+func eqConst(p algebra.Predicate, s *relation.Schema) (col int, key []byte, rest algebra.Predicate, ok bool) {
+	for i, a := range p.Atoms {
+		c, k := a.L, a.R
+		if c.IsConst {
+			c, k = k, c
+		}
+		if a.Op != algebra.EQ || c.IsConst || c.Param > 0 || !k.IsConst {
+			continue
+		}
+		j := s.ColumnIndex(c.Col.Name())
+		if j < 0 || (s.Cols[j].Kind == value.KindString) != (k.Const.Kind() == value.KindString) {
+			continue
+		}
+		rest = algebra.Predicate{Atoms: slices.Delete(slices.Clone(p.Atoms), i, i+1), Temporal: p.Temporal}
+		return j, relation.AppendKey(nil, relation.Row{k.Const}, nil), rest, true
 	}
-	return &result{schema: in.schema, v: v}, nil
+	return 0, nil, p, false
 }
 
 // evalProduct lists every (left, right) position pair as a join's matches.
@@ -756,7 +818,7 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	if n.Distinct {
 		v = v.flat()
 		rd := v.reader()
-		seen := map[string]bool{}
+		seen := make(map[string]bool, v.n)
 		keep := make([]int32, 0, v.n)
 		var key []byte
 		for i := range int32(v.n) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tdb/internal/algebra"
 	"tdb/internal/baseline"
@@ -358,12 +359,14 @@ func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (pairChunks, *No
 	return out, cost, nil
 }
 
-// hashJoin keys both sides with relation.AppendKey into one reused buffer,
-// so keys match exactly when the nested loop's equality does. The table
-// maps a key to a chain of build positions — slots gives the key's chain,
-// heads its first position and next the one after each — and the probe's
-// slots[string(key)] lookup does not allocate. The matches come out in
-// probe order, each probe row's in build order.
+// hashJoin chains the build side's positions by key — heads gives a
+// slot's first position and next the one after each — and walks the probe
+// row's chain. Keys match exactly when the nested loop's equality does:
+// both sides are keyed with relation.AppendKey into one reused buffer and
+// a map assigns slots, or, when both read one column of the same base
+// relation (a self equi-join), a key's slot is the column's code
+// (codes.go) and neither side is keyed. The matches come out in probe
+// order, each probe row's in build order.
 func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (pairChunks, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "hash equi-join"}
 	var res pairPred
@@ -383,20 +386,45 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 	}
 	bn := build.v.n
 	brd, prd := build.v.reader(), probeSide.v.reader()
-	slots := make(map[string]int32, bn)
-	heads := make([]int32, 0, bn)
+	var heads []int32
+	// buildSlot and probeSlot give a build or probe position's slot; a
+	// probe key no build row has gets -1.
+	var buildSlot, probeSlot func(i int32) int32
+	if codes := ex.selfJoinCodes(l, r, lk, rk); codes != nil {
+		cost.Notes = append(cost.Notes, "hash on column codes")
+		heads = slices.Repeat([]int32{-1}, codes.len())
+		bp, pp := build.v.parts[0], probeSide.v.parts[0]
+		buildSlot = func(i int32) int32 { return codes.codes[bp.pos(i)] }
+		probeSlot = func(i int32) int32 { return codes.codes[pp.pos(i)] }
+	} else {
+		slots := make(map[string]int32, bn)
+		heads = make([]int32, 0, bn)
+		var key []byte
+		buildSlot = func(i int32) int32 {
+			key = relation.AppendKey(key[:0], brd.at(i), bk)
+			s, ok := slots[string(key)]
+			if !ok {
+				s = int32(len(slots))
+				slots[string(key)] = s
+			}
+			return s
+		}
+		probeSlot = func(i int32) int32 {
+			key = relation.AppendKey(key[:0], prd.at(i), pk)
+			if s, ok := slots[string(key)]; ok {
+				return s
+			}
+			return -1
+		}
+	}
 	next := make([]int32, bn)
-	var key []byte
 	// Walking the build side backwards and pushing each position on its
 	// chain leaves every chain in build order.
 	for i := int32(bn) - 1; i >= 0; i-- {
 		cost.Probe.IncReadLeft()
 		cost.Probe.StateAdd(1)
-		key = relation.AppendKey(key[:0], brd.at(i), bk)
-		s, ok := slots[string(key)]
-		if !ok {
-			s = int32(len(heads))
-			slots[string(key)] = s
+		s := buildSlot(i)
+		if int(s) == len(heads) {
 			heads = append(heads, -1)
 		}
 		next[i], heads[s] = heads[s], i
@@ -409,11 +437,13 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 			}
 		}
 		cost.Probe.IncReadRight()
-		row := prd.at(i)
-		key = relation.AppendKey(key[:0], row, pk)
-		s, ok := slots[string(key)]
-		if !ok {
+		s := probeSlot(i)
+		if s < 0 {
 			continue
+		}
+		var row relation.Row
+		if res != nil {
+			row = prd.at(i)
 		}
 		for m := heads[s]; m >= 0; m = next[m] {
 			cost.Probe.IncComparisons(1)
@@ -437,6 +467,16 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 	out := pl.chunks()
 	cost.Probe.IncEmitted(int64(out.count()))
 	return out, cost, nil
+}
+
+// selfJoinCodes returns the codes that key a hash join whose one key
+// column is the same column of the same base relation on both sides, or
+// nil.
+func (ex *executor) selfJoinCodes(l, r *result, lk, rk []int) *columnCodes {
+	if len(lk) != 1 || lk[0] != rk[0] || l.reads == nil || l.reads != r.reads {
+		return nil
+	}
+	return ex.db.index.codes(l.reads, lk[0])
 }
 
 func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {

@@ -6,89 +6,139 @@ import (
 	"tdb/internal/relation"
 )
 
-// The endpoint index (DESIGN.md "Sorting"): the first ordered use of a
-// registered in-memory relation leaves the order it established — the
-// sorted endpoint columns and the permutation back to the relation's rows —
-// in its DB, and later queries take that order from there instead of
-// shredding and sorting the relation again. Only a base scan's order is
-// kept: a selection, a join output, a derived span and a key scan each
-// order rows no relation holds in that form.
+// The relation index (DESIGN.md "The relation index"): what a query built
+// from a registered in-memory relation's rows and a later query can use
+// again stays in the relation's DB. Entries are of two kinds:
+//
+//   - an order of its lifespans (the endpoint index): the sorted endpoint
+//     columns and the permutation back to the relation's rows, left by the
+//     first ordered use of a base scan; a selection, a join output, a
+//     derived span and a key scan each order rows no relation holds in
+//     that form, and are never kept;
+//   - the codes of one of its columns (codes.go), built on the first
+//     equality use: a base scan's col = const selection or a self
+//     equi-join on one column.
 
-// orderIndexBudget bounds the bytes of endpoint columns and permutations
-// one DB keeps: 20 B per row per order, so 32 MiB holds about 1.6 million
-// rows' orders. Past it the least recently used entry goes first.
-const orderIndexBudget = 32 << 20
+// indexBudget bounds the bytes one DB's index keeps: 20 B per row per
+// order and about 12 B per row per column's codes, so 32 MiB holds about
+// 1.6 million rows' orders. Past it the least recently used entry goes
+// first.
+const indexBudget = 32 << 20
 
-// orderKey names one order of one relation's lifespans, the span given by
-// its endpoint columns.
-type orderKey struct {
+// indexKey names one entry of one relation: an order of the lifespans its
+// endpoint columns ts and te give (col -1), or the codes of column col (ts
+// and te -1, order empty).
+type indexKey struct {
 	rel    *relation.Relation
+	col    int
 	ts, te int
 	order  string
 }
 
-// orderEntry is a kept order with what it was built from: the relation's
-// row count and first row, which must still match when it is served.
-type orderEntry struct {
+// orderKey names the order o of rel's lifespans under span.
+func orderKey(rel *relation.Relation, span rowSpan, o relation.Order) indexKey {
+	return indexKey{rel: rel, col: -1, ts: span.ts, te: span.te, order: o.String()}
+}
+
+// codesKey names the codes of rel's column col.
+func codesKey(rel *relation.Relation, col int) indexKey {
+	return indexKey{rel: rel, col: col, ts: -1, te: -1}
+}
+
+// indexEntry is a kept order or column's codes with what it was built
+// from: the relation's row count and first row, which must still match
+// when it is served.
+type indexEntry struct {
 	ord   ordered
+	codes *columnCodes
 	n     int
 	first *relation.Row
 	bytes int64
 	used  uint64 // the index's clock at the entry's last use
 }
 
-// orderIndex is a DB's endpoint index. Its own mutex guards it: queries
+// relationIndex is a DB's relation index. Its own mutex guards it: queries
 // run concurrently against one DB under the caller's shared lock, and
-// every one of them may fill the index. Served orders are shared and read
-// only; nothing writes an ordered's columns or permutation once made.
-type orderIndex struct {
+// every one of them may fill the index. Served entries are shared and read
+// only; nothing writes an ordered's columns or permutation, or a column's
+// codes or row lists, once made.
+type relationIndex struct {
 	mu      sync.Mutex
-	entries map[orderKey]*orderEntry
+	entries map[indexKey]*indexEntry
 	bytes   int64
 	budget  int64
 	clock   uint64
 }
 
-func newOrderIndex() *orderIndex {
-	return &orderIndex{entries: map[orderKey]*orderEntry{}, budget: orderIndexBudget}
+func newRelationIndex() *relationIndex {
+	return &relationIndex{entries: map[indexKey]*indexEntry{}, budget: indexBudget}
 }
 
-// get returns the kept order of key, if the relation still has the rows
-// the entry was built from; an entry it has outgrown is dropped.
-func (x *orderIndex) get(key orderKey) (ordered, bool) {
+// order returns the kept order of key, if any.
+func (x *relationIndex) order(key indexKey) (ordered, bool) {
+	if e := x.get(key); e != nil {
+		return e.ord, true
+	}
+	return ordered{}, false
+}
+
+// putOrder keeps ord as key's order over the relation's current rows.
+func (x *relationIndex) putOrder(key indexKey, ord ordered) {
+	x.put(key, &indexEntry{ord: ord, bytes: int64(8*(len(ord.cols.TS)+len(ord.cols.TE)) + 4*len(ord.perm))})
+}
+
+// codes returns the codes of rel's column col, building and keeping them
+// on first use. It returns nil for a relation without rows and for one
+// whose codes could not fit the budget, which would be built again on
+// every query.
+func (x *relationIndex) codes(rel *relation.Relation, col int) *columnCodes {
+	if n := len(rel.Rows); n == 0 || int64(8*n) > x.budget {
+		return nil
+	}
+	key := codesKey(rel, col)
+	if e := x.get(key); e != nil {
+		return e.codes
+	}
+	c := buildCodes(rel.Rows, col)
+	x.put(key, &indexEntry{codes: c, bytes: c.bytes()})
+	return c
+}
+
+// get returns the entry of key, if the relation still has the rows the
+// entry was built from; an entry it has outgrown is dropped.
+func (x *relationIndex) get(key indexKey) *indexEntry {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	e, ok := x.entries[key]
 	if !ok {
-		return ordered{}, false
+		return nil
 	}
 	if rows := key.rel.Rows; e.n != len(rows) || e.first != &rows[0] {
 		x.remove(key, e)
-		return ordered{}, false
+		return nil
 	}
 	x.clock++
 	e.used = x.clock
-	return e.ord, true
+	return e
 }
 
-// put keeps ord as key's order over the relation's current rows, evicting
-// the least recently used entries until it fits the budget. An order
+// put keeps e as key's entry over the relation's current rows, evicting
+// the least recently used entries until it fits the budget. An entry
 // larger than the whole budget is not kept.
-func (x *orderIndex) put(key orderKey, ord ordered) {
-	rows := key.rel.Rows
-	e := &orderEntry{ord: ord, n: len(rows), first: &rows[0],
-		bytes: int64(8*(len(ord.cols.TS)+len(ord.cols.TE)) + 4*len(ord.perm))}
+func (x *relationIndex) put(key indexKey, e *indexEntry) {
 	if e.bytes > x.budget {
 		return
 	}
+	rows := key.rel.Rows
+	e.n, e.first = len(rows), &rows[0]
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if old, ok := x.entries[key]; ok {
 		x.remove(key, old)
 	}
 	for x.bytes+e.bytes > x.budget {
-		var lru orderKey
-		var oldest *orderEntry
+		var lru indexKey
+		var oldest *indexEntry
 		for k, c := range x.entries {
 			if oldest == nil || c.used < oldest.used {
 				lru, oldest = k, c
@@ -102,8 +152,8 @@ func (x *orderIndex) put(key orderKey, ord ordered) {
 	x.bytes += e.bytes
 }
 
-// drop forgets every order of rel.
-func (x *orderIndex) drop(rel *relation.Relation) {
+// drop forgets every entry of rel.
+func (x *relationIndex) drop(rel *relation.Relation) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for k, e := range x.entries {
@@ -113,7 +163,7 @@ func (x *orderIndex) drop(rel *relation.Relation) {
 	}
 }
 
-func (x *orderIndex) remove(key orderKey, e *orderEntry) {
+func (x *relationIndex) remove(key indexKey, e *indexEntry) {
 	delete(x.entries, key)
 	x.bytes -= e.bytes
 }

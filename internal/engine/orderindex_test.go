@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"tdb/internal/algebra"
+	"tdb/internal/optimizer"
+	"tdb/internal/quel"
 	"tdb/internal/relation"
 	"tdb/internal/value"
 	"tdb/internal/workload"
@@ -93,10 +95,10 @@ func runFresh(t *testing.T, tree algebra.Expr, opt Options, rels ...*relation.Re
 
 // entriesOf counts the index entries of rel.
 func entriesOf(db *DB, rel *relation.Relation) int {
-	db.orders.mu.Lock()
-	defer db.orders.mu.Unlock()
+	db.index.mu.Lock()
+	defer db.index.mu.Unlock()
 	n := 0
-	for k := range db.orders.entries {
+	for k := range db.index.entries {
 		if k.rel == rel {
 			n++
 		}
@@ -268,7 +270,7 @@ func TestOrderIndexBudgetHolds(t *testing.T) {
 	const rows = 50
 	db := NewDB()
 	entry := int64(20 * rows) // endpoint columns and permutation of one order
-	db.orders.budget = 10*entry + entry/2
+	db.index.budget = 10*entry + entry/2
 	var rels []*relation.Relation
 	for i := 0; i < 100; i++ {
 		rel := relation.FromTuples(fmt.Sprintf("R%d", i), tiedTuples(rng, rows, "r"))
@@ -288,16 +290,16 @@ func TestOrderIndexBudgetHolds(t *testing.T) {
 		}
 		want, _ := runFresh(t, q, colOpt(), rels[i-1], rels[i])
 		identicalRows(t, q.Label(), want, got)
-		db.orders.mu.Lock()
+		db.index.mu.Lock()
 		var sum int64
-		for _, e := range db.orders.entries {
+		for _, e := range db.index.entries {
 			sum += e.bytes
 		}
-		n, bytes := len(db.orders.entries), db.orders.bytes
-		db.orders.mu.Unlock()
-		if bytes > db.orders.budget || sum != bytes || n > 10 {
+		n, bytes := len(db.index.entries), db.index.bytes
+		db.index.mu.Unlock()
+		if bytes > db.index.budget || sum != bytes || n > 10 {
 			t.Fatalf("after %d queries: %d entries, %d bytes (sum %d) against a budget of %d",
-				i, n, bytes, sum, db.orders.budget)
+				i, n, bytes, sum, db.index.budget)
 		}
 		if entriesOf(db, rels[i-1]) == 0 || entriesOf(db, rels[i]) == 0 {
 			t.Fatalf("query %d: the orders it just used were evicted", i)
@@ -308,8 +310,9 @@ func TestOrderIndexBudgetHolds(t *testing.T) {
 	}
 }
 
-// Queries running concurrently on one DB share its index: each run, cold
-// or warm, returns the rows a run alone returns. Run it under -race.
+// Queries running concurrently on one DB share its index, orders and
+// column codes: each run, cold or warm, returns the rows a run alone
+// returns. Run it under -race.
 func TestOrderIndexConcurrentRuns(t *testing.T) {
 	db := NewDB()
 	for i, name := range []string{"X", "Y"} {
@@ -318,6 +321,9 @@ func TestOrderIndexConcurrentRuns(t *testing.T) {
 		db.MustRegister(relation.FromTuples(name, tu))
 	}
 	queries := orderedQueries()
+	for _, q := range codedQueries("Y") {
+		queries = append(queries, orderedQuery{name: q.name, tree: q.tree})
+	}
 	want := make([]*relation.Relation, len(queries))
 	for i, q := range queries {
 		x, _ := db.Relation("X")
@@ -330,7 +336,7 @@ func TestOrderIndexConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for r := 0; r < 4; r++ {
+			for r := range len(queries) {
 				i := (g + r) % len(queries)
 				opt := colOpt()
 				if g%2 == 1 {
@@ -370,7 +376,10 @@ func sameSequence(a, b *relation.Relation) bool {
 // FuzzOrderIndex interleaves Register, Append, direct row growth and Run
 // over two small relations, and holds every Run to a run of the same tree
 // over a fresh DB holding the same rows: the same row sequence and the
-// same comparisons, tuples read and workspace.
+// same comparisons, tuples read and workspace. The trees are the ordered
+// operators, whose base orders the index serves, and a col = const
+// selection and a self equi-join of each relation, which its column codes
+// serve.
 func FuzzOrderIndex(f *testing.F) {
 	f.Add([]byte{0, 5, 5, 5, 1, 5, 2, 5, 3, 5, 4, 5})
 	f.Add([]byte{5, 6, 7, 8, 9, 1, 1, 6, 2, 2, 7, 0, 8, 3, 9})
@@ -388,7 +397,15 @@ func FuzzOrderIndex(f *testing.F) {
 		}
 		register("X")
 		register("Y")
-		queries := orderedQueries()
+		var queries []orderedQuery
+		queries = append(queries, orderedQueries()...)
+		for _, name := range []string{"X", "Y"} {
+			for _, q := range codedQueries(name) {
+				if q.name == "σ 5 = ValidFrom ∧ ValidTo ≤ 7" || q.name == "self-join of selections, residual" {
+					queries = append(queries, orderedQuery{name: name + " " + q.name, tree: q.tree})
+				}
+			}
+		}
 		for _, op := range ops {
 			name := []string{"X", "Y"}[op&1]
 			switch op % 10 {
@@ -484,6 +501,76 @@ func benchWarmContainSemijoin(b *testing.B, opt Options) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, _, err := Run(db, q, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orderIndexSink = out
+	}
+}
+
+// superstarBench registers Faculty — 20 000 members and the Rank
+// chron-order — in a new DB and returns the DB, the relation and the
+// optimized plan of the paper's running query over it.
+func superstarBench(tb testing.TB) (*DB, *relation.Relation, algebra.Expr) {
+	tb.Helper()
+	db := NewDB()
+	fac := workload.Faculty(workload.FacultyConfig{N: 20000, Seed: 1004})
+	if err := db.Register(fac); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.DeclareChronOrder(rankIC(false)); err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := quel.Parse(superstarText)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qs, err := quel.Translate(prog, db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := optimizer.Optimize(qs[0].Tree, db, optimizer.Options{ICs: db.ChronOrders()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, fac, res.Tree
+}
+
+// The Superstar's first run after Faculty is registered: the index holds
+// nothing of it, so the run builds the column codes and orders it uses.
+// query-ns/op is the run's time alone, without the Register.
+func BenchmarkSuperstar_Cold(b *testing.B) {
+	db, fac, tree := superstarBench(b)
+	opt := Options{Parallelism: 1}
+	var query time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Register(fac); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		out, _, err := Run(db, tree, opt)
+		query += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orderIndexSink = out
+	}
+	b.ReportMetric(float64(query.Nanoseconds())/float64(b.N), "query-ns/op")
+}
+
+// The Superstar run again over what the index already holds.
+func BenchmarkSuperstar_Warm(b *testing.B) {
+	db, _, tree := superstarBench(b)
+	opt := Options{Parallelism: 1}
+	if _, _, err := Run(db, tree, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, err := Run(db, tree, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"tdb/internal/algebra"
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
-	"tdb/internal/quel"
 	"tdb/internal/relation"
 	"tdb/internal/testutil"
 	"tdb/internal/workload"
@@ -157,28 +156,14 @@ func TestParallelSuperstarByteIdentical(t *testing.T) {
 // and the optimized Superstar plan over 20 000 Faculty rows.
 func TestDefaultOptionsRunSerially(t *testing.T) {
 	semiDB, _ := orderIndexBench(t)
-	faculty := NewDB()
-	if err := faculty.Register(workload.Faculty(workload.FacultyConfig{N: 20000, Seed: 1004})); err != nil {
-		t.Fatal(err)
-	}
-	if err := faculty.DeclareChronOrder(rankIC(false)); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := quel.Parse(superstarText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := quel.Translate(prog, faculty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faculty, _, superstar := superstarBench(t)
 	for _, q := range []struct {
 		name string
 		db   *DB
 		tree algebra.Expr
 	}{
 		{"contain-semijoin", semiDB, semijoinOf(algebra.KindContain)},
-		{"superstar", faculty, optimize(t, faculty, qs[0].Tree, optimizer.Options{ICs: faculty.ChronOrders()})},
+		{"superstar", faculty, superstar},
 	} {
 		bytes := func(opt Options) uint64 {
 			_, stats, err := Run(q.db, q.tree, opt)

@@ -348,6 +348,7 @@ func (db *DB) Append(name string, row relation.Row) error {
 	if len(row) != rel.Schema.Arity() {
 		return fmt.Errorf("engine: append to %s: row arity %d, schema %s", name, len(row), rel.Schema)
 	}
+	_, wasLive := db.live[name]
 	ls, err := db.liveStatsFor(name, rel)
 	if err != nil {
 		return err
@@ -358,7 +359,12 @@ func (db *DB) Append(name string, row relation.Row) error {
 		}
 	} else {
 		rel.Rows = append(rel.Rows, row)
-		db.orders.drop(rel)
+		// A live relation is never indexed (evalScan), so only the append
+		// that makes it live, or one to a relation that never goes live (a
+		// non-temporal one), has entries to drop.
+		if !wasLive {
+			db.index.drop(rel)
+		}
 	}
 	if ls != nil {
 		ls.inc.Observe(row.Span(rel.Schema))
