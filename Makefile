@@ -37,7 +37,8 @@ test:
 # codec: equal relation.AppendKey encodings exactly when Row.Equal, and the
 # engine's relation index (orders and column codes): every Run over a DB
 # that took Register, Append and direct row growth returns what a fresh
-# DB's Run of the tree returns.
+# DB's Run of the tree returns, and the /v1/append decoder: rows of the
+# schema's kinds or a typed bad_request error for any body, never a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzValue -fuzztime=10s ./internal/value
 	$(GO) test -run '^$$' -fuzz=FuzzRowKey -fuzztime=10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzOrderIndex -fuzztime=10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz=FuzzAppendRequest -fuzztime=10s ./internal/server
 
 race:
 	$(GO) test -race ./...

@@ -446,7 +446,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var key string
 	if req.IdemKey != "" {
 		key = ten.cfg.Name + "\x00" + req.Relation + "\x00" + req.IdemKey
-		if e, ok := s.dedup.lookup(key, time.Now()); ok {
+		e, c, apiErr := s.dedup.claim(r.Context(), key)
+		if apiErr != nil {
+			writeError(w, apiErr)
+			return
+		}
+		if e != nil {
 			// Replay the remembered outcome — rows are never applied twice
 			// under one key, and a retried failure reports the original
 			// error, not a second partial application.
@@ -459,12 +464,15 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, resp)
 			return
 		}
+		// This request is the key's one applier until store records its
+		// outcome; a panic before that drops the claim for a retry.
+		defer s.dedup.release(c)
 	}
 	s.mu.Lock()
 	resp, apiErr := s.applyAppend(&req)
 	s.mu.Unlock()
 	if key != "" {
-		s.dedup.store(key, dedupEntry{at: time.Now(), resp: resp, err: apiErr})
+		s.dedup.store(key, resp, apiErr)
 		if err := fault.Check("server/dup-append"); err != nil {
 			// The outcome is recorded but the response never leaves: the
 			// client sees an ambiguous failure and must retry into the

@@ -273,6 +273,102 @@ func TestChaosDupAppendDedup(t *testing.T) {
 	}
 }
 
+// TestRetryInFlightAppendAppliesOnce: a retry that arrives while its
+// first attempt still waits for the catalog lock (the connection dropped
+// mid-request and the driver re-sent it) waits on the attempt's claim
+// and replays its outcome, so the rows land once.
+func TestRetryInFlightAppendAppliesOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{DB: liveDB(t)})
+	rows := make([][]any, 16)
+	for i := range rows {
+		rows[i] = []any{fmt.Sprintf("r%02d", i), "Full", 10, 20}
+	}
+	body, err := json.Marshal(AppendRequest{Relation: "F", Rows: rows, IdemKey: "k-inflight"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the exclusive catalog lock: the first attempt claims its key,
+	// then stalls before applying.
+	locked, unlock := make(chan struct{}), make(chan struct{})
+	go func() {
+		_ = s.WithLive(func(*live.Manager) error {
+			close(locked)
+			<-unlock
+			return nil
+		})
+	}()
+	<-locked
+	var unlockOnce sync.Once
+	release := func() { unlockOnce.Do(func() { close(unlock) }) }
+	defer release()
+
+	var wg sync.WaitGroup
+	resps := make([]AppendResponse, 2)
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/"+Protocol+"/append", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("attempt %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("attempt %d: status %d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&resps[i]); err != nil {
+				t.Errorf("attempt %d: decode: %v", i, err)
+			}
+		}()
+	}
+	send(0)
+	waitFor(t, func() bool {
+		s.dedup.mu.Lock()
+		defer s.dedup.mu.Unlock()
+		return len(s.dedup.claims) == 1
+	})
+	send(1)
+	// The retry finds the key claimed and waits. The wait is bounded so
+	// that a server whose retry queues on the catalog lock instead still
+	// reaches the row count below.
+	for deadline := time.Now().Add(2 * time.Second); s.dedup.waits.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	wg.Wait()
+
+	if we := post(t, ts.URL, "append", AppendRequest{Relation: "F", Flush: true}, nil); we != nil {
+		t.Fatalf("flush: %s: %s", we.Code, we.Message)
+	}
+	var n int
+	_ = s.WithLive(func(*live.Manager) error {
+		rel, err := s.DB().Relation("F")
+		if err != nil {
+			return err
+		}
+		n = len(rel.Rows)
+		return nil
+	})
+	if n != 16 {
+		t.Errorf("table gained %d rows, want 16 (applied once)", n)
+	}
+	deduped := 0
+	for i, r := range resps {
+		if r.Appended != 16 {
+			t.Errorf("attempt %d reported appended=%d, want 16", i, r.Appended)
+		}
+		if r.Deduped {
+			deduped++
+		}
+	}
+	if deduped != 1 {
+		t.Errorf("%d responses deduped, want exactly 1", deduped)
+	}
+}
+
 // TestChaosRestartLosesResumeState: a simulated restart (server/restart)
 // wipes sessions, subscriptions, and the dedup window — the client's
 // resume attempt gets the typed unknown_resume, its session the typed

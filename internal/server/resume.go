@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -184,68 +185,165 @@ func (s *Server) dropSessionSubs(sessID string) {
 // original did, and never re-applies rows.
 type dedupEntry struct {
 	at   time.Time
+	seq  uint64 // the store that wrote it; tells a live queue record from a stale one
 	resp AppendResponse
 	err  *Error
 }
 
+// dedupRecord is one store in the window's age queue. It is stale once
+// its key is gone from the map or was stored again (the seqs differ).
+type dedupRecord struct {
+	key string
+	seq uint64
+}
+
+// dedupClaim is one in-flight application of an idempotency key. A
+// request that finds its key claimed waits on done and replays the
+// owner's outcome; outcome is written before done closes and never
+// after, and stays nil when the owner gave up or the window was reset.
+type dedupClaim struct {
+	key     string
+	done    chan struct{}
+	outcome *dedupEntry
+}
+
 // dedupWindow backs append idempotency keys: outcomes are remembered for
 // a TTL under (tenant, relation, key) and bounded in count, oldest first.
+// Every entry has one live record in q, and q is in age order because
+// store stamps at and appends under mu, so eviction pops from the front
+// and a store costs O(1) amortized, whatever the window's size.
 type dedupWindow struct {
-	mu   sync.Mutex
-	m    map[string]dedupEntry
-	ttl  time.Duration
-	max  int
-	hits *obs.Counter
+	mu     sync.Mutex
+	m      map[string]dedupEntry
+	q      []dedupRecord // q[head:] oldest first; may hold stale records
+	head   int
+	seq    uint64
+	claims map[string]*dedupClaim
+	ttl    time.Duration
+	max    int
+	now    func() time.Time
+	hits   *obs.Counter
+	waits  *obs.Counter
 }
 
 func newDedupWindow(ttl time.Duration, max int, reg *obs.Registry) *dedupWindow {
 	return &dedupWindow{
-		m:    map[string]dedupEntry{},
-		ttl:  ttl,
-		max:  max,
-		hits: reg.Counter("tdb_server_append_dedup_hits_total", "append retries answered from the idempotency window without re-applying rows"),
+		m:      map[string]dedupEntry{},
+		claims: map[string]*dedupClaim{},
+		ttl:    ttl,
+		max:    max,
+		now:    time.Now,
+		hits:   reg.Counter("tdb_server_append_dedup_hits_total", "append retries answered from the idempotency window without re-applying rows"),
+		waits:  reg.Counter("tdb_server_append_dedup_waits_total", "append retries that waited for an in-flight attempt under the same idempotency key"),
 	}
 }
 
-// lookup returns the remembered outcome for a key, counting the hit.
-func (d *dedupWindow) lookup(key string, now time.Time) (dedupEntry, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.m[key]
-	if !ok || now.Sub(e.at) > d.ttl {
-		return dedupEntry{}, false
+// claim resolves a key before its rows are applied. It returns the
+// remembered outcome to replay, or a claim that makes the caller the
+// key's one applier: the caller then records its outcome with store and
+// defers release, so a claim is settled on every path. A request that
+// finds the key claimed waits for the owner's outcome, bounded by ctx.
+func (d *dedupWindow) claim(ctx context.Context, key string) (*dedupEntry, *dedupClaim, *Error) {
+	for {
+		d.mu.Lock()
+		if e, ok := d.m[key]; ok && d.now().Sub(e.at) <= d.ttl {
+			d.mu.Unlock()
+			d.hits.Inc()
+			return &e, nil, nil
+		}
+		c := d.claims[key]
+		if c == nil {
+			c = &dedupClaim{key: key, done: make(chan struct{})}
+			d.claims[key] = c
+			d.mu.Unlock()
+			return nil, c, nil
+		}
+		d.mu.Unlock()
+		d.waits.Inc()
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return nil, nil, errf(CodeCanceled, "append canceled while the same idempotency key was in flight: %v", ctx.Err())
+		}
+		if c.outcome != nil {
+			d.hits.Inc()
+			return c.outcome, nil, nil
+		}
+		// The owner gave up without an outcome: claim the key afresh.
 	}
-	d.hits.Inc()
-	return e, true
 }
 
-// store remembers an outcome, evicting expired entries first and then —
-// if the window is still at capacity — the oldest live entry.
-func (d *dedupWindow) store(key string, e dedupEntry) {
+// release drops a claim its owner did not settle with store (it
+// panicked before recording an outcome), waking its waiters so one of
+// them applies the rows. It is a no-op for a settled claim.
+func (d *dedupWindow) release(c *dedupClaim) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.m) >= d.max {
-		var oldestKey string
-		var oldest time.Time
-		for k, old := range d.m {
-			if e.at.Sub(old.at) > d.ttl {
-				delete(d.m, k)
-				continue
-			}
-			if oldestKey == "" || old.at.Before(oldest) {
-				oldestKey, oldest = k, old.at
-			}
-		}
-		if len(d.m) >= d.max && oldestKey != "" {
-			delete(d.m, oldestKey)
-		}
+	if d.claims[c.key] == c {
+		delete(d.claims, c.key)
+		close(c.done)
 	}
+}
+
+// store remembers an outcome and settles the key's claim, if any. From
+// the front of the age queue it first pops stale records, entries past
+// the TTL and — while the window is at capacity — the oldest live entry.
+func (d *dedupWindow) store(key string, resp AppendResponse, err *Error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	now := d.now()
+	delete(d.m, key) // a key stored again leaves its old record stale
+	for ; d.head < len(d.q); d.head++ {
+		r := d.q[d.head]
+		if old, ok := d.m[r.key]; ok && old.seq == r.seq {
+			if now.Sub(old.at) <= d.ttl && len(d.m) < d.max {
+				break
+			}
+			delete(d.m, r.key)
+		}
+		d.q[d.head] = dedupRecord{}
+	}
+	d.seq++
+	e := dedupEntry{at: now, seq: d.seq, resp: resp, err: err}
 	d.m[key] = e
+	d.q = append(d.q, dedupRecord{key: key, seq: d.seq})
+	if held := len(d.q) - d.head; 2*d.head > len(d.q) || held > 2*d.max {
+		d.compact()
+	}
+	if c := d.claims[key]; c != nil {
+		delete(d.claims, key)
+		out := e
+		c.outcome = &out
+		close(c.done)
+	}
 }
 
-// reset drops every remembered outcome (simulated restart).
+// compact rewrites the queue with its live records only, at the front
+// of its array. It runs once the popped head passes half the slice or
+// stale records from re-stored keys pile up past 2·max; either way at
+// least as many records were pushed since the last compaction as it
+// copies, so its cost is amortized into store's O(1).
+func (d *dedupWindow) compact() {
+	live := d.q[:0]
+	for _, r := range d.q[d.head:] {
+		if e, ok := d.m[r.key]; ok && e.seq == r.seq {
+			live = append(live, r)
+		}
+	}
+	clear(d.q[len(live):])
+	d.q, d.head = live, 0
+}
+
+// reset drops every remembered outcome (simulated restart) and wakes
+// every waiter: each then claims its key afresh, as a re-sent append
+// after a real restart lands again.
 func (d *dedupWindow) reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.m = map[string]dedupEntry{}
+	d.q, d.head = nil, 0
+	for key, c := range d.claims {
+		delete(d.claims, key)
+		close(c.done)
+	}
 }
