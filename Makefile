@@ -37,8 +37,11 @@ test:
 # codec: equal relation.AppendKey encodings exactly when Row.Equal, and the
 # engine's relation index (orders and column codes): every Run over a DB
 # that took Register, Append and direct row growth returns what a fresh
-# DB's Run of the tree returns, and the /v1/append decoder: rows of the
-# schema's kinds or a typed bad_request error for any body, never a panic.
+# DB's Run of the tree returns, the /v1/append decoder: rows of the
+# schema's kinds or a typed bad_request error for any body, never a panic,
+# the quel parser: a program it accepts prints, reparses and prints again
+# to the same text, and the driver's DSN parser: a connector with positive
+# retry durations or an error.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
@@ -48,6 +51,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzRowKey -fuzztime=10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzOrderIndex -fuzztime=10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz=FuzzAppendRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzQuelRoundTrip -fuzztime=10s ./internal/quel
+	$(GO) test -run '^$$' -fuzz=FuzzDSN -fuzztime=10s ./driver
 
 race:
 	$(GO) test -race ./...

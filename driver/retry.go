@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	mrand "math/rand"
 	"net/url"
 	"strconv"
@@ -68,14 +69,17 @@ func parseRetryDSN(q url.Values, p RetryPolicy) (RetryPolicy, error) {
 			return p, fmt.Errorf("retry=%q (want on or off)", v)
 		}
 	}
+	// maxMS is the longest duration in milliseconds a time.Duration holds.
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
 	ints := []struct {
 		key string
+		max int64
 		set func(int64)
 	}{
-		{"retry_attempts", func(n int64) { p.MaxAttempts = int(n) }},
-		{"retry_base_ms", func(n int64) { p.BaseDelay = time.Duration(n) * time.Millisecond }},
-		{"retry_max_ms", func(n int64) { p.MaxDelay = time.Duration(n) * time.Millisecond }},
-		{"retry_budget_ms", func(n int64) { p.Budget = time.Duration(n) * time.Millisecond }},
+		{"retry_attempts", math.MaxInt, func(n int64) { p.MaxAttempts = int(n) }},
+		{"retry_base_ms", maxMS, func(n int64) { p.BaseDelay = time.Duration(n) * time.Millisecond }},
+		{"retry_max_ms", maxMS, func(n int64) { p.MaxDelay = time.Duration(n) * time.Millisecond }},
+		{"retry_budget_ms", maxMS, func(n int64) { p.Budget = time.Duration(n) * time.Millisecond }},
 	}
 	for _, it := range ints {
 		v := q.Get(it.key)
@@ -83,7 +87,7 @@ func parseRetryDSN(q url.Values, p RetryPolicy) (RetryPolicy, error) {
 			continue
 		}
 		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
+		if err != nil || n <= 0 || n > it.max {
 			return p, fmt.Errorf("%s=%q (want a positive integer)", it.key, v)
 		}
 		it.set(n)
@@ -118,7 +122,10 @@ func (p RetryPolicy) backoffDelay(attempt int, retryAfter time.Duration) time.Du
 	if p.Jitter > 0 {
 		d *= 1 + p.Jitter*(2*jitterFloat()-1)
 	}
-	delay := time.Duration(d)
+	delay := time.Duration(math.MaxInt64) // jitter may push d past the longest Duration
+	if d < math.MaxInt64 {
+		delay = time.Duration(d)
+	}
 	if retryAfter > delay {
 		delay = retryAfter
 	}
@@ -170,7 +177,7 @@ func (c *Connector) withRetry(ctx context.Context, label string, op func() error
 			return fmt.Errorf("tdb: %s: giving up after %d attempts: %w", label, attempt+1, err)
 		}
 		delay := p.backoffDelay(attempt, retryAfter)
-		if elapsed := time.Since(start); elapsed+delay > p.Budget {
+		if elapsed := time.Since(start); delay > p.Budget-elapsed {
 			return fmt.Errorf("tdb: %s: retry budget %v exhausted after %d attempts: %w", label, p.Budget, attempt+1, err)
 		}
 		t := time.NewTimer(delay)

@@ -260,7 +260,7 @@ func (s *Subscription) resume() error {
 			return fmt.Errorf("tdb: resume: giving up after %d attempts: %w", attempt+1, err)
 		}
 		delay := p.backoffDelay(attempt, retryAfter)
-		if elapsed := time.Since(start); elapsed+delay > p.Budget {
+		if elapsed := time.Since(start); delay > p.Budget-elapsed {
 			return fmt.Errorf("tdb: resume: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt+1, err)
 		}
 		t := time.NewTimer(delay)

@@ -32,10 +32,6 @@ type Stats struct {
 	// any single chronon — the tight bound on the spanning-set state
 	// components of Table 1.
 	MaxConcurrency int
-	// SortedTS / SortedTE report whether the relation is already stored
-	// in ValidFrom / ValidTo ascending order, letting the planner skip a
-	// sort.
-	SortedTS, SortedTE bool
 }
 
 // Collect computes statistics over the lifespans of a temporal relation.
@@ -47,10 +43,7 @@ func Collect(rel *relation.Relation) (*Stats, error) {
 	for i := range rel.Rows {
 		spans[i] = rel.Span(i)
 	}
-	s := FromSpans(spans)
-	s.SortedTS = rel.SortedBy(relation.Order{relation.TSAsc})
-	s.SortedTE = rel.SortedBy(relation.Order{relation.TEAsc})
-	return s, nil
+	return FromSpans(spans), nil
 }
 
 // FromSpans computes statistics over raw lifespans.

@@ -143,7 +143,7 @@ func TestCatalogAnalyzeAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cardinality != 2 || !s.SortedTS {
+	if s.Cardinality != 2 || s.MinTS != 0 || s.MaxTE != 9 {
 		t.Errorf("analyze wrong: %+v", s)
 	}
 	if c.Lookup("R") != s {
@@ -156,19 +156,5 @@ func TestCatalogAnalyzeAndLookup(t *testing.T) {
 	snap := relation.New("S", relation.MustSchema([]relation.Column{{Name: "A", Kind: value.KindInt}}, -1, -1))
 	if _, err := c.Analyze(snap); err == nil {
 		t.Error("non-temporal relation analyzed")
-	}
-}
-
-func TestSortedFlags(t *testing.T) {
-	rel := relation.FromTuples("R", []relation.Tuple{
-		{S: "a", V: value.String_("v"), Span: interval.New(5, 20)},
-		{S: "b", V: value.String_("v"), Span: interval.New(7, 9)},
-	})
-	s, err := Collect(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.SortedTS || s.SortedTE {
-		t.Errorf("sorted flags wrong: TS=%v TE=%v", s.SortedTS, s.SortedTE)
 	}
 }

@@ -16,32 +16,24 @@ type Incremental struct {
 	// every end ≤ the incoming start before pushing the new end makes the
 	// heap size the exact concurrency at that start — the same value the
 	// batch event sweep computes (close-before-open, half-open spans).
-	ends   []interval.Time
-	lastTS interval.Time
-	lastTE interval.Time
+	ends []interval.Time
 }
 
 // NewIncremental returns an empty incremental statistics accumulator.
 func NewIncremental() *Incremental {
-	return &Incremental{s: Stats{SortedTS: true, SortedTE: true}}
+	return &Incremental{}
 }
 
 // Observe folds one appended lifespan into the statistics. Arrivals are
 // expected in ValidFrom order (the live ingestion contract); an
-// out-of-order span is still counted but clears SortedTS and may make
-// MaxConcurrency a lower bound rather than exact.
+// out-of-order span is still counted but may make MaxConcurrency a lower
+// bound rather than exact.
 func (inc *Incremental) Observe(iv interval.Interval) {
 	s := &inc.s
 	if s.Cardinality == 0 {
 		s.MinTS, s.MaxTS = iv.Start, iv.Start
 		s.MinTE, s.MaxTE = iv.End, iv.End
 	} else {
-		if iv.Start < inc.lastTS {
-			s.SortedTS = false
-		}
-		if iv.End < inc.lastTE {
-			s.SortedTE = false
-		}
 		if iv.Start < s.MinTS {
 			s.MinTS = iv.Start
 		}
@@ -55,7 +47,6 @@ func (inc *Incremental) Observe(iv interval.Interval) {
 			s.MaxTE = iv.End
 		}
 	}
-	inc.lastTS, inc.lastTE = iv.Start, iv.End
 	s.Cardinality++
 	d := iv.Duration()
 	inc.durSum += d

@@ -163,61 +163,3 @@ func ContainSelfSemijoinTSAsc[T any](xs stream.Stream[T], span Span[T], opt Opti
 	opt.observe()
 	return orderError(name, in.Err())
 }
-
-// ContainedSelfSemijoinTSDesc evaluates Contained-semijoin(X,X) on input
-// sorted ValidFrom descending — the ordering Table 3 marks "–". No
-// single-tuple state suffices; this implementation keeps the unreported
-// tuples that may yet prove to be contained in a later-read (earlier-
-// starting) tuple, so its workspace grows with the data, which is what the
-// "–" experiment measures.
-func ContainedSelfSemijoinTSDesc[T any](xs stream.Stream[T], span Span[T], opt Options, emit func(T)) error {
-	const name = "contained-semijoin(X,X)[TS↓]"
-	in := ordered(xs, span, relation.Order{relation.TSDesc}, opt.VerifyOrder)
-	probe := opt.Probe
-	probe.SetBuffers(1)
-
-	type pending[U any] struct {
-		h     held[U]
-		order int64 // input position, to restore output order
-	}
-	var state []pending[T]
-	var pos int64
-	var outs []pending[T]
-	for {
-		xb, ok := in.Next()
-		if !ok {
-			break
-		}
-		probe.IncReadLeft()
-		sb := span(xb)
-		kept := state[:0]
-		for _, p := range state {
-			probe.IncComparisons(1)
-			if containMatch(sb, p.h.span) {
-				// x_b (earlier-starting, read later) contains p: report p.
-				probe.IncEmitted(1)
-				outs = append(outs, p)
-				probe.StateRemove(1)
-				continue
-			}
-			kept = append(kept, p)
-		}
-		state = kept
-		state = append(state, pending[T]{h: held[T]{elem: xb, span: sb}, order: pos})
-		probe.StateAdd(1)
-		opt.observe()
-		pos++
-	}
-	probe.StateRemove(int64(len(state)))
-	opt.observe()
-	// Restore input order for the reported tuples.
-	for i := 1; i < len(outs); i++ {
-		for j := i; j > 0 && outs[j-1].order > outs[j].order; j-- {
-			outs[j-1], outs[j] = outs[j], outs[j-1]
-		}
-	}
-	for _, p := range outs {
-		emit(p.h.elem)
-	}
-	return orderError(name, in.Err())
-}

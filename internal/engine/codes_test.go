@@ -278,7 +278,6 @@ func TestColumnCodesMatchStoredCopy(t *testing.T) {
 		"default":             {},
 		"nested-loop":         {ForceNestedLoop: true},
 		"nested-loop-no-hash": {ForceNestedLoop: true, ForceNoHash: true},
-		"cost-based":          {CostBased: true},
 		"verify-order":        {VerifyOrder: true},
 		"row-exec":            {RowExec: true},
 		"parallel":            {Parallelism: 2},

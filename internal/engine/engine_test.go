@@ -508,7 +508,7 @@ func TestSortAvoidance(t *testing.T) {
 	rel := relation.FromTuples("R", tu) // generator emits in TS order
 	rel.Name = "R"
 	db.MustRegister(rel)
-	if st := db.Stats("R"); st == nil || !st.SortedTS {
+	if !relation.SortedSpans(tu, func(t relation.Tuple) interval.Interval { return t.Span }, relation.Order{relation.TSAsc}) {
 		t.Fatal("workload no longer arrives sorted; test premise broken")
 	}
 	col := algebra.Column

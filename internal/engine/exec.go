@@ -27,11 +27,6 @@ type Options struct {
 	// ForceNoHash additionally disables hash equi-joins, leaving the
 	// pure conventional nested-loop executor.
 	ForceNoHash bool
-	// CostBased lets the executor choose between the stream algorithm and
-	// the nested loop per recognized temporal join, using the Section 6
-	// statistics (catalog estimates over the materialized inputs) instead
-	// of always streaming.
-	CostBased bool
 	// SortMemRows, when positive, bounds the in-memory sort workspace for
 	// establishing stream orderings, counted in sort records — one (key,
 	// row index) pair per input row: larger inputs are sorted externally

@@ -7,7 +7,6 @@ import (
 
 	"tdb/internal/algebra"
 	"tdb/internal/baseline"
-	"tdb/internal/catalog"
 	"tdb/internal/core"
 	"tdb/internal/interval"
 	"tdb/internal/metrics"
@@ -32,7 +31,7 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 	var pairs pairChunks
 	var cost *NodeCost
 	switch lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema); {
-	case !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta && (!ex.opt.CostBased || ex.chooseStream(n, l, r)):
+	case !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta:
 		pairs, cost, err = ex.streamJoin(n, l, r)
 	case len(lk) > 0 && !ex.opt.ForceNoHash:
 		// Conventional path: the hash join for an equi-join, the nested
@@ -80,46 +79,6 @@ func (ex *executor) streamInput(e algebra.Expr, sr algebra.SpanRef, keyed, keep 
 		}
 	}
 	return ex.eval(e)
-}
-
-// chooseStream consults the Section 6 cost model over the evaluated
-// inputs: statistics are collected from the actual intermediate lifespans
-// (cheap, one pass) and the stream plan is taken only when its estimated
-// cost, including any sorting, beats the nested loop.
-func (ex *executor) chooseStream(n *algebra.Join, l, r *result) bool {
-	lspan, err := spanAccessor(n.LSpan, l.schema)
-	if err != nil {
-		return true // let the stream path surface the error
-	}
-	rspan, err := spanAccessor(n.RSpan, r.schema)
-	if err != nil {
-		return true
-	}
-	statsOf := func(v view, span core.Span[relation.Row]) *catalog.Stats {
-		spans := make([]interval.Interval, v.n)
-		rd := v.reader()
-		for i := range spans {
-			spans[i] = span(rd.at(int32(i)))
-		}
-		st := catalog.FromSpans(spans)
-		id := func(iv interval.Interval) interval.Interval { return iv }
-		st.SortedTS = relation.SortedSpans(spans, id, relation.Order{relation.TSAsc})
-		st.SortedTE = relation.SortedSpans(spans, id, relation.Order{relation.TEAsc})
-		return st
-	}
-	sx, sy := statsOf(l.v, lspan.of), statsOf(r.v, rspan.of)
-	var est optimizer.JoinEstimate
-	switch n.Kind {
-	case algebra.KindOverlap:
-		est = optimizer.EstimateOverlapJoin(sx, sy)
-	case algebra.KindBefore:
-		// The before-join's output is near-Cartesian either way; the
-		// sorted variant always wins on inner-scan avoidance.
-		return true
-	default:
-		est = optimizer.EstimateContainJoin(sx, sy)
-	}
-	return est.UseStream()
 }
 
 // streamJoin dispatches a recognized temporal join to the Section 4 stream

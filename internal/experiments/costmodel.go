@@ -13,13 +13,12 @@ import (
 )
 
 // CostModelRow is one validation point: predicted vs. measured comparisons
-// for the stream contain join, plus the plan choice.
+// for the stream contain join, beside the nested loop's.
 type CostModelRow struct {
 	N          int
 	Predicted  float64
 	Measured   int64
 	NestedLoop float64
-	UseStream  bool
 }
 
 // CostModelResult carries the sweep.
@@ -29,13 +28,13 @@ type CostModelResult struct {
 
 // CostModel validates the Section 6 optimizer statistics end to end: for a
 // size sweep, the Little's-law-based comparison estimate of the stream
-// contain join is checked against the measured count, and the model's
-// stream-vs-nested-loop choice is reported.
+// contain join is checked against the measured count and set beside the
+// nested loop's |X|·|Y|.
 func CostModel(sizes []int, seed int64) (*CostModelResult, *Table, error) {
 	res := &CostModelResult{}
 	tab := &Table{
 		Title:  "Section 6 — cost model validation (stream contain-join)",
-		Header: []string{"n", "predicted cmp", "measured cmp", "ratio", "nested-loop cmp", "choice"},
+		Header: []string{"n", "predicted cmp", "measured cmp", "ratio", "nested-loop cmp"},
 	}
 	for _, n := range sizes {
 		xs := workload.Tuples(workload.Config{N: n, Lambda: 1, MeanDur: 12, Seed: seed}, "x")
@@ -54,16 +53,12 @@ func CostModel(sizes []int, seed int64) (*CostModelResult, *Table, error) {
 		}
 		row := CostModelRow{
 			N: n, Predicted: est.Stream, Measured: probe.Comparisons,
-			NestedLoop: est.NestedLoop, UseStream: est.UseStream(),
+			NestedLoop: est.NestedLoop,
 		}
 		res.Rows = append(res.Rows, row)
-		choice := "nested-loop"
-		if row.UseStream {
-			choice = "stream"
-		}
 		tab.Add(n, fmt.Sprintf("%.0f", row.Predicted), row.Measured,
 			fmt.Sprintf("%.2f", float64(row.Measured)/row.Predicted),
-			fmt.Sprintf("%.0f", row.NestedLoop), choice)
+			fmt.Sprintf("%.0f", row.NestedLoop))
 	}
 	return res, tab, nil
 }

@@ -384,8 +384,7 @@ func TestOrderChoiceClaims(t *testing.T) {
 	}
 }
 
-// The cost model's prediction tracks measured comparisons across sizes and
-// always picks the stream plan at these scales.
+// The cost model's prediction tracks measured comparisons across sizes.
 func TestCostModelClaims(t *testing.T) {
 	res, tab, err := CostModel([]int{250, 1000, 4000}, 53)
 	if err != nil {
@@ -398,9 +397,6 @@ func TestCostModelClaims(t *testing.T) {
 		ratio := float64(r.Measured) / r.Predicted
 		if ratio < 0.2 || ratio > 5 {
 			t.Errorf("n=%d: predicted/measured ratio %.2f out of range", r.N, ratio)
-		}
-		if !r.UseStream {
-			t.Errorf("n=%d: model picked nested loop", r.N)
 		}
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"tdb/internal/catalog"
 )
 
-// This file implements the statistics-driven plan choice the paper's
+// This file implements the statistics-driven cost predictions the paper's
 // Section 6 calls for: "in addition to conventional statistical information
 // such as relation size ..., estimating the amount of local workspace
 // becomes necessary". Costs are measured in predicate comparisons — the
 // unit the experiments report — so estimates are directly checkable
-// against metrics.Probe.
+// against metrics.Probe. Nothing chooses a plan from them: every
+// recognized temporal join streams.
 
 // JoinEstimate carries the predicted costs of evaluating one temporal join
 // over two relations.
@@ -23,48 +24,13 @@ type JoinEstimate struct {
 	// opposite retained state, whose expected size Little's law gives as
 	// λ·E[duration] per contributing side.
 	Stream float64
-	// Sort is the comparison cost of establishing the required orders
-	// for the inputs that do not already have them (n·log₂n each).
-	Sort float64
 	// Workspace predicts the stream state high-water mark in tuples.
 	Workspace float64
 }
 
-// streamUnitCost converts a predicted stream comparison into nested-loop
-// predicate-evaluation units at the UseStream decision. The columnar batch
-// kernels run the sweep over flat int64 endpoint columns with gapless
-// active lists, so one retained-state probe costs well under one row
-// predicate evaluation: the E25 sweep and the pinned contain-join
-// benchmark both measure the batch kernel at ~2.4× the row kernel's
-// throughput on identical comparison counts, i.e. ~0.42 of a comparison
-// each. Stream itself stays a raw comparison count — the E23 cost-model
-// experiment validates it against metrics.Probe — only the plan choice
-// applies the unit conversion. Sort is excluded from the discount: input
-// ordering is still established row-at-a-time before batching.
-const streamUnitCost = 0.42
-
-// StreamTotal is the full stream-plan cost including sorting, in raw
-// comparison counts (no unit conversion — directly checkable against
-// measured probes).
-func (e JoinEstimate) StreamTotal() float64 { return e.Stream + e.Sort }
-
-// UseStream reports whether the stream plan is predicted cheaper, pricing
-// stream comparisons at the columnar kernels' measured unit cost.
-func (e JoinEstimate) UseStream() bool {
-	return streamUnitCost*e.Stream+e.Sort < e.NestedLoop
-}
-
 // String renders the estimate.
 func (e JoinEstimate) String() string {
-	return fmt.Sprintf("nested-loop=%.0f stream=%.0f (+sort %.0f) workspace=%.1f → %s",
-		e.NestedLoop, e.Stream, e.Sort, e.Workspace, map[bool]string{true: "stream", false: "nested-loop"}[e.UseStream()])
-}
-
-func sortCost(n int, sorted bool) float64 {
-	if sorted || n < 2 {
-		return 0
-	}
-	return float64(n) * math.Log2(float64(n))
+	return fmt.Sprintf("nested-loop=%.0f stream=%.0f workspace=%.1f", e.NestedLoop, e.Stream, e.Workspace)
 }
 
 // EstimateContainJoin predicts the cost of Contain-join(X,Y) under the
@@ -77,7 +43,6 @@ func EstimateContainJoin(sx, sy *catalog.Stats) JoinEstimate {
 	return JoinEstimate{
 		NestedLoop: nx * ny,
 		Stream:     (nx + ny) * math.Max(state, 1),
-		Sort:       sortCost(sx.Cardinality, sx.SortedTS) + sortCost(sy.Cardinality, sy.SortedTS),
 		Workspace:  state + 2,
 	}
 }
@@ -90,19 +55,6 @@ func EstimateOverlapJoin(sx, sy *catalog.Stats) JoinEstimate {
 	return JoinEstimate{
 		NestedLoop: nx * ny,
 		Stream:     (nx + ny) * math.Max(state/2, 1),
-		Sort:       sortCost(sx.Cardinality, sx.SortedTS) + sortCost(sy.Cardinality, sy.SortedTS),
 		Workspace:  state + 2,
-	}
-}
-
-// EstimateSemijoin predicts the Figure 6 buffers-only semijoins: one
-// comparison per tuple consumed, workspace of two buffers.
-func EstimateSemijoin(sx, sy *catalog.Stats, sortedX, sortedY bool) JoinEstimate {
-	nx, ny := float64(sx.Cardinality), float64(sy.Cardinality)
-	return JoinEstimate{
-		NestedLoop: nx * ny / 2, // expected early exit halves the inner scan
-		Stream:     nx + ny,
-		Sort:       sortCost(sx.Cardinality, sortedX) + sortCost(sy.Cardinality, sortedY),
-		Workspace:  2,
 	}
 }

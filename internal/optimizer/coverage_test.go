@@ -1,12 +1,10 @@
 package optimizer
 
 import (
-	"strings"
 	"testing"
 
 	"tdb/internal/algebra"
 	"tdb/internal/interval"
-	"tdb/internal/value"
 )
 
 // Semijoin introduction must swap sides when the projection needs only the
@@ -155,14 +153,10 @@ func TestExpandTreeJoinNodes(t *testing.T) {
 	}
 }
 
-// Estimates render and the fallback branch of the semijoin estimate holds.
+// Estimates render every predicted cost.
 func TestEstimateRendering(t *testing.T) {
-	est := JoinEstimate{NestedLoop: 100, Stream: 2000, Sort: 0, Workspace: 5}
-	if est.UseStream() {
-		t.Error("stream chosen despite higher cost")
-	}
-	if got := est.String(); !strings.Contains(got, "nested-loop") {
+	est := JoinEstimate{NestedLoop: 100, Stream: 2000, Workspace: 5}
+	if got := est.String(); got != "nested-loop=100 stream=2000 workspace=5.0" {
 		t.Errorf("rendering: %q", got)
 	}
-	_ = value.Int(0)
 }

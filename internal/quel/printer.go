@@ -91,13 +91,19 @@ func printCmp(op algebra.CmpOp) string {
 	}
 }
 
+// printOperand renders an operand as the lexer reads it back: a string
+// constant between bare quotes (the lexer has no escapes), a placeholder as
+// $N.
 func printOperand(o algebra.Operand) string {
+	if o.Param > 0 {
+		return fmt.Sprintf("$%d", o.Param)
+	}
 	if !o.IsConst {
 		return o.Col.String()
 	}
 	switch o.Const.Kind() {
 	case value.KindString:
-		return fmt.Sprintf("%q", o.Const.AsString())
+		return `"` + o.Const.AsString() + `"`
 	default:
 		if o.Const.Kind() == value.KindTime && o.Const.AsTime() == interval.Forever {
 			return "forever"

@@ -98,12 +98,6 @@ func (r *Relation) SortBy(cols ...int) {
 	})
 }
 
-// SortedBy reports whether the rows are in the given temporal order.
-func (r *Relation) SortedBy(o Order) bool {
-	s := r.Schema
-	return SortedSpans(r.Rows, func(row Row) interval.Interval { return row.Span(s) }, o)
-}
-
 // Clone returns a deep copy (rows cloned, schema shared — schemas are
 // immutable after construction).
 func (r *Relation) Clone() *Relation {

@@ -234,8 +234,8 @@ func TestRelationSortAndSortBy(t *testing.T) {
 	if r.Rows[0][0].AsString() != "B" || r.Rows[1][0].AsString() != "A" {
 		t.Errorf("temporal sort wrong: %v", r)
 	}
-	if !r.SortedBy(Order{TSAsc}) {
-		t.Error("SortedBy false after Sort")
+	if !SortedSpans(r.Rows, func(row Row) interval.Interval { return row.Span(r.Schema) }, Order{TSAsc}) {
+		t.Error("rows not in ValidFrom order after Sort")
 	}
 
 	r.SortBy(0)
