@@ -39,6 +39,8 @@ test:
 # that took Register, Append and direct row growth returns what a fresh
 # DB's Run of the tree returns, the /v1/append decoder: rows of the
 # schema's kinds or a typed bad_request error for any body, never a panic,
+# the /v1/subscribe decoder and resume arithmetic: a typed bad_request, or
+# replaySince's events contiguous up to the head or a typed error,
 # the quel parser: a program it accepts prints, reparses and prints again
 # to the same text, and the driver's DSN parser: a connector with positive
 # retry durations or an error.
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzRowKey -fuzztime=10s ./internal/relation
 	$(GO) test -run '^$$' -fuzz=FuzzOrderIndex -fuzztime=10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz=FuzzAppendRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzSubscribeRequest -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzQuelRoundTrip -fuzztime=10s ./internal/quel
 	$(GO) test -run '^$$' -fuzz=FuzzDSN -fuzztime=10s ./driver
 

@@ -120,7 +120,9 @@ func (c *Connector) Connect(ctx context.Context) (driver.Conn, error) {
 // layer may safely replay it after an ambiguous failure: the server
 // remembers the outcome and never applies the rows twice. Use
 // AppendKeyed to control the key (application-level exactly-once across
-// process restarts) or to send an unkeyed, never-retried append.
+// client process restarts) or to send an unkeyed, never-retried append.
+// The server remembers keys in process memory only: after a server
+// restart a re-sent key applies its rows again.
 func (c *Connector) Append(ctx context.Context, relation string, rows [][]any, slack int64, flush bool) (AppendResult, error) {
 	return c.AppendKeyed(ctx, relation, rows, slack, flush, newIdemKey())
 }

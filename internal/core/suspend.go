@@ -100,9 +100,10 @@ func (f *Feeder[I]) Next() (I, bool) {
 func (f *Feeder[I]) Err() error { return nil }
 
 // Feed appends elements to the feeder; the operator consumes them at the
-// next Poll. Elements fed after Close or Stop are dropped.
+// next Poll. Elements fed after Close, after Stop or once the operator has
+// ended (an error included) are dropped: nothing would consume them.
 func (f *Feeder[I]) Feed(xs ...I) {
-	if f.closed || f.rc.stopped {
+	if f.closed || f.rc.done {
 		return
 	}
 	f.buf = append(f.buf, xs...)
@@ -112,8 +113,14 @@ func (f *Feeder[I]) Feed(xs ...I) {
 // ok=false and the operator runs its end-of-stream logic. Idempotent.
 func (f *Feeder[I]) Close() { f.closed = true }
 
-// Backlog returns the number of fed-but-unconsumed elements.
-func (f *Feeder[I]) Backlog() int { return len(f.buf) - f.pos }
+// Backlog returns the number of fed elements the operator has yet to
+// consume: 0 once it has ended.
+func (f *Feeder[I]) Backlog() int {
+	if f.rc.done {
+		return 0
+	}
+	return len(f.buf) - f.pos
+}
 
 // Start hands the runner its operator. run receives the emit callback
 // whose emissions become the runner's pending output; it is invoked once,

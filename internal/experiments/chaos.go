@@ -86,7 +86,7 @@ func Chaos(n, runs int, seed int64) (*ChaosResult, *Table, error) {
 		tab.Add(p.Scenario, p.Param, p.Runs, p.OK, p.TypedErr, p.Fallbacks, p.Mode, p.Verified)
 	}
 	tab.Note("engine-governor: governed output is multiset-identical to the ungoverned stream path")
-	tab.Note("live-breaker: the ladder is trip→re-admit (replay), exhausted→batch degrade or typed decline")
+	tab.Note("live-breaker: the ladder is trip→re-admit (in place), exhausted→batch degrade or typed decline")
 	tab.Note("fault-survival: every run is byte-identical to the serial reference or a clean typed error")
 	return res, tab, nil
 }

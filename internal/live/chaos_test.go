@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -50,16 +51,30 @@ func chaosTyped(t *testing.T, step int, op string, err error) {
 	t.Fatalf("step %d: %s failed with an untyped error: %v", step, op, err)
 }
 
+// delivered reports whether an append that returned err fed its row to
+// q. At slack 0 an accepted append releases exactly its own row, and a
+// delivery fault skips only the query its error names; any other error
+// (an ingestion fault, a late tuple) rejected the row before release.
+func delivered(err error, q *StandingQuery) bool {
+	if err == nil {
+		return true
+	}
+	msg := err.Error()
+	return strings.HasPrefix(msg, "live: deliver to ") &&
+		!strings.HasPrefix(msg, "live: deliver to "+q.Name()+":")
+}
+
 // replayDeltas re-runs a query's operator over exactly the released rows
-// it was fed — the byte-identity reference. Faults may have dropped whole
-// deliveries (the typed error told the caller so), but whatever input a
-// query did receive must have produced exactly the deltas it emitted:
-// complete rows in the canonical order, never a partial or reordered one.
-func replayDeltas(t *testing.T, q *StandingQuery) []relation.Row {
+// it was fed, per relation — the byte-identity reference. Faults may have
+// dropped whole deliveries (the typed error told the caller so), but
+// whatever input a query did receive must have produced exactly the
+// deltas it emitted: complete rows in the canonical order, never a partial
+// or reordered one.
+func replayDeltas(t *testing.T, q *StandingQuery, fed map[string][]relation.Row) []relation.Row {
 	t.Helper()
 	run := q.plan.Start(nil)
-	run.FeedLeft(q.logL)
-	run.FeedRight(q.logR)
+	run.FeedLeft(fed[q.plan.LeftRel])
+	run.FeedRight(fed[q.plan.RightRel])
 	rows, err := run.Close()
 	if err != nil {
 		t.Fatalf("%s: fault-free replay of the delivered input failed: %v", q.name, err)
@@ -86,6 +101,7 @@ func TestChaosStandingShapes(t *testing.T) {
 				}
 			}
 			qs := make([]*StandingQuery, len(chaosShapes))
+			fed := make([]map[string][]relation.Row, len(chaosShapes)) // per query: the rows delivered to it
 			for i, s := range chaosShapes {
 				q, err := mgr.Register(s.name, xyTree(s.kind, s.semi), RegisterOptions{})
 				if err != nil {
@@ -95,6 +111,7 @@ func TestChaosStandingShapes(t *testing.T) {
 					t.Fatalf("%s admitted as %v, want incremental", s.name, q.Mode())
 				}
 				qs[i] = q
+				fed[i] = map[string][]relation.Row{}
 			}
 
 			rng := rand.New(rand.NewSource(seed))
@@ -117,7 +134,13 @@ func TestChaosStandingShapes(t *testing.T) {
 					row = xrow(id, interval.Time(ts), interval.Time(ts+1+rng.Intn(25)))
 				}
 				id++
-				if err := mgr.Append(rel, row); err != nil {
+				err := mgr.Append(rel, row)
+				for i, q := range qs {
+					if delivered(err, q) {
+						fed[i][rel] = append(fed[i][rel], row)
+					}
+				}
+				if err != nil {
 					chaosTyped(t, step, "append to "+rel, err)
 				} else if int(row.Span(xySchema()).Start) > lastTS[rel] {
 					lastTS[rel] = int(row.Span(xySchema()).Start)
@@ -137,8 +160,8 @@ func TestChaosStandingShapes(t *testing.T) {
 			// had completed; a surviving run finishes clean. Either way the
 			// accumulated deltas are a byte-identical prefix of the
 			// fault-free replay of the delivered input.
-			for _, q := range qs {
-				ref := replayDeltas(t, q)
+			for i, q := range qs {
+				ref := replayDeltas(t, q, fed[i])
 				_, err := q.Finish()
 				if err != nil {
 					if !errors.Is(err, fault.ErrInjected) {
@@ -160,5 +183,48 @@ func TestChaosStandingShapes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A standing run that ended with an error consumes nothing more, so it
+// must buffer nothing more either: later releases are dropped, not queued
+// behind an operator that will never read them.
+func TestDeadRunDropsInput(t *testing.T) {
+	defer fault.Reset()
+	db := newXYDB(t)
+	reg := obs.NewRegistry()
+	mgr := NewManager(db, reg, engine.Options{})
+	t.Cleanup(mgr.Close)
+	q, err := mgr.Register("dead", xyTree(algebra.KindOverlap, false), RegisterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := mgr.Append([]string{"X", "Y"}[i%2], xrow(i, interval.Time(i), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fault.Arm("engine/standing-run=error:n=1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Poll(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("poll error %v, want the injected fault", err)
+	}
+	fault.Reset()
+	if q.Suspended() != "done" {
+		t.Fatalf("suspended %q after the fault, want done", q.Suspended())
+	}
+	for i := 0; i < 1000; i++ {
+		rel := []string{"X", "Y"}[i%2]
+		ts := interval.Time(4 + i)
+		if err := mgr.Append(rel, xrow(4+i, ts, ts+5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := q.run.Backlog(); n != 0 {
+		t.Fatalf("dead run backlog %d after 1000 appends, want 0", n)
+	}
+	if g := reg.Gauge("tdb_live_backlog_dead", "").Value(); g != 0 {
+		t.Fatalf("backlog gauge %d, want 0", g)
 	}
 }

@@ -1,15 +1,11 @@
 package live
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"testing"
 
 	"tdb/internal/algebra"
 	"tdb/internal/engine"
-	"tdb/internal/fault"
 	"tdb/internal/interval"
 	"tdb/internal/obs"
 	"tdb/internal/relation"
@@ -57,11 +53,16 @@ func appendOverlapping(t *testing.T, mgr *Manager, next *int, n int) {
 }
 
 // First trip: stale-zero statistics make the bound 2, the measured
-// workspace breaches it, and the breaker re-admits the query under
-// refreshed statistics by full-log replay — the delta contract (and
-// Verify) must hold across the restart.
+// workspace breaches it, and the breaker re-admits the query in place
+// under refreshed statistics — the delta contract must hold across the
+// trip, and the delta sequence must be an ungoverned twin's on the same
+// input.
 func TestBreakerTripsAndReadmits(t *testing.T) {
 	mgr, q, reg := governedManager(t, RegisterOptions{Govern: true})
+	twin, err := mgr.Register("twin", xyTree(algebra.KindOverlap, false), RegisterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	next := 0
 	appendOverlapping(t, mgr, &next, 6)
 	if _, err := q.Poll(); err != nil {
@@ -76,11 +77,18 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 	if got := reg.Counter("tdb_governor_fallbacks_total", "").Value(); got != 1 {
 		t.Fatalf("tdb_governor_fallbacks_total = %d, want 1", got)
 	}
-	// More input after the restart; the replayed prefix plus new deltas
-	// must still be the byte-identical prefix of a batch run.
+	// More input after the trip; the deltas must still be the
+	// byte-identical prefix of a batch run.
 	appendOverlapping(t, mgr, &next, 2)
 	if _, err := q.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
+	}
+	if _, err := twin.Finish(); err != nil {
+		t.Fatalf("twin finish: %v", err)
+	}
+	sameSequence(t, "governed vs ungoverned twin", q.Deltas(), twin.Deltas())
+	if q.DeltaHash() != twin.DeltaHash() {
+		t.Fatalf("delta hash %x, ungoverned twin %x", q.DeltaHash(), twin.DeltaHash())
 	}
 	want := batchRows(t, mgr.DB(), xyTree(algebra.KindOverlap, false))
 	got := q.Deltas()
@@ -177,67 +185,6 @@ func TestUngovernedNeverTrips(t *testing.T) {
 	}
 }
 
-// A torn checkpoint write — the failpoint persists only a strict prefix,
-// as a crash mid-write would — is detected at read time as the typed
-// ErrCorruptCheckpoint, never replayed as a silently shorter cut.
-func TestCheckpointTornWriteDetected(t *testing.T) {
-	defer fault.Reset()
-	cp := &Checkpoint{Query: "q", LeftRows: 7, RightRows: 9, Emitted: 3, DeltaHash: 0xdead}
-
-	var good bytes.Buffer
-	if _, err := cp.WriteTo(&good); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCheckpoint(bytes.NewReader(good.Bytes()))
-	if err != nil {
-		t.Fatalf("intact roundtrip: %v", err)
-	}
-	if *back != *cp {
-		t.Fatalf("roundtrip %+v != %+v", back, cp)
-	}
-
-	if err := fault.Arm("live/checkpoint-write=torn"); err != nil {
-		t.Fatal(err)
-	}
-	var torn bytes.Buffer
-	if _, err := cp.WriteTo(&torn); err != nil {
-		t.Fatalf("torn write reports no error (the crash is silent): %v", err)
-	}
-	fault.Reset()
-	if torn.Len() >= good.Len() {
-		t.Fatalf("torn image %d bytes, want strict prefix of %d", torn.Len(), good.Len())
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(torn.Bytes())); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("torn image error %v, want ErrCorruptCheckpoint", err)
-	}
-
-	// Every truncation point must be rejected too — no prefix length may
-	// decode as a valid checkpoint.
-	enc := good.Bytes()
-	for n := 0; n < len(enc); n++ {
-		if _, err := DecodeCheckpoint(enc[:n]); !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Fatalf("truncation at %d: error %v, want ErrCorruptCheckpoint", n, err)
-		}
-	}
-	// Flipping any byte must be rejected as well.
-	for i := range enc {
-		mut := append([]byte(nil), enc...)
-		mut[i] ^= 0x40
-		if _, err := DecodeCheckpoint(mut); err == nil {
-			t.Fatalf("bit flip at %d decoded successfully", i)
-		}
-	}
-	// A version-1 image (its delta hash over the old rendered row keys) is
-	// rejected even with an intact trailer.
-	old := append([]byte("TDBCKPT1"), enc[len(ckptMagic):len(enc)-8]...)
-	f := fnv.New64a()
-	_, _ = f.Write(old)
-	old = binary.LittleEndian.AppendUint64(old, f.Sum64())
-	if _, err := DecodeCheckpoint(old); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("TDBCKPT1 image: error %v, want ErrCorruptCheckpoint", err)
-	}
-}
-
 // Folding a delta into the delta hash reuses the query's key buffer: no
 // allocation per delta once the buffer has grown to the row's key size.
 func TestDeltaHashFoldDoesNotAllocate(t *testing.T) {
@@ -247,22 +194,5 @@ func TestDeltaHashFoldDoesNotAllocate(t *testing.T) {
 	h := q.foldDelta(fnv1aInit, row)
 	if n := testing.AllocsPerRun(100, func() { h = q.foldDelta(h, row) }); n != 0 {
 		t.Errorf("foldDelta allocates %.0f times per delta, want 0", n)
-	}
-}
-
-// A read-side fault surfaces through ReadCheckpoint as the typed injected
-// error.
-func TestCheckpointReadFault(t *testing.T) {
-	defer fault.Reset()
-	cp := &Checkpoint{Query: "q"}
-	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.Arm("live/checkpoint-read=error"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("error %v, want fault.ErrInjected", err)
 	}
 }

@@ -43,8 +43,6 @@ import (
 func init() {
 	fault.Declare("live/append", "table ingestion entry (Table.Append)")
 	fault.Declare("live/deliver", "released-row delivery to a standing query")
-	fault.Declare("live/checkpoint-write", "checkpoint serialization; torn mode writes a prefix")
-	fault.Declare("live/checkpoint-read", "checkpoint deserialization")
 }
 
 // Manager owns the live tables and standing queries of one database.

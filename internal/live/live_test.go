@@ -339,10 +339,6 @@ func TestAdmissionDegradeAndDecline(t *testing.T) {
 	if q.Suspended() != "batch" {
 		t.Fatalf("suspended = %q, want batch", q.Suspended())
 	}
-	if _, err := q.Checkpoint(); err == nil {
-		t.Fatal("batch query checkpointed")
-	}
-
 	for i := 0; i < 40; i++ {
 		from := interval.Time(5 * i)
 		if err := m.Append("X", xrow(i, from, from+3)); err != nil {
@@ -369,67 +365,6 @@ func TestAdmissionDegradeAndDecline(t *testing.T) {
 		t.Fatal("empty engine result; fixture too weak")
 	}
 	sameMultiset(t, "batch deltas vs engine.Run", q.Deltas(), res.Rows)
-}
-
-// TestCheckpointRestore verifies the deterministic-replay checkpoint: the
-// restored run reproduces the identical emission prefix (count and hash),
-// continues with post-checkpoint input, and a tampered hash is refused.
-func TestCheckpointRestore(t *testing.T) {
-	db := newXYDB(t)
-	m := NewManager(db, nil, engine.Options{})
-	defer m.Close()
-	tree := xyTree(algebra.KindOverlap, true)
-	q, err := m.Register("q", tree, RegisterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingest := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			from := interval.Time(2 * i)
-			if err := m.Append("X", xrow(i, from, from+3)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Append("Y", xrow(700+i, from+1, from+4)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ingest(0, 50)
-	cp, err := q.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Emitted == 0 || cp.LeftRows == 0 {
-		t.Fatalf("degenerate checkpoint %+v", cp)
-	}
-	ingest(50, 90)
-	if _, err := q.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	before := append([]relation.Row(nil), q.Deltas()...)
-	hashBefore := q.DeltaHash()
-
-	if err := q.Restore(cp); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if _, err := q.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	sameSequence(t, "deltas after restore", q.Deltas(), before)
-	if q.DeltaHash() != hashBefore {
-		t.Fatalf("delta hash diverged after restore: %x != %x", q.DeltaHash(), hashBefore)
-	}
-
-	bad := *cp
-	bad.DeltaHash ^= 1
-	if err := q.Restore(&bad); err == nil {
-		t.Fatal("restore accepted a tampered checkpoint hash")
-	}
-	wrong := *cp
-	wrong.Query = "other"
-	if err := q.Restore(&wrong); err == nil {
-		t.Fatal("restore accepted a foreign checkpoint")
-	}
 }
 
 // TestTableReorderAndFlush: the slack window reorders bounded disorder into

@@ -12,10 +12,9 @@ import (
 
 // TestPropertyInterleavingsMatchBatch is the delta-equality property: for
 // ANY interleaving of slack-bounded appends across the two inputs, any poll
-// schedule, and a checkpoint/restore in the middle, the accumulated deltas
-// of an accepted standing query equal the one-shot batch execution of the
-// same operator over the final relation contents — byte-identical, in
-// order.
+// schedule, the accumulated deltas of an accepted standing query equal the
+// one-shot batch execution of the same operator over the final relation
+// contents — byte-identical, in order.
 func TestPropertyInterleavingsMatchBatch(t *testing.T) {
 	kinds := []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap}
 	for trial := 0; trial < 24; trial++ {
@@ -46,8 +45,6 @@ func TestPropertyInterleavingsMatchBatch(t *testing.T) {
 			// within the slack so nothing is rejected.
 			n := 60 + rng.Intn(120)
 			var tsX, tsY interval.Time
-			checkpointAt := rng.Intn(n)
-			var cp *Checkpoint
 			for i := 0; i < n; i++ {
 				if rng.Intn(2) == 0 {
 					tsX += interval.Time(rng.Intn(4))
@@ -72,16 +69,6 @@ func TestPropertyInterleavingsMatchBatch(t *testing.T) {
 					if _, err := q.Poll(); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if i == checkpointAt {
-					if cp, err = q.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if cp != nil && rng.Intn(2) == 0 {
-				if err := q.Restore(cp); err != nil {
-					t.Fatalf("restore: %v", err)
 				}
 			}
 			m.Flush()

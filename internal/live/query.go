@@ -53,8 +53,8 @@ type RegisterOptions struct {
 	// Govern arms the workspace circuit breaker: at every poll the
 	// measured operator workspace is compared against the Tables 1–3
 	// bound under *current* catalog statistics, and a breach trips the
-	// breaker (suspend → re-estimate → re-admit by replay, degrade to
-	// batch, or decline with ErrBreakerOpen).
+	// breaker (re-estimate → re-admit in place, degrade to batch, or
+	// decline with ErrBreakerOpen).
 	Govern bool
 }
 
@@ -78,11 +78,8 @@ type StandingQuery struct {
 	m    *Manager
 
 	// Incremental state.
-	plan  *engine.StandingPlan
-	run   *engine.StandingRun
-	probe *metrics.Probe
-	logL  []relation.Row // raw released rows fed per side, for replay
-	logR  []relation.Row
+	plan *engine.StandingPlan
+	run  *engine.StandingRun
 
 	// Batch state: the multiset of the previous execution's result.
 	prev map[string]int
@@ -96,7 +93,6 @@ type StandingQuery struct {
 	govern       bool
 	allowDegrade bool
 	trips        int
-	skip         int   // replayed emissions to drop (and verify) after a re-admission
 	broken       error // non-nil once the breaker declined the query
 
 	gBacklog   *obs.Gauge
@@ -114,33 +110,31 @@ func newIncremental(m *Manager, name string, tree algebra.Expr, plan *engine.Sta
 	est optimizer.StandingEstimate, opts RegisterOptions) *StandingQuery {
 	q := &StandingQuery{
 		name: name, mode: ModeIncremental, note: est.String(),
-		tree: tree, m: m, plan: plan, probe: &metrics.Probe{},
+		tree: tree, m: m, plan: plan, run: plan.Start(&metrics.Probe{}),
 		deltaHash: fnv1aInit,
 		govern:    opts.Govern, allowDegrade: opts.AllowDegrade,
 	}
 	q.metrics()
-	q.run = plan.Start(q.probe)
 	// Rows released (or loaded) before registration are part of the final
 	// relation: feed them first, ValidFrom-sorted, so accumulated deltas
 	// converge to the batch result over the full contents.
-	q.backfill(plan.LeftRel, q.run.FeedLeft, &q.logL)
+	left := q.backfill(plan.LeftRel)
+	q.run.FeedLeft(left)
 	if plan.RightRel == plan.LeftRel {
-		q.run.FeedRight(q.logL)
-		q.logR = append(q.logR, q.logL...)
+		q.run.FeedRight(left)
 	} else {
-		q.backfill(plan.RightRel, q.run.FeedRight, &q.logR)
+		q.run.FeedRight(q.backfill(plan.RightRel))
 	}
 	return q
 }
 
-func (q *StandingQuery) backfill(rel string, feed func([]relation.Row), log *[]relation.Row) {
+// backfill returns the rows a relation already holds, ValidFrom-sorted.
+func (q *StandingQuery) backfill(rel string) []relation.Row {
 	r, err := q.m.db.Relation(rel)
 	if err != nil || len(r.Rows) == 0 {
-		return
+		return nil
 	}
-	rows := rowsByValidFrom(r)
-	*log = append(*log, rows...)
-	feed(rows)
+	return rowsByValidFrom(r)
 }
 
 func newBatch(m *Manager, name string, tree algebra.Expr, reason string) *StandingQuery {
@@ -190,11 +184,9 @@ func (q *StandingQuery) observeRelease(rel string, rows []relation.Row) error {
 		return err
 	}
 	if q.plan.LeftRel == rel {
-		q.logL = append(q.logL, rows...)
 		q.run.FeedLeft(rows)
 	}
 	if q.plan.RightRel == rel {
-		q.logR = append(q.logR, rows...)
 		q.run.FeedRight(rows)
 	}
 	q.gBacklog.Set(int64(q.run.Backlog()))
@@ -214,31 +206,28 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 	if q.broken != nil {
 		return nil, q.broken
 	}
-	var fresh []relation.Row
 	if q.mode == ModeIncremental {
 		rows, err := q.run.Poll()
 		if err != nil {
 			return nil, fmt.Errorf("live: standing query %s: %w", q.name, err)
 		}
-		if fresh, err = q.consumeReplay(rows); err != nil {
-			return nil, err
-		}
-		q.record(fresh)
+		q.record(rows)
 		q.gWorkspace.Set(q.run.Workspace())
 		q.gBacklog.Set(int64(q.run.Backlog()))
 		if q.govern {
 			if bound := q.Bound(); bound > 0 && float64(q.run.Workspace()) > bound {
 				if err := q.trip(bound); err != nil {
-					return fresh, err
+					return rows, err
 				}
 			}
 		}
-		return fresh, nil
+		return rows, nil
 	}
 	res, _, err := engine.Run(q.m.db, q.tree, q.m.opt)
 	if err != nil {
 		return nil, err
 	}
+	var fresh []relation.Row
 	next := map[string]int{}
 	for _, row := range res.Rows {
 		k := row.Key()
@@ -252,40 +241,24 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 	return fresh, nil
 }
 
-// consumeReplay drops (and verifies with Row.Equal) the prefix of a polled batch
-// that re-produces deltas already recorded before a governor re-admission
-// replayed the input logs. Divergence means the replay is not the
-// deterministic re-run the delta contract promises — a hard error, never
-// a silently different delta sequence.
-func (q *StandingQuery) consumeReplay(rows []relation.Row) ([]relation.Row, error) {
-	for q.skip > 0 && len(rows) > 0 {
-		expect := q.deltas[len(q.deltas)-q.skip]
-		if !rows[0].Equal(expect) {
-			return nil, fmt.Errorf("live: %s: re-admission replay diverged at delta %d: %s != %s",
-				q.name, len(q.deltas)-q.skip, rows[0], expect)
-		}
-		rows = rows[1:]
-		q.skip--
-	}
-	return rows, nil
-}
-
 // trip is the circuit breaker: the measured workspace breached the
 // predicted bound, so the catalog statistics behind the admission are
-// stale. The run is suspended (stopped), statistics are re-published
-// from the incremental accumulators, and the query is re-estimated:
+// stale. Statistics are re-published from the incremental accumulators
+// and the query is re-estimated:
 //
-//  1. re-admit — still bounded and trips remain: restart the operator
-//     and replay the released-row logs (the delta contract makes the
-//     replayed prefix byte-identical, which consumeReplay verifies);
-//  2. degrade — trips exhausted and degradation allowed: switch to
-//     periodic batch re-execution seeded with the emitted multiset;
-//  3. decline — otherwise ErrBreakerOpen on this and every later poll.
+//  1. re-admit — still bounded and trips remain: the running operator
+//     keeps its state and the next poll compares its workspace with the
+//     refreshed bound (restarting it would only rebuild the same state,
+//     since the operators are deterministic functions of their input);
+//  2. degrade — trips exhausted and degradation allowed: stop the
+//     operator and switch to periodic batch re-execution seeded with the
+//     emitted multiset;
+//  3. decline — otherwise stop the operator; ErrBreakerOpen on this and
+//     every later poll.
 func (q *StandingQuery) trip(bound float64) error {
 	q.trips++
 	q.cTrips.Inc()
 	breach := fmt.Sprintf("workspace %d breached bound %.1f", q.run.Workspace(), bound)
-	q.run.Stop()
 	q.m.db.RefreshStats(q.plan.LeftRel)
 	q.m.db.RefreshStats(q.plan.RightRel)
 	est := optimizer.EstimateStanding(q.plan.Kind, q.plan.Semijoin,
@@ -301,16 +274,12 @@ func (q *StandingQuery) trip(bound float64) error {
 	case est.Bounded && q.trips <= breakerMaxTrips:
 		q.note = fmt.Sprintf("governor: trip %d (%s); re-admitted under refreshed stats: %s",
 			q.trips, breach, est)
-		q.probe = &metrics.Probe{}
-		q.run = q.plan.Start(q.probe)
-		q.skip = len(q.deltas)
-		q.run.FeedLeft(q.logL)
-		q.run.FeedRight(q.logR)
 		q.event(obs.EventBreakerTrip, tripDetail("re-admit"))
 		return nil
 	case q.allowDegrade:
 		q.mode = ModeBatch
 		q.note = fmt.Sprintf("governor: trip %d (%s); degraded to periodic batch re-execution", q.trips, breach)
+		q.run.Stop()
 		q.run = nil
 		q.prev = map[string]int{}
 		for _, row := range q.deltas {
@@ -321,6 +290,7 @@ func (q *StandingQuery) trip(bound float64) error {
 	default:
 		q.broken = fmt.Errorf("%w: %s declined after trip %d (%s): %s",
 			ErrBreakerOpen, q.name, q.trips, breach, est)
+		q.run.Stop()
 		q.run = nil
 		q.note = "governor: " + q.broken.Error()
 		q.event(obs.EventBreakerTrip, tripDetail("decline"))
@@ -348,9 +318,8 @@ func (q *StandingQuery) Deltas() []relation.Row { return q.deltas }
 func (q *StandingQuery) Batches() int { return q.batches }
 
 // DeltaHash returns the FNV-1a hash of the concatenated relation.AppendKey
-// encodings of the emission sequence — the figure checkpoints record and
-// restores verify. Each key is self-delimiting, so the concatenation
-// determines the sequence.
+// encodings of the emission sequence. Each key is self-delimiting, so the
+// concatenation determines the sequence.
 func (q *StandingQuery) DeltaHash() uint64 { return q.deltaHash }
 
 // Schema returns the delta row schema (nil for batch queries before their
@@ -414,10 +383,6 @@ func (q *StandingQuery) Finish() ([]relation.Row, error) {
 		return q.Poll()
 	}
 	rows, err := q.run.Close()
-	rows, cerr := q.consumeReplay(rows)
-	if cerr != nil {
-		return nil, cerr
-	}
 	q.record(rows)
 	q.gWorkspace.Set(q.run.Workspace())
 	q.gBacklog.Set(0)
@@ -479,86 +444,6 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 		}
 	}
 	return len(q.deltas), len(res.Rows), nil
-}
-
-// Checkpoint is a consistent cut of an incremental standing query: the
-// per-side replay offsets into the released-row logs, the emission count
-// and the delta-sequence hash. Restoring re-feeds the logs and verifies
-// the replayed prefix reproduces the identical emission sequence.
-type Checkpoint struct {
-	Query     string
-	LeftRows  int64
-	RightRows int64
-	Emitted   int64
-	DeltaHash uint64
-}
-
-// Checkpoint polls the query and records a consistent cut. Batch
-// queries have no operator state and are not checkpointable.
-func (q *StandingQuery) Checkpoint() (*Checkpoint, error) {
-	if q.mode != ModeIncremental {
-		return nil, fmt.Errorf("live: %s runs in batch mode; nothing to checkpoint", q.name)
-	}
-	if _, err := q.Poll(); err != nil {
-		return nil, err
-	}
-	return &Checkpoint{
-		Query:     q.name,
-		LeftRows:  int64(len(q.logL)),
-		RightRows: int64(len(q.logR)),
-		Emitted:   int64(len(q.deltas)),
-		DeltaHash: q.deltaHash,
-	}, nil
-}
-
-// Restore rebuilds the operator workspace by deterministic replay: a fresh
-// run of the same plan is fed the logged released rows up to the
-// checkpoint offsets, and the replayed emissions must reproduce the
-// checkpointed count and hash — verifying the restored workspace is the
-// one the checkpoint cut. Rows logged after the checkpoint are re-fed so
-// the query continues from the cut.
-func (q *StandingQuery) Restore(cp *Checkpoint) error {
-	if q.mode != ModeIncremental {
-		return fmt.Errorf("live: %s runs in batch mode; nothing to restore", q.name)
-	}
-	if cp.Query != q.name {
-		return fmt.Errorf("live: checkpoint of %q cannot restore %q", cp.Query, q.name)
-	}
-	if int64(len(q.logL)) < cp.LeftRows || int64(len(q.logR)) < cp.RightRows {
-		return fmt.Errorf("live: released-row log shorter than checkpoint (%d/%d < %d/%d)",
-			len(q.logL), len(q.logR), cp.LeftRows, cp.RightRows)
-	}
-	if q.run != nil {
-		q.run.Stop()
-	}
-	q.skip = 0
-	q.probe = &metrics.Probe{}
-	q.run = q.plan.Start(q.probe)
-	q.run.FeedLeft(q.logL[:cp.LeftRows])
-	q.run.FeedRight(q.logR[:cp.RightRows])
-	replayed, err := q.run.Poll()
-	if err != nil {
-		return fmt.Errorf("live: replay of %s: %w", q.name, err)
-	}
-	if int64(len(replayed)) != cp.Emitted {
-		return fmt.Errorf("%w: replay of %s produced %d deltas, checkpoint has %d",
-			ErrCorruptCheckpoint, q.name, len(replayed), cp.Emitted)
-	}
-	h := uint64(fnv1aInit)
-	for _, row := range replayed {
-		h = q.foldDelta(h, row)
-	}
-	if h != cp.DeltaHash {
-		return fmt.Errorf("%w: replay of %s diverged (hash %x != %x)",
-			ErrCorruptCheckpoint, q.name, h, cp.DeltaHash)
-	}
-	// Reset the delta log to the verified replayed prefix and continue
-	// with the post-checkpoint rows.
-	q.deltas = replayed
-	q.deltaHash = h
-	q.run.FeedLeft(q.logL[cp.LeftRows:])
-	q.run.FeedRight(q.logR[cp.RightRows:])
-	return nil
 }
 
 const fnv1aInit, fnv1aPrime = 14695981039346656037, 1099511628211

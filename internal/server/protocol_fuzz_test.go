@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"tdb/internal/relation"
 	"tdb/internal/value"
@@ -75,6 +76,90 @@ func FuzzAppendRequest(f *testing.F) {
 					if v.Kind() != sch.Cols[i].Kind {
 						t.Fatalf("cell %d of %v is a %v, column %s wants a %v", i, row, v.Kind(), sch.Cols[i].Name, sch.Cols[i].Kind)
 					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzSubscribeRequest feeds arbitrary bytes through the subscribe
+// decoder and validator, then resumes the decoded after_seq against a
+// replay ring of fuzzed capacity and length. A request is a value or a
+// typed bad-request *Error; a valid one's poll interval does not wrap;
+// and replaySince returns exactly the events after after_seq, contiguous
+// up to the head, or a typed error — bad_request for a seq outside
+// [0, head], resume_horizon only when the ring evicted an event the
+// resume needs. Never a panic.
+func FuzzSubscribeRequest(f *testing.F) {
+	for _, req := range []SubscribeRequest{
+		{Session: "s1", Quel: overlapSubscribe, PollMS: 5},
+		{Session: "s1", Resume: "s1.1.watch", AfterSeq: 3},
+		{Session: "s1", Resume: "s1.1.watch", AfterSeq: -1},
+		{Session: "s1", Resume: "s1.1.watch", Quel: "x"},
+		{Session: "s1", Quel: overlapSubscribe, PollMS: maxPollMS},
+		{Session: "s1", Quel: overlapSubscribe, PollMS: maxPollMS + 1},
+		{Quel: overlapSubscribe},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, uint8(4), uint8(9))
+	}
+	for _, raw := range []string{
+		`{"session":"s","resume":"r","after_seq":-9223372036854775808}`,
+		`{"session":"s","resume":"r","after_seq":9223372036854775807}`,
+		`{"session":"s","poll_ms":-1}`,
+		`{"session":"s","after_seq":1.5}`,
+		``,
+	} {
+		f.Add([]byte(raw), uint8(0), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, ringCap, events uint8) {
+		r := httptest.NewRequest(http.MethodPost, "/"+Protocol+"/subscribe", bytes.NewReader(body))
+		var req SubscribeRequest
+		apiErr := decodeBody(r, &req)
+		if apiErr == nil {
+			apiErr = req.validate()
+		}
+		if apiErr != nil {
+			if apiErr.Code != CodeBadRequest || apiErr.HTTP != http.StatusBadRequest {
+				t.Fatalf("error %+v, want a typed %s", apiErr, CodeBadRequest)
+			}
+			return
+		}
+		if req.PollMS > 0 && time.Duration(req.PollMS)*time.Millisecond <= 0 {
+			t.Fatalf("poll_ms %d passed validation but wraps to %v", req.PollMS, time.Duration(req.PollMS)*time.Millisecond)
+		}
+
+		capacity := 1 + int(ringCap)%32
+		st := newSubState("r", "s", nil, capacity)
+		head := int64(events)
+		for i := int64(0); i < head; i++ {
+			st.appendEvent(nil)
+		}
+		oldest := max(1, head-int64(capacity)+1)
+		after := req.AfterSeq
+		replay, apiErr := st.replaySince(after)
+		switch {
+		case after < 0 || after > head:
+			if apiErr == nil || apiErr.Code != CodeBadRequest {
+				t.Fatalf("after_seq %d, head %d: %+v, want %s", after, head, apiErr, CodeBadRequest)
+			}
+		case after+1 < oldest:
+			if apiErr == nil || apiErr.Code != CodeResumeHorizon {
+				t.Fatalf("after_seq %d, ring retains [%d, %d]: %+v, want %s", after, oldest, head, apiErr, CodeResumeHorizon)
+			}
+		default:
+			if apiErr != nil {
+				t.Fatalf("after_seq %d, ring retains [%d, %d]: %+v", after, oldest, head, apiErr)
+			}
+			if int64(len(replay)) != head-after {
+				t.Fatalf("after_seq %d, head %d: replayed %d events", after, head, len(replay))
+			}
+			for i, ev := range replay {
+				if ev.seq != after+1+int64(i) {
+					t.Fatalf("replay %d has seq %d, want %d", i, ev.seq, after+1+int64(i))
 				}
 			}
 		}

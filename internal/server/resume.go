@@ -84,6 +84,9 @@ func (st *subState) appendEvent(rows [][]any) subEvent {
 func (st *subState) replaySince(after int64) ([]subEvent, *Error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if after < 0 {
+		return nil, errf(CodeBadRequest, "resume after seq %d: sequence numbers start at 1", after)
+	}
 	if after >= st.nextSeq {
 		return nil, errf(CodeBadRequest,
 			"resume after seq %d, but the stream head is %d (client claims events the server never sent)",

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -44,8 +45,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	if req.Session == "" {
-		writeError(w, errf(CodeBadRequest, "subscribe requires a session"))
+	if apiErr := req.validate(); apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
 	sess, apiErr := s.sessions.get(req.Session)
@@ -59,10 +60,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Resume != "" {
-		if req.Quel != "" {
-			writeError(w, errf(CodeBadRequest, "a resume request re-attaches to an existing subscription; quel must be empty"))
-			return
-		}
 		s.handleResume(w, fl, r, sess, &req)
 		return
 	}
@@ -191,6 +188,25 @@ func (s *Server) handleResume(w http.ResponseWriter, fl http.Flusher, r *http.Re
 		}
 	}
 	s.streamSub(w, fl, r, st, kick)
+}
+
+// maxPollMS is the longest poll_ms whose interval fits a time.Duration.
+const maxPollMS = math.MaxInt64 / int64(time.Millisecond)
+
+// validate rejects a subscribe request the handler cannot serve, before
+// anything is registered: no session, a resume that also carries quel,
+// or a poll interval that overflows time.Duration (it would wrap negative
+// and panic the stream's ticker).
+func (req *SubscribeRequest) validate() *Error {
+	switch {
+	case req.Session == "":
+		return errf(CodeBadRequest, "subscribe requires a session")
+	case req.Resume != "" && req.Quel != "":
+		return errf(CodeBadRequest, "a resume request re-attaches to an existing subscription; quel must be empty")
+	case req.PollMS > maxPollMS:
+		return errf(CodeBadRequest, "poll_ms %d exceeds the longest poll interval, %d ms", req.PollMS, maxPollMS)
+	}
+	return nil
 }
 
 func writeStreamHeaders(w http.ResponseWriter) {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,5 +193,51 @@ func TestSubscribeRejectsRetrieve(t *testing.T) {
 	}, nil)
 	if we == nil || we.Code != CodeBadRequest {
 		t.Errorf("retrieve on subscribe endpoint: %+v", we)
+	}
+}
+
+// A poll_ms whose millisecond interval overflows time.Duration is a bad
+// request, refused before anything registers; the longest interval that
+// fits is accepted.
+func TestSubscribePollMSOverflowRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{DB: liveDB(t)})
+	sid := openSession(t, ts.URL, "")
+	longest := int64(math.MaxInt64 / int64(time.Millisecond))
+	for _, ms := range []int64{longest + 1, math.MaxInt64} {
+		we := post(t, ts.URL, "subscribe", SubscribeRequest{Session: sid, Quel: overlapSubscribe, PollMS: ms}, nil)
+		if we == nil || we.Code != CodeBadRequest {
+			t.Fatalf("poll_ms %d: %+v, want %s", ms, we, CodeBadRequest)
+		}
+	}
+	s.mu.RLock()
+	registered := len(s.live.Queries())
+	s.mu.RUnlock()
+	if registered != 0 {
+		t.Fatalf("%d standing queries registered by refused subscribes", registered)
+	}
+	r, _ := startSubscribe(t, ts, SubscribeRequest{Session: sid, Quel: overlapSubscribe, PollMS: longest})
+	if ev, err := readEvent(r); err != nil || ev.name != "meta" {
+		t.Fatalf("poll_ms %d: first event %q, %v; want meta", longest, ev.name, err)
+	}
+}
+
+// A negative after_seq is a bad request even when the ring has evicted
+// nothing — not a replay-horizon error.
+func TestResumeNegativeAfterSeqRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{DB: liveDB(t), SubscribePoll: 2 * time.Millisecond})
+	sid := openSession(t, ts.URL, "")
+	r, cancel := startSubscribe(t, ts, SubscribeRequest{Session: sid, Quel: overlapSubscribe})
+	ev, err := readEvent(r)
+	if err != nil || ev.name != "meta" {
+		t.Fatalf("first event %q, %v; want meta", ev.name, err)
+	}
+	var meta SubscribeMeta
+	if err := json.Unmarshal(ev.data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	we := post(t, ts.URL, "subscribe", SubscribeRequest{Session: sid, Resume: meta.Resume, AfterSeq: -1}, nil)
+	if we == nil || we.Code != CodeBadRequest {
+		t.Fatalf("resume after seq -1: %+v, want %s", we, CodeBadRequest)
 	}
 }

@@ -48,37 +48,6 @@ func drain(s Stream[int]) []int {
 	return out
 }
 
-func TestConcatDoesNotRedriveFailedPart(t *testing.T) {
-	boom := errors.New("boom")
-	bad := &flaky{pre: []int{1}, post: []int{99}, err: boom}
-	c := Concat[int](bad, FromSlice([]int{7, 8}))
-	got := drain(c)
-	if !errors.Is(c.Err(), boom) {
-		t.Fatalf("concat lost the part error: %v", c.Err())
-	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("concat produced %v after a part failure, want just [1]", got)
-	}
-}
-
-func TestConcatErrVisibleAfterExhaustion(t *testing.T) {
-	boom := errors.New("boom")
-	c := Concat(FromSlice([]int{1}), FailAfter(FromSlice([]int{2, 3}), 1, boom))
-	got := drain(c)
-	if len(got) != 2 {
-		t.Fatalf("want [1 2] before the failure, got %v", got)
-	}
-	if !errors.Is(c.Err(), boom) {
-		t.Fatalf("Err after exhaustion = %v, want boom", c.Err())
-	}
-	// A clean concat reports nil.
-	ok := Concat(FromSlice([]int{1}), FromSlice([]int{2}))
-	drain(ok)
-	if ok.Err() != nil {
-		t.Fatalf("clean concat reports %v", ok.Err())
-	}
-}
-
 func TestFilterErrVisibleAfterExhaustion(t *testing.T) {
 	boom := errors.New("boom")
 	f := Filter(FailAfter(FromSlice([]int{1, 2, 3, 4}), 2, boom), func(x int) bool { return x%2 == 0 })
@@ -88,30 +57,5 @@ func TestFilterErrVisibleAfterExhaustion(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("filter produced %v, want [2]", got)
-	}
-}
-
-func TestMapErrVisibleAfterExhaustion(t *testing.T) {
-	boom := errors.New("boom")
-	m := Map(FailAfter(FromSlice([]int{1, 2, 3}), 1, boom), func(x int) int { return 10 * x })
-	got := drain(m)
-	if !errors.Is(m.Err(), boom) {
-		t.Fatalf("map lost the upstream error: %v", m.Err())
-	}
-	if len(got) != 1 || got[0] != 10 {
-		t.Fatalf("map produced %v, want [10]", got)
-	}
-}
-
-func TestTakeErrVisibleAfterExhaustion(t *testing.T) {
-	boom := errors.New("boom")
-	// The failure happens within the taken prefix, so Take must surface it.
-	tk := Take(FailAfter(FromSlice([]int{1, 2, 3}), 1, boom), 3)
-	got := drain(tk)
-	if !errors.Is(tk.Err(), boom) {
-		t.Fatalf("take lost the upstream error: %v", tk.Err())
-	}
-	if len(got) != 1 {
-		t.Fatalf("take produced %v, want [1]", got)
 	}
 }

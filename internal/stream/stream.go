@@ -121,103 +121,6 @@ func (f *filter[T]) Next() (T, bool) {
 
 func (f *filter[T]) Err() error { return f.in.Err() }
 
-// mapped applies a function to every element.
-type mapped[T, U any] struct {
-	in Stream[T]
-	f  func(T) U
-}
-
-// Map returns the stream of f(x) for each input element x, in order.
-func Map[T, U any](in Stream[T], f func(T) U) Stream[U] {
-	return &mapped[T, U]{in: in, f: f}
-}
-
-func (m *mapped[T, U]) Next() (U, bool) {
-	x, ok := m.in.Next()
-	if !ok {
-		var zero U
-		return zero, false
-	}
-	return m.f(x), true
-}
-
-func (m *mapped[T, U]) Err() error { return m.in.Err() }
-
-// concat chains streams back to back.
-type concat[T any] struct {
-	parts []Stream[T]
-	err   error
-}
-
-// Concat yields all elements of each stream in turn.
-func Concat[T any](parts ...Stream[T]) Stream[T] { return &concat[T]{parts: parts} }
-
-func (c *concat[T]) Next() (T, bool) {
-	var zero T
-	if c.err != nil {
-		return zero, false
-	}
-	for len(c.parts) > 0 {
-		x, ok := c.parts[0].Next()
-		if ok {
-			return x, true
-		}
-		if err := c.parts[0].Err(); err != nil {
-			// Latch the failure and drop every part: a subsequent Next
-			// must not re-drive the failed producer or skip into later
-			// parts as if the prefix had been exhausted cleanly.
-			c.err = err
-			c.parts = nil
-			return zero, false
-		}
-		c.parts = c.parts[1:]
-	}
-	return zero, false
-}
-
-func (c *concat[T]) Err() error { return c.err }
-
-// take yields at most n elements.
-type take[T any] struct {
-	in Stream[T]
-	n  int
-}
-
-// Take returns the stream of the first n elements.
-func Take[T any](in Stream[T], n int) Stream[T] { return &take[T]{in: in, n: n} }
-
-func (t *take[T]) Next() (T, bool) {
-	if t.n <= 0 {
-		var zero T
-		return zero, false
-	}
-	t.n--
-	return t.in.Next()
-}
-
-func (t *take[T]) Err() error { return t.in.Err() }
-
-// counted counts elements as they pass.
-type counted[T any] struct {
-	in Stream[T]
-	n  *int64
-}
-
-// Counting returns a pass-through stream that increments *n per element.
-// The core algorithms use it to attribute reads to probe counters without
-// knowing the concrete source.
-func Counting[T any](in Stream[T], n *int64) Stream[T] { return &counted[T]{in: in, n: n} }
-
-func (c *counted[T]) Next() (T, bool) {
-	x, ok := c.in.Next()
-	if ok {
-		*c.n++
-	}
-	return x, ok
-}
-
-func (c *counted[T]) Err() error { return c.in.Err() }
-
 // checked verifies the sort order of a stream as it is consumed.
 type checked[T any] struct {
 	in    Stream[T]

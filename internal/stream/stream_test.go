@@ -40,32 +40,10 @@ func TestFromSliceAndCollect(t *testing.T) {
 	}
 }
 
-func TestFilterMapTakeConcat(t *testing.T) {
+func TestFilter(t *testing.T) {
 	even := Filter(ints(1, 2, 3, 4, 5, 6), func(x int) bool { return x%2 == 0 })
 	if got := mustCollect(t, even); len(got) != 3 || got[0] != 2 || got[2] != 6 {
 		t.Errorf("Filter: %v", got)
-	}
-
-	sq := Map(ints(1, 2, 3), func(x int) int { return x * x })
-	if got := mustCollect(t, sq); got[2] != 9 {
-		t.Errorf("Map: %v", got)
-	}
-
-	strs := Map(ints(7), func(x int) string { return strings.Repeat("a", x) })
-	if got := mustCollect(t, strs); got[0] != "aaaaaaa" {
-		t.Errorf("Map type change: %v", got)
-	}
-
-	if got := mustCollect(t, Take(ints(1, 2, 3, 4), 2)); len(got) != 2 || got[1] != 2 {
-		t.Errorf("Take: %v", got)
-	}
-	if got := mustCollect(t, Take(ints(1), 5)); len(got) != 1 {
-		t.Errorf("Take beyond end: %v", got)
-	}
-
-	c := Concat(ints(1, 2), Empty[int](), ints(3))
-	if got := mustCollect(t, c); len(got) != 3 || got[2] != 3 {
-		t.Errorf("Concat: %v", got)
 	}
 }
 
@@ -96,19 +74,10 @@ func TestFuncStream(t *testing.T) {
 	}
 }
 
-func TestCounting(t *testing.T) {
-	var n int64
-	s := Counting(ints(1, 2, 3), &n)
-	mustCollect(t, s)
-	if n != 3 {
-		t.Errorf("count = %d", n)
-	}
-}
-
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	base := FailAfter(ints(1, 2, 3, 4), 2, boom)
-	pipeline := Map(Filter(base, func(int) bool { return true }), func(x int) int { return x })
+	pipeline := Filter(Filter(base, func(int) bool { return true }), func(int) bool { return true })
 	var got []int
 	for {
 		x, ok := pipeline.Next()
@@ -122,15 +91,6 @@ func TestErrorPropagation(t *testing.T) {
 	}
 	if !errors.Is(pipeline.Err(), boom) {
 		t.Errorf("Err = %v", pipeline.Err())
-	}
-
-	// Concat surfaces a part's error and stops.
-	c := Concat[int](FailAfter(ints(1), 0, boom), ints(9))
-	if _, ok := c.Next(); ok {
-		t.Error("Concat yielded past failing part")
-	}
-	if !errors.Is(c.Err(), boom) {
-		t.Errorf("Concat Err = %v", c.Err())
 	}
 
 	// Collect returns the error.
