@@ -40,7 +40,9 @@ test:
 # DB's Run of the tree returns, the /v1/append decoder: rows of the
 # schema's kinds or a typed bad_request error for any body, never a panic,
 # the /v1/subscribe decoder and resume arithmetic: a typed bad_request, or
-# replaySince's events contiguous up to the head or a typed error,
+# replaySince's events contiguous up to the head or a typed error, the
+# /v1/query and /v1/execute parameter path: values or a typed bad_request
+# or bind_error, never a panic,
 # the quel parser: a program it accepts prints, reparses and prints again
 # to the same text, and the driver's DSN parser: a connector with positive
 # retry durations or an error.
@@ -54,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzOrderIndex -fuzztime=10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz=FuzzAppendRequest -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzSubscribeRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzQuelRoundTrip -fuzztime=10s ./internal/quel
 	$(GO) test -run '^$$' -fuzz=FuzzDSN -fuzztime=10s ./driver
 

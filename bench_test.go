@@ -180,7 +180,7 @@ func BenchmarkColumnar_SerialContainJoin(b *testing.B) {
 	b.Run("engine-row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.Run(db, q, engine.Options{RowExec: true, Parallelism: 1}); err != nil {
+			if _, _, err := engine.Run(db, q, engine.Options{RowExec: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -188,7 +188,7 @@ func BenchmarkColumnar_SerialContainJoin(b *testing.B) {
 	b.Run("engine-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.Run(db, q, engine.Options{Parallelism: 1}); err != nil {
+			if _, _, err := engine.Run(db, q, engine.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -227,7 +227,7 @@ func BenchmarkMaterializeJoin(b *testing.B) {
 	b.ResetTimer()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		res, _, err := engine.Run(db, q, engine.Options{Parallelism: 1})
+		res, _, err := engine.Run(db, q, engine.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

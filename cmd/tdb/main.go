@@ -10,7 +10,7 @@
 //
 //	tdb -load Faculty=faculty.csv [-rankorder Faculty:Name:Rank=Assistant,Associate,Full[:continuous]] [-e query.quel]
 //	    [-listen 127.0.0.1:8080 [-serve]] [-max-concurrent N] [-max-queue N] [-queue-timeout D]
-//	    [-idle-timeout D] [-drain-timeout D] [-trace trace.jsonl] [-parallelism N]
+//	    [-idle-timeout D] [-drain-timeout D] [-trace trace.jsonl]
 //	    [-govern] [-profile] [-slow-query 250ms]
 //	    [-faults "site=mode[:k=v...];..."]
 //
@@ -48,8 +48,8 @@
 // load; see DESIGN.md for the site table and the spec grammar.
 //
 // Shell commands: \d (relations), \stats R, \explain on|off,
-// \streams on|off, \trace on|off, \profile on|off, \set parallelism N,
-// \metrics, \events [json], \faults [arm SPEC | reset], \q.
+// \streams on|off, \trace on|off, \profile on|off, \metrics,
+// \events [json], \faults [arm SPEC | reset], \q.
 //
 // Live ingestion: a "subscribe NAME (targets) where …" statement registers
 // a standing temporal query (admitted incrementally when its Tables 1–3
@@ -72,6 +72,7 @@ import (
 	"syscall"
 	"time"
 
+	"tdb/internal/algebra"
 	"tdb/internal/constraints"
 	"tdb/internal/engine"
 	"tdb/internal/fault"
@@ -104,7 +105,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "expire sessions idle for this long (0 = server default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on graceful drain when shutting the server down")
 	traceFile := flag.String("trace", "", "append per-query JSONL trace spans to this file (also enables \\trace on)")
-	parallelism := flag.Int("parallelism", 0, "time-range parallel execution: 0 or 1 = serial (default); N ≥ 2 = N time shards")
 	govern := flag.Bool("govern", false, "abort-and-degrade joins whose workspace breaches the admission ceiling; govern standing queries")
 	profile := flag.Bool("profile", false, "per-query resource accounting: allocs/B per node in the analyze tree, pprof labels by operator")
 	slowQuery := flag.Duration("slow-query", 0, "journal queries slower than this duration (0 disables the slow-query log)")
@@ -155,8 +155,7 @@ func main() {
 	}
 
 	sh := &shell{db: db, explain: true, streams: true, out: os.Stdout, reg: obs.NewRegistry(),
-		parallelism: *parallelism, govern: *govern,
-		profile: *profile, slowQuery: *slowQuery, events: obs.NewEventLog(obs.DefaultEventCap)}
+		govern: *govern, profile: *profile, slowQuery: *slowQuery, events: obs.NewEventLog(obs.DefaultEventCap)}
 	db.SetMetrics(sh.reg)
 	defer storage.ObserveIO(nil)
 	if *serve && *listen == "" {
@@ -288,11 +287,9 @@ type shell struct {
 	// every traced query's spans as JSONL.
 	reg      *obs.Registry
 	traceOut io.Writer
-	// parallelism feeds engine.Options verbatim; see \set parallelism.
 	// govern arms the workspace governor for batch joins and the breaker
 	// for standing queries.
-	parallelism int
-	govern      bool
+	govern bool
 	// profile turns on per-query resource accounting (allocs/B per node,
 	// pprof labels); slowQuery journals queries slower than the cutoff;
 	// events is the bounded operational journal behind \events.
@@ -312,8 +309,7 @@ type shell struct {
 func (sh *shell) liveManager() *live.Manager {
 	if sh.liveMgr == nil {
 		sh.liveMgr = live.NewManager(sh.db, sh.reg, engine.Options{
-			Registry: sh.reg, Parallelism: sh.parallelism,
-			Events: sh.events, SlowQuery: sh.slowQuery})
+			Registry: sh.reg, Events: sh.events, SlowQuery: sh.slowQuery})
 	}
 	return sh.liveMgr
 }
@@ -400,9 +396,6 @@ func (sh *shell) repl() {
 			continue
 		case strings.HasPrefix(trimmed, `\verify `):
 			sh.verifyStanding(strings.TrimSpace(strings.TrimPrefix(trimmed, `\verify`)))
-			continue
-		case strings.HasPrefix(trimmed, `\set parallelism `):
-			sh.setParallelism(strings.TrimSpace(strings.TrimPrefix(trimmed, `\set parallelism`)))
 			continue
 		case strings.EqualFold(trimmed, "go"):
 			if err := sh.runStatements(buf.String()); err != nil {
@@ -503,23 +496,6 @@ func (sh *shell) faults(arg string) {
 		}
 	default:
 		sh.println(`\faults wants: \faults | \faults arm SPEC | \faults reset`)
-	}
-}
-
-// setParallelism handles \set parallelism N: 0 and 1 run serially, N ≥ 2
-// fans eligible operators out to N time shards. The answer is identical at
-// any setting; only the worker fan-out changes.
-func (sh *shell) setParallelism(arg string) {
-	var n int
-	if _, err := fmt.Sscanf(arg, "%d", &n); err != nil || n < 0 {
-		sh.printf("\\set parallelism wants a non-negative integer, got %q\n", arg)
-		return
-	}
-	sh.parallelism = n
-	if n < 2 {
-		sh.println("parallelism: serial execution")
-	} else {
-		sh.printf("parallelism: up to %d shard workers\n", n)
 	}
 }
 
@@ -694,6 +670,17 @@ func (sh *shell) runStatements(src string) error {
 		}
 		if res.Contradiction {
 			sh.println("semantic: query is contradictory — empty result without data access")
+			if q.Into != "" {
+				// The empty result still exists under its output schema, as
+				// a non-contradictory empty query's does.
+				sch, err := algebra.OutputSchema(res.Tree, sh.db)
+				if err != nil {
+					return err
+				}
+				if err := sh.db.Register(relation.New(q.Into, sch)); err != nil {
+					return err
+				}
+			}
 			continue
 		}
 		if q.Standing != "" {
@@ -711,7 +698,7 @@ func (sh *shell) runStatements(src string) error {
 			continue
 		}
 		opt := engine.Options{ForceNestedLoop: !sh.streams, Registry: sh.reg,
-			Parallelism: sh.parallelism, GovernWorkspace: sh.govern, Profile: sh.profile,
+			GovernWorkspace: sh.govern, Profile: sh.profile,
 			Events: sh.events, SlowQuery: sh.slowQuery}
 		// A profiled run always gets a tracer: the per-node resource
 		// columns render in the span tree, so -profile without -trace

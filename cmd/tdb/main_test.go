@@ -142,6 +142,39 @@ where f3.Rank="Associate" and f1.Name=f2.Name and f1.Rank="Assistant"
 	}
 }
 
+// A retrieve into that the optimizer proves contradictory still creates
+// its (empty) relation, under the schema a non-contradictory empty query's
+// would have, so a later range declaration over it resolves.
+func TestShellContradictoryIntoRegistersEmptyRelation(t *testing.T) {
+	db := engine.NewDB()
+	db.MustRegister(workload.Faculty(workload.FacultyConfig{N: 20, Seed: 5}))
+	var buf bytes.Buffer
+	sh := &shell{db: db, streams: true, out: &buf}
+	for name, where := range map[string]string{"E": "f.ValidTo < f.ValidFrom", "N": `f.Name = "nobody"`} {
+		if err := sh.runStatements("range of f is Faculty\nretrieve into " + name +
+			" (f.Name, f.ValidFrom, f.ValidTo) where " + where); err != nil {
+			t.Fatalf("into %s: %v", name, err)
+		}
+	}
+	if !strings.Contains(buf.String(), "query is contradictory") {
+		t.Fatalf("the optimizer did not prove the query contradictory:\n%s", buf.String())
+	}
+	e, err := db.Relation("E")
+	if err != nil {
+		t.Fatalf("contradictory into registered nothing: %v", err)
+	}
+	n, err := db.Relation("N")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Cardinality() != 0 || !e.Schema.Equal(n.Schema) {
+		t.Errorf("E has %d rows and schema %s, want 0 rows and %s", e.Cardinality(), e.Schema, n.Schema)
+	}
+	if err := sh.runStatements("range of e is E\nretrieve (e.Name)"); err != nil {
+		t.Errorf("querying the empty result: %v", err)
+	}
+}
+
 // TestShellObservability is the end-to-end acceptance check: a query run
 // with tracing on while the metrics endpoint is listening produces a JSONL
 // span per plan node whose probe totals roll up to the query root, the

@@ -34,7 +34,7 @@ func newServer(sh *shell, o serveOptions) *server.Server {
 		Registry: sh.reg,
 		Events:   sh.events,
 		Exec: engine.Options{
-			Parallelism: sh.parallelism, Profile: sh.profile, SlowQuery: sh.slowQuery,
+			Profile: sh.profile, SlowQuery: sh.slowQuery,
 		},
 		Tenants: []server.TenantConfig{{
 			Name: "default", MaxConcurrent: o.maxConcurrent, MaxQueue: o.maxQueue,

@@ -11,17 +11,13 @@
 // Usage:
 //
 //	tdbbench [-n 4000] [-faculty 200] [-seed 1] [-policy sweep|lambda]
-//	         [-json results.json] [-listen 127.0.0.1:8080] [-parallel]
+//	         [-json results.json] [-listen 127.0.0.1:8080]
 //	         [-live] [-live-json BENCH_LIVE.json]
 //	         [-chaos] [-chaos-json BENCH_CHAOS.json]
 //	         [-serve] [-serve-json BENCH_SERVER.json] [-serve-queries 25]
 //	         [-record] [-history BENCH_HISTORY.jsonl]
 //	         [-check] [-write-baseline] [-baseline BENCH_BASELINE.json]
 //	         [-slowdown 0s]
-//
-// -parallel additionally runs E22, the time-range partitioned parallel
-// execution sweep: the contain-join at k ∈ {1,2,4,8} workers, verifying
-// byte-identical output and reporting speedup and boundary replication.
 //
 // -live additionally runs E23, the sustained live-ingest sweep: two tuple
 // streams at λ ∈ {0.5, 2, 10} through the live manager with standing
@@ -31,10 +27,9 @@
 //
 // -chaos additionally runs E24, the degradation sweep: the workspace
 // governor under statistics drift (stream path vs governed baseline
-// fallback), the standing-query breaker ladder (re-admit, degrade to
-// batch, typed decline), and seeded fault-injection batches over the
-// parallel executor — every run ends byte-identical or with a clean typed
-// error. The structured document goes to BENCH_CHAOS.json (-chaos-json).
+// fallback) and the standing-query breaker ladder (re-admit, degrade to
+// batch, typed decline). The structured document goes to BENCH_CHAOS.json
+// (-chaos-json).
 //
 // -serve additionally runs E26, the concurrent network-client sweep: an
 // in-process protocol server over a Faculty catalog queried by 1, 8 and
@@ -107,7 +102,6 @@ func main() {
 	policyName := flag.String("policy", "sweep", "stream read policy: sweep or lambda")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this file")
 	listen := flag.String("listen", "", "serve /metrics and /debug/pprof on this address while running")
-	parallel := flag.Bool("parallel", false, "also run E22, the parallel speedup sweep (k = 1,2,4,8)")
 	liveRun := flag.Bool("live", false, "also run E23, the sustained live-ingest sweep, writing BENCH_LIVE.json")
 	liveOut := flag.String("live-json", "BENCH_LIVE.json", "where -live writes its machine-readable document")
 	chaosRun := flag.Bool("chaos", false, "also run E24, the fault/degradation sweep, writing BENCH_CHAOS.json")
@@ -193,14 +187,6 @@ func main() {
 		}},
 		{"columnar", func() (*experiments.Table, error) { return drop(experiments.Columnar(*n, *seed)) }},
 	}
-	if *parallel {
-		suite = append(suite, struct {
-			name string
-			run  func() (*experiments.Table, error)
-		}{"parallel", func() (*experiments.Table, error) {
-			return drop(experiments.Parallel(*n, []int{1, 2, 4, 8}, *seed))
-		}})
-	}
 
 	if *liveRun {
 		suite = append(suite, struct {
@@ -224,7 +210,7 @@ func main() {
 			name string
 			run  func() (*experiments.Table, error)
 		}{"chaos", func() (*experiments.Table, error) {
-			res, tab, err := experiments.Chaos(*n/2, 16, *seed)
+			res, tab, err := experiments.Chaos()
 			if err != nil {
 				return nil, err
 			}

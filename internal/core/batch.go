@@ -13,8 +13,7 @@ import (
 // two sorted []interval.Time column pairs with integer cursors, keeps its
 // active tuples in pooled gapless arrays (arena.go), and reports matches
 // as *row indexes* into the input columns — materialization is the
-// caller's concern, so a serial node and a shard worker call the same
-// kernel and move no row data through the sweep. A kernel exists only for
+// caller's concern, so no row data moves through the sweep. A kernel exists only for
 // an operator the engine runs columnar; the other operators are
 // row-at-a-time only.
 //
@@ -23,7 +22,7 @@ import (
 // criteria, same per-turn probe accounting, and — load-bearing for the
 // engine's equivalence contract — the same emission order, which is why
 // state removal compacts in insertion order instead of swap-removing.
-// The row operators remain the serial reference implementation (engine
+// The row operators remain the reference implementation (engine
 // option RowExec) and the oracle for the equivalence property tests.
 
 // Cols is the columnar lifespan view a batch kernel sweeps over: parallel

@@ -16,17 +16,16 @@ import (
 // other failure is a robustness bug.
 func chaosAcceptable(err error) bool {
 	return errors.Is(err, fault.ErrInjected) ||
-		errors.Is(err, ErrWorkerPanic) ||
 		errors.Is(err, storage.ErrCorruptPage)
 }
 
 // TestChaosSuperstar runs the full Superstar pipeline — semantic
-// optimization, semijoin introduction, stored scans, parallel workers —
-// under randomized (seeded) fault schedules that hit the parallel workers
-// and the storage page reads probabilistically. Acceptance: either the
-// run fails with a clean typed error, or its output is byte-identical to
-// the fault-free serial reference — and in both cases every worker
-// goroutine has unwound (the leak check holds that part).
+// optimization, semijoin introduction, stored scans, external sorts —
+// under randomized (seeded) fault schedules that hit the page reads of the
+// stored relation and of the sort's run files, and the run files' page
+// writes, probabilistically. Acceptance: either the run fails with a clean
+// typed error, or its output is byte-identical to the fault-free
+// reference — and in both cases no run file is left in SpillDir.
 func TestChaosSuperstar(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	db := newFacultyDB(t, 60, false)
@@ -37,19 +36,19 @@ func TestChaosSuperstar(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := optimize(t, db, superstarQuery(), optimizer.Options{ICs: db.ChronOrders()})
-	serial, _, err := Run(db, tree, Options{Parallelism: 1})
+	opt := Options{SortMemRows: 8, SpillDir: t.TempDir(), VerifyOrder: true}
+	ref, _, err := Run(db, tree, opt)
 	if err != nil {
 		t.Fatalf("fault-free reference: %v", err)
 	}
-	if len(serial.Rows) == 0 {
+	if len(ref.Rows) == 0 {
 		t.Fatal("degenerate fixture: Superstar emits no rows")
 	}
 
 	schedule := func(rng *rand.Rand) []string {
 		specs := []string{
-			fmt.Sprintf("engine/parallel-worker=error:p=0.4:seed=%d", rng.Int63()),
-			fmt.Sprintf("engine/parallel-worker=panic:p=0.3:seed=%d", rng.Int63()),
 			fmt.Sprintf("storage/page-read=error:p=0.1:seed=%d", rng.Int63()),
+			fmt.Sprintf("storage/page-write=error:p=0.1:seed=%d", rng.Int63()),
 		}
 		// Arm a random non-empty subset.
 		var armed []string
@@ -73,8 +72,9 @@ func TestChaosSuperstar(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, _, err := Run(db, tree, forcePar(4))
+		res, _, err := Run(db, tree, opt)
 		fault.Reset()
+		requireEmptySpillDir(t, opt.SpillDir, fmt.Sprintf("chaos seed %d", seed))
 		if err != nil {
 			failures++
 			if !chaosAcceptable(err) {
@@ -82,7 +82,7 @@ func TestChaosSuperstar(t *testing.T) {
 			}
 			continue
 		}
-		identicalRows(t, fmt.Sprintf("chaos seed %d", seed), serial, res)
+		identicalRows(t, fmt.Sprintf("chaos seed %d", seed), ref, res)
 	}
 	if failures == 0 {
 		t.Fatal("chaos schedules never fired; the sweep is not exercising the fault paths")
@@ -90,9 +90,9 @@ func TestChaosSuperstar(t *testing.T) {
 
 	// The fixture must be intact after the sweep: a final fault-free run
 	// still reproduces the reference byte for byte.
-	after, _, err := Run(db, tree, forcePar(4))
+	after, _, err := Run(db, tree, opt)
 	if err != nil {
 		t.Fatalf("post-chaos run: %v", err)
 	}
-	identicalRows(t, "post-chaos", serial, after)
+	identicalRows(t, "post-chaos", ref, after)
 }

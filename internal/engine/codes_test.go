@@ -134,7 +134,7 @@ func TestColumnCodesOnlyKeySelfJoins(t *testing.T) {
 // and collecting each selection's positions by comparing every Rank.
 func TestSuperstarWarmRunUsesColumnCodes(t *testing.T) {
 	db, fac, tree := superstarBench(t)
-	opt := Options{Parallelism: 1}
+	opt := Options{}
 	want, wst := runFresh(t, tree, opt, fac)
 	if _, _, err := Run(db, tree, opt); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,6 @@ func TestColumnCodesMatchStoredCopy(t *testing.T) {
 		"nested-loop-no-hash": {ForceNestedLoop: true, ForceNoHash: true},
 		"verify-order":        {VerifyOrder: true},
 		"row-exec":            {RowExec: true},
-		"parallel":            {Parallelism: 2},
 		"govern":              {GovernWorkspace: true},
 		"spill":               {SortMemRows: 8, SpillDir: t.TempDir()},
 	}
@@ -394,7 +393,7 @@ func TestServedPositionsStayReadOnly(t *testing.T) {
 	want, _ := runFresh(t, tree, colOpt(), x, y)
 	c := db.index.codes(x, x.Schema.TS)
 	built := slices.Clone(c.rows)
-	for _, opt := range []Options{colOpt(), rowOpt(), forcePar(2), {ForceNestedLoop: true}} {
+	for _, opt := range []Options{colOpt(), rowOpt(), {ForceNestedLoop: true}} {
 		got, st, err := Run(db, tree, opt)
 		if err != nil {
 			t.Fatal(err)

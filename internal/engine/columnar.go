@@ -9,12 +9,9 @@ package engine
 // columns and reports matches as row indexes, and the node maps them back
 // to its input views' positions: a join's view is its pair list, a
 // semijoin's its input view narrowed to the emitted positions. No row is
-// built until the sink (view.go, build). Serial execution calls the kernel
-// step on the node's full columns; a parallel shard (parallel.go) calls
-// the same step on its gathered columns and returns global indexes, so
-// serial is the k=1 case of one step and no row data moves at all.
+// built until the sink (view.go, build).
 //
-// The row-at-a-time operators remain the serial reference implementation,
+// The row-at-a-time operators remain the reference implementation,
 // selectable with Options.RowExec; the before operators and the self
 // semijoins run on it unconditionally, since no batch kernel covers them.
 // Output is byte-identical between the two paths — the batch kernels
@@ -32,8 +29,7 @@ import (
 	"tdb/internal/value"
 )
 
-// gatherCols builds compact columns from an index list: a sort's
-// permutation or a shard's rows.
+// gatherCols builds compact columns from a sort's permutation.
 func gatherCols(c core.Cols, idx []int32) core.Cols {
 	ts := make([]interval.Time, 0, len(idx))
 	te := make([]interval.Time, 0, len(idx))
@@ -183,20 +179,4 @@ func columnarSemijoinIdx(kind algebra.TemporalKind, lc, rc core.Cols, opt core.O
 		return nil, err
 	}
 	return out, nil
-}
-
-// ownerKey is a join pair's canonical sweep point: the chronon of the read
-// event that emits it under the sweep policy. For a contain pair that is
-// the containee's ValidFrom (the right input's for Contain, the left
-// input's for Contained); for an overlap pair, the later of the two
-// ValidFroms. Both members of a pair span its sweep point, which is what
-// lets exactly one time shard own each pair.
-func ownerKey(kind algebra.TemporalKind, lc, rc core.Cols, p pairIdx) interval.Time {
-	switch kind {
-	case algebra.KindContain:
-		return rc.TS[p.r]
-	case algebra.KindContained:
-		return lc.TS[p.l]
-	}
-	return max(lc.TS[p.l], rc.TS[p.r])
 }

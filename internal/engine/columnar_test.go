@@ -1,25 +1,23 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"tdb/internal/algebra"
-	"tdb/internal/fault"
 	"tdb/internal/obs"
 	"tdb/internal/relation"
 	"tdb/internal/workload"
 )
 
-// rowOpt runs the row-at-a-time reference path serially.
+// rowOpt runs the row-at-a-time reference path.
 func rowOpt() Options {
-	return Options{RowExec: true, Parallelism: 1, VerifyOrder: true}
+	return Options{RowExec: true, VerifyOrder: true}
 }
 
-// colOpt runs the default columnar path serially.
+// colOpt runs the default columnar path.
 func colOpt() Options {
-	return Options{Parallelism: 1, VerifyOrder: true}
+	return Options{VerifyOrder: true}
 }
 
 // columnarWorkloadDB builds one randomized two-relation database. The
@@ -107,74 +105,6 @@ func sameLogicalWork(t *testing.T, name string, ref, got *Stats) {
 	}
 }
 
-// The parallel columnar path (index shards, gathered columns, deferred
-// materialization) must also land on the row reference's exact sequence.
-func TestColumnarParallelMatchesRowReference(t *testing.T) {
-	db := newPoissonDB(t, 600)
-	kinds := []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap}
-	for _, kind := range kinds {
-		for _, q := range []algebra.Expr{joinOf(kind), semijoinOf(kind)} {
-			ref, _, err := Run(db, q, rowOpt())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ref.Rows) == 0 {
-				t.Fatalf("%v: degenerate test, no output rows", kind)
-			}
-			for _, k := range []int{2, 3, 8} {
-				colPar := forcePar(k)
-				got, stats, err := Run(db, q, colPar)
-				if err != nil {
-					t.Fatalf("%v ×%d: %v", kind, k, err)
-				}
-				identicalRows(t, fmt.Sprintf("%v columnar ×%d vs row serial", kind, k), ref, got)
-				if !hasNote(stats, "columnar batch kernels") {
-					t.Errorf("%v ×%d: columnar fan-out not recorded in notes", kind, k)
-				}
-			}
-		}
-	}
-}
-
-// RowExec is the serial row reference at any Parallelism: under a forced
-// fan-out it must run neither shards nor batch kernels, and still return
-// exactly the rows of the serial reference and of the columnar fan-out.
-func TestRowExecStaysSerialUnderForcedFanOut(t *testing.T) {
-	db := newPoissonDB(t, 600)
-	kinds := []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap}
-	for _, kind := range kinds {
-		for _, q := range []algebra.Expr{joinOf(kind), semijoinOf(kind)} {
-			ref, _, err := Run(db, q, rowOpt())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ref.Rows) == 0 {
-				t.Fatalf("%v: degenerate test, no output rows", kind)
-			}
-			for _, k := range []int{2, 3, 8} {
-				col, _, err := Run(db, q, forcePar(k))
-				if err != nil {
-					t.Fatalf("%v ×%d: %v", kind, k, err)
-				}
-				rowPar := forcePar(k)
-				rowPar.RowExec = true
-				got, stats, err := Run(db, q, rowPar)
-				if err != nil {
-					t.Fatalf("%v RowExec ×%d: %v", kind, k, err)
-				}
-				identicalRows(t, fmt.Sprintf("%v RowExec ×%d vs row serial", kind, k), ref, got)
-				identicalRows(t, fmt.Sprintf("%v RowExec ×%d vs columnar ×%d", kind, k, k), col, got)
-				if hasNote(stats, "parallel ×") {
-					t.Errorf("%v ×%d: RowExec run fanned out: %+v", kind, k, stats.Nodes)
-				}
-				if hasNote(stats, "columnar batch kernels") {
-					t.Errorf("%v ×%d: RowExec run claims columnar kernels", kind, k)
-				}
-			}
-		}
-	}
-}
-
 // Under statistics drift the governed columnar join must breach the same
 // admission ceiling as the row path, degrade to the same baseline band
 // scan, and return the identical sequence.
@@ -201,40 +131,4 @@ func TestColumnarGovernorFallbackMatchesRow(t *testing.T) {
 		}
 		identicalRows(t, fmt.Sprintf("%v governed fallback", kind), row, col)
 	}
-}
-
-// A fault injected at the shard-worker boundary must surface through the
-// columnar parallel drivers as fault.ErrInjected (error mode) and
-// ErrWorkerPanic (panic mode), and the engine must recover completely once
-// the failpoint disarms.
-func TestColumnarParallelChaosFailpoints(t *testing.T) {
-	defer fault.Reset()
-	db := newPoissonDB(t, 600)
-	q := joinOf(algebra.KindContain)
-	ref, _, err := Run(db, q, rowOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := fault.Arm("engine/parallel-worker=error:n=1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(db, q, forcePar(4)); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("columnar parallel run error %v, want fault.ErrInjected", err)
-	}
-	fault.Reset()
-
-	if err := fault.Arm("engine/parallel-worker=panic:n=1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(db, q, forcePar(4)); !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("columnar parallel run error %v, want ErrWorkerPanic", err)
-	}
-	fault.Reset()
-
-	got, _, err := Run(db, q, forcePar(4))
-	if err != nil {
-		t.Fatalf("run after failpoint disarm: %v", err)
-	}
-	identicalRows(t, "columnar ×4 after chaos recovery", ref, got)
 }

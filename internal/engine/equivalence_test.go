@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,7 +188,7 @@ func TestExecutionVariantEquivalence(t *testing.T) {
 		{"nested-loop-no-hash", Options{ForceNestedLoop: true, ForceNoHash: true}, "nested-loop join", "hash"},
 		{"verify-order", Options{VerifyOrder: true}, "columnar batch kernels", ""},
 		{"row-exec", Options{RowExec: true}, "stream overlap-join", "columnar batch kernels"},
-		{"parallel", Options{Parallelism: 4}, "parallel ×", ""},
+		{"parallelism (no effect)", Options{Parallelism: 4, ForceParallel: true}, "columnar batch kernels", "parallel"},
 		{"govern", Options{GovernWorkspace: true}, "governor:", ""},
 		{"spill", Options{SortMemRows: 8, SpillDir: t.TempDir()}, "external sort", ""},
 	}
@@ -216,6 +217,48 @@ func TestExecutionVariantEquivalence(t *testing.T) {
 		}
 		if !engaged {
 			t.Errorf("%s: no plan mentions %q, so the variant never engaged", v.name, v.want)
+		}
+	}
+}
+
+// The zero Options and the ones the benchmark ledger sets (Parallelism 1,
+// or nproc with ForceParallel, both without effect) run the same serial
+// plan: no node fans out or notes a fan-out, and a query allocates within
+// 5 % of what it allocates under the zero Options. The queries are a warm
+// 40 000-a-side contain-semijoin and the optimized Superstar plan over
+// 20 000 Faculty rows.
+func TestDefaultOptionsRunSerially(t *testing.T) {
+	semiDB, _ := orderIndexBench(t)
+	faculty, _, superstar := superstarBench(t)
+	for _, q := range []struct {
+		name string
+		db   *DB
+		tree algebra.Expr
+	}{
+		{"contain-semijoin", semiDB, semijoinOf(algebra.KindContain)},
+		{"superstar", faculty, superstar},
+	} {
+		bytes := func(opt Options) uint64 {
+			_, stats, err := Run(q.db, q.tree, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range stats.Nodes {
+				if strings.Contains(n.Algorithm, "×") || slices.ContainsFunc(n.Notes, func(s string) bool { return strings.Contains(s, "parallel") }) {
+					t.Errorf("%s under %+v: node fanned out or planned a fan-out: %+v", q.name, opt, n)
+				}
+			}
+			return allocated(func() {
+				if _, _, err := Run(q.db, q.tree, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		def := bytes(Options{})
+		for _, opt := range []Options{{Parallelism: 1}, {Parallelism: 4, ForceParallel: true}} {
+			if b := bytes(opt); b > def+def/20 {
+				t.Errorf("%s: %d B per run under %+v, %d B under the zero Options (limit +5 %%)", q.name, b, opt, def)
+			}
 		}
 	}
 }

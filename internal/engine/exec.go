@@ -40,31 +40,23 @@ type Options struct {
 	// SortMemRows is set. Concurrent runs may share it: every run file gets
 	// a name of its own and is deleted before the sort returns.
 	SpillDir string
-	// RowExec forces the serial row-at-a-time reference implementation of
-	// the stream operators, at any Parallelism: its join and semijoin
-	// nodes never fan out (stored scans still split at Parallelism ≥ 2).
-	// By default eligible stream joins and semijoins sweep columnar
-	// batches (flat endpoint columns, pooled active-list arenas, deferred
-	// row materialization — see DESIGN.md "Columnar batch execution");
-	// output is byte-identical either way, and the equivalence property
-	// tests hold the two paths to it. The before-join, the before-semijoin and the self semijoins run
+	// RowExec forces the row-at-a-time reference implementation of the
+	// stream operators. By default eligible stream joins and semijoins
+	// sweep columnar batches (flat endpoint columns, pooled active-list
+	// arenas, deferred row materialization — see DESIGN.md "Columnar batch
+	// execution"); output is byte-identical either way, and the
+	// equivalence property tests hold the two paths to it. The
+	// before-join, the before-semijoin and the self semijoins run
 	// row-at-a-time regardless.
 	RowExec bool
-	// Parallelism asks for time-range partitioned parallel execution. 0
-	// (the default) and 1 run serially. At k ≥ 2 every contain, contained
-	// or overlap columnar join or semijoin with at least one distinct cut
-	// point in its TS-ascending input fans out to at most k time shards,
-	// each running the node's serial batch kernel, and a stored scan of at
-	// least 2 flushed pages splits into min(k, pages) page ranges. Nothing
-	// predicts whether the fan-out pays: the caller decides. Results are
-	// byte-identical to serial execution at any setting.
+	// Deprecated: Parallelism has no effect. Every plan node runs on the
+	// calling goroutine whatever its value.
 	Parallelism int
-	// Deprecated: ForceParallel has no effect. Parallelism alone decides
-	// the fan-out.
+	// Deprecated: ForceParallel has no effect.
 	ForceParallel bool
 	// VerifyOrder makes every stream algorithm check its input ordering.
 	VerifyOrder bool
-	// GovernWorkspace arms the workspace governor on serial stream joins
+	// GovernWorkspace arms the workspace governor on stream joins
 	// whose inputs are base-relation scans: the operator runs under the
 	// catalog-derived Tables 1–3 ceiling (core Options.Limit) and, when its
 	// measured workspace breaches it (statistics drift), the node is
@@ -81,11 +73,10 @@ type Options struct {
 	// counters, per-operator workspace and duration histograms.
 	Registry *obs.Registry
 	// Profile turns on the internal/obs/prof resource-accounting layer
-	// for this run: every serial plan-node span (and the query root)
-	// captures heap alloc/bytes deltas, and plan nodes execute under
-	// pprof labels (tdb.query, tdb.node, tdb.op) so CPU and heap
-	// profiles slice by operator. Parallel shards aggregate at their
-	// node span. Off, the cost is one branch per node.
+	// for this run: every plan-node span (and the query root) captures
+	// heap alloc/bytes deltas, and plan nodes execute under pprof labels
+	// (tdb.query, tdb.node, tdb.op) so CPU and heap profiles slice by
+	// operator. Off, the cost is one branch per node.
 	Profile bool
 	// Events, when non-nil, receives the structured operational journal:
 	// slow-query entries (see SlowQuery), governor fallbacks, and — via
@@ -104,8 +95,8 @@ type Options struct {
 	// A non-nil return aborts the run with that error wrapped in
 	// ErrInterrupted — the hook the query server uses to propagate client
 	// context cancellation into a running query. The stream operators'
-	// sweeps check only at node granularity. A parallel stored scan polls
-	// from its shard workers, so the hook must be safe for concurrent use.
+	// sweeps check only at node granularity. Every poll comes from the
+	// goroutine that called Run.
 	Interrupt func() error
 }
 
@@ -463,9 +454,8 @@ type executor struct {
 //
 // Under Options.Profile the span additionally opens an allocation window
 // (ProfBegin; valid here because every node span begins and finishes on
-// the query goroutine — parallel shards aggregate into their node) and
-// the node body runs under pprof labels so profile samples slice by
-// operator.
+// the query goroutine) and the node body runs under pprof labels so
+// profile samples slice by operator.
 func (ex *executor) eval(e algebra.Expr) (*result, error) {
 	return ex.evalAs(e, func() (*result, error) { return ex.evalNode(e) })
 }
@@ -570,17 +560,11 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 	if hf, ok := ex.db.stored[n.Relation]; ok {
 		cost := NodeCost{Label: n.Label(), Algorithm: "stored scan", Probe: probe}
 		before := hf.Stats().PagesRead
-		parts, err := scanPages(ex, hf, &cost, func(lo, hi int64, check func() error) ([]relation.Row, int, error) {
-			rows, err := hf.ReadRows(lo, hi, check)
-			return rows, len(rows), err
-		})
+		rows, err := hf.ReadRows(0, hf.Pages()+1, ex.checkInterrupt)
 		if err != nil {
 			return nil, err
 		}
-		rows := parts[0]
-		if len(parts) > 1 {
-			rows = slices.Concat(parts...)
-		}
+		cost.Probe.ReadLeft = int64(len(rows))
 		cost.OutRows = int64(len(rows))
 		cost.PagesRead = hf.Stats().PagesRead - before
 		ex.stats.add(cost)
@@ -618,17 +602,11 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 	}
 	cost := NodeCost{Label: n.Label(), Algorithm: "stored key scan", Probe: metrics.Probe{Passes: 1}}
 	before := hf.Stats().PagesRead
-	parts, err := scanPages(ex, hf, &cost, func(lo, hi int64, check func() error) (*storage.Keys, int, error) {
-		k, err := hf.ScanKeys(lo, hi, ts, te, keep, check)
-		if err != nil {
-			return nil, 0, err
-		}
-		return k, len(k.TS), nil
-	})
+	keys, err := hf.ScanKeys(0, hf.Pages()+1, ts, te, keep, ex.checkInterrupt)
 	if err != nil {
 		return nil, err
 	}
-	keys := storage.ConcatKeys(parts)
+	cost.Probe.ReadLeft = int64(len(keys.TS))
 	cost.OutRows = int64(len(keys.TS))
 	cost.PagesRead = hf.Stats().PagesRead - before
 	if keep {

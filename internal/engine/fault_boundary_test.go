@@ -11,36 +11,6 @@ import (
 	"tdb/internal/value"
 )
 
-// Injected worker faults must cross the executor boundary as the typed
-// fault.ErrInjected — callers (and the chaos suite) dispatch on the error
-// identity, so a rewrap that loses the chain is a bug this test catches.
-func TestParallelWorkerFaultTyped(t *testing.T) {
-	defer fault.Reset()
-	db := newPoissonDB(t, 400)
-	if err := fault.Arm("engine/parallel-worker=error:n=1"); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Run(db, joinOf(algebra.KindContain), forcePar(4))
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("parallel run error %v, want fault.ErrInjected through the engine boundary", err)
-	}
-}
-
-// An injected worker panic is recovered into the typed ErrWorkerPanic; the
-// sibling shards unwind through the shared context and runWorkers returns
-// with no goroutine left behind (the fixture's leak check verifies that).
-func TestParallelWorkerPanicTyped(t *testing.T) {
-	defer fault.Reset()
-	db := newPoissonDB(t, 400)
-	if err := fault.Arm("engine/parallel-worker=panic:n=1"); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Run(db, joinOf(algebra.KindContain), forcePar(4))
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("parallel run error %v, want ErrWorkerPanic", err)
-	}
-}
-
 // A page-read fault in the storage layer must surface from a query over a
 // stored relation as fault.ErrInjected — two subsystem boundaries deep.
 func TestStoredScanFaultTyped(t *testing.T) {

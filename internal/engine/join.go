@@ -12,7 +12,6 @@ import (
 	"tdb/internal/metrics"
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
-	"tdb/internal/partition"
 	"tdb/internal/relation"
 )
 
@@ -122,38 +121,24 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (pairChunks, *Node
 		return nil, nil, err
 	}
 
-	// The row reference never fans out; otherwise planParallel decides, and
-	// it accepts only contain, contained and overlap joins.
-	var shards []partition.Range
-	if !ex.opt.RowExec {
-		shards = ex.planParallel(n.Kind, false, lo.cols, ro.cols, cost)
-	}
-
-	// The serial stream join is the governed operator: its retained state
-	// (the Table 1–2 spanning sets) is what statistics drift can blow past
-	// the admission ceiling. A fan-out cancels on error instead; the
-	// semijoin scans are buffers-only and cannot breach.
-	if shards == nil && ex.opt.GovernWorkspace {
+	// The stream join is the governed operator: its retained state (the
+	// Table 1–2 spanning sets) is what statistics drift can blow past the
+	// admission ceiling. The semijoin scans are buffers-only and cannot
+	// breach.
+	if ex.opt.GovernWorkspace {
 		if bound := ex.governBound(n.Kind, n.L, n.R, cost); bound > 0 {
 			opt.Limit = int64(bound)
 		}
 	}
 
 	// Columnar batch path (the default): one kernel step over the ordered
-	// inputs' endpoint columns — the whole columns serially, or each time
-	// shard's under a fan-out — whose matched index pairs map back through
-	// the sorts to input positions. The row path below remains the serial
+	// inputs' endpoint columns, whose matched index pairs map back through
+	// the sorts to input positions. The row path below remains the
 	// reference implementation (Options.RowExec) and still serves the
 	// before-join.
 	if ex.columnar(n.Kind) {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
-		var pairs pairChunks
-		if shards != nil {
-			pairs, err = ex.parallelJoinPairs(n.Kind, lo.cols, ro.cols, shards, cost)
-			cost.Algorithm += fmt.Sprintf(" ×%d", len(shards))
-		} else {
-			pairs, err = columnarJoinPairs(n.Kind, lo.cols, ro.cols, opt)
-		}
+		pairs, err := columnarJoinPairs(n.Kind, lo.cols, ro.cols, opt)
 		if err != nil {
 			if opt.Limit <= 0 || !errors.Is(err, core.ErrWorkspaceBreach) {
 				return nil, nil, err
@@ -210,10 +195,11 @@ func unsort(pairs pairChunks, lo, ro ordered) {
 	}
 }
 
-// governBound derives the workspace admission ceiling of a serial stream
-// join from the *catalog* statistics of its base-relation inputs — the
-// optimizer's prediction, deliberately not remeasured from the materialized
-// rows, so drift between catalog and data is what the governor detects.
+// governBound derives the workspace admission ceiling of a stream join
+// from the *catalog* statistics of its base-relation inputs — the
+// optimizer's prediction, deliberately not remeasured from the
+// materialized rows, so drift between catalog and data is what the
+// governor detects.
 // Returns 0 (ungoverned, with an explain note) for derived inputs, missing
 // statistics, or operator kinds whose Tables 1–3 entry is unbounded.
 func (ex *executor) governBound(kind algebra.TemporalKind, l, r algebra.Expr, cost *NodeCost) float64 {
@@ -625,19 +611,11 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, 
 			return nil, nil, err
 		}
 		// Columnar batch path (the default) for the sorted semijoin scans:
-		// one kernel step, serially or per time shard. The before-semijoin
-		// (lOrder == nil) and Options.RowExec take the serial row reference
-		// path below.
+		// one kernel step. The before-semijoin (lOrder == nil) and
+		// Options.RowExec take the row reference path below.
 		if columnar {
-			shards := ex.planParallel(n.Kind, true, lo.cols, ro.cols, cost)
 			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			var sel []int32
-			if shards != nil {
-				sel, err = ex.parallelSemijoinIdx(n.Kind, lo.cols, ro.cols, shards, cost)
-				cost.Algorithm += fmt.Sprintf(" ×%d", len(shards))
-			} else {
-				sel, err = columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
-			}
+			sel, err := columnarSemijoinIdx(n.Kind, lo.cols, ro.cols, opt)
 			if err != nil {
 				return nil, nil, err
 			}

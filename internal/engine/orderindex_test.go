@@ -48,7 +48,7 @@ func TestOrderIndexWarmRunRepeatsColdRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	xs, ys := tiedTuples(rng, 600, "x"), tiedTuples(rng, 500, "y")
 	for _, q := range orderedQueries() {
-		for name, opt := range map[string]Options{"serial": colOpt(), "k=2": forcePar(2), "RowExec": rowOpt()} {
+		for name, opt := range map[string]Options{"serial": colOpt(), "RowExec": rowOpt()} {
 			db := tiedDB(t, xs, ys)
 			cold, cst, err := Run(db, q.tree, opt)
 			if err != nil {
@@ -340,7 +340,7 @@ func TestOrderIndexConcurrentRuns(t *testing.T) {
 				i := (g + r) % len(queries)
 				opt := colOpt()
 				if g%2 == 1 {
-					opt = forcePar(2)
+					opt = rowOpt()
 				}
 				got, _, err := Run(db, queries[i].tree, opt)
 				if err == nil && !sameSequence(want[i], got) {
@@ -460,7 +460,7 @@ var orderIndexSink *relation.Relation
 func BenchmarkOrderIndex_Cold(b *testing.B) {
 	db, rels := orderIndexBench(b)
 	q := semijoinOf(algebra.KindContain)
-	opt := Options{Parallelism: 1}
+	opt := Options{}
 	var query time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -482,17 +482,8 @@ func BenchmarkOrderIndex_Cold(b *testing.B) {
 }
 
 func BenchmarkOrderIndex_Warm(b *testing.B) {
-	benchWarmContainSemijoin(b, Options{Parallelism: 1})
-}
-
-// The same warm query under the zero Options every caller that sets
-// nothing gets: it must cost what Parallelism 1 costs.
-func BenchmarkDefaultOptions_ContainSemijoin(b *testing.B) {
-	benchWarmContainSemijoin(b, Options{})
-}
-
-func benchWarmContainSemijoin(b *testing.B, opt Options) {
 	db, _ := orderIndexBench(b)
+	opt := Options{}
 	q := semijoinOf(algebra.KindContain)
 	if _, _, err := Run(db, q, opt); err != nil {
 		b.Fatal(err)
@@ -541,7 +532,7 @@ func superstarBench(tb testing.TB) (*DB, *relation.Relation, algebra.Expr) {
 // query-ns/op is the run's time alone, without the Register.
 func BenchmarkSuperstar_Cold(b *testing.B) {
 	db, fac, tree := superstarBench(b)
-	opt := Options{Parallelism: 1}
+	opt := Options{}
 	var query time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -563,7 +554,7 @@ func BenchmarkSuperstar_Cold(b *testing.B) {
 // The Superstar run again over what the index already holds.
 func BenchmarkSuperstar_Warm(b *testing.B) {
 	db, _, tree := superstarBench(b)
-	opt := Options{Parallelism: 1}
+	opt := Options{}
 	if _, _, err := Run(db, tree, opt); err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"tdb/internal/algebra"
@@ -25,6 +26,11 @@ func init() {
 // projection applied per delta. Anything else (Distinct, aggregates,
 // multi-join trees, θ or before operators) is reported unsupported so the
 // live manager can degrade it to periodic batch re-execution.
+
+// ErrWorkerPanic wraps a panic recovered inside a standing run's
+// operator, surfaced from Poll or Close as an ordinary run error instead
+// of a process crash.
+var ErrWorkerPanic = errors.New("engine: panic in standing operator")
 
 // ErrUnsupportedStanding wraps the reason a plan cannot run incrementally.
 type ErrUnsupportedStanding struct{ Reason string }
@@ -345,8 +351,8 @@ func (db *DB) Append(name string, row relation.Row) error {
 	if err != nil {
 		return err
 	}
-	if len(row) != rel.Schema.Arity() {
-		return fmt.Errorf("engine: append to %s: row arity %d, schema %s", name, len(row), rel.Schema)
+	if err := rel.Schema.CheckRow(row); err != nil {
+		return fmt.Errorf("engine: append to %s: %w", name, err)
 	}
 	_, wasLive := db.live[name]
 	ls, err := db.liveStatsFor(name, rel)

@@ -89,7 +89,7 @@ func TestStoredByteIdenticalToInMemory(t *testing.T) {
 	spilled := colOpt()
 	spilled.SortMemRows = 5
 	for _, q := range orderedQueries() {
-		for name, opt := range map[string]Options{"serial": colOpt(), "k=2": forcePar(2), "spilled": spilled, "RowExec": rowOpt()} {
+		for name, opt := range map[string]Options{"serial": colOpt(), "spilled": spilled, "RowExec": rowOpt()} {
 			if opt.SortMemRows > 0 {
 				opt.SpillDir = t.TempDir()
 			}
@@ -128,21 +128,19 @@ func TestStoredSemijoinDecodesOnlyEmittedRows(t *testing.T) {
 		func(pages int64) int { return max(1, int(pages/8)) })
 	x, y := db.stored["X"], db.stored["Y"]
 	for _, kind := range []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap} {
-		for _, opt := range []Options{colOpt(), forcePar(2)} {
-			dx, dy := x.Stats().RowsDecoded, y.Stats().RowsDecoded
-			out, st, err := Run(db, semijoinOf(kind), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := x.Stats().RowsDecoded - dx; got != int64(len(out.Rows)) || got == 0 {
-				t.Errorf("%v k=%d: decoded %d left rows for %d output rows", kind, opt.Parallelism, got, len(out.Rows))
-			}
-			if got := y.Stats().RowsDecoded - dy; got != 0 {
-				t.Errorf("%v k=%d: decoded %d right rows", kind, opt.Parallelism, got)
-			}
-			if got, want := st.TotalPagesRead(), x.Pages()+y.Pages(); got != want {
-				t.Errorf("%v k=%d: read %d pages, one pass of each file is %d", kind, opt.Parallelism, got, want)
-			}
+		dx, dy := x.Stats().RowsDecoded, y.Stats().RowsDecoded
+		out, st, err := Run(db, semijoinOf(kind), colOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := x.Stats().RowsDecoded - dx; got != int64(len(out.Rows)) || got == 0 {
+			t.Errorf("%v: decoded %d left rows for %d output rows", kind, got, len(out.Rows))
+		}
+		if got := y.Stats().RowsDecoded - dy; got != 0 {
+			t.Errorf("%v: decoded %d right rows", kind, got)
+		}
+		if got, want := st.TotalPagesRead(), x.Pages()+y.Pages(); got != want {
+			t.Errorf("%v: read %d pages, one pass of each file is %d", kind, got, want)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestSuperstarBuildsRowsOnce(t *testing.T) {
 	}
 	tree := opt.Tree
 	run := func() *Stats {
-		_, st, err := Run(db, tree, Options{Parallelism: 1})
+		_, st, err := Run(db, tree, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,8 +300,7 @@ func TestViewEdgeCasesAcrossExecutors(t *testing.T) {
 		{"default", Options{VerifyOrder: true}},
 		{"RowExec", rowOpt()},
 		{"ForceNestedLoop", Options{ForceNestedLoop: true}},
-		{"k=2", forcePar(2)},
-		{"GovernWorkspace", Options{GovernWorkspace: true, Parallelism: 1}},
+		{"GovernWorkspace", Options{GovernWorkspace: true}},
 		{"SortMemRows", Options{SortMemRows: 16, SpillDir: t.TempDir(), VerifyOrder: true}},
 	}
 	keys := func(rel *relation.Relation) []string {

@@ -3,57 +3,48 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
 	"tdb/internal/algebra"
 	"tdb/internal/engine"
-	"tdb/internal/fault"
 	"tdb/internal/interval"
 	"tdb/internal/live"
 	"tdb/internal/obs"
 	"tdb/internal/relation"
 	"tdb/internal/value"
-	"tdb/internal/workload"
 )
 
 // ChaosPoint is one row of the E24 degradation sweep: a governed engine run
-// at a drift level, a breaker-ladder rung, or a batch of seeded fault-
-// injection runs.
+// at a drift level, or a breaker-ladder rung.
 type ChaosPoint struct {
-	Scenario  string // engine-governor | live-breaker | fault-survival
-	Param     string // drift=N, ladder=rung, p=F
+	Scenario  string // engine-governor | live-breaker
+	Param     string // drift=N, ladder=rung
 	Runs      int    // executions behind this row
 	OK        int    // runs that completed cleanly
 	TypedErr  int    // runs that failed with a clean typed error
 	Fallbacks int64  // tdb_governor_fallbacks_total after the row
 	Mode      string // terminal execution mode
-	Verified  bool   // output contract held (byte/multiset identity or typed error)
+	Verified  bool   // output contract held (multiset identity or typed error)
 }
 
-// ChaosResult is the E24 document: the sweep plus the run configuration.
+// ChaosResult is the E24 document.
 type ChaosResult struct {
-	N         int   // tuples per operand stream in the fault-survival batches
-	FaultRuns int   // seeded runs per fault-probability point
-	Seed      int64 // base seed
-	Points    []ChaosPoint
+	Points []ChaosPoint
 }
 
-// Chaos is experiment E24: graceful degradation under statistics drift and
-// injected faults. Three scenarios share one table. (1) engine-governor: a
-// serial temporal join over relations whose catalog statistics are
-// deliberately stale-low runs with the workspace governor armed; past the
-// drift threshold the measured workspace breaches the admission ceiling and
-// the run degrades to the baseline sort-merge, producing the same rows.
-// (2) live-breaker: a governed standing query is driven through the breaker
-// ladder — one trip re-admits it under refreshed statistics, exhausted
-// re-admissions degrade it to batch mode or, with degradation disallowed,
-// decline it with the typed ErrBreakerOpen. (3) fault-survival: seeded
-// probabilistic faults hit the parallel workers; every run must end in
-// byte-identical output or a clean typed error — never a partial result.
-func Chaos(n, runs int, seed int64) (*ChaosResult, *Table, error) {
-	res := &ChaosResult{N: n, FaultRuns: runs, Seed: seed}
+// Chaos is experiment E24: graceful degradation under statistics drift.
+// Two scenarios share one table. (1) engine-governor: a temporal join over
+// relations whose catalog statistics are deliberately stale-low runs with
+// the workspace governor armed; past the drift threshold the measured
+// workspace breaches the admission ceiling and the run degrades to the
+// baseline sort-merge, producing the same rows. (2) live-breaker: a
+// governed standing query is driven through the breaker ladder — one trip
+// re-admits it under refreshed statistics, exhausted re-admissions degrade
+// it to batch mode or, with degradation disallowed, decline it with the
+// typed ErrBreakerOpen.
+func Chaos() (*ChaosResult, *Table, error) {
+	res := &ChaosResult{}
 
 	for _, drift := range []int{0, 12, 40} {
 		p, err := chaosGovernorPoint(drift)
@@ -69,17 +60,9 @@ func Chaos(n, runs int, seed int64) (*ChaosResult, *Table, error) {
 		}
 		res.Points = append(res.Points, *p)
 	}
-	for _, prob := range []float64{0.2, 0.4} {
-		p, err := chaosSurvivalPoint(n, runs, prob, seed)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fault-survival p=%.2f: %w", prob, err)
-		}
-		res.Points = append(res.Points, *p)
-	}
 
 	tab := &Table{
-		Title: fmt.Sprintf("E24 — degradation sweep: workspace governor, breaker ladder, fault survival (%d×2 tuples, %d runs/point)",
-			n, runs),
+		Title:  "E24 — degradation sweep: workspace governor, breaker ladder",
 		Header: []string{"scenario", "param", "runs", "ok", "typed-err", "fallbacks", "mode", "verified"},
 	}
 	for _, p := range res.Points {
@@ -87,7 +70,6 @@ func Chaos(n, runs int, seed int64) (*ChaosResult, *Table, error) {
 	}
 	tab.Note("engine-governor: governed output is multiset-identical to the ungoverned stream path")
 	tab.Note("live-breaker: the ladder is trip→re-admit (in place), exhausted→batch degrade or typed decline")
-	tab.Note("fault-survival: every run is byte-identical to the serial reference or a clean typed error")
 	return res, tab, nil
 }
 
@@ -295,75 +277,6 @@ func chaosBreakerPoint(rung string) (*ChaosPoint, error) {
 			return nil, fmt.Errorf("append after decline: %w", err)
 		}
 		pt.TypedErr, pt.Mode, pt.Verified = 1, "declined", true
-	}
-	return pt, nil
-}
-
-// chaosSurvivalPoint runs `runs` seeded executions of a parallel overlap
-// join with probabilistic worker faults armed. Each run must either match
-// the fault-free serial reference byte for byte or fail with a clean typed
-// error; anything else fails the experiment.
-func chaosSurvivalPoint(n, runs int, prob float64, seed int64) (*ChaosPoint, error) {
-	defer fault.Reset()
-	db := engine.NewDB()
-	for _, src := range []struct {
-		rel string
-		cfg workload.Config
-	}{
-		{"X", workload.Config{N: n, Lambda: 1.0, MeanDur: 25, LongFrac: 0.1, Seed: seed}},
-		{"Y", workload.Config{N: n, Lambda: 1.0, MeanDur: 4, Seed: seed + 1}},
-	} {
-		if err := db.Register(relation.FromTuples(src.rel, workload.Tuples(src.cfg, src.rel))); err != nil {
-			return nil, err
-		}
-	}
-	tree := &algebra.Join{
-		L: &algebra.Scan{Relation: "X", As: "x"}, R: &algebra.Scan{Relation: "Y", As: "y"},
-		Kind: algebra.KindOverlap, LSpan: chaosSpan("x"), RSpan: chaosSpan("y"),
-	}
-	serial, _, err := engine.Run(db, tree, engine.Options{Parallelism: 1})
-	if err != nil {
-		return nil, fmt.Errorf("fault-free reference: %w", err)
-	}
-
-	par := engine.Options{Parallelism: 4, VerifyOrder: true}
-	rng := rand.New(rand.NewSource(seed))
-	pt := &ChaosPoint{
-		Scenario: "fault-survival", Param: fmt.Sprintf("p=%.2f", prob),
-		Runs: runs, Mode: "parallel×4", Verified: true,
-	}
-	for r := 0; r < runs; r++ {
-		fault.Reset()
-		specs := []string{
-			fmt.Sprintf("engine/parallel-worker=error:p=%g:seed=%d", prob, rng.Int63()),
-			fmt.Sprintf("engine/parallel-worker=panic:p=%g:seed=%d", prob/2, rng.Int63()),
-		}
-		for _, s := range specs {
-			if err := fault.Arm(s); err != nil {
-				return nil, err
-			}
-		}
-		res, _, err := engine.Run(db, tree, par)
-		fault.Reset()
-		if err != nil {
-			if !errors.Is(err, fault.ErrInjected) && !errors.Is(err, engine.ErrWorkerPanic) {
-				return nil, fmt.Errorf("run %d: untyped chaos error: %w", r, err)
-			}
-			pt.TypedErr++
-			continue
-		}
-		if len(res.Rows) != len(serial.Rows) {
-			return nil, fmt.Errorf("run %d: %d rows, serial reference has %d", r, len(res.Rows), len(serial.Rows))
-		}
-		for i := range serial.Rows {
-			if !res.Rows[i].Equal(serial.Rows[i]) {
-				return nil, fmt.Errorf("run %d: row %d diverges from the serial reference", r, i)
-			}
-		}
-		pt.OK++
-	}
-	if prob >= 0.4 && pt.TypedErr == 0 {
-		return nil, fmt.Errorf("no schedule fired at p=%.2f; the sweep is not exercising the fault paths", prob)
 	}
 	return pt, nil
 }

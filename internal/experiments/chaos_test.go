@@ -3,13 +3,13 @@ package experiments
 import "testing"
 
 func TestChaosExperiment(t *testing.T) {
-	res, tab, err := Chaos(150, 8, 7)
+	res, tab, err := Chaos()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 drift levels + 3 ladder rungs + 2 fault probabilities.
-	if len(res.Points) != 8 || len(tab.Rows) != 8 {
-		t.Fatalf("want 8 sweep points, got %d / %d rows", len(res.Points), len(tab.Rows))
+	// 3 drift levels + 3 ladder rungs.
+	if len(res.Points) != 6 || len(tab.Rows) != 6 {
+		t.Fatalf("want 6 sweep points, got %d / %d rows", len(res.Points), len(tab.Rows))
 	}
 	byParam := map[string]ChaosPoint{}
 	for _, p := range res.Points {
@@ -32,14 +32,5 @@ func TestChaosExperiment(t *testing.T) {
 	}
 	if p := byParam["ladder=decline"]; p.Mode != "declined" || p.TypedErr != 1 {
 		t.Errorf("decline rung: %+v", p)
-	}
-	for _, param := range []string{"p=0.20", "p=0.40"} {
-		p := byParam[param]
-		if p.OK+p.TypedErr != p.Runs {
-			t.Errorf("%s: %d ok + %d typed != %d runs", param, p.OK, p.TypedErr, p.Runs)
-		}
-	}
-	if p := byParam["p=0.40"]; p.TypedErr == 0 {
-		t.Errorf("no fault ever fired at p=0.40: %+v", p)
 	}
 }

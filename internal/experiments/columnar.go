@@ -31,9 +31,9 @@ type ColumnarResult struct {
 }
 
 // Columnar is experiment E25: the row-vs-columnar serial sweep. Each
-// eligible stream operator runs the same E22-shaped workload (long
-// container lifespans over short containee ones) twice — once forced onto
-// the row-at-a-time reference implementation, once on the default columnar
+// eligible stream operator runs the same workload (long container
+// lifespans over short containee ones) twice — once forced onto the
+// row-at-a-time reference implementation, once on the default columnar
 // batch kernels — and the table reports the wall-time ratio. The runs must
 // produce the byte-identical row sequence or the experiment fails; the
 // speedup column is the tentpole claim of the batch core, so the identity
@@ -102,11 +102,11 @@ func Columnar(n int, seed int64) (*ColumnarResult, *Table, error) {
 
 	res := &ColumnarResult{N: n, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, op := range ops {
-		rowOut, rowNS, err := measure(op.expr, engine.Options{RowExec: true, Parallelism: 1})
+		rowOut, rowNS, err := measure(op.expr, engine.Options{RowExec: true})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s (row): %w", op.name, err)
 		}
-		colOut, colNS, err := measure(op.expr, engine.Options{Parallelism: 1})
+		colOut, colNS, err := measure(op.expr, engine.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s (columnar): %w", op.name, err)
 		}
@@ -132,4 +132,17 @@ func Columnar(n int, seed int64) (*ColumnarResult, *Table, error) {
 	tab.Note("every columnar run verified byte-identical to the row reference sequence")
 	tab.Note("both paths serial; sorting time is shared and included in both columns")
 	return res, tab, nil
+}
+
+// identical reports where two results' row sequences first differ, or nil.
+func identical(a, b *relation.Relation) error {
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("row count diverged: %d vs %d", len(a.Rows), len(b.Rows))
+	}
+	for i := range a.Rows {
+		if !a.Rows[i].Equal(b.Rows[i]) {
+			return fmt.Errorf("row %d diverged from the row reference", i)
+		}
+	}
+	return nil
 }

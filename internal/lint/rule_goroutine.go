@@ -12,9 +12,7 @@ import (
 // internal/partition must therefore be one case of a select whose other
 // case receives from a quit or done channel, so the consumer closing that
 // channel always unblocks the processor. internal/live is in scope too: an unguarded send there would
-// leak a goroutine per deregistered query. (The parallel shard workers of
-// internal/engine satisfy the rule by construction: they write to
-// pre-allocated per-shard slots and never send on a channel.)
+// leak a goroutine per deregistered query.
 // internal/obs (including internal/obs/prof) joined the scope with the
 // resource-accounting layer: the exposition server and any future
 // profiling goroutines must obey the same shutdown discipline.

@@ -8,11 +8,11 @@ import (
 // workerContextAnalyzer enforces the governed-worker discipline introduced with
 // the workspace governor: every goroutine spawned in internal/core,
 // internal/engine or internal/live must carry a visible cancellation edge,
-// so that first-error propagation (engine shard workers), breaker trips
+// so that first-error propagation, breaker trips
 // (live standing queries) and consumer abandonment (core processors) can
 // always unwind it. A spawn satisfies the rule when the spawned call
-// references a context.Context value — the engine fan-out shape, where the
-// first failing worker cancels the shared context — or when its body
+// references a context.Context value — where the first failing worker
+// cancels the shared context — or when its body
 // performs a channel receive, the quit/done idiom: a select that sends
 // beside a receive on a channel the owner closes to abandon the worker.
 // A goroutine with neither is unstoppable from the outside: under a fault

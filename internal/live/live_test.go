@@ -232,7 +232,12 @@ func TestIncrementalKindsMatchBatch(t *testing.T) {
 			if err := m.Append("X", xrow(i, from, from+interval.Time(1+rng.Intn(12)))); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Append("Y", xrow(500+i, from+interval.Time(rng.Intn(3)), from+interval.Time(2+rng.Intn(9)))); err != nil {
+			// A draw with ValidTo ≤ ValidFrom would violate the
+			// intra-tuple constraint, which Append refuses; it is
+			// widened to one chronon.
+			ys := from + interval.Time(rng.Intn(3))
+			ye := max(from+interval.Time(2+rng.Intn(9)), ys+1)
+			if err := m.Append("Y", xrow(500+i, ys, ye)); err != nil {
 				t.Fatal(err)
 			}
 			if i%31 == 0 {
@@ -415,6 +420,40 @@ func TestTableReorderAndFlush(t *testing.T) {
 		[]relation.Column{{Name: "A", Kind: value.KindInt}}, -1, -1)))
 	if _, err := m.Live("Flat", 0); err == nil {
 		t.Fatal("non-temporal relation went live")
+	}
+}
+
+// A row that fails the schema's row check — ValidFrom ≥ ValidTo, a wrong
+// kind or arity — is refused at Table.Append and never buffered, and
+// DB.Append refuses it too, so no write path stores a row a later
+// catalog build would reject.
+func TestAppendRejectsInvalidRows(t *testing.T) {
+	db := newXYDB(t)
+	m := NewManager(db, obs.NewRegistry(), engine.Options{})
+	defer m.Close()
+	tab, err := m.Live("X", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []relation.Row{
+		xrow(1, 9000, 8000),
+		xrow(2, 7, 7),
+		{value.String_("x"), value.TimeVal(1), value.TimeVal(2)},
+		{value.Int(3), value.TimeVal(1)},
+	} {
+		if err := tab.Append(row); err == nil {
+			t.Errorf("Table.Append accepted %v", row)
+		}
+		if err := db.Append("Y", row); err == nil {
+			t.Errorf("DB.Append accepted %v", row)
+		}
+	}
+	if tab.Buffered() != 0 {
+		t.Fatalf("%d invalid rows buffered", tab.Buffered())
+	}
+	tab.Flush()
+	if rel, _ := db.Relation("X"); rel.Cardinality() != 0 {
+		t.Fatalf("invalid rows released: %v", rel.Rows)
 	}
 }
 

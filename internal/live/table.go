@@ -76,8 +76,8 @@ func (t *Table) Append(row relation.Row) error {
 	if err := fault.Check("live/append"); err != nil {
 		return fmt.Errorf("live: append to %s: %w", t.name, err)
 	}
-	if len(row) != t.schema.Arity() {
-		return fmt.Errorf("live: append to %s: row arity %d, schema %s", t.name, len(row), t.schema)
+	if err := t.schema.CheckRow(row); err != nil {
+		return fmt.Errorf("live: append to %s: %w", t.name, err)
 	}
 	ts := row.Span(t.schema).Start
 	if ts < t.watermark {

@@ -5,21 +5,13 @@
 //
 // Attribution model. The runtime exposes process-wide allocation
 // totals, not per-goroutine ones, so attribution follows the execution
-// structure instead:
+// structure instead: a plan node runs exclusively on the query goroutine
+// between its span's begin and finish, so the snapshot delta over that
+// window is the node's own allocation (its children are bracketed by
+// their own spans and evaluated before the parent's loop body runs; the
+// engine subtracts child windows where they nest).
 //
-//   - A serial plan node runs exclusively on the query goroutine
-//     between its span's begin and finish, so the snapshot delta over
-//     that window is the node's own allocation (its children are
-//     bracketed by their own spans and evaluated before the parent's
-//     loop body runs; the engine subtracts child windows where they
-//     nest).
-//   - A parallel node aggregates its shard workers at the node span:
-//     the workers are the only goroutines allocating inside the node's
-//     window, so the node-level delta is the per-worker aggregate.
-//     Individual worker spans carry no allocation delta — concurrent
-//     windows over a process-wide counter would double-count.
-//
-// Per-operator profile slicing does not depend on that approximation:
+// Per-operator profile slicing does not depend on that attribution:
 // Do tags the executing goroutine with pprof labels (tdb.query,
 // tdb.node, tdb.op), which the runtime attaches to every CPU and heap
 // profile sample taken while the operator runs, so

@@ -1,9 +1,9 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
-	"tdb/internal/catalog"
 	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/workload"
@@ -12,6 +12,23 @@ import (
 func iv(s, e interval.Time) interval.Interval { return interval.New(s, e) }
 
 func ident(s interval.Interval) interval.Interval { return s }
+
+func owns(r Range, t interval.Time) bool { return r.Lo <= t && t < r.Hi }
+
+// equiDepth returns the k-way equi-depth shards of spans: cuts at the
+// ValidFroms of ranks j·n/k in ascending order.
+func equiDepth(spans []interval.Interval, k int) []Range {
+	ts := make([]interval.Time, len(spans))
+	for i, s := range spans {
+		ts[i] = s.Start
+	}
+	slices.Sort(ts)
+	var cuts []interval.Time
+	for j := 1; j < k; j++ {
+		cuts = append(cuts, ts[j*len(ts)/k])
+	}
+	return Ranges(cuts)
+}
 
 func TestRangesCoverAndOrder(t *testing.T) {
 	rs := Ranges([]interval.Time{10, 20, 30})
@@ -30,7 +47,7 @@ func TestRangesCoverAndOrder(t *testing.T) {
 	for _, p := range []interval.Time{-5, 9, 10, 19, 20, 29, 30, 1000} {
 		owners := 0
 		for _, r := range rs {
-			if r.OwnsPoint(p) {
+			if owns(r, p) {
 				owners++
 			}
 		}
@@ -83,19 +100,18 @@ func TestSplitReplicatesBoundarySpanners(t *testing.T) {
 }
 
 // Every tuple must land in at least the shard owning its ValidFrom and the
-// shard owning its last chronon — the witness-shard property the parallel
-// join dedup rule relies on.
+// shard owning its last chronon.
 func TestSplitCoversOwnShards(t *testing.T) {
 	tuples := workload.Tuples(workload.Config{N: 500, Lambda: 1, MeanDur: 15, LongFrac: 0.1, Seed: 7}, "x")
 	spans := make([]interval.Interval, len(tuples))
 	for i, tu := range tuples {
 		spans[i] = tu.Span
 	}
-	rs := Ranges(Cuts(startsOf(spans), 4))
+	rs := equiDepth(spans, 4)
 	shards := Split(spans, ident, rs)
 	find := func(p interval.Time) int {
 		for i, r := range rs {
-			if r.OwnsPoint(p) {
+			if owns(r, p) {
 				return i
 			}
 		}
@@ -119,32 +135,6 @@ func TestSplitCoversOwnShards(t *testing.T) {
 	}
 }
 
-func TestPredictReplicationTracksMeasured(t *testing.T) {
-	tuples := workload.Tuples(workload.Config{N: 4000, Lambda: 1, MeanDur: 12, Seed: 3}, "x")
-	spans := make([]interval.Interval, len(tuples))
-	for i, tu := range tuples {
-		spans[i] = tu.Span
-	}
-	st := catalog.FromSpans(spans)
-	for _, k := range []int{2, 4, 8} {
-		rs := Ranges(Cuts(startsOf(spans), k))
-		measured := Replication(Split(spans, ident, rs), len(spans))
-		predicted := PredictReplication(st, len(rs))
-		if predicted <= 0 {
-			t.Fatalf("k=%d: no predicted replication", k)
-		}
-		if ratio := measured / predicted; ratio < 0.4 || ratio > 2.5 {
-			t.Errorf("k=%d: measured %.4f vs predicted %.4f (ratio %.2f)", k, measured, predicted, ratio)
-		}
-	}
-	if got := PredictReplication(nil, 4); got != 0 {
-		t.Errorf("nil stats must predict 0, got %v", got)
-	}
-	if got := PredictReplication(st, 1); got != 0 {
-		t.Errorf("k=1 must predict 0, got %v", got)
-	}
-}
-
 // Shards of an input sorted by any required ordering stay sorted by it.
 func TestShardsPreserveSortOrders(t *testing.T) {
 	tuples := workload.Tuples(workload.Config{N: 800, Lambda: 1, MeanDur: 20, LongFrac: 0.2, Seed: 9}, "x")
@@ -152,7 +142,7 @@ func TestShardsPreserveSortOrders(t *testing.T) {
 	for i, tu := range tuples {
 		spans[i] = tu.Span
 	}
-	rs := Ranges(Cuts(startsOf(spans), 4))
+	rs := equiDepth(spans, 4)
 	for _, o := range []relation.Order{{relation.TSAsc}, {relation.TEAsc}, {relation.TSAsc, relation.TEAsc}} {
 		sorted := append([]interval.Interval{}, spans...)
 		relation.SortSpans(sorted, ident, o)

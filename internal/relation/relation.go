@@ -48,19 +48,8 @@ func (r *Relation) Cardinality() int { return len(r.Rows) }
 // Insert appends a row after validating its arity, the kinds of its values
 // against the schema, and the intra-tuple constraint ValidFrom < ValidTo.
 func (r *Relation) Insert(row Row) error {
-	if len(row) != r.Schema.Arity() {
-		return fmt.Errorf("relation %s: inserting row of arity %d into schema %s", r.Name, len(row), r.Schema)
-	}
-	for i, v := range row {
-		if v.Kind() != r.Schema.Cols[i].Kind {
-			return fmt.Errorf("relation %s: column %s: value %v has kind %v, want %v",
-				r.Name, r.Schema.Cols[i].Name, v, v.Kind(), r.Schema.Cols[i].Kind)
-		}
-	}
-	if r.Schema.Temporal() {
-		if err := row.Span(r.Schema).Check(); err != nil {
-			return fmt.Errorf("relation %s: %w", r.Name, err)
-		}
+	if err := r.Schema.CheckRow(row); err != nil {
+		return fmt.Errorf("relation %s: %w", r.Name, err)
 	}
 	r.Rows = append(r.Rows, row)
 	return nil
@@ -143,19 +132,8 @@ func (r *Relation) String() string {
 // constraint; it reports the first violation.
 func (r *Relation) Check() error {
 	for i, row := range r.Rows {
-		if len(row) != r.Schema.Arity() {
-			return fmt.Errorf("relation %s: row %d has arity %d, want %d", r.Name, i, len(row), r.Schema.Arity())
-		}
-		for j, v := range row {
-			if v.Kind() != r.Schema.Cols[j].Kind {
-				return fmt.Errorf("relation %s: row %d column %s: kind %v, want %v",
-					r.Name, i, r.Schema.Cols[j].Name, v.Kind(), r.Schema.Cols[j].Kind)
-			}
-		}
-		if r.Schema.Temporal() {
-			if err := row.Span(r.Schema).Check(); err != nil {
-				return fmt.Errorf("relation %s: row %d: %w", r.Name, i, err)
-			}
+		if err := r.Schema.CheckRow(row); err != nil {
+			return fmt.Errorf("relation %s: row %d: %w", r.Name, i, err)
 		}
 	}
 	return nil

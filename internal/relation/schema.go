@@ -76,6 +76,25 @@ func (s *Schema) Temporal() bool { return s.TS != -1 }
 // Arity is the number of columns.
 func (s *Schema) Arity() int { return len(s.Cols) }
 
+// CheckRow validates one row against the schema: its arity, the kind of
+// every value, and, for a temporal schema, the intra-tuple constraint
+// ValidFrom < ValidTo. It is the one check every write path makes before a
+// row reaches a relation.
+func (s *Schema) CheckRow(row Row) error {
+	if len(row) != s.Arity() {
+		return fmt.Errorf("row arity %d, schema %s", len(row), s)
+	}
+	for i, v := range row {
+		if v.Kind() != s.Cols[i].Kind {
+			return fmt.Errorf("column %s: value %v has kind %v, want %v", s.Cols[i].Name, v, v.Kind(), s.Cols[i].Kind)
+		}
+	}
+	if s.Temporal() {
+		return row.Span(s).Check()
+	}
+	return nil
+}
+
 // ColumnIndex returns the index of the named column, or -1.
 func (s *Schema) ColumnIndex(name string) int {
 	for i, c := range s.Cols {

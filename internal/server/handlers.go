@@ -242,24 +242,23 @@ func singleRetrieve(qs []quel.Query, hasSession bool) (*quel.Query, *Error) {
 func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine.DB, q *quel.Query, res *optimizer.Result) (*QueryResponse, *Error) {
 	start := time.Now()
 	resp := &QueryResponse{}
+	var out *relation.Relation
 	if res.Contradiction {
 		sch, err := algebra.OutputSchema(res.Tree, db)
 		if err != nil {
 			return nil, errf(CodePlan, "output schema: %v", err)
 		}
-		resp.Columns = encodeColumns(sch)
-		resp.Rows = [][]any{}
+		out = relation.New("", sch)
 		resp.Contradiction = true
 		resp.Notes = append(resp.Notes, "semantic optimization proved the query empty; nothing was executed")
-		resp.ElapsedNS = time.Since(start).Nanoseconds()
-		return resp, nil
-	}
-	out, _, err := engine.Run(db, res.Tree, s.execOptions(r.Context(), ten))
-	if err != nil {
-		if errors.Is(err, engine.ErrInterrupted) {
-			return nil, errf(CodeCanceled, "%v", err)
+	} else {
+		var err error
+		if out, _, err = engine.Run(db, res.Tree, s.execOptions(r.Context(), ten)); err != nil {
+			if errors.Is(err, engine.ErrInterrupted) {
+				return nil, errf(CodeCanceled, "%v", err)
+			}
+			return nil, errf(CodeExec, "%v", err)
 		}
-		return nil, errf(CodeExec, "%v", err)
 	}
 	if q.Into != "" {
 		out.Name = q.Into
@@ -489,13 +488,23 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyAppend ingests the rows under the exclusive catalog lock and
-// reports the outcome. Partial application is possible (a late tuple at
-// row i leaves rows 0..i-1 applied) — which is exactly why retries must
-// travel under an idempotency key.
+// reports the outcome. Every row is decoded and checked before any is
+// applied, so a malformed row applies nothing. Partial application is
+// still possible (a late tuple at row i leaves rows 0..i-1 applied) —
+// which is exactly why retries must travel under an idempotency key.
 func (s *Server) applyAppend(req *AppendRequest) (AppendResponse, *Error) {
 	sch, err := s.db.SchemaOf(req.Relation)
 	if err != nil {
 		return AppendResponse{}, errf(CodeUnknownRelation, "%v", err)
+	}
+	rows := make([]relation.Row, len(req.Rows))
+	for i, wireRow := range req.Rows {
+		row, apiErr := decodeRow(sch, wireRow)
+		if apiErr != nil {
+			apiErr.Message = fmt.Sprintf("row %d: %s", i, apiErr.Message)
+			return AppendResponse{}, apiErr
+		}
+		rows[i] = row
 	}
 	tbl := s.live.Table(req.Relation)
 	if tbl == nil {
@@ -504,12 +513,7 @@ func (s *Server) applyAppend(req *AppendRequest) (AppendResponse, *Error) {
 		}
 	}
 	appended := 0
-	for i, wireRow := range req.Rows {
-		row, apiErr := decodeRow(sch, wireRow)
-		if apiErr != nil {
-			apiErr.Message = fmt.Sprintf("row %d: %s", i, apiErr.Message)
-			return AppendResponse{}, apiErr
-		}
+	for i, row := range rows {
 		if err := s.live.Append(req.Relation, row); err != nil {
 			code := CodeExec
 			if errors.Is(err, live.ErrLateTuple) {

@@ -280,5 +280,8 @@ func decodeRow(s *relation.Schema, in []any) (relation.Row, *Error) {
 			return nil, errf(CodeBadRequest, "column %s: JSON %T is not a legal cell", col.Name, rv)
 		}
 	}
+	if err := s.CheckRow(row); err != nil {
+		return nil, errf(CodeBadRequest, "%v", err)
+	}
 	return row, nil
 }

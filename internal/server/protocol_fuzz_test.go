@@ -82,6 +82,87 @@ func FuzzAppendRequest(f *testing.F) {
 	})
 }
 
+// FuzzQueryRequest feeds arbitrary bytes through the parameter path of
+// /v1/query (execute false) and /v1/execute (execute true): decodeBody
+// into the request, decodeParams over its params, then paramKey over the
+// values. decodeBody yields a request or a typed bad_request, and
+// decodeParams values or a typed bind_error, never a panic; every value
+// is the string a JSON string carried or the chronon a JSON integer did,
+// and paramKey is empty exactly for no parameters and stable across
+// decodes.
+func FuzzQueryRequest(f *testing.F) {
+	for _, params := range [][]any{nil, {"Full"}, {"Assistant", 7}, {int64(1) << 60, "x"}} {
+		q, err := json.Marshal(QueryRequest{Quel: "range of f is Faculty\nretrieve (f.Name) where f.Rank = $1", Params: params})
+		if err != nil {
+			f.Fatal(err)
+		}
+		e, err := json.Marshal(ExecuteRequest{Session: "s1", Stmt: "p1", Params: params})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(q, false)
+		f.Add(e, true)
+	}
+	for _, p := range []string{`1e400`, `1.5`, `-0`, `9223372036854775808`, `null`, `true`, `{}`} {
+		f.Add([]byte(`{"quel":"x","params":[`+p+`]}`), false)
+		f.Add([]byte(`{"session":"s","stmt":"p","params":["a",`+p+`]}`), true)
+	}
+	f.Add([]byte(`{"params":"x"}`), false)
+	f.Add([]byte(``), true)
+	f.Fuzz(func(t *testing.T, body []byte, execute bool) {
+		var qreq QueryRequest
+		var ereq ExecuteRequest
+		endpoint, dst := "query", any(&qreq)
+		if execute {
+			endpoint, dst = "execute", &ereq
+		}
+		r := httptest.NewRequest(http.MethodPost, "/"+Protocol+"/"+endpoint, bytes.NewReader(body))
+		if apiErr := decodeBody(r, dst); apiErr != nil {
+			if apiErr.Code != CodeBadRequest || apiErr.HTTP != http.StatusBadRequest {
+				t.Fatalf("decodeBody: error %+v, want a typed %s", apiErr, CodeBadRequest)
+			}
+			return
+		}
+		in := qreq.Params
+		if execute {
+			in = ereq.Params
+		}
+		vals, apiErr := decodeParams(in)
+		if apiErr != nil {
+			if apiErr.Code != CodeBind || apiErr.HTTP != http.StatusBadRequest {
+				t.Fatalf("decodeParams: error %+v, want a typed %s", apiErr, CodeBind)
+			}
+			return
+		}
+		if len(vals) != len(in) {
+			t.Fatalf("%d values for %d params", len(vals), len(in))
+		}
+		for i, v := range vals {
+			switch p := in[i].(type) {
+			case string:
+				if v.Kind() != value.KindString || v.AsString() != p {
+					t.Fatalf("param %d: string %q decoded as %v", i, p, v)
+				}
+			case json.Number:
+				n, err := p.Int64()
+				if err != nil || v.Kind() != value.KindTime || v.AsInt() != n {
+					t.Fatalf("param %d: number %s decoded as %v (%v)", i, p, v, err)
+				}
+			default:
+				t.Fatalf("param %d: JSON %T decoded as %v", i, p, v)
+			}
+		}
+		key := paramKey(vals)
+		if (key == "") != (len(vals) == 0) {
+			t.Fatalf("paramKey %q for %d values", key, len(vals))
+		}
+		again, _ := decodeParams(in)
+		if paramKey(again) != key {
+			t.Fatalf("paramKey unstable: %q then %q", key, paramKey(again))
+		}
+	})
+}
+
 // FuzzSubscribeRequest feeds arbitrary bytes through the subscribe
 // decoder and validator, then resumes the decoded after_seq against a
 // replay ring of fuzzed capacity and length. A request is a value or a

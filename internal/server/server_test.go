@@ -473,6 +473,88 @@ func TestAppendFeedsQueries(t *testing.T) {
 	}
 }
 
+// An append whose row has ValidFrom ≥ ValidTo is a bad_request that
+// applies nothing: accepting it used to break every later session open,
+// whose catalog build rejects the row.
+func TestInvertedLifespanAppendRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	we := post(t, ts.URL, "append", AppendRequest{
+		Relation: "Faculty",
+		Rows:     [][]any{{"zz", "Full", 9000, 8000}},
+		Flush:    true,
+	}, nil)
+	if we == nil || we.Code != CodeBadRequest || !strings.Contains(we.Message, "ValidFrom < ValidTo") {
+		t.Fatalf("inverted append: %+v, want %s naming the constraint", we, CodeBadRequest)
+	}
+	sid := openSession(t, ts.URL, "")
+	var resp QueryResponse
+	if we := post(t, ts.URL, "query", QueryRequest{Session: sid, Quel: "range of f is Faculty\nretrieve (f.Name) where f.Name = \"zz\""}, &resp); we != nil {
+		t.Fatalf("query after rejected append: %s: %s", we.Code, we.Message)
+	}
+	if len(resp.Rows) != 0 {
+		t.Errorf("rejected row is visible: %v", resp.Rows)
+	}
+}
+
+// A malformed row anywhere in an append applies none of the request's
+// rows, and the dedup window remembers that outcome: a retry under the
+// same key replays the error (even with the row mended) and applies
+// nothing either.
+func TestMalformedRowAppliesNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := AppendRequest{
+		Relation: "Faculty",
+		Rows:     [][]any{{"zz-ok", "Full", 5000, 6000}, {"zz-bad", "Full", "x", 6000}},
+		Flush:    true,
+		IdemKey:  "k1",
+	}
+	count := func() int {
+		var resp QueryResponse
+		if we := post(t, ts.URL, "query", QueryRequest{Quel: "range of f is Faculty\nretrieve (f.Name) where f.Name = \"zz-ok\""}, &resp); we != nil {
+			t.Fatalf("count: %s: %s", we.Code, we.Message)
+		}
+		return len(resp.Rows)
+	}
+	we := post(t, ts.URL, "append", req, nil)
+	if we == nil || we.Code != CodeBadRequest || !strings.HasPrefix(we.Message, "row 1:") {
+		t.Fatalf("malformed append: %+v, want %s at row 1", we, CodeBadRequest)
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("row 0 of a rejected request was applied (%d rows)", n)
+	}
+	req.Rows[1] = []any{"zz-bad", "Full", 5000, 6000}
+	retry := post(t, ts.URL, "append", req, nil)
+	if retry == nil || *retry != *we {
+		t.Fatalf("retry under the same key: %+v, want the recorded %+v", retry, we)
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("the retry applied rows (%d)", n)
+	}
+}
+
+// A retrieve into that the optimizer proves contradictory registers its
+// empty result in the session, as a non-contradictory empty query does.
+func TestContradictoryIntoRegistersEmptyRelation(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sid := openSession(t, ts.URL, "")
+	var resp QueryResponse
+	if we := post(t, ts.URL, "query", QueryRequest{Session: sid, Quel: `
+range of f is Faculty
+retrieve into E (f.Name, f.ValidFrom, f.ValidTo) where f.ValidTo < f.ValidFrom
+`}, &resp); we != nil {
+		t.Fatalf("into: %s: %s", we.Code, we.Message)
+	}
+	if !resp.Contradiction || resp.Into != "E" || len(resp.Rows) != 0 {
+		t.Fatalf("into response: %+v, want an empty contradiction into E", resp)
+	}
+	if we := post(t, ts.URL, "query", QueryRequest{Session: sid, Quel: "range of e is E\nretrieve (e.Name)"}, &resp); we != nil {
+		t.Fatalf("read back E: %s: %s", we.Code, we.Message)
+	}
+	if len(resp.Rows) != 0 || len(resp.Columns) != 1 {
+		t.Errorf("E read back as %+v", resp)
+	}
+}
+
 func TestForeverSurvivesTheWire(t *testing.T) {
 	db := engine.NewDB()
 	rel := workload.Faculty(workload.FacultyConfig{N: 10, Seed: 7})

@@ -1,6 +1,6 @@
 // Package testutil holds cross-package test helpers. Its only current
-// export is the goroutine leak check that the parallel-executor, live
-// ingestion and standing-query suites install: the fault-injection and
+// export is the goroutine leak check that the engine, live ingestion and
+// standing-query suites install: the fault-injection and
 // governor work guarantees that every error path unwinds its workers, and
 // this helper is how the tests hold that guarantee — any goroutine created
 // by module code that survives the test is a failure, not a warning.
