@@ -212,7 +212,7 @@ func main() {
 		}
 		return
 	}
-	sh.repl()
+	sh.repl(os.Stdin)
 }
 
 func fatal(format string, args ...any) {
@@ -341,12 +341,15 @@ func (sh *shell) print(args ...any) {
 	_, _ = fmt.Fprint(sh.out, args...)
 }
 
-func (sh *shell) repl() {
-	fmt.Println(`tdb — temporal query shell. End statements with a line "go"; \q quits.`)
-	sc := bufio.NewScanner(os.Stdin)
+// repl reads shell commands and statements from in until \q or the end of
+// the input. A backslash line that names no command is reported and never
+// enters the statement buffer.
+func (sh *shell) repl(in io.Reader) {
+	sh.println(`tdb — temporal query shell. End statements with a line "go"; \q quits.`)
+	sc := bufio.NewScanner(in)
 	var buf strings.Builder
 	for {
-		fmt.Print("tdb> ")
+		sh.print("tdb> ")
 		if !sc.Scan() {
 			break
 		}
@@ -396,6 +399,9 @@ func (sh *shell) repl() {
 			continue
 		case strings.HasPrefix(trimmed, `\verify `):
 			sh.verifyStanding(strings.TrimSpace(strings.TrimPrefix(trimmed, `\verify`)))
+			continue
+		case strings.HasPrefix(trimmed, `\`):
+			sh.printf("unknown command %s\n", trimmed)
 			continue
 		case strings.EqualFold(trimmed, "go"):
 			if err := sh.runStatements(buf.String()); err != nil {

@@ -388,3 +388,29 @@ subscribe watch (Name=f.Name) where (f overlap g)
 		}
 	}
 }
+
+// A backslash line that names no command — a mistyped or retired one, or
+// \stats without a relation — prints "unknown command" and stays out of
+// the statement buffer, so the statement it interrupts still runs.
+func TestShellUnknownBackslashLine(t *testing.T) {
+	db := engine.NewDB()
+	db.MustRegister(workload.Faculty(workload.FacultyConfig{N: 20, Seed: 5}))
+	var buf bytes.Buffer
+	sh := &shell{db: db, streams: true, out: &buf}
+	sh.repl(strings.NewReader(`\set parallelism 2
+range of f is Faculty
+\stats
+retrieve into Names (Name=f.Name, ValidFrom=f.ValidFrom, ValidTo=f.ValidTo)
+go
+\q
+`))
+	out := buf.String()
+	for _, line := range []string{`unknown command \set parallelism 2`, `unknown command \stats`} {
+		if !strings.Contains(out, line) {
+			t.Errorf("shell output lacks %q:\n%s", line, out)
+		}
+	}
+	if _, err := db.Relation("Names"); err != nil {
+		t.Fatalf("the statement around the unknown lines did not run: %v\n%s", err, out)
+	}
+}

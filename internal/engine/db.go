@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -70,13 +71,31 @@ func NewDB() *DB {
 	}
 }
 
+// ErrAlreadyStored is returned by StoreRelation for a relation that is
+// stored already.
+var ErrAlreadyStored = errors.New("engine: relation already stored")
+
 // StoreRelation moves a registered relation onto a paged heap file in dir
 // with a buffer pool of poolPages frames; subsequent scans stream from the
-// file and count page reads. The in-memory rows are released.
+// file and count page reads. The in-memory rows are released, and with them
+// the relation's entries in the relation index. A relation that is stored
+// already is refused with ErrAlreadyStored and nothing changes: its rows
+// are on its heap file alone. Register it anew to store other rows under
+// its name.
+//
+// A stored relation's key scans fill the relation index like in-memory
+// base scans: the first columnar semijoin over it keeps the order it
+// sorted the file's lifespans into, whatever Options.SortMemRows is, and
+// later ones read it from there — a right input without reading a page.
+// An order is served only while the file holds the rows it was built
+// from, and DB.Append makes it stale.
 func (db *DB) StoreRelation(name, dir string, poolPages int) error {
 	rel, err := db.Relation(name)
 	if err != nil {
 		return err
+	}
+	if _, ok := db.stored[name]; ok {
+		return fmt.Errorf("%w: %s", ErrAlreadyStored, name)
 	}
 	hf, err := storage.Create(filepath.Join(dir, name+".tdb"), rel.Schema, poolPages)
 	if err != nil {
@@ -105,26 +124,38 @@ func (db *DB) StoredIO(name string) *storage.IOStats {
 	return nil
 }
 
-// Close releases the heap files of stored relations.
+// Close releases the heap files of stored relations and forgets their
+// entries in the relation index.
 func (db *DB) Close() error {
 	var first error
-	for _, hf := range db.stored {
+	for name, hf := range db.stored {
 		if err := hf.Close(); err != nil && first == nil {
 			first = err
 		}
+		db.index.drop(db.rels[name])
 	}
 	return first
 }
 
 // Register adds (or replaces) a relation and refreshes its statistics.
 // The relation index forgets every entry of the relation it replaces —
-// rel itself, when it is registered again after a change to its rows.
+// rel itself, when it is registered again after a change to its rows. A
+// stored relation it replaces loses its heap file, which is closed: rel's
+// rows are the relation's from then on. An error closing the file is
+// returned after rel is registered.
 func (db *DB) Register(rel *relation.Relation) error {
 	if err := rel.Check(); err != nil {
 		return err
 	}
 	if old, ok := db.rels[rel.Name]; ok {
 		db.index.drop(old)
+	}
+	var closeErr error
+	if hf, ok := db.stored[rel.Name]; ok {
+		delete(db.stored, rel.Name)
+		if err := hf.Close(); err != nil {
+			closeErr = fmt.Errorf("engine: register %s: closing its heap file: %w", rel.Name, err)
+		}
 	}
 	db.rels[rel.Name] = rel
 	if rel.Schema.Temporal() {
@@ -133,7 +164,7 @@ func (db *DB) Register(rel *relation.Relation) error {
 		}
 	}
 	db.refreshGauges()
-	return nil
+	return closeErr
 }
 
 // MustRegister is Register that panics, for fixtures and examples.

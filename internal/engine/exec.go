@@ -32,9 +32,13 @@ type Options struct {
 	// row index) pair per input row: larger inputs are sorted externally
 	// through run files of such records in SpillDir, paying the extra
 	// read/write passes of Section 4.1's third tradeoff (accounted in
-	// NodeCost). The rows themselves are never spilled. A base relation
-	// within the workspace whose order the endpoint index already holds
-	// sorts nothing; a larger one bypasses the index and sorts every time.
+	// NodeCost). The rows themselves are never spilled. It bounds a sort
+	// that runs, not an order the relation index keeps: a stored
+	// relation's key scan whose order the index holds sorts nothing
+	// whatever its size, and the first one keeps the order it sorted,
+	// within the index's own budget. An in-memory base relation within the
+	// workspace is served the same way; a larger one bypasses the index
+	// and sorts every time.
 	SortMemRows int
 	// SpillDir receives external-sort run files; required when
 	// SortMemRows is set. Concurrent runs may share it: every run file gets
@@ -128,11 +132,12 @@ type NodeCost struct {
 	// SortedRows counts rows that had to be sorted to establish the
 	// algorithm's required ordering: 0 when the input already had it —
 	// the "interesting order" case — and 0 when the endpoint index served
-	// a base relation's order, which sorts nothing.
+	// a base relation's or a stored relation's order, which sorts nothing.
 	SortedRows int64
 	OutRows    int64
 	// PagesRead counts storage pages fetched by a stored scan (0 when
-	// served by the buffer pool or scanning an in-memory relation).
+	// served by the buffer pool, by the relation index or scanning an
+	// in-memory relation).
 	PagesRead int64
 	// SortRuns and SortPages account external sorting done to establish
 	// this operator's input ordering under a bounded sort workspace.
@@ -225,11 +230,17 @@ type result struct {
 	schema *relation.Schema
 	v      view
 	keys   *storage.Keys // set by a key scan, which leaves v empty
-	// base is set by a scan of an in-memory relation no append has
-	// touched, whose v is the identity view over base.Rows: the one input
-	// whose order the relation index keeps, and whose equality selections
-	// it serves.
-	base *relation.Relation
+	// ord is set instead of keys by a key scan the relation index served:
+	// the input already in its node's order, for which no page was read.
+	ord *ordered
+	// base is the relation whose orders the relation index keeps for this
+	// input, and stamp what this input was read from. A scan of an
+	// in-memory relation no append has touched sets them, whose v is the
+	// identity view over base.Rows — the one input whose equality
+	// selections the index also serves —, and so does a stored key scan,
+	// whose keys are in file order.
+	base  *relation.Relation
+	stamp stamp
 	// reads is the base relation whose rows v's one part picks, set by the
 	// same scan and kept by a selection over it: a self equi-join of two
 	// such inputs chains its rows by the relation's column codes.
@@ -295,32 +306,54 @@ func (in ordered) spans() []spanned {
 // columnar semijoin's right input, whose rows nothing reads, goes without
 // it, and the external sort returns one regardless.
 //
-// A base scan's order within the sort workspace comes from the DB's
-// relation index (orderindex.go) when an earlier query left it there,
-// sorting nothing; otherwise it is established as above, always with its
-// permutation, and left there.
+// A base input's order comes from the DB's relation index (orderindex.go)
+// when an earlier query left it there, sorting nothing; otherwise it is
+// established as above, always with its permutation, and left there. That
+// holds for a stored key scan whatever Options.SortMemRows is, which bounds
+// the sort that builds the order, not the order kept; an in-memory base
+// relation larger than SortMemRows sorts every time.
 func (ex *executor) establishOrder(in *result, span rowSpan,
 	o relation.Order, cost *NodeCost, withPerm bool) (ordered, error) {
 
-	if in.keys != nil {
-		return ex.orderColumns(in.keys.TS, in.keys.TE, o, cost, withPerm)
+	if in.ord != nil {
+		noteServed(cost, o)
+		return *in.ord, nil
 	}
-	if mem := ex.opt.SortMemRows; in.base != nil && in.v.n > 0 && (mem <= 0 || in.v.n <= mem) {
-		key := orderKey(in.base, span, o)
-		if out, ok := ex.db.index.order(key); ok {
-			cost.Notes = append(cost.Notes, fmt.Sprintf("order %v from endpoint index", o))
-			return out, nil
-		}
-		ts, te := in.v.shred(span.of)
-		out, err := ex.orderColumns(ts, te, o, cost, true)
-		if err != nil {
-			return ordered{}, err
-		}
-		ex.db.index.putOrder(key, out)
+	n := in.v.n
+	if in.keys != nil {
+		n = len(in.keys.TS)
+	}
+	mem := ex.opt.SortMemRows
+	if in.base == nil || n == 0 || (in.keys == nil && mem > 0 && n > mem) {
+		ts, te := in.columns(span)
+		return ex.orderColumns(ts, te, o, cost, withPerm)
+	}
+	key := orderKey(in.base, span, o)
+	if out, ok := ex.db.index.order(key, in.stamp); ok {
+		noteServed(cost, o)
 		return out, nil
 	}
-	ts, te := in.v.shred(span.of)
-	return ex.orderColumns(ts, te, o, cost, withPerm)
+	ts, te := in.columns(span)
+	out, err := ex.orderColumns(ts, te, o, cost, true)
+	if err != nil {
+		return ordered{}, err
+	}
+	ex.db.index.putOrder(key, in.stamp, out)
+	return out, nil
+}
+
+// columns returns the input's lifespans as endpoint columns in input
+// order: a key scan's own, or shredded from the view.
+func (in *result) columns(span rowSpan) (ts, te []interval.Time) {
+	if in.keys != nil {
+		return in.keys.TS, in.keys.TE
+	}
+	return in.v.shred(span.of)
+}
+
+// noteServed records an order the relation index served.
+func noteServed(cost *NodeCost, o relation.Order) {
+	cost.Notes = append(cost.Notes, fmt.Sprintf("order %v from endpoint index", o))
 }
 
 // orderColumns establishes the order over lifespans given as endpoint
@@ -559,14 +592,13 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 
 	if hf, ok := ex.db.stored[n.Relation]; ok {
 		cost := NodeCost{Label: n.Label(), Algorithm: "stored scan", Probe: probe}
-		before := hf.Stats().PagesRead
-		rows, err := hf.ReadRows(0, hf.Pages()+1, ex.checkInterrupt)
+		rows, pagesRead, err := hf.ReadRows(ex.checkInterrupt)
 		if err != nil {
 			return nil, err
 		}
 		cost.Probe.ReadLeft = int64(len(rows))
 		cost.OutRows = int64(len(rows))
-		cost.PagesRead = hf.Stats().PagesRead - before
+		cost.PagesRead = pagesRead
 		ex.stats.add(cost)
 		return &result{schema: base.Schema.Rename(n.Var()), v: rowsView(rows, base.Schema.Arity())}, nil
 	}
@@ -578,7 +610,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 	})
 	res := &result{schema: base.Schema.Rename(n.Var()), v: rowsView(base.Rows, base.Schema.Arity())}
 	if _, live := ex.db.live[n.Relation]; !live {
-		res.base, res.reads = base, base
+		res.base, res.reads, res.stamp = base, base, rowsStamp(base.Rows)
 	}
 	return res, nil
 }
@@ -587,10 +619,13 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 // semijoin, which needs its rows' lifespans before any row: one pass over
 // the pages reads the span's two columns into exact-size endpoint columns
 // without decoding a row, keeping the page images only when the node may
-// emit the rows (keep), to be decoded then by position. A span that does
-// not name two numeric columns of the relation takes the row scan, and the
-// node reports it as before.
-func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebra.SpanRef, keep bool) (*result, error) {
+// emit the rows (keep), to be decoded then by position. An input that
+// keeps no pages is first looked up in the relation index in the order o
+// its node sweeps it in, and on a hit no page is read at all; the node
+// reports the rows the scan would have. A span that does not name two
+// numeric columns of the relation takes the row scan, and the node reports
+// it as before.
+func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebra.SpanRef, o relation.Order, keep bool) (*result, error) {
 	base, err := ex.db.Relation(n.Relation)
 	if err != nil {
 		return nil, err
@@ -600,22 +635,28 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 	if ts < 0 || te < 0 || schema.Cols[ts].Kind == value.KindString || schema.Cols[te].Kind == value.KindString {
 		return ex.evalScan(n)
 	}
+	res := &result{schema: schema, base: base, stamp: heapStamp(hf)}
 	cost := NodeCost{Label: n.Label(), Algorithm: "stored key scan", Probe: metrics.Probe{Passes: 1}}
-	before := hf.Stats().PagesRead
-	keys, err := hf.ScanKeys(0, hf.Pages()+1, ts, te, keep, ex.checkInterrupt)
-	if err != nil {
+	cost.Probe.ReadLeft, cost.OutRows = res.stamp.n, res.stamp.n
+	if !keep {
+		if ord, ok := ex.db.index.order(orderKey(base, rowSpan{ts: ts, te: te}, o), res.stamp); ok {
+			res.ord = &ord
+			cost.Notes = append(cost.Notes, "keys only: served by the endpoint index, no page read")
+			ex.stats.add(cost)
+			return res, nil
+		}
+	}
+	if res.keys, err = hf.ScanKeys(ts, te, keep, ex.checkInterrupt); err != nil {
 		return nil, err
 	}
-	cost.Probe.ReadLeft = int64(len(keys.TS))
-	cost.OutRows = int64(len(keys.TS))
-	cost.PagesRead = hf.Stats().PagesRead - before
+	cost.PagesRead = res.keys.PagesRead
 	if keep {
 		cost.Notes = append(cost.Notes, "keys first: rows stay on their pages until emitted")
 	} else {
 		cost.Notes = append(cost.Notes, "keys only: no row is decoded")
 	}
 	ex.stats.add(cost)
-	return &result{schema: schema, keys: keys}, nil
+	return res, nil
 }
 
 // evalSelect narrows a selection vector: the positions of the input view

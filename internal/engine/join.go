@@ -67,14 +67,14 @@ func (ex *executor) columnar(kind algebra.TemporalKind) bool {
 }
 
 // streamInput evaluates one input of a stream semijoin node. When keyed
-// (the node is columnar) and the input is a Scan of a stored
-// relation, it runs as a key scan over the node's span, keeping the page
-// images only if the node may emit the input's rows (keep); anything else
-// evaluates as usual.
-func (ex *executor) streamInput(e algebra.Expr, sr algebra.SpanRef, keyed, keep bool) (*result, error) {
+// (the node is columnar) and the input is a Scan of a stored relation, it
+// runs as a key scan over the node's span, which the node sweeps in order
+// o, keeping the page images only if the node may emit the input's rows
+// (keep); anything else evaluates as usual.
+func (ex *executor) streamInput(e algebra.Expr, sr algebra.SpanRef, o relation.Order, keyed, keep bool) (*result, error) {
 	if s, ok := e.(*algebra.Scan); ok && keyed {
 		if hf, ok := ex.db.stored[s.Relation]; ok {
-			return ex.evalAs(e, func() (*result, error) { return ex.evalKeyScan(s, hf, sr, keep) })
+			return ex.evalAs(e, func() (*result, error) { return ex.evalKeyScan(s, hf, sr, o, keep) })
 		}
 	}
 	return ex.eval(e)
@@ -434,11 +434,12 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 	// A columnar semijoin emits only left rows: a key scan on its right
 	// keeps no pages.
 	keyed := ex.columnar(n.Kind)
-	l, err := ex.streamInput(n.L, n.LSpan, keyed, true)
+	_, lOrder, rOrder := semijoinOrders(n.Kind)
+	l, err := ex.streamInput(n.L, n.LSpan, lOrder, keyed, true)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ex.streamInput(n.R, n.RSpan, keyed, false)
+	r, err := ex.streamInput(n.R, n.RSpan, rOrder, keyed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -576,25 +577,13 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, 
 	if err != nil {
 		return nil, nil, err
 	}
-	cost := &NodeCost{}
-	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
-
-	var lOrder, rOrder relation.Order
-	switch n.Kind {
-	case algebra.KindContained:
-		cost.Algorithm = "stream contained-semijoin [TE↑,TS↑] (Fig 6)"
-		lOrder, rOrder = relation.Order{relation.TEAsc}, relation.Order{relation.TSAsc}
-	case algebra.KindContain:
-		cost.Algorithm = "stream contain-semijoin [TS↑,TE↑] (Fig 6)"
-		lOrder, rOrder = relation.Order{relation.TSAsc}, relation.Order{relation.TEAsc}
-	case algebra.KindOverlap:
-		cost.Algorithm = "stream overlap-semijoin [TS↑,TS↑]"
-		lOrder, rOrder = relation.Order{relation.TSAsc}, relation.Order{relation.TSAsc}
-	case algebra.KindBefore:
-		cost.Algorithm = "before-semijoin (sort-independent)"
-	default:
+	alg, lOrder, rOrder := semijoinOrders(n.Kind)
+	if alg == "" {
 		return nil, nil, fmt.Errorf("engine: unhandled semijoin kind %v", n.Kind)
 	}
+	cost := &NodeCost{Algorithm: alg}
+	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
+
 	var lw, rw []spanned
 	if lOrder == nil {
 		lw, rw = inputSpans(l.v, lspan.of), inputSpans(r.v, rspan.of)
@@ -647,6 +636,30 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, 
 		return nil, nil, err
 	}
 	return sel, cost, nil
+}
+
+// tsAsc and teAsc are the one-key orders semijoinOrders hands out, shared
+// and never written.
+var (
+	tsAsc = relation.Order{relation.TSAsc}
+	teAsc = relation.Order{relation.TEAsc}
+)
+
+// semijoinOrders returns the algorithm of a stream semijoin of kind and
+// the orders it sweeps its inputs in: none for the before-semijoin, and no
+// algorithm for a kind without a stream semijoin.
+func semijoinOrders(kind algebra.TemporalKind) (alg string, lOrder, rOrder relation.Order) {
+	switch kind {
+	case algebra.KindContained:
+		return "stream contained-semijoin [TE↑,TS↑] (Fig 6)", teAsc, tsAsc
+	case algebra.KindContain:
+		return "stream contain-semijoin [TS↑,TE↑] (Fig 6)", tsAsc, teAsc
+	case algebra.KindOverlap:
+		return "stream overlap-semijoin [TS↑,TS↑]", tsAsc, tsAsc
+	case algebra.KindBefore:
+		return "before-semijoin (sort-independent)", nil, nil
+	}
+	return "", nil, nil
 }
 
 // inputSpans lists a view's lifespans with their positions, in view order.

@@ -4,17 +4,20 @@ import (
 	"sync"
 
 	"tdb/internal/relation"
+	"tdb/internal/storage"
 )
 
 // The relation index (DESIGN.md "The relation index"): what a query built
-// from a registered in-memory relation's rows and a later query can use
-// again stays in the relation's DB. Entries are of two kinds:
+// from a registered relation's rows and a later query can use again stays
+// in the relation's DB. Entries are of two kinds:
 //
 //   - an order of its lifespans (the endpoint index): the sorted endpoint
 //     columns and the permutation back to the relation's rows, left by the
-//     first ordered use of a base scan; a selection, a join output, a
-//     derived span and a key scan each order rows no relation holds in
-//     that form, and are never kept;
+//     first ordered use of a base scan of an in-memory relation or of a
+//     stored relation's key scan, whose positions are those of the heap
+//     file's rows; a selection, a join output, a derived span and a stored
+//     row scan each order rows no relation holds in that form, and are
+//     never kept;
 //   - the codes of one of its columns (codes.go), built on the first
 //     equality use: a base scan's col = const selection or a self
 //     equi-join on one column.
@@ -45,14 +48,33 @@ func codesKey(rel *relation.Relation, col int) indexKey {
 	return indexKey{rel: rel, col: col, ts: -1, te: -1}
 }
 
-// indexEntry is a kept order or column's codes with what it was built
-// from: the relation's row count and first row, which must still match
-// when it is served.
+// stamp is what an entry was built from, which must still hold when it is
+// served: an in-memory relation's row count and first row, or a stored
+// relation's heap file and its row count, which counts the rows still on
+// the open tail page too.
+type stamp struct {
+	n     int64
+	first *relation.Row
+	heap  *storage.HeapFile
+}
+
+// rowsStamp stamps what is built from rows.
+func rowsStamp(rows []relation.Row) stamp {
+	if len(rows) == 0 {
+		return stamp{}
+	}
+	return stamp{n: int64(len(rows)), first: &rows[0]}
+}
+
+// heapStamp stamps what is built from hf's rows.
+func heapStamp(hf *storage.HeapFile) stamp { return stamp{n: hf.Rows(), heap: hf} }
+
+// indexEntry is a kept order or column's codes with the stamp of what it
+// was built from.
 type indexEntry struct {
 	ord   ordered
 	codes *columnCodes
-	n     int
-	first *relation.Row
+	stamp stamp
 	bytes int64
 	used  uint64 // the index's clock at the entry's last use
 }
@@ -74,17 +96,17 @@ func newRelationIndex() *relationIndex {
 	return &relationIndex{entries: map[indexKey]*indexEntry{}, budget: indexBudget}
 }
 
-// order returns the kept order of key, if any.
-func (x *relationIndex) order(key indexKey) (ordered, bool) {
-	if e := x.get(key); e != nil {
+// order returns the kept order of key built from what st stamps, if any.
+func (x *relationIndex) order(key indexKey, st stamp) (ordered, bool) {
+	if e := x.get(key, st); e != nil {
 		return e.ord, true
 	}
 	return ordered{}, false
 }
 
-// putOrder keeps ord as key's order over the relation's current rows.
-func (x *relationIndex) putOrder(key indexKey, ord ordered) {
-	x.put(key, &indexEntry{ord: ord, bytes: int64(8*(len(ord.cols.TS)+len(ord.cols.TE)) + 4*len(ord.perm))})
+// putOrder keeps ord as key's order, built from what st stamps.
+func (x *relationIndex) putOrder(key indexKey, st stamp, ord ordered) {
+	x.put(key, &indexEntry{ord: ord, stamp: st, bytes: int64(8*(len(ord.cols.TS)+len(ord.cols.TE)) + 4*len(ord.perm))})
 }
 
 // codes returns the codes of rel's column col, building and keeping them
@@ -95,25 +117,25 @@ func (x *relationIndex) codes(rel *relation.Relation, col int) *columnCodes {
 	if n := len(rel.Rows); n == 0 || int64(8*n) > x.budget {
 		return nil
 	}
-	key := codesKey(rel, col)
-	if e := x.get(key); e != nil {
+	key, st := codesKey(rel, col), rowsStamp(rel.Rows)
+	if e := x.get(key, st); e != nil {
 		return e.codes
 	}
 	c := buildCodes(rel.Rows, col)
-	x.put(key, &indexEntry{codes: c, bytes: c.bytes()})
+	x.put(key, &indexEntry{codes: c, stamp: st, bytes: c.bytes()})
 	return c
 }
 
-// get returns the entry of key, if the relation still has the rows the
-// entry was built from; an entry it has outgrown is dropped.
-func (x *relationIndex) get(key indexKey) *indexEntry {
+// get returns the entry of key, if it was built from what st stamps; an
+// entry the relation has outgrown is dropped.
+func (x *relationIndex) get(key indexKey, st stamp) *indexEntry {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	e, ok := x.entries[key]
 	if !ok {
 		return nil
 	}
-	if rows := key.rel.Rows; e.n != len(rows) || e.first != &rows[0] {
+	if e.stamp != st {
 		x.remove(key, e)
 		return nil
 	}
@@ -122,15 +144,13 @@ func (x *relationIndex) get(key indexKey) *indexEntry {
 	return e
 }
 
-// put keeps e as key's entry over the relation's current rows, evicting
-// the least recently used entries until it fits the budget. An entry
-// larger than the whole budget is not kept.
+// put keeps e as key's entry, evicting the least recently used entries
+// until it fits the budget. An entry larger than the whole budget is not
+// kept.
 func (x *relationIndex) put(key indexKey, e *indexEntry) {
 	if e.bytes > x.budget {
 		return
 	}
-	rows := key.rel.Rows
-	e.n, e.first = len(rows), &rows[0]
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if old, ok := x.entries[key]; ok {

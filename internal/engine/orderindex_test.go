@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -204,9 +205,8 @@ func TestOrderIndexRebuildsAfterGrowth(t *testing.T) {
 	}
 }
 
-// Only a base scan's order is kept: a selection, a join output feeding a
-// semijoin and a stored key scan sort on every run, while the base scan
-// beside them is served.
+// Only a base input's order is kept: a selection and a join output feeding
+// a semijoin sort on every run, while the base scan beside them is served.
 func TestOrderIndexDerivedInputsNeverHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	xs, ys := tiedTuples(rng, 400, "x"), tiedTuples(rng, 300, "y")
@@ -250,16 +250,185 @@ func TestOrderIndexDerivedInputsNeverHit(t *testing.T) {
 			t.Errorf("%s: the derived input was not sorted:\n%s", c.name, st)
 		}
 	}
+}
 
-	stored := storedTiedDB(t, xs, ys, func(int64) int { return 2 })
-	for i := 0; i < 2; i++ {
-		_, st, err := Run(stored, semijoinOf(algebra.KindContain), colOpt())
+// A stored relation's orders are kept like an in-memory relation's: the
+// warm run of a columnar semijoin over stored inputs repeats the cold run's
+// rows, comparisons, tuples read, workspace and rows decoded, sorts nothing
+// and reads no page of its right input, whose key scan still reports the
+// rows a scan reads — with or without a bounded sort workspace, which
+// bounds the cold run's sort and not the order kept.
+func TestStoredOrderWarmRunRepeatsColdRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	xs, ys := tiedTuples(rng, 900, "x"), tiedTuples(rng, 700, "y")
+	for _, kind := range []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap} {
+		for _, mem := range []int{0, 64} {
+			db := storedTiedDB(t, xs, ys, func(pages int64) int { return max(1, int(pages/4)) })
+			opt := colOpt()
+			if mem > 0 {
+				opt.SortMemRows, opt.SpillDir = mem, t.TempDir()
+			}
+			label := fmt.Sprintf("%v SortMemRows=%d", kind, mem)
+			x := db.stored["X"]
+			run := func() (*relation.Relation, *Stats, int64) {
+				before := x.Stats().RowsDecoded
+				out, st, err := Run(db, semijoinOf(kind), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if opt.SpillDir != "" {
+					requireEmptySpillDir(t, opt.SpillDir, label)
+				}
+				return out, st, x.Stats().RowsDecoded - before
+			}
+			cold, cst, cdec := run()
+			warm, wst, wdec := run()
+			sameWork(t, label, cold, warm, cst, wst)
+			if cdec != wdec || wdec != int64(len(warm.Rows)) {
+				t.Errorf("%s: decoded %d rows cold, %d warm, for %d output rows", label, cdec, wdec, len(warm.Rows))
+			}
+			if cst.TotalSortedRows() != int64(len(xs)+len(ys)) || indexHits(cst) != 0 {
+				t.Errorf("%s: cold run sorted %d rows, %d index hits", label, cst.TotalSortedRows(), indexHits(cst))
+			}
+			if wst.TotalSortedRows() != 0 || indexHits(wst) != 2 {
+				t.Errorf("%s: warm run sorted %d rows, %d index hits:\n%s", label, wst.TotalSortedRows(), indexHits(wst), wst)
+			}
+			if spilled := findNote(cst, "keys spilled") != ""; spilled != (mem > 0) || findNote(wst, "keys spilled") != "" {
+				t.Errorf("%s: cold run spilled %v, warm run notes %q", label, spilled, findNote(wst, "keys spilled"))
+			}
+			// The nodes are the left key scan, the right one and the semijoin.
+			cr, wr := cst.Nodes[1], wst.Nodes[1]
+			if cr.PagesRead == 0 || wr.PagesRead != 0 || wr.Probe != cr.Probe || wr.OutRows != cr.OutRows {
+				t.Errorf("%s: right key scan read %d pages cold, %d warm; probe %v, %d rows warm; %v, %d rows cold",
+					label, cr.PagesRead, wr.PagesRead, wr.Probe.String(), wr.OutRows, cr.Probe.String(), cr.OutRows)
+			}
+			if cst.Nodes[0].PagesRead != wst.Nodes[0].PagesRead {
+				t.Errorf("%s: left key scan read %d pages cold, %d warm", label, cst.Nodes[0].PagesRead, wst.Nodes[0].PagesRead)
+			}
+		}
+	}
+}
+
+// requireFreshRun runs q over db and requires the rows and work of q over a
+// fresh DB holding xs and ys in memory, with wantHits orders served from
+// db's index.
+func requireFreshRun(t *testing.T, db *DB, q algebra.Expr, xs, ys []relation.Tuple, name string, wantHits int) {
+	t.Helper()
+	got, gst, err := Run(db, q, colOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wst := runFresh(t, q, colOpt(), relation.FromTuples("X", xs), relation.FromTuples("Y", ys))
+	sameWork(t, name, want, got, wst, gst)
+	if indexHits(gst) != wantHits {
+		t.Errorf("%s: %d index hits, want %d", name, indexHits(gst), wantHits)
+	}
+}
+
+// An order of a stored relation is not served once DB.Append has grown its
+// heap file, whether the new rows are still on the open tail page or a
+// page with them was flushed: the next run sorts afresh, keeps the new
+// order, and returns what a fresh DB holding the same rows returns.
+func TestStoredOrderStaleAfterAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	xs, ys := tiedTuples(rng, 600, "x"), tiedTuples(rng, 500, "y")
+	db := storedTiedDB(t, xs, ys, func(int64) int { return 2 })
+	q := semijoinOf(algebra.KindContain)
+	check := func(name string, wantHits int) {
+		t.Helper()
+		requireFreshRun(t, db, q, xs, ys, name, wantHits)
+	}
+	appendX := func() {
+		tu := tiedTuples(rng, 1, "a")[0]
+		if err := db.Append("X", relation.TupleToRow(tu)); err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, tu)
+	}
+	check("cold", 0)
+	check("warm", 2)
+
+	x := db.stored["X"]
+	pages := x.Pages()
+	appendX()
+	if x.Pages() != pages {
+		t.Fatal("one appended row flushed a page")
+	}
+	check("a row on the open tail page", 1)
+	check("a row on the open tail page, warm", 2)
+
+	for x.Pages() == pages {
+		appendX()
+	}
+	check("a page flushed", 1)
+	check("a page flushed, warm", 2)
+}
+
+// A stored relation's orders go with its heap file. A refused second
+// StoreRelation leaves them served; Register of the name drops them, and
+// so does storing the registered rows again. Every run returns what a
+// fresh DB holding the same rows returns.
+func TestStoredOrderDroppedOnRegisterAndStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	xs, ys := tiedTuples(rng, 600, "x"), tiedTuples(rng, 500, "y")
+	db := storedTiedDB(t, xs, ys, func(int64) int { return 2 })
+	q := semijoinOf(algebra.KindContained)
+	check := func(name string, wantHits int) {
+		t.Helper()
+		requireFreshRun(t, db, q, xs, ys, name, wantHits)
+	}
+	check("cold", 0)
+	check("warm", 2)
+
+	if err := db.StoreRelation("X", t.TempDir(), 2); !errors.Is(err, ErrAlreadyStored) {
+		t.Fatalf("second StoreRelation of X: %v, want ErrAlreadyStored", err)
+	}
+	check("after a refused re-store", 2)
+
+	old, _ := db.Relation("X")
+	xs = tiedTuples(rng, 500, "z")
+	if err := db.Register(relation.FromTuples("X", xs)); err != nil {
+		t.Fatal(err)
+	}
+	if n := entriesOf(db, old); n != 0 {
+		t.Fatalf("the replaced stored X keeps %d entries", n)
+	}
+	check("X registered in memory over the stored X", 1)
+	check("X registered in memory, warm", 2)
+
+	if err := db.StoreRelation("X", t.TempDir(), 2); err != nil {
+		t.Fatal(err)
+	}
+	check("X stored again", 1)
+	check("X stored again, warm", 2)
+}
+
+// An order larger than the index's budget is not kept: every run of a
+// stored semijoin sorts both inputs externally under a bounded sort
+// workspace, reads both files, and leaves SpillDir empty.
+func TestStoredOrderOverBudgetSortsExternally(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	xs, ys := tiedTuples(rng, 600, "x"), tiedTuples(rng, 500, "y")
+	db := storedTiedDB(t, xs, ys, func(int64) int { return 2 })
+	db.index.budget = 20*int64(len(ys)) - 1 // an order of either relation is larger
+	opt := colOpt()
+	opt.SortMemRows, opt.SpillDir = 64, t.TempDir()
+	for run := range 3 {
+		_, st, err := Run(db, semijoinOf(algebra.KindOverlap), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if indexHits(st) != 0 || st.TotalSortedRows() == 0 || !planMentions(st, "stored key scan") {
-			t.Errorf("stored run %d: %d index hits, %d rows sorted:\n%s", i, indexHits(st), st.TotalSortedRows(), st)
+		requireEmptySpillDir(t, opt.SpillDir, fmt.Sprintf("run %d", run))
+		top := st.Nodes[len(st.Nodes)-1]
+		if top.SortedRows != int64(len(xs)+len(ys)) || top.SortRuns == 0 || indexHits(st) != 0 {
+			t.Errorf("run %d: sorted %d rows in %d runs, %d index hits:\n%s", run, top.SortedRows, top.SortRuns, indexHits(st), st)
 		}
+		if st.Nodes[0].PagesRead == 0 || st.Nodes[1].PagesRead == 0 {
+			t.Errorf("run %d: key scans read %d and %d pages", run, st.Nodes[0].PagesRead, st.Nodes[1].PagesRead)
+		}
+	}
+	if n := len(db.index.entries); n != 0 {
+		t.Errorf("the index keeps %d entries", n)
 	}
 }
 
@@ -360,6 +529,49 @@ func TestOrderIndexConcurrentRuns(t *testing.T) {
 	}
 }
 
+// Queries running concurrently over stored relations share their orders
+// as they share an in-memory relation's: each run, cold or warm, on the
+// columnar or the row path, returns the rows a run alone returns. Run it
+// under -race.
+func TestStoredOrderConcurrentRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	xs, ys := tiedTuples(rng, 700, "x"), tiedTuples(rng, 600, "y")
+	db := storedTiedDB(t, xs, ys, func(int64) int { return 2 })
+	queries := orderedQueries()
+	want := make([]*relation.Relation, len(queries))
+	for i, q := range queries {
+		want[i], _ = runFresh(t, q.tree, colOpt(), relation.FromTuples("X", xs), relation.FromTuples("Y", ys))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := range 2 * len(queries) {
+				i := (g + r) % len(queries)
+				opt := colOpt()
+				if g%2 == 1 {
+					opt = rowOpt()
+				}
+				got, _, err := Run(db, queries[i].tree, opt)
+				if err == nil && !sameSequence(want[i], got) {
+					err = fmt.Errorf("%s: goroutine %d got a different row sequence", queries[i].name, g)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // sameSequence reports whether two results hold equal rows in equal order.
 func sameSequence(a, b *relation.Relation) bool {
 	if len(a.Rows) != len(b.Rows) {
@@ -373,30 +585,46 @@ func sameSequence(a, b *relation.Relation) bool {
 	return true
 }
 
-// FuzzOrderIndex interleaves Register, Append, direct row growth and Run
-// over two small relations, and holds every Run to a run of the same tree
-// over a fresh DB holding the same rows: the same row sequence and the
-// same comparisons, tuples read and workspace. The trees are the ordered
-// operators, whose base orders the index serves, and a col = const
-// selection and a self equi-join of each relation, which its column codes
-// serve.
+// FuzzOrderIndex interleaves Register (of new rows, and of the registered
+// relation again), StoreRelation, Append (to a relation in memory or on its
+// heap file, and to a stored one until a page is flushed), direct row
+// growth and Run over two small relations, and holds every Run to a run of
+// the same tree over a fresh DB holding the same rows in memory: the same
+// row sequence and the same comparisons, tuples read and workspace. The
+// trees are the ordered operators, whose base orders the index serves, and
+// a col = const selection and a self equi-join of each relation, which its
+// column codes serve.
 func FuzzOrderIndex(f *testing.F) {
 	f.Add([]byte{0, 5, 5, 5, 1, 5, 2, 5, 3, 5, 4, 5})
 	f.Add([]byte{5, 6, 7, 8, 9, 1, 1, 6, 2, 2, 7, 0, 8, 3, 9})
+	f.Add([]byte{10, 23, 58, 58, 70, 70, 84, 84, 2, 58, 58, 24, 70, 70, 23, 84, 12, 84, 10, 58, 58})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		rng := rand.New(rand.NewSource(int64(len(ops))))
 		db := NewDB()
+		t.Cleanup(func() { _ = db.Close() })
 		rels := map[string]*relation.Relation{}
-		register := func(name string) {
-			rel := relation.FromTuples(name, tiedTuples(rng, 1+rng.Intn(40), strings.ToLower(name)))
+		// stored holds the rows of each stored relation, whose Rows the
+		// DB released.
+		stored := map[string][]relation.Row{}
+		register := func(rel *relation.Relation) {
 			db.MustRegister(rel)
-			rels[name] = rel
+			rels[rel.Name] = rel
+			delete(stored, rel.Name)
 		}
-		register("X")
-		register("Y")
+		appendRow := func(name string) {
+			row := relation.TupleToRow(tiedTuples(rng, 1, "p")[0])
+			if err := db.Append(name, row); err != nil {
+				t.Fatal(err)
+			}
+			if rows, ok := stored[name]; ok {
+				stored[name] = append(rows, row)
+			}
+		}
+		register(relation.FromTuples("X", tiedTuples(rng, 1+rng.Intn(40), "x")))
+		register(relation.FromTuples("Y", tiedTuples(rng, 1+rng.Intn(40), "y")))
 		var queries []orderedQuery
 		queries = append(queries, orderedQueries()...)
 		for _, name := range []string{"X", "Y"} {
@@ -408,18 +636,40 @@ func FuzzOrderIndex(f *testing.F) {
 		}
 		for _, op := range ops {
 			name := []string{"X", "Y"}[op&1]
-			switch op % 10 {
+			_, isStored := stored[name]
+			switch op % 13 {
 			case 0, 1:
-				register(name)
+				register(relation.FromTuples(name, tiedTuples(rng, 1+rng.Intn(40), strings.ToLower(name))))
 			case 2, 3:
-				row := relation.TupleToRow(tiedTuples(rng, 1, "p")[0])
-				if err := db.Append(name, row); err != nil {
-					t.Fatal(err)
-				}
+				appendRow(name)
 			case 4:
-				rels[name].Rows = append(rels[name].Rows, relation.TupleToRow(tiedTuples(rng, 1, "d")[0]))
+				if !isStored {
+					rels[name].Rows = append(rels[name].Rows, relation.TupleToRow(tiedTuples(rng, 1, "d")[0]))
+				}
+			case 10:
+				rows := rels[name].Rows
+				err := db.StoreRelation(name, t.TempDir(), 2)
+				switch {
+				case isStored && !errors.Is(err, ErrAlreadyStored):
+					t.Fatalf("second StoreRelation of %s: %v", name, err)
+				case !isStored && err != nil:
+					t.Fatal(err)
+				case !isStored:
+					stored[name] = rows
+				}
+			case 11:
+				if !isStored {
+					appendRow(name)
+					break
+				}
+				hf := db.stored[name]
+				for pages := hf.Pages(); hf.Pages() == pages; {
+					appendRow(name)
+				}
+			case 12:
+				register(rels[name])
 			default:
-				q := queries[int(op/10)%len(queries)]
+				q := queries[int(op/13)%len(queries)]
 				opt := colOpt()
 				if op&1 == 1 {
 					opt = rowOpt()
@@ -428,7 +678,15 @@ func FuzzOrderIndex(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wst := runFresh(t, q.tree, opt, rels["X"], rels["Y"])
+				mirror := make([]*relation.Relation, 0, 2)
+				for _, n := range []string{"X", "Y"} {
+					rel := rels[n]
+					if rows, ok := stored[n]; ok {
+						rel = &relation.Relation{Name: n, Schema: rel.Schema, Rows: rows}
+					}
+					mirror = append(mirror, rel)
+				}
+				want, wst := runFresh(t, q.tree, opt, mirror...)
 				sameWork(t, q.name, want, got, wst, gst)
 			}
 		}
@@ -484,6 +742,76 @@ func BenchmarkOrderIndex_Cold(b *testing.B) {
 func BenchmarkOrderIndex_Warm(b *testing.B) {
 	db, _ := orderIndexBench(b)
 	opt := Options{}
+	q := semijoinOf(algebra.KindContain)
+	if _, _, err := Run(db, q, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, err := Run(db, q, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orderIndexSink = out
+	}
+}
+
+// storedSemijoinBench is orderIndexBench with X and Y on heap files whose
+// pools hold 8 of their hundreds of pages, sorted under a workspace of an
+// eighth of their rows, as in the stored_spill workload: a whole-file scan
+// never hits the pool. store registers and stores both again, after which
+// the index holds nothing of them.
+func storedSemijoinBench(b *testing.B) (db *DB, opt Options, store func()) {
+	b.Helper()
+	db, rels := orderIndexBench(b)
+	rows := make([][]relation.Row, len(rels))
+	for i, rel := range rels {
+		rows[i] = rel.Rows
+	}
+	dir := b.TempDir()
+	store = func() {
+		for i, rel := range rels {
+			rel.Rows = rows[i]
+			if err := db.Register(rel); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.StoreRelation(rel.Name, dir, 8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	store()
+	b.Cleanup(func() { _ = db.Close() })
+	return db, Options{SortMemRows: len(rows[0]) / 8, SpillDir: b.TempDir()}, store
+}
+
+// The contain-semijoin over the stored relations, the first run after they
+// were stored: query-ns/op is that run's time alone, without storing.
+func BenchmarkStoredSemijoin_Cold(b *testing.B) {
+	db, opt, store := storedSemijoinBench(b)
+	q := semijoinOf(algebra.KindContain)
+	var query time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 {
+			store()
+		}
+		start := time.Now()
+		out, _, err := Run(db, q, opt)
+		query += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orderIndexSink = out
+	}
+	b.ReportMetric(float64(query.Nanoseconds())/float64(b.N), "query-ns/op")
+}
+
+// The same query again over the orders the index kept.
+func BenchmarkStoredSemijoin_Warm(b *testing.B) {
+	db, opt, _ := storedSemijoinBench(b)
 	q := semijoinOf(algebra.KindContain)
 	if _, _, err := Run(db, q, opt); err != nil {
 		b.Fatal(err)

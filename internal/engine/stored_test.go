@@ -80,12 +80,11 @@ func storedTiedDB(t *testing.T, xs, ys []relation.Tuple, pool func(pages int64) 
 }
 
 // A stored input gives every ordered operator the result it gives in
-// memory, byte for byte and with the same logical work, serially, fanned
-// out, spilled and on the row path.
+// memory, byte for byte and with the same logical work, serially, spilled
+// and on the row path.
 func TestStoredByteIdenticalToInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	xs, ys := tiedTuples(rng, 600, "x"), tiedTuples(rng, 500, "y")
-	stored := storedTiedDB(t, xs, ys, func(int64) int { return 2 })
 	spilled := colOpt()
 	spilled.SortMemRows = 5
 	for _, q := range orderedQueries() {
@@ -93,10 +92,9 @@ func TestStoredByteIdenticalToInMemory(t *testing.T) {
 			if opt.SortMemRows > 0 {
 				opt.SpillDir = t.TempDir()
 			}
-			// A fresh in-memory DB per run: a warm one would take its
-			// orders from the endpoint index and sort nothing, and the
-			// stored side, which bypasses the index, sorts every time.
-			mem := tiedDB(t, xs, ys)
+			// Fresh DBs per run: a warm one would take its orders from the
+			// endpoint index and sort nothing.
+			mem, stored := tiedDB(t, xs, ys), storedTiedDB(t, xs, ys, func(int64) int { return 2 })
 			want, wst, err := Run(mem, q.tree, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -120,14 +118,15 @@ func TestStoredByteIdenticalToInMemory(t *testing.T) {
 	}
 }
 
-// A columnar semijoin over stored inputs reads each file once and decodes
-// exactly the rows it emits: none of its right input's.
+// A columnar semijoin over stored inputs, the first after they were
+// stored, reads each file once and decodes exactly the rows it emits: none
+// of its right input's.
 func TestStoredSemijoinDecodesOnlyEmittedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	db := storedTiedDB(t, tiedTuples(rng, 3000, "x"), tiedTuples(rng, 2000, "y"),
-		func(pages int64) int { return max(1, int(pages/8)) })
-	x, y := db.stored["X"], db.stored["Y"]
+	xs, ys := tiedTuples(rng, 3000, "x"), tiedTuples(rng, 2000, "y")
 	for _, kind := range []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap} {
+		db := storedTiedDB(t, xs, ys, func(pages int64) int { return max(1, int(pages/8)) })
+		x, y := db.stored["X"], db.stored["Y"]
 		dx, dy := x.Stats().RowsDecoded, y.Stats().RowsDecoded
 		out, st, err := Run(db, semijoinOf(kind), colOpt())
 		if err != nil {
@@ -149,10 +148,13 @@ func TestStoredSemijoinDecodesOnlyEmittedRows(t *testing.T) {
 // scans poll before each page, so no page is read without a poll, and a
 // semijoin's decode of its output rows polls per page's worth of rows, so
 // a hook that fires on any call of an uninterrupted run aborts it —
-// spilled or not, with SpillDir left empty.
+// spilled or not, with SpillDir left empty. The relation index keeps
+// nothing here, so every run scans both files as the first run after
+// StoreRelation does; a served right input reads no page to poll for.
 func TestStoredQueryInterruptsPerPage(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	db := storedTiedDB(t, tiedTuples(rng, 800, "x"), tiedTuples(rng, 700, "y"), func(int64) int { return 1 })
+	db.index.budget = 0
 	pagesRead := func() int64 { return db.StoredIO("X").PagesRead + db.StoredIO("Y").PagesRead }
 	stop := errors.New("stop")
 	scan, semi := &algebra.Scan{Relation: "X", As: "a"}, semijoinOf(algebra.KindContain)
@@ -214,5 +216,63 @@ func TestStoredQueryInterruptsPerPage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A second StoreRelation of a stored relation is refused with
+// ErrAlreadyStored and changes nothing: the relation still scans every row
+// of its file. Register of new rows under a stored name closes the file
+// and forgets it, so scans read the new rows, which can then be stored.
+func TestStoredRelationReStoreAndRegister(t *testing.T) {
+	db := NewDB()
+	fac := workload.Faculty(workload.FacultyConfig{N: 900, Seed: 36})
+	n := fac.Cardinality()
+	db.MustRegister(fac)
+	dir := t.TempDir()
+	if err := db.StoreRelation("Faculty", dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	count := func(when string) int {
+		t.Helper()
+		out, st, err := Run(db, &algebra.Scan{Relation: "Faculty", As: "f"}, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if st.Nodes[0].OutRows != int64(len(out.Rows)) {
+			t.Fatalf("%s: the scan reports %d rows and returns %d", when, st.Nodes[0].OutRows, len(out.Rows))
+		}
+		return len(out.Rows)
+	}
+	hf := db.stored["Faculty"]
+	if err := db.StoreRelation("Faculty", dir, 4); !errors.Is(err, ErrAlreadyStored) {
+		t.Fatalf("second StoreRelation: %v, want ErrAlreadyStored", err)
+	}
+	if db.stored["Faculty"] != hf || hf.Rows() != int64(n) {
+		t.Fatalf("a refused StoreRelation replaced or changed the heap file: %d rows", hf.Rows())
+	}
+	if got := count("after the refused re-store"); got != n {
+		t.Fatalf("stored Faculty scans %d rows after a refused re-store, want %d", got, n)
+	}
+
+	small := workload.Faculty(workload.FacultyConfig{N: 10, Seed: 37})
+	m := small.Cardinality()
+	if err := db.Register(small); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db.stored["Faculty"]; ok || db.StoredIO("Faculty") != nil {
+		t.Fatal("Register kept the replaced relation's heap file")
+	}
+	if _, _, err := hf.ReadRows(nil); err == nil {
+		t.Error("the replaced heap file is still open")
+	}
+	if got := count("registered over the stored relation"); got != m {
+		t.Fatalf("Faculty registered anew scans %d rows, want its %d", got, m)
+	}
+	if err := db.StoreRelation("Faculty", dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := count("stored again"); got != m || db.StoredIO("Faculty") == nil {
+		t.Fatalf("Faculty stored again scans %d rows, want %d", got, m)
 	}
 }

@@ -35,8 +35,8 @@ type IOStats struct {
 }
 
 // HeapFile is an append-only paged file of encoded rows of one schema.
-// Reads (Scan, ScanRange, ReadRows, ScanKeys, PageRows.Decode) are safe to
-// run concurrently; writes (Append, Flush) are not, and must not overlap
+// Reads (Scan, ReadRows, ScanKeys, PageRows.Decode) are safe to run
+// concurrently; writes (Append, Flush) are not, and must not overlap
 // with reads.
 type HeapFile struct {
 	f      *os.File
@@ -162,10 +162,10 @@ func (h *HeapFile) flushCurrent() error {
 }
 
 // readPage fills buf with the image of flushed page i, from the buffer pool
-// or, on a miss, from disk, caching the image in a recycled frame. The
-// caller's buffer is its own, so concurrent readers of disjoint page ranges
+// or, on a miss, from disk, caching the image in a recycled frame; disk
+// reports a miss. The caller's buffer is its own, so concurrent readers
 // hold the pool's lock only to copy a frame.
-func (h *HeapFile) readPage(i int64, buf *[PageSize]byte) error {
+func (h *HeapFile) readPage(i int64, buf *[PageSize]byte) (disk bool, err error) {
 	h.mu.Lock()
 	hit := h.pool.get(i, buf)
 	if !hit {
@@ -173,84 +173,74 @@ func (h *HeapFile) readPage(i int64, buf *[PageSize]byte) error {
 	}
 	h.mu.Unlock()
 	if hit {
-		return nil
+		return false, nil
 	}
 	if err := readPageAt(h.f, i, buf); err != nil {
-		return err
+		return true, err
 	}
 	h.mu.Lock()
 	h.pool.put(i, buf)
 	h.mu.Unlock()
-	return nil
+	return true, nil
 }
 
-// pageRange returns the page numbers [from, to) of ScanRange(lo, hi):
-// flushed pages lo to min(hi, Pages()), and Pages() itself — the open tail
-// — when hi exceeds Pages().
-func (h *HeapFile) pageRange(lo, hi int64) (from, to int64) {
-	if hi > h.pages {
-		hi = h.pages + 1
-	}
-	return min(max(lo, 0), h.pages), hi
-}
-
-// image returns the image of page i: a flushed page read into buf through
-// the pool, or, for i = Pages(), the open tail page sealed in place — the
-// live page, nil when it holds no rows.
-func (h *HeapFile) image(i int64, buf *[PageSize]byte) ([]byte, error) {
+// image returns the image of page i in buf: a flushed page read through
+// the pool, or, for i = Pages(), a copy of the open tail page, sealed under
+// the pool's lock because concurrent readers all seal it; nil when the
+// tail holds no rows. disk reports a read from disk.
+func (h *HeapFile) image(i int64, buf *[PageSize]byte) (img []byte, disk bool, err error) {
 	if i < h.pages {
-		return buf[:], h.readPage(i, buf)
+		disk, err = h.readPage(i, buf)
+		return buf[:], disk, err
 	}
 	if h.cur.rows == 0 {
-		return nil, nil
+		return nil, false, nil
 	}
+	h.mu.Lock()
 	h.cur.finalize()
-	return h.cur.buf[:], nil
+	*buf = h.cur.buf
+	h.mu.Unlock()
+	return buf[:], false, nil
 }
 
-// walkPages is the one page-range walker under row scans and key scans: it
-// calls fn with the image of each page of ScanRange(lo, hi), in file order.
-// Every flushed page is read into one buffer that the next overwrites, and
-// the tail image is the live page: fn copies what it keeps. check, when not
-// nil, runs before each page and stops the walk with its error.
-func (h *HeapFile) walkPages(lo, hi int64, check func() error, fn func(img []byte) error) error {
+// walkPages is the one page walker under row scans and key scans: it calls
+// fn with the image of each page of the file, the open tail last, in file
+// order, and returns how many pages it read from disk rather than the
+// pool. Every page is read into one buffer that the next overwrites: fn
+// copies what it keeps. check, when not nil, runs before each page and
+// stops the walk with its error.
+func (h *HeapFile) walkPages(check func() error, fn func(img []byte) error) (pagesRead int64, err error) {
 	var buf [PageSize]byte
-	from, to := h.pageRange(lo, hi)
-	for i := from; i < to; i++ {
+	for i := int64(0); i <= h.pages; i++ {
 		if check != nil {
 			if err := check(); err != nil {
-				return err
+				return pagesRead, err
 			}
 		}
-		img, err := h.image(i, &buf)
+		img, disk, err := h.image(i, &buf)
+		if disk {
+			pagesRead++
+		}
 		if err != nil {
-			return err
+			return pagesRead, err
 		}
 		if img == nil {
 			continue
 		}
 		if err := fn(img); err != nil {
-			return err
+			return pagesRead, err
 		}
 	}
-	return nil
+	return pagesRead, nil
 }
 
-// rowsIn returns the number of rows of ScanRange(lo, hi): exact for the
-// whole file, the range's share of the pages for a part of it.
-func (h *HeapFile) rowsIn(lo, hi int64) int64 {
-	from, to := h.pageRange(lo, hi)
-	if from == 0 && to > h.pages {
-		return h.rows
-	}
-	return h.rows * max(to-from, 0) / (h.pages + 1)
-}
-
-// ReadRows returns the rows of ScanRange(lo, hi), in file order, decoded
-// a page at a time; check is as for walkPages.
-func (h *HeapFile) ReadRows(lo, hi int64, check func() error) ([]relation.Row, error) {
-	dst := make([]relation.Row, 0, h.rowsIn(lo, hi))
-	err := h.walkPages(lo, hi, check, func(img []byte) error {
+// ReadRows returns every row of the file, in file order, decoded a page at
+// a time, and the number of pages it read from disk, not the pool: a
+// count of its own, which concurrent readers of the file do not disturb.
+// check is as for walkPages.
+func (h *HeapFile) ReadRows(check func() error) ([]relation.Row, int64, error) {
+	dst := make([]relation.Row, 0, h.rows)
+	pagesRead, err := h.walkPages(check, func(img []byte) error {
 		n := len(dst)
 		var err error
 		if dst, err = decodePage(dst, img, h.schema); err != nil {
@@ -260,9 +250,9 @@ func (h *HeapFile) ReadRows(lo, hi int64, check func() error) ([]relation.Row, e
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, pagesRead, err
 	}
-	return dst, nil
+	return dst, pagesRead, nil
 }
 
 // Keys is a key scan's result: the lifespans of a heap file's rows as
@@ -271,6 +261,8 @@ func (h *HeapFile) ReadRows(lo, hi int64, check func() error) ([]relation.Row, e
 type Keys struct {
 	TS, TE []interval.Time
 	Rows   *PageRows // nil unless the scan kept its pages
+	// PagesRead counts the pages the scan read from disk, not the pool.
+	PagesRead int64
 }
 
 // PageRows holds the rows behind a key scan undecoded: a copy of each
@@ -308,28 +300,27 @@ func (p *PageRows) Decode(dst relation.Row, i int32) error {
 	return nil
 }
 
-// ScanKeys makes one pass over the pages of ScanRange(lo, hi) and returns
-// their rows' lifespans, in file order, read from columns tsCol and teCol
-// (8-byte kinds) without decoding a row. With keep it also keeps each
-// page's used bytes and each row's RID in Keys.Rows — the open tail page
-// is copied like any other, so rows appended later do not reach it. check
-// is as for walkPages. Over the whole file the columns are exactly as long
-// as the file has rows.
-func (h *HeapFile) ScanKeys(lo, hi int64, tsCol, teCol int, keep bool, check func() error) (*Keys, error) {
+// ScanKeys makes one pass over the file's pages and returns their rows'
+// lifespans, in file order, read from columns tsCol and teCol (8-byte
+// kinds) without decoding a row. With keep it also keeps each page's used
+// bytes and each row's RID in Keys.Rows — the open tail page is copied
+// like any other, so rows appended later do not reach it. check is as for
+// walkPages. The columns are exactly as long as the file has rows.
+func (h *HeapFile) ScanKeys(tsCol, teCol int, keep bool, check func() error) (*Keys, error) {
 	for _, c := range []int{tsCol, teCol} {
 		if c < 0 || c >= h.schema.Arity() || h.schema.Cols[c].Kind == value.KindString {
 			return nil, fmt.Errorf("storage: key scan of column %d of %s", c, h.schema)
 		}
 	}
-	n := h.rowsIn(lo, hi)
+	n := h.rows
 	k := &Keys{TS: make([]interval.Time, 0, n), TE: make([]interval.Time, 0, n)}
 	var rids []int64
 	if keep {
-		from, to := h.pageRange(lo, hi)
-		k.Rows = &PageRows{h: h, pages: make([]string, 0, max(to-from, 0))}
+		k.Rows = &PageRows{h: h, pages: make([]string, 0, h.pages+1)}
 		rids = make([]int64, 0, n)
 	}
-	err := h.walkPages(lo, hi, check, func(img []byte) error {
+	var err error
+	k.PagesRead, err = h.walkPages(check, func(img []byte) error {
 		var base int64
 		if keep {
 			base = int64(len(k.Rows.pages)) * PageSize
@@ -352,58 +343,19 @@ func (h *HeapFile) ScanKeys(lo, hi int64, tsCol, teCol int, keep bool, check fun
 	return k, nil
 }
 
-// ConcatKeys joins the key scans of consecutive page ranges of one file,
-// in order, into the key scan of their union. Either every part kept its
-// rows or none did.
-func ConcatKeys(parts []*Keys) *Keys {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	n := 0
-	for _, p := range parts {
-		n += len(p.TS)
-	}
-	out := &Keys{TS: make([]interval.Time, 0, n), TE: make([]interval.Time, 0, n)}
-	for _, p := range parts {
-		out.TS, out.TE = append(out.TS, p.TS...), append(out.TE, p.TE...)
-	}
-	if parts[0].Rows == nil {
-		return out
-	}
-	rows := &PageRows{h: parts[0].Rows.h, rids: make([]int64, 0, n)}
-	for _, p := range parts {
-		base := int64(len(rows.pages)) * PageSize
-		for _, rid := range p.Rows.rids {
-			rows.rids = append(rows.rids, base+rid)
-		}
-		rows.pages = append(rows.pages, p.Rows.pages...)
-	}
-	out.Rows = rows
-	return out
-}
-
-// Scan returns a stream over all rows, in file order. Each Scan that
-// touches disk pages counts toward PagesRead unless served by the pool.
+// Scan returns a stream over all rows, in file order, the open tail page
+// last. Each Scan that touches disk pages counts toward PagesRead unless
+// served by the pool.
 func (h *HeapFile) Scan() stream.Stream[relation.Row] {
-	return h.ScanRange(0, h.pages+1)
-}
-
-// ScanRange returns a stream over the rows of flushed pages [lo, min(hi,
-// Pages())), in file order. If hi exceeds Pages(), the open in-memory
-// tail page is drained after the last flushed page, so ScanRange(0,
-// Pages()+1) is equivalent to Scan(). Disjoint ranges may be consumed
-// concurrently; each page read is counted once.
-func (h *HeapFile) ScanRange(lo, hi int64) stream.Stream[relation.Row] {
-	from, to := h.pageRange(lo, hi)
-	return &heapScan{h: h, page: from, end: to}
+	return &heapScan{h: h, end: h.pages + 1}
 }
 
 // heapScan is the pull form of ReadRows: it decodes one page at a time
 // into a row slice it reuses.
 type heapScan struct {
 	h    *HeapFile
-	page int64 // next page of the range
-	end  int64 // first page beyond the range
+	page int64 // next page to decode
+	end  int64 // one past the open tail page, as it was when the scan began
 	buf  [PageSize]byte
 	rows []relation.Row
 	i    int
@@ -420,7 +372,7 @@ func (s *heapScan) Next() (relation.Row, bool) {
 			return nil, false
 		}
 		var img []byte
-		if img, s.err = s.h.image(s.page, &s.buf); s.err != nil || img == nil {
+		if img, _, s.err = s.h.image(s.page, &s.buf); s.err != nil || img == nil {
 			s.page++
 			continue
 		}

@@ -13,9 +13,9 @@ import (
 )
 
 // keysOf runs ScanKeys over TupleSchema's ValidFrom and ValidTo.
-func keysOf(t *testing.T, hf *HeapFile, lo, hi int64, keep bool) *Keys {
+func keysOf(t *testing.T, hf *HeapFile, keep bool) *Keys {
 	t.Helper()
-	k, err := hf.ScanKeys(lo, hi, 2, 3, keep, nil)
+	k, err := hf.ScanKeys(2, 3, keep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func requireKeys(t *testing.T, name string, k *Keys, want []relation.Row) {
 
 // A key scan reads each page once, decodes nothing until asked, and covers
 // the open tail page with a copy: rows appended after the scan neither
-// show up in it nor disturb the rows it kept.
+// show up in it nor disturb the rows it kept. A string column is refused.
 func TestScanKeysTailCopiedNotAliased(t *testing.T) {
-	hf, want := rangeFile(t, 500) // leaves rows on the open tail page
+	hf, want := pagedFile(t, 500) // leaves rows on the open tail page
 	if hf.cur.rows == 0 {
 		t.Fatal("fixture has no open tail page")
 	}
 	pages := hf.Pages()
-	k := keysOf(t, hf, 0, pages+1, true)
+	k := keysOf(t, hf, true)
 	if got := hf.Stats().PagesRead; got != pages {
 		t.Errorf("key scan read %d pages, the file has %d", got, pages)
 	}
@@ -78,35 +78,17 @@ func TestScanKeysTailCopiedNotAliased(t *testing.T) {
 		t.Errorf("RowsDecoded %d after decoding %d rows", got, len(want))
 	}
 	// Without keep, no page is copied.
-	if k := keysOf(t, hf, 0, 2, false); k.Rows != nil || len(k.TS) == 0 {
-		t.Errorf("keyless scan kept rows %v, %d keys", k.Rows, len(k.TS))
+	if k := keysOf(t, hf, false); k.Rows != nil || len(k.TS) != int(hf.Rows()) {
+		t.Errorf("keyless scan kept rows %v, %d keys of %d rows", k.Rows, len(k.TS), hf.Rows())
 	}
-}
-
-// Key scans of contiguous ranges, joined in order, are the key scan of the
-// whole file, RIDs included.
-func TestConcatKeysEqualsWholeScan(t *testing.T) {
-	hf, want := rangeFile(t, 700)
-	pages := hf.Pages()
-	for _, k := range []int64{1, 2, 3, 5} {
-		var parts []*Keys
-		for i := int64(0); i < k; i++ {
-			hi := pages * (i + 1) / k
-			if i == k-1 {
-				hi = pages + 1
-			}
-			parts = append(parts, keysOf(t, hf, pages*i/k, hi, true))
-		}
-		requireKeys(t, "concatenated", ConcatKeys(parts), want)
-	}
-	if _, err := hf.ScanKeys(0, 1, 0, 3, false, nil); err == nil {
+	if _, err := hf.ScanKeys(0, 3, false, nil); err == nil {
 		t.Error("key scan of a string column accepted")
 	}
 }
 
 // check runs before every page and stops the scan with its error.
 func TestScanKeysCheckStopsPerPage(t *testing.T) {
-	hf, _ := rangeFile(t, 500)
+	hf, _ := pagedFile(t, 500)
 	stop := errors.New("stop")
 	calls := 0
 	check := func() error {
@@ -115,25 +97,25 @@ func TestScanKeysCheckStopsPerPage(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := hf.ScanKeys(0, hf.Pages()+1, 2, 3, true, check); !errors.Is(err, stop) {
+	if _, err := hf.ScanKeys(2, 3, true, check); !errors.Is(err, stop) {
 		t.Fatalf("error %v, want the check's", err)
 	}
 	if got := hf.Stats().PagesRead; got != 1 {
 		t.Errorf("stopped scan read %d pages, want 1", got)
 	}
 	calls = 0
-	if _, err := hf.ReadRows(0, hf.Pages()+1, check); !errors.Is(err, stop) {
+	if _, _, err := hf.ReadRows(check); !errors.Is(err, stop) {
 		t.Fatalf("row scan error %v, want the check's", err)
 	}
 }
 
 // The pool evicts the least recently used frame and recycles it.
 func TestBufferPoolLRU(t *testing.T) {
-	hf, _ := rangeFile(t, 500)
+	hf, _ := pagedFile(t, 500)
 	hf.pool = newBufferPool(2, hf.stats)
 	var buf [PageSize]byte
 	read := func(i int64) {
-		if err := hf.readPage(i, &buf); err != nil {
+		if _, err := hf.readPage(i, &buf); err != nil {
 			t.Fatal(err)
 		}
 	}
