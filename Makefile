@@ -42,7 +42,11 @@ test:
 # the /v1/subscribe decoder and resume arithmetic: a typed bad_request, or
 # replaySince's events contiguous up to the head or a typed error, the
 # /v1/query and /v1/execute parameter path: values or a typed bad_request
-# or bind_error, never a panic,
+# or bind_error, never a panic, the /v1/session, /v1/session/close and
+# /v1/prepare handlers: an answer or a typed error, never a panic, the
+# row codec's writer: json.Marshal's exact bytes for strings and rows, the
+# driver's response decoder: what encoding/json with UseNumber and a
+# per-cell conversion accepts, with the same cells, and nothing else,
 # the quel parser: a program it accepts prints, reparses and prints again
 # to the same text, and the driver's DSN parser: a connector with positive
 # retry durations or an error.
@@ -57,6 +61,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzAppendRequest -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzSubscribeRequest -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzSessionRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzPrepareRequest -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzWireString -fuzztime=10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz=FuzzWireRows -fuzztime=10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz=FuzzQueryResponse -fuzztime=10s ./driver
 	$(GO) test -run '^$$' -fuzz=FuzzQuelRoundTrip -fuzztime=10s ./internal/quel
 	$(GO) test -run '^$$' -fuzz=FuzzDSN -fuzztime=10s ./driver
 

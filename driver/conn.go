@@ -77,7 +77,7 @@ func (cn *Conn) QueryContext(ctx context.Context, query string, args []driver.Na
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{cols: resp.Columns, rows: resp.Rows}, nil
+	return newRows(resp), nil
 }
 
 // ExecContext runs a statement for its effect — usually "retrieve into",
@@ -88,7 +88,7 @@ func (cn *Conn) ExecContext(ctx context.Context, query string, args []driver.Nam
 	if err != nil {
 		return nil, err
 	}
-	return result{rows: int64(len(resp.Rows))}, nil
+	return result{rows: int64(resp.n)}, nil
 }
 
 func (cn *Conn) query(ctx context.Context, query string, args []driver.NamedValue) (*queryResponse, error) {
@@ -194,7 +194,7 @@ func (st *Stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (dri
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{cols: resp.Columns, rows: resp.Rows}, nil
+	return newRows(resp), nil
 }
 
 // Exec executes the statement for its effect (see Conn.ExecContext).
@@ -208,7 +208,7 @@ func (st *Stmt) ExecContext(ctx context.Context, args []driver.NamedValue) (driv
 	if err != nil {
 		return nil, err
 	}
-	return result{rows: int64(len(resp.Rows))}, nil
+	return result{rows: int64(resp.n)}, nil
 }
 
 func (st *Stmt) execute(ctx context.Context, args []driver.NamedValue) (*queryResponse, error) {

@@ -2,21 +2,28 @@ package driver
 
 import (
 	"database/sql/driver"
-	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
 	"strings"
+
+	"tdb/internal/wire"
 )
 
 // Rows iterates one result set. String columns scan as string; time
 // (chronon) and int columns scan as int64 — chronons up to
 // interval.Forever (2^63-2) survive the wire exactly because both ends
 // move them as JSON integer literals, never float64.
+//
+// The whole response is read and decoded before QueryContext returns: a
+// malformed or truncated body, or a cell that does not fit its column's
+// kind, is an error from QueryContext, never from Next. String cells
+// share one copy of the response body, which stays alive while any of
+// them is referenced.
 type Rows struct {
-	cols []wireColumn
-	rows [][]any
-	i    int
+	cols  []wireColumn
+	cells wire.Columns
+	n, i  int
 }
 
 var (
@@ -24,6 +31,11 @@ var (
 	_ driver.RowsColumnTypeDatabaseTypeName = (*Rows)(nil)
 	_ driver.RowsColumnTypeScanType         = (*Rows)(nil)
 )
+
+// newRows iterates a decoded response.
+func newRows(resp *queryResponse) *Rows {
+	return &Rows{cols: resp.Columns, cells: resp.cells, n: resp.n}
+}
 
 // Columns returns the result column names.
 func (r *Rows) Columns() []string {
@@ -36,34 +48,26 @@ func (r *Rows) Columns() []string {
 
 // Close releases the buffered rows.
 func (r *Rows) Close() error {
-	r.rows = nil
+	r.cells, r.n = nil, 0
 	return nil
 }
 
 // Next yields the next row, or io.EOF.
 func (r *Rows) Next(dest []driver.Value) error {
-	if r.i >= len(r.rows) {
+	if r.i >= r.n {
 		return io.EOF
 	}
-	row := r.rows[r.i]
-	r.i++
-	if len(row) != len(dest) {
-		return fmt.Errorf("tdb: row arity %d, expected %d", len(row), len(dest))
+	if len(dest) != len(r.cells) {
+		return fmt.Errorf("tdb: row arity %d, expected %d", len(r.cells), len(dest))
 	}
-	for j, cell := range row {
-		switch v := cell.(type) {
-		case string:
-			dest[j] = v
-		case json.Number:
-			n, err := v.Int64()
-			if err != nil {
-				return fmt.Errorf("tdb: column %s: %q is not an int64: %w", r.cols[j].Name, v.String(), err)
-			}
-			dest[j] = n
-		default:
-			return fmt.Errorf("tdb: column %s: unexpected wire value %T", r.cols[j].Name, cell)
+	for j := range dest {
+		if c := &r.cells[j]; c.Strings != nil {
+			dest[j] = c.Strings[r.i]
+		} else {
+			dest[j] = c.Ints[r.i]
 		}
 	}
+	r.i++
 	return nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"tdb/internal/wire"
 )
 
 // ErrDrained is returned by Subscription.Next once the server announced
@@ -80,10 +82,11 @@ type Subscription struct {
 	lastSeq int64
 	stats   Stats
 
-	br     *bufio.Reader
-	body   io.ReadCloser
-	cancel context.CancelFunc
-	closed bool
+	strCols []bool // per delta column: a string column, or an integer one
+	br      *bufio.Reader
+	body    io.ReadCloser
+	cancel  context.CancelFunc
+	closed  bool
 }
 
 // Subscribe admits the quel subscribe statement as a standing query on
@@ -128,7 +131,7 @@ func (s *Subscription) dial(req subscribeRequest) error {
 		return fmt.Errorf("tdb: subscribe: first event is %q, want meta", ev)
 	}
 	var m subscribeMeta
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := json.Unmarshal([]byte(data), &m); err != nil {
 		_ = resp.Body.Close()
 		return fmt.Errorf("tdb: subscribe: decoding meta: %w", err)
 	}
@@ -139,8 +142,10 @@ func (s *Subscription) dial(req subscribeRequest) error {
 	s.br = br
 	s.token = m.Resume
 	s.meta = Meta{Name: m.Name, Mode: m.Mode, Explain: m.Explain, Resume: m.Resume, ReplayCap: m.ReplayCap}
-	for _, c := range m.Columns {
+	s.strCols = make([]bool, len(m.Columns))
+	for j, c := range m.Columns {
 		s.meta.Columns = append(s.meta.Columns, Column(c))
+		s.strCols[j] = c.Kind == "string"
 	}
 	return nil
 }
@@ -194,32 +199,11 @@ func (s *Subscription) nextEvent() (Deltas, error) {
 	}
 	switch ev {
 	case "deltas":
-		var d subscribeDeltas
-		dec := json.NewDecoder(strings.NewReader(string(data)))
-		dec.UseNumber()
-		if err := dec.Decode(&d); err != nil {
+		d, err := decodeDeltas(data, s.strCols)
+		if err != nil {
 			return Deltas{}, fmt.Errorf("tdb: decoding deltas: %w", err)
 		}
-		out := Deltas{Seq: d.Seq, Rows: make([][]any, len(d.Rows))}
-		for i, row := range d.Rows {
-			vals := make([]any, len(row))
-			for j, cell := range row {
-				switch v := cell.(type) {
-				case string:
-					vals[j] = v
-				case json.Number:
-					n, err := v.Int64()
-					if err != nil {
-						return Deltas{}, fmt.Errorf("tdb: delta cell %q is not an int64: %w", v.String(), err)
-					}
-					vals[j] = n
-				default:
-					return Deltas{}, fmt.Errorf("tdb: unexpected delta cell %T", cell)
-				}
-			}
-			out.Rows[i] = vals
-		}
-		return out, nil
+		return d, nil
 	case "drain":
 		return Deltas{}, ErrDrained
 	case "error":
@@ -227,7 +211,7 @@ func (s *Subscription) nextEvent() (Deltas, error) {
 			Code    string `json:"code"`
 			Message string `json:"message"`
 		}
-		if err := json.Unmarshal(data, &we); err != nil || we.Code == "" {
+		if err := json.Unmarshal([]byte(data), &we); err != nil || we.Code == "" {
 			return Deltas{}, fmt.Errorf("tdb: malformed stream error event: %s", data)
 		}
 		return Deltas{}, &Error{Code: we.Code, Message: we.Message}
@@ -235,6 +219,46 @@ func (s *Subscription) nextEvent() (Deltas, error) {
 		return Deltas{}, fmt.Errorf("tdb: unexpected stream event %q", ev)
 	}
 }
+
+// deltaMembers names a "deltas" event payload's members on the wire.
+var deltaMembers = []string{"seq", "rows"}
+
+// decodeDeltas reads one "deltas" payload with one scan, each cell a
+// string or an int64 as its column's kind says. A cell of the other JSON
+// type, a row of the wrong arity or a malformed payload is an error.
+func decodeDeltas(data string, strCols []bool) (Deltas, error) {
+	var d Deltas
+	var cells anyCells
+	n := 0
+	s := wire.NewScanner(data)
+	err := s.Object(deltaMembers, func(member int) error {
+		if member == 0 {
+			return s.Decode(&d.Seq)
+		}
+		cells = cells[:0]
+		var err error
+		n, err = s.Rows(strCols, &cells)
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return Deltas{}, err
+	}
+	w := len(strCols)
+	d.Rows = make([][]any, n)
+	for i := range d.Rows {
+		d.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return d, nil
+}
+
+// anyCells collects scanned cells row after row as Deltas cells.
+type anyCells []any
+
+func (c *anyCells) Str(_ int, v string) { *c = append(*c, v) }
+func (c *anyCells) Int(_ int, v int64)  { *c = append(*c, v) }
 
 // resume re-dials the stream with the resume token and last delivered
 // seq, under the connector's backoff policy. Typed server errors are
@@ -296,11 +320,11 @@ func (s *Subscription) Close() error {
 
 // readEvent parses one server-sent event (event: + data: lines up to a
 // blank line).
-func readEvent(br *bufio.Reader) (event string, data []byte, err error) {
+func readEvent(br *bufio.Reader) (event, data string, err error) {
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {
-			return "", nil, err
+			return "", "", err
 		}
 		line = strings.TrimRight(line, "\n")
 		switch {
@@ -309,7 +333,7 @@ func readEvent(br *bufio.Reader) (event string, data []byte, err error) {
 		case strings.HasPrefix(line, "event: "):
 			event = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
-			data = []byte(strings.TrimPrefix(line, "data: "))
+			data = strings.TrimPrefix(line, "data: ")
 		}
 	}
 }

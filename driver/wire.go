@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
+
+	"tdb/internal/wire"
 )
 
 // The driver speaks the wire protocol from its JSON shapes alone — it
@@ -49,13 +53,94 @@ type queryRequest struct {
 	Params  []any  `json:"params,omitempty"`
 }
 
+// queryResponse is a /v1/query or /v1/execute response, read by decode:
+// the envelope members, and the rows as typed columns.
 type queryResponse struct {
-	Columns       []wireColumn `json:"columns"`
-	Rows          [][]any      `json:"rows"`
-	Into          string       `json:"into,omitempty"`
-	Contradiction bool         `json:"contradiction,omitempty"`
-	Notes         []string     `json:"notes,omitempty"`
-	ElapsedNS     int64        `json:"elapsed_ns"`
+	Columns       []wireColumn
+	Into          string
+	Contradiction bool
+	Notes         []string
+	ElapsedNS     int64
+	// cells holds the rows column by column: cells[j].Strings for a
+	// string column, cells[j].Ints otherwise, n cells each.
+	cells wire.Columns
+	n     int
+}
+
+// queryMembers names queryResponse's members on the wire, in the order
+// decode switches on them.
+var queryMembers = []string{"columns", "rows", "into", "contradiction", "notes", "elapsed_ns"}
+
+// decode reads a whole response body with one scan. Members may come in
+// any order and unknown ones are skipped; the rows go straight into typed
+// columns under the columns' kinds. The result is what encoding/json with
+// UseNumber, followed by a conversion of each cell to its column's kind,
+// makes of the body (duplicate members included), and a body that
+// conversion would reject is an error here.
+func (q *queryResponse) decode(body string) error {
+	s := wire.NewScanner(body)
+	var (
+		rows     string // the last rows member, to scan again if the columns change after it
+		rowsGen  int    // the columns generation its cells were scanned under
+		gen      int    // bumped by every columns member
+		misfit   error  // the last rows member's *wire.CellError
+		scanRows = func(sc *wire.Scanner, rest string) error {
+			// Rows are "],["-separated as the server writes them; the
+			// count sizes each column once (a guess, never a limit), and
+			// no more cells are reserved than the rest of the body holds,
+			// at two bytes a cell at least.
+			hint := min(strings.Count(rest, "],[")+1, len(rest)/(2*max(1, len(q.Columns))))
+			str := make([]bool, len(q.Columns))
+			q.cells = make(wire.Columns, len(q.Columns))
+			for j, c := range q.Columns {
+				if str[j] = c.Kind == "string"; str[j] {
+					q.cells[j].Strings = make([]string, 0, hint)
+				} else {
+					q.cells[j].Ints = make([]int64, 0, hint)
+				}
+			}
+			var err error
+			q.n, err = sc.Rows(str, q.cells)
+			return err
+		}
+	)
+	err := s.Object(queryMembers, func(member int) error {
+		switch member {
+		case 0:
+			gen++
+			return s.Decode(&q.Columns)
+		case 1:
+			start := s.Offset()
+			misfit = scanRows(s, body[start:])
+			var ce *wire.CellError
+			if misfit != nil && !errors.As(misfit, &ce) {
+				return misfit
+			}
+			rows, rowsGen = body[start:s.Offset()], gen
+			return nil
+		case 2:
+			return s.Decode(&q.Into)
+		case 3:
+			return s.Decode(&q.Contradiction)
+		case 4:
+			return s.Decode(&q.Notes)
+		default:
+			return s.Decode(&q.ElapsedNS)
+		}
+	})
+	if err == nil {
+		err = s.End()
+	}
+	switch {
+	case err != nil:
+		return err
+	case rows != "" && rowsGen != gen:
+		return scanRows(wire.NewScanner(rows), rows)
+	}
+	if q.cells == nil {
+		q.cells = make(wire.Columns, len(q.Columns))
+	}
+	return misfit
 }
 
 type prepareRequest struct {
@@ -107,11 +192,6 @@ type subscribeMeta struct {
 	ReplayCap int          `json:"replay_cap,omitempty"`
 }
 
-type subscribeDeltas struct {
-	Seq  int64   `json:"seq"`
-	Rows [][]any `json:"rows"`
-}
-
 type errorEnvelope struct {
 	Error struct {
 		Code         string `json:"code"`
@@ -125,7 +205,8 @@ type errorEnvelope struct {
 // a typed *Error. Every endpoint routed through post is safe to repeat
 // (appends pass through only when keyed); use postOnce otherwise.
 // Chronons travel as JSON numbers up to interval.Forever (2^63-2), so
-// responses are decoded with json.Number — float64 would corrupt them.
+// responses are decoded as integers — json.Number or the row scanner's
+// int64 cells — never float64, which would corrupt them.
 func (c *Connector) post(ctx context.Context, endpoint string, in, out any) error {
 	return c.withRetry(ctx, endpoint, func() error {
 		return c.postOnce(ctx, endpoint, in, out)
@@ -145,6 +226,19 @@ func (c *Connector) postOnce(ctx context.Context, endpoint string, in, out any) 
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if q, ok := out.(*queryResponse); ok {
+		var body strings.Builder
+		if resp.ContentLength > 0 {
+			body.Grow(int(resp.ContentLength))
+		}
+		if _, err := io.Copy(&body, resp.Body); err != nil {
+			return fmt.Errorf("tdb: reading %s response: %w", endpoint, err)
+		}
+		if err := q.decode(body.String()); err != nil {
+			return fmt.Errorf("tdb: decoding %s response: %w", endpoint, err)
+		}
 		return nil
 	}
 	dec := json.NewDecoder(resp.Body)

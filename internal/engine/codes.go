@@ -73,7 +73,8 @@ func (c *columnCodes) bytes() int64 {
 	return int64(4*(len(c.codes)+len(c.starts)+len(c.rows)+len(d.slots)+len(d.ends)) + len(d.arena))
 }
 
-// codeSeed hashes every dictionary's keys; codes do not depend on it.
+// codeSeed hashes every dictionary's keys and distinctRows' row keys;
+// neither codes nor results depend on it.
 var codeSeed = maphash.MakeSeed()
 
 // codeDict maps a cell's AppendKey encoding to its code by open addressing

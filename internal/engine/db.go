@@ -139,10 +139,12 @@ func (db *DB) Close() error {
 
 // Register adds (or replaces) a relation and refreshes its statistics.
 // The relation index forgets every entry of the relation it replaces —
-// rel itself, when it is registered again after a change to its rows. A
-// stored relation it replaces loses its heap file, which is closed: rel's
-// rows are the relation's from then on. An error closing the file is
-// returned after rel is registered.
+// rel itself, when it is registered again after a change to its rows —
+// and the name forgets the live state appends gave it, so rel is indexed
+// and its statistics are its own until it is appended to. A stored
+// relation it replaces loses its heap file, which is closed: rel's rows
+// are the relation's from then on. An error closing the file is returned
+// after rel is registered.
 func (db *DB) Register(rel *relation.Relation) error {
 	if err := rel.Check(); err != nil {
 		return err
@@ -150,6 +152,7 @@ func (db *DB) Register(rel *relation.Relation) error {
 	if old, ok := db.rels[rel.Name]; ok {
 		db.index.drop(old)
 	}
+	delete(db.live, rel.Name)
 	var closeErr error
 	if hf, ok := db.stored[rel.Name]; ok {
 		delete(db.stored, rel.Name)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -430,6 +432,33 @@ func TestProjectDistinctAndSpans(t *testing.T) {
 	}
 	if res.Schema.Temporal() {
 		t.Error("snapshot projection kept temporal designation")
+	}
+}
+
+// distinctRows keeps exactly the rows a seen-set of AppendKey strings
+// keeps, in order, whatever the duplicate rate and the projected columns.
+func TestDistinctRowsMatchesSeenSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{0, 1, 7, 3000} {
+		for _, kinds := range []int{2, 40, 5000} {
+			rows := make([]relation.Row, n)
+			for i := range rows {
+				rows[i] = relation.Row{value.String_(fmt.Sprint("s", rng.Intn(kinds))), value.Int(int64(rng.Intn(kinds))), value.TimeVal(interval.Time(rng.Intn(3)))}
+			}
+			for _, idx := range [][]int{{0}, {1, 2}, {2, 0}, {0, 1, 2}} {
+				seen := map[string]bool{}
+				var want []int32
+				for i, r := range rows {
+					if k := string(relation.AppendKey(nil, r, idx)); !seen[k] {
+						seen[k] = true
+						want = append(want, int32(i))
+					}
+				}
+				if got := distinctRows(rowsView(rows, 3), idx); !slices.Equal(got, want) {
+					t.Fatalf("n %d, %d kinds, columns %v: kept %d rows, the seen-set %d", n, kinds, idx, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

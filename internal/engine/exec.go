@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"time"
 
@@ -818,6 +820,44 @@ func compileProject(p *algebra.Project, in *relation.Schema) (*relation.Schema, 
 // evalProject is the sink of its plan: it builds the output rows from its
 // input view, each once, DISTINCT first picking the positions whose
 // projected key is new.
+// distinctRows returns, in order, the positions of v's rows whose cells
+// at idx no earlier row repeats. Rows are found by the hash of their
+// AppendKey encoding in an open-addressing table of positions, and keys
+// are compared only on equal hashes, so the table is pointer-free and
+// nothing is allocated per row.
+func distinctRows(v view, idx []int) []int32 {
+	rd := v.reader()
+	keep := make([]int32, 0, v.n)
+	hashes := make([]uint64, 0, v.n) // hashes[k] is keep[k]'s
+	size := 16
+	for size < 2*v.n {
+		size *= 2
+	}
+	slots := make([]int32, size) // at most half full: one plus an index into keep, 0 when empty
+	mask := size - 1
+	var key, other []byte
+	for i := range int32(v.n) {
+		key = relation.AppendKey(key[:0], rd.at(i), idx)
+		h := maphash.Bytes(codeSeed, key)
+		s := int(h) & mask
+		for ; slots[s] != 0; s = (s + 1) & mask {
+			k := slots[s] - 1
+			if hashes[k] != h {
+				continue
+			}
+			if other = relation.AppendKey(other[:0], rd.at(keep[k]), idx); bytes.Equal(key, other) {
+				break
+			}
+		}
+		if slots[s] == 0 {
+			slots[s] = int32(len(keep)) + 1
+			keep = append(keep, i)
+			hashes = append(hashes, h)
+		}
+	}
+	return keep
+}
+
 func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
@@ -831,17 +871,7 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	v := in.v
 	if n.Distinct {
 		v = v.flat()
-		rd := v.reader()
-		seen := make(map[string]bool, v.n)
-		keep := make([]int32, 0, v.n)
-		var key []byte
-		for i := range int32(v.n) {
-			if key = relation.AppendKey(key[:0], rd.at(i), idx); !seen[string(key)] {
-				seen[string(key)] = true
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) < v.n {
+		if keep := distinctRows(v, idx); len(keep) < v.n {
 			v = v.pick(keep)
 		}
 	}

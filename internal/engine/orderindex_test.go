@@ -896,3 +896,37 @@ func BenchmarkSuperstar_Warm(b *testing.B) {
 		orderIndexSink = out
 	}
 }
+
+// Registering a relation anew under a name that took appends forgets the
+// replaced relation's live state: the catalog statistics are the new
+// rows' alone, even after RefreshStats, and the new relation's scans are
+// served by the relation index again.
+func TestRegisterForgetsLiveState(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	db := NewDB()
+	db.MustRegister(relation.FromTuples("X", tiedTuples(rng, 500, "x")))
+	db.MustRegister(relation.FromTuples("Y", tiedTuples(rng, 250, "y")))
+	if err := db.Append("X", relation.TupleToRow(tiedTuples(rng, 1, "a")[0])); err != nil {
+		t.Fatal(err)
+	}
+	x := relation.FromTuples("X", tiedTuples(rng, 10, "z"))
+	db.MustRegister(x)
+	db.RefreshStats("X")
+	if st := db.Stats("X"); st == nil || st.Cardinality != 10 {
+		t.Fatalf("re-registered X: statistics %+v, want cardinality 10", st)
+	}
+	q := semijoinOf(algebra.KindOverlap)
+	var gst *Stats
+	for i := 0; i < 2; i++ {
+		var err error
+		if _, gst, err = Run(db, q, colOpt()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := entriesOf(db, x); n == 0 {
+		t.Fatal("re-registered X has no index entry: its scans are treated as live")
+	}
+	if indexHits(gst) != 2 {
+		t.Errorf("warm run over re-registered X: %d index hits, want 2", indexHits(gst))
+	}
+}

@@ -81,10 +81,10 @@ func TestChaosSubscribeDeliverSevers(t *testing.T) {
 	// input frontiers past TS=2 so the stream operator may emit it (their
 	// own pair stays below the frontier and is never released).
 	for _, app := range []AppendRequest{
-		{Relation: "F", Rows: [][]any{{"alice", "Assistant", 1, 10}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"bob", "Full", 2, 8}}, Flush: true},
-		{Relation: "F", Rows: [][]any{{"carol", "Full", 20, 25}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"dave", "Full", 21, 26}}, Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"alice", "Assistant", 1, 10}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"bob", "Full", 2, 8}), Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"carol", "Full", 20, 25}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"dave", "Full", 21, 26}), Flush: true},
 	} {
 		if we := post(t, ts.URL, "append", app, nil); we != nil {
 			t.Fatalf("append: %s", we.Message)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,28 +43,63 @@ func writeError(w http.ResponseWriter, e *Error) {
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: wireError{Code: e.Code, Message: e.Message, RetryAfterMS: e.RetryAfterMS}})
 }
 
-// writeJSON serializes a success response through the server/wire-write
-// failpoint. Torn mode sends a strict prefix of the body and severs the
-// connection, so a client can never mistake an injected wire failure for
-// a complete result: the truncated JSON fails to decode.
+// writeJSON serializes a success response with encoding/json and writes
+// it through writeBody.
 func writeJSON(w http.ResponseWriter, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, errf(CodeExec, "encode response: %v", err))
 		return
 	}
+	writeBody(w, b)
+}
+
+// writeBody writes a success response's JSON document through the
+// server/wire-write failpoint. Torn mode sends a strict prefix of the body
+// and severs the connection, so a client can never mistake an injected
+// wire failure for a complete result: the truncated JSON fails to decode.
+func writeBody(w http.ResponseWriter, b []byte) {
 	n, ferr := fault.Torn("server/wire-write", len(b))
 	if ferr != nil {
 		writeError(w, errf(CodeExec, "wire write: %v", ferr))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	if n < len(b) {
 		_, _ = w.Write(b[:n])
 		// lint:allow panic — http.ErrAbortHandler is the stdlib idiom for severing a connection mid-response; net/http recovers it
 		panic(http.ErrAbortHandler)
 	}
 	_, _ = w.Write(b)
+}
+
+// spareBodies keeps a few query-response buffers between requests. A
+// sync.Pool would not do: it empties at every garbage collection, and a
+// wide result allocates enough to start one, so its buffer would seldom
+// outlive it. A buffer over spareBodyMax bytes is not kept.
+var spareBodies = make(chan []byte, 2)
+
+const spareBodyMax = 4 << 20
+
+// writeQuery encodes a query or execute response into a spare buffer and
+// writes it through writeBody.
+func writeQuery(w http.ResponseWriter, resp *QueryResponse) {
+	var buf []byte
+	select {
+	case buf = <-spareBodies:
+	default:
+	}
+	buf = resp.AppendJSON(buf[:0])
+	defer func() {
+		if cap(buf) <= spareBodyMax {
+			select {
+			case spareBodies <- buf:
+			default:
+			}
+		}
+	}()
+	writeBody(w, buf)
 }
 
 // resolve turns wire (session, tenant) fields into server state. With a
@@ -169,7 +205,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp, apiErr = s.runRetrieve(r, sess, ten, db, req.Quel, params)
 		if apiErr == nil {
 			ten.cQueries.Inc()
-			writeJSON(w, resp)
+			writeQuery(w, resp)
 			return
 		}
 	}
@@ -268,7 +304,7 @@ func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine
 		resp.Into = q.Into
 	}
 	resp.Columns = encodeColumns(out.Schema)
-	resp.Rows = encodeRows(out.Rows)
+	resp.Rows = out.Rows
 	resp.ElapsedNS = time.Since(start).Nanoseconds()
 	return resp, nil
 }
@@ -375,7 +411,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ten.cQueries.Inc()
-	writeJSON(w, resp)
+	writeQuery(w, resp)
 }
 
 // runPrepared executes a prepared statement: the parse and translation
@@ -497,14 +533,9 @@ func (s *Server) applyAppend(req *AppendRequest) (AppendResponse, *Error) {
 	if err != nil {
 		return AppendResponse{}, errf(CodeUnknownRelation, "%v", err)
 	}
-	rows := make([]relation.Row, len(req.Rows))
-	for i, wireRow := range req.Rows {
-		row, apiErr := decodeRow(sch, wireRow)
-		if apiErr != nil {
-			apiErr.Message = fmt.Sprintf("row %d: %s", i, apiErr.Message)
-			return AppendResponse{}, apiErr
-		}
-		rows[i] = row
+	rows, apiErr := decodeRows(sch, req.Rows)
+	if apiErr != nil {
+		return AppendResponse{}, apiErr
 	}
 	tbl := s.live.Table(req.Relation)
 	if tbl == nil {

@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"strconv"
 
 	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/value"
+	"tdb/internal/wire"
 )
 
 // Protocol is the wire protocol version; every endpoint lives under
@@ -66,9 +69,14 @@ type QueryRequest struct {
 	Params []any `json:"params,omitempty"`
 }
 
+// QueryResponse is the /v1/query and /v1/execute response. AppendJSON
+// writes it; the json tags name its members.
 type QueryResponse struct {
 	Columns []Column `json:"columns"`
-	Rows    [][]any  `json:"rows"`
+	// Rows travel as a JSON array of row arrays, one cell per column:
+	// strings as strings, time and int cells as integer literals, so
+	// chronons up to interval.Forever stay exact.
+	Rows []relation.Row `json:"-"`
 	// Into names the session relation the result was stored under, when
 	// the statement had an "into" clause (the rows still travel back).
 	Into string `json:"into,omitempty"`
@@ -106,11 +114,13 @@ type CloseStmtRequest struct {
 // append. Row values follow the relation's schema: strings for string
 // columns, numbers for time/int columns.
 type AppendRequest struct {
-	Session  string  `json:"session,omitempty"`
-	Tenant   string  `json:"tenant,omitempty"`
-	Relation string  `json:"relation"`
-	Rows     [][]any `json:"rows"`
-	Slack    int64   `json:"slack,omitempty"`
+	Session  string `json:"session,omitempty"`
+	Tenant   string `json:"tenant,omitempty"`
+	Relation string `json:"relation"`
+	// Rows are decoded under the relation's schema once it is resolved
+	// (decodeRows), straight into engine rows.
+	Rows  json.RawMessage `json:"rows"`
+	Slack int64           `json:"slack,omitempty"`
 	// Flush drains the reorder buffer after the appends, releasing
 	// every buffered row to storage and the standing queries.
 	Flush bool `json:"flush,omitempty"`
@@ -170,11 +180,12 @@ type PingResponse struct {
 	Status   string `json:"status"`
 }
 
-// SubscribeDeltas is the payload of each "deltas" SSE event. Seq numbers
-// the events from 1 so a client can detect a gap.
+// SubscribeDeltas is the payload of each "deltas" SSE event,
+// {"seq":N,"rows":[...]}, its rows encoded as in a QueryResponse. Seq
+// numbers the events from 1 so a client can detect a gap.
 type SubscribeDeltas struct {
-	Seq  int64   `json:"seq"`
-	Rows [][]any `json:"rows"`
+	Seq  int64
+	Rows []relation.Row
 }
 
 // --- value encoding -----------------------------------------------------
@@ -205,24 +216,140 @@ func encodeColumns(s *relation.Schema) []Column {
 	return cols
 }
 
-// encodeRows renders rows as JSON-ready values: strings as strings,
-// time/int as int64 (encoding/json emits int64 exactly, so Forever
-// round-trips; drivers must decode with json.Number for the same
-// reason).
-func encodeRows(rows []relation.Row) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		vals := make([]any, len(r))
-		for j, v := range r {
-			if v.Kind() == value.KindString {
-				vals[j] = v.AsString()
-			} else {
-				vals[j] = v.AsInt()
+// AppendJSON appends the response as the JSON document encoding/json
+// writes for it with its rows boxed as [][]any, byte for byte, but with no
+// boxing and no reflection.
+func (r *QueryResponse) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"columns":`...)
+	if r.Columns == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range r.Columns {
+			if i > 0 {
+				dst = append(dst, ',')
 			}
+			dst = append(dst, `{"name":`...)
+			dst = wire.AppendString(dst, c.Name)
+			dst = append(dst, `,"kind":`...)
+			dst = wire.AppendString(dst, c.Kind)
+			if c.Temporal != "" {
+				dst = append(dst, `,"temporal":`...)
+				dst = wire.AppendString(dst, c.Temporal)
+			}
+			dst = append(dst, '}')
 		}
-		out[i] = vals
+		dst = append(dst, ']')
 	}
-	return out
+	dst = append(dst, `,"rows":`...)
+	dst = wire.AppendRows(dst, r.Rows)
+	if r.Into != "" {
+		dst = append(dst, `,"into":`...)
+		dst = wire.AppendString(dst, r.Into)
+	}
+	if r.Contradiction {
+		dst = append(dst, `,"contradiction":true`...)
+	}
+	if len(r.Notes) > 0 {
+		dst = append(dst, `,"notes":[`...)
+		for i, n := range r.Notes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = wire.AppendString(dst, n)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"elapsed_ns":`...)
+	dst = strconv.AppendInt(dst, r.ElapsedNS, 10)
+	return append(dst, '}')
+}
+
+// UnmarshalJSON reads a response AppendJSON wrote, each cell typed by its
+// column's kind, so an in-process client holds the rows the server sent.
+func (r *QueryResponse) UnmarshalJSON(b []byte) error {
+	type plain QueryResponse
+	env := struct {
+		*plain
+		Rows json.RawMessage `json:"rows"`
+	}{plain: (*plain)(r)}
+	if err := json.Unmarshal(b, &env); err != nil {
+		return err
+	}
+	kinds := make([]value.Kind, len(r.Columns))
+	for i, c := range r.Columns {
+		kinds[i] = kindOf(c.Kind)
+	}
+	var err error
+	r.Rows, err = scanRows(kinds, string(env.Rows))
+	return err
+}
+
+// AppendJSON appends the event payload as encoding/json writes it with
+// its rows boxed as [][]any.
+func (d SubscribeDeltas) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, d.Seq, 10)
+	dst = append(dst, `,"rows":`...)
+	dst = wire.AppendRows(dst, d.Rows)
+	return append(dst, '}')
+}
+
+// kindOf is the value kind a wire column kind names.
+func kindOf(name string) value.Kind {
+	switch name {
+	case "string":
+		return value.KindString
+	case "time":
+		return value.KindTime
+	default:
+		return value.KindInt
+	}
+}
+
+// rowCells collects scanned cells as engine values, kinds[j] typing
+// column j, in one backing array the rows share.
+type rowCells struct {
+	kinds []value.Kind
+	cells []value.Value
+}
+
+func (c *rowCells) Str(_ int, v string) { c.cells = append(c.cells, value.String_(v)) }
+
+func (c *rowCells) Int(col int, v int64) {
+	if c.kinds[col] == value.KindTime {
+		c.cells = append(c.cells, value.TimeVal(interval.Time(v)))
+	} else {
+		c.cells = append(c.cells, value.Int(v))
+	}
+}
+
+// scanRows decodes a JSON array of rows whose columns have the given
+// kinds; empty raw (an absent member) is no rows. String cells share one
+// copy of raw.
+func scanRows(kinds []value.Kind, raw string) ([]relation.Row, error) {
+	if raw == "" {
+		return nil, nil
+	}
+	str := make([]bool, len(kinds))
+	for i, k := range kinds {
+		str[i] = k == value.KindString
+	}
+	sink := &rowCells{kinds: kinds}
+	s := wire.NewScanner(raw)
+	n, err := s.Rows(str, sink)
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	w := len(kinds)
+	rows := make([]relation.Row, n)
+	for i := range rows {
+		rows[i] = sink.cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows, nil
 }
 
 // decodeParams converts wire parameters (decoded with json.Number) to
@@ -249,39 +376,27 @@ func decodeParams(in []any) ([]value.Value, *Error) {
 	return out, nil
 }
 
-// decodeRow converts one wire row to engine values under a schema.
-func decodeRow(s *relation.Schema, in []any) (relation.Row, *Error) {
-	if len(in) != s.Arity() {
-		return nil, errf(CodeBadRequest, "row arity %d does not match schema %s", len(in), s)
+// decodeRows converts an append's wire rows to engine rows under the
+// relation's schema, checking each one as the schema demands. String
+// cells share one copy of the request's rows, which the appended rows
+// keep alive.
+func decodeRows(s *relation.Schema, raw json.RawMessage) ([]relation.Row, *Error) {
+	kinds := make([]value.Kind, len(s.Cols))
+	for i, c := range s.Cols {
+		kinds[i] = c.Kind
 	}
-	row := make(relation.Row, len(in))
-	for i, rv := range in {
-		col := s.Cols[i]
-		switch v := rv.(type) {
-		case string:
-			if col.Kind != value.KindString {
-				return nil, errf(CodeBadRequest, "column %s wants a %v, got string %q", col.Name, col.Kind, v)
-			}
-			row[i] = value.String_(v)
-		case json.Number:
-			n, err := v.Int64()
-			if err != nil {
-				return nil, errf(CodeBadRequest, "column %s: %q is not an integer: %v", col.Name, v.String(), err)
-			}
-			switch col.Kind {
-			case value.KindTime:
-				row[i] = value.TimeVal(interval.Time(n))
-			case value.KindInt:
-				row[i] = value.Int(n)
-			default:
-				return nil, errf(CodeBadRequest, "column %s wants a %v, got number %s", col.Name, col.Kind, v.String())
-			}
-		default:
-			return nil, errf(CodeBadRequest, "column %s: JSON %T is not a legal cell", col.Name, rv)
+	rows, err := scanRows(kinds, string(raw))
+	if err != nil {
+		var ce *wire.CellError
+		if errors.As(err, &ce) && ce.Col < len(s.Cols) {
+			return nil, errf(CodeBadRequest, "row %d: column %s (%v): %s", ce.Row, s.Cols[ce.Col].Name, s.Cols[ce.Col].Kind, ce.Msg)
+		}
+		return nil, errf(CodeBadRequest, "rows: %v", err)
+	}
+	for i, row := range rows {
+		if err := s.CheckRow(row); err != nil {
+			return nil, errf(CodeBadRequest, "row %d: %v", i, err)
 		}
 	}
-	if err := s.CheckRow(row); err != nil {
-		return nil, errf(CodeBadRequest, "%v", err)
-	}
-	return row, nil
+	return rows, nil
 }

@@ -2,30 +2,41 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
+	"tdb/internal/engine"
+	"tdb/internal/interval"
+	"tdb/internal/obs"
 	"tdb/internal/relation"
 	"tdb/internal/value"
+	"tdb/internal/workload"
 )
 
 // FuzzAppendRequest feeds arbitrary bytes through the append decoder:
-// decodeBody into an AppendRequest, then decodeRow for every row, under
+// decodeBody into an AppendRequest, then decodeRows over its rows, under
 // the canonical tuple schema and under a schema with an Int column. Each
 // step yields a value or a typed bad-request *Error, never a panic, and a
-// decoded row has one cell of the column's kind per column.
+// decoded row has one cell of the column's kind per column. The rows are
+// cross-checked against the decoder decodeRows replaced, encoding/json
+// into [][]any with UseNumber and then oldDecodeRow per row: both reject,
+// or both accept the same rows.
 func FuzzAppendRequest(f *testing.F) {
 	for _, req := range []AppendRequest{
-		{Relation: "F", Rows: [][]any{{"alice", "Assistant", 1, 10}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"bob", "Full", 2, 8}}, Flush: true},
-		{Relation: "F", Rows: [][]any{{"zoe", "Full", 1, 5}}, Flush: true, IdemKey: "k-dup-1"},
-		{Relation: "Faculty", Rows: [][]any{{"zz-wire", "Full", 5000, 6000}}, Flush: true},
-		{Relation: "NoSuch", Rows: [][]any{{"x"}}},
+		{Relation: "F", Rows: wireRows([]any{"alice", "Assistant", 1, 10}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"bob", "Full", 2, 8}), Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"zoe", "Full", 1, 5}), Flush: true, IdemKey: "k-dup-1"},
+		{Relation: "Faculty", Rows: wireRows([]any{"zz-wire", "Full", 5000, 6000}), Flush: true},
+		{Relation: "NoSuch", Rows: wireRows([]any{"x"})},
 		{Relation: "F", Flush: true},
-		{Session: "s1", Tenant: "t1", Relation: "F", Rows: [][]any{{"a", "Full", 10, 20}, {"b", "Full", 10, 20}}, Slack: 5, IdemKey: "k"},
+		{Session: "s1", Tenant: "t1", Relation: "F", Rows: wireRows([]any{"a", "Full", 10, 20}, []any{"b", "Full", 10, 20}), Slack: 5, IdemKey: "k"},
+		{Relation: "F", Rows: wireRows([]any{"a", 7, 10, 20}, []any{"<\u2028>", "b", -0, 9223372036854775806})},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -38,6 +49,8 @@ func FuzzAppendRequest(f *testing.F) {
 		`{"relation":"F","rows":[["a","b",1.5,"2"]]}`,
 		`{"relation":"F","rows":[[null,true,{},[]]]}`,
 		`{"relation":"F","rows":[["a","b",9223372036854775808,1]]}`,
+		`{"relation":"F","rows":[["a","b",-0,1],null]}`,
+		`{"relation":"F","rows":[["\ud800","\u00e9",1,2]]}`,
 		`{"relation":"F","rows":"x"}`,
 		`{"relation":"F","rows":[[]]`,
 		``,
@@ -63,20 +76,208 @@ func FuzzAppendRequest(f *testing.F) {
 			return
 		}
 		for _, sch := range []*relation.Schema{relation.TupleSchema, intSchema} {
-			for _, wire := range req.Rows {
-				row, apiErr := decodeRow(sch, wire)
-				if apiErr != nil {
-					typed(t, "decodeRow", apiErr)
-					continue
+			rows, apiErr := decodeRows(sch, req.Rows)
+			want, oldErr := oldDecodeRows(sch, req.Rows)
+			if (apiErr == nil) != (oldErr == nil) {
+				t.Fatalf("%s under %s: decodeRows %v, old decoder %v", req.Rows, sch, apiErr, oldErr)
+			}
+			if apiErr != nil {
+				typed(t, "decodeRows", apiErr)
+				continue
+			}
+			if len(rows) != len(want) {
+				t.Fatalf("%s: %d rows, old decoder %d", req.Rows, len(rows), len(want))
+			}
+			for i, row := range rows {
+				if len(row) != sch.Arity() || !row.Equal(want[i]) {
+					t.Fatalf("row %d: %v, old decoder %v", i, row, want[i])
 				}
-				if len(row) != sch.Arity() {
-					t.Fatalf("row %v has %d cells under %s", row, len(row), sch)
-				}
-				for i, v := range row {
-					if v.Kind() != sch.Cols[i].Kind {
-						t.Fatalf("cell %d of %v is a %v, column %s wants a %v", i, row, v.Kind(), sch.Cols[i].Name, sch.Cols[i].Kind)
+				for j, v := range row {
+					if v.Kind() != sch.Cols[j].Kind {
+						t.Fatalf("cell %d of %v is a %v, column %s wants a %v", j, row, v.Kind(), sch.Cols[j].Name, sch.Cols[j].Kind)
 					}
 				}
+			}
+		}
+	})
+}
+
+// oldDecodeRows is the append rows decoder decodeRows replaced: the rows
+// boxed as [][]any by encoding/json with UseNumber, then converted cell by
+// cell under the schema and checked.
+func oldDecodeRows(s *relation.Schema, raw json.RawMessage) ([]relation.Row, error) {
+	var in [][]any
+	if len(raw) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber()
+		if err := dec.Decode(&in); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]relation.Row, len(in))
+	for i, cells := range in {
+		if len(cells) != s.Arity() {
+			return nil, fmt.Errorf("row %d: arity %d", i, len(cells))
+		}
+		row := make(relation.Row, len(cells))
+		for j, cell := range cells {
+			kind := s.Cols[j].Kind
+			switch v := cell.(type) {
+			case string:
+				if kind != value.KindString {
+					return nil, fmt.Errorf("row %d: string in a %v column", i, kind)
+				}
+				row[j] = value.String_(v)
+			case json.Number:
+				n, err := v.Int64()
+				if err != nil || kind == value.KindString {
+					return nil, fmt.Errorf("row %d: number %s in a %v column", i, v, kind)
+				}
+				if kind == value.KindTime {
+					row[j] = value.TimeVal(interval.Time(n))
+				} else {
+					row[j] = value.Int(n)
+				}
+			default:
+				return nil, fmt.Errorf("row %d: JSON %T", i, cell)
+			}
+		}
+		if err := s.CheckRow(row); err != nil {
+			return nil, err
+		}
+		out[i] = row
+	}
+	return out, nil
+}
+
+// fuzzServer is a server over a small Faculty catalog for the handler
+// fuzz targets, which drive its endpoints through Handler.
+func fuzzServer(f *testing.F) *Server {
+	db := engine.NewDB()
+	db.MustRegister(workload.Faculty(workload.FacultyConfig{N: 20, Seed: 7}))
+	s := New(Config{DB: db, Registry: obs.NewRegistry()})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	return s
+}
+
+// serve runs one request through the server's handler and returns the
+// status and body. A non-200 body must be a typed error envelope whose
+// code is one of codes and travels under that code's status.
+func serve(t *testing.T, s *Server, endpoint string, body []byte, codes ...string) (int, []byte) {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/"+Protocol+"/"+endpoint, bytes.NewReader(body)))
+	if rec.Code == http.StatusOK {
+		return rec.Code, rec.Body.Bytes()
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("%s: status %d with an untyped body %q", endpoint, rec.Code, rec.Body.Bytes())
+	}
+	if !slices.Contains(codes, env.Error.Code) || rec.Code != httpStatus(env.Error.Code) {
+		t.Fatalf("%s: status %d, error %+v; want one of %v under its status", endpoint, rec.Code, env.Error, codes)
+	}
+	return rec.Code, rec.Body.Bytes()
+}
+
+// FuzzSessionRequest feeds arbitrary bytes to /v1/session (open) and
+// /v1/session/close through the server's handler. Open yields a session
+// of a configured tenant or a typed bad_request/unknown_tenant; close
+// yields {"status":"closed"} or a typed bad_request. Never a panic.
+func FuzzSessionRequest(f *testing.F) {
+	for _, v := range []any{
+		SessionOpenRequest{}, SessionOpenRequest{Tenant: "default"}, SessionOpenRequest{Tenant: "nope"},
+		SessionCloseRequest{Session: "s1"}, SessionCloseRequest{},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, false)
+		f.Add(body, true)
+	}
+	for _, raw := range []string{`{"tenant":7}`, `{"session":null}`, `null`, `[]`, `{"tenant":"default"`, ``} {
+		f.Add([]byte(raw), false)
+		f.Add([]byte(raw), true)
+	}
+	s := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, body []byte, close bool) {
+		if close {
+			if code, out := serve(t, s, "session/close", body, CodeBadRequest); code == http.StatusOK && string(out) != `{"status":"closed"}` {
+				t.Fatalf("close answered %s", out)
+			}
+			return
+		}
+		code, out := serve(t, s, "session", body, CodeBadRequest, CodeUnknownTenant)
+		if code != http.StatusOK {
+			return
+		}
+		var resp SessionOpenResponse
+		if err := json.Unmarshal(out, &resp); err != nil || resp.Session == "" || resp.Protocol != Protocol || resp.Tenant != "default" {
+			t.Fatalf("open answered %s (%v)", out, err)
+		}
+		s.sessions.close(resp.Session)
+	})
+}
+
+// FuzzPrepareRequest feeds arbitrary bytes to /v1/prepare through the
+// server's handler, once against an open session (the body's session is
+// replaced by it when the body decodes) and once as sent. The answer is a
+// prepared statement whose columns match its output schema, or a typed
+// bad_request, unknown_session, parse_error or translate_error. Never a
+// panic or a hang.
+func FuzzPrepareRequest(f *testing.F) {
+	for _, q := range []string{
+		"range of f is Faculty\nretrieve (f.Name, f.ValidFrom) where f.Rank = $1",
+		"range of f is Faculty\nretrieve (f.Name) where f.Rank = $1 and f.ValidFrom >= $2",
+		"range of f is Faculty\nretrieve into E (f.Name)",
+		"range of f is Faculty\nsubscribe s (f.Name)",
+		"range of f is Nope\nretrieve (f.Name)",
+		"range of f is Faculty",
+		"retrieve (",
+	} {
+		body, err := json.Marshal(PrepareRequest{Session: "s1", Quel: q})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, true)
+	}
+	for _, raw := range []string{`{"session":"s1"}`, `{"quel":7}`, `{"session":"s1","quel":"x"`, `null`, ``} {
+		f.Add([]byte(raw), false)
+		f.Add([]byte(raw), true)
+	}
+	s := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, body []byte, inSession bool) {
+		if inSession {
+			var req PrepareRequest
+			if json.Unmarshal(body, &req) == nil {
+				code, out := serve(t, s, "session", []byte(`{}`))
+				var open SessionOpenResponse
+				if code != http.StatusOK || json.Unmarshal(out, &open) != nil {
+					t.Fatalf("open session: %d %s", code, out)
+				}
+				defer s.sessions.close(open.Session)
+				req.Session = open.Session
+				var err error
+				if body, err = json.Marshal(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		code, out := serve(t, s, "prepare", body, CodeBadRequest, CodeUnknownSession, CodeParse, CodeTranslate)
+		if code != http.StatusOK {
+			return
+		}
+		var resp PrepareResponse
+		if err := json.Unmarshal(out, &resp); err != nil || resp.Stmt == "" || resp.NumParams < 0 {
+			t.Fatalf("prepare answered %s (%v)", out, err)
+		}
+		for _, c := range resp.Columns {
+			if c.Name == "" || (c.Kind != "string" && c.Kind != "time" && c.Kind != "int") {
+				t.Fatalf("prepare answered column %+v", c)
 			}
 		}
 	})

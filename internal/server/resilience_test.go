@@ -23,10 +23,10 @@ import (
 func feedFirstBatch(t *testing.T, base string) {
 	t.Helper()
 	for _, app := range []AppendRequest{
-		{Relation: "F", Rows: [][]any{{"alice", "Assistant", 1, 10}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"bob", "Full", 2, 8}}, Flush: true},
-		{Relation: "F", Rows: [][]any{{"carol", "Full", 20, 25}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"dave", "Full", 21, 26}}, Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"alice", "Assistant", 1, 10}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"bob", "Full", 2, 8}), Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"carol", "Full", 20, 25}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"dave", "Full", 21, 26}), Flush: true},
 	} {
 		if we := post(t, base, "append", app, nil); we != nil {
 			t.Fatalf("append %s: %s: %s", app.Relation, we.Code, we.Message)
@@ -42,8 +42,8 @@ func feedFirstBatch(t *testing.T, base string) {
 func feedSecondBatch(t *testing.T, base string) {
 	t.Helper()
 	for _, app := range []AppendRequest{
-		{Relation: "F", Rows: [][]any{{"iris", "Full", 60, 65}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"jack", "Full", 61, 66}}, Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"iris", "Full", 60, 65}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"jack", "Full", 61, 66}), Flush: true},
 	} {
 		if we := post(t, base, "append", app, nil); we != nil {
 			t.Fatalf("append %s: %s: %s", app.Relation, we.Code, we.Message)
@@ -70,8 +70,14 @@ func subscribeWithMeta(t *testing.T, ts *httptest.Server, req SubscribeRequest) 
 	return r, meta, cancel
 }
 
+// wireDeltas is a "deltas" event payload as a client decodes it.
+type wireDeltas struct {
+	Seq  int64   `json:"seq"`
+	Rows [][]any `json:"rows"`
+}
+
 // readDeltas reads the next event and requires it to be a deltas event.
-func readDeltas(t *testing.T, r *bufio.Reader) (SubscribeDeltas, []byte) {
+func readDeltas(t *testing.T, r *bufio.Reader) (wireDeltas, []byte) {
 	t.Helper()
 	ev, err := readEvent(r)
 	if err != nil {
@@ -80,7 +86,7 @@ func readDeltas(t *testing.T, r *bufio.Reader) (SubscribeDeltas, []byte) {
 	if ev.name != "deltas" {
 		t.Fatalf("event %q (%s), want deltas", ev.name, ev.data)
 	}
-	var d SubscribeDeltas
+	var d wireDeltas
 	if err := json.Unmarshal(ev.data, &d); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +251,7 @@ func TestChaosDupAppendDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Reset()
-	app := AppendRequest{Relation: "F", Rows: [][]any{{"zoe", "Full", 1, 5}}, Flush: true, IdemKey: "k-dup-1"}
+	app := AppendRequest{Relation: "F", Rows: wireRows([]any{"zoe", "Full", 1, 5}), Flush: true, IdemKey: "k-dup-1"}
 	body, _ := json.Marshal(app)
 	if _, err := http.Post(ts.URL+"/"+Protocol+"/append", "application/json", bytes.NewReader(body)); err == nil {
 		t.Fatal("armed dup-append fault did not sever the response")
@@ -264,7 +270,7 @@ func TestChaosDupAppendDedup(t *testing.T) {
 	// A fresh key with the same rows applies normally (watermark
 	// semantics aside, the window keys on the idempotency key alone).
 	var resp2 AppendResponse
-	app2 := AppendRequest{Relation: "F", Rows: [][]any{{"yan", "Full", 6, 9}}, Flush: true, IdemKey: "k-dup-2"}
+	app2 := AppendRequest{Relation: "F", Rows: wireRows([]any{"yan", "Full", 6, 9}), Flush: true, IdemKey: "k-dup-2"}
 	if we := post(t, ts.URL, "append", app2, &resp2); we != nil {
 		t.Fatalf("fresh-key append: %s: %s", we.Code, we.Message)
 	}
@@ -283,7 +289,7 @@ func TestRetryInFlightAppendAppliesOnce(t *testing.T) {
 	for i := range rows {
 		rows[i] = []any{fmt.Sprintf("r%02d", i), "Full", 10, 20}
 	}
-	body, err := json.Marshal(AppendRequest{Relation: "F", Rows: rows, IdemKey: "k-inflight"})
+	body, err := json.Marshal(AppendRequest{Relation: "F", Rows: wireRows(rows...), IdemKey: "k-inflight"})
 	if err != nil {
 		t.Fatal(err)
 	}

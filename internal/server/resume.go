@@ -7,6 +7,7 @@ import (
 
 	"tdb/internal/live"
 	"tdb/internal/obs"
+	"tdb/internal/relation"
 )
 
 // Wire-resilience bounds. The replay ring is sized by the same
@@ -21,11 +22,12 @@ const (
 )
 
 // subEvent is one delivered (or deliverable) delta event: its stream
-// sequence number and pre-encoded wire rows. Events enter the ring
-// before they touch the wire, so a severed write is always replayable.
+// sequence number and its encoded SubscribeDeltas payload, the bytes a
+// replay sends again. Events enter the ring before they touch the wire,
+// so a severed write is always replayable.
 type subEvent struct {
 	seq  int64
-	rows [][]any
+	data []byte
 }
 
 // subState is one standing subscription's server-side resume state. It
@@ -61,12 +63,13 @@ func newSubState(token, sessID string, sq *live.StandingQuery, ringCap int) *sub
 	}
 }
 
-// appendEvent assigns the next sequence number, records the event in the
-// bounded ring (evicting the oldest beyond capacity), and returns it.
-func (st *subState) appendEvent(rows [][]any) subEvent {
+// appendEvent assigns the next sequence number, encodes the rows as that
+// event's payload, records the event in the bounded ring (evicting the
+// oldest beyond capacity), and returns it.
+func (st *subState) appendEvent(rows []relation.Row) subEvent {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ev := subEvent{seq: st.nextSeq, rows: rows}
+	ev := subEvent{seq: st.nextSeq, data: SubscribeDeltas{Seq: st.nextSeq, Rows: rows}.AppendJSON(nil)}
 	st.nextSeq++
 	st.ring = append(st.ring, ev)
 	if len(st.ring) > st.ringCap {

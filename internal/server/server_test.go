@@ -20,6 +20,7 @@ import (
 	"tdb/internal/quel"
 	"tdb/internal/relation"
 	"tdb/internal/value"
+	"tdb/internal/wire"
 	"tdb/internal/workload"
 )
 
@@ -102,7 +103,7 @@ retrieve (f.Name, f.Rank) where f.Rank = "Full"
 
 // embeddedRows runs a statement through the embedded engine — the
 // reference the wire path must reproduce byte-for-byte.
-func embeddedRows(t *testing.T, db *engine.DB, text string, params []value.Value) [][]any {
+func embeddedRows(t *testing.T, db *engine.DB, text string, params []value.Value) []relation.Row {
 	t.Helper()
 	prog, err := quel.Parse(text)
 	if err != nil {
@@ -124,18 +125,23 @@ func embeddedRows(t *testing.T, db *engine.DB, text string, params []value.Value
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return encodeRows(out.Rows)
+	return out.Rows
 }
 
-// normalize re-encodes wire rows through JSON so embedded-side int64s
-// compare equal to driver-side json.Numbers.
-func normalize(t *testing.T, rows [][]any) string {
+// normalize renders rows as their wire encoding, so rows compare by
+// kind and value.
+func normalize(t *testing.T, rows []relation.Row) string {
 	t.Helper()
+	return string(wire.AppendRows(nil, rows))
+}
+
+// wireRows encodes append rows as a client does.
+func wireRows(rows ...[]any) json.RawMessage {
 	b, err := json.Marshal(rows)
 	if err != nil {
-		t.Fatalf("marshal rows: %v", err)
+		panic(err) // lint:allow panic — test fixture of literal rows
 	}
-	return string(b)
+	return b
 }
 
 func TestQueryMatchesEmbedded(t *testing.T) {
@@ -223,7 +229,7 @@ func TestPrepareExecuteRebind(t *testing.T) {
 			t.Errorf("rank %s: wire/embedded divergence", rank)
 		}
 		for _, row := range resp.Rows {
-			if row[1] != rank {
+			if row[1].AsString() != rank {
 				t.Fatalf("rank %s: got row %v — stale binding from an earlier execute", rank, row)
 			}
 		}
@@ -446,7 +452,7 @@ func TestAppendFeedsQueries(t *testing.T) {
 	var app AppendResponse
 	if we := post(t, ts.URL, "append", AppendRequest{
 		Relation: "Faculty",
-		Rows:     [][]any{{"zz-wire", "Full", 5000, 6000}},
+		Rows:     wireRows([]any{"zz-wire", "Full", 5000, 6000}),
 		Flush:    true,
 	}, &app); we != nil {
 		t.Fatalf("append: %s: %s", we.Code, we.Message)
@@ -464,11 +470,11 @@ func TestAppendFeedsQueries(t *testing.T) {
 	// A row behind the watermark is a typed late-tuple rejection.
 	if we := post(t, ts.URL, "append", AppendRequest{
 		Relation: "Faculty",
-		Rows:     [][]any{{"zz-late", "Full", 1, 2}},
+		Rows:     wireRows([]any{"zz-late", "Full", 1, 2}),
 	}, nil); we == nil || we.Code != CodeLateTuple {
 		t.Errorf("late append: %+v", we)
 	}
-	if we := post(t, ts.URL, "append", AppendRequest{Relation: "NoSuch", Rows: [][]any{{"x"}}}, nil); we == nil || we.Code != CodeUnknownRelation {
+	if we := post(t, ts.URL, "append", AppendRequest{Relation: "NoSuch", Rows: wireRows([]any{"x"})}, nil); we == nil || we.Code != CodeUnknownRelation {
 		t.Errorf("append to unknown relation: %+v", we)
 	}
 }
@@ -480,7 +486,7 @@ func TestInvertedLifespanAppendRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	we := post(t, ts.URL, "append", AppendRequest{
 		Relation: "Faculty",
-		Rows:     [][]any{{"zz", "Full", 9000, 8000}},
+		Rows:     wireRows([]any{"zz", "Full", 9000, 8000}),
 		Flush:    true,
 	}, nil)
 	if we == nil || we.Code != CodeBadRequest || !strings.Contains(we.Message, "ValidFrom < ValidTo") {
@@ -504,7 +510,7 @@ func TestMalformedRowAppliesNothing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := AppendRequest{
 		Relation: "Faculty",
-		Rows:     [][]any{{"zz-ok", "Full", 5000, 6000}, {"zz-bad", "Full", "x", 6000}},
+		Rows:     wireRows([]any{"zz-ok", "Full", 5000, 6000}, []any{"zz-bad", "Full", "x", 6000}),
 		Flush:    true,
 		IdemKey:  "k1",
 	}
@@ -522,7 +528,7 @@ func TestMalformedRowAppliesNothing(t *testing.T) {
 	if n := count(); n != 0 {
 		t.Fatalf("row 0 of a rejected request was applied (%d rows)", n)
 	}
-	req.Rows[1] = []any{"zz-bad", "Full", 5000, 6000}
+	req.Rows = wireRows([]any{"zz-ok", "Full", 5000, 6000}, []any{"zz-bad", "Full", 5000, 6000})
 	retry := post(t, ts.URL, "append", req, nil)
 	if retry == nil || *retry != *we {
 		t.Fatalf("retry under the same key: %+v, want the recorded %+v", retry, we)
@@ -573,12 +579,11 @@ func TestForeverSurvivesTheWire(t *testing.T) {
 		t.Fatal("the Forever row did not come back")
 	}
 	for _, row := range resp.Rows {
-		n, ok := row[1].(json.Number)
-		if !ok {
-			t.Fatalf("ValidTo decoded as %T", row[1])
+		if row[1].Kind() != value.KindTime {
+			t.Fatalf("ValidTo decoded as a %v", row[1].Kind())
 		}
-		if v, err := n.Int64(); err != nil || v < int64(1)<<60 {
-			t.Fatalf("ValidTo %v lost precision on the wire", n)
+		if v := row[1].AsInt(); v < int64(1)<<60 || row[0].AsString() == "zz-current" && v != int64(interval.Forever) {
+			t.Fatalf("ValidTo %d lost precision on the wire", v)
 		}
 	}
 }

@@ -15,13 +15,18 @@ import (
 	"tdb/internal/quel"
 )
 
-// writeEvent emits one server-sent event and flushes it to the client.
+// writeEvent emits one server-sent event with v's JSON as its data.
 func writeEvent(w http.ResponseWriter, fl http.Flusher, event string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
+	return writeEventData(w, fl, event, b)
+}
+
+// writeEventData emits one server-sent event and flushes it to the client.
+func writeEventData(w http.ResponseWriter, fl http.Flusher, event string, data []byte) error {
+	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
 		return err
 	}
 	fl.Flush()
@@ -183,7 +188,7 @@ func (s *Server) handleResume(w http.ResponseWriter, fl http.Flusher, r *http.Re
 		return
 	}
 	for _, ev := range replay {
-		if err := writeEvent(w, fl, "deltas", SubscribeDeltas{Seq: ev.seq, Rows: ev.rows}); err != nil {
+		if err := writeEventData(w, fl, "deltas", ev.data); err != nil {
 			return
 		}
 	}
@@ -276,7 +281,7 @@ func (s *Server) streamSub(w http.ResponseWriter, fl http.Flusher, r *http.Reque
 		if len(rows) == 0 {
 			continue
 		}
-		ev := st.appendEvent(encodeRows(rows))
+		ev := st.appendEvent(rows)
 		if err := fault.Check("server/subscribe-deliver"); err != nil {
 			// Sever before the event reaches the wire. The ring already
 			// holds it, so a resume replays exactly this event — the
@@ -284,7 +289,7 @@ func (s *Server) streamSub(w http.ResponseWriter, fl http.Flusher, r *http.Reque
 			// lint:allow panic — http.ErrAbortHandler severs the connection; net/http recovers it
 			panic(http.ErrAbortHandler)
 		}
-		if err := writeEvent(w, fl, "deltas", SubscribeDeltas{Seq: ev.seq, Rows: ev.rows}); err != nil {
+		if err := writeEventData(w, fl, "deltas", ev.data); err != nil {
 			return
 		}
 		if err := fault.Check("server/conn-sever"); err != nil {

@@ -119,10 +119,10 @@ func TestSubscribeStreamsDeltas(t *testing.T) {
 	// input frontiers past TS=2 so the stream operator may emit it (their
 	// own pair stays below the frontier and is never released).
 	for _, app := range []AppendRequest{
-		{Relation: "F", Rows: [][]any{{"alice", "Assistant", 1, 10}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"bob", "Full", 2, 8}}, Flush: true},
-		{Relation: "F", Rows: [][]any{{"carol", "Full", 20, 25}}, Flush: true},
-		{Relation: "G", Rows: [][]any{{"dave", "Full", 21, 26}}, Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"alice", "Assistant", 1, 10}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"bob", "Full", 2, 8}), Flush: true},
+		{Relation: "F", Rows: wireRows([]any{"carol", "Full", 20, 25}), Flush: true},
+		{Relation: "G", Rows: wireRows([]any{"dave", "Full", 21, 26}), Flush: true},
 	} {
 		if we := post(t, ts.URL, "append", app, nil); we != nil {
 			t.Fatalf("append %s: %s: %s", app.Relation, we.Code, we.Message)
@@ -135,7 +135,7 @@ func TestSubscribeStreamsDeltas(t *testing.T) {
 	if ev.name != "deltas" {
 		t.Fatalf("event %q, want deltas", ev.name)
 	}
-	var deltas SubscribeDeltas
+	var deltas wireDeltas
 	if err := json.Unmarshal(ev.data, &deltas); err != nil {
 		t.Fatal(err)
 	}
