@@ -47,7 +47,9 @@ test:
 # row codec's writer: json.Marshal's exact bytes for strings and rows, the
 # driver's response decoder: what encoding/json with UseNumber and a
 # per-cell conversion accepts, with the same cells, and nothing else,
-# the quel parser: a program it accepts prints, reparses and prints again
+# the driver's event stream: readEvent returns an event or an error on any
+# bytes, and decodeDeltas accepts exactly what encoding/json with a
+# per-cell kind check accepts, with the same seq and cells, the quel parser: a program it accepts prints, reparses and prints again
 # to the same text, and the driver's DSN parser: a connector with positive
 # retry durations or an error.
 fuzz:
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzWireString -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz=FuzzWireRows -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz=FuzzQueryResponse -fuzztime=10s ./driver
+	$(GO) test -run '^$$' -fuzz=FuzzEventStream -fuzztime=10s ./driver
 	$(GO) test -run '^$$' -fuzz=FuzzQuelRoundTrip -fuzztime=10s ./internal/quel
 	$(GO) test -run '^$$' -fuzz=FuzzDSN -fuzztime=10s ./driver
 

@@ -574,7 +574,7 @@ func (sh *shell) liveStatus() {
 		}
 		for _, q := range m.Queries() {
 			sh.printf("query %s: %s — %d deltas, workspace %d (bound %.0f), %s\n",
-				q.Name(), q.Explain(), len(q.Deltas()), q.Workspace(), q.Bound(), q.Suspended())
+				q.Name(), q.Explain(), q.Emitted(), q.Workspace(), q.Bound(), q.Suspended())
 		}
 		return nil
 	})

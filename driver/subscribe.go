@@ -230,18 +230,25 @@ func decodeDeltas(data string, strCols []bool) (Deltas, error) {
 	var d Deltas
 	var cells anyCells
 	n := 0
+	var misfit error // the last rows member's *wire.CellError: a later one replaces it
 	s := wire.NewScanner(data)
 	err := s.Object(deltaMembers, func(member int) error {
 		if member == 0 {
 			return s.Decode(&d.Seq)
 		}
 		cells = cells[:0]
-		var err error
-		n, err = s.Rows(strCols, &cells)
-		return err
+		n, misfit = s.Rows(strCols, &cells)
+		var ce *wire.CellError
+		if misfit != nil && !errors.As(misfit, &ce) {
+			return misfit
+		}
+		return nil
 	})
 	if err == nil {
 		err = s.End()
+	}
+	if err == nil {
+		err = misfit
 	}
 	if err != nil {
 		return Deltas{}, err

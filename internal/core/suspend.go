@@ -142,18 +142,22 @@ func (r *Runner[T]) Start(run func(emit func(T)) error) {
 
 // Poll resumes the operator until it suspends on a dry input or ends, and
 // returns the emissions since the previous Poll — with the operator's
-// error once it has ended with one.
+// error once it has ended with one. The returned slice is the runner's
+// emission buffer: it is valid until the next Poll, Finish or Stop, which
+// reuse its backing array, so a caller that keeps the emissions copies
+// them out first.
 func (r *Runner[T]) Poll() ([]T, error) {
 	if !r.rc.done {
 		r.next()
 	}
 	out := r.pending
-	r.pending = nil
+	r.pending = r.pending[:0]
 	return out, r.err
 }
 
 // Finish closes every feeder and polls: the operator sees end-of-stream on
-// every input, runs its termination logic and ends.
+// every input, runs its termination logic and ends. Its result lives in
+// the emission buffer, as Poll's does.
 func (r *Runner[T]) Finish() ([]T, error) {
 	for _, c := range r.rc.closers {
 		c()

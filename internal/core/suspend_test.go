@@ -168,3 +168,42 @@ func TestRunnerStopTearsDown(t *testing.T) {
 		t.Errorf("feed after stop buffered: backlog %d, want %d", fx.Backlog(), backlog)
 	}
 }
+
+// Poll hands out the runner's emission buffer: the next Poll writes its
+// emissions into the same backing array, so a caller keeps a poll's
+// emissions only by copying them out before polling again.
+func TestRunnerPollReusesBuffer(t *testing.T) {
+	r := NewRunner[int]()
+	f := Attach[int](r)
+	r.Start(func(emit func(int)) error {
+		for x, ok := f.Next(); ok; x, ok = f.Next() {
+			emit(x)
+		}
+		return nil
+	})
+	f.Feed(1, 2, 3)
+	first, err := r.Poll()
+	if err != nil || len(first) != 3 {
+		t.Fatalf("first poll = %v, %v; want 3 emissions", first, err)
+	}
+	kept := append([]int(nil), first...)
+	f.Feed(7, 8)
+	second, err := r.Poll()
+	if err != nil || len(second) != 2 || second[0] != 7 || second[1] != 8 {
+		t.Fatalf("second poll = %v, %v; want [7 8]", second, err)
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("second poll allocated a new emission buffer; want the first's backing array reused")
+	}
+	if first[0] != 7 || first[1] != 8 || first[2] != 3 {
+		t.Fatalf("first result after the second poll = %v, want [7 8 3]: overwritten in place", first)
+	}
+	if kept[0] != 1 || kept[1] != 2 || kept[2] != 3 {
+		t.Fatalf("copied-out emissions = %v, want [1 2 3]", kept)
+	}
+	f.Feed(9)
+	rows, err := r.Finish()
+	if err != nil || len(rows) != 1 || rows[0] != 9 || &rows[0] != &first[0] {
+		t.Fatalf("finish = %v, %v; want [9] in the same buffer", rows, err)
+	}
+}

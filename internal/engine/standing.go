@@ -11,6 +11,7 @@ import (
 	"tdb/internal/interval"
 	"tdb/internal/metrics"
 	"tdb/internal/relation"
+	"tdb/internal/value"
 )
 
 func init() {
@@ -56,7 +57,7 @@ type StandingPlan struct {
 	lpred, rpred     rowPred // pushed-down side filters; nil when absent
 	lspan, rspan     rowSpan
 	outSchema        *relation.Schema
-	project          func(relation.Row) relation.Row // nil = identity
+	project          []int // output cell i is input cell project[i]; nil = identity
 }
 
 // Schema returns the delta row schema.
@@ -152,16 +153,8 @@ func BuildStanding(db *DB, e algebra.Expr) (*StandingPlan, error) {
 		p.outSchema = relation.Concat(p.lschema, p.rschema, "", "")
 	}
 	if proj != nil {
-		var idx []int
-		if p.outSchema, idx, err = compileProject(proj, p.outSchema); err != nil {
+		if p.outSchema, p.project, err = compileProject(proj, p.outSchema); err != nil {
 			return nil, err
-		}
-		p.project = func(r relation.Row) relation.Row {
-			row := make(relation.Row, len(idx))
-			for i, j := range idx {
-				row[i] = r[j]
-			}
-			return row
 		}
 	}
 	return p, nil
@@ -201,6 +194,10 @@ type liveRow struct {
 
 func liveRowSpan(x liveRow) interval.Interval { return x.span }
 
+// slabCells is the length of a standing run's row slab: 2 048 16-byte
+// value.Value cells fill Go's 32 KiB small-object limit.
+const slabCells = 2048
+
 // standingAbort carries an injected fault out of the operator callback;
 // the run closure recovers it into a typed error.
 type standingAbort struct{ err error }
@@ -236,22 +233,62 @@ func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
 				err = fmt.Errorf("%w: %v", ErrWorkerPanic, rec)
 			}
 		}()
-		out := func(row relation.Row) {
-			// Failpoint: a fault here aborts the operator at its next
-			// emission — the mid-flight feeder failure the chaos suite
-			// injects. The error unwinds the whole run, never a partial
-			// delta: the row is withheld, not half-delivered.
+		// Output rows are cut from a slab shared by the run: one
+		// allocation per slabCells cells instead of one per row. Each row
+		// is capacity-clipped, so appending to it can never write into its
+		// neighbour.
+		var slab []value.Value
+		cut := func(w int) relation.Row {
+			if cap(slab)-len(slab) < w {
+				slab = make([]value.Value, 0, max(slabCells, w))
+			}
+			n := len(slab)
+			slab = slab[:n+w]
+			return relation.Row(slab[n : n+w : n+w])
+		}
+		// Failpoint: a fault here aborts the operator at its next
+		// emission — the mid-flight feeder failure the chaos suite
+		// injects. The error unwinds the whole run, never a partial delta:
+		// the row is withheld, not half-delivered.
+		check := func() {
 			if ferr := fault.Check("engine/standing-run"); ferr != nil {
 				// lint:allow panic — controlled unwind to the recover above; converted to a typed error
 				panic(standingAbort{err: ferr})
 			}
-			if p.project != nil {
-				row = p.project(row)
+		}
+		// pair emits the join row a ++ b, projected when the plan projects.
+		pair := func(a, b relation.Row) {
+			check()
+			if p.project == nil {
+				row := cut(len(a) + len(b))
+				copy(row, a)
+				copy(row[len(a):], b)
+				emit(row)
+				return
+			}
+			row := cut(len(p.project))
+			for i, j := range p.project {
+				if j < len(a) {
+					row[i] = a[j]
+				} else {
+					row[i] = b[j-len(a)]
+				}
 			}
 			emit(row)
 		}
-		emitLR := func(x, y liveRow) { out(relation.ConcatRows(x.row, y.row)) }
-		emitSemi := func(s liveRow) { out(s.row) }
+		emitLR := func(x, y liveRow) { pair(x.row, y.row) }
+		emitSemi := func(s liveRow) {
+			check()
+			if p.project == nil {
+				emit(s.row)
+				return
+			}
+			row := cut(len(p.project))
+			for i, j := range p.project {
+				row[i] = s.row[j]
+			}
+			emit(row)
+		}
 		switch {
 		case p.Semijoin && p.Kind == algebra.KindContain:
 			return core.ContainSemijoinTSTS[liveRow](fl, fr, liveRowSpan, opt, emitSemi)
@@ -265,7 +302,7 @@ func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
 			// Left during right ⇔ Contain-join(right, left); output keeps
 			// left columns first.
 			return core.ContainJoinTSTS[liveRow](fr, fl, liveRowSpan, opt,
-				func(x, y liveRow) { out(relation.ConcatRows(y.row, x.row)) })
+				func(x, y liveRow) { pair(y.row, x.row) })
 		default: // KindOverlap
 			return core.OverlapJoin[liveRow](fl, fr, liveRowSpan, opt, emitLR)
 		}
@@ -275,15 +312,10 @@ func (p *StandingPlan) Start(probe *metrics.Probe) *StandingRun {
 
 // feed filters, wraps and feeds appended base rows into one side.
 func feed(f *core.Feeder[liveRow], rows []relation.Row, pred rowPred, span rowSpan) {
-	ws := make([]liveRow, 0, len(rows))
 	for _, row := range rows {
-		if pred != nil && !pred(row) {
-			continue
+		if pred == nil || pred(row) {
+			f.Feed(liveRow{row: row, span: span.of(row)})
 		}
-		ws = append(ws, liveRow{row: row, span: span.of(row)})
-	}
-	if len(ws) > 0 {
-		f.Feed(ws...)
 	}
 }
 
@@ -295,7 +327,9 @@ func (r *StandingRun) FeedRight(rows []relation.Row) { feed(r.right, rows, r.pla
 // Poll resumes the operator over the input fed so far and returns the
 // delta rows it emitted. If the operator has terminated with an error (an
 // injected fault, a source failure), the error is returned alongside the
-// deltas emitted before it — complete rows only, never a partial one.
+// deltas emitted before it — complete rows only, never a partial one. The
+// slice is the runner's emission buffer, valid until the next Poll, Close
+// or Stop; the rows themselves are never reused.
 func (r *StandingRun) Poll() ([]relation.Row, error) { return r.runner.Poll() }
 
 // Emitted returns the number of delta rows ever emitted.
@@ -323,7 +357,8 @@ func (r *StandingRun) Suspended() string {
 func (r *StandingRun) Workspace() int64 { return r.probe.Workspace() }
 
 // Close ends the streams gracefully and returns the final delta rows: the
-// operator sees end-of-stream and runs its termination logic.
+// operator sees end-of-stream and runs its termination logic. The slice is
+// valid until the next call, as Poll's is.
 func (r *StandingRun) Close() ([]relation.Row, error) { return r.runner.Finish() }
 
 // Stop abandons the run and discards pending deltas.

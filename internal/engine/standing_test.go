@@ -2,6 +2,9 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -168,5 +171,87 @@ func TestDBAppendIncrementalStats(t *testing.T) {
 	}
 	if err := db.Append("Nope", mk(1, 0, 1)); err == nil {
 		t.Fatal("append to unknown relation accepted")
+	}
+}
+
+// A standing join cuts its rows from a slab: every delta row, projected or
+// not, has exactly its arity as capacity, so appending to one never writes
+// into the next, and the rows are the batch engine's answer. The input is
+// large enough that the rows span several slabs.
+func TestStandingJoinRowsFromSlab(t *testing.T) {
+	const n = 600
+	var rows []relation.Row
+	for i := 0; i < n; i++ {
+		ts := interval.Time(i)
+		rows = append(rows, relation.Row{value.Int(int64(i)), value.TimeVal(ts), value.TimeVal(ts + 1 + interval.Time(i%31))})
+	}
+	for _, kind := range []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap} {
+		for _, project := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/project=%v", kind, project), func(t *testing.T) {
+				db := standingDB(t)
+				a, _ := db.Relation("A")
+				b, _ := db.Relation("B")
+				a.Rows, b.Rows = rows, rows
+				var tree algebra.Expr = &algebra.Join{L: &algebra.Scan{Relation: "A"}, R: &algebra.Scan{Relation: "B"},
+					Kind: kind, LSpan: standingSpan("A"), RSpan: standingSpan("B")}
+				if project {
+					tree = &algebra.Project{Input: tree, Cols: []algebra.Output{
+						{Name: "BId", From: algebra.ColRef{Var: "B", Col: "Id"}},
+						{Name: "AId", From: algebra.ColRef{Var: "A", Col: "Id"}},
+						{Name: "ATo", From: algebra.ColRef{Var: "A", Col: "ValidTo"}},
+						{Name: "BFrom", From: algebra.ColRef{Var: "B", Col: "ValidFrom"}},
+					}}
+				}
+				plan, err := BuildStanding(db, tree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := plan.Start(nil)
+				run.FeedLeft(rows[:n/2])
+				run.FeedRight(rows[:n/3])
+				polled, err := run.Poll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := append([]relation.Row(nil), polled...)
+				run.FeedLeft(rows[n/2:])
+				run.FeedRight(rows[n/3:])
+				rest, err := run.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, rest...)
+				width := plan.Schema().Arity()
+				if len(got)*width < 2*slabCells {
+					t.Fatalf("%d rows of %d cells fill fewer than two slabs", len(got), width)
+				}
+				keys := make([]string, len(got))
+				for i, row := range got {
+					if len(row) != width || cap(row) != width {
+						t.Fatalf("row %d: len %d cap %d, want both %d", i, len(row), cap(row), width)
+					}
+					keys[i] = row.Key()
+				}
+				for i, row := range got {
+					_ = append(row, value.Int(-1))
+					if i+1 < len(got) && got[i+1].Key() != keys[i+1] {
+						t.Fatalf("appending to row %d changed row %d", i, i+1)
+					}
+				}
+				want, _, err := Run(db, tree, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantKeys := make([]string, len(want.Rows))
+				for i, row := range want.Rows {
+					wantKeys[i] = row.Key()
+				}
+				sort.Strings(keys)
+				sort.Strings(wantKeys)
+				if !slices.Equal(keys, wantKeys) {
+					t.Fatalf("standing run emitted %d rows, batch engine %d, or different rows", len(keys), len(wantKeys))
+				}
+			})
+		}
 	}
 }

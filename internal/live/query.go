@@ -84,10 +84,14 @@ type StandingQuery struct {
 	// Batch state: the multiset of the previous execution's result.
 	prev map[string]int
 
-	deltas    []relation.Row // every delta ever emitted, in emission order
-	deltaHash uint64         // FNV-1a over the delta sequence's concatenated row keys
-	key       []byte         // foldDelta's reused key buffer
-	batches   int            // non-empty delta batches emitted (the stream seq authority)
+	// history holds every delta ever emitted, in emission order: one
+	// exact-size chunk per non-empty poll, so recording a poll never
+	// copies the rows before it. Deltas merges the chunks into one.
+	history   [][]relation.Row
+	emitted   int    // delta rows ever emitted: the chunks' total length
+	deltaHash uint64 // FNV-1a over the delta sequence's concatenated row keys
+	key       []byte // foldDelta's reused key buffer
+	batches   int    // non-empty delta batches emitted (the stream seq authority)
 
 	// Workspace-governor state.
 	govern       bool
@@ -207,11 +211,11 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 		return nil, q.broken
 	}
 	if q.mode == ModeIncremental {
-		rows, err := q.run.Poll()
+		buf, err := q.run.Poll()
 		if err != nil {
 			return nil, fmt.Errorf("live: standing query %s: %w", q.name, err)
 		}
-		q.record(rows)
+		rows := q.record(buf)
 		q.gWorkspace.Set(q.run.Workspace())
 		q.gBacklog.Set(int64(q.run.Backlog()))
 		if q.govern {
@@ -237,8 +241,7 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 		}
 	}
 	q.prev = next
-	q.record(fresh)
-	return fresh, nil
+	return q.record(fresh), nil
 }
 
 // trip is the circuit breaker: the measured workspace breached the
@@ -282,8 +285,10 @@ func (q *StandingQuery) trip(bound float64) error {
 		q.run.Stop()
 		q.run = nil
 		q.prev = map[string]int{}
-		for _, row := range q.deltas {
-			q.prev[row.Key()]++
+		for _, chunk := range q.history {
+			for _, row := range chunk {
+				q.prev[row.Key()]++
+			}
 		}
 		q.event(obs.EventBreakerTrip, tripDetail("degrade"))
 		return nil
@@ -298,19 +303,46 @@ func (q *StandingQuery) trip(bound float64) error {
 	}
 }
 
-func (q *StandingQuery) record(rows []relation.Row) {
+// record folds a poll's delta rows into the hash and the history, and
+// returns the history's copy of them: an exact-size chunk the caller may
+// keep, since no later poll writes to it. rows itself may be the runner's
+// emission buffer, which the next poll reuses. Returns nil for no rows.
+func (q *StandingQuery) record(rows []relation.Row) []relation.Row {
+	if len(rows) == 0 {
+		return nil
+	}
 	for _, row := range rows {
 		q.deltaHash = q.foldDelta(q.deltaHash, row)
 	}
-	if len(rows) > 0 {
-		q.batches++
-	}
-	q.deltas = append(q.deltas, rows...)
-	q.cDeltas.Add(int64(len(rows)))
+	q.batches++
+	chunk := append([]relation.Row(nil), rows...)
+	q.history = append(q.history, chunk)
+	q.emitted += len(chunk)
+	q.cDeltas.Add(int64(len(chunk)))
+	return chunk
 }
 
-// Deltas returns every delta row ever emitted, in emission order.
-func (q *StandingQuery) Deltas() []relation.Row { return q.deltas }
+// Deltas returns every delta row ever emitted, in emission order. The
+// history's chunks are merged into one exact-size slice, kept as its only
+// chunk, so a second call with no poll between costs nothing; later polls
+// never write to a slice already returned.
+func (q *StandingQuery) Deltas() []relation.Row {
+	if len(q.history) > 1 {
+		all := make([]relation.Row, 0, q.emitted)
+		for _, chunk := range q.history {
+			all = append(all, chunk...)
+		}
+		q.history = append(q.history[:0], all)
+	}
+	if len(q.history) == 0 {
+		return nil
+	}
+	return q.history[0]
+}
+
+// Emitted returns the number of delta rows ever emitted, len(Deltas())
+// without touching the history.
+func (q *StandingQuery) Emitted() int { return q.emitted }
 
 // Batches counts the non-empty delta batches ever emitted — the
 // sequence authority a wire subscription's replay ring aligns with: the
@@ -382,8 +414,8 @@ func (q *StandingQuery) Finish() ([]relation.Row, error) {
 	if q.mode != ModeIncremental {
 		return q.Poll()
 	}
-	rows, err := q.run.Close()
-	q.record(rows)
+	buf, err := q.run.Close()
+	rows := q.record(buf)
 	q.gWorkspace.Set(q.run.Workspace())
 	q.gBacklog.Set(0)
 	return rows, err
@@ -409,17 +441,21 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if len(q.deltas) > len(batch) {
-			return len(q.deltas), len(batch), fmt.Errorf(
-				"live: %s emitted %d deltas, batch produces only %d", q.name, len(q.deltas), len(batch))
+		if q.emitted > len(batch) {
+			return q.emitted, len(batch), fmt.Errorf(
+				"live: %s emitted %d deltas, batch produces only %d", q.name, q.emitted, len(batch))
 		}
-		for i, row := range q.deltas {
-			if !row.Equal(batch[i]) {
-				return len(q.deltas), len(batch), fmt.Errorf(
-					"live: %s delta %d diverges from batch: %s != %s", q.name, i, row, batch[i])
+		i := 0
+		for _, chunk := range q.history {
+			for _, row := range chunk {
+				if !row.Equal(batch[i]) {
+					return q.emitted, len(batch), fmt.Errorf(
+						"live: %s delta %d diverges from batch: %s != %s", q.name, i, row, batch[i])
+				}
+				i++
 			}
 		}
-		return len(q.deltas), len(batch), nil
+		return q.emitted, len(batch), nil
 	}
 	res, _, err := engine.Run(q.m.db, q.tree, q.m.opt)
 	if err != nil {
@@ -429,21 +465,23 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 	for _, row := range res.Rows {
 		counts[row.Key()]++
 	}
-	for _, row := range q.deltas {
-		k := row.Key()
-		counts[k]--
-		if counts[k] < 0 {
-			return len(q.deltas), len(res.Rows), fmt.Errorf(
-				"live: %s delta %s not in the batch result", q.name, row)
+	for _, chunk := range q.history {
+		for _, row := range chunk {
+			k := row.Key()
+			counts[k]--
+			if counts[k] < 0 {
+				return q.emitted, len(res.Rows), fmt.Errorf(
+					"live: %s delta %s not in the batch result", q.name, row)
+			}
 		}
 	}
 	for _, row := range res.Rows {
 		if n := counts[row.Key()]; n != 0 {
-			return len(q.deltas), len(res.Rows), fmt.Errorf(
+			return q.emitted, len(res.Rows), fmt.Errorf(
 				"live: %s missing %d deltas for %s", q.name, n, row)
 		}
 	}
-	return len(q.deltas), len(res.Rows), nil
+	return q.emitted, len(res.Rows), nil
 }
 
 const fnv1aInit, fnv1aPrime = 14695981039346656037, 1099511628211

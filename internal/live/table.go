@@ -120,18 +120,27 @@ func (t *Table) release(frontier interval.Time) error {
 			// so a retry cannot double-append, and wrap the cause so
 			// errors.Is works through the ingestion boundary.
 			t.released += int64(i)
-			t.buf = append([]relation.Row(nil), t.buf[i:]...)
+			t.trim(i)
 			t.observe()
 			return fmt.Errorf("live: release %s: %w", t.name, err)
 		}
 	}
 	t.released += int64(n)
-	t.buf = append([]relation.Row(nil), t.buf[n:]...)
-	// Delivery runs after the buffer trim: the released rows are durable
-	// regardless of a standing query's delivery failing.
+	// The released rows are durable whether or not a standing query's
+	// delivery fails; the trim waits for delivery only because out is the
+	// buffer's own prefix, which the trim overwrites.
 	ferr := t.m.feedReleased(t.name, out)
+	t.trim(n)
 	t.observe()
 	return ferr
+}
+
+// trim drops the buffer's first n rows in place, so the buffer keeps its
+// backing array across releases, and clears the vacated tail.
+func (t *Table) trim(n int) {
+	k := copy(t.buf, t.buf[n:])
+	clear(t.buf[k:])
+	t.buf = t.buf[:k]
 }
 
 // Flush force-releases the reorder buffer (advancing the watermark to the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -22,11 +23,15 @@ import (
 
 // decodeBody decodes a JSON request body with number preservation
 // (json.Number keeps chronons exact through int64, including Forever).
+// The body is one JSON value: only white space may follow it.
 func decodeBody(r *http.Request, v any) *Error {
 	dec := json.NewDecoder(r.Body)
 	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		return errf(CodeBadRequest, "decode request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errf(CodeBadRequest, "decode request: data after the request value")
 	}
 	return nil
 }

@@ -53,6 +53,8 @@ func FuzzAppendRequest(f *testing.F) {
 		`{"relation":"F","rows":[["\ud800","\u00e9",1,2]]}`,
 		`{"relation":"F","rows":"x"}`,
 		`{"relation":"F","rows":[[]]`,
+		`{"relation":"F","rows":[["a","b",1,2]],"flush":true} garbage`,
+		`{"relation":"F","rows":[]}{"relation":"F","rows":[]}`,
 		``,
 	} {
 		f.Add([]byte(raw))
@@ -199,7 +201,7 @@ func FuzzSessionRequest(f *testing.F) {
 		f.Add(body, false)
 		f.Add(body, true)
 	}
-	for _, raw := range []string{`{"tenant":7}`, `{"session":null}`, `null`, `[]`, `{"tenant":"default"`, ``} {
+	for _, raw := range []string{`{"tenant":7}`, `{"session":null}`, `null`, `[]`, `{"tenant":"default"`, `{"tenant":"default"} garbage`, `{"session":"s1"}{}`, ``} {
 		f.Add([]byte(raw), false)
 		f.Add([]byte(raw), true)
 	}
@@ -245,7 +247,7 @@ func FuzzPrepareRequest(f *testing.F) {
 		}
 		f.Add(body, true)
 	}
-	for _, raw := range []string{`{"session":"s1"}`, `{"quel":7}`, `{"session":"s1","quel":"x"`, `null`, ``} {
+	for _, raw := range []string{`{"session":"s1"}`, `{"quel":7}`, `{"session":"s1","quel":"x"`, `{"session":"s1","quel":"range of f is Faculty\nretrieve (f.Name)"} garbage`, `null`, ``} {
 		f.Add([]byte(raw), false)
 		f.Add([]byte(raw), true)
 	}
@@ -309,6 +311,8 @@ func FuzzQueryRequest(f *testing.F) {
 		f.Add([]byte(`{"session":"s","stmt":"p","params":["a",`+p+`]}`), true)
 	}
 	f.Add([]byte(`{"params":"x"}`), false)
+	f.Add([]byte(`{"quel":"range of f is Faculty\nretrieve (f.Name)"} garbage`), false)
+	f.Add([]byte(`{"session":"s","stmt":"p","params":["a"]}]`), true)
 	f.Add([]byte(``), true)
 	f.Fuzz(func(t *testing.T, body []byte, execute bool) {
 		var qreq QueryRequest
@@ -393,6 +397,7 @@ func FuzzSubscribeRequest(f *testing.F) {
 		`{"session":"s","resume":"r","after_seq":9223372036854775807}`,
 		`{"session":"s","poll_ms":-1}`,
 		`{"session":"s","after_seq":1.5}`,
+		`{"session":"s","resume":"r","after_seq":2} garbage`,
 		``,
 	} {
 		f.Add([]byte(raw), uint8(0), uint8(0))
