@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test fuzz race chaos bench bench-server bench-resilience report cover fmt loc bench-check bench-record bench-baseline
+.PHONY: all build vet fmt-check lint test fuzz race chaos bench report cover fmt loc bench-check bench-record bench-baseline
 
 all: build vet fmt-check lint test
 
@@ -75,25 +75,15 @@ fuzz:
 race:
 	$(GO) test -race ./...
 
-# The robustness drills: fault-injection, governor and breaker suites
-# under the race detector, then the E24 degradation sweep.
+# The robustness drills: fault-injection, governor, breaker, resume,
+# retry and seq-contract suites under the race detector (CI's chaos job
+# runs the same pattern over the same packages).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Torn|Breaker|Governor|Leak' ./internal/engine/ ./internal/live/ ./internal/storage/ ./internal/fault/ ./internal/testutil/
-	$(GO) run ./cmd/tdbbench -n 512 -chaos
+	$(GO) test -race -run 'Chaos|Fault|Torn|Breaker|Governor|Leak|Resume|Retry|Seq' ./internal/engine/ ./internal/live/ ./internal/storage/ ./internal/fault/ ./internal/testutil/ ./internal/server/ ./driver/
 
 # One benchmark per paper table/figure (see DESIGN.md's experiment index).
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# The E26 concurrent network-client sweep: an in-process protocol server
-# queried by 1/8/64 database/sql clients through the public driver.
-bench-server:
-	$(GO) run ./cmd/tdbbench -n 1024 -serve -serve-json BENCH_SERVER.json
-
-# The E27 wire-resilience recovery sweep: 1/8/64 driver subscriptions
-# surviving scheduled delivery severs with exactly-once accounting.
-bench-resilience:
-	$(GO) run ./cmd/tdbbench -n 1024 -resilience -resilience-json BENCH_RESILIENCE.json
 
 # The benchmark regression gate. BENCH_CONFIG must match the committed
 # baseline exactly — a mismatch is a hard error, not a comparison.

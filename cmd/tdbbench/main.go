@@ -12,40 +12,9 @@
 //
 //	tdbbench [-n 4000] [-faculty 200] [-seed 1] [-policy sweep|lambda]
 //	         [-json results.json] [-listen 127.0.0.1:8080]
-//	         [-live] [-live-json BENCH_LIVE.json]
-//	         [-chaos] [-chaos-json BENCH_CHAOS.json]
-//	         [-serve] [-serve-json BENCH_SERVER.json] [-serve-queries 25]
 //	         [-record] [-history BENCH_HISTORY.jsonl]
 //	         [-check] [-write-baseline] [-baseline BENCH_BASELINE.json]
 //	         [-slowdown 0s]
-//
-// -live additionally runs E23, the sustained live-ingest sweep: two tuple
-// streams at λ ∈ {0.5, 2, 10} through the live manager with standing
-// incremental and degraded-batch temporal queries, verifying the delta
-// contract and the workspace admission ceiling, and writing the structured
-// document to BENCH_LIVE.json (-live-json).
-//
-// -chaos additionally runs E24, the degradation sweep: the workspace
-// governor under statistics drift (stream path vs governed baseline
-// fallback) and the standing-query breaker ladder (re-admit, degrade to
-// batch, typed decline). The structured document goes to BENCH_CHAOS.json
-// (-chaos-json).
-//
-// -serve additionally runs E26, the concurrent network-client sweep: an
-// in-process protocol server over a Faculty catalog queried by 1, 8 and
-// 64 database/sql clients through the public driver (ad-hoc queries
-// alternating with a shared prepared statement), reporting throughput,
-// mean and p99 latency, and the server's per-tenant admission counters.
-// The structured document goes to BENCH_SERVER.json (-serve-json).
-//
-// -resilience additionally runs E27, the wire-resilience recovery sweep:
-// 1, 8 and 64 concurrent driver subscriptions fed synchronized delta
-// rounds while the delivery path is severed on a fixed schedule and
-// every keyed append is deliberately double-sent. It reports recovery
-// latency (sever to resumed stream), the resume/sever and dedup/dup
-// ledgers, and the client-side seq-violation count — all of which must
-// balance for the point to pass. The structured document goes to
-// BENCH_RESILIENCE.json (-resilience-json).
 //
 // The human-readable tables always go to stdout; -json additionally writes
 // the same tables (plus per-experiment wall time) as a machine-readable
@@ -102,16 +71,6 @@ func main() {
 	policyName := flag.String("policy", "sweep", "stream read policy: sweep or lambda")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this file")
 	listen := flag.String("listen", "", "serve /metrics and /debug/pprof on this address while running")
-	liveRun := flag.Bool("live", false, "also run E23, the sustained live-ingest sweep, writing BENCH_LIVE.json")
-	liveOut := flag.String("live-json", "BENCH_LIVE.json", "where -live writes its machine-readable document")
-	chaosRun := flag.Bool("chaos", false, "also run E24, the fault/degradation sweep, writing BENCH_CHAOS.json")
-	chaosOut := flag.String("chaos-json", "BENCH_CHAOS.json", "where -chaos writes its machine-readable document")
-	serveRun := flag.Bool("serve", false, "also run E26, the concurrent network-client sweep, writing BENCH_SERVER.json")
-	serveOut := flag.String("serve-json", "BENCH_SERVER.json", "where -serve writes its machine-readable document")
-	serveClients := flag.Int("serve-queries", 25, "queries per client in the E26 sweep")
-	resRun := flag.Bool("resilience", false, "also run E27, the wire-resilience recovery sweep, writing BENCH_RESILIENCE.json")
-	resOut := flag.String("resilience-json", "BENCH_RESILIENCE.json", "where -resilience writes its machine-readable document")
-	resRounds := flag.Int("resilience-rounds", 6, "delta rounds per point in the E27 sweep")
 	record := flag.Bool("record", false, "append this run (git SHA, GOMAXPROCS, per-experiment times) to the history journal")
 	historyPath := flag.String("history", "BENCH_HISTORY.jsonl", "where -record appends run records")
 	check := flag.Bool("check", false, "compare this run against the baseline; exit non-zero on regression")
@@ -127,9 +86,9 @@ func main() {
 		fail(fmt.Errorf("-faculty must not be negative, got %d", *faculty))
 	}
 
-	policy := core.ReadSweep
-	if *policyName == "lambda" {
-		policy = core.ReadLambda
+	policy, err := parsePolicy(*policyName)
+	if err != nil {
+		fail(err)
 	}
 
 	if *listen != "" {
@@ -188,74 +147,6 @@ func main() {
 		{"columnar", func() (*experiments.Table, error) { return drop(experiments.Columnar(*n, *seed)) }},
 	}
 
-	if *liveRun {
-		suite = append(suite, struct {
-			name string
-			run  func() (*experiments.Table, error)
-		}{"live-ingest", func() (*experiments.Table, error) {
-			res, tab, err := experiments.LiveIngest(*n/2, []float64{0.5, 2, 10}, 8, *seed)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeLiveJSON(*liveOut, res); err != nil {
-				return nil, err
-			}
-			fmt.Printf("live-ingest document written to %s\n", *liveOut)
-			return tab, nil
-		}})
-	}
-
-	if *chaosRun {
-		suite = append(suite, struct {
-			name string
-			run  func() (*experiments.Table, error)
-		}{"chaos", func() (*experiments.Table, error) {
-			res, tab, err := experiments.Chaos()
-			if err != nil {
-				return nil, err
-			}
-			if err := writeChaosJSON(*chaosOut, res); err != nil {
-				return nil, err
-			}
-			fmt.Printf("chaos document written to %s\n", *chaosOut)
-			return tab, nil
-		}})
-	}
-
-	if *serveRun {
-		suite = append(suite, struct {
-			name string
-			run  func() (*experiments.Table, error)
-		}{"server", func() (*experiments.Table, error) {
-			res, tab, err := experiments.ServerSweep(*n/4, []int{1, 8, 64}, *serveClients, *seed)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeServerJSON(*serveOut, res); err != nil {
-				return nil, err
-			}
-			fmt.Printf("server document written to %s\n", *serveOut)
-			return tab, nil
-		}})
-	}
-
-	if *resRun {
-		suite = append(suite, struct {
-			name string
-			run  func() (*experiments.Table, error)
-		}{"resilience", func() (*experiments.Table, error) {
-			res, tab, err := experiments.ResilienceSweep([]int{1, 8, 64}, *resRounds, 2, 5)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeResilienceJSON(*resOut, res); err != nil {
-				return nil, err
-			}
-			fmt.Printf("resilience document written to %s\n", *resOut)
-			return tab, nil
-		}})
-	}
-
 	result := benchResult{N: *n, Faculty: *faculty, Seed: *seed, Policy: *policyName}
 	for _, exp := range suite {
 		start := time.Now()
@@ -295,65 +186,17 @@ func main() {
 	}
 }
 
-// writeLiveJSON writes the E23 structured document (BENCH_LIVE.json).
-func writeLiveJSON(path string, res *experiments.LiveResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// parsePolicy maps the -policy flag to a stream read policy. Any other
+// name is an error: the run would otherwise be recorded under a policy
+// it never ran.
+func parsePolicy(name string) (core.ReadPolicy, error) {
+	switch name {
+	case "sweep":
+		return core.ReadSweep, nil
+	case "lambda":
+		return core.ReadLambda, nil
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		_ = f.Close() // best-effort cleanup; the encode error wins
-		return err
-	}
-	return f.Close()
-}
-
-// writeChaosJSON writes the E24 structured document (BENCH_CHAOS.json).
-func writeChaosJSON(path string, res *experiments.ChaosResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		_ = f.Close() // best-effort cleanup; the encode error wins
-		return err
-	}
-	return f.Close()
-}
-
-// writeServerJSON writes the E26 structured document (BENCH_SERVER.json).
-func writeServerJSON(path string, res *experiments.ServerResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		_ = f.Close() // best-effort cleanup; the encode error wins
-		return err
-	}
-	return f.Close()
-}
-
-// writeResilienceJSON writes the E27 structured document
-// (BENCH_RESILIENCE.json).
-func writeResilienceJSON(path string, res *experiments.ResilienceResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		_ = f.Close() // best-effort cleanup; the encode error wins
-		return err
-	}
-	return f.Close()
+	return 0, fmt.Errorf("-policy must be sweep or lambda, got %q", name)
 }
 
 // writeJSON writes the result document, indented for diffability.

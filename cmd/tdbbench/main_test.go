@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tdb/internal/core"
 )
 
 func TestWriteJSON(t *testing.T) {
@@ -33,5 +35,20 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if err := writeJSON(filepath.Join(path, "nope", "x.json"), in); err == nil {
 		t.Error("writing under a file path accepted")
+	}
+}
+
+// TestParsePolicy: only sweep and lambda name a read policy; a typo is an
+// error instead of a sweep run recorded under the typo.
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]core.ReadPolicy{"sweep": core.ReadSweep, "lambda": core.ReadLambda} {
+		if got, err := parsePolicy(name); err != nil || got != want {
+			t.Errorf("parsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"lamda", "", "Sweep", "lambda "} {
+		if _, err := parsePolicy(bad); err == nil {
+			t.Errorf("parsePolicy(%q) accepted", bad)
+		}
 	}
 }

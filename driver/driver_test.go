@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"tdb/internal/engine"
 	"tdb/internal/experiments"
 	"tdb/internal/interval"
+	"tdb/internal/obs"
 	"tdb/internal/optimizer"
 	"tdb/internal/quel"
 	"tdb/internal/relation"
@@ -286,6 +288,80 @@ func TestPreparedRebind(t *testing.T) {
 	// database/sql enforces the server-reported arity client-side.
 	if _, err := stmt.Query(); err == nil || !strings.Contains(err.Error(), "expected 1") {
 		t.Errorf("missing-parameter error = %v", err)
+	}
+}
+
+// TestConcurrentClientsMeterEveryQuery: 1, 8 and 64 database/sql clients
+// share one pool and one prepared statement, alternating ad-hoc queries
+// with executions of the statement rebound on every call. No query fails,
+// nothing is rejected under a quota above the load, and the tenant's
+// admission counter moves by exactly the completed queries — prepared
+// executions included.
+func TestConcurrentClientsMeterEveryQuery(t *testing.T) {
+	const (
+		q         = `range of f is Faculty retrieve (f.Name, f.ValidFrom) where f.Rank = $1`
+		perClient = 4
+	)
+	reg := obs.NewRegistry()
+	_, url := startServer(t, server.Config{Registry: reg, Tenants: []server.TenantConfig{{
+		Name: "default", MaxConcurrent: 16, MaxQueue: 256, QueueTimeout: 30 * time.Second}}})
+	admitted := reg.Counter("tdb_server_tenant_default_queries_total", "")
+	rejected := reg.Counter("tdb_server_tenant_default_rejected_total", "")
+	ranks := []string{"Assistant", "Associate", "Full"}
+	for _, clients := range []int{1, 8, 64} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			db := openDB(t, url)
+			db.SetMaxOpenConns(clients)
+			stmt, err := db.Prepare(q)
+			if err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
+			defer stmt.Close()
+			admBefore, rejBefore := admitted.Value(), rejected.Value()
+			var (
+				mu   sync.Mutex
+				errs []error
+				wg   sync.WaitGroup
+			)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						rank := ranks[(c+i)%len(ranks)]
+						var rows *sql.Rows
+						var err error
+						if i%2 == 0 {
+							rows, err = db.Query(q, rank)
+						} else {
+							rows, err = stmt.Query(rank)
+						}
+						if err == nil {
+							for rows.Next() {
+							}
+							err = rows.Err()
+							rows.Close()
+						}
+						if err != nil {
+							mu.Lock()
+							errs = append(errs, err)
+							mu.Unlock()
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			completed := clients * perClient
+			if len(errs) != 0 {
+				t.Fatalf("%d of %d queries failed; first: %v", len(errs), completed, errs[0])
+			}
+			if got := admitted.Value() - admBefore; got != int64(completed) {
+				t.Errorf("admission counter moved %d, completed queries %d", got, completed)
+			}
+			if got := rejected.Value() - rejBefore; got != 0 {
+				t.Errorf("%d rejections under a quota above the load", got)
+			}
+		})
 	}
 }
 

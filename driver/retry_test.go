@@ -14,6 +14,7 @@ import (
 
 	tdbdriver "tdb/driver"
 	"tdb/internal/fault"
+	"tdb/internal/obs"
 	"tdb/internal/server"
 )
 
@@ -315,6 +316,124 @@ func TestChaosAutoResumeNoDuplicate(t *testing.T) {
 	if st := sub.Stats(); st.Resumes != 1 {
 		t.Errorf("stats %+v, want exactly 1 resume", st)
 	}
+}
+
+// TestChaosSeveredFleetExactlyOnce: 1, 8 and 64 subscriptions to one
+// overlap query are fed delta rounds while a delivery sever is armed
+// before every second round, and every keyed append is sent twice. Each
+// round releases exactly one pair, so every subscription must receive
+// seq r in round r. Delivery stays exactly-once under fire: resumes equal
+// severs, no seq is skipped or repeated, every round reaches every
+// subscription, and the idempotency window answers every duplicate send.
+func TestChaosSeveredFleetExactlyOnce(t *testing.T) {
+	const rounds, severEvery = 4, 2
+	for _, clients := range []int{1, 8, 64} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			_, url := startServer(t, server.Config{DB: liveDB(t), Registry: reg, SubscribePoll: 2 * time.Millisecond})
+			c, err := tdbdriver.NewConnector(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fault.Reset()
+			type delivery struct {
+				seq int64
+				err error
+			}
+			subs := make([]*tdbdriver.Subscription, clients)
+			chans := make([]chan delivery, clients)
+			for i := range subs {
+				sub, err := c.Subscribe(context.Background(), overlapSubscribe, 2)
+				if err != nil {
+					t.Fatalf("subscribe %d: %v", i, err)
+				}
+				defer sub.Close()
+				// One send per round plus the terminal error after Close:
+				// the reader never blocks on a subtest that has returned.
+				subs[i], chans[i] = sub, make(chan delivery, rounds+1)
+				go func(sub *tdbdriver.Subscription, ch chan<- delivery) {
+					for {
+						d, err := sub.Next()
+						ch <- delivery{d.Seq, err}
+						if err != nil {
+							return
+						}
+					}
+				}(sub, chans[i])
+			}
+
+			severs, dups := 0, 0
+			for r := 1; r <= rounds; r++ {
+				if r%severEvery == 0 {
+					if err := fault.Arm("server/subscribe-deliver=error:n=1"); err != nil {
+						t.Fatal(err)
+					}
+					severs++
+				}
+				dups += feedRoundTwice(t, c, r)
+				for i, ch := range chans {
+					select {
+					case d := <-ch:
+						if d.err != nil {
+							t.Fatalf("round %d subscription %d: %v", r, i, d.err)
+						}
+						if d.seq != int64(r) {
+							t.Fatalf("round %d subscription %d: delta seq %d", r, i, d.seq)
+						}
+					case <-time.After(30 * time.Second):
+						t.Fatalf("round %d subscription %d: no delta within 30s", r, i)
+					}
+				}
+			}
+			resumes := 0
+			for _, sub := range subs {
+				resumes += sub.Stats().Resumes
+			}
+			if resumes != severs {
+				t.Errorf("resumes %d, severs %d; want equal", resumes, severs)
+			}
+			hits := reg.Counter("tdb_server_append_dedup_hits_total", "").Value()
+			if hits != int64(dups) {
+				t.Errorf("dedup hits %d, duplicate sends %d; want equal", hits, dups)
+			}
+		})
+	}
+}
+
+// feedRoundTwice appends round r of the fleet fixture, sending every
+// append twice under one idempotency key, and returns the number of
+// duplicate sends. Round r adds one overlapping F × G pair that stays
+// below the frontiers until round r+1's pair lands, G last: the final
+// append of every round releases exactly the previous round's pair
+// (round 1 releases a seed pair), so round r's delta carries seq r.
+func feedRoundTwice(t *testing.T, c *tdbdriver.Connector, r int) int {
+	t.Helper()
+	ctx := context.Background()
+	type app struct {
+		rel, name string
+		from, to  int
+	}
+	var apps []app
+	if r == 1 {
+		apps = append(apps, app{"F", "alice", 1, 10}, app{"G", "bob", 2, 8})
+	}
+	base := 100 * r
+	apps = append(apps,
+		app{"F", fmt.Sprintf("iris%d", r), base + 60, base + 65},
+		app{"G", fmt.Sprintf("jack%d", r), base + 61, base + 66})
+	for _, a := range apps {
+		rows := [][]any{{a.name, "Full", a.from, a.to}}
+		key := a.rel + "-" + a.name
+		first, err := c.AppendKeyed(ctx, a.rel, rows, 0, true, key)
+		if err != nil || first.Deduped || first.Appended != 1 {
+			t.Fatalf("append %s: %+v, %v", a.name, first, err)
+		}
+		again, err := c.AppendKeyed(ctx, a.rel, rows, 0, true, key)
+		if err != nil || !again.Deduped {
+			t.Fatalf("duplicate append %s: %+v, %v; want a deduped replay", a.name, again, err)
+		}
+	}
+	return len(apps)
 }
 
 // TestAppendDedupOnWire: the connector's generated idempotency keys

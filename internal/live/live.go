@@ -28,7 +28,9 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"tdb/internal/algebra"
 	"tdb/internal/catalog"
@@ -56,7 +58,7 @@ type Manager struct {
 	reg     *obs.Registry
 	opt     engine.Options
 	tables  map[string]*Table
-	queries map[string]*StandingQuery
+	queries []*StandingQuery // sorted by name; changed only by Register, Deregister and Close
 }
 
 // NewManager returns a manager over the database. reg may be nil;
@@ -64,11 +66,10 @@ type Manager struct {
 // batch re-executions of degraded queries.
 func NewManager(db *engine.DB, reg *obs.Registry, opt engine.Options) *Manager {
 	return &Manager{
-		db:      db,
-		reg:     reg,
-		opt:     opt,
-		tables:  map[string]*Table{},
-		queries: map[string]*StandingQuery{},
+		db:     db,
+		reg:    reg,
+		opt:    opt,
+		tables: map[string]*Table{},
 	}
 }
 
@@ -185,14 +186,15 @@ func (m *Manager) tableNames() []string {
 // batch re-execution (opts.AllowDegrade) or are declined with the
 // characterization as explain note.
 func (m *Manager) Register(name string, tree algebra.Expr, opts RegisterOptions) (*StandingQuery, error) {
-	if _, ok := m.queries[name]; ok {
+	i, ok := m.find(name)
+	if ok {
 		return nil, fmt.Errorf("live: standing query %q already registered", name)
 	}
 	q, err := m.admit(name, tree, opts)
 	if err != nil {
 		return nil, err
 	}
-	m.queries[name] = q
+	m.queries = slices.Insert(m.queries, i, q)
 	return q, nil
 }
 
@@ -229,40 +231,42 @@ func (m *Manager) statsOf(name string) *catalog.Stats {
 	return &catalog.Stats{}
 }
 
+// find returns the position of the named query in m.queries, or where
+// it would be inserted, and whether it is registered.
+func (m *Manager) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(m.queries, name, func(q *StandingQuery, name string) int {
+		return strings.Compare(q.name, name)
+	})
+}
+
 // Query returns a registered standing query, or nil.
-func (m *Manager) Query(name string) *StandingQuery { return m.queries[name] }
+func (m *Manager) Query(name string) *StandingQuery {
+	if i, ok := m.find(name); ok {
+		return m.queries[i]
+	}
+	return nil
+}
 
 // Queries returns the registered standing queries, sorted by name.
-func (m *Manager) Queries() []*StandingQuery {
-	names := make([]string, 0, len(m.queries))
-	for n := range m.queries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*StandingQuery, len(names))
-	for i, n := range names {
-		out[i] = m.queries[n]
-	}
-	return out
-}
+func (m *Manager) Queries() []*StandingQuery { return slices.Clone(m.queries) }
 
 // Deregister stops and removes a standing query.
 func (m *Manager) Deregister(name string) error {
-	q, ok := m.queries[name]
+	i, ok := m.find(name)
 	if !ok {
 		return fmt.Errorf("live: unknown standing query %q", name)
 	}
-	q.stop()
-	delete(m.queries, name)
+	m.queries[i].stop()
+	m.queries = slices.Delete(m.queries, i, i+1)
 	return nil
 }
 
 // Close stops every standing query (tables need no teardown).
 func (m *Manager) Close() {
-	for _, q := range m.Queries() {
+	for _, q := range m.queries {
 		q.stop()
 	}
-	m.queries = map[string]*StandingQuery{}
+	m.queries = nil
 }
 
 // feedReleased distributes rows released by a table to every incremental
@@ -273,7 +277,7 @@ func (m *Manager) Close() {
 // table boundary).
 func (m *Manager) feedReleased(rel string, rows []relation.Row) error {
 	var first error
-	for _, q := range m.Queries() {
+	for _, q := range m.queries {
 		if err := q.observeRelease(rel, rows); err != nil && first == nil {
 			first = fmt.Errorf("live: deliver to %s: %w", q.name, err)
 		}

@@ -511,3 +511,40 @@ func TestRegisterBackfillAndDeregister(t *testing.T) {
 		t.Fatal("double deregister accepted")
 	}
 }
+
+// TestReleaseDispatchDoesNotAllocate: the manager keeps its standing
+// queries in name order, so handing released rows to them allocates
+// nothing per release. An empty release reaches every query's relation
+// check and delivery failpoint while leaving the operators' input queues
+// untouched, so only the dispatch itself is measured.
+func TestReleaseDispatchDoesNotAllocate(t *testing.T) {
+	db := newXYDB(t)
+	m := NewManager(db, nil, engine.Options{})
+	defer m.Close()
+	for _, name := range []string{"c", "a", "b"} {
+		if _, err := m.Register(name, xyTree(algebra.KindOverlap, name == "b"), RegisterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := m.Queries()
+	if len(qs) != 3 || qs[0].Name() != "a" || qs[1].Name() != "b" || qs[2].Name() != "c" {
+		t.Fatalf("Queries() not in name order: %v", qs)
+	}
+	qs[0] = nil
+	if m.Query("a") == nil || m.Queries()[0] == nil {
+		t.Fatal("Queries() returned the manager's own slice")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.feedReleased("X", nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("release dispatch to 3 queries allocates %.0f times, want 0", n)
+	}
+	if err := m.Deregister("b"); err != nil {
+		t.Fatal(err)
+	}
+	if qs := m.Queries(); len(qs) != 2 || qs[0].Name() != "a" || qs[1].Name() != "c" {
+		t.Fatalf("Queries() after Deregister: %v", qs)
+	}
+}
