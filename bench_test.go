@@ -637,7 +637,7 @@ func BenchmarkExternalSort(b *testing.B) {
 	})
 	// The key form the engine spills through: (SortKey, index) records.
 	run("keys/", func(mem int, dir string) error {
-		_, err := storage.ExternalSortKeys(ts, te, relation.Order{relation.TSAsc}, mem, dir, nil)
+		_, err := storage.ExternalSortKeys(ts, te, relation.Order{relation.TSAsc}, mem, dir, nil, nil)
 		return err
 	})
 }

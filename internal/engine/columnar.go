@@ -24,9 +24,6 @@ import (
 	"tdb/internal/algebra"
 	"tdb/internal/core"
 	"tdb/internal/interval"
-	"tdb/internal/relation"
-	"tdb/internal/storage"
-	"tdb/internal/value"
 )
 
 // gatherCols builds compact columns from a sort's permutation.
@@ -98,36 +95,6 @@ func (pl *pairList) chunks() pairChunks {
 		return pl.full
 	}
 	return append(pl.full, pl.cur)
-}
-
-// decode is a semijoin's output behind a key scan: the rows at input
-// positions pos decoded from their pages into one value arena of the
-// exact size, sliced into full-capacity rows, the interrupt polled once
-// per page's worth of rows. Returns nil for no positions, the nil-on-empty
-// convention.
-func (ex *executor) decode(stored *storage.PageRows, pos []int32) ([]relation.Row, error) {
-	if len(pos) == 0 {
-		return nil, nil
-	}
-	out := make([]relation.Row, len(pos))
-	w, every := stored.Arity(), stored.PerPage()
-	arena := make([]value.Value, len(pos)*w)
-	poll := every
-	//tdb:hotpath
-	for i, j := range pos {
-		if poll--; poll == 0 {
-			if err := ex.checkInterrupt(); err != nil {
-				return nil, err
-			}
-			poll = every
-		}
-		row := arena[i*w : i*w+w : i*w+w]
-		if err := stored.Decode(row, j); err != nil {
-			return nil, err
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // columnarJoinPairs sweeps the sorted columns with the batch kernel for

@@ -96,8 +96,9 @@ type Options struct {
 	// periodically inside the row loops of the conventional operators
 	// (selection, Cartesian product, the hash and nested-loop joins and
 	// the nested-loop semijoin), once per page of a stored scan and once
-	// per page's worth of rows decoded from one, and once per 8 192 rows
-	// the sink builds (the project, or the result of a plan without one).
+	// per page's worth of rows decoded from one, once per run formed and
+	// per run page merged by a spilled sort, and once per 8 192 rows the
+	// sink builds (the project, or the result of a plan without one).
 	// A non-nil return aborts the run with that error wrapped in
 	// ErrInterrupted — the hook the query server uses to propagate client
 	// context cancellation into a running query. The stream operators'
@@ -232,8 +233,10 @@ type result struct {
 	schema *relation.Schema
 	v      view
 	keys   *storage.Keys // set by a key scan, which leaves v empty
-	// ord is set instead of keys by a key scan the relation index served:
-	// the input already in its node's order, for which no page was read.
+	// ord is set by a key scan the relation index served: the input
+	// already in its node's order. keys is then nil, no page having been
+	// read, or, for an input whose rows its node emits, holds the pages
+	// and no endpoint column.
 	ord *ordered
 	// base is the relation whose orders the relation index keeps for this
 	// input, and stamp what this input was read from. A scan of an
@@ -331,9 +334,11 @@ func (ex *executor) establishOrder(in *result, span rowSpan,
 		return ex.orderColumns(ts, te, o, cost, withPerm)
 	}
 	key := orderKey(in.base, span, o)
-	if out, ok := ex.db.index.order(key, in.stamp); ok {
-		noteServed(cost, o)
-		return out, nil
+	if in.keys == nil { // a key scan looked its order up already
+		if out, ok := ex.db.index.order(key, in.stamp); ok {
+			noteServed(cost, o)
+			return out, nil
+		}
 	}
 	ts, te := in.columns(span)
 	out, err := ex.orderColumns(ts, te, o, cost, true)
@@ -367,7 +372,7 @@ func (ex *executor) orderColumns(ts, te []interval.Time, o relation.Order, cost 
 	if mem := ex.opt.SortMemRows; mem > 0 && n > mem && !relation.SortedColumns(ts, te, o) {
 		var st storage.SortStats
 		var err error
-		if out.perm, err = storage.ExternalSortKeys(ts, te, o, mem, ex.opt.SpillDir, &st); err != nil {
+		if out.perm, err = storage.ExternalSortKeys(ts, te, o, mem, ex.opt.SpillDir, &st, ex.checkInterrupt); err != nil {
 			return ordered{}, err
 		}
 		out.cols = gatherCols(core.Cols{TS: ts, TE: te}, out.perm)
@@ -621,12 +626,14 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 // semijoin, which needs its rows' lifespans before any row: one pass over
 // the pages reads the span's two columns into exact-size endpoint columns
 // without decoding a row, keeping the page images only when the node may
-// emit the rows (keep), to be decoded then by position. An input that
-// keeps no pages is first looked up in the relation index in the order o
-// its node sweeps it in, and on a hit no page is read at all; the node
-// reports the rows the scan would have. A span that does not name two
-// numeric columns of the relation takes the row scan, and the node reports
-// it as before.
+// emit the rows (keep), to be decoded then by position. The input is first
+// looked up in the relation index in the order o its node sweeps it in —
+// the one lookup of its order; establishOrder makes none for a key scan.
+// On a hit the order is the input's: an input that keeps no pages reads no
+// page at all, and one that keeps them reads its pages and RIDs but builds
+// no endpoint column. The node reports the rows a scan reads either way. A
+// span that does not name two numeric columns of the relation takes the
+// row scan, and the node reports it as before.
 func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebra.SpanRef, o relation.Order, keep bool) (*result, error) {
 	base, err := ex.db.Relation(n.Relation)
 	if err != nil {
@@ -640,21 +647,25 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 	res := &result{schema: schema, base: base, stamp: heapStamp(hf)}
 	cost := NodeCost{Label: n.Label(), Algorithm: "stored key scan", Probe: metrics.Probe{Passes: 1}}
 	cost.Probe.ReadLeft, cost.OutRows = res.stamp.n, res.stamp.n
-	if !keep {
-		if ord, ok := ex.db.index.order(orderKey(base, rowSpan{ts: ts, te: te}, o), res.stamp); ok {
-			res.ord = &ord
+	if ord, ok := ex.db.index.order(orderKey(base, rowSpan{ts: ts, te: te}, o), res.stamp); ok {
+		res.ord = &ord
+		if !keep {
 			cost.Notes = append(cost.Notes, "keys only: served by the endpoint index, no page read")
 			ex.stats.add(cost)
 			return res, nil
 		}
+		ts, te = -1, -1
 	}
 	if res.keys, err = hf.ScanKeys(ts, te, keep, ex.checkInterrupt); err != nil {
 		return nil, err
 	}
 	cost.PagesRead = res.keys.PagesRead
-	if keep {
+	switch {
+	case res.ord != nil:
+		cost.Notes = append(cost.Notes, "rows only: keys served by the endpoint index, no key column built")
+	case keep:
 		cost.Notes = append(cost.Notes, "keys first: rows stay on their pages until emitted")
-	} else {
+	default:
 		cost.Notes = append(cost.Notes, "keys only: no row is decoded")
 	}
 	ex.stats.add(cost)

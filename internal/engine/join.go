@@ -508,12 +508,12 @@ func (ex *executor) nestedLoopSemijoin(l, r *result, p algebra.Predicate) ([]int
 
 // semijoinOut is a semijoin's output: its left input's rows at the
 // emitted positions, picked from the input view or, behind a key scan,
-// decoded from their pages.
+// decoded from their pages in one file-order pass, in emission order.
 func (ex *executor) semijoinOut(l *result, sel []int32) (*result, error) {
 	if l.keys == nil {
 		return &result{schema: l.schema, v: l.v.pick(sel)}, nil
 	}
-	rows, err := ex.decode(l.keys.Rows, sel)
+	rows, err := l.keys.Rows.Decode(sel, ex.checkInterrupt)
 	if err != nil {
 		return nil, err
 	}

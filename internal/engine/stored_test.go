@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -275,4 +277,120 @@ func TestStoredRelationReStoreAndRegister(t *testing.T) {
 	if got := count("stored again"); got != m || db.StoredIO("Faculty") == nil {
 		t.Fatalf("Faculty stored again scans %d rows, want %d", got, m)
 	}
+}
+
+// warmLeftBytesPerRow bounds the heap bytes a warm columnar semijoin over
+// stored inputs allocates per left row: the page copies and RIDs its left
+// key scan keeps, the emitted positions, the output rows and the plan's
+// bookkeeping. It is the measured 68.5 B plus 10 %; a left key scan that
+// builds its two endpoint columns as well (16 B per row) exceeds it.
+const warmLeftBytesPerRow = 75
+
+// A warm columnar semijoin over stored inputs takes both orders from the
+// relation index, and its left key scan, which keeps its pages for the
+// rows to emit, builds no endpoint column: the cold run built them, sorted
+// them and left the order in the index. The warm run repeats the cold
+// run's rows, comparisons, tuples read and workspace, and its left key
+// scan the pages read and rows decoded, within a stated budget of bytes
+// per left row.
+func TestStoredWarmSemijoinBuildsNoKeyColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	xs, ys := tiedTuples(rng, 6000, "x"), tiedTuples(rng, 4000, "y")
+	db := storedTiedDB(t, xs, ys, func(pages int64) int { return max(1, int(pages/4)) })
+	q, opt := semijoinOf(algebra.KindContain), colOpt()
+	x := db.stored["X"]
+	base, err := db.Relation("X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lOrder, _ := semijoinOrders(algebra.KindContain)
+	leftKey := orderKey(base, rowSpan{ts: 2, te: 3}, lOrder)
+	run := func() (*relation.Relation, *Stats, int64) {
+		t.Helper()
+		before := x.Stats().RowsDecoded
+		out, st, err := Run(db, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, st, x.Stats().RowsDecoded - before
+	}
+
+	if _, ok := db.index.order(leftKey, heapStamp(x)); ok {
+		t.Fatal("the left order is indexed before any run")
+	}
+	cold, cst, cdec := run()
+	// The nodes are the left key scan, the right one and the semijoin.
+	if findNote(cst, "keys first") == "" || cst.TotalSortedRows() != int64(len(xs)+len(ys)) || indexHits(cst) != 0 {
+		t.Fatalf("cold run: left key scan notes %q, sorted %d rows, %d index hits:\n%s",
+			cst.Nodes[0].Notes, cst.TotalSortedRows(), indexHits(cst), cst)
+	}
+	if ord, ok := db.index.order(leftKey, heapStamp(x)); !ok || ord.cols.Len() != len(xs) {
+		t.Fatalf("cold run left no left order of %d rows in the index (found %v)", len(xs), ok)
+	}
+
+	warm, wst, wdec := run()
+	sameWork(t, "warm", cold, warm, cst, wst)
+	if indexHits(wst) != 2 || wst.TotalSortedRows() != 0 {
+		t.Errorf("warm run: %d orders from the index, %d rows sorted; want 2 and 0:\n%s", indexHits(wst), wst.TotalSortedRows(), wst)
+	}
+	if notes := wst.Nodes[0].Notes; len(notes) != 1 || !strings.Contains(notes[0], "no key column built") {
+		t.Errorf("warm left key scan notes %q, want the key columns served", notes)
+	}
+	if cl, wl := cst.Nodes[0], wst.Nodes[0]; wl.PagesRead != cl.PagesRead || wl.PagesRead == 0 || wl.Probe != cl.Probe || wl.OutRows != cl.OutRows {
+		t.Errorf("left key scan: %d pages, probe %v, %d rows warm; %d pages, %v, %d rows cold",
+			wl.PagesRead, wl.Probe.String(), wl.OutRows, cl.PagesRead, cl.Probe.String(), cl.OutRows)
+	}
+	if wdec != cdec || wdec != int64(len(warm.Rows)) {
+		t.Errorf("decoded %d rows cold, %d warm, for %d output rows", cdec, wdec, len(warm.Rows))
+	}
+
+	bytes := allocated(func() {
+		if _, _, err := Run(db, q, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := float64(bytes) / float64(len(xs)); perRow > warmLeftBytesPerRow {
+		t.Errorf("warm run allocated %.1f B per left row, budget %d", perRow, warmLeftBytesPerRow)
+	} else {
+		t.Logf("warm run allocated %.1f B per left row, budget %d", perRow, warmLeftBytesPerRow)
+	}
+}
+
+// A cold, spilled stored semijoin polls Options.Interrupt inside its
+// external sort, before each run is formed and each merged run page is
+// read: interrupted on the first of those polls — the first that finds the
+// sort's spill file in SpillDir — it returns ErrInterrupted wrapping the
+// cause, reads no further heap page, and leaves SpillDir empty.
+func TestStoredColdSortInterruptsOnFirstSortPoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	db := storedTiedDB(t, tiedTuples(rng, 800, "x"), tiedTuples(rng, 700, "y"), func(int64) int { return 1 })
+	pagesRead := func() int64 { return db.StoredIO("X").PagesRead + db.StoredIO("Y").PagesRead }
+	opt := colOpt()
+	opt.SortMemRows, opt.SpillDir = 50, t.TempDir()
+	stop := errors.New("stop")
+	fired, atFire := false, int64(0)
+	opt.Interrupt = func() error {
+		if fired {
+			return stop
+		}
+		if files, _ := os.ReadDir(opt.SpillDir); len(files) == 0 {
+			return nil
+		}
+		fired, atFire = true, pagesRead()
+		return stop
+	}
+	_, _, err := Run(db, semijoinOf(algebra.KindContain), opt)
+	if !fired {
+		t.Fatalf("no poll found the sort's spill file; run error %v", err)
+	}
+	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, stop) {
+		t.Fatalf("error %v, want ErrInterrupted wrapping the cause", err)
+	}
+	if read := pagesRead() - atFire; read != 0 {
+		t.Errorf("%d heap pages read after the interrupt", read)
+	}
+	if atFire != db.stored["X"].Pages()+db.stored["Y"].Pages() {
+		t.Errorf("interrupted after %d heap pages, want both files' %d", atFire, db.stored["X"].Pages()+db.stored["Y"].Pages())
+	}
+	requireEmptySpillDir(t, opt.SpillDir, "after the interrupted sort")
 }

@@ -87,7 +87,7 @@ func Tradeoffs(sizes []int, memRows int, dir string, seed int64) (*TradeoffsResu
 		sortSide := func(tuples []relation.Tuple) ([]relation.Tuple, error) {
 			ts, te := relation.ShredSpans(tuples, tupleSpan)
 			var st storage.SortStats
-			perm, err := storage.ExternalSortKeys(ts, te, relation.Order{relation.TSAsc}, memRows, dir, &st)
+			perm, err := storage.ExternalSortKeys(ts, te, relation.Order{relation.TSAsc}, memRows, dir, &st, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -27,10 +28,10 @@ type IOStats struct {
 	PagesWritten int64
 	PoolHits     int64
 	// RowsDecoded counts rows turned from page bytes into values: every
-	// row of a page a row scan reads, and each row a key scan's caller
-	// decodes by position (PageRows.Decode). It is updated with
-	// atomic.AddInt64, not held in an atomic.Int64, so IOStats stays a
-	// plain value callers copy.
+	// row of a page a row scan reads, added once per page, and the rows a
+	// key scan's caller decodes by position (PageRows.Decode), added once
+	// per call. It is updated with atomic.AddInt64, not held in an
+	// atomic.Int64, so IOStats stays a plain value callers copy.
 	RowsDecoded int64
 }
 
@@ -259,8 +260,8 @@ func (h *HeapFile) ReadRows(check func() error) ([]relation.Row, int64, error) {
 // endpoint columns, in file order, and, when the scan kept them, the rows
 // themselves, decodable by position.
 type Keys struct {
-	TS, TE []interval.Time
-	Rows   *PageRows // nil unless the scan kept its pages
+	TS, TE []interval.Time // nil when the scan read no key columns
+	Rows   *PageRows       // nil unless the scan kept its pages
 	// PagesRead counts the pages the scan read from disk, not the pool.
 	PagesRead int64
 }
@@ -268,7 +269,7 @@ type Keys struct {
 // PageRows holds the rows behind a key scan undecoded: a copy of each
 // scanned page's used bytes and, per row, its RID — the index of its page
 // among them times PageSize plus its byte offset in the page. Decode turns
-// one row into values; rows nobody decodes never are.
+// the rows a caller asks for into values; rows nobody asks for never are.
 type PageRows struct {
 	h     *HeapFile
 	pages []string
@@ -278,42 +279,106 @@ type PageRows struct {
 // Arity returns the number of cells of a decoded row.
 func (p *PageRows) Arity() int { return p.h.schema.Arity() }
 
-// PerPage returns the average number of rows per page, at least 1: a
-// caller decoding rows in arbitrary order can poll once per PerPage rows,
-// about once per page's worth of work.
-func (p *PageRows) PerPage() int {
-	if len(p.pages) == 0 {
-		return 1
+// Decode decodes the key scan's rows at positions pos and returns them in
+// the order of pos, each a full-capacity slice of one value arena of the
+// exact size whose string cells share the page copies; nil for no
+// positions. The work runs in file order whatever the order of pos: the
+// positions are marked in a bitmap of one bit per row, the marked rows are
+// decoded front to back into consecutive arena slots — so pages and RIDs
+// are read sequentially —, and the k-th row returned is the slot of
+// pos[k], found by its rank among the marks. A position out of range or
+// given twice is an error. check, when not nil, runs once per page's worth
+// of rows decoded and stops the call with its error. RowsDecoded grows
+// once per call, by the rows decoded. The key scan validated every row it
+// recorded, so a decode error means the copy was damaged in memory.
+func (p *PageRows) Decode(pos []int32, check func() error) ([]relation.Row, error) {
+	if len(pos) == 0 {
+		return nil, nil
 	}
-	return max(1, len(p.rids)/len(p.pages))
+	n := len(p.rids)
+	marks := make([]uint64, (n+63)/64)
+	//tdb:hotpath
+	for _, j := range pos {
+		if j < 0 || int(j) >= n {
+			return nil, fmt.Errorf("storage: decode of row %d of a key scan of %d rows", j, n)
+		}
+		bit := uint64(1) << (j & 63)
+		if marks[j>>6]&bit != 0 {
+			return nil, fmt.Errorf("storage: row %d of a key scan asked for twice", j)
+		}
+		marks[j>>6] |= bit
+	}
+	arity := p.Arity()
+	arena := make([]value.Value, len(pos)*arity)
+	rank := make([]int32, len(marks))
+	decoded, err := p.decodeMarked(marks, rank, arena, check)
+	atomic.AddInt64(&p.h.stats.RowsDecoded, int64(decoded))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]relation.Row, len(pos))
+	//tdb:hotpath
+	for k, j := range pos {
+		w := j >> 6
+		s := (int(rank[w]) + bits.OnesCount64(marks[w]&(uint64(1)<<(j&63)-1))) * arity
+		out[k] = arena[s : s+arity : s+arity]
+	}
+	return out, nil
 }
 
-// Decode decodes row i of the key scan into dst, one cell per column; its
-// string cells share the page copy. The key scan validated every row it
-// recorded, so an error here means the copy was damaged in memory.
-func (p *PageRows) Decode(dst relation.Row, i int32) error {
-	rid := p.rids[i]
-	if _, err := decodeRow(dst, p.pages[rid/PageSize], int(rid%PageSize), p.h.schema); err != nil {
-		return fmt.Errorf("%w: row %d: %v", ErrCorruptPage, i, err)
+// decodeMarked decodes the rows marked in marks, in file order, into
+// consecutive arity-wide slots of arena, sets rank[w] to the number of
+// marked rows before word w, and returns the number of rows decoded.
+// check is as for Decode: the poll comes every PageRows' average rows per
+// page.
+func (p *PageRows) decodeMarked(marks []uint64, rank []int32, arena []value.Value, check func() error) (int, error) {
+	arity := p.Arity()
+	every := max(1, len(p.rids)/len(p.pages))
+	poll, slot := every, 0
+	//tdb:hotpath
+	for w, word := range marks {
+		rank[w] = int32(slot)
+		for ; word != 0; word &= word - 1 {
+			if poll--; poll == 0 {
+				poll = every
+				if check != nil {
+					if err := check(); err != nil {
+						return slot, err
+					}
+				}
+			}
+			i := w<<6 | bits.TrailingZeros64(word)
+			rid := p.rids[i]
+			row := arena[slot*arity : slot*arity+arity : slot*arity+arity]
+			if _, err := decodeRow(row, p.pages[rid/PageSize], int(rid%PageSize), p.h.schema); err != nil {
+				return slot, fmt.Errorf("%w: row %d: %v", ErrCorruptPage, i, err)
+			}
+			slot++
+		}
 	}
-	atomic.AddInt64(&p.h.stats.RowsDecoded, 1)
-	return nil
+	return slot, nil
 }
 
 // ScanKeys makes one pass over the file's pages and returns their rows'
 // lifespans, in file order, read from columns tsCol and teCol (8-byte
 // kinds) without decoding a row. With keep it also keeps each page's used
 // bytes and each row's RID in Keys.Rows — the open tail page is copied
-// like any other, so rows appended later do not reach it. check is as for
-// walkPages. The columns are exactly as long as the file has rows.
+// like any other, so rows appended later do not reach it. A scan that
+// keeps its pages may read no key columns: tsCol and teCol both -1, for a
+// caller that has the lifespans already and needs only the rows. check is
+// as for walkPages. The columns are exactly as long as the file has rows.
 func (h *HeapFile) ScanKeys(tsCol, teCol int, keep bool, check func() error) (*Keys, error) {
+	cols := !keep || tsCol != -1 || teCol != -1
 	for _, c := range []int{tsCol, teCol} {
-		if c < 0 || c >= h.schema.Arity() || h.schema.Cols[c].Kind == value.KindString {
+		if cols && (c < 0 || c >= h.schema.Arity() || h.schema.Cols[c].Kind == value.KindString) {
 			return nil, fmt.Errorf("storage: key scan of column %d of %s", c, h.schema)
 		}
 	}
 	n := h.rows
-	k := &Keys{TS: make([]interval.Time, 0, n), TE: make([]interval.Time, 0, n)}
+	k := &Keys{}
+	if cols {
+		k.TS, k.TE = make([]interval.Time, 0, n), make([]interval.Time, 0, n)
+	}
 	var rids []int64
 	if keep {
 		k.Rows = &PageRows{h: h, pages: make([]string, 0, h.pages+1)}

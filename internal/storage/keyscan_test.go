@@ -3,8 +3,11 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tdb/internal/fault"
@@ -37,13 +40,17 @@ func requireKeys(t *testing.T, name string, k *Keys, want []relation.Row) {
 	if k.Rows == nil {
 		return
 	}
-	row := make(relation.Row, k.Rows.Arity())
+	all := make([]int32, len(want))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	rows, err := k.Rows.Decode(all, nil)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
 	for i, r := range want {
-		if err := k.Rows.Decode(row, int32(i)); err != nil {
-			t.Fatalf("%s: decode %d: %v", name, i, err)
-		}
-		if !row.Equal(r) {
-			t.Fatalf("%s: row %d decodes to %v, want %v", name, i, row, r)
+		if !rows[i].Equal(r) {
+			t.Fatalf("%s: row %d decodes to %v, want %v", name, i, rows[i], r)
 		}
 	}
 }
@@ -86,7 +93,113 @@ func TestScanKeysTailCopiedNotAliased(t *testing.T) {
 	}
 }
 
-// check runs before every page and stops the scan with its error.
+// randomFile builds a heap file of n rows of varied widths, with rows on
+// the open tail page, and returns it with its rows in file order.
+func randomFile(t *testing.T, rng *rand.Rand, n int) (*HeapFile, []relation.Row) {
+	t.Helper()
+	hf, err := Create(filepath.Join(t.TempDir(), "r.tdb"), relation.TupleSchema, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hf.Close() })
+	for i := 0; i < n || hf.cur.rows == 0; i++ {
+		from := interval.Time(rng.Intn(1000))
+		row := makeRow(strings.Repeat("s", rng.Intn(12)), strings.Repeat("v", rng.Intn(40)), from, from+1+interval.Time(rng.Intn(50)))
+		if err := hf.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, _, err := hf.ReadRows(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hf, rows
+}
+
+// The batch decode returns exactly ReadRows' rows at the positions asked
+// for, in the order asked for, each of capacity arity, and grows
+// RowsDecoded by exactly the positions' count, polling once per page's
+// worth of rows: for no position, every position, one, the open tail
+// page's and random subsets, each in a random order, from a key scan with
+// key columns and from one without. A position out of range or given
+// twice fails the call and decodes nothing.
+func TestPageRowsDecodeMatchesReadRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	hf, rows := randomFile(t, rng, 900)
+	n := len(rows)
+	tail := int(hf.Rows()) - hf.cur.rows
+	type subset struct {
+		name string
+		pos  []int32
+	}
+	var all, onTail []int32
+	for j := 0; j < n; j++ {
+		all = append(all, int32(j))
+		if j >= tail {
+			onTail = append(onTail, int32(j))
+		}
+	}
+	subsets := []subset{{"none", []int32{}}, {"all", all}, {"one", []int32{int32(rng.Intn(n))}},
+		{"last", []int32{int32(n - 1)}}, {"open tail page", onTail}}
+	for i := 0; i < 20; i++ {
+		var pos []int32
+		share := rng.Float64()
+		for j := 0; j < n; j++ {
+			if rng.Float64() < share {
+				pos = append(pos, int32(j))
+			}
+		}
+		subsets = append(subsets, subset{fmt.Sprintf("random %d", i), pos})
+	}
+	for _, cols := range [][2]int{{2, 3}, {-1, -1}} {
+		k, err := hf.ScanKeys(cols[0], cols[1], true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (k.TS == nil) != (cols[0] == -1) {
+			t.Fatalf("scan of columns %v built %d key columns", cols, len(k.TS))
+		}
+		every := max(1, n/len(k.Rows.pages))
+		for _, sub := range subsets {
+			name, pos := sub.name, sub.pos
+			rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+			before, polls := hf.Stats().RowsDecoded, 0
+			got, err := k.Rows.Decode(pos, func() error { polls++; return nil })
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got) != len(pos) {
+				t.Fatalf("%s: %d rows for %d positions", name, len(got), len(pos))
+			}
+			for i, j := range pos {
+				if !got[i].Equal(rows[j]) || cap(got[i]) != k.Rows.Arity() {
+					t.Fatalf("%s: row %d (position %d) is %v of cap %d, want %v", name, i, j, got[i], cap(got[i]), rows[j])
+				}
+			}
+			if d := hf.Stats().RowsDecoded - before; d != int64(len(pos)) {
+				t.Errorf("%s: RowsDecoded grew %d for %d positions", name, d, len(pos))
+			}
+			if polls != len(pos)/every {
+				t.Errorf("%s: %d polls for %d rows at %d rows per page", name, polls, len(pos), every)
+			}
+		}
+		before := hf.Stats().RowsDecoded
+		for _, bad := range [][]int32{{-1}, {int32(n)}, {3, 7, 3}, {0, 1, int32(n - 1), 1}} {
+			if got, err := k.Rows.Decode(bad, nil); err == nil {
+				t.Errorf("positions %v accepted: %v", bad, got)
+			}
+		}
+		if d := hf.Stats().RowsDecoded - before; d != 0 {
+			t.Errorf("refused positions decoded %d rows", d)
+		}
+	}
+	if _, err := hf.ScanKeys(-1, -1, false, nil); err == nil {
+		t.Error("a scan of neither keys nor rows accepted")
+	}
+}
+
+// check runs before every page and stops the scan with its error, and the
+// batch decode's on its first poll, after a page's worth of rows.
 func TestScanKeysCheckStopsPerPage(t *testing.T) {
 	hf, _ := pagedFile(t, 500)
 	stop := errors.New("stop")
@@ -106,6 +219,18 @@ func TestScanKeysCheckStopsPerPage(t *testing.T) {
 	calls = 0
 	if _, _, err := hf.ReadRows(check); !errors.Is(err, stop) {
 		t.Fatalf("row scan error %v, want the check's", err)
+	}
+	k := keysOf(t, hf, true)
+	pos := make([]int32, hf.Rows())
+	for i := range pos {
+		pos[len(pos)-1-i] = int32(i)
+	}
+	before := hf.Stats().RowsDecoded
+	if _, err := k.Rows.Decode(pos, func() error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("decode error %v, want the check's", err)
+	}
+	if d, every := hf.Stats().RowsDecoded-before, hf.Rows()/int64(len(k.Rows.pages)); d != every-1 {
+		t.Errorf("decoded %d rows before the first poll, want %d", d, every-1)
 	}
 }
 
@@ -160,7 +285,7 @@ func TestExternalSortKeysOneSpillFile(t *testing.T) {
 		created = 0
 		dir := t.TempDir()
 		var st SortStats
-		got, err := ExternalSortKeys(ts, te, o, 5, dir, &st)
+		got, err := ExternalSortKeys(ts, te, o, 5, dir, &st, nil)
 		switch {
 		case spec == "" && err != nil:
 			t.Fatal(err)

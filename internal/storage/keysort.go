@@ -103,14 +103,20 @@ func writeKeyRun(f *os.File, first int64, page *[PageSize]byte, ts, te []interva
 }
 
 // pop returns the run's next record, reading its next page through the page
-// buffer when the current one is used up; ok is false at the end of the
-// run. The run's record count is known from its formation, so a page that
-// brings more records than remain, or none, or a last page that leaves some
-// unread, is corruption, like anything decodeKeyPage rejects.
-func (r *keyRun) pop(page *[PageSize]byte, n int) (rec keyRec, ok bool, err error) {
+// buffer when the current one is used up, after check (when not nil)
+// passes; ok is false at the end of the run. The run's record count is
+// known from its formation, so a page that brings more records than
+// remain, or none, or a last page that leaves some unread, is corruption,
+// like anything decodeKeyPage rejects.
+func (r *keyRun) pop(page *[PageSize]byte, n int, check func() error) (rec keyRec, ok bool, err error) {
 	if r.i == len(r.recs) {
 		if r.left == 0 {
 			return keyRec{}, false, nil
+		}
+		if check != nil {
+			if err := check(); err != nil {
+				return keyRec{}, false, err
+			}
 		}
 		if err := readPageAt(r.f, r.first+r.next, page); err != nil {
 			return keyRec{}, false, err
@@ -174,8 +180,10 @@ func siftKeyHeads(h []keyHead, i int) {
 // of the runs, ties to the lower run, yields the permutation. The file is
 // deleted on every return. stats (which may be nil) receives the runs and
 // the pages written and read — the Section 4.1 passes, now over 20-byte
-// records instead of rows.
-func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir string, stats *SortStats) ([]int32, error) {
+// records instead of rows. check, when not nil, runs before each run is
+// formed and before the merge reads each run page, and stops the sort with
+// its error.
+func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir string, stats *SortStats, check func() error) ([]int32, error) {
 	n := len(ts)
 	if memRows < 1 {
 		memRows = 1
@@ -201,6 +209,11 @@ func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir
 	// Run formation. perm is not needed until the merge, so each chunk's
 	// local permutation is computed in the chunk's own stretch of it.
 	for lo := 0; lo < n; lo += memRows {
+		if check != nil {
+			if err := check(); err != nil {
+				return nil, err
+			}
+		}
 		hi := min(lo+memRows, n)
 		local := perm[lo:hi]
 		relation.OrderColumns(ts[lo:hi], te[lo:hi], o, local)
@@ -217,7 +230,7 @@ func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir
 	// at least one record.
 	heads := make([]keyHead, len(runs))
 	for i := range runs {
-		rec, _, err := runs[i].pop(&page, n)
+		rec, _, err := runs[i].pop(&page, n, check)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +242,7 @@ func ExternalSortKeys(ts, te []interval.Time, o relation.Order, memRows int, dir
 	for out := 0; len(heads) > 0; out++ {
 		top := &heads[0]
 		perm[out] = top.idx
-		rec, ok, err := runs[top.run].pop(&page, n)
+		rec, ok, err := runs[top.run].pop(&page, n, check)
 		if err != nil {
 			return nil, err
 		}

@@ -61,7 +61,7 @@ func TestExternalSortKeysMatchesOrderSpans(t *testing.T) {
 		for _, memRows := range []int{1, 2, 7, n - 1, n, n + 1} {
 			dir := t.TempDir()
 			var st SortStats
-			got, err := ExternalSortKeys(ts, te, o, memRows, dir, &st)
+			got, err := ExternalSortKeys(ts, te, o, memRows, dir, &st, nil)
 			if err != nil {
 				t.Fatalf("order %v memRows=%d: %v", o, memRows, err)
 			}
@@ -91,7 +91,7 @@ func TestExternalSortKeysMatchesOrderSpans(t *testing.T) {
 	for i, j := range sorted {
 		ts[i], te[i] = ivs[j].Start, ivs[j].End
 	}
-	got, err := ExternalSortKeys(ts, te, engineOrders[3], 50, t.TempDir(), nil)
+	got, err := ExternalSortKeys(ts, te, engineOrders[3], 50, t.TempDir(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSortRunFaultsTypedAndCleanedUp(t *testing.T) {
 
 	forms := map[string]func(dir string) error{
 		"ExternalSortKeys": func(dir string) error {
-			_, err := ExternalSortKeys(ts, te, o, 250, dir, nil)
+			_, err := ExternalSortKeys(ts, te, o, 250, dir, nil, nil)
 			return err
 		},
 		"ExternalSort": func(dir string) error {

@@ -125,8 +125,9 @@ func openRowPage(buf []byte, schema *relation.Schema) (count, used int, err erro
 }
 
 // pageKeys walks a row page without decoding it: per row it appends the
-// cells of columns tsCol and teCol (8-byte kinds) to ts and te and, when
-// rids is not nil, base plus the row's byte offset in the page to rids.
+// cells of columns tsCol and teCol (8-byte kinds) to ts and te — unless
+// both are -1, which reads no key — and, when rids is not nil, base plus
+// the row's byte offset in the page to rids.
 // String cells are skipped by their length prefix. It fails exactly when
 // decodePage fails, with an error wrapping ErrCorruptPage; what it appended
 // before the failure is then garbage.
@@ -137,6 +138,7 @@ func pageKeys(buf []byte, schema *relation.Schema, tsCol, teCol int, ts, te []in
 	}
 	b := buf[:used]
 	off := pageHeaderSize
+	keys := tsCol != -1 || teCol != -1
 	for i := 0; i < n; i++ {
 		if rids != nil {
 			rids = append(rids, base+int64(off))
@@ -165,7 +167,9 @@ func pageKeys(buf []byte, schema *relation.Schema, tsCol, teCol int, ts, te []in
 			}
 			off += 8
 		}
-		ts, te = append(ts, from), append(te, to)
+		if keys {
+			ts, te = append(ts, from), append(te, to)
+		}
 	}
 	return ts, te, rids, nil
 }

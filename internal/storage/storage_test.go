@@ -279,7 +279,7 @@ func TestExternalSortStableAtEveryWorkspace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			perm, err := ExternalSortKeys(ts, te, o, memRows, t.TempDir(), nil)
+			perm, err := ExternalSortKeys(ts, te, o, memRows, t.TempDir(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
