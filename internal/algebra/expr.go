@@ -180,7 +180,9 @@ type Project struct {
 	TSName string
 	TEName string
 	// Distinct eliminates duplicate rows, restoring set semantics after
-	// the projection.
+	// the projection. The engine may prove it redundant from the data
+	// version a run reads — the projected columns take a key of every base
+	// relation beneath — and then keeps every row without hashing one.
 	Distinct bool
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"strings"
 	"time"
 
 	"tdb/internal/algebra"
@@ -828,15 +829,16 @@ func compileProject(p *algebra.Project, in *relation.Schema) (*relation.Schema, 
 	return schema, idx, nil
 }
 
-// evalProject is the sink of its plan: it builds the output rows from its
-// input view, each once, DISTINCT first picking the positions whose
-// projected key is new.
 // distinctRows returns, in order, the positions of v's rows whose cells
-// at idx no earlier row repeats. Rows are found by the hash of their
-// AppendKey encoding in an open-addressing table of positions, and keys
-// are compared only on equal hashes, so the table is pointer-free and
-// nothing is allocated per row.
-func distinctRows(v view, idx []int) []int32 {
+// at idx no earlier row repeats.
+func distinctRows(v view, idx []int) []int32 { return firstRows(v, idx, false) }
+
+// firstRows is distinctRows, returning at the first repeat instead when
+// stop is set: a result shorter than v.n then says only that some row
+// repeats. Rows are found by the hash of their AppendKey encoding in an
+// open-addressing table of positions, and keys are compared only on equal
+// hashes, so the table is pointer-free and nothing is allocated per row.
+func firstRows(v view, idx []int, stop bool) []int32 {
 	rd := v.reader()
 	keep := make([]int32, 0, v.n)
 	hashes := make([]uint64, 0, v.n) // hashes[k] is keep[k]'s
@@ -860,15 +862,25 @@ func distinctRows(v view, idx []int) []int32 {
 				break
 			}
 		}
-		if slots[s] == 0 {
-			slots[s] = int32(len(keep)) + 1
-			keep = append(keep, i)
-			hashes = append(hashes, h)
+		if slots[s] != 0 {
+			if stop {
+				return keep
+			}
+			continue
 		}
+		slots[s] = int32(len(keep)) + 1
+		keep = append(keep, i)
+		hashes = append(hashes, h)
 	}
 	return keep
 }
 
+// evalProject is the sink of its plan: it builds the output rows from its
+// input view, each once. DISTINCT first picks the positions whose
+// projected key is new (distinctRows), unless the data proves the
+// projected rows distinct already (keyProof): every row is new then, so
+// the rows and their order are the ones DISTINCT would keep, and none is
+// hashed. The node's note says which ran.
 func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	in, err := ex.eval(n.Input)
 	if err != nil {
@@ -880,10 +892,16 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	}
 	probe := metrics.Probe{ReadLeft: int64(in.v.n)}
 	v := in.v
+	var notes []string
 	if n.Distinct {
-		v = v.flat()
-		if keep := distinctRows(v, idx); len(keep) < v.n {
-			v = v.pick(keep)
+		if keys, ok := ex.provenKeys(n.Input, idx); ok {
+			notes = append(notes, "distinct skipped: key "+strings.Join(keys, ", "))
+		} else {
+			v = v.flat()
+			notes = append(notes, fmt.Sprintf("distinct ran over %d rows", v.n))
+			if keep := distinctRows(v, idx); len(keep) < v.n {
+				v = v.pick(keep)
+			}
 		}
 	}
 	rows, err := ex.build(v, idx)
@@ -891,6 +909,6 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 		return nil, err
 	}
 	probe.IncEmitted(int64(len(rows)))
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(rows))})
+	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(rows)), Notes: notes})
 	return &result{schema: schema, v: rowsView(rows, len(idx))}, nil
 }

@@ -9,7 +9,7 @@ import (
 
 // The relation index (DESIGN.md "The relation index"): what a query built
 // from a registered relation's rows and a later query can use again stays
-// in the relation's DB. Entries are of two kinds:
+// in the relation's DB. Entries are of three kinds:
 //
 //   - an order of its lifespans (the endpoint index): the sorted endpoint
 //     columns and the permutation back to the relation's rows, left by the
@@ -20,22 +20,27 @@ import (
 //     never kept;
 //   - the codes of one of its columns (codes.go), built on the first
 //     equality use: a base scan's col = const selection or a self
-//     equi-join on one column.
+//     equi-join on one column;
+//   - a key fact (keys.go): whether a set of its columns is a key of its
+//     rows, settled on the first DISTINCT projection whose proof asks, the
+//     false answer kept too.
 
 // indexBudget bounds the bytes one DB's index keeps: 20 B per row per
-// order and about 12 B per row per column's codes, so 32 MiB holds about
-// 1.6 million rows' orders. Past it the least recently used entry goes
-// first.
+// order, about 12 B per row per column's codes and keyFactBytes per key
+// fact, so 32 MiB holds about 1.6 million rows' orders. Past it the least
+// recently used entry goes first.
 const indexBudget = 32 << 20
 
 // indexKey names one entry of one relation: an order of the lifespans its
-// endpoint columns ts and te give (col -1), or the codes of column col (ts
-// and te -1, order empty).
+// endpoint columns ts and te give (col -1), the codes of column col (ts
+// and te -1, order empty), or the key fact of the column set cols, one bit
+// per column (col, ts and te -1).
 type indexKey struct {
 	rel    *relation.Relation
 	col    int
 	ts, te int
 	order  string
+	cols   uint64
 }
 
 // orderKey names the order o of rel's lifespans under span.
@@ -46,6 +51,11 @@ func orderKey(rel *relation.Relation, span rowSpan, o relation.Order) indexKey {
 // codesKey names the codes of rel's column col.
 func codesKey(rel *relation.Relation, col int) indexKey {
 	return indexKey{rel: rel, col: col, ts: -1, te: -1}
+}
+
+// keyFactKey names the key fact of rel's column set cols.
+func keyFactKey(rel *relation.Relation, cols uint64) indexKey {
+	return indexKey{rel: rel, col: -1, ts: -1, te: -1, cols: cols}
 }
 
 // stamp is what an entry was built from, which must still hold when it is
@@ -69,11 +79,12 @@ func rowsStamp(rows []relation.Row) stamp {
 // heapStamp stamps what is built from hf's rows.
 func heapStamp(hf *storage.HeapFile) stamp { return stamp{n: hf.Rows(), heap: hf} }
 
-// indexEntry is a kept order or column's codes with the stamp of what it
-// was built from.
+// indexEntry is a kept order, column's codes or key fact with the stamp
+// of what it was built from.
 type indexEntry struct {
 	ord   ordered
 	codes *columnCodes
+	key   bool // a key fact's answer
 	stamp stamp
 	bytes int64
 	used  uint64 // the index's clock at the entry's last use
@@ -124,6 +135,28 @@ func (x *relationIndex) codes(rel *relation.Relation, col int) *columnCodes {
 	c := buildCodes(rel.Rows, col)
 	x.put(key, &indexEntry{codes: c, stamp: st, bytes: c.bytes()})
 	return c
+}
+
+// keyFactBytes is what one key fact costs the index's budget: the entry
+// and its map slot, whatever the relation's size.
+const keyFactBytes = 128
+
+// isKey reports whether in-memory rel's columns cols, one bit per column,
+// are a key of its rows: no two rows have AppendKey-equal cells in all of them. An
+// empty set is a key of at most one row. The answer is settled on first
+// use by one hashed pass over the rows, which stops at the first repeat,
+// and kept either way under the rows' stamp.
+func (x *relationIndex) isKey(rel *relation.Relation, cols uint64) bool {
+	if len(rel.Rows) <= 1 || cols == 0 {
+		return len(rel.Rows) <= 1
+	}
+	key, st := keyFactKey(rel, cols), rowsStamp(rel.Rows)
+	if e := x.get(key, st); e != nil {
+		return e.key
+	}
+	k := len(firstRows(rowsView(rel.Rows, rel.Schema.Arity()), colsOf(cols), true)) == len(rel.Rows)
+	x.put(key, &indexEntry{key: k, stamp: st, bytes: keyFactBytes})
+	return k
 }
 
 // get returns the entry of key, if it was built from what st stamps; an
