@@ -36,7 +36,7 @@ test:
 # packed value.Value against its three-field reference, the row-key
 # codec: equal relation.AppendKey encodings exactly when Row.Equal, and the
 # engine's relation index (orders and column codes): every Run over a DB
-# that took Register, Append and direct row growth returns what a fresh
+# that took Register, Append and StoreRelation returns what a fresh
 # DB's Run of the tree returns, the /v1/append decoder: rows of the
 # schema's kinds or a typed bad_request error for any body, never a panic,
 # the /v1/subscribe decoder and resume arithmetic: a typed bad_request, or

@@ -163,7 +163,7 @@ func codesServed(st *Stats) int { return notesOf(st, selectNote) + notesOf(st, j
 
 // No column's codes outlive the rows they were built from: after a
 // replacing Register, a Register of the same relation reordered in place,
-// direct growth of its rows, DB.Append and StoreRelation, every run
+// DB.Append and StoreRelation, every run
 // returns what a fresh DB returns, and the codes are rebuilt or bypassed.
 func TestColumnCodesNeverStale(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
@@ -202,11 +202,6 @@ func TestColumnCodesNeverStale(t *testing.T) {
 	x.Sort(relation.Order{relation.TEDesc})
 	db.MustRegister(x)
 	check("reordered in place and registered again", true)
-
-	for _, tu := range tiedTuples(rng, 20, "g") {
-		x.Rows = append(x.Rows, relation.TupleToRow(tu))
-	}
-	check("grown directly", true)
 
 	if err := db.Append("X", relation.TupleToRow(tiedTuples(rng, 1, "p")[0])); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"tdb/internal/catalog"
 	"tdb/internal/constraints"
@@ -29,6 +30,7 @@ import (
 // operator — making the paper's Section 3 observation that "conventional
 // systems would scan the relation several times" directly measurable.
 type DB struct {
+	parent *DB // set on a fork
 	rels   map[string]*relation.Relation
 	stored map[string]*storage.HeapFile
 	cat    *catalog.Catalog
@@ -61,14 +63,35 @@ func (db *DB) refreshGauges() {
 }
 
 // NewDB returns an empty database.
-func NewDB() *DB {
+func NewDB() *DB { return newDB(nil, newRelationIndex()) }
+
+// Fork returns a DB that owns only the relations registered on it, with
+// their statistics; every other name — its rows, heap file, live state,
+// statistics and constraints — resolves to db at each use. Forks share
+// db's relation index. Append and StoreRelation act on the DB that owns
+// the name; Close drops the fork's own index entries alone.
+func (db *DB) Fork() *DB { return newDB(db, db.index) }
+
+func newDB(parent *DB, index *relationIndex) *DB {
 	return &DB{
+		parent: parent,
 		rels:   map[string]*relation.Relation{},
 		stored: map[string]*storage.HeapFile{},
 		cat:    catalog.New(),
 		live:   map[string]*liveStats{},
-		index:  newRelationIndex(),
+		index:  index,
 	}
+}
+
+// owner returns the DB that holds name: a fork that registered it, or the
+// root of the fork chain, which answers for every other name.
+func (db *DB) owner(name string) *DB {
+	for ; db.parent != nil; db = db.parent {
+		if _, ok := db.rels[name]; ok {
+			return db
+		}
+	}
+	return db
 }
 
 // ErrAlreadyStored is returned by StoreRelation for a relation that is
@@ -87,9 +110,9 @@ var ErrAlreadyStored = errors.New("engine: relation already stored")
 // base scans: the first columnar semijoin over it keeps the order it
 // sorted the file's lifespans into, whatever Options.SortMemRows is, and
 // later ones read it from there — a right input without reading a page.
-// An order is served only while the file holds the rows it was built
-// from, and DB.Append makes it stale.
+// DB.Append drops the orders of the file it grows.
 func (db *DB) StoreRelation(name, dir string, poolPages int) error {
+	db = db.owner(name)
 	rel, err := db.Relation(name)
 	if err != nil {
 		return err
@@ -118,33 +141,36 @@ func (db *DB) StoreRelation(name, dir string, poolPages int) error {
 
 // StoredIO returns the I/O counters of a stored relation, or nil.
 func (db *DB) StoredIO(name string) *storage.IOStats {
-	if hf, ok := db.stored[name]; ok {
+	if hf, ok := db.owner(name).stored[name]; ok {
 		return hf.Stats()
 	}
 	return nil
 }
 
-// Close releases the heap files of stored relations and forgets their
-// entries in the relation index.
+// Close forgets the relation index's entries of the relations registered
+// on db and releases their heap files. A fork's Close leaves its parent's
+// relations, files and entries as they are.
 func (db *DB) Close() error {
 	var first error
-	for name, hf := range db.stored {
-		if err := hf.Close(); err != nil && first == nil {
-			first = err
+	for name, rel := range db.rels {
+		db.index.drop(rel)
+		if hf, ok := db.stored[name]; ok {
+			if err := hf.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-		db.index.drop(db.rels[name])
 	}
 	return first
 }
 
 // Register adds (or replaces) a relation and refreshes its statistics.
-// The relation index forgets every entry of the relation it replaces —
-// rel itself, when it is registered again after a change to its rows —
-// and the name forgets the live state appends gave it, so rel is indexed
-// and its statistics are its own until it is appended to. A stored
-// relation it replaces loses its heap file, which is closed: rel's rows
-// are the relation's from then on. An error closing the file is returned
-// after rel is registered.
+// The DB owns rel from then on: its rows change only through Append,
+// StoreRelation or a later Register, each of which drops the relation's
+// entries in the relation index (rel's own, when it is registered again)
+// and so the index never serves an entry its rows outgrew. The name
+// forgets the live state appends gave it. A stored relation it replaces
+// loses its heap file, which is closed; an error closing it is returned
+// after rel is registered. On a fork, rel shadows the parent's name.
 func (db *DB) Register(rel *relation.Relation) error {
 	if err := rel.Check(); err != nil {
 		return err
@@ -177,9 +203,11 @@ func (db *DB) MustRegister(rel *relation.Relation) {
 	}
 }
 
-// Relation returns a registered relation.
+// Relation returns a registered relation: the DB's own, which callers read
+// and do not modify. A relation is shared by forking its DB, not by
+// registering it in another.
 func (db *DB) Relation(name string) (*relation.Relation, error) {
-	r, ok := db.rels[name]
+	r, ok := db.owner(name).rels[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown relation %q", name)
 	}
@@ -196,16 +224,17 @@ func (db *DB) SchemaOf(name string) (*relation.Schema, error) {
 }
 
 // Stats returns the recorded statistics for a relation, or nil.
-func (db *DB) Stats(name string) *catalog.Stats { return db.cat.Lookup(name) }
+func (db *DB) Stats(name string) *catalog.Stats { return db.owner(name).cat.Lookup(name) }
 
-// Names returns the registered relation names, sorted.
+// Names returns the registered relation names, a fork's parent's too,
+// sorted.
 func (db *DB) Names() []string {
-	out := make([]string, 0, len(db.rels))
-	for n := range db.rels {
-		out = append(out, n)
+	var out []string
+	for d := db; d != nil; d = d.parent {
+		out = append(out, slices.Collect(maps.Keys(d.rels))...)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // DeclareChronOrder registers a chronological-ordering integrity
@@ -223,8 +252,11 @@ func (db *DB) DeclareChronOrder(ic constraints.ChronOrder) error {
 	return nil
 }
 
-// ChronOrders returns the declared constraints.
+// ChronOrders returns the declared constraints, a fork's parent's first.
 func (db *DB) ChronOrders() []constraints.ChronOrder {
+	if db.parent != nil {
+		return append(db.parent.ChronOrders(), db.ics...)
+	}
 	return append([]constraints.ChronOrder{}, db.ics...)
 }
 

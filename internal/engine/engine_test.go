@@ -561,3 +561,40 @@ func TestSortAvoidance(t *testing.T) {
 	}
 	_ = interval.Time(0)
 }
+
+// A recognized join or semijoin pairs the same rows on every path: the
+// nodes joinOf and semijoinOf build carry no atom, so the kind alone says
+// which pairs match, and the conventional paths test it on the node's
+// spans as the stream operators do.
+func TestConventionalPathsTestTheKind(t *testing.T) {
+	db := newPoissonDB(t, 200)
+	paths := []struct {
+		name string
+		opt  Options
+	}{
+		{"ForceNestedLoop", Options{ForceNestedLoop: true}},
+		{"ForceNoHash", Options{ForceNoHash: true}},
+		{"ForceNestedLoop+ForceNoHash", Options{ForceNestedLoop: true, ForceNoHash: true}},
+	}
+	for _, kind := range []algebra.TemporalKind{algebra.KindContained, algebra.KindContain, algebra.KindOverlap, algebra.KindBefore} {
+		for _, node := range []struct {
+			name string
+			tree algebra.Expr
+		}{{"join", joinOf(kind)}, {"semijoin", semijoinOf(kind)}} {
+			want, _, err := Run(db, node.tree, colOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := want.Cardinality(); n == 0 || n == 200 || n == 200*200 {
+				t.Fatalf("%s %s: %d columnar rows pair nothing or everything", kind, node.name, n)
+			}
+			for _, p := range paths {
+				got, _, err := Run(db, node.tree, p.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRows(t, fmt.Sprintf("%s %s under %s", kind, node.name, p.name), want, got)
+			}
+		}
+	}
+}

@@ -240,13 +240,11 @@ type result struct {
 	// and no endpoint column.
 	ord *ordered
 	// base is the relation whose orders the relation index keeps for this
-	// input, and stamp what this input was read from. A scan of an
-	// in-memory relation no append has touched sets them, whose v is the
-	// identity view over base.Rows — the one input whose equality
-	// selections the index also serves —, and so does a stored key scan,
-	// whose keys are in file order.
-	base  *relation.Relation
-	stamp stamp
+	// input. A scan of an in-memory relation that is not live sets it,
+	// whose v is the identity view over base.Rows — the one input whose
+	// equality selections the index also serves —, and so does a stored
+	// key scan, whose keys are in file order.
+	base *relation.Relation
 	// reads is the base relation whose rows v's one part picks, set by the
 	// same scan and kept by a selection over it: a self equi-join of two
 	// such inputs chains its rows by the relation's column codes.
@@ -336,9 +334,9 @@ func (ex *executor) establishOrder(in *result, span rowSpan,
 	}
 	key := orderKey(in.base, span, o)
 	if in.keys == nil { // a key scan looked its order up already
-		if out, ok := ex.db.index.order(key, in.stamp); ok {
+		if e := ex.db.index.get(key); e != nil {
 			noteServed(cost, o)
-			return out, nil
+			return e.ord, nil
 		}
 	}
 	ts, te := in.columns(span)
@@ -346,7 +344,7 @@ func (ex *executor) establishOrder(in *result, span rowSpan,
 	if err != nil {
 		return ordered{}, err
 	}
-	ex.db.index.putOrder(key, in.stamp, out)
+	ex.db.index.putOrder(key, out)
 	return out, nil
 }
 
@@ -598,7 +596,8 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 	probe := metrics.Probe{}
 	probe.Passes = 1
 
-	if hf, ok := ex.db.stored[n.Relation]; ok {
+	own := ex.db.owner(n.Relation)
+	if hf, ok := own.stored[n.Relation]; ok {
 		cost := NodeCost{Label: n.Label(), Algorithm: "stored scan", Probe: probe}
 		rows, pagesRead, err := hf.ReadRows(ex.checkInterrupt)
 		if err != nil {
@@ -617,8 +616,8 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 		OutRows: int64(base.Cardinality()),
 	})
 	res := &result{schema: base.Schema.Rename(n.Var()), v: rowsView(base.Rows, base.Schema.Arity())}
-	if _, live := ex.db.live[n.Relation]; !live {
-		res.base, res.reads, res.stamp = base, base, rowsStamp(base.Rows)
+	if _, live := own.live[n.Relation]; !live {
+		res.base, res.reads = base, base
 	}
 	return res, nil
 }
@@ -645,11 +644,11 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 	if ts < 0 || te < 0 || schema.Cols[ts].Kind == value.KindString || schema.Cols[te].Kind == value.KindString {
 		return ex.evalScan(n)
 	}
-	res := &result{schema: schema, base: base, stamp: heapStamp(hf)}
+	res := &result{schema: schema, base: base}
 	cost := NodeCost{Label: n.Label(), Algorithm: "stored key scan", Probe: metrics.Probe{Passes: 1}}
-	cost.Probe.ReadLeft, cost.OutRows = res.stamp.n, res.stamp.n
-	if ord, ok := ex.db.index.order(orderKey(base, rowSpan{ts: ts, te: te}, o), res.stamp); ok {
-		res.ord = &ord
+	cost.Probe.ReadLeft, cost.OutRows = hf.Rows(), hf.Rows()
+	if e := ex.db.index.get(orderKey(base, rowSpan{ts: ts, te: te}, o)); e != nil {
+		res.ord = &e.ord
 		if !keep {
 			cost.Notes = append(cost.Notes, "keys only: served by the endpoint index, no page read")
 			ex.stats.add(cost)

@@ -32,13 +32,14 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 	switch lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema); {
 	case !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta:
 		pairs, cost, err = ex.streamJoin(n, l, r)
-	case len(lk) > 0 && !ex.opt.ForceNoHash:
+	case len(lk) > 0 && !ex.opt.ForceNoHash && n.Kind == algebra.KindTheta:
 		// Conventional path: the hash join for an equi-join, the nested
-		// loop for anything else or under Options.ForceNoHash.
+		// loop for anything else (a recognized kind included) or under
+		// Options.ForceNoHash.
 		pairs, cost, err = ex.hashJoin(l, r, lk, rk, residual)
 	default:
 		var pred pairPred
-		if pred, err = compilePairPred(n.Pred, l.schema, r.schema); err != nil {
+		if pred, err = pairTest(n.Pred, n.Kind, n.LSpan, n.RSpan, l.schema, r.schema); err != nil {
 			return nil, err
 		}
 		pairs, cost, err = ex.nestedLoopJoin(l, r, pred)
@@ -73,7 +74,7 @@ func (ex *executor) columnar(kind algebra.TemporalKind) bool {
 // (keep); anything else evaluates as usual.
 func (ex *executor) streamInput(e algebra.Expr, sr algebra.SpanRef, o relation.Order, keyed, keep bool) (*result, error) {
 	if s, ok := e.(*algebra.Scan); ok && keyed {
-		if hf, ok := ex.db.stored[s.Relation]; ok {
+		if hf, ok := ex.db.owner(s.Relation).stored[s.Relation]; ok {
 			return ex.evalAs(e, func() (*result, error) { return ex.evalKeyScan(s, hf, sr, o, keep) })
 		}
 	}
@@ -242,17 +243,8 @@ func baseRelName(e algebra.Expr) string {
 func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spanned, limit int64, cost *NodeCost) pairChunks {
 	breached := cost.Probe.Workspace()
 	cost.Probe = metrics.Probe{}
-	var theta func(x, y interval.Interval) bool
-	switch kind {
-	case algebra.KindContain:
-		theta = func(x, y interval.Interval) bool { return x.ContainsInterval(y) }
-	case algebra.KindContained:
-		theta = func(x, y interval.Interval) bool { return y.ContainsInterval(x) }
-	default: // KindOverlap — before/θ are never governed (unbounded entry)
-		theta = func(x, y interval.Interval) bool { return x.Intersects(y) }
-	}
 	pl := newPairList(max(len(lw), len(rw)))
-	baseline.SortMergeJoin(lw, rw, spannedSpan, theta, &cost.Probe,
+	baseline.SortMergeJoin(lw, rw, spannedSpan, kindTest(kind), &cost.Probe,
 		func(a, b spanned) { pl.add(a.pos, b.pos) })
 	cost.Algorithm += " → baseline sort-merge (governed)"
 	cost.Notes = append(cost.Notes, fmt.Sprintf(
@@ -265,6 +257,43 @@ func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spa
 		"algorithm": cost.Algorithm,
 	})
 	return pl.chunks()
+}
+
+// kindTest returns the lifespan test of a recognized temporal kind on the
+// left lifespan x and the right y, or nil for KindTheta.
+func kindTest(kind algebra.TemporalKind) func(x, y interval.Interval) bool {
+	switch kind {
+	case algebra.KindContain:
+		return interval.Interval.ContainsInterval
+	case algebra.KindContained:
+		return interval.Interval.During
+	case algebra.KindOverlap:
+		return interval.Interval.Intersects
+	case algebra.KindBefore:
+		return interval.Interval.Before
+	}
+	return nil
+}
+
+// pairTest compiles what a nested loop tests of a pair: p's atoms and,
+// for a recognized temporal kind, the kind's lifespan test on the node's
+// spans — all its stream path tests, so both pair the same rows whatever
+// atoms the node holds.
+func pairTest(p algebra.Predicate, kind algebra.TemporalKind, lsr, rsr algebra.SpanRef, ls, rs *relation.Schema) (pairPred, error) {
+	atoms, err := compilePairPred(p, ls, rs)
+	test := kindTest(kind)
+	if err != nil || test == nil {
+		return atoms, err
+	}
+	lsp, err := spanAccessor(lsr, ls)
+	if err != nil {
+		return nil, err
+	}
+	rsp, err := spanAccessor(rsr, rs)
+	if err != nil {
+		return nil, err
+	}
+	return func(l, r relation.Row) bool { return test(lsp.of(l), rsp.of(r)) && atoms(l, r) }, nil
 }
 
 // nestedLoopJoin polls the interrupt hook per pair block, not per outer
@@ -311,7 +340,8 @@ func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (pairChunks, *No
 // a map assigns slots, or, when both read one column of the same base
 // relation (a self equi-join), a key's slot is the column's code
 // (codes.go) and neither side is keyed. The matches come out in probe
-// order, each probe row's in build order.
+// order, each probe row's in build order. A node of a recognized temporal
+// kind never comes here: its kind is tested by the nested loop.
 func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (pairChunks, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "hash equi-join"}
 	var res pairPred
@@ -450,7 +480,11 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 	if !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta {
 		sel, cost, err = ex.streamSemijoin(n, l, r)
 	} else {
-		sel, cost, err = ex.nestedLoopSemijoin(l, r, n.Pred)
+		var pred pairPred
+		if pred, err = pairTest(n.Pred, n.Kind, n.LSpan, n.RSpan, l.schema, r.schema); err != nil {
+			return nil, err
+		}
+		sel, cost, err = ex.nestedLoopSemijoin(l, r, pred)
 	}
 	if err != nil {
 		return nil, err
@@ -466,13 +500,9 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 }
 
 // nestedLoopSemijoin returns the positions of the left rows with a partner
-// that satisfies the predicate, polling the interrupt hook per pair block
-// as nestedLoopJoin does.
-func (ex *executor) nestedLoopSemijoin(l, r *result, p algebra.Predicate) ([]int32, *NodeCost, error) {
-	pred, err := compilePairPred(p, l.schema, r.schema)
-	if err != nil {
-		return nil, nil, err
-	}
+// that satisfies pred, polling the interrupt hook per pair block as
+// nestedLoopJoin does.
+func (ex *executor) nestedLoopSemijoin(l, r *result, pred pairPred) ([]int32, *NodeCost, error) {
 	lrows, err := ex.rows(l)
 	if err != nil {
 		return nil, nil, err

@@ -89,8 +89,9 @@ func (p *keyProof) walk(e algebra.Expr, off int) (int, bool) {
 		if err != nil {
 			return 0, false
 		}
-		_, stored := p.db.stored[n.Relation]
-		_, live := p.db.live[n.Relation]
+		own := p.db.owner(n.Relation)
+		_, stored := own.stored[n.Relation]
+		_, live := own.live[n.Relation]
 		if stored || live {
 			return 0, false
 		}

@@ -328,19 +328,6 @@ func TestProjectKeyDuplicatesKeepDistinct(t *testing.T) {
 				}
 			},
 			skip: [2]bool{true, false}},
-		{name: "rows appended to Rows directly after the fact",
-			rels: func() []*relation.Relation {
-				return []*relation.Relation{relation.FromTuples("X", surrogates("x", 12))}
-			},
-			tree: func(*DB) algebra.Expr { return keyed },
-			between: func(t *testing.T, db *DB) {
-				x, err := db.Relation("X")
-				if err != nil {
-					t.Fatal(err)
-				}
-				x.Rows = append(x.Rows, relation.TupleToRow(tuple("x05", "w", 5, 6)))
-			},
-			skip: [2]bool{true, false}},
 		{name: "another relation registered under the name after the fact",
 			rels: func() []*relation.Relation {
 				return []*relation.Relation{relation.FromTuples("X", surrogates("x", 12))}

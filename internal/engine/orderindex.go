@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"tdb/internal/relation"
-	"tdb/internal/storage"
 )
 
 // The relation index (DESIGN.md "The relation index"): what a query built
@@ -24,8 +23,12 @@ import (
 //   - a key fact (keys.go): whether a set of its columns is a key of its
 //     rows, settled on the first DISTINCT projection whose proof asks, the
 //     false answer kept too.
+//
+// Every change the DB makes to a relation's rows drops its entries
+// (DB.Register), so a served entry is never checked against the rows. One
+// index serves a DB and all its forks.
 
-// indexBudget bounds the bytes one DB's index keeps: 20 B per row per
+// indexBudget bounds the bytes one index keeps: 20 B per row per
 // order, about 12 B per row per column's codes and keyFactBytes per key
 // fact, so 32 MiB holds about 1.6 million rows' orders. Past it the least
 // recently used entry goes first.
@@ -58,41 +61,19 @@ func keyFactKey(rel *relation.Relation, cols uint64) indexKey {
 	return indexKey{rel: rel, col: -1, ts: -1, te: -1, cols: cols}
 }
 
-// stamp is what an entry was built from, which must still hold when it is
-// served: an in-memory relation's row count and first row, or a stored
-// relation's heap file and its row count, which counts the rows still on
-// the open tail page too.
-type stamp struct {
-	n     int64
-	first *relation.Row
-	heap  *storage.HeapFile
-}
-
-// rowsStamp stamps what is built from rows.
-func rowsStamp(rows []relation.Row) stamp {
-	if len(rows) == 0 {
-		return stamp{}
-	}
-	return stamp{n: int64(len(rows)), first: &rows[0]}
-}
-
-// heapStamp stamps what is built from hf's rows.
-func heapStamp(hf *storage.HeapFile) stamp { return stamp{n: hf.Rows(), heap: hf} }
-
-// indexEntry is a kept order, column's codes or key fact with the stamp
-// of what it was built from.
+// indexEntry is a kept order, column's codes or key fact.
 type indexEntry struct {
 	ord   ordered
 	codes *columnCodes
 	key   bool // a key fact's answer
-	stamp stamp
 	bytes int64
 	used  uint64 // the index's clock at the entry's last use
 }
 
-// relationIndex is a DB's relation index. Its own mutex guards it: queries
-// run concurrently against one DB under the caller's shared lock, and
-// every one of them may fill the index. Served entries are shared and read
+// relationIndex is a DB's relation index, shared with its forks. Its own
+// mutex guards it: queries run concurrently against one DB and its forks
+// under the caller's shared lock, and every one of them may fill the
+// index. Served entries are shared and read
 // only; nothing writes an ordered's columns or permutation, or a column's
 // codes or row lists, once made.
 type relationIndex struct {
@@ -107,17 +88,9 @@ func newRelationIndex() *relationIndex {
 	return &relationIndex{entries: map[indexKey]*indexEntry{}, budget: indexBudget}
 }
 
-// order returns the kept order of key built from what st stamps, if any.
-func (x *relationIndex) order(key indexKey, st stamp) (ordered, bool) {
-	if e := x.get(key, st); e != nil {
-		return e.ord, true
-	}
-	return ordered{}, false
-}
-
-// putOrder keeps ord as key's order, built from what st stamps.
-func (x *relationIndex) putOrder(key indexKey, st stamp, ord ordered) {
-	x.put(key, &indexEntry{ord: ord, stamp: st, bytes: int64(8*(len(ord.cols.TS)+len(ord.cols.TE)) + 4*len(ord.perm))})
+// putOrder keeps ord as key's order.
+func (x *relationIndex) putOrder(key indexKey, ord ordered) {
+	x.put(key, &indexEntry{ord: ord, bytes: int64(8*(len(ord.cols.TS)+len(ord.cols.TE)) + 4*len(ord.perm))})
 }
 
 // codes returns the codes of rel's column col, building and keeping them
@@ -128,12 +101,12 @@ func (x *relationIndex) codes(rel *relation.Relation, col int) *columnCodes {
 	if n := len(rel.Rows); n == 0 || int64(8*n) > x.budget {
 		return nil
 	}
-	key, st := codesKey(rel, col), rowsStamp(rel.Rows)
-	if e := x.get(key, st); e != nil {
+	key := codesKey(rel, col)
+	if e := x.get(key); e != nil {
 		return e.codes
 	}
 	c := buildCodes(rel.Rows, col)
-	x.put(key, &indexEntry{codes: c, stamp: st, bytes: c.bytes()})
+	x.put(key, &indexEntry{codes: c, bytes: c.bytes()})
 	return c
 }
 
@@ -145,31 +118,26 @@ const keyFactBytes = 128
 // are a key of its rows: no two rows have AppendKey-equal cells in all of them. An
 // empty set is a key of at most one row. The answer is settled on first
 // use by one hashed pass over the rows, which stops at the first repeat,
-// and kept either way under the rows' stamp.
+// and kept either way.
 func (x *relationIndex) isKey(rel *relation.Relation, cols uint64) bool {
 	if len(rel.Rows) <= 1 || cols == 0 {
 		return len(rel.Rows) <= 1
 	}
-	key, st := keyFactKey(rel, cols), rowsStamp(rel.Rows)
-	if e := x.get(key, st); e != nil {
+	key := keyFactKey(rel, cols)
+	if e := x.get(key); e != nil {
 		return e.key
 	}
 	k := len(firstRows(rowsView(rel.Rows, rel.Schema.Arity()), colsOf(cols), true)) == len(rel.Rows)
-	x.put(key, &indexEntry{key: k, stamp: st, bytes: keyFactBytes})
+	x.put(key, &indexEntry{key: k, bytes: keyFactBytes})
 	return k
 }
 
-// get returns the entry of key, if it was built from what st stamps; an
-// entry the relation has outgrown is dropped.
-func (x *relationIndex) get(key indexKey, st stamp) *indexEntry {
+// get returns the entry of key, or nil.
+func (x *relationIndex) get(key indexKey) *indexEntry {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	e, ok := x.entries[key]
 	if !ok {
-		return nil
-	}
-	if e.stamp != st {
-		x.remove(key, e)
 		return nil
 	}
 	x.clock++

@@ -152,10 +152,9 @@ func TestOrderIndexReplacedRelationNeverStale(t *testing.T) {
 	}
 }
 
-// Rows added through DB.Append or by growing Rows directly are never
-// missed: Append drops the relation's orders and keeps it out of the index
-// from then on, and direct growth fails the entry's row-count check, so
-// the next run sorts afresh and keeps the new order.
+// Rows added through DB.Append are never missed: Append drops the
+// relation's orders and keeps it out of the index from then on, so every
+// later run sorts it afresh.
 func TestOrderIndexRebuildsAfterGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	x := relation.FromTuples("X", tiedTuples(rng, 300, "x"))
@@ -181,13 +180,6 @@ func TestOrderIndexRebuildsAfterGrowth(t *testing.T) {
 			t.Errorf("%s: %d index hits, want %d", name, indexHits(gst), wantHits)
 		}
 	}
-
-	// Direct growth: Y's entry no longer matches, so Y sorts again.
-	for _, tu := range tiedTuples(rng, 40, "g") {
-		y.Rows = append(y.Rows, relation.TupleToRow(tu))
-	}
-	check("Y grown directly", 1)
-	check("Y grown directly, warm", 2)
 
 	// Append: X's entry is dropped and X stays out of the index.
 	for _, tu := range tiedTuples(rng, 30, "a") {
@@ -587,8 +579,7 @@ func sameSequence(a, b *relation.Relation) bool {
 
 // FuzzOrderIndex interleaves Register (of new rows, and of the registered
 // relation again), StoreRelation, Append (to a relation in memory or on its
-// heap file, and to a stored one until a page is flushed), direct row
-// growth and Run over two small relations, and holds every Run to a run of
+// heap file, and to a stored one until a page is flushed) and Run over two small relations, and holds every Run to a run of
 // the same tree over a fresh DB holding the same rows in memory: the same
 // row sequence and the same comparisons, tuples read and workspace. The
 // trees are the ordered operators, whose base orders the index serves, and
@@ -640,12 +631,8 @@ func FuzzOrderIndex(f *testing.F) {
 			switch op % 13 {
 			case 0, 1:
 				register(relation.FromTuples(name, tiedTuples(rng, 1+rng.Intn(40), strings.ToLower(name))))
-			case 2, 3:
+			case 2, 3, 4:
 				appendRow(name)
-			case 4:
-				if !isStored {
-					rels[name].Rows = append(rels[name].Rows, relation.TupleToRow(tiedTuples(rng, 1, "d")[0]))
-				}
 			case 10:
 				rows := rels[name].Rows
 				err := db.StoreRelation(name, t.TempDir(), 2)

@@ -382,6 +382,7 @@ const statsPubEvery = 64
 // forward incrementally (no rescan) and republished every statsPubEvery
 // rows; RefreshStats forces publication.
 func (db *DB) Append(name string, row relation.Row) error {
+	db = db.owner(name)
 	rel, err := db.Relation(name)
 	if err != nil {
 		return err
@@ -395,6 +396,7 @@ func (db *DB) Append(name string, row relation.Row) error {
 		return err
 	}
 	if hf, ok := db.stored[name]; ok {
+		db.index.drop(rel)
 		if err := hf.Append(row); err != nil {
 			return err
 		}
@@ -455,6 +457,7 @@ func (db *DB) publishStats(name string, ls *liveStats) {
 // RefreshStats publishes the current incremental statistics of an appended
 // relation into the catalog (a no-op for relations never appended to).
 func (db *DB) RefreshStats(name string) {
+	db = db.owner(name)
 	if ls, ok := db.live[name]; ok {
 		db.publishStats(name, ls)
 	}
@@ -463,7 +466,7 @@ func (db *DB) RefreshStats(name string) {
 // ActiveSpans returns the number of lifespans open at the append frontier
 // of a relation, or 0 if it has never been appended to.
 func (db *DB) ActiveSpans(name string) int {
-	if ls, ok := db.live[name]; ok {
+	if ls, ok := db.owner(name).live[name]; ok {
 		return ls.inc.ActiveSpans()
 	}
 	return 0

@@ -315,7 +315,7 @@ func TestStoredWarmSemijoinBuildsNoKeyColumns(t *testing.T) {
 		return out, st, x.Stats().RowsDecoded - before
 	}
 
-	if _, ok := db.index.order(leftKey, heapStamp(x)); ok {
+	if db.index.get(leftKey) != nil {
 		t.Fatal("the left order is indexed before any run")
 	}
 	cold, cst, cdec := run()
@@ -324,8 +324,8 @@ func TestStoredWarmSemijoinBuildsNoKeyColumns(t *testing.T) {
 		t.Fatalf("cold run: left key scan notes %q, sorted %d rows, %d index hits:\n%s",
 			cst.Nodes[0].Notes, cst.TotalSortedRows(), indexHits(cst), cst)
 	}
-	if ord, ok := db.index.order(leftKey, heapStamp(x)); !ok || ord.cols.Len() != len(xs) {
-		t.Fatalf("cold run left no left order of %d rows in the index (found %v)", len(xs), ok)
+	if e := db.index.get(leftKey); e == nil || e.ord.cols.Len() != len(xs) {
+		t.Fatalf("cold run left no left order of %d rows in the index (found %v)", len(xs), e != nil)
 	}
 
 	warm, wst, wdec := run()

@@ -108,28 +108,18 @@ func writeQuery(w http.ResponseWriter, resp *QueryResponse) {
 }
 
 // resolve turns wire (session, tenant) fields into server state. With a
-// session id the tenant and catalog are the session's; without one the
-// request is sessionless: named-tenant quota over the shared catalog.
-func (s *Server) resolve(sessionID, tenantName string) (*session, *tenant, *engine.DB, *Error) {
+// session id the tenant is the session's; without one the request is
+// sessionless: named-tenant quota over the shared catalog.
+func (s *Server) resolve(sessionID, tenantName string) (*session, *tenant, *Error) {
 	if sessionID != "" {
 		sess, apiErr := s.sessions.get(sessionID)
 		if apiErr != nil {
-			return nil, nil, nil, apiErr
+			return nil, nil, apiErr
 		}
-		sess.mu.Lock()
-		apiErr = sess.expired()
-		db := sess.db
-		sess.mu.Unlock()
-		if apiErr != nil {
-			return nil, nil, nil, apiErr
-		}
-		return sess, sess.tenant, db, nil
+		return sess, sess.tenant, nil
 	}
 	ten, apiErr := s.adm.tenant(tenantName)
-	if apiErr != nil {
-		return nil, nil, nil, apiErr
-	}
-	return nil, ten, s.db, nil
+	return nil, ten, apiErr
 }
 
 // admit wraps tenant admission with the quota journal entry.
@@ -162,14 +152,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	s.mu.RLock()
-	db, err := s.sessionDB()
-	s.mu.RUnlock()
-	if err != nil {
-		writeError(w, errf(CodeExec, "build session catalog: %v", err))
-		return
-	}
-	sess := s.sessions.open(ten, db)
+	sess := s.sessions.open(ten, s.db.Fork())
 	writeJSON(w, SessionOpenResponse{
 		Protocol:      Protocol,
 		Session:       sess.id,
@@ -194,7 +177,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	sess, ten, db, apiErr := s.resolve(req.Session, req.Tenant)
+	sess, ten, apiErr := s.resolve(req.Session, req.Tenant)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
@@ -207,7 +190,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	params, apiErr := decodeParams(req.Params)
 	if apiErr == nil {
 		var resp *QueryResponse
-		resp, apiErr = s.runRetrieve(r, sess, ten, db, req.Quel, params)
+		resp, apiErr = s.runRetrieve(r, sess, ten, req.Quel, params)
 		if apiErr == nil {
 			ten.cQueries.Inc()
 			writeQuery(w, resp)
@@ -219,10 +202,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // runRetrieve is the shared text-to-rows path: parse, translate, bind,
-// optimize, execute, encode — under the shared catalog lock, serialized
-// per session when one is involved (a session's catalog may gain an
-// "into" relation mid-request).
-func (s *Server) runRetrieve(r *http.Request, sess *session, ten *tenant, db *engine.DB, text string, params []value.Value) (*QueryResponse, *Error) {
+// optimize, execute, encode — under the shared catalog lock over the
+// server's DB or, serialized per session, the session's fork of it (which
+// may gain an "into" relation mid-request).
+func (s *Server) runRetrieve(r *http.Request, sess *session, ten *tenant, text string, params []value.Value) (*QueryResponse, *Error) {
 	if err := fault.Check("server/execute"); err != nil {
 		return nil, errf(CodeExec, "execute: %v", err)
 	}
@@ -232,6 +215,7 @@ func (s *Server) runRetrieve(r *http.Request, sess *session, ten *tenant, db *en
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	db := s.db
 	if sess != nil {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
@@ -478,7 +462,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	_, ten, _, apiErr := s.resolve(req.Session, req.Tenant)
+	_, ten, apiErr := s.resolve(req.Session, req.Tenant)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return

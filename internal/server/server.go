@@ -65,9 +65,9 @@ type Config struct {
 // relation rows) hold it shared; appends, flushes and standing-query
 // registration/poll/deregistration (the live manager is not
 // concurrency-safe) hold it exclusively. Session-private state (the
-// "into" results registered in a session's catalog) is additionally
-// serialized per session, so two requests on one session cannot race a
-// catalog registration.
+// "into" results registered in a session's fork of the catalog) is
+// additionally serialized per session, so two requests on one session
+// cannot race a registration.
 type Server struct {
 	cfg      Config
 	db       *engine.DB
@@ -303,27 +303,4 @@ func (s *Server) optOptions() optimizer.Options {
 	opt := s.cfg.Optimizer
 	opt.ICs = s.db.ChronOrders()
 	return opt
-}
-
-// sessionDB builds a session-private catalog: the base relations by
-// reference (appends released into the base remain visible) plus the
-// base integrity constraints. "into" results register here and are
-// invisible to other sessions. Caller holds the shared catalog lock.
-func (s *Server) sessionDB() (*engine.DB, error) {
-	db := engine.NewDB()
-	for _, name := range s.db.Names() {
-		rel, err := s.db.Relation(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.Register(rel); err != nil {
-			return nil, err
-		}
-	}
-	for _, ic := range s.db.ChronOrders() {
-		if err := db.DeclareChronOrder(ic); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
 }

@@ -480,8 +480,8 @@ func TestAppendFeedsQueries(t *testing.T) {
 }
 
 // An append whose row has ValidFrom ≥ ValidTo is a bad_request that
-// applies nothing: accepting it used to break every later session open,
-// whose catalog build rejects the row.
+// applies nothing: an accepted one would sit in the base relation that
+// every session reads, and a later Register of its rows would reject it.
 func TestInvertedLifespanAppendRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	we := post(t, ts.URL, "append", AppendRequest{

@@ -65,10 +65,9 @@ func (p *prepared) storePlan(key string, res *optimizer.Result) {
 	p.plans[key] = res
 }
 
-// session is one client connection's server-side state: a private
-// catalog (the shared base relations by reference, plus any "into"
-// results, which never leak across sessions) and its prepared
-// statements.
+// session is one client connection's server-side state: a fork of the
+// server's DB, which holds its "into" results and reads every other name
+// from the server's DB at each statement, and its prepared statements.
 type session struct {
 	id     string
 	tenant *tenant
@@ -82,12 +81,14 @@ type session struct {
 }
 
 // invalidate marks an expired or closed session dead and releases its
-// private catalog and statements. A request already in flight observes
-// the flag — under sess.mu, so never mid-operation — and fails with a
-// typed session_expired error instead of dereferencing the nil catalog.
+// fork, whose "into" results leave the shared relation index, and its
+// statements. A request already in flight observes the flag — under
+// sess.mu, so never mid-operation — and fails with a typed
+// session_expired error instead of dereferencing the nil catalog.
 func (s *session) invalidate() {
 	s.dead.Store(true)
 	s.mu.Lock()
+	_ = s.db.Close() // a fork holds no heap file, so nothing to fail
 	s.db = nil
 	s.stmts = nil
 	s.mu.Unlock()
