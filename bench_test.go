@@ -116,7 +116,7 @@ func BenchmarkProfiling_SerialContainJoin(b *testing.B) {
 		var p metrics.Probe
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p.Reset()
+			p = metrics.Probe{}
 			if err := core.ContainJoinTSTS(stream.FromSlice(xs), stream.FromSlice(ys),
 				tupleSpan, core.Options{Probe: &p}, sink); err != nil {
 				b.Fatal(err)

@@ -58,8 +58,7 @@ func clonePred(p Predicate) Predicate {
 
 // RewritePredicates walks the tree applying fn to every predicate in
 // place (Select, Join, Semijoin). The walk is pre-order; fn may mutate the
-// predicate it is handed. Parameter binding and parameter discovery are
-// the two users.
+// predicate it is handed. Parameter binding (quel.Bind) is its user.
 func RewritePredicates(e Expr, fn func(p *Predicate)) {
 	switch n := e.(type) {
 	case nil:
@@ -80,21 +79,4 @@ func RewritePredicates(e Expr, fn func(p *Predicate)) {
 			RewritePredicates(c, fn)
 		}
 	}
-}
-
-// MaxParam returns the highest placeholder index appearing anywhere in the
-// tree's predicates (0 when the tree is parameter-free).
-func MaxParam(e Expr) int {
-	max := 0
-	RewritePredicates(e, func(p *Predicate) {
-		for _, a := range p.Atoms {
-			if a.L.Param > max {
-				max = a.L.Param
-			}
-			if a.R.Param > max {
-				max = a.R.Param
-			}
-		}
-	})
-	return max
 }

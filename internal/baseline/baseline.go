@@ -1,9 +1,10 @@
-// Package baseline implements the conventional join strategies the paper
+// Package baseline implements the conventional strategies the paper
 // contrasts the stream approach against (Section 3): the nested-loop θ-join
-// — "traditionally the best strategy for processing less-than joins" — the
-// Cartesian product followed by selection, and their semijoin forms. They
-// serve both as performance baselines in the experiments and as oracles for
-// the property tests of the stream algorithms.
+// — "traditionally the best strategy for processing less-than joins" — and
+// its semijoin form, plus the sort-merge band scan the engine's workspace
+// governor falls back to when a stream join breaches its ceiling. The
+// nested loops serve as performance baselines in the benchmarks and as
+// oracles for the property tests of the stream algorithms.
 package baseline
 
 import (
@@ -55,33 +56,6 @@ func NestedLoopSemijoin[T any](xs, ys []T, span func(T) interval.Interval,
 	}
 }
 
-// CartesianFilter materializes the full Cartesian product and then applies
-// the selection — the literal reading of the unoptimized parse tree of
-// Figure 3(a). It exists to measure what conventional algebraic
-// optimization (pushing selections down, Figure 3(b)) buys before any
-// stream processing is considered.
-func CartesianFilter[T any](xs, ys []T, span func(T) interval.Interval,
-	theta func(x, y interval.Interval) bool, probe *metrics.Probe, emit func(x, y T)) {
-	type pair struct{ x, y T }
-	product := make([]pair, 0, len(xs)*len(ys))
-	for _, x := range xs {
-		probe.IncReadLeft()
-		for _, y := range ys {
-			probe.IncReadRight()
-			product = append(product, pair{x, y})
-			probe.StateAdd(1)
-		}
-	}
-	for _, p := range product {
-		probe.IncComparisons(1)
-		if theta(span(p.x), span(p.y)) {
-			probe.IncEmitted(1)
-			emit(p.x, p.y)
-		}
-	}
-	probe.StateRemove(int64(len(product)))
-}
-
 // sortedBySpan returns a copy of xs stably sorted on (ValidFrom, ValidTo)
 // ascending — the canonical ordering of the sort-merge band scans.
 func sortedBySpan[T any](xs []T, span func(T) interval.Interval) []T {
@@ -130,60 +104,5 @@ func SortMergeJoin[T any](xs, ys []T, span func(T) interval.Interval,
 	}
 	for ; lo < len(sy); lo++ {
 		probe.IncReadRight()
-	}
-}
-
-// SortMergeSemijoin is the band-scan semijoin: each x is emitted (in span
-// order) on its first witness y under θ. The same intersection-implying
-// restriction on θ as SortMergeJoin applies.
-func SortMergeSemijoin[T any](xs, ys []T, span func(T) interval.Interval,
-	theta func(x, y interval.Interval) bool, probe *metrics.Probe, emit func(T)) {
-	probe.SetBuffers(2)
-	sx := sortedBySpan(xs, span)
-	sy := sortedBySpan(ys, span)
-	lo := 0
-	for _, x := range sx {
-		probe.IncReadLeft()
-		ix := span(x)
-		for lo < len(sy) && span(sy[lo]).BeforeOrMeets(ix) {
-			probe.IncReadRight()
-			lo++
-		}
-		for j := lo; j < len(sy); j++ {
-			iy := span(sy[j])
-			if ix.BeforeOrMeets(iy) {
-				break
-			}
-			probe.IncComparisons(1)
-			if theta(ix, iy) {
-				probe.IncEmitted(1)
-				emit(x)
-				break
-			}
-		}
-		probe.IncPasses()
-	}
-	for ; lo < len(sy); lo++ {
-		probe.IncReadRight()
-	}
-}
-
-// SelfJoinPairs emits every ordered pair (x_i, x_j), i ≠ j, of a single
-// relation satisfying θ — the oracle for the self-semijoin algorithms.
-func SelfJoinPairs[T any](xs []T, span func(T) interval.Interval,
-	theta func(a, b interval.Interval) bool, probe *metrics.Probe, emit func(a, b T)) {
-	for i, a := range xs {
-		probe.IncReadLeft()
-		sa := span(a)
-		for j, b := range xs {
-			if i == j {
-				continue
-			}
-			probe.IncComparisons(1)
-			if theta(sa, span(b)) {
-				probe.IncEmitted(1)
-				emit(a, b)
-			}
-		}
 	}
 }

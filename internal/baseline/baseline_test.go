@@ -92,23 +92,7 @@ func TestNestedLoopSemijoinEarlyExit(t *testing.T) {
 	}
 }
 
-func TestCartesianFilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs, ys := gen(rng, 15, 0), gen(rng, 17, 100)
-	probe := &metrics.Probe{}
-	n := 0
-	CartesianFilter(xs, ys, itemSpan, contain, probe, func(a, b item) { n++ })
-	if probe.StateHighWater != int64(len(xs)*len(ys)) {
-		t.Errorf("materialized %d pairs, want full product %d", probe.StateHighWater, len(xs)*len(ys))
-	}
-	nl := 0
-	NestedLoopJoin(xs, ys, itemSpan, contain, nil, func(a, b item) { nl++ })
-	if n != nl {
-		t.Errorf("cartesian-filter %d vs nested-loop %d", n, nl)
-	}
-}
-
-// The governed-fallback band scans must agree with the nested loop for
+// The governed-fallback band scan must agree with the nested loop for
 // every intersection-implying θ, across many random inputs.
 func TestSortMergeAgainstNestedLoop(t *testing.T) {
 	thetas := map[string]func(a, b interval.Interval) bool{
@@ -143,24 +127,6 @@ func TestSortMergeAgainstNestedLoop(t *testing.T) {
 			if probe.StateHighWater != 0 {
 				t.Errorf("%s: band scan retained state (%d); must be buffers-only", name, probe.StateHighWater)
 			}
-
-			wantSemi := map[int]bool{}
-			NestedLoopSemijoin(xs, ys, itemSpan, theta, nil, func(a item) { wantSemi[a.id] = true })
-			gotSemi := map[int]bool{}
-			SortMergeSemijoin(xs, ys, itemSpan, theta, nil, func(a item) {
-				if gotSemi[a.id] {
-					t.Fatalf("%s trial %d: duplicate semijoin emit %d", name, trial, a.id)
-				}
-				gotSemi[a.id] = true
-			})
-			if len(gotSemi) != len(wantSemi) {
-				t.Fatalf("%s trial %d: semijoin %d rows, want %d", name, trial, len(gotSemi), len(wantSemi))
-			}
-			for id := range wantSemi {
-				if !gotSemi[id] {
-					t.Fatalf("%s trial %d: semijoin missing %d", name, trial, id)
-				}
-			}
 		}
 	}
 }
@@ -184,33 +150,5 @@ func TestSortMergeDeterministicOrder(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestSelfJoinPairs(t *testing.T) {
-	xs := []item{
-		{0, interval.New(0, 10)},
-		{1, interval.New(2, 5)},
-		{2, interval.New(3, 4)},
-	}
-	var pairs [][2]int
-	SelfJoinPairs(xs, itemSpan, contain, nil, func(a, b item) {
-		pairs = append(pairs, [2]int{a.id, b.id})
-	})
-	// 0⊃1, 0⊃2, 1⊃2.
-	if len(pairs) != 3 {
-		t.Fatalf("pairs %v", pairs)
-	}
-	for _, p := range pairs {
-		if p[0] >= p[1] {
-			t.Errorf("unexpected pair %v", p)
-		}
-	}
-	// No self pairs even with duplicates of the same span.
-	dup := []item{{0, interval.New(0, 10)}, {1, interval.New(0, 10)}}
-	n := 0
-	SelfJoinPairs(dup, itemSpan, func(a, b interval.Interval) bool { return true }, nil, func(a, b item) { n++ })
-	if n != 2 {
-		t.Errorf("ordered pairs over duplicates: %d, want 2", n)
 	}
 }

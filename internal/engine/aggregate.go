@@ -6,6 +6,7 @@ import (
 
 	"tdb/internal/algebra"
 	"tdb/internal/metrics"
+	"tdb/internal/obs"
 	"tdb/internal/relation"
 	"tdb/internal/value"
 )
@@ -121,7 +122,7 @@ func (ex *executor) evalAggregate(n *algebra.Aggregate) (*result, error) {
 	}
 	probe.IncEmitted(int64(len(rows)))
 	probe.StateRemove(int64(len(groups)))
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "hash aggregate", Probe: probe, OutRows: int64(len(rows))})
+	ex.stats.add(obs.Node{Label: n.Label(), Algorithm: "hash aggregate", Probe: probe, OutRows: int64(len(rows))})
 	return &result{schema: schema, v: rowsView(rows, schema.Arity())}, nil
 }
 

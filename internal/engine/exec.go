@@ -35,8 +35,8 @@ type Options struct {
 	// row index) pair per input row: larger inputs are sorted externally
 	// through run files of such records in SpillDir, paying the extra
 	// read/write passes of Section 4.1's third tradeoff (accounted in
-	// NodeCost). The rows themselves are never spilled. It bounds a sort
-	// that runs, not an order the relation index keeps: a stored
+	// the node's obs.Node). The rows themselves are never spilled. It
+	// bounds a sort that runs, not an order the relation index keeps: a stored
 	// relation's key scan whose order the index holds sorts nothing
 	// whatever its size, and the first one keeps the order it sorted,
 	// within the index's own budget. An in-memory base relation within the
@@ -128,37 +128,13 @@ func (ex *executor) checkInterrupt() error {
 	return nil
 }
 
-// NodeCost is the per-operator cost record of one execution.
-type NodeCost struct {
-	Label     string
-	Algorithm string
-	Probe     metrics.Probe
-	// SortedRows counts rows that had to be sorted to establish the
-	// algorithm's required ordering: 0 when the input already had it —
-	// the "interesting order" case — and 0 when the endpoint index served
-	// a base relation's or a stored relation's order, which sorts nothing.
-	SortedRows int64
-	OutRows    int64
-	// PagesRead counts storage pages fetched by a stored scan (0 when
-	// served by the buffer pool, by the relation index or scanning an
-	// in-memory relation).
-	PagesRead int64
-	// SortRuns and SortPages account external sorting done to establish
-	// this operator's input ordering under a bounded sort workspace.
-	SortRuns  int
-	SortPages int64
-	// Notes record qualitative execution decisions (sort avoided via an
-	// interesting order, spill to run files, predicate shape) for the
-	// EXPLAIN ANALYZE tree and the JSONL trace.
-	Notes []string
-}
-
-// Stats aggregates the cost records of one execution.
+// Stats aggregates the cost records of one execution: one obs.Node per
+// plan node, in finish order, the same records the node spans carry.
 type Stats struct {
-	Nodes []NodeCost
+	Nodes []obs.Node
 }
 
-func (s *Stats) add(n NodeCost) { s.Nodes = append(s.Nodes, n) }
+func (s *Stats) add(n obs.Node) { s.Nodes = append(s.Nodes, n) }
 
 // Total merges every operator probe into plan-level totals: additive
 // counters sum, workspace marks combine by maximum.
@@ -317,7 +293,7 @@ func (in ordered) spans() []spanned {
 // the sort that builds the order, not the order kept; an in-memory base
 // relation larger than SortMemRows sorts every time.
 func (ex *executor) establishOrder(in *result, span rowSpan,
-	o relation.Order, cost *NodeCost, withPerm bool) (ordered, error) {
+	o relation.Order, cost *obs.Node, withPerm bool) (ordered, error) {
 
 	if in.ord != nil {
 		noteServed(cost, o)
@@ -358,14 +334,14 @@ func (in *result) columns(span rowSpan) (ts, te []interval.Time) {
 }
 
 // noteServed records an order the relation index served.
-func noteServed(cost *NodeCost, o relation.Order) {
+func noteServed(cost *obs.Node, o relation.Order) {
 	cost.Notes = append(cost.Notes, fmt.Sprintf("order %v from endpoint index", o))
 }
 
 // orderColumns establishes the order over lifespans given as endpoint
 // columns in input order: through storage.ExternalSortKeys past the sort
 // workspace, else sorting the columns in place.
-func (ex *executor) orderColumns(ts, te []interval.Time, o relation.Order, cost *NodeCost, withPerm bool) (ordered, error) {
+func (ex *executor) orderColumns(ts, te []interval.Time, o relation.Order, cost *obs.Node, withPerm bool) (ordered, error) {
 	n := len(ts)
 	var out ordered
 	if mem := ex.opt.SortMemRows; mem > 0 && n > mem && !relation.SortedColumns(ts, te, o) {
@@ -390,7 +366,7 @@ func (ex *executor) orderColumns(ts, te []interval.Time, o relation.Order, cost 
 }
 
 // noteOrder records an in-memory order: rows sorted, or none.
-func noteOrder(cost *NodeCost, sorted bool, n int, o relation.Order) {
+func noteOrder(cost *obs.Node, sorted bool, n int, o relation.Order) {
 	if sorted {
 		cost.SortedRows += int64(n)
 		cost.Notes = append(cost.Notes, fmt.Sprintf("sorted %d rows in memory for order %v", n, o))
@@ -433,10 +409,7 @@ func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error
 		return nil, nil, err
 	}
 	total := ex.stats.Total()
-	root.Finish(opt.Tracer, total, obs.NodeStats{
-		Algorithm: "query",
-		OutRows:   int64(len(rows)),
-	})
+	root.Finish(opt.Tracer, obs.Node{Algorithm: "query", Probe: total, OutRows: int64(len(rows))})
 	ex.publish(e.Label(), start, int64(len(rows)), nil)
 	rel := relation.New("result", res.schema)
 	rel.Rows = rows
@@ -444,8 +417,8 @@ func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error
 }
 
 // publish pushes the run's plan-level metrics into the configured
-// registry (per-operator probe counters go through the single
-// obs.PublishProbe export path) and emits the slow-query event when the
+// registry (per-operator counters go through the single
+// obs.PublishNode export path) and emits the slow-query event when the
 // run crossed the Options.SlowQuery threshold.
 func (ex *executor) publish(label string, start time.Time, outRows int64, runErr error) {
 	elapsed := time.Since(start)
@@ -471,9 +444,7 @@ func (ex *executor) publish(label string, start time.Time, outRows int64, runErr
 	reg.Histogram("tdb_query_duration_seconds", "wall-clock query latency",
 		obs.ExpBuckets(0.0001, 10, 7)).Observe(elapsed.Seconds())
 	for i := range ex.stats.Nodes {
-		n := &ex.stats.Nodes[i]
-		reg.PublishProbe(&n.Probe)
-		reg.Counter("tdb_sort_rows_total", "rows sorted to establish stream orderings").Add(n.SortedRows)
+		reg.PublishNode(&ex.stats.Nodes[i])
 	}
 }
 
@@ -487,9 +458,9 @@ type executor struct {
 }
 
 // eval dispatches a plan node, wrapping it in a trace span. Every evalX
-// appends exactly one NodeCost for itself as the last stats entry (children
-// append theirs first during recursion), which is what lets this wrapper
-// attach the correct cost record to the node's span.
+// appends exactly one obs.Node for itself as the last stats entry
+// (children append theirs first during recursion), which is what lets
+// this wrapper hand the node's own record to its span.
 //
 // Under Options.Profile the span additionally opens an allocation window
 // (ProfBegin; valid here because every node span begins and finishes on
@@ -533,16 +504,7 @@ func (ex *executor) evalAs(e algebra.Expr, body func() (*result, error)) (*resul
 		return nil, err
 	}
 	if n := len(ex.stats.Nodes); n > 0 {
-		own := &ex.stats.Nodes[n-1]
-		span.Finish(ex.opt.Tracer, own.Probe, obs.NodeStats{
-			Algorithm:  own.Algorithm,
-			OutRows:    own.OutRows,
-			SortedRows: own.SortedRows,
-			SortRuns:   own.SortRuns,
-			SortPages:  own.SortPages,
-			PagesRead:  own.PagesRead,
-			Notes:      own.Notes,
-		})
+		span.Finish(ex.opt.Tracer, ex.stats.Nodes[n-1])
 	}
 	return res, nil
 }
@@ -598,7 +560,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 
 	own := ex.db.owner(n.Relation)
 	if hf, ok := own.stored[n.Relation]; ok {
-		cost := NodeCost{Label: n.Label(), Algorithm: "stored scan", Probe: probe}
+		cost := obs.Node{Label: n.Label(), Algorithm: "stored scan", Probe: probe}
 		rows, pagesRead, err := hf.ReadRows(ex.checkInterrupt)
 		if err != nil {
 			return nil, err
@@ -611,7 +573,7 @@ func (ex *executor) evalScan(n *algebra.Scan) (*result, error) {
 	}
 
 	probe.ReadLeft = int64(base.Cardinality())
-	ex.stats.add(NodeCost{
+	ex.stats.add(obs.Node{
 		Label: n.Label(), Algorithm: "scan", Probe: probe,
 		OutRows: int64(base.Cardinality()),
 	})
@@ -645,7 +607,7 @@ func (ex *executor) evalKeyScan(n *algebra.Scan, hf *storage.HeapFile, sr algebr
 		return ex.evalScan(n)
 	}
 	res := &result{schema: schema, base: base}
-	cost := NodeCost{Label: n.Label(), Algorithm: "stored key scan", Probe: metrics.Probe{Passes: 1}}
+	cost := obs.Node{Label: n.Label(), Algorithm: "stored key scan", Probe: metrics.Probe{Passes: 1}}
 	cost.Probe.ReadLeft, cost.OutRows = hf.Rows(), hf.Rows()
 	if e := ex.db.index.get(orderKey(base, rowSpan{ts: ts, te: te}, o)); e != nil {
 		res.ord = &e.ord
@@ -712,7 +674,7 @@ func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 		notes = append(notes, "σ from column index")
 	}
 	probe := metrics.Probe{ReadLeft: int64(v.n), Comparisons: int64(v.n), Emitted: int64(len(sel))}
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(sel)), Notes: notes})
+	ex.stats.add(obs.Node{Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(sel)), Notes: notes})
 	if len(sel) < v.n {
 		v = v.pick(sel)
 	}
@@ -796,7 +758,7 @@ func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
 	}
 	out := joinView(lv, rv, pl.chunks())
 	probe.IncEmitted(int64(out.n))
-	ex.stats.add(NodeCost{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(out.n)})
+	ex.stats.add(obs.Node{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(out.n)})
 	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), v: out}, nil
 }
 
@@ -908,6 +870,6 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 		return nil, err
 	}
 	probe.IncEmitted(int64(len(rows)))
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(rows)), Notes: notes})
+	ex.stats.add(obs.Node{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(rows)), Notes: notes})
 	return &result{schema: schema, v: rowsView(rows, len(idx))}, nil
 }

@@ -28,7 +28,7 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 	out := &result{schema: relation.Concat(l.schema, r.schema, "", "")}
 
 	var pairs pairChunks
-	var cost *NodeCost
+	var cost *obs.Node
 	switch lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema); {
 	case !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta:
 		pairs, cost, err = ex.streamJoin(n, l, r)
@@ -84,7 +84,7 @@ func (ex *executor) streamInput(e algebra.Expr, sr algebra.SpanRef, o relation.O
 // streamJoin dispatches a recognized temporal join to the Section 4 stream
 // algorithms, sorting each side by the required ordering of Table 1/2, and
 // returns its matches as positions of the two input views.
-func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (pairChunks, *NodeCost, error) {
+func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (pairChunks, *obs.Node, error) {
 	lspan, err := spanAccessor(n.LSpan, l.schema)
 	if err != nil {
 		return nil, nil, err
@@ -93,7 +93,7 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (pairChunks, *Node
 	if err != nil {
 		return nil, nil, err
 	}
-	cost := &NodeCost{}
+	cost := &obs.Node{}
 	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
 
 	var lOrder, rOrder relation.Order
@@ -203,7 +203,7 @@ func unsort(pairs pairChunks, lo, ro ordered) {
 // governor detects.
 // Returns 0 (ungoverned, with an explain note) for derived inputs, missing
 // statistics, or operator kinds whose Tables 1–3 entry is unbounded.
-func (ex *executor) governBound(kind algebra.TemporalKind, l, r algebra.Expr, cost *NodeCost) float64 {
+func (ex *executor) governBound(kind algebra.TemporalKind, l, r algebra.Expr, cost *obs.Node) float64 {
 	ln, rn := baseRelName(l), baseRelName(r)
 	if ln == "" || rn == "" {
 		cost.Notes = append(cost.Notes, "governor: derived input, no catalog bound; ungoverned")
@@ -240,7 +240,7 @@ func baseRelName(e algebra.Expr) string {
 // resetting the probe so the cost record reflects the algorithm that
 // actually produced the output. The breach itself is preserved as a note
 // and counted in tdb_governor_fallbacks_total.
-func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spanned, limit int64, cost *NodeCost) pairChunks {
+func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spanned, limit int64, cost *obs.Node) pairChunks {
 	breached := cost.Probe.Workspace()
 	cost.Probe = metrics.Probe{}
 	pl := newPairList(max(len(lw), len(rw)))
@@ -299,8 +299,8 @@ func pairTest(p algebra.Predicate, kind algebra.TemporalKind, lsr, rsr algebra.S
 // nestedLoopJoin polls the interrupt hook per pair block, not per outer
 // row: a selective theta join can touch millions of pairs from a few
 // hundred outer rows, and cancellation latency follows the pair count.
-func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (pairChunks, *NodeCost, error) {
-	cost := &NodeCost{Algorithm: "nested-loop join"}
+func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (pairChunks, *obs.Node, error) {
+	cost := &obs.Node{Algorithm: "nested-loop join"}
 	lrows, err := ex.rows(l)
 	if err != nil {
 		return nil, nil, err
@@ -342,8 +342,8 @@ func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (pairChunks, *No
 // (codes.go) and neither side is keyed. The matches come out in probe
 // order, each probe row's in build order. A node of a recognized temporal
 // kind never comes here: its kind is tested by the nested loop.
-func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (pairChunks, *NodeCost, error) {
-	cost := &NodeCost{Algorithm: "hash equi-join"}
+func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (pairChunks, *obs.Node, error) {
+	cost := &obs.Node{Algorithm: "hash equi-join"}
 	var res pairPred
 	if len(residual.Atoms) > 0 {
 		var err error
@@ -476,7 +476,7 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 	l.v = l.v.flat()
 
 	var sel []int32
-	var cost *NodeCost
+	var cost *obs.Node
 	if !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta {
 		sel, cost, err = ex.streamSemijoin(n, l, r)
 	} else {
@@ -502,7 +502,7 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 // nestedLoopSemijoin returns the positions of the left rows with a partner
 // that satisfies pred, polling the interrupt hook per pair block as
 // nestedLoopJoin does.
-func (ex *executor) nestedLoopSemijoin(l, r *result, pred pairPred) ([]int32, *NodeCost, error) {
+func (ex *executor) nestedLoopSemijoin(l, r *result, pred pairPred) ([]int32, *obs.Node, error) {
 	lrows, err := ex.rows(l)
 	if err != nil {
 		return nil, nil, err
@@ -511,7 +511,7 @@ func (ex *executor) nestedLoopSemijoin(l, r *result, pred pairPred) ([]int32, *N
 	if err != nil {
 		return nil, nil, err
 	}
-	cost := &NodeCost{Algorithm: "nested-loop semijoin"}
+	cost := &obs.Node{Algorithm: "nested-loop semijoin"}
 	sel := make([]int32, 0, len(lrows))
 	pairs := 0
 	for i, lr := range lrows {
@@ -560,7 +560,7 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := &NodeCost{Label: n.Label()}
+	cost := &obs.Node{Label: n.Label()}
 	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
 
 	var order relation.Order
@@ -598,7 +598,7 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 
 // streamSemijoin runs a recognized temporal semijoin and returns the
 // emitted left input positions in emission order.
-func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, *NodeCost, error) {
+func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, *obs.Node, error) {
 	lspan, err := spanAccessor(n.LSpan, l.schema)
 	if err != nil {
 		return nil, nil, err
@@ -611,7 +611,7 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, 
 	if alg == "" {
 		return nil, nil, fmt.Errorf("engine: unhandled semijoin kind %v", n.Kind)
 	}
-	cost := &NodeCost{Algorithm: alg}
+	cost := &obs.Node{Algorithm: alg}
 	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
 
 	var lw, rw []spanned

@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // TestTracedQuerySpansMatchNodeCosts is the integration check of the
 // tracing contract: a traced query produces one JSONL span per plan node
-// (plus the query root), and every span's probe totals equal the NodeCost
-// the executor printed for that operator.
+// (plus the query root), and every span carries, whole, the node record
+// the executor appended to its stats for that operator.
 func TestTracedQuerySpansMatchNodeCosts(t *testing.T) {
 	db := newFacultyDB(t, 40, false)
 	if err := db.DeclareChronOrder(rankIC(false)); err != nil {
@@ -34,50 +35,36 @@ func TestTracedQuerySpansMatchNodeCosts(t *testing.T) {
 	spans := tr.Spans()
 	// One span per plan node plus the query root.
 	if got, want := len(spans), len(stats.Nodes)+1; got != want {
-		t.Fatalf("spans = %d, want %d (one per NodeCost plus the root):\n%s",
+		t.Fatalf("spans = %d, want %d (one per node record plus the root):\n%s",
 			got, want, tr.Tree())
 	}
-
-	// Every non-root span carries the probe of exactly one NodeCost, and
-	// node order matches post-order execution order.
-	var nodeIdx int
-	for _, s := range spans {
-		if s.ParentID == 0 {
-			if s.Node.OutRows != int64(res.Cardinality()) {
-				t.Errorf("root span out_rows = %d, result = %d", s.Node.OutRows, res.Cardinality())
-			}
-			total := stats.Total()
-			if s.Probe != total {
-				t.Errorf("root probe %s != stats total %s", s.Probe.String(), total.String())
-			}
-			continue
+	root := spans[0]
+	if want := (obs.Node{Label: tree.Label(), Algorithm: "query", Probe: stats.Total(),
+		OutRows: int64(res.Cardinality())}); root.ParentID != 0 || !reflect.DeepEqual(root.Node, want) {
+		t.Errorf("root span %+v, want parent 0 and %+v", root.Node, want)
+	}
+	// Spans are recorded in begin (pre-order) time, node records in finish
+	// (post-order) time: the span tree's post-order pairs them one to one.
+	children := map[int64][]*obs.Span{}
+	for _, s := range spans[1:] {
+		children[s.ParentID] = append(children[s.ParentID], s)
+	}
+	var post []*obs.Span
+	var walk func(id int64)
+	walk = func(id int64) {
+		for _, c := range children[id] {
+			walk(c.ID)
+			post = append(post, c)
 		}
 	}
-	// Spans are recorded in begin (pre-order) time; NodeCosts in finish
-	// (post-order) time. Match them by (label, probe) multiset instead.
-	type key struct {
-		label string
-		probe string
-		out   int64
+	walk(root.ID)
+	if len(post) != len(stats.Nodes) {
+		t.Fatalf("span tree reaches %d spans, stats hold %d nodes:\n%s", len(post), len(stats.Nodes), tr.Tree())
 	}
-	want := map[key]int{}
-	for _, n := range stats.Nodes {
-		want[key{n.Label, n.Probe.String(), n.OutRows}]++
-	}
-	for _, s := range spans {
-		if s.ParentID == 0 {
-			continue
+	for i, s := range post {
+		if !reflect.DeepEqual(s.Node, stats.Nodes[i]) {
+			t.Errorf("span %d %q:\n got %+v\nwant %+v", s.ID, s.Label, s.Node, stats.Nodes[i])
 		}
-		k := key{s.Label, s.Probe.String(), s.Node.OutRows}
-		if want[k] == 0 {
-			t.Errorf("span %q with probe %s matches no NodeCost", s.Label, s.Probe.String())
-			continue
-		}
-		want[k]--
-		nodeIdx++
-	}
-	if nodeIdx != len(stats.Nodes) {
-		t.Errorf("matched %d spans to %d NodeCosts", nodeIdx, len(stats.Nodes))
 	}
 
 	// The JSONL export has one well-formed line per span with consistent

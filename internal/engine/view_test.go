@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tdb/internal/algebra"
+	"tdb/internal/obs"
 	"tdb/internal/optimizer"
 	"tdb/internal/quel"
 	"tdb/internal/relation"
@@ -59,8 +60,8 @@ func TestSuperstarBuildsRowsOnce(t *testing.T) {
 	}
 	st := run()
 
-	var filters []NodeCost
-	var hash, semi, proj *NodeCost
+	var filters []obs.Node
+	var hash, semi, proj *obs.Node
 	for i := range st.Nodes {
 		switch n := &st.Nodes[i]; {
 		case n.Algorithm == "filter":

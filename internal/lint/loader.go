@@ -62,9 +62,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.modpath }
-
 // findModule walks upward from dir to the nearest go.mod and returns the
 // module root and module path.
 func findModule(dir string) (root, modpath string, err error) {

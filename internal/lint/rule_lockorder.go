@@ -9,8 +9,10 @@ import (
 )
 
 // lockOrderAnalyzer derives a lock-ordering graph over the mutexes of the
-// concurrent subsystems — the storage buffer pool, the live manager and
-// its subscribers, the observability registry — and reports two deadlock
+// concurrent subsystems — the storage buffer pool, the observability
+// registry and tracer, the query server (its catalog lock, sessions, dedup
+// window and admission), the engine's relation index, the failpoint
+// registry and the driver's retry state — and reports two deadlock
 // shapes: a cycle in the acquired-while-holding relation (two goroutines
 // taking the same pair of locks in opposite orders can deadlock), and a
 // channel operation performed while a mutex is held (the peer of that
@@ -31,7 +33,8 @@ var lockOrderAnalyzer = &Analyzer{
 	Doc:  "mutex acquisition graph must stay acyclic; no channel ops under a held mutex",
 	Run: func(pass *Pass) {
 		p := pass.Pkg
-		if !inScope(p, "internal/storage", "internal/live", "internal/obs") {
+		if !inScope(p, "internal/storage", "internal/obs", "internal/server", "internal/engine",
+			"internal/fault", "driver") {
 			return
 		}
 		summaries := lockSummaries(p)

@@ -10,26 +10,29 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 )
 
-// Probe accumulates the observable costs of one operator execution.
+// Probe accumulates the observable costs of one operator execution. Its
+// JSON encoding (the trace's "probe" object) carries the exported totals
+// under their tags plus the computed workspace.
 type Probe struct {
-	ReadLeft    int64 // tuples read from the left (X) input
-	ReadRight   int64 // tuples read from the right (Y) input
-	Emitted     int64 // result tuples produced
-	Comparisons int64 // predicate evaluations
-	GCDiscarded int64 // state tuples discarded by garbage collection
-	Passes      int64 // complete scans taken over inputs
+	ReadLeft    int64 `json:"read_left"`    // tuples read from the left (X) input
+	ReadRight   int64 `json:"read_right"`   // tuples read from the right (Y) input
+	Emitted     int64 `json:"emitted"`      // result tuples produced
+	Comparisons int64 `json:"comparisons"`  // predicate evaluations
+	GCDiscarded int64 `json:"gc_discarded"` // state tuples discarded by garbage collection
+	Passes      int64 `json:"passes"`       // complete scans taken over inputs
 
 	// Workspace accounting. State counts tuples retained beyond the
 	// one-tuple input buffers; Buffers is the fixed buffer count of the
 	// algorithm (typically 2). The high-water marks are what Tables 1–3
 	// characterize.
 	state          int64
-	StateHighWater int64
-	Buffers        int64
+	StateHighWater int64 `json:"state_hwm"`
+	Buffers        int64 `json:"buffers"`
 
 	// Hot-loop counters, fed by the //tdb:hotpath sweep loops. StateGrows
 	// counts appends that grew a state slice's backing array (each one is
@@ -37,8 +40,8 @@ type Probe struct {
 	// largest single active-list length observed — unlike StateHighWater
 	// it tracks one list, not the sum of both sides, which is what the
 	// cache-efficiency rewrite needs to size gapless lists.
-	StateGrows int64
-	ActivePeak int64
+	StateGrows int64 `json:"state_grows,omitempty"`
+	ActivePeak int64 `json:"active_peak,omitempty"`
 }
 
 // IncReadLeft notes a tuple read from the left input.
@@ -182,24 +185,19 @@ func (p *Probe) Merge(other *Probe) {
 	}
 }
 
-// Snapshot returns a copy of the probe's current totals. The copy carries
-// the exported counters and high-water marks only — the live retained-state
-// level stays with the original, so a snapshot is a value safe to store in
-// cost records and trace spans.
-func (p *Probe) Snapshot() Probe {
+// MarshalJSON encodes the exported totals under their tags and adds the
+// computed workspace high-water mark. The receiver is a pointer so a nil
+// probe stays safe; encoding/json calls it on addressable probes, such as
+// those reached through a *Span or a *Node.
+func (p *Probe) MarshalJSON() ([]byte, error) {
 	if p == nil {
-		return Probe{}
+		return []byte("null"), nil
 	}
-	c := *p
-	c.state = 0
-	return c
-}
-
-// Reset zeroes the probe for reuse across benchmark iterations.
-func (p *Probe) Reset() {
-	if p != nil {
-		*p = Probe{}
-	}
+	type totals Probe // without this method, so the encoding does not recurse
+	return json.Marshal(struct {
+		*totals
+		Workspace int64 `json:"workspace"`
+	}{(*totals)(p), p.Workspace()})
 }
 
 // String renders a compact one-line report.

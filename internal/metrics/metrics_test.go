@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +20,6 @@ func TestNilSafety(t *testing.T) {
 	if p.StateNow() != 0 || p.Workspace() != 0 || p.TuplesRead() != 0 {
 		t.Error("nil probe must report zeros")
 	}
-	p.Reset()
 	if p.String() != "probe(nil)" {
 		t.Errorf("String = %q", p.String())
 	}
@@ -92,11 +92,6 @@ func TestAccounting(t *testing.T) {
 			t.Errorf("String %q missing %q", s, frag)
 		}
 	}
-
-	p.Reset()
-	if p.Workspace() != 0 || p.TuplesRead() != 0 || p.StateNow() != 0 {
-		t.Error("Reset incomplete")
-	}
 }
 
 func TestNegativeStatePanics(t *testing.T) {
@@ -138,31 +133,47 @@ func TestMerge(t *testing.T) {
 	// Nil receiver and nil argument are both inert.
 	var nilP *Probe
 	nilP.Merge(&b)
-	before := a.Snapshot()
+	before := a
 	a.Merge(nil)
-	if a.Snapshot() != before {
+	if a != before {
 		t.Error("Merge(nil) must not change the probe")
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	var p Probe
-	p.IncReadLeft()
-	p.StateAdd(4)
-	s := p.Snapshot()
-	if s.ReadLeft != 1 || s.StateHighWater != 4 {
-		t.Errorf("snapshot = %s", s.String())
+// The JSON encoding carries every exported total under its tag plus the
+// computed workspace, the two hot-loop counters only when nonzero, and
+// never the live state level.
+func TestProbeJSON(t *testing.T) {
+	p := &Probe{ReadLeft: 1, ReadRight: 2, Emitted: 3, Comparisons: 4, Passes: 1}
+	p.SetBuffers(2)
+	p.StateAdd(5)
+	p.StateRemove(2)
+	decode := func(p *Probe) map[string]int64 {
+		t.Helper()
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]int64
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatalf("%v: %s", err, b)
+		}
+		return m
 	}
-	if s.StateNow() != 0 {
-		t.Errorf("snapshot must not carry live state, got %d", s.StateNow())
+	want := map[string]int64{
+		"read_left": 1, "read_right": 2, "emitted": 3, "comparisons": 4,
+		"gc_discarded": 2, "passes": 1, "state_hwm": 5, "buffers": 2, "workspace": 7,
 	}
-	// The snapshot is detached from the original.
-	p.IncReadLeft()
-	if s.ReadLeft != 1 {
-		t.Error("snapshot aliased the original")
+	if got := decode(p); !reflect.DeepEqual(got, want) {
+		t.Errorf("encoding = %v, want %v", got, want)
 	}
-	var nilP *Probe
-	if nilP.Snapshot() != (Probe{}) {
-		t.Error("nil snapshot must be zero")
+	p.IncStateGrow()
+	p.ObserveActive(6)
+	want["state_grows"], want["active_peak"] = 1, 6
+	if got := decode(p); !reflect.DeepEqual(got, want) {
+		t.Errorf("encoding = %v, want %v", got, want)
+	}
+	if b, err := json.Marshal((*Probe)(nil)); err != nil || string(b) != "null" {
+		t.Errorf("nil probe encodes as %s, %v", b, err)
 	}
 }

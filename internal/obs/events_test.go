@@ -76,7 +76,7 @@ func TestEventLogNilSafe(t *testing.T) {
 	}
 }
 
-func TestPublishProbeSingleExportPath(t *testing.T) {
+func TestPublishNodeSingleExportPath(t *testing.T) {
 	reg := NewRegistry()
 	var p metrics.Probe
 	p.SetBuffers(2)
@@ -85,10 +85,13 @@ func TestPublishProbeSingleExportPath(t *testing.T) {
 	p.StateRemove(10)
 	p.IncStateGrow()
 	p.IncStateGrow()
-	reg.PublishProbe(&p)
+	reg.PublishNode(&Node{Probe: p, SortedRows: 7})
 
 	if got := reg.Counter(MetricOperatorComparisons, "").Value(); got != 100 {
 		t.Errorf("comparisons = %d, want 100", got)
+	}
+	if got := reg.Counter(MetricSortRows, "").Value(); got != 7 {
+		t.Errorf("sorted rows = %d, want 7", got)
 	}
 	if got := reg.Counter(MetricOperatorGCDiscarded, "").Value(); got != 10 {
 		t.Errorf("gc-discarded = %d, want 10", got)
@@ -101,10 +104,10 @@ func TestPublishProbeSingleExportPath(t *testing.T) {
 		t.Errorf("workspace histogram count=%d sum=%v, want one observation of 32", h.Count(), h.Sum())
 	}
 
-	// Nil registry and nil probe are inert.
+	// Nil registry and nil node are inert.
 	var nilReg *Registry
-	nilReg.PublishProbe(&p)
-	reg.PublishProbe(nil)
+	nilReg.PublishNode(&Node{Probe: p})
+	reg.PublishNode(nil)
 	if got := reg.Counter(MetricOperatorComparisons, "").Value(); got != 100 {
 		t.Errorf("nil publish mutated the registry: %d", got)
 	}

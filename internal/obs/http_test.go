@@ -106,9 +106,9 @@ func TestConcurrentScrapeDuringTracing(t *testing.T) {
 		p.IncReadLeft()
 		p.StateAdd(2)
 		p.IncStateGrow()
-		span.Finish(tr, p, NodeStats{Algorithm: "heap-scan", OutRows: 1})
-		root.Finish(tr, metrics.Probe{}, NodeStats{})
-		reg.PublishProbe(&p)
+		span.Finish(tr, Node{Probe: p, Algorithm: "heap-scan", OutRows: 1})
+		root.Finish(tr, Node{})
+		reg.PublishNode(&Node{Probe: p})
 		events.Emit(EventSlowQuery, "q", map[string]string{"elapsed_ms": "1"})
 	}
 	wg.Wait()
@@ -138,8 +138,8 @@ func TestProfFieldsRoundTripJSONL(t *testing.T) {
 	var p metrics.Probe
 	p.IncStateGrow()
 	p.ObserveActive(7)
-	span.Finish(tr, p, NodeStats{Algorithm: "contain-join", OutRows: 1})
-	root.Finish(tr, metrics.Probe{}, NodeStats{})
+	span.Finish(tr, Node{Probe: p, Algorithm: "contain-join", OutRows: 1})
+	root.Finish(tr, Node{})
 
 	var b strings.Builder
 	if err := tr.WriteJSONL(&b); err != nil {
@@ -188,7 +188,7 @@ func TestProfFieldsRoundTripJSONL(t *testing.T) {
 func TestUnprofiledSpansOmitProfFields(t *testing.T) {
 	tr := NewTracer()
 	root := tr.BeginQuery("q")
-	root.Finish(tr, metrics.Probe{}, NodeStats{})
+	root.Finish(tr, Node{})
 	var b strings.Builder
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)

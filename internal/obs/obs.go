@@ -1,24 +1,27 @@
 // Package obs is the observability layer of the engine: a per-query tracer
-// producing one span per plan node (with final metrics.Probe snapshots and
-// time-sampled state curves), a registry of named counters, gauges and
-// fixed-bucket histograms with Prometheus text exposition, and an HTTP
-// endpoint serving /metrics, expvar and net/http/pprof while queries run.
+// producing one span per plan node (each carrying the node's one record,
+// Node, and a time-sampled state curve), a registry of named counters,
+// gauges and fixed-bucket histograms with Prometheus text exposition, and
+// an HTTP endpoint serving /metrics, expvar and net/http/pprof while
+// queries run.
 //
 // The paper's evaluation (Tables 1–3) is a characterization of local
 // workspace *state over time*; the seed reproduction only kept a scalar
 // high-water mark per operator. This package turns those characterizations
 // into observable trajectories: each stream operator can be given a
-// StateSampler that records state(t) against the operator's logical clock,
-// and every plan node's cost record is exported both as JSONL and as a
-// human EXPLAIN ANALYZE-style tree.
+// StateSampler that records state(t) against the operator's logical clock.
 //
-// PR 7 adds the resource-accounting layer: the internal/obs/prof
-// subpackage reads runtime/metrics allocation counters and attaches pprof
-// labels per operator; spans opened with ProfBegin carry per-node
-// alloc/bytes deltas into EXPLAIN ANALYZE; an EventLog journals
-// operational events (slow queries, governor fallbacks, breaker trips)
-// as deterministic JSONL; and PublishProbe is the single export path
-// from a metrics.Probe to the registry.
+// Node is the only per-node record. The engine appends one per plan node
+// to its Stats; Span.Finish takes that record as it is; a JSONL trace line
+// is the span's JSON encoding under its struct tags; Tracer.Tree renders
+// the human EXPLAIN ANALYZE tree; and Registry.PublishNode is the single
+// export path from a node to the registry.
+//
+// The resource-accounting layer: the internal/obs/prof subpackage reads
+// allocation counters and attaches pprof labels per operator; spans
+// opened with ProfBegin carry per-node alloc/bytes deltas into EXPLAIN
+// ANALYZE; and an EventLog journals operational events (slow queries,
+// governor fallbacks, breaker trips) as deterministic JSONL.
 //
 // Everything here is stdlib-only, and every pointer-receiver method on the
 // instrument types (Tracer, Span, StateSampler, Counter, Gauge, Histogram,

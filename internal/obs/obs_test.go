@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -208,9 +210,9 @@ func TestTracerSpansAndJSONL(t *testing.T) {
 	p.IncReadLeft()
 	p.IncReadLeft()
 	p.IncEmitted(1)
-	grand.Finish(tr, p, NodeStats{Algorithm: "heap-scan", OutRows: 2, PagesRead: 1})
-	child.Finish(tr, p, NodeStats{Algorithm: "event-join", OutRows: 2, Notes: []string{"order verified"}})
-	root.Finish(tr, metrics.Probe{}, NodeStats{})
+	grand.Finish(tr, Node{Probe: p, Algorithm: "heap-scan", OutRows: 2, PagesRead: 1})
+	child.Finish(tr, Node{Probe: p, Algorithm: "event-join", OutRows: 2, Notes: []string{"order verified"}})
+	root.Finish(tr, Node{})
 
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -267,6 +269,82 @@ func TestTracerSpansAndJSONL(t *testing.T) {
 			t.Errorf("tree missing %q:\n%s", want, tree)
 		}
 	}
+
+	// Every line carries exactly the trace's keys: the always-present
+	// ones, plus each omitempty one whose value is set. A root line, a
+	// node line with every optional field set, a profiled line and a
+	// failed line cover them all.
+	kt := NewTracer()
+	q := kt.BeginQuery("root")
+	full := kt.Begin(q, "node")
+	full.Sampler().Observe(0, 1)
+	var fp metrics.Probe
+	fp.IncStateGrow()
+	fp.ObserveActive(3)
+	full.Finish(kt, Node{Algorithm: "stream contain-join", Probe: fp, OutRows: 1,
+		SortedRows: 4, SortRuns: 2, SortPages: 3, PagesRead: 5, Notes: []string{"spilled"}})
+	profiled := kt.Begin(q, "profiled")
+	profiled.Finish(kt, Node{})
+	profiled.Profiled, profiled.Allocs, profiled.AllocBytes = true, 2, 64
+	failed := kt.Begin(q, "failed")
+	failed.Fail(kt, errors.New("boom"))
+	q.Finish(kt, Node{Algorithm: "query"})
+
+	with := func(base []string, extra ...string) []string {
+		out := append(append([]string{}, base...), extra...)
+		sort.Strings(out)
+		return out
+	}
+	always := []string{"query", "span", "label", "start_ns", "dur_ns", "out_rows", "probe"}
+	probeAlways := []string{"read_left", "read_right", "emitted", "comparisons", "gc_discarded",
+		"passes", "state_hwm", "buffers", "workspace"}
+	wantKeys := map[string][2][]string{ // label → line keys, probe keys
+		"root": {with(always, "algorithm"), with(probeAlways)},
+		"node": {with(always, "parent", "algorithm", "sorted_rows", "sort_runs", "sort_pages",
+			"pages_read", "notes", "state_curve"), with(probeAlways, "state_grows", "active_peak")},
+		"profiled": {with(always, "parent", "profiled", "allocs", "alloc_bytes"), with(probeAlways)},
+		"failed":   {with(always, "parent", "error"), with(probeAlways)},
+	}
+	keysOf := func(m map[string]json.RawMessage) []string {
+		var out []string
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	var kb strings.Builder
+	if err := kt.WriteJSONL(&kb); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, line := range strings.Split(strings.TrimSpace(kb.String()), "\n") {
+		var m, probe map[string]json.RawMessage
+		var label string
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("line not json: %v\n%s", err, line)
+		}
+		if err := json.Unmarshal(m["label"], &label); err != nil {
+			t.Fatalf("label: %v\n%s", err, line)
+		}
+		if err := json.Unmarshal(m["probe"], &probe); err != nil {
+			t.Fatalf("probe: %v\n%s", err, line)
+		}
+		want, ok := wantKeys[label]
+		if !ok {
+			t.Fatalf("unexpected line %s", line)
+		}
+		seen++
+		if got := keysOf(m); !reflect.DeepEqual(got, want[0]) {
+			t.Errorf("%s line keys = %v, want %v", label, got, want[0])
+		}
+		if got := keysOf(probe); !reflect.DeepEqual(got, want[1]) {
+			t.Errorf("%s probe keys = %v, want %v", label, got, want[1])
+		}
+	}
+	if seen != len(wantKeys) {
+		t.Errorf("checked %d lines, want %d:\n%s", seen, len(wantKeys), kb.String())
+	}
 }
 
 func TestTracerNilAndFail(t *testing.T) {
@@ -279,7 +357,7 @@ func TestTracerNilAndFail(t *testing.T) {
 	if c != nil {
 		t.Fatalf("nil tracer Begin must be nil")
 	}
-	s.Finish(tr, metrics.Probe{}, NodeStats{})
+	s.Finish(tr, Node{})
 	s.Fail(tr, errors.New("x"))
 	if s.Sampler() != nil {
 		t.Fatalf("nil span sampler must be nil")
@@ -295,11 +373,11 @@ func TestTracerNilAndFail(t *testing.T) {
 	q := live.BeginQuery("q")
 	n := live.Begin(q, "node")
 	n.Fail(live, errors.New("stream order violated"))
-	n.Finish(live, metrics.Probe{}, NodeStats{OutRows: 99}) // second finish ignored
+	n.Finish(live, Node{OutRows: 99}) // second finish ignored
 	if n.Node.OutRows != 0 || n.Err != "stream order violated" {
 		t.Fatalf("Fail then Finish: %+v", n)
 	}
-	q.Finish(live, metrics.Probe{}, NodeStats{})
+	q.Finish(live, Node{})
 	if !strings.Contains(live.Tree(), "! stream order violated") {
 		t.Fatalf("tree must show error:\n%s", live.Tree())
 	}

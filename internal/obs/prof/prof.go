@@ -44,9 +44,6 @@ var enabled atomic.Bool
 // SetEnabled turns resource accounting on or off process-wide.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether resource accounting is on.
-func Enabled() bool { return enabled.Load() }
-
 // Snap is a point-in-time reading of the cumulative heap-allocation
 // counters. The zero Snap means "not taken" (Taken false), which keeps
 // unprofiled spans from reporting garbage deltas.

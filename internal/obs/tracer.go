@@ -8,36 +8,23 @@ import (
 	"sync"
 	"time"
 
-	"tdb/internal/metrics"
 	"tdb/internal/obs/prof"
 )
 
-// NodeStats carries a plan node's execution outcome into its span — the
-// fields of the engine's per-operator cost record that are not part of the
-// probe itself.
-type NodeStats struct {
-	Algorithm  string
-	OutRows    int64
-	SortedRows int64
-	SortRuns   int
-	SortPages  int64
-	PagesRead  int64
-	Notes      []string
-}
-
 // Span is one traced plan-node execution. Fields are written by the query
-// goroutine between Begin and Finish and read only afterwards.
+// goroutine between Begin and Finish and read only afterwards. A span's
+// JSON encoding under its tags is its JSONL trace line.
 type Span struct {
-	QueryID  int64
-	ID       int64
-	ParentID int64 // 0 for a query root
-	Label    string
-	StartNS  int64
-	EndNS    int64
-	Probe    metrics.Probe
-	Node     NodeStats
-	Curve    []Sample
-	Err      string
+	QueryID  int64 `json:"query"`
+	ID       int64 `json:"span"`
+	ParentID int64 `json:"parent,omitempty"` // 0 for a query root
+	StartNS  int64 `json:"start_ns"`
+	DurNS    int64 `json:"dur_ns"`
+	// Node is the plan node's record, handed over by Finish; its Label is
+	// the one the span was begun with.
+	Node
+	Curve []Sample `json:"state_curve,omitempty"`
+	Err   string   `json:"error,omitempty"`
 
 	// Resource accounting (internal/obs/prof). Allocs/AllocBytes are the
 	// heap-allocation deltas of this node's own execution, exclusive of
@@ -47,9 +34,9 @@ type Span struct {
 	// spans whose ProfBegin ran (serial nodes and the query root — never
 	// concurrent worker spans, whose windows would overlap) carry deltas;
 	// Profiled marks them so zero is distinguishable from "off".
-	Allocs     int64
-	AllocBytes int64
-	Profiled   bool
+	Allocs     int64 `json:"allocs,omitempty"`
+	AllocBytes int64 `json:"alloc_bytes,omitempty"`
+	Profiled   bool  `json:"profiled,omitempty"`
 
 	profStart   prof.Snap
 	parent      *Span
@@ -125,8 +112,8 @@ func (t *Tracer) beginLocked(parent *Span, query int64, label string) *Span {
 	s := &Span{
 		QueryID: query,
 		ID:      t.nextID,
-		Label:   label,
 		StartNS: t.clock(),
+		Node:    Node{Label: label},
 		parent:  parent,
 	}
 	if parent != nil {
@@ -158,10 +145,10 @@ func (s *Span) Sampler() *StateSampler {
 	return s.sampler
 }
 
-// Finish stamps the end time and records the node outcome: the final probe
-// snapshot, the cost fields, and the sampled state curve. Finishing twice
-// keeps the first outcome.
-func (s *Span) Finish(t *Tracer, probe metrics.Probe, node NodeStats) {
+// Finish stamps the duration and records the node outcome: the node's
+// record, under the span's own label, and the sampled state curve.
+// Finishing twice keeps the first outcome.
+func (s *Span) Finish(t *Tracer, node Node) {
 	if s == nil {
 		return
 	}
@@ -169,8 +156,8 @@ func (s *Span) Finish(t *Tracer, probe metrics.Probe, node NodeStats) {
 		return
 	}
 	s.done = true
-	s.EndNS = t.now()
-	s.Probe = probe
+	s.DurNS = t.now() - s.StartNS
+	node.Label = s.Label
 	s.Node = node
 	s.Curve = s.sampler.Samples()
 	s.settleProf()
@@ -185,7 +172,7 @@ func (s *Span) Fail(t *Tracer, err error) {
 		return
 	}
 	s.done = true
-	s.EndNS = t.now()
+	s.DurNS = t.now() - s.StartNS
 	if err != nil {
 		s.Err = err.Error()
 	}
@@ -222,84 +209,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// spanJSON is the JSONL wire form of a span.
-type spanJSON struct {
-	Query      int64     `json:"query"`
-	Span       int64     `json:"span"`
-	Parent     int64     `json:"parent,omitempty"`
-	Label      string    `json:"label"`
-	Algorithm  string    `json:"algorithm,omitempty"`
-	StartNS    int64     `json:"start_ns"`
-	DurNS      int64     `json:"dur_ns"`
-	OutRows    int64     `json:"out_rows"`
-	SortedRows int64     `json:"sorted_rows,omitempty"`
-	SortRuns   int       `json:"sort_runs,omitempty"`
-	SortPages  int64     `json:"sort_pages,omitempty"`
-	PagesRead  int64     `json:"pages_read,omitempty"`
-	Notes      []string  `json:"notes,omitempty"`
-	Err        string    `json:"error,omitempty"`
-	Profiled   bool      `json:"profiled,omitempty"`
-	Allocs     int64     `json:"allocs,omitempty"`
-	AllocBytes int64     `json:"alloc_bytes,omitempty"`
-	Probe      probeJSON `json:"probe"`
-	Curve      []Sample  `json:"state_curve,omitempty"`
-}
-
-// probeJSON mirrors the metrics.Probe totals of the printed cost tables.
-type probeJSON struct {
-	ReadLeft    int64 `json:"read_left"`
-	ReadRight   int64 `json:"read_right"`
-	Emitted     int64 `json:"emitted"`
-	Comparisons int64 `json:"comparisons"`
-	GCDiscarded int64 `json:"gc_discarded"`
-	Passes      int64 `json:"passes"`
-	StateHWM    int64 `json:"state_hwm"`
-	Buffers     int64 `json:"buffers"`
-	Workspace   int64 `json:"workspace"`
-	StateGrows  int64 `json:"state_grows,omitempty"`
-	ActivePeak  int64 `json:"active_peak,omitempty"`
-}
-
-func (s *Span) wire() spanJSON {
-	if s == nil {
-		return spanJSON{}
-	}
-	p := &s.Probe
-	return spanJSON{
-		Query:      s.QueryID,
-		Span:       s.ID,
-		Parent:     s.ParentID,
-		Label:      s.Label,
-		Algorithm:  s.Node.Algorithm,
-		StartNS:    s.StartNS,
-		DurNS:      s.EndNS - s.StartNS,
-		OutRows:    s.Node.OutRows,
-		SortedRows: s.Node.SortedRows,
-		SortRuns:   s.Node.SortRuns,
-		SortPages:  s.Node.SortPages,
-		PagesRead:  s.Node.PagesRead,
-		Notes:      s.Node.Notes,
-		Err:        s.Err,
-		Profiled:   s.Profiled,
-		Allocs:     s.Allocs,
-		AllocBytes: s.AllocBytes,
-		Curve:      s.Curve,
-		Probe: probeJSON{
-			ReadLeft:    p.ReadLeft,
-			ReadRight:   p.ReadRight,
-			Emitted:     p.Emitted,
-			Comparisons: p.Comparisons,
-			GCDiscarded: p.GCDiscarded,
-			Passes:      p.Passes,
-			StateHWM:    p.StateHighWater,
-			Buffers:     p.Buffers,
-			Workspace:   p.Workspace(),
-			StateGrows:  p.StateGrows,
-			ActivePeak:  p.ActivePeak,
-		},
-	}
-}
-
 // Spans returns the collected spans in begin order.
 func (t *Tracer) Spans() []*Span {
 	if t == nil {
@@ -318,7 +227,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	for _, s := range t.Spans() {
-		if err := enc.Encode(s.wire()); err != nil {
+		if err := enc.Encode(s); err != nil {
 			return err
 		}
 	}
@@ -359,10 +268,10 @@ func (t *Tracer) Tree() string {
 			b.WriteString(")\n")
 		} else {
 			fmt.Fprintf(&b, "%s%s%s", prefix, branch, s.Label)
-			if s.Node.Algorithm != "" {
-				fmt.Fprintf(&b, "  [%s]", s.Node.Algorithm)
+			if s.Algorithm != "" {
+				fmt.Fprintf(&b, "  [%s]", s.Algorithm)
 			}
-			fmt.Fprintf(&b, "  %.3fms out=%d %s", ms(s), s.Node.OutRows, s.Probe.String())
+			fmt.Fprintf(&b, "  %.3fms out=%d %s", ms(s), s.OutRows, s.Probe.String())
 			if s.Profiled {
 				fmt.Fprintf(&b, " allocs/op=%d B/op=%d", s.Allocs, s.AllocBytes)
 			}
@@ -376,7 +285,7 @@ func (t *Tracer) Tree() string {
 				fmt.Fprintf(&b, " curve=%dpt", n)
 			}
 			b.WriteString("\n")
-			for _, note := range s.Node.Notes {
+			for _, note := range s.Notes {
 				fmt.Fprintf(&b, "%s   · %s\n", childPrefix, note)
 			}
 			if s.Err != "" {
@@ -398,5 +307,5 @@ func ms(s *Span) float64 {
 	if s == nil {
 		return 0
 	}
-	return float64(s.EndNS-s.StartNS) / 1e6
+	return float64(s.DurNS) / 1e6
 }

@@ -406,8 +406,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // runPrepared executes a prepared statement: the parse and translation
 // are cached in the statement; the optimized plan is cached per
 // parameter binding (the semantic pass folds constants, so the plan is
-// binding-dependent by construction). The cached plan's tree is cloned
-// per run so concurrent executions never share operator state.
+// binding-dependent by construction). The cached plan runs as it is:
+// engine.Run writes no field of a plan node.
 func (s *Server) runPrepared(r *http.Request, sess *session, ten *tenant, p *prepared, wireParams []any) (*QueryResponse, *Error) {
 	if err := fault.Check("server/execute"); err != nil {
 		return nil, errf(CodeExec, "execute: %v", err)
@@ -436,9 +436,7 @@ func (s *Server) runPrepared(r *http.Request, sess *session, ten *tenant, p *pre
 		}
 		p.storePlan(key, res)
 	}
-	run := *res
-	run.Tree = algebra.CloneExpr(res.Tree)
-	return s.execute(r, sess, ten, sess.db, &p.q, &run)
+	return s.execute(r, sess, ten, sess.db, &p.q, res)
 }
 
 func (s *Server) handleCloseStmt(w http.ResponseWriter, r *http.Request) {
