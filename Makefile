@@ -28,7 +28,9 @@ test:
 	$(GO) test ./...
 
 # The native fuzz targets (CI runs the same): relation.SortSpans against
-# its sort.SliceStable reference as an exact sequence, the two page
+# its sort.SliceStable reference as an exact sequence, the catalog's
+# statistics fold against the event sweep and, tracked then appended to,
+# against FromSpans over all the lifespans, the two page
 # decoders — key-run pages and row pages — on arbitrary bytes: records or
 # rows, or ErrCorruptPage, never a panic or an out-of-range index, and the
 # key scan's page walk failing exactly when the row decoder does and
@@ -54,6 +56,7 @@ test:
 # retry durations or an error.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSortSpans -fuzztime=20s ./internal/relation
+	$(GO) test -run '^$$' -fuzz=FuzzStatsFold -fuzztime=10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz=FuzzKeyRunPage -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzPageKeys -fuzztime=10s ./internal/storage

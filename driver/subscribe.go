@@ -272,36 +272,17 @@ func (c *anyCells) Int(_ int, v int64)  { *c = append(*c, v) }
 // terminal immediately (retrying a resume_horizon cannot help); only
 // transport failures burn further attempts.
 func (s *Subscription) resume() error {
-	p := s.c.retry
 	start := time.Now()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = s.dial(subscribeRequest{Session: s.session, Resume: s.token, AfterSeq: s.lastSeq})
-		if err == nil {
-			s.stats.Resumes++
-			s.stats.LastResumeTime = time.Since(start)
-			s.stats.TotalResumeTime += s.stats.LastResumeTime
-			return nil
-		}
-		ok, retryAfter := retryable(err)
-		if !ok {
-			return err
-		}
-		if attempt+1 >= p.MaxAttempts {
-			return fmt.Errorf("tdb: resume: giving up after %d attempts: %w", attempt+1, err)
-		}
-		delay := p.backoffDelay(attempt, retryAfter)
-		if elapsed := time.Since(start); delay > p.Budget-elapsed {
-			return fmt.Errorf("tdb: resume: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt+1, err)
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-s.ctx.Done():
-			t.Stop()
-			return fmt.Errorf("tdb: resume: %w (after %d attempts: %v)", s.ctx.Err(), attempt+1, err)
-		case <-t.C:
-		}
+	err := s.c.withRetry(s.ctx, "resume", func() error {
+		return s.dial(subscribeRequest{Session: s.session, Resume: s.token, AfterSeq: s.lastSeq})
+	})
+	if err != nil {
+		return err
 	}
+	s.stats.Resumes++
+	s.stats.LastResumeTime = time.Since(start)
+	s.stats.TotalResumeTime += s.stats.LastResumeTime
+	return nil
 }
 
 // teardown cancels the stream context, closes any open body, and closes

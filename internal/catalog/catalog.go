@@ -7,11 +7,15 @@
 // it predicts the stream algorithms' workspace by Little's law — the
 // number of lifespans in progress at a random instant is λ·E[duration] —
 // which experiment E13 validates against measured high-water marks.
+//
+// Every figure comes from one fold in ValidFrom order (Incremental): a
+// Catalog sorts a relation's lifespans once when it starts tracking them
+// and folds each appended lifespan into the same accumulator from then
+// on, and FromSpans is the same sort and fold over raw lifespans.
 package catalog
 
 import (
 	"fmt"
-	"slices"
 
 	"tdb/internal/interval"
 	"tdb/internal/relation"
@@ -34,75 +38,24 @@ type Stats struct {
 	MaxConcurrency int
 }
 
-// Collect computes statistics over the lifespans of a temporal relation.
-func Collect(rel *relation.Relation) (*Stats, error) {
-	if !rel.Schema.Temporal() {
-		return nil, fmt.Errorf("catalog: relation %s is not temporal", rel.Name)
-	}
-	spans := make([]interval.Interval, rel.Cardinality())
-	for i := range rel.Rows {
-		spans[i] = rel.Span(i)
-	}
-	return FromSpans(spans), nil
-}
-
-// FromSpans computes statistics over raw lifespans.
+// FromSpans computes statistics over raw lifespans, in any order.
 func FromSpans(spans []interval.Interval) *Stats {
-	s := &Stats{Cardinality: len(spans)}
-	if len(spans) == 0 {
-		return s
-	}
-	s.MinTS, s.MaxTS = spans[0].Start, spans[0].Start
-	s.MinTE, s.MaxTE = spans[0].End, spans[0].End
-	var durSum int64
-	for _, iv := range spans {
-		if iv.Start < s.MinTS {
-			s.MinTS = iv.Start
-		}
-		if iv.Start > s.MaxTS {
-			s.MaxTS = iv.Start
-		}
-		if iv.End < s.MinTE {
-			s.MinTE = iv.End
-		}
-		if iv.End > s.MaxTE {
-			s.MaxTE = iv.End
-		}
-		d := iv.Duration()
-		durSum += d
-		if d > s.MaxDuration {
-			s.MaxDuration = d
-		}
-	}
-	s.MeanDuration = float64(durSum) / float64(len(spans))
-	if span := int64(s.MaxTS) - int64(s.MinTS); span > 0 && len(spans) > 1 {
-		s.Lambda = float64(len(spans)-1) / float64(span)
-	}
-	s.MaxConcurrency = maxConcurrency(spans)
-	return s
+	ts, te := relation.ShredSpans(spans, func(iv interval.Interval) interval.Interval { return iv })
+	return fold(ts, te).Snapshot()
 }
 
-// maxConcurrency is the largest number of lifespans open at one instant:
-// one merge of the sorted start and end columns, ends first at equal
-// times because lifespans are half-open.
-func maxConcurrency(spans []interval.Interval) int {
-	starts := make([]interval.Time, len(spans))
-	ends := make([]interval.Time, len(spans))
-	for i, iv := range spans {
-		starts[i], ends[i] = iv.Start, iv.End
+// validFrom is the order the fold needs to count concurrency exactly.
+var validFrom = relation.Order{relation.TSAsc}
+
+// fold sorts lifespans given as endpoint columns into ValidFrom order, in
+// place, and folds them into a fresh accumulator.
+func fold(ts, te []interval.Time) *Incremental {
+	relation.SortColumns(ts, te, validFrom, false)
+	inc := NewIncremental()
+	for i := range ts {
+		inc.Observe(interval.Interval{Start: ts[i], End: te[i]})
 	}
-	slices.Sort(starts)
-	slices.Sort(ends)
-	cur, max, j := 0, 0, 0
-	for _, t := range starts {
-		for ; j < len(ends) && ends[j] <= t; j++ {
-			cur--
-		}
-		if cur++; cur > max {
-			max = cur
-		}
-	}
-	return max
+	return inc
 }
 
 // PredictedWorkspace estimates the spanning-set state size by Little's law:
@@ -131,24 +84,80 @@ func (s *Stats) String() string {
 		s.Lambda, s.MeanDuration, s.MaxConcurrency, s.PredictedWorkspace())
 }
 
+// publishEvery bounds how stale the published statistics of an appended
+// relation may be, in rows.
+const publishEvery = 64
+
 // Catalog is the named collection of relation statistics the optimizer
-// consults.
+// consults. It owns the accumulator of every temporal relation it tracks
+// and publishes a snapshot of it, which Lookup returns, when tracking
+// starts, every publishEvery observed rows and on Refresh.
 type Catalog struct {
-	stats map[string]*Stats
+	rels map[string]*tracked
+}
+
+// tracked is one relation's accumulator and its published snapshot.
+type tracked struct {
+	inc         *Incremental
+	pub         *Stats
+	unpublished int
+}
+
+func (t *tracked) publish() {
+	t.pub = t.inc.Snapshot()
+	t.unpublished = 0
 }
 
 // New returns an empty catalog.
-func New() *Catalog { return &Catalog{stats: make(map[string]*Stats)} }
+func New() *Catalog { return &Catalog{rels: make(map[string]*tracked)} }
 
-// Analyze computes and records statistics for the relation.
-func (c *Catalog) Analyze(rel *relation.Relation) (*Stats, error) {
-	s, err := Collect(rel)
-	if err != nil {
-		return nil, err
-	}
-	c.stats[rel.Name] = s
-	return s, nil
+// Track (re)starts the statistics of a temporal relation from its
+// lifespans, given as endpoint columns in any order, which it sorts in
+// place, and publishes them.
+func (c *Catalog) Track(name string, ts, te []interval.Time) {
+	t := &tracked{inc: fold(ts, te)}
+	t.publish()
+	c.rels[name] = t
 }
 
-// Lookup returns the recorded statistics for a relation name, or nil.
-func (c *Catalog) Lookup(name string) *Stats { return c.stats[name] }
+// Observe folds one lifespan appended to a tracked relation into its
+// statistics and reports whether it republished them. Appends arrive in
+// ValidFrom order from the tracked rows' latest ValidFrom on (the live
+// ingestion contract), which keeps MaxConcurrency exact.
+func (c *Catalog) Observe(name string, iv interval.Interval) bool {
+	t := c.rels[name]
+	t.inc.Observe(iv)
+	if t.unpublished++; t.unpublished < publishEvery {
+		return false
+	}
+	t.publish()
+	return true
+}
+
+// Refresh publishes the statistics of a tracked relation that took rows
+// since they were last published, and reports whether it did.
+func (c *Catalog) Refresh(name string) bool {
+	t, ok := c.rels[name]
+	if !ok || t.unpublished == 0 {
+		return false
+	}
+	t.publish()
+	return true
+}
+
+// ActiveSpans returns the number of a tracked relation's lifespans open at
+// its latest ValidFrom, or 0 for a name it does not track.
+func (c *Catalog) ActiveSpans(name string) int {
+	if t, ok := c.rels[name]; ok {
+		return t.inc.ActiveSpans()
+	}
+	return 0
+}
+
+// Lookup returns the published statistics for a relation name, or nil.
+func (c *Catalog) Lookup(name string) *Stats {
+	if t, ok := c.rels[name]; ok {
+		return t.pub
+	}
+	return nil
+}

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"tdb/internal/interval"
-	"tdb/internal/relation"
-	"tdb/internal/value"
 	"tdb/internal/workload"
 )
 
@@ -66,33 +64,35 @@ func TestMaxConcurrencyHalfOpen(t *testing.T) {
 	}
 }
 
-// The two-column merge counts exactly what a sweep over the 2n
-// endpoint events, closes before opens at equal times, counts: on random
-// spans with heavy ties, meeting spans and empty ones.
-func TestMaxConcurrencyMatchesEventSweep(t *testing.T) {
-	reference := func(spans []interval.Interval) int {
-		type ev struct {
-			t     interval.Time
-			delta int
-		}
-		var evs []ev
-		for _, iv := range spans {
-			evs = append(evs, ev{iv.Start, +1}, ev{iv.End, -1})
-		}
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].t != evs[j].t {
-				return evs[i].t < evs[j].t
-			}
-			return evs[i].delta < evs[j].delta
-		})
-		cur, max := 0, 0
-		for _, e := range evs {
-			if cur += e.delta; cur > max {
-				max = cur
-			}
-		}
-		return max
+// reference is the independent oracle of MaxConcurrency: a sweep over the
+// 2n endpoint events, closes before opens at equal times.
+func reference(spans []interval.Interval) int {
+	type ev struct {
+		t     interval.Time
+		delta int
 	}
+	var evs []ev
+	for _, iv := range spans {
+		evs = append(evs, ev{iv.Start, +1}, ev{iv.End, -1})
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].t != evs[j].t {
+			return evs[i].t < evs[j].t
+		}
+		return evs[i].delta < evs[j].delta
+	})
+	cur, max := 0, 0
+	for _, e := range evs {
+		if cur += e.delta; cur > max {
+			max = cur
+		}
+	}
+	return max
+}
+
+// The ValidFrom-order fold counts exactly what the event sweep counts: on
+// random spans with heavy ties, meeting spans and empty ones.
+func TestMaxConcurrencyMatchesEventSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(60)
@@ -101,8 +101,8 @@ func TestMaxConcurrencyMatchesEventSweep(t *testing.T) {
 			s := interval.Time(rng.Intn(20))
 			spans[i] = interval.Interval{Start: s, End: s + interval.Time(rng.Intn(6))}
 		}
-		if got, want := maxConcurrency(spans), reference(spans); got != want {
-			t.Fatalf("trial %d: maxConcurrency = %d, event sweep %d over %v", trial, got, want, spans)
+		if got, want := FromSpans(spans).MaxConcurrency, reference(spans); got != want {
+			t.Fatalf("trial %d: MaxConcurrency = %d, event sweep %d over %v", trial, got, want, spans)
 		}
 	}
 	for _, lam := range []float64{0.2, 5} {
@@ -133,28 +133,66 @@ func TestPredictedWorkspaceTracksConcurrency(t *testing.T) {
 	}
 }
 
-func TestCatalogAnalyzeAndLookup(t *testing.T) {
-	rel := relation.FromTuples("R", []relation.Tuple{
-		{S: "a", V: value.String_("v"), Span: interval.New(0, 4)},
-		{S: "b", V: value.String_("v"), Span: interval.New(2, 9)},
-	})
+func TestCatalogTrackAndLookup(t *testing.T) {
 	c := New()
-	s, err := c.Analyze(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Cardinality != 2 || s.MinTS != 0 || s.MaxTE != 9 {
-		t.Errorf("analyze wrong: %+v", s)
-	}
-	if c.Lookup("R") != s {
-		t.Error("Lookup did not return recorded stats")
+	c.Track("R", []interval.Time{2, 0}, []interval.Time{9, 4})
+	s := c.Lookup("R")
+	if s.Cardinality != 2 || s.MinTS != 0 || s.MaxTE != 9 || s.MaxConcurrency != 2 {
+		t.Errorf("track wrong: %+v", s)
 	}
 	if c.Lookup("missing") != nil {
 		t.Error("Lookup invented stats")
 	}
+}
 
-	snap := relation.New("S", relation.MustSchema([]relation.Column{{Name: "A", Kind: value.KindInt}}, -1, -1))
-	if _, err := c.Analyze(snap); err == nil {
-		t.Error("non-temporal relation analyzed")
-	}
+// FuzzStatsFold: lifespans in any order fold to the event sweep's
+// MaxConcurrency, and a catalog that tracks some of them, then observes
+// more in ValidFrom order from their latest ValidFrom on, publishes what
+// FromSpans computes over the union, field for field. The first byte picks
+// how many of the byte pairs that follow are tracked; the rest are
+// appended, each pair a ValidFrom step and a duration.
+func FuzzStatsFold(f *testing.F) {
+	f.Add([]byte{4, 10, 10, 0, 30, 12, 2, 1, 10, 3, 1})
+	f.Add([]byte{4, 0, 10, 1, 9, 20, 10, 5, 20, 0, 0})
+	f.Add([]byte{1, 3, 0, 0, 0, 1, 5, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		split, pairs := int(data[0]), data[1:]
+		var tracked, all []interval.Interval
+		var ts interval.Time
+		for i := 0; i+1 < len(pairs); i += 2 {
+			dur := interval.Time(pairs[i+1] % 32)
+			if len(tracked) < split {
+				start := interval.Time(pairs[i] % 64)
+				tracked = append(tracked, interval.Interval{Start: start, End: start + dur})
+				ts = max(ts, start)
+			} else {
+				ts += interval.Time(pairs[i] % 4)
+				all = append(all, interval.Interval{Start: ts, End: ts + dur})
+			}
+		}
+		all = append(tracked, all...)
+		want := FromSpans(all)
+		if want.Cardinality != len(all) || want.MaxConcurrency != reference(all) {
+			t.Fatalf("FromSpans %v, event sweep %d over %v", want, reference(all), all)
+		}
+		if got := FromSpans(tracked).MaxConcurrency; got != reference(tracked) {
+			t.Fatalf("MaxConcurrency %d, event sweep %d over %v", got, reference(tracked), tracked)
+		}
+		c := New()
+		tsCol, teCol := make([]interval.Time, len(tracked)), make([]interval.Time, len(tracked))
+		for i, iv := range tracked {
+			tsCol[i], teCol[i] = iv.Start, iv.End
+		}
+		c.Track("R", tsCol, teCol)
+		for _, iv := range all[len(tracked):] {
+			c.Observe("R", iv)
+		}
+		c.Refresh("R")
+		if got := c.Lookup("R"); *got != *want {
+			t.Fatalf("tracked %v then observed %v: published %v, want %v", tracked, all[len(tracked):], got, want)
+		}
+	})
 }

@@ -4,10 +4,10 @@ import "tdb/internal/interval"
 
 // Incremental maintains the statistics of a relation under append-only,
 // TS-ordered arrival without ever rescanning the relation: each Observe is
-// O(log maxconc) for the concurrency sweep plus O(1) for the moments. The
-// live ingestion path owns one Incremental per table and republishes its
-// snapshot into the Catalog after each batch, so standing-query admission
-// always sees current λ and duration moments.
+// O(log maxconc) for the concurrency sweep plus O(1) for the moments. A
+// Catalog owns one Incremental per temporal relation, from its sorted
+// registered rows on, and republishes its snapshot as rows are appended,
+// so standing-query admission always sees current λ and duration moments.
 type Incremental struct {
 	s      Stats
 	durSum int64
@@ -24,10 +24,10 @@ func NewIncremental() *Incremental {
 	return &Incremental{}
 }
 
-// Observe folds one appended lifespan into the statistics. Arrivals are
-// expected in ValidFrom order (the live ingestion contract); an
-// out-of-order span is still counted but may make MaxConcurrency a lower
-// bound rather than exact.
+// Observe folds one lifespan into the statistics. Arrivals are expected in
+// ValidFrom order; an out-of-order span is still counted, but
+// MaxConcurrency is then no longer exact. An empty lifespan (TS = TE)
+// covers no chronon and adds nothing to the concurrency.
 func (inc *Incremental) Observe(iv interval.Interval) {
 	s := &inc.s
 	if s.Cardinality == 0 {
@@ -63,9 +63,9 @@ func (inc *Incremental) Observe(iv interval.Interval) {
 	for len(inc.ends) > 0 && inc.ends[0] <= iv.Start {
 		heapPopEnd(&inc.ends)
 	}
-	heapPushEnd(&inc.ends, iv.End)
-	if len(inc.ends) > s.MaxConcurrency {
-		s.MaxConcurrency = len(inc.ends)
+	if iv.End > iv.Start {
+		heapPushEnd(&inc.ends, iv.End)
+		s.MaxConcurrency = max(s.MaxConcurrency, len(inc.ends))
 	}
 }
 
@@ -79,10 +79,6 @@ func (inc *Incremental) Snapshot() *Stats {
 // ActiveSpans returns the number of lifespans still open at the arrival
 // frontier — the instantaneous concurrency the workspace gauges report.
 func (inc *Incremental) ActiveSpans() int { return len(inc.ends) }
-
-// Put installs externally computed statistics for a relation name,
-// replacing any previous entry — the republish path of live ingestion.
-func (c *Catalog) Put(name string, s *Stats) { c.stats[name] = s }
 
 // heapPushEnd / heapPopEnd maintain a slice as a binary min-heap of
 // ValidTo instants (hand-rolled to avoid interface boxing on the hot

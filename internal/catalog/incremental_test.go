@@ -82,12 +82,3 @@ func TestIncrementalActiveSpans(t *testing.T) {
 		t.Fatalf("maxconc = %d, want 2", s.MaxConcurrency)
 	}
 }
-
-func TestCatalogPut(t *testing.T) {
-	c := New()
-	s := &Stats{Cardinality: 7}
-	c.Put("r", s)
-	if c.Lookup("r") != s {
-		t.Fatal("Put/Lookup roundtrip failed")
-	}
-}

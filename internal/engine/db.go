@@ -18,6 +18,7 @@ import (
 
 	"tdb/internal/catalog"
 	"tdb/internal/constraints"
+	"tdb/internal/interval"
 	"tdb/internal/obs"
 	"tdb/internal/relation"
 	"tdb/internal/storage"
@@ -36,7 +37,7 @@ type DB struct {
 	cat    *catalog.Catalog
 	ics    []constraints.ChronOrder
 	reg    *obs.Registry
-	live   map[string]*liveStats
+	live   map[string]struct{} // temporal relations appended to since Register
 	index  *relationIndex
 }
 
@@ -78,7 +79,7 @@ func newDB(parent *DB, index *relationIndex) *DB {
 		rels:   map[string]*relation.Relation{},
 		stored: map[string]*storage.HeapFile{},
 		cat:    catalog.New(),
-		live:   map[string]*liveStats{},
+		live:   map[string]struct{}{},
 		index:  index,
 	}
 }
@@ -163,8 +164,10 @@ func (db *DB) Close() error {
 	return first
 }
 
-// Register adds (or replaces) a relation and refreshes its statistics.
-// The DB owns rel from then on: its rows change only through Append,
+// Register adds (or replaces) a relation. A temporal relation's
+// statistics start afresh from its rows: the catalog sorts their lifespans
+// into ValidFrom order and folds them once, and Append folds on from
+// there. The DB owns rel from then on: its rows change only through Append,
 // StoreRelation or a later Register, each of which drops the relation's
 // entries in the relation index (rel's own, when it is registered again)
 // and so the index never serves an entry its rows outgrew. The name
@@ -188,9 +191,8 @@ func (db *DB) Register(rel *relation.Relation) error {
 	}
 	db.rels[rel.Name] = rel
 	if rel.Schema.Temporal() {
-		if _, err := db.cat.Analyze(rel); err != nil {
-			return err
-		}
+		ts, te := relation.ShredSpans(rel.Rows, func(r relation.Row) interval.Interval { return r.Span(rel.Schema) })
+		db.cat.Track(rel.Name, ts, te)
 	}
 	db.refreshGauges()
 	return closeErr

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tdb/internal/algebra"
-	"tdb/internal/catalog"
 	"tdb/internal/core"
 	"tdb/internal/fault"
 	"tdb/internal/interval"
@@ -364,23 +363,11 @@ func (r *StandingRun) Close() ([]relation.Row, error) { return r.runner.Finish()
 // Stop abandons the run and discards pending deltas.
 func (r *StandingRun) Stop() { r.runner.Stop() }
 
-// liveStats pairs the incremental accumulator of an appended relation with
-// a publication countdown, so catalog snapshots are refreshed periodically
-// rather than per row.
-type liveStats struct {
-	inc      *catalog.Incremental
-	sincePub int
-}
-
-// statsPubEvery bounds how stale the published catalog snapshot of an
-// appended relation may be, in rows.
-const statsPubEvery = 64
-
 // Append adds one row to a registered relation — the live ingestion write
 // path. The row lands in the heap file (stored relations) or the in-memory
-// row set, and for temporal relations the catalog statistics are folded
-// forward incrementally (no rescan) and republished every statsPubEvery
-// rows; RefreshStats forces publication.
+// row set, and for temporal relations the catalog folds it into the
+// statistics it has kept since Register (no rescan), republishing them
+// every 64 rows; RefreshStats forces publication.
 func (db *DB) Append(name string, row relation.Row) error {
 	db = db.owner(name)
 	rel, err := db.Relation(name)
@@ -391,10 +378,6 @@ func (db *DB) Append(name string, row relation.Row) error {
 		return fmt.Errorf("engine: append to %s: %w", name, err)
 	}
 	_, wasLive := db.live[name]
-	ls, err := db.liveStatsFor(name, rel)
-	if err != nil {
-		return err
-	}
 	if hf, ok := db.stored[name]; ok {
 		db.index.drop(rel)
 		if err := hf.Append(row); err != nil {
@@ -409,65 +392,24 @@ func (db *DB) Append(name string, row relation.Row) error {
 			db.index.drop(rel)
 		}
 	}
-	if ls != nil {
-		ls.inc.Observe(row.Span(rel.Schema))
-		ls.sincePub++
-		if ls.sincePub >= statsPubEvery {
-			db.publishStats(name, ls)
+	if rel.Schema.Temporal() {
+		db.live[name] = struct{}{}
+		if db.cat.Observe(name, row.Span(rel.Schema)) {
+			db.refreshGauges()
 		}
 	}
 	return nil
 }
 
-// liveStatsFor returns (lazily creating) the incremental accumulator of a
-// temporal relation, seeding it with a one-time pass over any rows that
-// existed before the first append.
-func (db *DB) liveStatsFor(name string, rel *relation.Relation) (*liveStats, error) {
-	if !rel.Schema.Temporal() {
-		return nil, nil
-	}
-	if ls, ok := db.live[name]; ok {
-		return ls, nil
-	}
-	inc := catalog.NewIncremental()
-	if hf, ok := db.stored[name]; ok {
-		s := hf.Scan()
-		for row, ok := s.Next(); ok; row, ok = s.Next() {
-			inc.Observe(row.Span(rel.Schema))
-		}
-		if err := s.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range rel.Rows {
-			inc.Observe(rel.Span(i))
-		}
-	}
-	ls := &liveStats{inc: inc}
-	db.live[name] = ls
-	return ls, nil
-}
-
-func (db *DB) publishStats(name string, ls *liveStats) {
-	db.cat.Put(name, ls.inc.Snapshot())
-	ls.sincePub = 0
-	db.refreshGauges()
-}
-
-// RefreshStats publishes the current incremental statistics of an appended
-// relation into the catalog (a no-op for relations never appended to).
+// RefreshStats publishes the statistics of a relation appended to since
+// they were last published (a no-op otherwise).
 func (db *DB) RefreshStats(name string) {
 	db = db.owner(name)
-	if ls, ok := db.live[name]; ok {
-		db.publishStats(name, ls)
+	if db.cat.Refresh(name) {
+		db.refreshGauges()
 	}
 }
 
-// ActiveSpans returns the number of lifespans open at the append frontier
-// of a relation, or 0 if it has never been appended to.
-func (db *DB) ActiveSpans(name string) int {
-	if ls, ok := db.owner(name).live[name]; ok {
-		return ls.inc.ActiveSpans()
-	}
-	return 0
-}
+// ActiveSpans returns the number of a temporal relation's lifespans open
+// at its latest ValidFrom, appended rows included.
+func (db *DB) ActiveSpans(name string) int { return db.owner(name).cat.ActiveSpans(name) }

@@ -3,11 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"tdb/internal/algebra"
+	"tdb/internal/catalog"
 	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/testutil"
@@ -136,6 +138,7 @@ func TestBuildStandingPushesSideSelect(t *testing.T) {
 // TestDBAppendIncrementalStats: appends fold catalog statistics forward
 // without a rescan, publishing every statsPubEvery rows and on demand.
 func TestDBAppendIncrementalStats(t *testing.T) {
+	const statsPubEvery = 64
 	db := standingDB(t)
 	mk := func(id int, from, to interval.Time) relation.Row {
 		return relation.Row{value.Int(int64(id)), value.TimeVal(from), value.TimeVal(to)}
@@ -171,6 +174,74 @@ func TestDBAppendIncrementalStats(t *testing.T) {
 	}
 	if err := db.Append("Nope", mk(1, 0, 1)); err == nil {
 		t.Fatal("append to unknown relation accepted")
+	}
+}
+
+// registerSpans registers X over the lifespans, in the order given.
+func registerSpans(t *testing.T, db *DB, spans []interval.Interval) {
+	t.Helper()
+	rel := relation.New("X", standingSchema())
+	for i, iv := range spans {
+		rel.Rows = append(rel.Rows, relation.Row{value.Int(int64(i)), value.TimeVal(iv.Start), value.TimeVal(iv.End)})
+	}
+	db.MustRegister(rel)
+}
+
+// A relation registered out of ValidFrom order keeps exact statistics once
+// it is appended to: the catalog folds the registered rows in ValidFrom
+// order, not in the order they are stored, so MaxConcurrency — and with it
+// the Tables 1–3 ceilings — is neither inflated nor lowered.
+func TestAppendStatsExactAfterUnorderedRegister(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spans []interval.Interval
+	}{
+		{"inflated", []interval.Interval{interval.New(10, 20), interval.New(0, 30), interval.New(12, 14), interval.New(1, 11)}},
+		{"lowered", []interval.Interval{interval.New(0, 10), interval.New(1, 10), interval.New(20, 30), interval.New(5, 25)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDB()
+			registerSpans(t, db, c.spans)
+			if err := db.Append("X", relation.Row{value.Int(99), value.TimeVal(40), value.TimeVal(41)}); err != nil {
+				t.Fatal(err)
+			}
+			db.RefreshStats("X")
+			if got := db.Stats("X").MaxConcurrency; got != 3 {
+				t.Fatalf("MaxConcurrency after an append = %d, want 3", got)
+			}
+		})
+	}
+}
+
+// Statistics published after appends equal the statistics of all the rows
+// at once, field for field, whatever order the registered rows came in:
+// random spans registered shuffled, then rows appended in ValidFrom order
+// from the registered maximum on.
+func TestAppendStatsMatchFromSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		all := make([]interval.Interval, rng.Intn(40))
+		var maxTS interval.Time
+		for i := range all {
+			ts := interval.Time(rng.Intn(50))
+			all[i] = interval.New(ts, ts+1+interval.Time(rng.Intn(15)))
+			maxTS = max(maxTS, ts)
+		}
+		db := NewDB()
+		registerSpans(t, db, all)
+		ts := maxTS
+		for i, n := 0, rng.Intn(150); i < n; i++ {
+			ts += interval.Time(rng.Intn(3))
+			iv := interval.New(ts, ts+1+interval.Time(rng.Intn(15)))
+			if err := db.Append("X", relation.Row{value.Int(int64(i)), value.TimeVal(iv.Start), value.TimeVal(iv.End)}); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, iv)
+		}
+		db.RefreshStats("X")
+		if got, want := db.Stats("X"), catalog.FromSpans(all); *got != *want {
+			t.Fatalf("trial %d: published %v, want %v", trial, got, want)
+		}
 	}
 }
 

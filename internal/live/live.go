@@ -223,7 +223,7 @@ func (m *Manager) degradeOrDecline(name string, tree algebra.Expr, opts Register
 }
 
 // statsOf returns the catalog statistics of a relation, or empty stats for
-// a relation never analyzed (an empty live table).
+// a name the catalog does not track.
 func (m *Manager) statsOf(name string) *catalog.Stats {
 	if s := m.db.Stats(name); s != nil {
 		return s

@@ -15,12 +15,11 @@ import (
 
 func statsFor(n int, lambda, dur float64, seed int64) (*catalog.Stats, []relation.Tuple) {
 	ts := workload.Tuples(workload.Config{N: n, Lambda: lambda, MeanDur: dur, Seed: seed}, "t")
-	rel := relation.FromTuples("R", ts)
-	st, err := catalog.Collect(rel)
-	if err != nil {
-		panic(err)
+	spans := make([]interval.Interval, len(ts))
+	for i, t := range ts {
+		spans[i] = t.Span
 	}
-	return st, ts
+	return catalog.FromSpans(spans), ts
 }
 
 func tSpan(t relation.Tuple) interval.Interval { return t.Span }

@@ -36,9 +36,6 @@ type Config struct {
 	// Exec seeds per-query execution options (tracer, profile, slow-query
 	// threshold). Registry, Events and Interrupt are filled per request.
 	Exec engine.Options
-	// Optimizer selects optimization passes; integrity constraints are
-	// always taken from the catalog.
-	Optimizer optimizer.Options
 	// Tenants configures admission quotas; empty means one "default"
 	// tenant with the package defaults.
 	Tenants []TenantConfig
@@ -52,11 +49,6 @@ type Config struct {
 	// delivered delta events stay replayable behind the stream head
 	// (default 256). A resume past the horizon is a typed error.
 	ReplayRing int
-	// DedupTTL is how long append idempotency-key outcomes are
-	// remembered (default 5 minutes); DedupMax bounds the window's
-	// entry count (default 4096).
-	DedupTTL time.Duration
-	DedupMax int
 }
 
 // Server is the multi-tenant query service over one base catalog.
@@ -111,12 +103,6 @@ func New(cfg Config) *Server {
 	if cfg.ReplayRing <= 0 {
 		cfg.ReplayRing = defaultReplayRing
 	}
-	if cfg.DedupTTL <= 0 {
-		cfg.DedupTTL = defaultDedupTTL
-	}
-	if cfg.DedupMax <= 0 {
-		cfg.DedupMax = defaultDedupMax
-	}
 	if cfg.Exec.Registry == nil {
 		cfg.Exec.Registry = cfg.Registry
 	}
@@ -131,7 +117,7 @@ func New(cfg Config) *Server {
 		adm:      newAdmission(cfg.Tenants, cfg.Registry),
 		sessions: newSessionTable(cfg.IdleTimeout, cfg.Registry, cfg.Events),
 		subs:     map[string]*subState{},
-		dedup:    newDedupWindow(cfg.DedupTTL, cfg.DedupMax, cfg.Registry),
+		dedup:    newDedupWindow(defaultDedupTTL, defaultDedupMax, cfg.Registry),
 		draining: make(chan struct{}),
 	}
 	s.sessions.onDrop = s.dropSessionSubs
@@ -300,7 +286,5 @@ func (s *Server) execOptions(ctx context.Context, t *tenant) engine.Options {
 // optOptions assembles optimizer options with the catalog's integrity
 // constraints.
 func (s *Server) optOptions() optimizer.Options {
-	opt := s.cfg.Optimizer
-	opt.ICs = s.db.ChronOrders()
-	return opt
+	return optimizer.Options{ICs: s.db.ChronOrders()}
 }

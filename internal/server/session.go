@@ -311,16 +311,5 @@ func (st *sessionTable) count() int {
 func (st *sessionTable) stop() {
 	close(st.quit)
 	<-st.done
-	st.mu.Lock()
-	var dropped []*session
-	for _, s := range st.m {
-		dropped = append(dropped, s)
-	}
-	st.gActive.Add(-int64(len(st.m)))
-	st.m = map[string]*session{}
-	st.lastUsed = map[string]time.Time{}
-	st.mu.Unlock()
-	for _, s := range dropped {
-		st.drop(s)
-	}
+	st.closeAll()
 }
