@@ -120,6 +120,10 @@ func (c *Catalog) Track(name string, ts, te []interval.Time) {
 	c.rels[name] = t
 }
 
+// Forget drops the statistics of a relation name, which Lookup then
+// reports as unknown: the name now holds a relation with no lifespans.
+func (c *Catalog) Forget(name string) { delete(c.rels, name) }
+
 // Observe folds one lifespan appended to a tracked relation into its
 // statistics and reports whether it republished them. Appends arrive in
 // ValidFrom order from the tracked rows' latest ValidFrom on (the live

@@ -143,6 +143,10 @@ func TestCatalogTrackAndLookup(t *testing.T) {
 	if c.Lookup("missing") != nil {
 		t.Error("Lookup invented stats")
 	}
+	c.Forget("R")
+	if c.Lookup("R") != nil || c.ActiveSpans("R") != 0 || c.Refresh("R") {
+		t.Errorf("forgotten R: stats %v, %d active spans", c.Lookup("R"), c.ActiveSpans("R"))
+	}
 }
 
 // FuzzStatsFold: lifespans in any order fold to the event sweep's

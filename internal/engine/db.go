@@ -167,13 +167,15 @@ func (db *DB) Close() error {
 // Register adds (or replaces) a relation. A temporal relation's
 // statistics start afresh from its rows: the catalog sorts their lifespans
 // into ValidFrom order and folds them once, and Append folds on from
-// there. The DB owns rel from then on: its rows change only through Append,
-// StoreRelation or a later Register, each of which drops the relation's
-// entries in the relation index (rel's own, when it is registered again)
-// and so the index never serves an entry its rows outgrew. The name
-// forgets the live state appends gave it. A stored relation it replaces
-// loses its heap file, which is closed; an error closing it is returned
-// after rel is registered. On a fork, rel shadows the parent's name.
+// there. A non-temporal relation has none: the statistics of the relation
+// it replaces are dropped. The DB owns rel from then on: its rows change
+// only through Append, StoreRelation or a later Register, each of which
+// drops the relation's entries in the relation index (rel's own, when it
+// is registered again) and so the index never serves an entry its rows
+// outgrew. The name forgets the live state appends gave it. A stored
+// relation it replaces loses its heap file, which is closed; an error
+// closing it is returned after rel is registered. On a fork, rel shadows
+// the parent's name.
 func (db *DB) Register(rel *relation.Relation) error {
 	if err := rel.Check(); err != nil {
 		return err
@@ -193,6 +195,8 @@ func (db *DB) Register(rel *relation.Relation) error {
 	if rel.Schema.Temporal() {
 		ts, te := relation.ShredSpans(rel.Rows, func(r relation.Row) interval.Interval { return r.Span(rel.Schema) })
 		db.cat.Track(rel.Name, ts, te)
+	} else {
+		db.cat.Forget(rel.Name)
 	}
 	db.refreshGauges()
 	return closeErr

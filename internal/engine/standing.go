@@ -193,9 +193,11 @@ type liveRow struct {
 
 func liveRowSpan(x liveRow) interval.Interval { return x.span }
 
-// slabCells is the length of a standing run's row slab: 2 048 16-byte
-// value.Value cells fill Go's 32 KiB small-object limit.
-const slabCells = 2048
+// slabCells is the length of a standing run's row slab: 2 047 16-byte
+// value.Value cells, 32 752 bytes, the most that stays a small object. A
+// pointer-bearing allocation carries an 8-byte malloc header, so Go
+// allocates one over 32 768 − 8 bytes as a large object on its own span.
+const slabCells = 2047
 
 // standingAbort carries an injected fault out of the operator callback;
 // the run closure recovers it into a typed error.

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"tdb/internal/algebra"
 	"tdb/internal/catalog"
@@ -213,6 +214,23 @@ func TestAppendStatsExactAfterUnorderedRegister(t *testing.T) {
 	}
 }
 
+// Registering a non-temporal relation under a temporal one's name drops
+// the old relation's statistics: Stats reads nil and no span is active.
+func TestRegisterNonTemporalForgetsStats(t *testing.T) {
+	db := NewDB()
+	registerSpans(t, db, []interval.Interval{interval.New(0, 5), interval.New(1, 6)})
+	if s := db.Stats("X"); s == nil || s.MaxConcurrency != 2 || db.ActiveSpans("X") != 2 {
+		t.Fatalf("temporal X: statistics %v, %d active spans, want maxconc=2 and 2", s, db.ActiveSpans("X"))
+	}
+	db.MustRegister(relation.New("X", relation.MustSchema([]relation.Column{{Name: "Id", Kind: value.KindInt}}, -1, -1)))
+	if s := db.Stats("X"); s != nil {
+		t.Errorf("one-column X: statistics %v, want none", s)
+	}
+	if n := db.ActiveSpans("X"); n != 0 {
+		t.Errorf("one-column X: %d active spans, want 0", n)
+	}
+}
+
 // Statistics published after appends equal the statistics of all the rows
 // at once, field for field, whatever order the registered rows came in:
 // random spans registered shuffled, then rows appended in ValidFrom order
@@ -324,5 +342,14 @@ func TestStandingJoinRowsFromSlab(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A row slab stays a small object: with the 8-byte malloc header a
+// pointer-bearing allocation carries, Go's small-object limit is
+// 32 768 − 8 bytes.
+func TestSlabIsSmallObject(t *testing.T) {
+	if size := slabCells * unsafe.Sizeof(value.Value{}); size > 32768-8 {
+		t.Fatalf("a slab of %d cells is %d bytes, over the small-object limit %d", slabCells, size, 32768-8)
 	}
 }

@@ -109,18 +109,25 @@ func TestEmittedMatchesDeltas(t *testing.T) {
 	check("after Verify")
 }
 
-// deltaProbe drives an 8-cell overlap join through 4096 + 4096 appends,
-// polled every 64, finishes it and reads its Deltas(); it returns the heap
-// bytes that cost per delta row, and the delta count.
-func deltaProbe(t *testing.T) (float64, int) {
-	t.Helper()
-	const n, every, width = 4096, 64, 20
-	var xs, ys []relation.Row
+// overlapJoinInput returns n rows for each of X and Y, ValidFrom 0 to n-1,
+// each lasting width chronons: every X row overlaps 2·width+1 Y rows.
+func overlapJoinInput(n int) (xs, ys []relation.Row) {
+	const width = 20
 	for i := 0; i < n; i++ {
 		ts := interval.Time(i)
 		xs = append(xs, relation.Row{value.String_(fmt.Sprintf("x%d", i)), value.String_("a"), value.TimeVal(ts), value.TimeVal(ts + width)})
 		ys = append(ys, relation.Row{value.String_(fmt.Sprintf("y%d", i)), value.String_("b"), value.TimeVal(ts), value.TimeVal(ts + width)})
 	}
+	return xs, ys
+}
+
+// driveOverlapJoin registers an incremental 8-cell overlap join over two
+// fresh live tables, appends xs and ys pairwise, polling every 64 appends,
+// finishes it and reads its Deltas(). It returns the heap bytes allocated
+// from the first append on, and the delta count.
+func driveOverlapJoin(tb testing.TB, xs, ys []relation.Row) (uint64, int) {
+	tb.Helper()
+	const every = 64
 	db := engine.NewDB()
 	db.MustRegister(relation.New("X", relation.TupleSchema))
 	db.MustRegister(relation.New("Y", relation.TupleSchema))
@@ -128,32 +135,41 @@ func deltaProbe(t *testing.T) (float64, int) {
 	defer mgr.Close()
 	q, err := mgr.Register("probe", xyTree(algebra.KindOverlap, false), RegisterOptions{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
+	for i := range xs {
 		if err := mgr.Append("X", xs[i]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := mgr.Append("Y", ys[i]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if (2*i+2)%every == 0 {
 			if _, err := q.Poll(); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	if err := mgr.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := q.Finish(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	deltas := len(q.Deltas())
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(deltas), deltas
+	return after.TotalAlloc - before.TotalAlloc, deltas
+}
+
+// deltaProbe drives the overlap join through 4096 + 4096 appends and
+// returns the heap bytes per delta row, and the delta count.
+func deltaProbe(t *testing.T) (float64, int) {
+	t.Helper()
+	xs, ys := overlapJoinInput(4096)
+	bytes, deltas := driveOverlapJoin(t, xs, ys)
+	return float64(bytes) / float64(deltas), deltas
 }
 
 // Each delta row's cells are written once, cut from the standing run's
@@ -177,4 +193,21 @@ func TestStandingDeltaBytesPerRow(t *testing.T) {
 	if least > 200 {
 		t.Fatalf("%.1f B allocated per 8-cell delta row, want at most 200", least)
 	}
+}
+
+// BenchmarkStandingOverlapJoinDeltas times the whole standing path per
+// delta row (ingestion, the sweep, recording and the delta hash) on the
+// overlap join of 2048 + 2048 appends, polled every 64.
+func BenchmarkStandingOverlapJoinDeltas(b *testing.B) {
+	xs, ys := overlapJoinInput(2048)
+	var bytes uint64
+	deltas := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, d := driveOverlapJoin(b, xs, ys)
+		bytes += n
+		deltas += d
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(deltas), "ns/delta")
+	b.ReportMetric(float64(bytes)/float64(deltas), "B/delta")
 }

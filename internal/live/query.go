@@ -11,6 +11,7 @@ import (
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
 	"tdb/internal/relation"
+	"tdb/internal/value"
 )
 
 // ErrBreakerOpen is returned by Poll once the workspace governor has
@@ -89,8 +90,7 @@ type StandingQuery struct {
 	// copies the rows before it. Deltas merges the chunks into one.
 	history   [][]relation.Row
 	emitted   int    // delta rows ever emitted: the chunks' total length
-	deltaHash uint64 // FNV-1a over the delta sequence's concatenated row keys
-	key       []byte // foldDelta's reused key buffer
+	deltaHash uint64 // FNV-1a over the delta sequence's cells (foldDelta)
 	batches   int    // non-empty delta batches emitted (the stream seq authority)
 
 	// Workspace-governor state.
@@ -312,7 +312,7 @@ func (q *StandingQuery) record(rows []relation.Row) []relation.Row {
 		return nil
 	}
 	for _, row := range rows {
-		q.deltaHash = q.foldDelta(q.deltaHash, row)
+		q.deltaHash = foldDelta(q.deltaHash, row)
 	}
 	q.batches++
 	chunk := append([]relation.Row(nil), rows...)
@@ -349,9 +349,11 @@ func (q *StandingQuery) Emitted() int { return q.emitted }
 // ring's newest seq must equal this count, severed or not.
 func (q *StandingQuery) Batches() int { return q.batches }
 
-// DeltaHash returns the FNV-1a hash of the concatenated relation.AppendKey
-// encodings of the emission sequence. Each key is self-delimiting, so the
-// concatenation determines the sequence.
+// DeltaHash returns the FNV-1a hash of the emission sequence, folded one
+// 32-bit word at a time (see foldDelta). Each cell's words are
+// self-delimiting, so the word sequence determines the delta sequence. The
+// value identifies a sequence within one build only: it is not stable
+// across versions of the encoding.
 func (q *StandingQuery) DeltaHash() uint64 { return q.deltaHash }
 
 // Schema returns the delta row schema (nil for batch queries before their
@@ -486,12 +488,42 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 
 const fnv1aInit, fnv1aPrime = 14695981039346656037, 1099511628211
 
-// foldDelta continues the FNV-1a hash h over row's relation.AppendKey
-// encoding, built in the query's reused buffer.
-func (q *StandingQuery) foldDelta(h uint64, row relation.Row) uint64 {
-	q.key = relation.AppendKey(q.key[:0], row, nil)
-	for _, c := range q.key {
-		h = (h ^ uint64(c)) * fnv1aPrime
+// foldDelta continues the FNV-1a hash h over row's cells, 32 bits per
+// step rather than 8: each cell folds its kind, then an Int's or a Time's
+// payload, or a string's length and then its bytes as little-endian 4-byte
+// words, the last zero-padded. A payload or a length folds as its low and
+// high halves. The length comes first, so a row's words are
+// self-delimiting. A step takes 32 bits,
+// not 64: multiplying by the odd prime carries an input's top bit only to
+// the state's top bit, so a 64-bit step would let two cells' top bits, or
+// the top bits of two of one string's 8-byte words, flip together and
+// cancel.
+func foldDelta(h uint64, row relation.Row) uint64 {
+	for _, v := range row {
+		k := v.Kind()
+		h = fnv1aStep(h, uint32(k))
+		if k != value.KindString {
+			h = fnv1aStep64(h, uint64(v.AsInt()))
+			continue
+		}
+		s := v.AsString()
+		h = fnv1aStep64(h, uint64(len(s)))
+		for ; len(s) >= 4; s = s[4:] {
+			h = fnv1aStep(h, uint32(s[0])|uint32(s[1])<<8|uint32(s[2])<<16|uint32(s[3])<<24)
+		}
+		if len(s) > 0 {
+			var w uint32
+			for i := range len(s) {
+				w |= uint32(s[i]) << (8 * i)
+			}
+			h = fnv1aStep(h, w)
+		}
 	}
 	return h
 }
+
+// fnv1aStep folds one 32-bit word into the FNV-1a state h.
+func fnv1aStep(h uint64, w uint32) uint64 { return (h ^ uint64(w)) * fnv1aPrime }
+
+// fnv1aStep64 folds a 64-bit word as its low, then its high half.
+func fnv1aStep64(h, w uint64) uint64 { return fnv1aStep(fnv1aStep(h, uint32(w)), uint32(w>>32)) }

@@ -71,7 +71,7 @@ func (r Row) Key() string { return string(AppendKey(nil, r, nil)) }
 // cells are pairwise value.Equal. The encoding is not order-preserving.
 //
 // It is the one row→key codec: duplicate elimination, grouping, the hash
-// join and the live delta hash all key rows through it.
+// join and the live batch-mode multisets all key rows through it.
 func AppendKey(dst []byte, r Row, cols []int) []byte {
 	if cols == nil {
 		for _, v := range r {
