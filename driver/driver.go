@@ -113,8 +113,9 @@ func (c *Connector) Connect(ctx context.Context) (driver.Conn, error) {
 // Append ingests rows into a live relation, promoting it to live
 // ingestion (reorder slack = slack chronons) on first use. Cell values
 // follow the relation's schema: strings for string columns, int/int64
-// for time and int columns. flush drains the reorder buffer afterwards,
-// releasing every buffered row to storage and the standing queries.
+// for time and int columns. flush drains the relation's reorder buffer
+// afterwards, releasing its buffered rows to storage and the standing
+// queries.
 //
 // Each call travels under a generated idempotency key, so the retry
 // layer may safely replay it after an ambiguous failure: the server

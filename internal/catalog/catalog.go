@@ -68,15 +68,6 @@ func (s *Stats) PredictedWorkspace() float64 {
 	return s.Lambda * s.MeanDuration
 }
 
-// MeanGap returns 1/λ in chronons — the expected ValidFrom spacing used by
-// the λ-guided read policy — or 1 when λ is unknown.
-func (s *Stats) MeanGap() float64 {
-	if s == nil || s.Lambda <= 0 {
-		return 1
-	}
-	return 1 / s.Lambda
-}
-
 // String renders the statistics in one line.
 func (s *Stats) String() string {
 	return fmt.Sprintf("n=%d ts=[%d,%d] te=[%d,%d] λ=%.4f E[dur]=%.2f maxconc=%d predws=%.1f",

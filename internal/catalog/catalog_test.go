@@ -47,9 +47,6 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if s.Cardinality != 0 || s.Lambda != 0 || s.PredictedWorkspace() != 0 {
 		t.Errorf("empty stats wrong: %+v", s)
 	}
-	if s.MeanGap() != 1 {
-		t.Errorf("MeanGap on empty = %f", s.MeanGap())
-	}
 	s = FromSpans([]interval.Interval{interval.New(3, 9)})
 	if s.Lambda != 0 || s.MaxConcurrency != 1 || s.MeanDuration != 6 {
 		t.Errorf("singleton stats wrong: %+v", s)

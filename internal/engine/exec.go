@@ -2,9 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -14,7 +17,6 @@ import (
 	"tdb/internal/interval"
 	"tdb/internal/metrics"
 	"tdb/internal/obs"
-	"tdb/internal/obs/prof"
 	"tdb/internal/relation"
 	"tdb/internal/storage"
 	"tdb/internal/stream"
@@ -79,11 +81,13 @@ type Options struct {
 	// Registry, when non-nil, receives execution metrics: query and row
 	// counters, per-operator workspace and duration histograms.
 	Registry *obs.Registry
-	// Profile turns on the internal/obs/prof resource-accounting layer
-	// for this run: every plan-node span (and the query root) captures
-	// heap alloc/bytes deltas, and plan nodes execute under pprof labels
-	// (tdb.query, tdb.node, tdb.op) so CPU and heap profiles slice by
-	// operator. Off, the cost is one branch per node.
+	// Profile turns on resource accounting for this run: plan nodes
+	// execute under pprof labels (tdb.query, tdb.node, tdb.op) so CPU and
+	// heap profiles slice by operator, and on a traced run every plan
+	// node's record (and the query root's) also carries the heap
+	// allocations of its own execution (obs.Node Allocs, AllocBytes,
+	// Profiled). It is the only switch: without a Tracer no allocation
+	// counter is read. Off, the cost is one branch per node.
 	Profile bool
 	// Events, when non-nil, receives the structured operational journal:
 	// slow-query entries (see SlowQuery), governor fallbacks, and — via
@@ -383,19 +387,14 @@ func wrappedStream(xs []spanned) stream.Stream[spanned] { return stream.FromSlic
 // Options.Registry is set, plan-level metrics are published after the run.
 func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error) {
 	ex := &executor{db: db, opt: opt, stats: &Stats{}}
-	if opt.Profile {
-		// The master switch stays on once any run profiles; unprofiled
-		// runs skip every prof call regardless, so they are unaffected.
-		prof.SetEnabled(true)
-	}
 	start := time.Now()
+	var w window
 	if opt.Tracer != nil {
 		ex.cur = opt.Tracer.BeginQuery(e.Label())
 		if opt.Profile {
-			ex.cur.ProfBegin()
+			w = ex.openWindow()
 		}
 	}
-	root := ex.cur
 	res, err := ex.eval(e)
 	var rows []relation.Row
 	if err == nil {
@@ -404,12 +403,11 @@ func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error
 		rows, err = ex.rows(res)
 	}
 	if err != nil {
-		root.Fail(opt.Tracer, err)
+		ex.finish(w, &obs.Node{}, err)
 		ex.publish(e.Label(), start, 0, err)
 		return nil, nil, err
 	}
-	total := ex.stats.Total()
-	root.Finish(opt.Tracer, obs.Node{Algorithm: "query", Probe: total, OutRows: int64(len(rows))})
+	ex.finish(w, &obs.Node{Algorithm: "query", Probe: ex.stats.Total(), OutRows: int64(len(rows))}, nil)
 	ex.publish(e.Label(), start, int64(len(rows)), nil)
 	rel := relation.New("result", res.schema)
 	rel.Rows = rows
@@ -452,61 +450,137 @@ type executor struct {
 	db    *DB
 	opt   Options
 	stats *Stats
-	// cur is the span of the plan node currently being evaluated; nil when
-	// tracing is off.
-	cur *obs.Span
+	// cur is the span of the plan node currently being evaluated and
+	// sampler its state sampler, made on first use; both nil when tracing
+	// is off.
+	cur     *obs.Span
+	sampler *obs.StateSampler
+	// inner sums the inclusive allocation deltas of the current node's
+	// finished children, which its own window subtracts (profiled, traced
+	// runs only).
+	inner allocs
 }
 
 // eval dispatches a plan node, wrapping it in a trace span. Every evalX
 // appends exactly one obs.Node for itself as the last stats entry
 // (children append theirs first during recursion), which is what lets
-// this wrapper hand the node's own record to its span.
-//
-// Under Options.Profile the span additionally opens an allocation window
-// (ProfBegin; valid here because every node span begins and finishes on
-// the query goroutine) and the node body runs under pprof labels so
-// profile samples slice by operator.
+// this wrapper settle the node's curve and allocation window into its own
+// record and hand that record to its span.
 func (ex *executor) eval(e algebra.Expr) (*result, error) {
 	return ex.evalAs(e, func() (*result, error) { return ex.evalNode(e) })
 }
 
-// evalAs is eval with the node body given: the interrupt poll, span and
-// profile window around body are e's.
+// evalAs is eval with the node body given: the interrupt poll, span,
+// allocation window and pprof labels around body are e's. A window is
+// attributable because every node begins and finishes on the query
+// goroutine, its children nested within it.
 func (ex *executor) evalAs(e algebra.Expr, body func() (*result, error)) (*result, error) {
 	if err := ex.checkInterrupt(); err != nil {
 		return nil, err
 	}
 	if ex.opt.Tracer == nil {
 		if ex.opt.Profile {
-			var res *result
-			var err error
-			prof.Do("q0", e.Label(), exprOp(e), func() { res, err = body() })
-			return res, err
+			return labeled("q0", e, body)
 		}
 		return body()
 	}
-	parent := ex.cur
-	span := ex.opt.Tracer.Begin(parent, e.Label())
-	ex.cur = span
+	span, sampler := ex.cur, ex.sampler
+	ex.cur, ex.sampler = ex.opt.Tracer.Begin(span, e.Label()), nil
 	var res *result
 	var err error
+	var w window
 	if ex.opt.Profile {
-		span.ProfBegin()
-		prof.Do(fmt.Sprintf("q%d", span.QueryID), e.Label(), exprOp(e), func() {
-			res, err = body()
-		})
+		w = ex.openWindow()
+		res, err = labeled(fmt.Sprintf("q%d", ex.cur.QueryID), e, body)
 	} else {
 		res, err = body()
 	}
-	ex.cur = parent
+	node := &obs.Node{}
+	if n := len(ex.stats.Nodes); err == nil && n > 0 {
+		node = &ex.stats.Nodes[n-1]
+	}
+	ex.finish(w, node, err)
+	ex.cur, ex.sampler = span, sampler
+	return res, err
+}
+
+// stateSampler returns the current node's state sampler, made on first
+// use so only traced stream operators pay for a curve; nil untraced.
+func (ex *executor) stateSampler() *obs.StateSampler {
+	if ex.opt.Tracer != nil && ex.sampler == nil {
+		ex.sampler = obs.NewStateSampler(obs.DefaultSamples)
+	}
+	return ex.sampler
+}
+
+// finish settles the current node's state curve and, on a profiled run,
+// its allocation window into its record n and closes its span with n and
+// err. Untraced, it does nothing.
+func (ex *executor) finish(w window, n *obs.Node, err error) {
+	if ex.opt.Tracer == nil {
+		return
+	}
+	n.Curve = ex.sampler.Samples()
+	if ex.opt.Profile {
+		ex.closeWindow(w, n)
+	}
 	if err != nil {
-		span.Fail(ex.opt.Tracer, err)
-		return nil, err
+		ex.cur.Fail(ex.opt.Tracer, *n, err)
+		return
 	}
-	if n := len(ex.stats.Nodes); n > 0 {
-		span.Finish(ex.opt.Tracer, ex.stats.Nodes[n-1])
-	}
-	return res, nil
+	ex.cur.Finish(ex.opt.Tracer, *n)
+}
+
+// allocs is a reading of the process's cumulative heap-allocation
+// counters, or the difference of two readings.
+type allocs struct{ n, bytes int64 }
+
+// readAllocs reads the allocation totals through runtime.ReadMemStats,
+// deliberately over the cheaper runtime/metrics counters: those are
+// flushed from per-P caches in span-sized batches, so a node-sized window
+// often reads a zero delta, while ReadMemStats flushes the caches and is
+// exact. The read briefly stops the world; it runs twice per plan node of
+// a traced, profiled run and never otherwise. The MemStats buffer is a
+// fixed-size local (no allocation), which the hotpath-alloc rule audits.
+//
+//tdb:hotpath
+func readAllocs() allocs {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return allocs{int64(ms.Mallocs), int64(ms.TotalAlloc)}
+}
+
+// window is a node's open allocation window: the counters when it opened
+// and the enclosing node's child total, set aside while the node's own
+// children accumulate theirs in ex.inner.
+type window struct{ start, outer allocs }
+
+func (ex *executor) openWindow() window {
+	w := window{outer: ex.inner}
+	ex.inner = allocs{}
+	w.start = readAllocs()
+	return w
+}
+
+// closeWindow records the node's allocations exclusive of its children's
+// in n, and adds its inclusive ones to the enclosing node's child total.
+func (ex *executor) closeWindow(w window, n *obs.Node) {
+	now := readAllocs()
+	d := allocs{now.n - w.start.n, now.bytes - w.start.bytes}
+	n.Profiled = true
+	n.Allocs = max(d.n-ex.inner.n, 0)
+	n.AllocBytes = max(d.bytes-ex.inner.bytes, 0)
+	ex.inner = allocs{w.outer.n + d.n, w.outer.bytes + d.bytes}
+}
+
+// labeled runs body with the executing goroutine under the pprof labels
+// tdb.query, tdb.node and tdb.op, which the runtime attaches to every CPU
+// and heap profile sample taken meanwhile, so /debug/pprof/profile and
+// /debug/pprof/heap slice by operator (go tool pprof -tagfocus tdb.op=…).
+func labeled(query string, e algebra.Expr, body func() (*result, error)) (res *result, err error) {
+	pprof.Do(context.Background(), pprof.Labels("tdb.query", query, "tdb.node", e.Label(), "tdb.op", exprOp(e)),
+		func(context.Context) { res, err = body() })
+	return res, err
 }
 
 // exprOp names a plan node's operator kind for the tdb.op pprof label.

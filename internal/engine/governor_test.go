@@ -143,7 +143,7 @@ func baselineOracle(t *testing.T, db *DB, kind algebra.TemporalKind) []relation.
 	}
 	var rows []relation.Row
 	baseline.SortMergeJoin(lw, rw, liveRowSpan, theta, nil,
-		func(a, b liveRow) { rows = append(rows, relation.ConcatRows(a.row, b.row)) })
+		func(a, b liveRow) { rows = append(rows, append(append(relation.Row{}, a.row...), b.row...)) })
 	return rows
 }
 

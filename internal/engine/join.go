@@ -94,7 +94,7 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (pairChunks, *obs.
 		return nil, nil, err
 	}
 	cost := &obs.Node{}
-	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
+	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.stateSampler()}
 
 	var lOrder, rOrder relation.Order
 	switch n.Kind {
@@ -561,7 +561,7 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 		return nil, err
 	}
 	cost := &obs.Node{Label: n.Label()}
-	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
+	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.stateSampler()}
 
 	var order relation.Order
 	switch n.Kind {
@@ -612,7 +612,7 @@ func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]int32, 
 		return nil, nil, fmt.Errorf("engine: unhandled semijoin kind %v", n.Kind)
 	}
 	cost := &obs.Node{Algorithm: alg}
-	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.cur.Sampler()}
+	opt := core.Options{Probe: &cost.Probe, VerifyOrder: ex.opt.VerifyOrder, Sampler: ex.stateSampler()}
 
 	var lw, rw []spanned
 	if lOrder == nil {

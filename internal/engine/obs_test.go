@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,8 +15,15 @@ import (
 // TestTracedQuerySpansMatchNodeCosts is the integration check of the
 // tracing contract: a traced query produces one JSONL span per plan node
 // (plus the query root), and every span carries, whole, the node record
-// the executor appended to its stats for that operator.
+// the executor appended to its stats for that operator. Profiled, every
+// record also carries its allocation window, and the tree's root line
+// reports the sum of those exclusive windows.
 func TestTracedQuerySpansMatchNodeCosts(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { checkTracedSpans(t, false) })
+	t.Run("profiled", func(t *testing.T) { checkTracedSpans(t, true) })
+}
+
+func checkTracedSpans(t *testing.T, profile bool) {
 	db := newFacultyDB(t, 40, false)
 	if err := db.DeclareChronOrder(rankIC(false)); err != nil {
 		t.Fatal(err)
@@ -24,7 +32,7 @@ func TestTracedQuerySpansMatchNodeCosts(t *testing.T) {
 
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
-	res, stats, err := Run(db, tree, Options{VerifyOrder: true, Tracer: tr, Registry: reg})
+	res, stats, err := Run(db, tree, Options{VerifyOrder: true, Tracer: tr, Registry: reg, Profile: profile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +47,24 @@ func TestTracedQuerySpansMatchNodeCosts(t *testing.T) {
 			got, want, tr.Tree())
 	}
 	root := spans[0]
-	if want := (obs.Node{Label: tree.Label(), Algorithm: "query", Probe: stats.Total(),
-		OutRows: int64(res.Cardinality())}); root.ParentID != 0 || !reflect.DeepEqual(root.Node, want) {
+	want := obs.Node{Label: tree.Label(), Algorithm: "query", Probe: stats.Total(),
+		OutRows: int64(res.Cardinality())}
+	if profile {
+		want.Profiled, want.Allocs, want.AllocBytes = true, root.Allocs, root.AllocBytes
+	}
+	if root.ParentID != 0 || !reflect.DeepEqual(root.Node, want) {
 		t.Errorf("root span %+v, want parent 0 and %+v", root.Node, want)
+	}
+	var allocs, allocBytes int64
+	for _, s := range spans {
+		if s.Profiled != profile {
+			t.Errorf("span %q profiled = %v, want %v", s.Label, s.Profiled, profile)
+		}
+		allocs, allocBytes = allocs+s.Allocs, allocBytes+s.AllocBytes
+	}
+	rootLine, _, _ := strings.Cut(tr.Tree(), "\n")
+	if total := fmt.Sprintf(" allocs=%d B=%d)", allocs, allocBytes); profile != strings.HasSuffix(rootLine, total) {
+		t.Errorf("root line %q, want the sum of the spans' windows%s", rootLine, total)
 	}
 	// Spans are recorded in begin (pre-order) time, node records in finish
 	// (post-order) time: the span tree's post-order pairs them one to one.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +62,110 @@ func TestProfiledRunReportsResourceColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, "profiled vs plain", res, plain)
+}
+
+// burstSink keeps the test bursts on the heap.
+var burstSink [][]byte
+
+// burst allocates n kilobyte buffers.
+func burst(n int) {
+	burstSink = make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		burstSink = append(burstSink, make([]byte, 1024))
+	}
+}
+
+// TestProfiledNodeWindowIsExclusive: a node that allocates a known burst
+// reports at least that much in its window, and its parent's window,
+// which encloses the child's, reports its own burst without the child's.
+func TestProfiledNodeWindowIsExclusive(t *testing.T) {
+	tr := obs.NewTracer()
+	ex := &executor{opt: Options{Tracer: tr, Profile: true}, stats: &Stats{}}
+	ex.cur = tr.BeginQuery("q")
+	outer, inner := &algebra.Scan{Relation: "Outer"}, &algebra.Scan{Relation: "Inner"}
+	_, err := ex.evalAs(outer, func() (*result, error) {
+		if _, err := ex.evalAs(inner, func() (*result, error) {
+			burst(64)
+			ex.stats.add(obs.Node{Label: inner.Label()})
+			return &result{}, nil
+		}); err != nil {
+			return nil, err
+		}
+		burst(16)
+		ex.stats.add(obs.Node{Label: outer.Label()})
+		return &result{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, out := ex.stats.Nodes[0], ex.stats.Nodes[1]
+	if !in.Profiled || !out.Profiled {
+		t.Fatalf("nodes not profiled: %+v %+v", in, out)
+	}
+	if in.Allocs < 64 || in.AllocBytes < 64*1024 {
+		t.Errorf("inner node missed its burst: allocs=%d bytes=%d", in.Allocs, in.AllocBytes)
+	}
+	if out.Allocs < 16 || out.AllocBytes < 16*1024 {
+		t.Errorf("outer node missed its burst: allocs=%d bytes=%d", out.Allocs, out.AllocBytes)
+	}
+	if out.AllocBytes >= 64*1024 {
+		t.Errorf("outer node's %d bytes include its child's burst", out.AllocBytes)
+	}
+	spans := tr.Spans()
+	if len(spans) != 3 || spans[1].AllocBytes != out.AllocBytes || spans[2].AllocBytes != in.AllocBytes {
+		t.Errorf("spans do not carry the node windows:\n%s", tr.Tree())
+	}
+}
+
+// TestProfiledNodeRunsUnderLabels: a profiled node body runs under the
+// tdb.query, tdb.node and tdb.op pprof labels, traced or not. Goroutine
+// labels are readable only through a profile dump: the debug=1 goroutine
+// profile prints a "labels: {...}" line for each labeled goroutine.
+func TestProfiledNodeRunsUnderLabels(t *testing.T) {
+	for _, tc := range []struct {
+		name, query string
+		tracer      *obs.Tracer
+	}{{"untraced", "q0", nil}, {"traced", "q1", obs.NewTracer()}} {
+		ex := &executor{opt: Options{Tracer: tc.tracer, Profile: true}, stats: &Stats{}}
+		ex.cur = tc.tracer.BeginQuery("q")
+		scan := &algebra.Scan{Relation: "Faculty", As: "f1"}
+		var dump bytes.Buffer
+		_, err := ex.evalAs(scan, func() (*result, error) {
+			if err := pprof.Lookup("goroutine").WriteTo(&dump, 1); err != nil {
+				return nil, err
+			}
+			ex.stats.add(obs.Node{})
+			return &result{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			`"tdb.query":"` + tc.query + `"`,
+			`"tdb.node":"` + scan.Label() + `"`,
+			`"tdb.op":"scan"`,
+		} {
+			if !strings.Contains(dump.String(), want) {
+				t.Errorf("%s: goroutine profile missing label %s", tc.name, want)
+			}
+		}
+	}
+}
+
+// TestProfiledRunWithoutTracerReadsNoWindow: Profile without a Tracer only
+// labels the nodes; no node record is profiled.
+func TestProfiledRunWithoutTracerReadsNoWindow(t *testing.T) {
+	db := newFacultyDB(t, 40, false)
+	tree := optimize(t, db, superstarQuery(), optimizer.Options{})
+	_, stats, err := Run(db, tree, Options{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range stats.Nodes {
+		if n.Profiled || n.Allocs != 0 || n.AllocBytes != 0 || n.Curve != nil {
+			t.Errorf("untraced node %q carries accounting: %+v", n.Label, n)
+		}
+	}
 }
 
 // TestSlowQueryEventJournaled: with a slow-query cutoff below any real

@@ -13,9 +13,9 @@ import (
 // case receives from a quit or done channel, so the consumer closing that
 // channel always unblocks the processor. internal/live is in scope too: an unguarded send there would
 // leak a goroutine per deregistered query.
-// internal/obs (including internal/obs/prof) joined the scope with the
-// resource-accounting layer: the exposition server and any future
-// profiling goroutines must obey the same shutdown discipline.
+// internal/obs joined the scope with the resource-accounting layer: the
+// exposition server and any future profiling goroutines must obey the
+// same shutdown discipline.
 // internal/server and driver joined with the network service: a
 // subscription pump or client reader that sends without a drain/cancel
 // case outlives its HTTP handler or its connection and leaks per client.

@@ -152,10 +152,17 @@ func newBatch(m *Manager, name string, tree algebra.Expr, reason string) *Standi
 	return q
 }
 
+// series returns the registry names of the query's own series.
+func (q *StandingQuery) series() (backlog, workspace, deltas string) {
+	f := obs.NameFragment(q.name)
+	return "tdb_live_backlog_" + f, "tdb_live_workspace_hwm_" + f, "tdb_live_deltas_total_" + f
+}
+
 func (q *StandingQuery) metrics() {
-	q.gBacklog = q.m.gauge("tdb_live_backlog_"+q.name, "unconsumed input of "+q.name)
-	q.gWorkspace = q.m.gauge("tdb_live_workspace_hwm_"+q.name, "operator workspace high-water mark of "+q.name)
-	q.cDeltas = q.m.counter("tdb_live_deltas_total_"+q.name, "delta rows emitted by "+q.name)
+	backlog, workspace, deltas := q.series()
+	q.gBacklog = q.m.gauge(backlog, "unconsumed input of "+q.name)
+	q.gWorkspace = q.m.gauge(workspace, "operator workspace high-water mark of "+q.name)
+	q.cDeltas = q.m.counter(deltas, "delta rows emitted by "+q.name)
 	q.cTrips = q.m.counter("tdb_governor_fallbacks_total", "workspace-governor breaches that degraded a query")
 }
 
@@ -423,10 +430,13 @@ func (q *StandingQuery) Finish() ([]relation.Row, error) {
 	return rows, err
 }
 
+// stop ends the query's run and takes its series out of the registry.
 func (q *StandingQuery) stop() {
 	if q.run != nil {
 		q.run.Stop()
 	}
+	backlog, workspace, deltas := q.series()
+	q.m.reg.Unregister(backlog, workspace, deltas)
 }
 
 // Verify checks the delta contract against the current relation contents

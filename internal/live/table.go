@@ -46,11 +46,12 @@ func (t *Table) metrics() {
 	if t.gWatermark != nil || t.m.reg == nil {
 		return
 	}
-	t.gWatermark = t.m.gauge("tdb_live_watermark_"+t.name, "release frontier (ValidFrom) of "+t.name)
-	t.gBuffered = t.m.gauge("tdb_live_buffered_"+t.name, "rows in the reorder buffer of "+t.name)
-	t.gActive = t.m.gauge("tdb_live_active_spans_"+t.name, "lifespans open at the append frontier of "+t.name)
-	t.cIngested = t.m.counter("tdb_live_ingested_total_"+t.name, "rows accepted into "+t.name)
-	t.cRejected = t.m.counter("tdb_live_rejected_total_"+t.name, "late tuples rejected by "+t.name)
+	f := obs.NameFragment(t.name)
+	t.gWatermark = t.m.gauge("tdb_live_watermark_"+f, "release frontier (ValidFrom) of "+t.name)
+	t.gBuffered = t.m.gauge("tdb_live_buffered_"+f, "rows in the reorder buffer of "+t.name)
+	t.gActive = t.m.gauge("tdb_live_active_spans_"+f, "lifespans open at the append frontier of "+t.name)
+	t.cIngested = t.m.counter("tdb_live_ingested_total_"+f, "rows accepted into "+t.name)
+	t.cRejected = t.m.counter("tdb_live_rejected_total_"+f, "late tuples rejected by "+t.name)
 }
 
 // Name returns the relation name.

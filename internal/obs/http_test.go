@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tdb/internal/metrics"
-	"tdb/internal/obs/prof"
 )
 
 // TestMetricsDeterministicOrder asserts two properties of the /metrics
@@ -118,71 +117,7 @@ func TestConcurrentScrapeDuringTracing(t *testing.T) {
 	}
 }
 
-// TestProfFieldsRoundTripJSONL runs a profiled span over a real
-// allocation burst and checks the resource-accounting fields survive the
-// EXPLAIN ANALYZE JSON wire format.
-func TestProfFieldsRoundTripJSONL(t *testing.T) {
-	prof.SetEnabled(true)
-	defer prof.SetEnabled(false)
-
-	tr := NewTracer()
-	root := tr.BeginQuery("select … go")
-	root.ProfBegin()
-	span := tr.Begin(root, "join")
-	span.ProfBegin()
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	_ = sink
-	var p metrics.Probe
-	p.IncStateGrow()
-	p.ObserveActive(7)
-	span.Finish(tr, Node{Probe: p, Algorithm: "contain-join", OutRows: 1})
-	root.Finish(tr, Node{})
-
-	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("jsonl lines = %d, want 2", len(lines))
-	}
-	var m struct {
-		Profiled   bool  `json:"profiled"`
-		Allocs     int64 `json:"allocs"`
-		AllocBytes int64 `json:"alloc_bytes"`
-		Probe      struct {
-			StateGrows int64 `json:"state_grows"`
-			ActivePeak int64 `json:"active_peak"`
-		} `json:"probe"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Profiled {
-		t.Fatal("join span not marked profiled")
-	}
-	if m.Allocs < 32 || m.AllocBytes < 32*1024 {
-		t.Errorf("join span missed the allocation burst: allocs=%d bytes=%d", m.Allocs, m.AllocBytes)
-	}
-	if m.Probe.StateGrows != 1 || m.Probe.ActivePeak != 7 {
-		t.Errorf("hot-loop counters did not round-trip: %+v", m.Probe)
-	}
-
-	// The root line reports the query inclusively, so the Tree header can
-	// show whole-query totals.
-	tree := tr.Tree()
-	if !strings.Contains(tree, "allocs/op=") || !strings.Contains(tree, "B/op=") {
-		t.Errorf("tree missing prof columns:\n%s", tree)
-	}
-	if !strings.Contains(tree, "grows=1 peak=7") {
-		t.Errorf("tree missing hot-loop counters:\n%s", tree)
-	}
-}
-
-// TestUnprofiledSpansOmitProfFields: without ProfBegin the wire form
+// TestUnprofiledSpansOmitProfFields: without a measured window the wire form
 // carries no prof keys at all (omitempty), so existing trace consumers
 // see byte-compatible output.
 func TestUnprofiledSpansOmitProfFields(t *testing.T) {

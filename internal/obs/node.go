@@ -28,6 +28,16 @@ type Node struct {
 	// interesting order, spill to run files, predicate shape) for the
 	// EXPLAIN ANALYZE tree and the JSONL trace.
 	Notes []string `json:"notes,omitempty"`
+	// Curve is the operator's sampled state(t) curve: set on traced runs
+	// of the stream operators, which feed a StateSampler as they sweep.
+	Curve []Sample `json:"state_curve,omitempty"`
+	// Allocs and AllocBytes are the heap allocations of the node's own
+	// execution, exclusive of its child nodes, measured on runs that are
+	// both traced and profiled; Profiled marks those records, so that a
+	// zero count is told apart from one not measured.
+	Allocs     int64 `json:"allocs,omitempty"`
+	AllocBytes int64 `json:"alloc_bytes,omitempty"`
+	Profiled   bool  `json:"profiled,omitempty"`
 }
 
 // Per-operator metric names and bucket layout. PublishNode is the one

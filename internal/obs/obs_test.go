@@ -57,6 +57,28 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	}
 }
 
+func TestNameFragmentAndUnregister(t *testing.T) {
+	for in, want := range map[string]string{
+		"default": "default", "Alpha-Team": "alpha_team", "s1.2.watch": "s1_2_watch", "": "",
+	} {
+		if got := NameFragment(in); got != want {
+			t.Errorf("NameFragment(%q) = %q, want %q", in, got, want)
+		}
+	}
+	r := NewRegistry()
+	r.Counter("a_total", "").Add(3)
+	r.Gauge("b", "").Set(1)
+	r.Unregister("a_total", "b", "never_registered")
+	if snap := r.Snapshot(); len(snap) != 0 {
+		t.Fatalf("snapshot after Unregister = %v", snap)
+	}
+	if c := r.Counter("a_total", ""); c.Value() != 0 {
+		t.Fatalf("re-registered counter = %d, want a fresh 0", c.Value())
+	}
+	var nilReg *Registry
+	nilReg.Unregister("a_total")
+}
+
 func TestKindMismatchReturnsNil(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m", "")
@@ -202,7 +224,7 @@ func TestTracerSpansAndJSONL(t *testing.T) {
 	child := tr.Begin(root, "join F1xF2")
 	grand := tr.Begin(child, "scan F1")
 
-	sam := grand.Sampler()
+	sam := NewStateSampler(DefaultSamples)
 	sam.Observe(0, 1)
 	sam.Observe(1, 2)
 
@@ -210,7 +232,7 @@ func TestTracerSpansAndJSONL(t *testing.T) {
 	p.IncReadLeft()
 	p.IncReadLeft()
 	p.IncEmitted(1)
-	grand.Finish(tr, Node{Probe: p, Algorithm: "heap-scan", OutRows: 2, PagesRead: 1})
+	grand.Finish(tr, Node{Probe: p, Algorithm: "heap-scan", OutRows: 2, PagesRead: 1, Curve: sam.Samples()})
 	child.Finish(tr, Node{Probe: p, Algorithm: "event-join", OutRows: 2, Notes: []string{"order verified"}})
 	root.Finish(tr, Node{})
 
@@ -277,17 +299,16 @@ func TestTracerSpansAndJSONL(t *testing.T) {
 	kt := NewTracer()
 	q := kt.BeginQuery("root")
 	full := kt.Begin(q, "node")
-	full.Sampler().Observe(0, 1)
 	var fp metrics.Probe
 	fp.IncStateGrow()
 	fp.ObserveActive(3)
 	full.Finish(kt, Node{Algorithm: "stream contain-join", Probe: fp, OutRows: 1,
-		SortedRows: 4, SortRuns: 2, SortPages: 3, PagesRead: 5, Notes: []string{"spilled"}})
+		SortedRows: 4, SortRuns: 2, SortPages: 3, PagesRead: 5, Notes: []string{"spilled"},
+		Curve: []Sample{{Tick: 0, State: 1}}})
 	profiled := kt.Begin(q, "profiled")
-	profiled.Finish(kt, Node{})
-	profiled.Profiled, profiled.Allocs, profiled.AllocBytes = true, 2, 64
+	profiled.Finish(kt, Node{Profiled: true, Allocs: 2, AllocBytes: 64})
 	failed := kt.Begin(q, "failed")
-	failed.Fail(kt, errors.New("boom"))
+	failed.Fail(kt, Node{}, errors.New("boom"))
 	q.Finish(kt, Node{Algorithm: "query"})
 
 	with := func(base []string, extra ...string) []string {
@@ -347,6 +368,26 @@ func TestTracerSpansAndJSONL(t *testing.T) {
 	}
 }
 
+// TestTreeRendersAccounting: a node line shows its own allocation window
+// and hot-loop counters; the root line shows the query's inclusive totals,
+// the sum of its spans' exclusive windows.
+func TestTreeRendersAccounting(t *testing.T) {
+	tr := NewTracer()
+	root := tr.BeginQuery("q")
+	join := tr.Begin(root, "join")
+	var p metrics.Probe
+	p.IncStateGrow()
+	p.ObserveActive(7)
+	join.Finish(tr, Node{Probe: p, Algorithm: "contain-join", OutRows: 1, Profiled: true, Allocs: 2, AllocBytes: 64})
+	root.Finish(tr, Node{Algorithm: "query", Profiled: true, Allocs: 1, AllocBytes: 8})
+	tree := tr.Tree()
+	for _, want := range []string{"allocs=3 B=72)", "allocs/op=2 B/op=64", "grows=1 peak=7"} {
+		if !strings.Contains(tree, want) {
+			t.Errorf("tree missing %q:\n%s", want, tree)
+		}
+	}
+}
+
 func TestTracerNilAndFail(t *testing.T) {
 	var tr *Tracer
 	s := tr.BeginQuery("q")
@@ -358,10 +399,7 @@ func TestTracerNilAndFail(t *testing.T) {
 		t.Fatalf("nil tracer Begin must be nil")
 	}
 	s.Finish(tr, Node{})
-	s.Fail(tr, errors.New("x"))
-	if s.Sampler() != nil {
-		t.Fatalf("nil span sampler must be nil")
-	}
+	s.Fail(tr, Node{}, errors.New("x"))
 	if err := tr.WriteJSONL(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +410,7 @@ func TestTracerNilAndFail(t *testing.T) {
 	live := NewTracer()
 	q := live.BeginQuery("q")
 	n := live.Begin(q, "node")
-	n.Fail(live, errors.New("stream order violated"))
+	n.Fail(live, Node{}, errors.New("stream order violated"))
 	n.Finish(live, Node{OutRows: 99}) // second finish ignored
 	if n.Node.OutRows != 0 || n.Err != "stream order violated" {
 		t.Fatalf("Fail then Finish: %+v", n)

@@ -218,6 +218,39 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return h
 }
 
+// Unregister removes the named instruments, of whatever kind; a later
+// lookup of one of those names makes it anew. Unknown names are ignored.
+func (r *Registry) Unregister(names ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range names {
+		delete(r.metrics, n)
+	}
+}
+
+// NameFragment maps a name chosen outside the registry (a tenant, a live
+// table, a standing query) to a fragment that is legal anywhere in a
+// Prometheus metric name: lower case, every character but a-z and 0-9
+// replaced by '_'. The registry has no labels, so such names are spliced
+// into series names (tdb_server_tenant_<name>_queries_total,
+// tdb_live_backlog_<query>, …); two names that map to the same fragment
+// share their series.
+func NameFragment(name string) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(name) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
 // lookup finds or creates a scalar instrument under the registry lock.
 func (r *Registry) lookup(name, help, kind string) *metric {
 	if r == nil {

@@ -7,56 +7,25 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"tdb/internal/obs/prof"
 )
 
-// Span is one traced plan-node execution. Fields are written by the query
-// goroutine between Begin and Finish and read only afterwards. A span's
-// JSON encoding under its tags is its JSONL trace line.
+// Span is one traced plan-node execution: its identity, its timing, the
+// node's record and, for a node that failed, its error. Fields are written
+// by the query goroutine between Begin and Finish (or Fail) and read only
+// afterwards. A span's JSON encoding under its tags is its JSONL trace
+// line.
 type Span struct {
 	QueryID  int64 `json:"query"`
 	ID       int64 `json:"span"`
 	ParentID int64 `json:"parent,omitempty"` // 0 for a query root
 	StartNS  int64 `json:"start_ns"`
 	DurNS    int64 `json:"dur_ns"`
-	// Node is the plan node's record, handed over by Finish; its Label is
-	// the one the span was begun with.
+	// Node is the plan node's record, handed over by Finish or Fail; its
+	// Label is the one the span was begun with.
 	Node
-	Curve []Sample `json:"state_curve,omitempty"`
-	Err   string   `json:"error,omitempty"`
+	Err string `json:"error,omitempty"`
 
-	// Resource accounting (internal/obs/prof). Allocs/AllocBytes are the
-	// heap-allocation deltas of this node's own execution, exclusive of
-	// finished child spans: the runtime counters are process-global, so a
-	// parent's window contains its children's, and Finish subtracts the
-	// inclusive child totals accumulated in childAllocs/childBytes. Only
-	// spans whose ProfBegin ran (serial nodes and the query root — never
-	// concurrent worker spans, whose windows would overlap) carry deltas;
-	// Profiled marks them so zero is distinguishable from "off".
-	Allocs     int64 `json:"allocs,omitempty"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-	Profiled   bool  `json:"profiled,omitempty"`
-
-	profStart   prof.Snap
-	parent      *Span
-	childAllocs int64
-	childBytes  int64
-
-	sampler *StateSampler
-	done    bool
-}
-
-// ProfBegin snapshots the allocation counters at span start. The engine
-// calls it only where the delta is attributable: on the query goroutine
-// for serial node spans and the query root. With accounting disabled
-// (prof.SetEnabled(false)) it is one atomic load and the span stays
-// unprofiled.
-func (s *Span) ProfBegin() {
-	if s == nil {
-		return
-	}
-	s.profStart = prof.ReadSnap()
+	done bool
 }
 
 // Tracer collects the spans of one or more queries. Spans are appended
@@ -114,7 +83,6 @@ func (t *Tracer) beginLocked(parent *Span, query int64, label string) *Span {
 		ID:      t.nextID,
 		StartNS: t.clock(),
 		Node:    Node{Label: label},
-		parent:  parent,
 	}
 	if parent != nil {
 		s.ParentID = parent.ID
@@ -133,22 +101,31 @@ func (t *Tracer) now() int64 {
 	return t.clock()
 }
 
-// Sampler returns the span's state sampler, allocating it on first use so
-// only traced operators pay for curve collection.
-func (s *Span) Sampler() *StateSampler {
+// Finish stamps the duration and records the node's record under the
+// span's own label. Finishing twice keeps the first outcome.
+func (s *Span) Finish(t *Tracer, node Node) {
 	if s == nil {
-		return nil
+		return
 	}
-	if s.sampler == nil {
-		s.sampler = NewStateSampler(DefaultSamples)
-	}
-	return s.sampler
+	s.end(t, node, "")
 }
 
-// Finish stamps the duration and records the node outcome: the node's
-// record, under the span's own label, and the sampled state curve.
-// Finishing twice keeps the first outcome.
-func (s *Span) Finish(t *Tracer, node Node) {
+// Fail stamps the duration and records the error that aborted the node,
+// with what the node's record holds of it: its state curve and its
+// allocation window.
+func (s *Span) Fail(t *Tracer, node Node, err error) {
+	if s == nil {
+		return
+	}
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
+	s.end(t, node, msg)
+}
+
+// end closes the span once: the first Finish or Fail wins.
+func (s *Span) end(t *Tracer, node Node, err string) {
 	if s == nil {
 		return
 	}
@@ -159,54 +136,7 @@ func (s *Span) Finish(t *Tracer, node Node) {
 	s.DurNS = t.now() - s.StartNS
 	node.Label = s.Label
 	s.Node = node
-	s.Curve = s.sampler.Samples()
-	s.settleProf()
-}
-
-// Fail stamps the end time and records the error that aborted the node.
-func (s *Span) Fail(t *Tracer, err error) {
-	if s == nil {
-		return
-	}
-	if s.done {
-		return
-	}
-	s.done = true
-	s.DurNS = t.now() - s.StartNS
-	if err != nil {
-		s.Err = err.Error()
-	}
-	s.Curve = s.sampler.Samples()
-	s.settleProf()
-}
-
-// settleProf closes the allocation window: records this span's delta,
-// subtracts the inclusive totals its finished children pushed up, and
-// pushes the span's own inclusive delta to its parent. Runs only on the
-// query goroutine (worker spans never take a profStart), so the parent
-// fields need no lock.
-func (s *Span) settleProf() {
-	if s == nil {
-		return
-	}
-	if !s.profStart.Taken {
-		return
-	}
-	a, by := prof.Since(s.profStart)
-	s.Profiled = true
-	s.Allocs = max64(a-s.childAllocs, 0)
-	s.AllocBytes = max64(by-s.childBytes, 0)
-	if s.parent != nil {
-		s.parent.childAllocs += a
-		s.parent.childBytes += by
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	s.Err = err
 }
 
 // Spans returns the collected spans in begin order.
@@ -243,8 +173,16 @@ func (t *Tracer) Tree() string {
 	}
 	spans := t.Spans()
 	children := map[int64][]*Span{}
+	// A query's inclusive allocation totals are the sum of its spans'
+	// exclusive ones.
+	type allocTotal struct{ allocs, bytes int64 }
+	totals := map[int64]allocTotal{}
 	var roots []*Span
 	for _, s := range spans {
+		if s.Profiled {
+			q := totals[s.QueryID]
+			totals[s.QueryID] = allocTotal{q.allocs + s.Allocs, q.bytes + s.AllocBytes}
+		}
 		if s.ParentID == 0 {
 			roots = append(roots, s)
 			continue
@@ -263,7 +201,8 @@ func (t *Tracer) Tree() string {
 			fmt.Fprintf(&b, "query #%d  %s  (%.3fms", s.QueryID, s.Label, ms(s))
 			if s.Profiled {
 				// The root line reports the query's inclusive totals.
-				fmt.Fprintf(&b, " allocs=%d B=%d", s.Allocs+s.childAllocs, s.AllocBytes+s.childBytes)
+				q := totals[s.QueryID]
+				fmt.Fprintf(&b, " allocs=%d B=%d", q.allocs, q.bytes)
 			}
 			b.WriteString(")\n")
 		} else {

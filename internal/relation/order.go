@@ -37,9 +37,6 @@ var (
 	TEDesc = TemporalKey{Endpoint: interval.TE, Desc: true}
 )
 
-// TemporalKeys lists the four elementary keys in table order.
-func TemporalKeys() []TemporalKey { return []TemporalKey{TSAsc, TSDesc, TEAsc, TEDesc} }
-
 // Order is a composite sort order: a primary key followed by optional
 // tie-breaking keys. The self-semijoin algorithm of Figure 7, for example,
 // requires primary ValidFrom ↑ with secondary ValidTo ↑.

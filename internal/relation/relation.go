@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tdb/internal/interval"
@@ -10,8 +9,8 @@ import (
 
 // Relation is a named temporal relation: a schema plus a bag of rows.
 // Following the paper, a temporal relation is conceptually a *set* of
-// 4-tuples; we store a bag and provide Dedup because intermediate results
-// of the algebra may carry duplicates until a projection eliminates them.
+// 4-tuples; we store a bag because intermediate results of the algebra
+// may carry duplicates until a projection eliminates them.
 type Relation struct {
 	Name   string
 	Schema *Schema
@@ -72,21 +71,6 @@ func (r *Relation) Sort(o Order) {
 	SortSpans(r.Rows, func(row Row) interval.Interval { return row.Span(s) }, o)
 }
 
-// SortBy orders the rows by the listed column indexes ascending, comparing
-// values with their natural order. It is the engine's generic sort for
-// equi-join preparation (e.g. sort Faculty by Name).
-func (r *Relation) SortBy(cols ...int) {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		for _, c := range cols {
-			cmp := r.Rows[i][c].Compare(r.Rows[j][c])
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-}
-
 // Clone returns a deep copy (rows cloned, schema shared — schemas are
 // immutable after construction).
 func (r *Relation) Clone() *Relation {
@@ -96,20 +80,6 @@ func (r *Relation) Clone() *Relation {
 		c.Rows[i] = row.Clone()
 	}
 	return c
-}
-
-// Dedup removes duplicate rows in place, preserving first occurrences.
-func (r *Relation) Dedup() {
-	seen := make(map[string]bool, len(r.Rows))
-	out := r.Rows[:0]
-	for _, row := range r.Rows {
-		k := row.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
-	}
-	r.Rows = out
 }
 
 // String renders the relation as a small table, for the shell and for

@@ -93,14 +93,6 @@ func appendCell(dst []byte, v value.Value) []byte {
 	return append(binary.AppendUvarint(append(dst, 's'), uint64(len(s))), s...)
 }
 
-// ConcatRows returns the concatenation of two rows, the output of a join.
-func ConcatRows(l, r Row) Row {
-	out := make(Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	out = append(out, r...)
-	return out
-}
-
 // ParseRow parses one textual record (e.g. a CSV line) into a row under
 // the schema's column kinds.
 func ParseRow(s *Schema, rec []string) (Row, error) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,22 +52,6 @@ type admission struct {
 	tenants map[string]*tenant
 }
 
-// sanitizeMetric maps a tenant name into a Prometheus-legal metric-name
-// fragment (the registry has no label support, so tenants get name-mangled
-// series: tdb_server_tenant_<name>_queries_total and friends).
-func sanitizeMetric(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
 func newAdmission(cfgs []TenantConfig, reg *obs.Registry) *admission {
 	if len(cfgs) == 0 {
 		cfgs = []TenantConfig{{Name: "default"}}
@@ -87,7 +70,7 @@ func newAdmission(cfgs []TenantConfig, reg *obs.Registry) *admission {
 			cfg.QueueTimeout = DefaultQueueTimeout
 		}
 		t := &tenant{cfg: cfg, sem: make(chan struct{}, cfg.MaxConcurrent)}
-		m := sanitizeMetric(cfg.Name)
+		m := obs.NameFragment(cfg.Name)
 		t.cQueries = reg.Counter("tdb_server_tenant_"+m+"_queries_total", "queries admitted for tenant "+cfg.Name)
 		t.cErrors = reg.Counter("tdb_server_tenant_"+m+"_errors_total", "queries failed for tenant "+cfg.Name)
 		t.cRejected = reg.Counter("tdb_server_tenant_"+m+"_rejected_total", "requests rejected by quota for tenant "+cfg.Name)

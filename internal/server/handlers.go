@@ -542,7 +542,7 @@ func (s *Server) applyAppend(req *AppendRequest) (AppendResponse, *Error) {
 		appended++
 	}
 	if req.Flush {
-		if err := s.live.Flush(); err != nil {
+		if err := tbl.Flush(); err != nil {
 			return AppendResponse{}, errf(CodeExec, "flush: %v", err)
 		}
 	}

@@ -121,8 +121,9 @@ type AppendRequest struct {
 	// (decodeRows), straight into engine rows.
 	Rows  json.RawMessage `json:"rows"`
 	Slack int64           `json:"slack,omitempty"`
-	// Flush drains the reorder buffer after the appends, releasing
-	// every buffered row to storage and the standing queries.
+	// Flush drains the relation's reorder buffer after the appends,
+	// releasing its buffered rows to storage and the standing queries;
+	// other relations' buffers are left as they are.
 	Flush bool `json:"flush,omitempty"`
 	// IdemKey makes the append idempotent: the server remembers the
 	// outcome under (tenant, relation, key) for the dedup window's TTL

@@ -587,3 +587,34 @@ func TestForeverSurvivesTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushingAppendDrainsOnlyItsRelation: a flush: true append releases
+// its own relation's reorder buffer and leaves another relation's
+// watermark where that relation's slack put it.
+func TestFlushingAppendDrainsOnlyItsRelation(t *testing.T) {
+	_, ts := newTestServer(t, Config{DB: liveDB(t)})
+	var g AppendResponse
+	if we := post(t, ts.URL, "append", AppendRequest{
+		Relation: "G", Slack: 10,
+		Rows: wireRows([]any{"g1", "Full", 5, 30}, []any{"g2", "Full", 20, 30}),
+	}, &g); we != nil {
+		t.Fatalf("append G: %s: %s", we.Code, we.Message)
+	}
+	if g.Watermark != 10 {
+		t.Fatalf("G watermark %d, want 10 (slack 10 behind ts 20)", g.Watermark)
+	}
+	var f AppendResponse
+	if we := post(t, ts.URL, "append", AppendRequest{
+		Relation: "F", Flush: true, Rows: wireRows([]any{"f1", "Full", 1, 2}),
+	}, &f); we != nil {
+		t.Fatalf("flushing append F: %s: %s", we.Code, we.Message)
+	}
+	if f.Buffered != 0 {
+		t.Errorf("F buffered %d after its flush, want 0", f.Buffered)
+	}
+	if we := post(t, ts.URL, "append", AppendRequest{
+		Relation: "G", Rows: wireRows([]any{"g3", "Full", 15, 30}),
+	}, nil); we != nil {
+		t.Errorf("G row at ts 15 refused after a flush of F: %s: %s", we.Code, we.Message)
+	}
+}

@@ -9,12 +9,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"tdb/internal/engine"
 	"tdb/internal/live"
+	"tdb/internal/obs"
 	"tdb/internal/relation"
 	"tdb/internal/workload"
 )
@@ -239,5 +241,57 @@ func TestResumeNegativeAfterSeqRejected(t *testing.T) {
 	we := post(t, ts.URL, "subscribe", SubscribeRequest{Session: sid, Resume: meta.Resume, AfterSeq: -1}, nil)
 	if we == nil || we.Code != CodeBadRequest {
 		t.Fatalf("resume after seq -1: %+v, want %s", we, CodeBadRequest)
+	}
+}
+
+// promName is the Prometheus metric-name syntax.
+var promName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+
+// TestSubscriptionSeriesLegalAndDropped: a subscription's standing-query
+// series carry Prometheus-legal names, although the server names the
+// query <session>.<n>.<name>, and they leave the registry with the
+// subscription.
+func TestSubscriptionSeriesLegalAndDropped(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{DB: liveDB(t), Registry: reg, SubscribePoll: 5 * time.Millisecond})
+	sid := openSession(t, ts.URL, "")
+	r, _ := startSubscribe(t, ts, SubscribeRequest{Session: sid, Quel: overlapSubscribe})
+	if ev, err := readEvent(r); err != nil || ev.name != "meta" {
+		t.Fatalf("first event %q (%v), want meta", ev.name, err)
+	}
+	exposition := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	out := exposition()
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		name := ""
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(rest, " ")
+		} else if !strings.HasPrefix(line, "#") {
+			name, _, _ = strings.Cut(line, " ")
+			name, _, _ = strings.Cut(name, "{")
+		}
+		if name != "" && !promName.MatchString(name) {
+			t.Errorf("illegal metric name %q in %q", name, line)
+		}
+	}
+	series := []string{"tdb_live_backlog_", "tdb_live_workspace_hwm_", "tdb_live_deltas_total_"}
+	for _, prefix := range series {
+		if !strings.Contains(out, "# TYPE "+prefix) {
+			t.Errorf("no %s series while subscribed:\n%s", prefix, out)
+		}
+	}
+	if we := post(t, ts.URL, "session/close", SessionCloseRequest{Session: sid}, nil); we != nil {
+		t.Fatalf("close session: %s", we.Message)
+	}
+	out = exposition()
+	for _, prefix := range series {
+		if strings.Contains(out, prefix) {
+			t.Errorf("%s series left after the subscription ended:\n%s", prefix, out)
+		}
 	}
 }
