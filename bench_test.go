@@ -654,41 +654,6 @@ func BenchmarkPrefilter(b *testing.B) {
 	})
 }
 
-// --- Coalescing (the Time Sequence canonical form). ---
-
-func BenchmarkCoalesce(b *testing.B) {
-	ts := workload.Tuples(workload.Config{N: 50000, Lambda: 2, MeanDur: 6, Seed: 19}, "t")
-	// Group by the value attribute, sorted by ValidFrom within groups.
-	relation.SortSpans(ts, tupleSpan, relation.Order{relation.TSAsc})
-	key := func(t relation.Tuple) string { return t.V.String() }
-	grouped := make([]relation.Tuple, 0, len(ts))
-	byKey := map[string][]relation.Tuple{}
-	var order []string
-	for _, t := range ts {
-		k := key(t)
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], t)
-	}
-	for _, k := range order {
-		grouped = append(grouped, byKey[k]...)
-	}
-	rewrap := func(t relation.Tuple, iv interval.Interval) relation.Tuple {
-		t.Span = iv
-		return t
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := core.Coalesce(stream.FromSlice(grouped), key, tupleSpan, rewrap,
-			core.Options{}, func(relation.Tuple) {})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Transaction time: AsOf reconstruction (Section 6 future work). ---
 
 func BenchmarkRollbackAsOf(b *testing.B) {

@@ -10,10 +10,9 @@
 //
 // Every registered analyzer runs on every invocation, in one pass. Most
 // work on single packages; hotpath-alloc audits //tdb:hotpath regions
-// against per-function def-use chains and a conservative escape lattice
-// (internal/lint/flow); lock-order and failpoint-coverage export facts
-// for a whole-module finish phase. See analysis.go for the driver
-// contract.
+// from their syntax and types alone; lock-order and failpoint-coverage
+// export facts for a whole-module finish phase. See analysis.go for the
+// driver contract.
 //
 // A finding is suppressed by a justification comment on the same line or
 // the line directly above:

@@ -5,27 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"tdb/internal/lint/flow"
 )
-
-// flowIndex memoizes one package's flow summaries by function body, so
-// only the functions a hot region sits in pay for dataflow.
-type flowIndex struct {
-	pkg *Package
-	m   map[*ast.BlockStmt]*flow.Func
-}
-
-// Of returns the (memoized) dataflow summary for the function with the
-// given signature and body.
-func (ix *flowIndex) Of(ftype *ast.FuncType, body *ast.BlockStmt) *flow.Func {
-	if f, ok := ix.m[body]; ok {
-		return f
-	}
-	f := flow.Analyze(ix.pkg.Info, ftype, body)
-	ix.m[body] = f
-	return f
-}
 
 // hotpathMarker is the annotation that opts a function or loop into
 // allocation auditing. It must sit on the line directly above the `func`
@@ -39,14 +19,16 @@ const hotpathMarker = "tdb:hotpath"
 // literals), interface boxing, append calls that may grow their
 // destination, map inserts, and function literals (whose captures
 // escape). Error paths — if-bodies ending in a return — are exempt, as
-// is an append whose destination is provably pre-sized (a make with
-// explicit capacity, or a reused s[:0] slice).
+// is an append whose destination is pre-sized (a variable of the
+// enclosing function defined by a make with explicit capacity, or by a
+// reused s[:k] slice). Both facts are read from the region's syntax and
+// go/types; no escape proof is attempted, so a new or &T{} the compiler
+// would keep on the stack still needs a lint:allow justification.
 var hotpathAllocAnalyzer = &Analyzer{
 	Name: "hotpath-alloc",
 	Doc:  "//tdb:hotpath regions must not allocate, box, or grow per iteration",
 	Run: func(pass *Pass) {
 		p := pass.Pkg
-		idx := &flowIndex{pkg: p, m: map[*ast.BlockStmt]*flow.Func{}}
 		for _, file := range p.Files {
 			hot := hotpathLines(p.Fset, file)
 			if len(hot) == 0 {
@@ -58,8 +40,7 @@ var hotpathAllocAnalyzer = &Analyzer{
 					continue
 				}
 				for _, reg := range hotRegions(p.Fset, fd, hot) {
-					fl := idx.Of(reg.ftype, reg.fbody)
-					checkHotRegion(pass, fl, reg.region)
+					checkHotRegion(pass, reg)
 				}
 			}
 		}
@@ -84,10 +65,10 @@ func hotpathLines(fset *token.FileSet, file *ast.File) map[int]bool {
 }
 
 // hotRegion is one annotated area: the statement block to audit plus the
-// enclosing function whose dataflow summary interprets it.
+// enclosing function (a *ast.FuncDecl or *ast.FuncLit) whose variable
+// definitions decide which appends are pre-sized.
 type hotRegion struct {
-	ftype  *ast.FuncType
-	fbody  *ast.BlockStmt
+	fn     ast.Node
 	region ast.Node
 }
 
@@ -101,35 +82,28 @@ func hotRegions(fset *token.FileSet, fd *ast.FuncDecl, hot map[int]bool) []hotRe
 		return hot[line] || hot[line-1]
 	}
 	if marked(fd.Pos()) {
-		return []hotRegion{{ftype: fd.Type, fbody: fd.Body, region: fd.Body}}
+		return []hotRegion{{fn: fd, region: fd.Body}}
 	}
 	var out []hotRegion
-	type frame struct {
-		ftype *ast.FuncType
-		fbody *ast.BlockStmt
-	}
-	stack := []frame{{fd.Type, fd.Body}}
+	stack := []ast.Node{fd}
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		ast.Inspect(n, func(m ast.Node) bool {
+			var body *ast.BlockStmt
 			switch m := m.(type) {
 			case *ast.FuncLit:
-				stack = append(stack, frame{m.Type, m.Body})
+				stack = append(stack, m)
 				walk(m.Body)
 				stack = stack[:len(stack)-1]
 				return false
 			case *ast.ForStmt:
-				if marked(m.Pos()) {
-					top := stack[len(stack)-1]
-					out = append(out, hotRegion{ftype: top.ftype, fbody: top.fbody, region: m.Body})
-					return false // the annotation covers nested loops too
-				}
+				body = m.Body
 			case *ast.RangeStmt:
-				if marked(m.Pos()) {
-					top := stack[len(stack)-1]
-					out = append(out, hotRegion{ftype: top.ftype, fbody: top.fbody, region: m.Body})
-					return false
-				}
+				body = m.Body
+			}
+			if body != nil && marked(m.Pos()) {
+				out = append(out, hotRegion{fn: stack[len(stack)-1], region: body})
+				return false // the annotation covers nested loops too
 			}
 			return true
 		})
@@ -138,10 +112,10 @@ func hotRegions(fset *token.FileSet, fd *ast.FuncDecl, hot map[int]bool) []hotRe
 	return out
 }
 
-// checkHotRegion audits one annotated region against the function's
-// dataflow summary.
-func checkHotRegion(pass *Pass, fl *flow.Func, region ast.Node) {
+// checkHotRegion audits one annotated region.
+func checkHotRegion(pass *Pass, reg hotRegion) {
 	p := pass.Pkg
+	region := reg.region
 	// Ranges excluded from auditing: error paths (if-bodies ending in a
 	// return) and nested function literal bodies (flagged as a whole at
 	// their position instead).
@@ -171,12 +145,13 @@ func checkHotRegion(pass *Pass, fl *flow.Func, region ast.Node) {
 	active := func(pos token.Pos) bool {
 		return pos >= region.Pos() && pos < region.End() && !inSkipped(pos)
 	}
-
-	for _, b := range fl.Boxings() {
-		if active(b.Pos) {
-			pass.Reportf(b.Pos, "hot path boxes %s into %s", types.TypeString(b.From, types.RelativeTo(p.Types)), types.TypeString(b.To, types.RelativeTo(p.Types)))
+	box := func(to types.Type, e ast.Expr) {
+		if from := boxing(p.Info, to, e); from != nil && active(e.Pos()) {
+			q := types.RelativeTo(p.Types)
+			pass.Reportf(e.Pos(), "hot path boxes %s into %s", types.TypeString(from, q), types.TypeString(to, q))
 		}
 	}
+	sized := presized(p.Info, reg.fn)
 
 	ast.Inspect(region, func(n ast.Node) bool {
 		if n == nil || !active(n.Pos()) {
@@ -186,10 +161,11 @@ func checkHotRegion(pass *Pass, fl *flow.Func, region ast.Node) {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkHotCall(pass, fl, n)
+			checkHotCall(pass, sized, n)
+			callBoxings(p.Info, n, box)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && !stackable(fl, n) {
+				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
 					pass.Reportf(n.Pos(), "hot path heap-allocates a composite literal (address taken)")
 				}
 			}
@@ -200,14 +176,26 @@ func checkHotRegion(pass *Pass, fl *flow.Func, region ast.Node) {
 			}
 			switch t.Underlying().(type) {
 			case *types.Slice:
-				if !stackable(fl, n) {
-					pass.Reportf(n.Pos(), "hot path allocates a slice literal per iteration")
-				}
+				pass.Reportf(n.Pos(), "hot path allocates a slice literal per iteration")
 			case *types.Map:
 				pass.Reportf(n.Pos(), "hot path allocates a map literal per iteration")
 			}
+			compositeBoxings(t, n, box)
+		case *ast.SendStmt:
+			if ch, ok := underOf(p.Info, n.Chan).(*types.Chan); ok {
+				box(ch.Elem(), n.Value)
+			}
+		case *ast.ValueSpec:
+			if len(n.Values) == len(n.Names) {
+				for i, name := range n.Names {
+					box(typeOf(p.Info, name), n.Values[i])
+				}
+			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for i, lhs := range n.Lhs {
+				if len(n.Rhs) == len(n.Lhs) {
+					box(typeOf(p.Info, lhs), n.Rhs[i])
+				}
 				ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 				if !ok {
 					continue
@@ -224,8 +212,8 @@ func checkHotRegion(pass *Pass, fl *flow.Func, region ast.Node) {
 }
 
 // checkHotCall audits one call expression inside a hot region: make/new
-// allocations and append growth.
-func checkHotCall(pass *Pass, fl *flow.Func, call *ast.CallExpr) {
+// allocations and append growth. sized holds the pre-sized variables.
+func checkHotCall(pass *Pass, sized map[*types.Var]bool, call *ast.CallExpr) {
 	p := pass.Pkg
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
@@ -255,9 +243,7 @@ func checkHotCall(pass *Pass, fl *flow.Func, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(), "hot path allocates a channel per iteration")
 		}
 	case "new":
-		if !stackable(fl, call) {
-			pass.Reportf(call.Pos(), "hot path heap-allocates with new")
-		}
+		pass.Reportf(call.Pos(), "hot path heap-allocates with new")
 	case "append":
 		if len(call.Args) == 0 {
 			return
@@ -267,8 +253,7 @@ func checkHotCall(pass *Pass, fl *flow.Func, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(), "hot path append may grow its destination; pre-size it or reuse a [:0] slice")
 			return
 		}
-		v, _ := p.Info.ObjectOf(dst).(*types.Var)
-		if v == nil || !presized(fl, v) {
+		if v, _ := p.Info.ObjectOf(dst).(*types.Var); v == nil || !sized[v] {
 			pass.Reportf(call.Pos(), "hot path append to %s may grow; pre-size it with make(len, cap) or reuse a [:0] slice", dst.Name)
 		}
 	}
@@ -284,39 +269,156 @@ func isErrorPathIf(n *ast.IfStmt) bool {
 	return ok
 }
 
-// stackable reports whether the allocation expression is the defining
-// value of a variable the escape lattice proves Local — the compiler can
-// keep it on the stack, so the hot region need not be charged for it.
-func stackable(fl *flow.Func, e ast.Expr) bool {
-	for _, v := range fl.Vars {
-		for _, de := range v.DefExprs {
-			if de == e {
-				return v.Esc == flow.Local
-			}
-		}
+// boxing returns the concrete type of e when placing e into a destination
+// of type to converts it to an interface, and nil otherwise. Type
+// parameters (instantiation substitutes a concrete type), tuples (a
+// multi-value right-hand side), untyped nil and interface-to-interface
+// moves are not boxings.
+func boxing(info *types.Info, to types.Type, e ast.Expr) types.Type {
+	if to == nil || !types.IsInterface(to) {
+		return nil
 	}
-	return false
+	if _, ok := to.(*types.TypeParam); ok {
+		return nil
+	}
+	from := typeOf(info, e)
+	if from == nil || types.IsInterface(from) || from == types.Typ[types.UntypedNil] {
+		return nil // types.IsInterface holds for type parameters too
+	}
+	if _, tuple := from.(*types.Tuple); tuple {
+		return nil
+	}
+	return from
 }
 
-// presized reports whether the variable has a defining expression that
-// proves its backing capacity was reserved ahead of the hot region: a
-// make with explicit capacity, or a slice of an existing backing array
-// (the s[:0] reuse idiom). Definitions without a value (`var s []T`) are
-// neutral; an append result feeding back into the variable is too.
-func presized(fl *flow.Func, v *types.Var) bool {
-	info := fl.Of(v)
-	if info == nil {
-		return false
+// callBoxings feeds box the interface conversions of one call: each
+// argument at an interface parameter (the variadic tail unfolded, an
+// f(xs...) spread excepted), the operand of a conversion I(v), and the
+// operand of panic.
+func callBoxings(info *types.Info, call *ast.CallExpr, box func(types.Type, ast.Expr)) {
+	fun := ast.Unparen(call.Fun)
+	if tv, ok := info.Types[fun]; ok && tv.IsType() {
+		for _, arg := range call.Args {
+			box(tv.Type, arg)
+		}
+		return
 	}
-	for _, de := range info.DefExprs {
-		switch de := ast.Unparen(de).(type) {
-		case *ast.SliceExpr:
-			return true
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(de.Fun).(*ast.Ident); ok && id.Name == "make" && len(de.Args) == 3 {
-				return true
+	if id, ok := fun.(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			if b.Name() == "panic" && len(call.Args) == 1 {
+				box(types.NewInterfaceType(nil, nil), call.Args[0])
+			}
+			return
+		}
+	}
+	sig, ok := underOf(info, fun).(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		switch {
+		case sig.Variadic() && !call.Ellipsis.IsValid() && i >= params.Len()-1:
+			box(params.At(params.Len()-1).Type().(*types.Slice).Elem(), arg)
+		case i < params.Len():
+			box(params.At(i).Type(), arg)
+		}
+	}
+}
+
+// compositeBoxings feeds box the interface conversions of a composite
+// literal of type t: elements, map keys and values, and struct fields.
+func compositeBoxings(t types.Type, lit *ast.CompositeLit, box func(types.Type, ast.Expr)) {
+	for i, el := range lit.Elts {
+		var key *ast.Ident // a struct literal's field name
+		val := el
+		kv, keyed := el.(*ast.KeyValueExpr)
+		if keyed {
+			key, _ = kv.Key.(*ast.Ident)
+			val = kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Slice:
+			box(u.Elem(), val)
+		case *types.Array:
+			box(u.Elem(), val)
+		case *types.Map:
+			if keyed {
+				box(u.Key(), kv.Key)
+				box(u.Elem(), val)
+			}
+		case *types.Struct:
+			for j := 0; j < u.NumFields(); j++ {
+				if f := u.Field(j); keyed && key != nil && key.Name == f.Name() || !keyed && j == i {
+					box(f.Type(), val)
+				}
 			}
 		}
 	}
-	return false
+}
+
+// presized returns the variables declared in fn whose backing capacity
+// some definition in fn reserves ahead of use: a make with explicit
+// capacity, or a slice of an existing backing array (the s[:0] reuse
+// idiom). Definitions without a value (`var s []T`) are neutral; an
+// append result feeding back into the variable is too.
+func presized(info *types.Info, fn ast.Node) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	def := func(id *ast.Ident, rhs ast.Expr) {
+		v, _ := info.ObjectOf(id).(*types.Var)
+		if v == nil || v.Pos() < fn.Pos() || v.Pos() >= fn.End() {
+			return
+		}
+		switch rhs := ast.Unparen(rhs).(type) {
+		case *ast.SliceExpr:
+			out[v] = true
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(rhs.Fun).(*ast.Ident); ok && id.Name == "make" && len(rhs.Args) == 3 {
+				out[v] = true
+			}
+		}
+	}
+	ast.Inspect(fn, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+						def(id, n.Rhs[i])
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Values) == len(n.Names) {
+				for i, name := range n.Names {
+					def(name, n.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// underOf returns the underlying type of e, or nil when e has none
+// recorded.
+func underOf(info *types.Info, e ast.Expr) types.Type {
+	if t := typeOf(info, e); t != nil {
+		return t.Underlying()
+	}
+	return nil
+}
+
+// typeOf returns the type of e, falling back to the object an identifier
+// denotes (an assignment's left-hand side may be recorded only there).
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		if obj := info.ObjectOf(id); obj != nil {
+			return obj.Type()
+		}
+	}
+	return nil
 }

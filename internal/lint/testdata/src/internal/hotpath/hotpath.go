@@ -1,7 +1,8 @@
 // Package hotpath is the hotpath-alloc fixture: regions annotated
 // //tdb:hotpath must not heap-allocate, box into interfaces, grow maps
-// or appends, or capture closures; error paths and provably pre-sized or
-// stack-bound allocations are exempt.
+// or appends, or capture closures; error paths and pre-sized appends are
+// exempt. No escape proof is attempted: a new the compiler would keep on
+// the stack is still reported.
 package hotpath
 
 type item struct {
@@ -107,14 +108,15 @@ type limitError struct{ what []string }
 
 func (e *limitError) Error() string { return "limit exceeded" }
 
-// GoodStackBound allocations stay local: the escape lattice proves the
-// pointer never leaves the function, so new is not charged.
+// BadStackBoundNewReported is reported although its pointer never leaves
+// the function: the rule reads syntax and types only, so a stack-bound
+// allocation in a hot region needs a lint:allow justification.
 //
 //tdb:hotpath
-func GoodStackBound(items []item) int {
+func BadStackBoundNewReported(items []item) int {
 	total := 0
 	for _, it := range items {
-		tmp := new(item)
+		tmp := new(item) // want hotpath-alloc
 		tmp.key = it.key
 		total += tmp.key
 	}
@@ -132,6 +134,65 @@ func BadEscapingNew(items []item) {
 		Sink = tmp // want hotpath-alloc
 	}
 }
+
+// holder has an interface field, so its literals box.
+type holder struct {
+	v any
+	n int
+}
+
+// BadBoxingPositions boxes in the remaining positions, one per line: a
+// send on a chan any, slice, map and struct literal elements, an explicit
+// conversion, a panic operand, and an untyped constant argument.
+//
+//tdb:hotpath
+func BadBoxingPositions(items []item, out chan any, consume func(any)) []holder {
+	held := make([]holder, 0, len(items))
+	for _, it := range items {
+		out <- it.name // want hotpath-alloc
+		row := []any{  // want hotpath-alloc
+			it.key,  // want hotpath-alloc
+			it.name, // want hotpath-alloc
+		}
+		_ = row
+		byKey := map[any]any{ // want hotpath-alloc
+			it.key:  // want hotpath-alloc
+			it.name, // want hotpath-alloc
+		}
+		_ = byKey
+		held = append(held,
+			holder{v: it.key, n: it.key}, // want hotpath-alloc
+			holder{it, it.key},           // want hotpath-alloc
+		)
+		out <- any(it.key) // want hotpath-alloc
+		consume(7)         // want hotpath-alloc
+		if it.key < 0 {
+			// lint:allow panic the fixture's panic-operand case, not a library panic
+			panic(it.key) // want hotpath-alloc
+		}
+	}
+	return held
+}
+
+// GoodNoBoxing moves values that are interfaces already, passes values
+// at type-parameter positions, passes an untyped nil, and appends to a
+// var defined with an explicit capacity: nothing here boxes or grows.
+//
+//tdb:hotpath
+func GoodNoBoxing[T any](xs []T, vs []any, consume func(T), sink func(any)) []any {
+	var kept = make([]any, 0, len(vs))
+	for i, x := range xs {
+		consume(x)
+		keep(x)
+		sink(nil)
+		var w any = vs[i]
+		kept = append(kept, w)
+	}
+	return kept
+}
+
+// keep takes a type-parameter argument.
+func keep[T any](v T) T { return v }
 
 // GoodJustified keeps a boxing but owns the decision.
 //
